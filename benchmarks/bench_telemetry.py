@@ -30,27 +30,10 @@ from repro.obs.diff import diff_files, load_metrics_file
 
 
 def test_engine_event_throughput(record_result):
-    result = bench_engine_throughput(events=20_000, repeats=3, queue="calendar")
+    result = bench_engine_throughput(events=20_000, repeats=3)
     assert result.value > 10_000, "event loop slower than 10k events/s"
     record_result(
         "bench_telemetry_engine",
-        f"{result.name}: {result.value:.0f} {result.unit} (calendar)",
-    )
-
-
-def test_engine_throughput_heap_reference(record_result):
-    """The reference heap backend stays within the same league.
-
-    Not a race between backends — the host is too noisy for that — just
-    a floor so a regression in either backend's hot path is caught.
-    """
-    result = bench_engine_throughput(
-        events=20_000, repeats=3, queue="heap",
-        name="engine_events_per_second_heap",
-    )
-    assert result.value > 10_000, "heap event loop slower than 10k events/s"
-    record_result(
-        "bench_telemetry_engine_heap",
         f"{result.name}: {result.value:.0f} {result.unit}",
     )
 
@@ -225,7 +208,6 @@ def test_bench_json_roundtrips_through_obs_diff(tmp_path):
     loaded = load_metrics_file(str(path_a))
     assert set(loaded) == {
         "engine_events_per_second",
-        "engine_events_per_second_heap",
         "sweep_runs_per_second",
         "algorithm1_seconds_per_dtim",
         "delivery_fanout_events_per_second",

@@ -263,7 +263,6 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         port_entry_ttl_s=args.port_ttl,
         port_refresh_interval_s=args.port_refresh,
         telemetry=telemetry,
-        queue_backend=args.queue,
         delivery_backend=args.delivery,
         ledger=bool(args.ledger or args.ledger_out),
     )
@@ -292,7 +291,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         if sim.run_wall_time_s > 0 else 0.0
     )
     print(
-        f"engine: {sim.queue_kind} queue, depth {sim.queue_depth} pending, "
+        f"engine: queue depth {sim.queue_depth} pending, "
         f"{sim.events_cancelled} cancelled, {sim.probes_fired} probes, "
         f"{rate:,.0f} events/s wall"
     )
@@ -379,7 +378,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dtim_period=args.dtim_period,
         check_invariants=args.check_invariants,
         recovery=not args.no_recovery,
-        queue_backend=args.queue,
         delivery_backend=args.delivery,
         profiler=profiler,
     )
@@ -459,7 +457,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         useful_fraction=args.fraction,
         duration_s=args.duration,
         dtim_period=args.dtim_period,
-        queue_backend=args.queue,
         delivery_backend=args.delivery,
         profiler=ProfilerConfig(mode=args.mode, stride=args.stride),
     )
@@ -728,11 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_run.add_argument("--dtim-period", type=int, default=1)
     sim_run.add_argument(
-        "--queue", choices=["heap", "calendar"], default=None,
-        help="event-queue backend (default: the engine's default; the "
-             "backends are observably identical)",
-    )
-    sim_run.add_argument(
         "--delivery", choices=["reference", "vectorized"], default=None,
         help="delivery backend (default: the medium's default, "
              "vectorized; the backends are bit-identical)",
@@ -850,10 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--dtim-period", type=int, default=1)
     sweep.add_argument(
-        "--queue", choices=["heap", "calendar"], default=None,
-        help="event-queue backend for every run",
-    )
-    sweep.add_argument(
         "--delivery", choices=["reference", "vectorized"], default=None,
         help="delivery backend for every run (default: vectorized)",
     )
@@ -935,10 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated seconds (capped at the trace duration)",
     )
     profile.add_argument("--dtim-period", type=int, default=1)
-    profile.add_argument(
-        "--queue", choices=["heap", "calendar"], default=None,
-        help="event-queue backend",
-    )
     profile.add_argument(
         "--delivery", choices=["reference", "vectorized"], default=None,
         help="delivery backend (default: vectorized)",

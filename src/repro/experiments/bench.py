@@ -3,9 +3,7 @@
 The benchmarks cover the paths every perf PR touches:
 
 * ``engine_events_per_second`` — raw DES event-loop throughput over a
-  chained ``post()`` schedule on the calendar-queue backend (higher is
-  better); ``engine_events_per_second_heap`` is the same workload on
-  the reference binary heap.
+  chained ``post()`` schedule (higher is better).
 * ``sweep_runs_per_second`` — full DES runs per second through the
   sharded sweep runner at 8 workers.
 * ``algorithm1_seconds_per_dtim`` — one Algorithm-1 execution at the
@@ -102,8 +100,6 @@ def _best_of(fn: Callable[[], float], repeats: int, pick_max: bool) -> Tuple[flo
 def bench_engine_throughput(
     events: int = 20_000,
     repeats: int = 3,
-    queue: str = "calendar",
-    name: str = "engine_events_per_second",
 ) -> BenchResult:
     """Events per wall second through a chained self-scheduling loop.
 
@@ -111,13 +107,11 @@ def bench_engine_throughput(
     handle allocation — with GC parked during the timed section, the
     same hygiene as any microbenchmark of a sub-microsecond operation.
     Short samples with best-of-N suppress the slow-host drift a single
-    long sample would average in.  The headline number runs the
-    calendar backend; ``engine_events_per_second_heap`` is the same
-    workload on the reference heap for an honest side-by-side.
+    long sample would average in.
     """
 
     def one_run() -> float:
-        sim = Simulator(queue=queue)
+        sim = Simulator()
         remaining = [events]
         post = sim.post
 
@@ -142,15 +136,11 @@ def bench_engine_throughput(
 
     value, samples = _best_of(one_run, repeats, pick_max=True)
     return BenchResult(
-        name=name,
+        name="engine_events_per_second",
         value=value,
         unit="events/s",
         higher_is_better=True,
-        detail={
-            "events": float(events),
-            "samples": float(len(samples)),
-            "queue_calendar": 1.0 if queue == "calendar" else 0.0,
-        },
+        detail={"events": float(events), "samples": float(len(samples))},
     )
 
 
@@ -663,13 +653,6 @@ def run_benchmarks(
         bench_engine_throughput(
             events=10_000 if quick else 20_000,
             repeats=engine_reps,
-            queue="calendar",
-        ),
-        bench_engine_throughput(
-            events=10_000 if quick else 20_000,
-            repeats=engine_reps,
-            queue="heap",
-            name="engine_events_per_second_heap",
         ),
         bench_sweep_throughput(
             seeds=4 if quick else 8,

@@ -37,7 +37,6 @@ from repro.obs.server import MetricsServer
 from repro.obs.timeseries import TimeseriesRecorder, dtim_window_s
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Simulator
-from repro.sim.eventq import QUEUE_KINDS
 from repro.sim.invariants import InvariantSuite
 from repro.sim.medium import DELIVERY_KINDS, Medium
 from repro.station.client import Client, ClientConfig, ClientPolicy
@@ -137,11 +136,6 @@ class DesRunConfig:
     #: scrape endpoint. ``None`` disables both; the run's determinism
     #: fingerprint is identical either way.
     telemetry: Optional[TelemetryConfig] = None
-    #: Event-queue backend for the simulator: ``"heap"``, ``"calendar"``,
-    #: or ``None`` for the engine default. The backends are observably
-    #: identical (the fingerprint-identity tests pin it), so this is a
-    #: pure throughput knob.
-    queue_backend: Optional[str] = None
     #: Hot-path attribution profiling (``repro profile``). Like the
     #: telemetry stack, attaching it leaves the run's determinism
     #: fingerprint bit-identical — the profiler observes the host
@@ -150,7 +144,7 @@ class DesRunConfig:
     #: Delivery backend for the medium: ``"reference"``,
     #: ``"vectorized"``, or ``None`` for the medium default
     #: (vectorized). Bit-identical pair (the delivery-equivalence suite
-    #: pins it), so — like ``queue_backend`` — a pure throughput knob.
+    #: pins it), so this is a pure throughput knob.
     delivery_backend: Optional[str] = None
     #: Attach the frame-lifecycle ledger (``--ledger-out``): per-frame
     #: buffering/delivery delay and per-client energy-attribution
@@ -160,11 +154,6 @@ class DesRunConfig:
     ledger: bool = False
 
     def __post_init__(self) -> None:
-        if self.queue_backend is not None and self.queue_backend not in QUEUE_KINDS:
-            raise ConfigurationError(
-                f"unknown queue backend {self.queue_backend!r}; "
-                f"expected one of {QUEUE_KINDS}"
-            )
         if (
             self.delivery_backend is not None
             and self.delivery_backend not in DELIVERY_KINDS
@@ -531,7 +520,7 @@ def prepare_trace_des(
     )
     injector = FaultInjector(active_plan) if active_plan is not None else None
 
-    simulator = Simulator(queue=config.queue_backend)
+    simulator = Simulator()
     medium = Medium(
         simulator,
         fault_injector=injector,

@@ -180,7 +180,6 @@ def _run_cell(task: Tuple[str, int, SweepSpec]) -> Dict[str, object]:
                 duration_s=result.duration_s,
                 transmissions=result.medium.transmissions_completed,
                 frames_dropped=result.medium.frames_dropped,
-                queue_kind=result.simulator.queue_kind,
             )
             if spec.timeseries_dir is not None and result.timeseries is not None:
                 path = os.path.join(

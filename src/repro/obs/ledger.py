@@ -23,9 +23,8 @@ Determinism rules, mirroring the tracer and profiler:
 
 * Every recorded value is **simulation time** read through the clock
   the wiring supplies, never wall clock — so the reference and
-  vectorized delivery lanes, and both event-queue backends, produce
-  bit-identical ledgers (delivery events pop in (time, seq) order,
-  which both lanes share).
+  vectorized delivery lanes produce bit-identical ledgers (delivery
+  events pop in (time, seq) order, which both lanes share).
 * The ledger only *reads* simulator/AP/table state. It must never bump
   a fingerprinted counter: port classification goes through
   :meth:`~repro.ap.port_table.ClientUdpPortTable.has_subscribers`,

@@ -2,7 +2,7 @@
 
 The engine's own counters say *how many* events fired; this module says
 *which code* they spent their wall time in.  An
-:class:`AttributionProfiler` hooks the simulator's fused run loop (see
+:class:`AttributionProfiler` hooks the simulator's run loop (see
 :meth:`repro.sim.engine.Simulator.attach_profiler`) and attributes wall
 time and event counts to callback *sites* — the owning entity class,
 the method, and the event kind (one-shot ``event`` vs ``recurring``
@@ -15,9 +15,9 @@ Two modes:
   counters are exact.  Highest fidelity, noticeable overhead.
 * ``sampling`` — only every ``stride``-th event is resolved and timed;
   per-site totals are scaled estimates (each sample stands for
-  ``stride`` events).  The steady-state cost is one integer decrement
-  per event, which is what keeps the < 5% overhead contract
-  (``profiler_overhead_fraction`` in ``repro bench``).
+  ``stride`` events).  The steady-state cost is one method call and an
+  integer decrement per event, which is what keeps the < 5% overhead
+  contract (``profiler_overhead_fraction`` in ``repro bench``).
 
 Attaching a profiler changes **nothing the simulation can observe**:
 no events are added, removed, or reordered, so same-seed determinism
@@ -70,9 +70,10 @@ class ProfilerConfig:
 class AttributionProfiler:
     """Attribute run-loop wall time to callback sites.
 
-    The run loop drives the hot counters directly (``_resolve`` returns
-    the site's stats list; the loop bumps indices in place); everything
-    else — reports, collapsed stacks, tables — reads them afterwards.
+    The run loop hands every event to :meth:`profiled_call`, which
+    drives the hot counters (``_resolve`` returns the site's stats list;
+    the call bumps indices in place); everything else — reports,
+    collapsed stacks, tables — reads them afterwards.
     """
 
     def __init__(self, config: Optional[ProfilerConfig] = None) -> None:
@@ -137,13 +138,13 @@ class AttributionProfiler:
             self._sites[key] = stats
         return stats
 
-    # -- the non-inlined observation path (Simulator.step) -------------
+    # -- the per-event observation path ----------------------------------
 
     def profiled_call(self, record: list) -> None:
-        """Execute one event record with attribution (slow path).
+        """Execute one event record with attribution.
 
-        The fused run loop inlines this logic; :meth:`Simulator.step`
-        and any external driver call it directly.
+        :meth:`Simulator.run` and :meth:`Simulator.step` call this in
+        place of the bare callback whenever a profiler is attached.
         """
         callback = record[3]
         self.events_seen += 1

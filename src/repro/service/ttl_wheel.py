@@ -10,8 +10,8 @@ Design notes:
 
 * **Lazy cancellation.** Refreshing a client's TTL just records the new
   deadline and appends to the new slot; the stale slot entry is
-  discarded when its slot is swept (the same trick the calendar event
-  queue uses). ``deadlines[key]`` is the single source of truth.
+  discarded when its slot is swept (the same trick the DES event heap
+  uses for cancelled events). ``deadlines[key]`` is the single source of truth.
 * **Two levels.** Level 0 is ``wheel_slots`` fine slots of
   ``granularity_s`` each; level 1 is ``cascade_slots`` coarse slots
   each spanning the whole level-0 horizon. Deadlines beyond both go to

@@ -1,17 +1,23 @@
-"""The event loop: a monotonic clock over a pluggable event queue.
+"""The event loop: a monotonic clock over one binary heap of event records.
 
-The queue contract and both backends (reference binary heap, bucketed
-calendar queue) live in :mod:`repro.sim.eventq`; this module owns event
-semantics — total order, cancellation, recurring timers, observer
-probes — and the fused run loop that pops records without a method call
-per event.
+This module owns event semantics — total order, lazy cancellation,
+recurring timers, observer probes — and the run loop, which pops the
+heap with :func:`heapq.heappop` directly rather than through a method
+call per event.
 
 Events at equal times fire in (priority, insertion) order.  An event
-record is a 6-slot list ``[time, priority, sequence, callback,
-cancelled, interval_or_None]`` (see ``eventq``); every scheduling API
-consumes exactly one sequence number per queued record, so the live
-count is the arithmetic identity ``sequence - cancelled - processed``
-instead of a per-event counter update.
+record is a plain 6-slot list — not an object — so the heap orders
+records with C-speed lexicographic list comparison and the run loop
+indexes fields without attribute lookups::
+
+    [time, priority, sequence, callback, cancelled, interval_or_None]
+
+``sequence`` is unique per record, so comparison never reaches the
+callback field.  ``interval_or_None`` makes a recurring timer a run-loop
+re-arm of the popped record instead of a closure per firing.  Every
+scheduling API consumes exactly one sequence number per queued record,
+so the live count is the arithmetic identity ``sequence - cancelled -
+processed`` instead of a per-event counter update.
 
 Counter visibility: ``now`` is exact at all times.  ``events_processed``
 (and therefore ``pending_events``) is kept in a run-loop local for speed
@@ -26,10 +32,9 @@ from __future__ import annotations
 import math
 import time as _time
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Union
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.eventq import make_queue
 
 _INF = float("inf")
 
@@ -111,19 +116,11 @@ class Simulator:
 
     Events at equal times fire in (priority, insertion order). Lower
     priority values fire first; the default priority is 0.
-
-    ``queue`` selects the scheduling backend: ``"calendar"`` (default;
-    the bucketed calendar queue tuned to the beacon-period event mix),
-    ``"heap"`` (the reference binary heap), or a pre-built queue object.
-    The two backends are observably identical — the differential suite
-    and the fingerprint-identity tests pin that — so the choice is
-    purely a throughput knob.
     """
 
-    def __init__(self, queue: Union[str, Any, None] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue = make_queue(queue)
-        self._push = self._queue.push
+        self._queue: List[list] = []
         self._sequence = 0
         self._events_processed = 0
         self._events_cancelled = 0
@@ -139,11 +136,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def queue_kind(self) -> str:
-        """Which event-queue backend is active (``heap``/``calendar``)."""
-        return self._queue.kind
 
     @property
     def events_processed(self) -> int:
@@ -167,12 +159,7 @@ class Simulator:
     @property
     def queue_depth(self) -> int:
         """Queue entries including cancelled tombstones awaiting pop."""
-        return self._queue.depth()
-
-    @property
-    def heap_depth(self) -> int:
-        """Backward-compatible alias for :attr:`queue_depth`."""
-        return self._queue.depth()
+        return len(self._queue)
 
     @property
     def run_wall_time_s(self) -> float:
@@ -195,8 +182,9 @@ class Simulator:
         The profiler is an *observer of the host clock only*: it wraps
         callback invocation with wall timing but adds, removes, and
         reorders nothing, so same-seed fingerprints are identical with
-        or without it.  When no profiler is attached, ``run()`` takes
-        the original fused loop — detached profiling costs zero.
+        or without it.  When no profiler is attached, ``run()`` calls
+        callbacks directly — detached profiling costs one ``is None``
+        test per event.
         """
         if self._running:
             raise SimulationError("cannot attach a profiler mid-run")
@@ -225,24 +213,22 @@ class Simulator:
         """Fire-and-forget :meth:`schedule`: no handle is allocated.
 
         The hot-path scheduling call for events that are never
-        cancelled (frame deliveries, trace replay, benchmarks).  The
-        near-window push is inlined here — one compare against the
-        queue's ``near_end`` skips the ``push`` method call for the
-        overwhelmingly common due-soon case.  ``not delay >= 0`` rejects
-        negatives and NaN in one compare; a non-finite resulting time
-        can only reach the queue's cold overflow path, which rejects it.
+        cancelled (frame deliveries, trace replay, benchmarks).
+        ``not 0.0 <= delay < inf`` rejects negatives, infinity and NaN
+        in one chained compare.
         """
-        if not delay >= 0.0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
+        if not 0.0 <= delay < _INF:
+            if delay < 0.0:
+                raise SimulationError(
+                    f"cannot schedule into the past: delay={delay}"
+                )
+            raise SimulationError(f"event delay must be finite: {delay}")
         sequence = self._sequence
         self._sequence = sequence + 1
-        time = self._now + delay
-        record = [time, priority, sequence, callback, False, None]
-        queue = self._queue
-        if time < queue.near_end:
-            _heappush(queue.near, record)
-        else:
-            queue.push(record)
+        _heappush(
+            self._queue,
+            [self._now + delay, priority, sequence, callback, False, None],
+        )
 
     def post_at(
         self, time: float, callback: Callable[[], None], priority: int = 0
@@ -256,12 +242,7 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        record = [time, priority, sequence, callback, False, None]
-        queue = self._queue
-        if time < queue.near_end:
-            heappush(queue.near, record)
-        else:
-            queue.push(record)
+        heappush(self._queue, [time, priority, sequence, callback, False, None])
 
     def schedule(
         self,
@@ -290,7 +271,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         record = [time, priority, sequence, callback, False, None]
-        self._push(record)
+        heappush(self._queue, record)
         return EventHandle(record, self)
 
     def every(
@@ -311,9 +292,9 @@ class Simulator:
         callback returns, so steady-state periodic work allocates
         nothing per firing.
         """
-        if interval_s <= 0:
+        if not 0.0 < interval_s < _INF:
             raise SimulationError(
-                f"recurring interval must be positive: {interval_s}"
+                f"recurring interval must be positive and finite: {interval_s}"
             )
         initial = interval_s if first_delay_s is None else first_delay_s
         if initial < 0:
@@ -324,7 +305,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         record = [first_time, priority, sequence, callback, False, interval_s]
-        self._push(record)
+        heappush(self._queue, record)
         return RecurringHandle(record, self)
 
     def add_probe(
@@ -401,17 +382,13 @@ class Simulator:
 
     def _peek_next_time(self) -> Optional[float]:
         """Earliest live event time, draining tombstones on the way."""
-        near = self._queue.near
-        advance = self._queue.advance
-        while True:
-            while near:
-                record = near[0]
-                if record[4]:
-                    heappop(near)
-                    continue
+        queue = self._queue
+        while queue:
+            record = queue[0]
+            if not record[4]:
                 return record[0]
-            if advance(_INF) is None:
-                return None
+            heappop(queue)
+        return None
 
     def step(self) -> bool:
         """Run the next pending event. Returns False if none remain."""
@@ -419,7 +396,7 @@ class Simulator:
         if next_time is None:
             return False
         self._fire_probes_until(next_time)
-        record = heappop(self._queue.near)
+        record = heappop(self._queue)
         if record[0] < self._now:
             raise SimulationError("event queue yielded a past event")
         self._now = record[0]
@@ -434,10 +411,11 @@ class Simulator:
             sequence = self._sequence
             self._sequence = sequence + 1
             record[2] = sequence
-            self._push(record)
+            heappush(self._queue, record)
         for hook in self._sync_hooks:
             hook()
         return True
+
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
         """Run until the queue drains or the clock passes ``until``.
@@ -445,19 +423,25 @@ class Simulator:
         When ``until`` is given, the clock is advanced to exactly
         ``until`` at the end even if the last event fired earlier, so
         measures normalized by elapsed time are well-defined.
+
+        With a profiler attached, each event goes through its
+        ``profiled_call`` instead of a bare callback invocation; that is
+        the only difference, so event order and counts are identical
+        either way.  The profiler's ``run_wall_s`` syncs at the same
+        points as ``_events_processed`` (probe boundaries and exit), so a
+        live ``/profile`` scrape mid-run is at most one probe interval
+        stale.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if self._profiler is not None:
-            return self._run_profiled(until, max_events)
+        profiler = self._profiler
+        call = None if profiler is None else profiler.profiled_call
         self._running = True
-        wall_start = _time.perf_counter()
+        perf = _time.perf_counter
+        wall_start = wall_synced = perf()
         queue = self._queue
-        near = queue.near
-        advance = queue.advance
-        push = queue.push
         pop = heappop
-        hpush = heappush
+        push = heappush
         limit = _INF if until is None else until
         processed = self._events_processed
         processed_limit = processed + max_events
@@ -473,39 +457,40 @@ class Simulator:
                 else:
                     inner_limit = limit
                 blocked_at: Optional[float] = None
-                while near:
-                    record = near[0]
+                while queue:
+                    record = queue[0]
                     event_time = record[0]
                     if event_time > inner_limit:
                         blocked_at = event_time
                         break
-                    pop(near)
+                    pop(queue)
                     if record[4]:
                         continue
                     self._now = event_time
                     processed += 1
-                    record[3]()
+                    if call is None:
+                        record[3]()
+                    else:
+                        call(record)
                     interval = record[5]
                     if interval is not None and not record[4]:
-                        next_time = event_time + interval
-                        record[0] = next_time
+                        record[0] = event_time + interval
                         sequence = self._sequence
                         self._sequence = sequence + 1
                         record[2] = sequence
-                        if next_time < queue.near_end:
-                            hpush(near, record)
-                        else:
-                            push(record)
+                        push(queue, record)
                     if processed > processed_limit:
                         raise SimulationError(
                             f"exceeded max_events={max_events}; runaway schedule?"
                         )
+                self._events_processed = processed
+                if profiler is not None:
+                    wall_now = perf()
+                    profiler.run_wall_s += wall_now - wall_synced
+                    wall_synced = wall_now
                 if blocked_at is None:
-                    if advance(limit) is not None:
-                        continue  # fresh events merged into `near`
                     # Nothing left at or before the limit.
                     if until is not None:
-                        self._events_processed = processed
                         self._fire_probes_until(until)
                         if until > self._now:
                             self._now = until
@@ -513,151 +498,19 @@ class Simulator:
                 if blocked_at > limit:
                     # Next event is beyond the horizon: trailing probes,
                     # then leave the event queued for a later run().
-                    self._events_processed = processed
                     self._fire_probes_until(limit)
                     if until is not None and until > self._now:
                         self._now = until
                     return
                 # Probe boundary: fire everything due through the
                 # blocking event's timestamp, then resume the fast loop.
-                self._events_processed = processed
                 self._fire_probes_until(blocked_at)
         finally:
             self._events_processed = processed
             for hook in self._sync_hooks:
                 hook()
-            self._run_wall_time += _time.perf_counter() - wall_start
-            self._running = False
-
-    def _run_profiled(
-        self, until: Optional[float], max_events: int
-    ) -> None:
-        """:meth:`run` with the attached profiler's attribution inlined.
-
-        A structural twin of the fused loop above — same pops, same
-        probe boundaries, same recurring re-arm, same counter sync
-        points — so event order and counts are bit-identical to the
-        unprofiled loop; the only addition is wall timing around
-        ``record[3]()``.  Kept as a separate loop so the detached fast
-        path above never pays even a per-event branch.
-        """
-        prof = self._profiler
-        exact = prof.mode == "exact"
-        stride = prof.stride
-        skip = prof._skip
-        resolve = prof._resolve
-        perf = _time.perf_counter
-        self._running = True
-        wall_start = perf()
-        queue = self._queue
-        near = queue.near
-        advance = queue.advance
-        push = queue.push
-        pop = heappop
-        hpush = heappush
-        limit = _INF if until is None else until
-        processed = self._events_processed
-        processed_limit = processed + max_events
-        # Profiler counters sync at the same boundaries as
-        # ``_events_processed`` (probes + exit), so a live ``/profile``
-        # scrape mid-run is at most one probe interval stale.
-        synced = processed
-        wall_synced = 0.0
-        try:
-            while True:
-                probe_due = self._next_probe_due
-                if probe_due <= limit:
-                    inner_limit = math.nextafter(probe_due, -_INF)
-                else:
-                    inner_limit = limit
-                blocked_at: Optional[float] = None
-                while near:
-                    record = near[0]
-                    event_time = record[0]
-                    if event_time > inner_limit:
-                        blocked_at = event_time
-                        break
-                    pop(near)
-                    if record[4]:
-                        continue
-                    self._now = event_time
-                    processed += 1
-                    callback = record[3]
-                    if exact:
-                        t0 = perf()
-                        callback()
-                        elapsed = perf() - t0
-                        stats = resolve(callback, record[5])
-                        stats[3] += 1
-                        stats[4] += 1
-                        stats[5] += elapsed
-                    else:
-                        skip -= 1
-                        if skip <= 0:
-                            t0 = perf()
-                            callback()
-                            elapsed = perf() - t0
-                            stats = resolve(callback, record[5])
-                            stats[3] += 1
-                            stats[4] += 1
-                            stats[5] += elapsed
-                            skip = stride
-                        else:
-                            callback()
-                    interval = record[5]
-                    if interval is not None and not record[4]:
-                        next_time = event_time + interval
-                        record[0] = next_time
-                        sequence = self._sequence
-                        self._sequence = sequence + 1
-                        record[2] = sequence
-                        if next_time < queue.near_end:
-                            hpush(near, record)
-                        else:
-                            push(record)
-                    if processed > processed_limit:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; runaway schedule?"
-                        )
-                if blocked_at is None:
-                    if advance(limit) is not None:
-                        continue
-                    if until is not None:
-                        self._events_processed = processed
-                        prof.events_seen += processed - synced
-                        synced = processed
-                        wall_now = perf() - wall_start
-                        prof.run_wall_s += wall_now - wall_synced
-                        wall_synced = wall_now
-                        self._fire_probes_until(until)
-                        if until > self._now:
-                            self._now = until
-                    return
-                if blocked_at > limit:
-                    self._events_processed = processed
-                    prof.events_seen += processed - synced
-                    synced = processed
-                    wall_now = perf() - wall_start
-                    prof.run_wall_s += wall_now - wall_synced
-                    wall_synced = wall_now
-                    self._fire_probes_until(limit)
-                    if until is not None and until > self._now:
-                        self._now = until
-                    return
-                self._events_processed = processed
-                prof.events_seen += processed - synced
-                synced = processed
-                wall_now = perf() - wall_start
-                prof.run_wall_s += wall_now - wall_synced
-                wall_synced = wall_now
-                self._fire_probes_until(blocked_at)
-        finally:
-            self._events_processed = processed
-            for hook in self._sync_hooks:
-                hook()
-            elapsed_wall = perf() - wall_start
-            self._run_wall_time += elapsed_wall
-            prof._skip = skip
-            prof.events_seen += processed - synced
-            prof.run_wall_s += elapsed_wall - wall_synced
+            wall_end = perf()
+            self._run_wall_time += wall_end - wall_start
+            if profiler is not None:
+                profiler.run_wall_s += wall_end - wall_synced
             self._running = False

@@ -33,8 +33,7 @@ from repro.units import us
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
-#: Delivery-backend seam, mirroring the Heap/Calendar split in
-#: :mod:`repro.sim.eventq`: ``reference`` hands every frame to every
+#: Delivery-backend seam: ``reference`` hands every frame to every
 #: attached entity; ``vectorized`` routes through the struct-of-arrays
 #: fast lane in :mod:`repro.sim.radio_array`.  The two are bit-identical
 #: (fingerprints, .prom snapshots, trace sequences) — pinned by

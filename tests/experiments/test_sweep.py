@@ -215,6 +215,19 @@ class TestRunSweep:
         assert serial["runs"] == sharded["runs"]
         assert serial["totals"] == sharded["totals"]
 
+    def test_sweep_report_independent_of_worker_count(self):
+        spec = SweepSpec(
+            scenarios=("Starbucks", "Classroom"),
+            seeds=(0, 1, 2),
+            config=DesRunConfig(client_count=2, duration_s=3.0),
+            fault_spec="loss=0.05",
+        )
+        serial = run_sweep(spec, workers=1)
+        sharded = run_sweep(spec, workers=4)
+        assert serial["merged_fingerprint"] == sharded["merged_fingerprint"]
+        assert serial["runs"] == sharded["runs"]
+        assert serial["totals"] == sharded["totals"]
+
 
 class TestSweepTelemetry:
     def test_in_process_sweep_feeds_the_aggregator(self):

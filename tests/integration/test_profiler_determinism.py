@@ -3,9 +3,9 @@
 Attaching an :class:`AttributionProfiler` adds no events, removes none,
 and reorders none — so the same seeded scenario must produce the exact
 same determinism fingerprint with profiling off, in exact mode, and in
-sampling mode, on both queue backends. These tests pin that, plus the
-attribution-sum acceptance check (per-site wall + scheduler overhead
-reconstructs the run wall) and the ``repro profile`` CLI surface.
+sampling mode. These tests pin that, plus the attribution-sum
+acceptance check (per-site wall + scheduler overhead reconstructs the
+run wall) and the ``repro profile`` CLI surface.
 """
 
 import json
@@ -19,11 +19,10 @@ from repro.traces import generate_trace, scenario_by_name
 _DURATION_S = 12.0
 
 
-def _fingerprint(trace, queue, profiler):
+def _fingerprint(trace, profiler):
     config = DesRunConfig(
         client_count=3,
         duration_s=_DURATION_S,
-        queue_backend=queue,
         profiler=profiler,
     )
     result = run_trace_des(trace, config)
@@ -39,14 +38,13 @@ def trace():
 
 
 class TestFingerprintIdentity:
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_profiling_never_changes_the_fingerprint(self, trace, queue):
-        baseline, _ = _fingerprint(trace, queue, None)
+    def test_profiling_never_changes_the_fingerprint(self, trace):
+        baseline, _ = _fingerprint(trace, None)
         exact, exact_result = _fingerprint(
-            trace, queue, ProfilerConfig(mode="exact")
+            trace, ProfilerConfig(mode="exact")
         )
         sampling, sampling_result = _fingerprint(
-            trace, queue, ProfilerConfig(mode="sampling", stride=16)
+            trace, ProfilerConfig(mode="sampling", stride=16)
         )
         assert exact == baseline
         assert sampling == baseline
@@ -61,7 +59,7 @@ class TestFingerprintIdentity:
         )
 
     def test_profiled_metrics_exclude_profiler_series(self, trace):
-        _, result = _fingerprint(trace, "calendar", ProfilerConfig(mode="exact"))
+        _, result = _fingerprint(trace, ProfilerConfig(mode="exact"))
         names = {
             metric.name for metric in result.collect_metrics().collect()
         }
@@ -70,7 +68,7 @@ class TestFingerprintIdentity:
 
 class TestAttributionSums:
     def test_exact_sites_reconstruct_the_run_wall(self, trace):
-        _, result = _fingerprint(trace, "calendar", ProfilerConfig(mode="exact"))
+        _, result = _fingerprint(trace, ProfilerConfig(mode="exact"))
         profiler = result.profiler
         document = result.profile_report()
         site_sum = sum(site["wall_s"] for site in document["sites"])
@@ -93,14 +91,14 @@ class TestAttributionSums:
         )
 
     def test_exact_event_counts_are_exact(self, trace):
-        _, result = _fingerprint(trace, "calendar", ProfilerConfig(mode="exact"))
+        _, result = _fingerprint(trace, ProfilerConfig(mode="exact"))
         document = result.profile_report()
         assert document["events_attributed"] == document["events_total"]
         assert document["events_total"] == result.simulator.events_processed
 
     def test_sampling_estimates_land_near_truth(self, trace):
         _, result = _fingerprint(
-            trace, "calendar", ProfilerConfig(mode="sampling", stride=8)
+            trace, ProfilerConfig(mode="sampling", stride=8)
         )
         document = result.profile_report()
         truth = document["events_total"]

@@ -3,8 +3,7 @@
 The struct-of-arrays fast lane (``repro.sim.radio_array`` +
 ``Medium._drain_deliveries_vector``) is the default delivery backend,
 so this suite is the contract that lets it be: for every scenario,
-seed, event-queue backend, fault plan, and observer combination we can
-afford to run, the two backends must agree on the deterministic
+seed, fault plan, and observer combination we can afford to run, the two backends must agree on the deterministic
 fingerprint, every per-client counter, the Prometheus export, the
 windowed timeseries, and the full JSONL trace-event sequence. Energy
 accrual is *deferred* in the fast lane (settled at probe boundaries
@@ -43,7 +42,6 @@ def _run(
     delivery_backend,
     scenario="Starbucks",
     seed=7,
-    queue_backend=None,
     fault_plan=None,
     telemetry=False,
     profiler=False,
@@ -57,7 +55,6 @@ def _run(
         check_invariants=True,
         telemetry=TelemetryConfig(window="dtim") if telemetry else None,
         profiler=ProfilerConfig() if profiler else None,
-        queue_backend=queue_backend,
         delivery_backend=delivery_backend,
     )
     if tracer is None:
@@ -92,7 +89,7 @@ def _trace_sequence(path):
 
 
 class TestDeliveryEquivalenceProperty:
-    """Hypothesis cross product over scenario x seed x queue backend."""
+    """Hypothesis cross product over scenario x seed."""
 
     @settings(
         max_examples=8,
@@ -102,11 +99,10 @@ class TestDeliveryEquivalenceProperty:
     @given(
         scenario=st.sampled_from(["Starbucks", "Classroom", "WRL"]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        queue_backend=st.sampled_from([None, "heap", "calendar"]),
     )
-    def test_fingerprints_identical(self, scenario, seed, queue_backend):
-        ref = _run("reference", scenario, seed, queue_backend)
-        vec = _run("vectorized", scenario, seed, queue_backend)
+    def test_fingerprints_identical(self, scenario, seed):
+        ref = _run("reference", scenario, seed)
+        vec = _run("vectorized", scenario, seed)
         _assert_identical(ref, vec)
 
     @settings(

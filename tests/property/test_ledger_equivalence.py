@@ -2,8 +2,8 @@
 
 The ledger rides the same observer seams as the rest of the
 observability stack, so it inherits the same two contracts: it must
-report *bit-identical* documents whichever delivery lane or event-queue
-backend ran the simulation (the quantiles are pure functions of bucket
+report *bit-identical* documents whichever delivery lane ran the
+simulation (the quantiles are pure functions of bucket
 counts, so `json.dumps` equality is achievable, not just approximate),
 and attaching it must not perturb the deterministic fingerprint at all.
 Fault plans then probe the accounting itself: beacon loss starves
@@ -29,7 +29,6 @@ def _run(
     delivery_backend,
     scenario="Starbucks",
     seed=7,
-    queue_backend=None,
     fault_plan=None,
     ledger=True,
 ):
@@ -39,7 +38,6 @@ def _run(
         duration_s=6.0,
         fault_plan=fault_plan,
         check_invariants=True,
-        queue_backend=queue_backend,
         delivery_backend=delivery_backend,
         ledger=ledger,
     )
@@ -53,7 +51,7 @@ def _document_bytes(result):
 
 
 class TestLedgerLaneEquivalence:
-    """Hypothesis cross product over scenario x seed x queue backend."""
+    """Hypothesis cross product over scenario x seed."""
 
     @settings(
         max_examples=8,
@@ -63,13 +61,10 @@ class TestLedgerLaneEquivalence:
     @given(
         scenario=st.sampled_from(["Starbucks", "Classroom", "WRL"]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        queue_backend=st.sampled_from([None, "heap", "calendar"]),
     )
-    def test_documents_bit_identical_across_lanes(
-        self, scenario, seed, queue_backend
-    ):
-        ref = _run("reference", scenario, seed, queue_backend)
-        vec = _run("vectorized", scenario, seed, queue_backend)
+    def test_documents_bit_identical_across_lanes(self, scenario, seed):
+        ref = _run("reference", scenario, seed)
+        vec = _run("vectorized", scenario, seed)
         assert ref.medium.delivery_kind == "reference"
         assert vec.medium.delivery_kind == "vectorized"
         assert _document_bytes(ref) == _document_bytes(vec)

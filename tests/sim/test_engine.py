@@ -63,10 +63,20 @@ class TestScheduling:
 
     def test_non_finite_time_rejected(self):
         sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(float("inf"), lambda: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(float("nan"), lambda: None)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(SimulationError):
+                sim.schedule_at(bad, lambda: None)
+            with pytest.raises(SimulationError):
+                sim.post(bad, lambda: None)
+            with pytest.raises(SimulationError):
+                sim.post_at(bad, lambda: None)
+            with pytest.raises(SimulationError):
+                sim.every(bad, lambda: None, first_delay_s=0.0)
+            with pytest.raises(SimulationError):
+                sim.every(1.0, lambda: None, first_delay_s=bad)
+        assert sim.queue_depth == 0
+        sim.run()
+        assert sim.events_processed == 0
 
 
 class TestCancellation:
@@ -169,12 +179,12 @@ class TestObservability:
         assert sim.pending_events == 1
         assert sim.events_cancelled == 1
 
-    def test_heap_depth_includes_tombstones(self):
+    def test_queue_depth_includes_tombstones(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         handle.cancel()
-        assert sim.heap_depth == 2  # tombstone still buried in the heap
+        assert sim.queue_depth == 2  # tombstone still buried in the heap
         assert sim.pending_events == 1
 
     def test_run_wall_time_accumulates(self):
