@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dot11.elements.btim import BtimElement
@@ -237,18 +238,11 @@ class UdpPortMessage:
         )
 
     def elements(self) -> List[OpenUdpPortsElement]:
-        ordered = sorted(self.ports)
-        chunks = [
-            ordered[i : i + MAX_PORTS_PER_ELEMENT]
-            for i in range(0, len(ordered), MAX_PORTS_PER_ELEMENT)
-        ]
-        if not chunks:
-            chunks = [[]]
-        return [OpenUdpPortsElement(frozenset(chunk)) for chunk in chunks]
+        return _port_elements(self.ports)
 
     def body_bytes(self) -> bytes:
         fixed = self.report_sequence.to_bytes(2, "little")
-        return fixed + serialize_elements(self.elements())
+        return fixed + _port_elements_bytes(self.ports)
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
@@ -281,6 +275,29 @@ class UdpPortMessage:
             report_sequence=report_sequence,
             sequence=sequence,
         )
+
+
+def _port_elements(ports: FrozenSet[int]) -> List[OpenUdpPortsElement]:
+    """Sorted ports split into as many elements as they need."""
+    ordered = sorted(ports)
+    chunks = [
+        ordered[i : i + MAX_PORTS_PER_ELEMENT]
+        for i in range(0, len(ordered), MAX_PORTS_PER_ELEMENT)
+    ]
+    if not chunks:
+        chunks = [[]]
+    return [OpenUdpPortsElement(frozenset(chunk)) for chunk in chunks]
+
+
+@lru_cache(maxsize=4096)
+def _port_elements_bytes(ports: FrozenSet[int]) -> bytes:
+    """Serialized :func:`_port_elements` of one port set, memoized.
+
+    A client re-reports the same few port sets on every suspend and
+    every retransmission, so the sort, split and serialize run once
+    per set.
+    """
+    return serialize_elements(_port_elements(ports))
 
 
 def reference_beacon(ssid: str = "hide-net", station_count: int = 0) -> Beacon:

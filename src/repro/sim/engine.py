@@ -10,10 +10,12 @@ record is a plain 6-slot list — not an object — so the heap orders
 records with C-speed lexicographic list comparison and the run loop
 indexes fields without attribute lookups::
 
-    [time, priority, sequence, callback, cancelled, interval_or_None]
+    [time, priority, sequence, callback, state, interval_or_None]
 
 ``sequence`` is unique per record, so comparison never reaches the
-callback field.  ``interval_or_None`` makes a recurring timer a run-loop
+callback field.  ``state`` is ``False`` while a record is live, ``True``
+once cancelled (a tombstone the run loop skips), and ``None`` once a
+one-shot record has fired, so a late ``cancel()`` is a no-op.  ``interval_or_None`` makes a recurring timer a run-loop
 re-arm of the popped record instead of a closure per firing.  Every
 scheduling API consumes exactly one sequence number per queued record,
 so the live count is the arithmetic identity ``sequence - cancelled -
@@ -62,7 +64,7 @@ class EventHandle:
 
     @property
     def cancelled(self) -> bool:
-        return self._record[4]
+        return self._record[4] is True
 
     def cancel(self) -> None:
         self._simulator._cancel(self._record)
@@ -199,9 +201,42 @@ class Simulator:
         self._profiler = None
 
     def _cancel(self, record: list) -> None:
-        if not record[4]:
+        # Only a live record counts: a fired one (state None) or an
+        # already cancelled one leaves the counts alone.
+        if record[4] is False:
             record[4] = True
             self._events_cancelled += 1
+
+    def rearm(self, handle: EventHandle, delay: float) -> None:
+        """Move ``handle``'s event to ``delay`` seconds from now.
+
+        Exactly ``handle.cancel()`` followed by ``schedule(delay, same
+        callback, same priority)``: a live event leaves its tombstone
+        in the heap and counts one cancellation, the new record takes
+        one fresh sequence number, and ``handle`` is re-pointed at it
+        instead of a new handle being allocated.  On a handle that has
+        fired or was cancelled it is a plain ``schedule``.  The
+        renewal path of timers that are pushed back on every frame
+        (wakelocks, beacon watchdogs).
+        """
+        record = handle._record
+        if record[5] is not None:
+            raise SimulationError("rearm() takes a one-shot event handle")
+        time = self._now + delay
+        if not (delay >= 0.0 and time < _INF):
+            if delay < 0.0:
+                raise SimulationError(
+                    f"cannot schedule into the past: delay={delay}"
+                )
+            raise SimulationError(f"event time must be finite: {time}")
+        if record[4] is False:
+            record[4] = True
+            self._events_cancelled += 1
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        record = [time, record[1], sequence, record[3], False, None]
+        heappush(self._queue, record)
+        handle._record = record
 
     def post(
         self,
@@ -401,11 +436,13 @@ class Simulator:
             raise SimulationError("event queue yielded a past event")
         self._now = record[0]
         self._events_processed += 1
+        interval = record[5]
+        if interval is None:
+            record[4] = None  # fired: a later cancel() must not count
         if self._profiler is None:
             record[3]()
         else:
             self._profiler.profiled_call(record)
-        interval = record[5]
         if interval is not None and not record[4]:
             record[0] += interval
             sequence = self._sequence
@@ -468,11 +505,13 @@ class Simulator:
                         continue
                     self._now = event_time
                     processed += 1
+                    interval = record[5]
+                    if interval is None:
+                        record[4] = None  # fired: a later cancel() must not count
                     if call is None:
                         record[3]()
                     else:
                         call(record)
-                    interval = record[5]
                     if interval is not None and not record[4]:
                         record[0] = event_time + interval
                         sequence = self._sequence

@@ -49,14 +49,5 @@ class Entity:
     def on_receive(self, transmission: "Transmission") -> None:
         """Hook: a frame finished arriving at this entity."""
 
-    def deliver_many(self, transmissions) -> None:
-        """Batched delivery: the vectorized medium lane dispatches a
-        run of frames bound for one entity through a single call.  The
-        default unrolls to :meth:`on_receive` per frame, in order, so
-        overriding either hook is sufficient.
-        """
-        for transmission in transmissions:
-            self.on_receive(transmission)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

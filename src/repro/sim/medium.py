@@ -14,7 +14,17 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 from collections import deque
 
 from repro.errors import SimulationError
@@ -22,6 +32,7 @@ from repro.sim.engine import Simulator
 from repro.sim.entity import Entity
 from repro.sim.radio_array import (
     RadioArray,
+    ROUTE_BEACON,
     ROUTE_DATA,
     ROUTE_SINGLE_DEST,
     ROUTE_SINGLE_RECEIVER,
@@ -73,6 +84,13 @@ class Transmission:
     @property
     def length_bytes(self) -> int:
         return len(self.frame_bytes)
+
+
+#: A hook that receives one transmission on behalf of a run of stations.
+RunHook = Callable[[Tuple[Entity, ...], Transmission], None]
+
+#: A fan-out as dispatch items: ``(None, entity)`` or ``(hook, run)``.
+Plan = Tuple[Tuple[Optional[RunHook], Any], ...]
 
 
 class Medium:
@@ -151,10 +169,13 @@ class Medium:
         self._index_of: Dict[Entity, int] = {}
         self._order_epoch = 0
         self._order_stamp = -1
-        #: Cached broadcast fan-out (nonvector + currently listening
+        #: Beacon fan-out plan over every attached entity (see
+        #: :meth:`_plan`), rebuilt with the attach-order indices.
+        self._beacon_plan: Plan = ()
+        #: Cached broadcast fan-out plan (nonvector + currently listening
         #: clients, attach order), keyed on (attach churn, listen-mask
         #: churn) so stable stretches between DTIM bursts pay nothing.
-        self._fanout: Tuple[Entity, ...] = ()
+        self._fanout: Plan = ()
         self._fanout_stamp: Tuple[int, int] = (-1, -1)
         self._fanout_rebuilds = 0
         if kind == "vectorized":
@@ -442,9 +463,11 @@ class Medium:
                     # while handling this frame re-baselines against
                     # the post-credit totals and is not double-counted.
                     radios.account_broadcast(frame)
-                    for entity in self._broadcast_fanout():
-                        if entity is not sender:
-                            entity.on_receive(transmission)
+                    _dispatch(self._broadcast_fanout(), transmission, sender)
+            elif route == ROUTE_BEACON and sender not in radios.slot_of:
+                if self._order_stamp != self._order_epoch:
+                    self._refresh_order()
+                _dispatch(self._beacon_plan, transmission, sender)
             elif route == ROUTE_UPLINK:
                 if self._order_stamp != self._order_epoch:
                     self._refresh_order()
@@ -457,7 +480,7 @@ class Medium:
                 self._deliver_addressed(transmission, sender, frame.receiver)
             elif route == ROUTE_SINGLE_DEST:
                 self._deliver_addressed(transmission, sender, frame.destination)
-            else:  # beacons + unknown frame classes: the reference loop
+            else:  # unknown frame classes: the reference loop
                 for entity in self._targets:
                     if entity is not sender:
                         entity.on_receive(transmission)
@@ -476,8 +499,6 @@ class Medium:
         Recipients: every nonvector entity (they see all traffic, like
         the reference) plus the one addressed client — merged at its
         attach position so callback order matches the reference loop.
-        The addressed client goes through :meth:`Entity.deliver_many`,
-        the batched dispatch point of the fast lane.
         """
         if self._order_stamp != self._order_epoch:
             self._refresh_order()
@@ -493,13 +514,14 @@ class Medium:
             if entity is not sender:
                 entity.on_receive(transmission)
         if target is not sender:
-            target.deliver_many((transmission,))
+            target.on_receive(transmission)
         for entity in nonvector[pos:]:
             if entity is not sender:
                 entity.on_receive(transmission)
 
     def _refresh_order(self) -> None:
-        """Rebuild attach-order indices after attach/detach churn."""
+        """Rebuild attach-order indices (and the beacon plan) after
+        attach/detach churn."""
         slot_of = self._radios.slot_of
         nonvector: List[Entity] = []
         nonvector_idx: List[int] = []
@@ -512,29 +534,84 @@ class Medium:
         self._nonvector = nonvector
         self._nonvector_idx = nonvector_idx
         self._index_of = index_of
+        self._beacon_plan = self._plan(self._targets, "receive_beacon_run")
         self._order_stamp = self._order_epoch
 
-    def _broadcast_fanout(self) -> Tuple[Entity, ...]:
-        """Nonvector entities + listening clients, in attach order.
+    def _broadcast_fanout(self) -> Plan:
+        """Plan over nonvector entities + listening clients, attach order.
 
         Cached across frames; any listen-bit flip or attach/detach
         invalidates the stamp and the next broadcast frame rebuilds.
         Between DTIM bursts the mask is stable and storms of broadcast
-        frames reuse the tuple untouched.
+        frames reuse the plan untouched.
         """
         radios = self._radios
         stamp = (self._order_epoch, radios.fanout_epoch)
         if stamp != self._fanout_stamp:
             slot_of = radios.slot_of
             listen = radios.listen_mask
-            self._fanout = tuple(
-                entity
-                for entity in self._targets
-                if entity not in slot_of or (listen >> slot_of[entity]) & 1
+            self._fanout = self._plan(
+                (
+                    entity
+                    for entity in self._targets
+                    if entity not in slot_of or (listen >> slot_of[entity]) & 1
+                ),
+                "receive_broadcast_run",
             )
             self._fanout_stamp = stamp
             self._fanout_rebuilds += 1
         return self._fanout
+
+    def _plan(self, members: Iterable[Entity], hook_name: str) -> Plan:
+        """Split a fan-out (attach order) into dispatch items.
+
+        Consecutive slotted entities whose class defines the run hook
+        ``hook_name`` become one ``(hook, run)`` item, handed to the
+        hook in a single call; every other entity is a ``(None,
+        entity)`` item that gets its own ``on_receive``.  The hook is
+        found on the entity's class by duck type, the way the radio
+        array binds entities, so this module never imports a station
+        class.  Only the class that defines a hook uses it — a subclass
+        may change what ``on_receive`` does, so it is not batched.  A
+        hook must behave exactly like ``on_receive`` on each member in
+        turn.
+        """
+        slot_of = self._radios.slot_of
+        plan: List[Tuple[Optional[RunHook], Any]] = []
+        run: List[Entity] = []
+        run_hook: Optional[RunHook] = None
+        for entity in members:
+            cls = type(entity)
+            hook = (
+                getattr(cls, hook_name)
+                if entity in slot_of and hook_name in vars(cls)
+                else None
+            )
+            if run and hook is not run_hook:
+                plan.append((run_hook, tuple(run)))
+                run = []
+            if hook is None:
+                plan.append((None, entity))
+            else:
+                run.append(entity)
+                run_hook = hook
+        if run:
+            plan.append((run_hook, tuple(run)))
+        return tuple(plan)
+
+
+def _dispatch(plan: Plan, transmission: Transmission, sender: Entity) -> None:
+    """Deliver ``transmission`` along ``plan``, in plan order.
+
+    Runs never hold the sender: callers only take this path for frames
+    sent by an entity without a radio slot.
+    """
+    for hook, target in plan:
+        if hook is None:
+            if target is not sender:
+                target.on_receive(transmission)
+        else:
+            hook(target, transmission)
 
 
 def _is_beacon(frame: Any) -> bool:

@@ -463,15 +463,17 @@ class Client(Entity):
         return self.config.beacon_interval_s
 
     def _arm_beacon_watchdog(self) -> None:
-        if self._beacon_watchdog is not None:
-            self._beacon_watchdog.cancel()
         deadline = (
             self._expected_beacon_interval() * self.config.beacon_miss_limit
             + self.config.beacon_watchdog_margin_s
         )
-        self._beacon_watchdog = self.simulator.schedule(
-            deadline, self._on_beacon_watchdog
-        )
+        if self._beacon_watchdog is not None:
+            # Every decoded beacon pushes the watchdog back: reuse the handle.
+            self.simulator.rearm(self._beacon_watchdog, deadline)
+        else:
+            self._beacon_watchdog = self.simulator.schedule(
+                deadline, self._on_beacon_watchdog
+            )
 
     def _on_beacon_watchdog(self) -> None:
         """``beacon_miss_limit`` expected beacons failed to arrive.
@@ -613,6 +615,103 @@ class Client(Entity):
                     self.counters.probe_responses_received += 1
                     if self._scan_results is not None:
                         self._scan_results.append(frame)
+
+    # -- batched receive (the medium's vectorized lane) ------------------
+    #
+    # The medium hands one frame to a whole run of attached stations in
+    # one call.  Each hook reads the frame once, then walks the run in
+    # order and applies the common case inline; any station outside it
+    # gets its own ``on_receive`` at its turn in the walk, before any
+    # inline state change of its own, so counters, events and sequence
+    # numbers come out exactly as with one ``on_receive`` per station.
+
+    @staticmethod
+    def receive_beacon_run(clients, transmission: Transmission) -> None:
+        """Batched :meth:`on_receive` of one beacon.
+
+        Inline: a live station with no unicast buffered for it — the
+        counters, watchdog re-arm and DTIM listen decision of
+        :meth:`_handle_beacon` / :meth:`_should_listen`.
+        """
+        beacon = transmission.frame
+        bssid = beacon.bssid
+        interval_s = beacon.beacon_interval_tu * 1024e-6
+        tim = beacon.tim
+        is_dtim = tim.is_dtim
+        unicast_aids = tim.aids_with_traffic
+        group_buffered = tim.group_traffic_buffered
+        btim = beacon.btim
+        useful_aids = None if btim is None else btim.aids_with_useful_broadcast
+        hide = ClientPolicy.HIDE
+        for client in clients:
+            aid = client.aid
+            if client._crashed or (aid is not None and aid in unicast_aids):
+                client.on_receive(transmission)
+                continue
+            if client.bssid is not bssid and client.bssid != bssid:
+                continue
+            config = client.config
+            counters = client.counters
+            counters.beacons_received += 1
+            if config.loss_recovery:
+                client._learned_beacon_interval = interval_s
+                client._arm_beacon_watchdog()
+            if is_dtim:
+                counters.dtims_received += 1
+                listening = client._radio_listening or client._conservative_listen
+                if aid is None:
+                    listen = False
+                elif config.loss_recovery and client._ack_pending:
+                    listen = True
+                elif useful_aids is not None and config.policy is hide:
+                    listen = aid in useful_aids
+                else:
+                    listen = group_buffered
+                client._radio_listening = listen
+                client._conservative_listen = False
+                if listen != listening:
+                    client._notify_radio()
+
+    @staticmethod
+    def receive_broadcast_run(clients, transmission: Transmission) -> None:
+        """Batched :meth:`on_receive` of one broadcast data frame.
+
+        Inline: a live, listening station under the HIDE or receive-all
+        policy that is ACTIVE or RESUMING — :meth:`_handle_broadcast`
+        and :meth:`_process_broadcast` with the wake-up a no-op (such a
+        station neither starts a resume nor traces a wakeup) and the
+        wakelock acquired at once, or once the resume completes.
+        """
+        frame = transmission.frame
+        more_data = frame.more_data
+        port = frame_udp_port(frame)
+        active = PowerState.ACTIVE
+        resuming = PowerState.RESUMING
+        client_side = ClientPolicy.CLIENT_SIDE
+        for client in clients:
+            state = client.power.state
+            if (
+                client._crashed
+                or (state is not active and state is not resuming)
+                or client.config.policy is client_side
+                or not (client._radio_listening or client._conservative_listen)
+            ):
+                client.on_receive(transmission)
+                continue
+            counters = client.counters
+            counters.broadcast_frames_received += 1
+            if not more_data:
+                client._radio_listening = False
+                client._notify_radio()
+            if port is not None and client.sockets.delivers_broadcast_on(port):
+                counters.useful_frames_received += 1
+                counters.frames_delivered_to_apps += 1
+            else:
+                counters.useless_frames_received += 1
+            if state is active:
+                client.wakelock.acquire()
+            else:
+                client.power.when_active(client.wakelock.acquire)
 
     def _handle_beacon(self, beacon: Beacon) -> None:
         if beacon.bssid != self.bssid:

@@ -65,10 +65,12 @@ class WakelockManager:
             self.renewals += 1
             if self._expires_at is not None and new_expiry <= self._expires_at:
                 return  # held longer already; nothing to extend
-            self._expiry_event.cancel()
-        else:
-            self.acquisitions += 1
-            self._held_since = now
+            self._expires_at = new_expiry
+            # Renewal moves the held expiry; the handle is reused.
+            self._simulator.rearm(self._expiry_event, timeout)
+            return
+        self.acquisitions += 1
+        self._held_since = now
         self._expires_at = new_expiry
         self._expiry_event = self._simulator.schedule(timeout, self._expire)
 

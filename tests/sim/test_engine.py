@@ -104,6 +104,118 @@ class TestCancellation:
         handle.cancel()
         assert sim.pending_events == 1
 
+    def test_cancel_after_fire_is_a_no_op(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.run()
+        handle.cancel()
+        assert sim.pending_events == 0
+        assert sim.events_cancelled == 0
+        assert not handle.cancelled
+
+    def test_cancel_after_step_is_a_no_op(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        assert sim.step()
+        handle.cancel()
+        assert (sim.pending_events, sim.events_cancelled) == (0, 0)
+
+    def test_self_cancel_while_firing_is_a_no_op(self):
+        sim = Simulator()
+        handles = []
+        handles.append(sim.schedule(1.0, lambda: handles[0].cancel()))
+        sim.run()
+        assert (sim.events_processed, sim.events_cancelled) == (1, 0)
+        assert sim.pending_events == 0
+
+
+class TestRearm:
+    """``rearm(handle, delay)`` is ``cancel()`` + ``schedule()`` in place."""
+
+    def test_live_event_moves_and_leaves_a_tombstone(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append(sim.now), priority=1)
+        sim.rearm(handle, 3.0)
+        assert handle.time == 3.0
+        assert not handle.cancelled
+        assert sim.events_cancelled == 1
+        assert sim.pending_events == 1
+        assert sim.queue_depth == 2  # the old record stays as a tombstone
+        sim.run()
+        assert fired == [3.0]
+        assert sim.pending_events == 0
+
+    def test_keeps_priority_and_takes_a_fresh_sequence(self):
+        sim = Simulator()
+        fired = []
+        early = sim.schedule(1.0, lambda: fired.append("early"), priority=-1)
+        sim.schedule(2.0, lambda: fired.append("peer"), priority=-1)
+        sim.schedule(2.0, lambda: fired.append("low"), priority=0)
+        sim.rearm(early, 2.0)
+        sim.run()
+        # Same priority as before; inserted after its equal-time peer.
+        assert fired == ["peer", "early", "low"]
+
+    def test_fired_handle_is_a_plain_schedule(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        sim.rearm(handle, 0.5)
+        assert sim.events_cancelled == 0
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [1.0, 1.5]
+
+    def test_cancelled_handle_is_a_plain_schedule(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append(sim.now))
+        handle.cancel()
+        sim.rearm(handle, 2.0)
+        assert sim.events_cancelled == 1
+        sim.run()
+        assert fired == [2.0]
+
+    def test_matches_cancel_then_schedule(self):
+        def run(use_rearm):
+            sim = Simulator()
+            fired = []
+            callback = lambda: fired.append(sim.now)  # noqa: E731
+            handle = sim.schedule(1.0, callback)
+            for delay in (0.5, 2.0, 0.25):
+                sim.run(until=sim.now + 0.1)
+                if use_rearm:
+                    sim.rearm(handle, delay)
+                else:
+                    handle.cancel()
+                    handle = sim.schedule(delay, callback)
+            sim.run()
+            return fired, (
+                sim.events_processed,
+                sim.events_cancelled,
+                sim.pending_events,
+                sim.queue_depth,
+            )
+
+        assert run(True) == run(False)
+
+    def test_bad_delay_rejected_without_cancelling(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(SimulationError):
+                sim.rearm(handle, bad)
+        assert sim.events_cancelled == 0
+        assert handle.time == 1.0
+
+    def test_recurring_handle_rejected(self):
+        sim = Simulator()
+        handle = sim.every(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.rearm(handle, 1.0)
+
 
 class TestRun:
     def test_run_until_stops_before_later_events(self):
