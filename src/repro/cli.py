@@ -263,7 +263,6 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         port_entry_ttl_s=args.port_ttl,
         port_refresh_interval_s=args.port_refresh,
         telemetry=telemetry,
-        delivery_backend=args.delivery,
         ledger=bool(args.ledger or args.ledger_out),
     )
     prepared = prepare_trace_des(trace, config, tracer=tracer)
@@ -378,7 +377,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dtim_period=args.dtim_period,
         check_invariants=args.check_invariants,
         recovery=not args.no_recovery,
-        delivery_backend=args.delivery,
         profiler=profiler,
     )
     spec = SweepSpec(
@@ -457,7 +455,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         useful_fraction=args.fraction,
         duration_s=args.duration,
         dtim_period=args.dtim_period,
-        delivery_backend=args.delivery,
         profiler=ProfilerConfig(mode=args.mode, stride=args.stride),
     )
     prepared = prepare_trace_des(trace, config)
@@ -725,11 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_run.add_argument("--dtim-period", type=int, default=1)
     sim_run.add_argument(
-        "--delivery", choices=["reference", "vectorized"], default=None,
-        help="delivery backend (default: the medium's default, "
-             "vectorized; the backends are bit-identical)",
-    )
-    sim_run.add_argument(
         "--fault-plan", default=None, metavar="SPEC",
         help="seeded fault plan: a JSON file path or an inline spec like "
              "'loss=0.1,beacon=0.02,seed=7,crash=0@5:15' "
@@ -842,10 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--dtim-period", type=int, default=1)
     sweep.add_argument(
-        "--delivery", choices=["reference", "vectorized"], default=None,
-        help="delivery backend for every run (default: vectorized)",
-    )
-    sweep.add_argument(
         "--fault-plan", default=None, metavar="SPEC",
         help="fault-plan spec applied to every run with its seed "
              "replaced by the run's trace seed",
@@ -923,10 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated seconds (capped at the trace duration)",
     )
     profile.add_argument("--dtim-period", type=int, default=1)
-    profile.add_argument(
-        "--delivery", choices=["reference", "vectorized"], default=None,
-        help="delivery backend (default: vectorized)",
-    )
     profile.add_argument(
         "--top", type=int, default=15, metavar="N",
         help="rows in the hotspot table (default 15)",

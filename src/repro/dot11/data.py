@@ -54,8 +54,8 @@ class DataFrame:
         for non-UDP/unparseable payloads.
 
         Parsed once and memoized on the instance: the AP's Algorithm 1,
-        every receiving client's usefulness check, and the vectorized
-        delivery accrual all ask this same question of the same frame
+        every receiving client's usefulness check, and the medium's
+        deferred accrual all ask this same question of the same frame
         object, and the answer is a pure function of the (immutable)
         payload bytes.
         """

@@ -28,15 +28,11 @@ The benchmarks cover the paths every perf PR touches:
   ``service_flags_per_second`` gauge tracks.
 * ``delivery_fanout_events_per_second`` — full-DES event throughput at
   a dense-fleet operating point (DenseFleet scenario, hundreds of
-  clients) on the vectorized delivery backend, the workload the
-  struct-of-arrays fast lane exists for;
-  ``delivery_fanout_events_per_second_reference`` is the same run on
-  the reference per-entity loop, so the fan-out speedup stays a
-  visible, diffable number.
+  clients), the workload the struct-of-arrays delivery lane exists for.
 * ``ledger_overhead_fraction`` — the cost of the attached frame
   ledger (per-frame delay spans + delivery observer) over the exact
   same seeded run with the ledger detached, at the dense-fleet
-  operating point (DenseFleet, 1000 clients, vectorized delivery)
+  operating point (DenseFleet, 1000 clients)
   where per-frame work dominates. The record path is one deque append
   per enqueue, one popleft + two histogram increments per drain, and a
   dict pop per delivery event, so the contract is < 5%;
@@ -233,26 +229,18 @@ def bench_delivery_fanout(
     clients: int = 200,
     duration_s: float = 5.0,
     repeats: int = 2,
-    delivery: str = "vectorized",
-    name: str = "delivery_fanout_events_per_second",
     scenario: str = "DenseFleet",
 ) -> BenchResult:
     """DES events per wall second under dense broadcast fan-out.
 
     A full protocol run (association, DTIM cycles, announcement storms)
     at a fleet size where delivery dominates the wall clock, so the
-    number moves with exactly the path the delivery backends differ on.
-    Both backends produce bit-identical fingerprints (the delivery-
-    equivalence suite pins that); this measures only how fast each gets
-    there.  Events per second rather than raw wall time, so the value
-    stays comparable if the scenario's event count shifts.
+    number moves with the medium's fan-out path.  Events per second
+    rather than raw wall time, so the value stays comparable if the
+    scenario's event count shifts.
     """
     trace = generate_trace(scenario_by_name(scenario))
-    config = DesRunConfig(
-        client_count=clients,
-        duration_s=duration_s,
-        delivery_backend=delivery,
-    )
+    config = DesRunConfig(client_count=clients, duration_s=duration_s)
 
     def one_run() -> float:
         result = run_trace_des(trace, config)
@@ -263,14 +251,13 @@ def bench_delivery_fanout(
 
     value, samples = _best_of(one_run, repeats, pick_max=True)
     return BenchResult(
-        name=name,
+        name="delivery_fanout_events_per_second",
         value=value,
         unit="events/s",
         higher_is_better=True,
         detail={
             "clients": float(clients),
             "duration_s": duration_s,
-            "vectorized": 1.0 if delivery == "vectorized" else 0.0,
             "samples": float(len(samples)),
         },
     )
@@ -442,16 +429,12 @@ def bench_ledger_overhead(
 
     Same methodology as :func:`bench_obs_overhead`: GC quiesced, one
     warm-up per side, then interleaved best-of-N so host drift cancels.
-    Measured on the vectorized dense-fleet hot path — the worst case
-    for the ledger, since every broadcast frame crosses all four span
-    points while the delivery lane itself is at its cheapest.
+    Measured on the dense-fleet hot path — the worst case for the
+    ledger, since every broadcast frame crosses all four span points
+    while the delivery lane itself is at its cheapest.
     """
     trace = generate_trace(scenario_by_name(scenario))
-    base_config = DesRunConfig(
-        client_count=clients,
-        duration_s=duration_s,
-        delivery_backend="vectorized",
-    )
+    base_config = DesRunConfig(client_count=clients, duration_s=duration_s)
     ledger_config = replace(base_config, ledger=True)
     frames_tracked = [0.0]
 
@@ -664,14 +647,6 @@ def run_benchmarks(
             clients=100 if quick else 200,
             duration_s=2.5 if quick else 5.0,
             repeats=min(reps, 2),
-            delivery="vectorized",
-        ),
-        bench_delivery_fanout(
-            clients=100 if quick else 200,
-            duration_s=2.5 if quick else 5.0,
-            repeats=1,  # the slow lane: one sample keeps the suite usable
-            delivery="reference",
-            name="delivery_fanout_events_per_second_reference",
         ),
         bench_obs_overhead(duration_s=4.0 if quick else 8.0, repeats=reps),
         bench_ledger_overhead(

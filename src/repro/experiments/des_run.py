@@ -38,7 +38,7 @@ from repro.obs.timeseries import TimeseriesRecorder, dtim_window_s
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantSuite
-from repro.sim.medium import DELIVERY_KINDS, Medium
+from repro.sim.medium import Medium
 from repro.station.client import Client, ClientConfig, ClientPolicy
 from repro.traces.trace import BroadcastTrace
 from repro.traces.usefulness import ports_for_target_fraction
@@ -141,11 +141,6 @@ class DesRunConfig:
     #: fingerprint bit-identical — the profiler observes the host
     #: clock, never the simulation.
     profiler: Optional[ProfilerConfig] = None
-    #: Delivery backend for the medium: ``"reference"``,
-    #: ``"vectorized"``, or ``None`` for the medium default
-    #: (vectorized). Bit-identical pair (the delivery-equivalence suite
-    #: pins it), so this is a pure throughput knob.
-    delivery_backend: Optional[str] = None
     #: Attach the frame-lifecycle ledger (``--ledger-out``): per-frame
     #: buffering/delivery delay and per-client energy-attribution
     #: histograms. Reads only simulation time and settled state, so —
@@ -154,14 +149,6 @@ class DesRunConfig:
     ledger: bool = False
 
     def __post_init__(self) -> None:
-        if (
-            self.delivery_backend is not None
-            and self.delivery_backend not in DELIVERY_KINDS
-        ):
-            raise ConfigurationError(
-                f"unknown delivery backend {self.delivery_backend!r}; "
-                f"expected one of {DELIVERY_KINDS}"
-            )
         if self.client_count < 1:
             raise ConfigurationError("need at least one client")
         if not 0.0 <= self.useful_fraction <= 1.0:
@@ -521,11 +508,7 @@ def prepare_trace_des(
     injector = FaultInjector(active_plan) if active_plan is not None else None
 
     simulator = Simulator()
-    medium = Medium(
-        simulator,
-        fault_injector=injector,
-        delivery_backend=config.delivery_backend,
-    )
+    medium = Medium(simulator, fault_injector=injector)
     ap = AccessPoint(
         AP_MAC,
         medium,

@@ -105,24 +105,17 @@ def collect_profiler(
 def collect_delivery(
     medium, registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
-    """Delivery-backend internals: slot columns and accrual batching.
+    """Delivery internals: slot columns and accrual batching.
 
     Like :func:`collect_profiler`, these series describe the *machinery*
-    (which backend, how often the deferred accrual settled, fan-out
-    cache churn) rather than the protocol, so they are only ever pulled
-    into live-scrape registries — never the end-of-run collection that
-    determinism fingerprints hash.  Reads state without settling it, so
-    it is safe from scrape threads.
+    (how often the deferred accrual settled, fan-out cache churn) rather
+    than the protocol, so they are only ever pulled into live-scrape
+    registries — never the end-of-run collection that determinism
+    fingerprints hash.  Reads state without settling it, so it is safe
+    from scrape threads.
     """
     registry = registry if registry is not None else default_registry()
-    registry.gauge(
-        "repro_delivery_backend_info",
-        "Active delivery backend (constant 1, labelled)",
-        labels={"backend": medium.delivery_kind},
-    ).set(1.0)
-    radios = getattr(medium, "radio_array", None)
-    if radios is None:
-        return registry
+    radios = medium.radio_array
     registry.gauge(
         "repro_delivery_slots", "Client radio slots currently bound"
     ).set(float(len(radios)))

@@ -21,8 +21,8 @@ Design, kept dependency-free and deterministic:
   is never silently truncated).
 * Quantiles return the *upper bound* of the winning bucket (clamped to
   the observed max): a pure function of the bucket counts, so two runs
-  that record the same values — e.g. the reference and vectorized
-  delivery lanes — report bit-identical quantiles.
+  that record the same values — e.g. the medium and its
+  everyone-receives test oracle — report bit-identical quantiles.
 """
 
 from __future__ import annotations

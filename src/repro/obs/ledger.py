@@ -22,9 +22,10 @@ energy models, so one document carries both sides of the tradeoff.
 Determinism rules, mirroring the tracer and profiler:
 
 * Every recorded value is **simulation time** read through the clock
-  the wiring supplies, never wall clock — so the reference and
-  vectorized delivery lanes produce bit-identical ledgers (delivery
-  events pop in (time, seq) order, which both lanes share).
+  the wiring supplies, never wall clock — so the medium and the
+  everyone-receives test oracle (``tests/sim/reference_medium.py``)
+  produce bit-identical ledgers (delivery events pop in (time, seq)
+  order, which both share).
 * The ledger only *reads* simulator/AP/table state. It must never bump
   a fingerprinted counter: port classification goes through
   :meth:`~repro.ap.port_table.ClientUdpPortTable.has_subscribers`,

@@ -378,8 +378,8 @@ class Simulator:
         everything downstream of them: timeseries windows, live
         telemetry samples — observe fully settled state), at the end of
         every :meth:`step`, and when :meth:`run` returns.  Subsystems
-        that defer per-event work into batched updates (the vectorized
-        delivery backend's energy accrual) register here so the deferral
+        that defer per-event work into batched updates (the medium's
+        deferred energy accrual) register here so the deferral
         is invisible at every externally observable boundary.
         """
         self._sync_hooks.append(hook)

@@ -10,22 +10,19 @@ analytically by :mod:`repro.analysis.bianchi`, as in the paper).
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
     Optional,
     Tuple,
 )
-from collections import deque
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
@@ -43,15 +40,6 @@ from repro.units import us
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-
-#: Delivery-backend seam: ``reference`` hands every frame to every
-#: attached entity; ``vectorized`` routes through the struct-of-arrays
-#: fast lane in :mod:`repro.sim.radio_array`.  The two are bit-identical
-#: (fingerprints, .prom snapshots, trace sequences) — pinned by
-#: ``tests/property/test_delivery_equivalence.py`` — so the choice is
-#: purely a throughput knob.
-DELIVERY_KINDS = ("reference", "vectorized")
-DEFAULT_DELIVERY_KIND = "vectorized"
 
 #: 802.11b long-preamble PHY overhead: 192 bits at 1 Mb/s = 192 µs.
 PHY_OVERHEAD_S = us(192)
@@ -101,36 +89,13 @@ class Medium:
         simulator: Simulator,
         phy_overhead_s: float = PHY_OVERHEAD_S,
         propagation_delay_s: float = PROPAGATION_DELAY_S,
-        loss_probability: float = 0.0,
-        loss_seed: int = 0,
         fault_injector: Optional["FaultInjector"] = None,
-        delivery_backend: Optional[str] = None,
     ) -> None:
-        """``loss_probability`` drops each non-beacon frame independently
-        with that probability (failure injection for retransmission
-        tests); beacons are exempt so the PS schedule stays alive, which
-        matches reality where beacons at the base rate are by far the
-        most robust frames on the air.
-
-        ``fault_injector`` supersedes the simple loss knob: it realizes
-        a seeded :class:`~repro.faults.plan.FaultPlan` with per-kind
-        loss (including an explicit beacon-loss knob), per-kind drop
+        """``fault_injector`` realizes a seeded
+        :class:`~repro.faults.plan.FaultPlan`: per-kind loss (beacons
+        exempt unless the plan sets beacon loss), per-kind drop
         accounting, and bounded delivery-clock jitter.
-
-        ``delivery_backend`` selects ``"vectorized"`` (default) or
-        ``"reference"`` — see :data:`DELIVERY_KINDS`.
         """
-        if not 0.0 <= loss_probability < 1.0:
-            raise SimulationError(
-                f"loss probability must be in [0, 1): {loss_probability}"
-            )
-        kind = (
-            DEFAULT_DELIVERY_KIND if delivery_backend is None else delivery_backend
-        )
-        if kind not in DELIVERY_KINDS:
-            raise SimulationError(
-                f"unknown delivery backend {kind!r}; expected one of {DELIVERY_KINDS}"
-            )
         self._simulator = simulator
         self._entities: List[Entity] = []
         #: Immutable delivery snapshot, rebuilt on attach/detach so the
@@ -146,11 +111,8 @@ class Medium:
         self._phy_overhead_s = phy_overhead_s
         self._propagation_delay_s = propagation_delay_s
         self._busy_until = 0.0
-        self._pending: Deque = deque()
         self._transmissions_completed = 0
         self._busy_time_accum = 0.0
-        self._loss_probability = loss_probability
-        self._loss_rng = random.Random(loss_seed)
         self._fault_injector = fault_injector
         self._frames_dropped = 0
         self._airtime_by_kind: Dict[str, float] = {}
@@ -158,9 +120,8 @@ class Medium:
         self._queue_wait_accum = 0.0
         self._frames_queued = 0
         self._delivery_observers: List[Callable[[Transmission, bool], None]] = []
-        self._delivery_kind = kind
-        #: Slot-indexed radio columns (vectorized backend only).
-        self._radios: Optional[RadioArray] = None
+        #: Slot-indexed radio columns of every client-like entity.
+        self._radios = RadioArray()
         #: Entities without a radio slot (the AP, test doubles), in
         #: attach order, plus their indices into ``_targets`` — the
         #: recipients of client-originated and unaddressed frames.
@@ -178,21 +139,12 @@ class Medium:
         self._fanout: Plan = ()
         self._fanout_stamp: Tuple[int, int] = (-1, -1)
         self._fanout_rebuilds = 0
-        if kind == "vectorized":
-            self._radios = RadioArray()
-            self._drain = self._drain_deliveries_vector
-            simulator.add_sync_hook(self.sync_accounting)
-        else:
-            self._drain = self._drain_deliveries
+        self._drain = self._drain_deliveries
+        simulator.add_sync_hook(self.sync_accounting)
 
     @property
-    def delivery_kind(self) -> str:
-        """Which delivery backend is active (``reference``/``vectorized``)."""
-        return self._delivery_kind
-
-    @property
-    def radio_array(self) -> Optional[RadioArray]:
-        """The slot-state columns, or ``None`` on the reference backend."""
+    def radio_array(self) -> RadioArray:
+        """The slot-state columns of the attached clients."""
         return self._radios
 
     @property
@@ -219,7 +171,7 @@ class Medium:
 
     @property
     def drops_by_kind(self) -> Dict[str, int]:
-        """Injected drops per frame kind (empty under the legacy knob)."""
+        """Injected drops per frame kind (empty without an injector)."""
         if self._fault_injector is None:
             return {}
         return self._fault_injector.drops_by_kind
@@ -256,8 +208,8 @@ class Medium:
         self._entities.append(entity)
         self._targets = tuple(self._entities)
         self._order_epoch += 1
-        radios = self._radios
-        if radios is not None and hasattr(entity, "radio_broadcast_state"):
+        if hasattr(entity, "radio_broadcast_state"):
+            radios = self._radios
             slot = radios.allocate(entity)
             entity.bind_radio(radios, slot)
         if not entity.is_attached:
@@ -275,7 +227,7 @@ class Medium:
         in-flight ``(deliver_at, sequence, transmission)`` snapshots are
         untouched — the remaining same-tick frames recompute their
         recipient sets and simply skip the departed radio, exactly as
-        the reference path's per-frame ``_targets`` read does.
+        the everyone-receives oracle's per-frame ``_targets`` read does.
         """
         try:
             self._entities.remove(entity)
@@ -284,7 +236,7 @@ class Medium:
         self._targets = tuple(self._entities)
         self._order_epoch += 1
         radios = self._radios
-        if radios is not None and entity in radios.slot_of:
+        if entity in radios.slot_of:
             radios.release(entity)
             entity.unbind_radio()
 
@@ -292,14 +244,11 @@ class Medium:
         """Settle deferred per-client accrual into client counters.
 
         Registered as an engine sync hook (probe boundaries, run exit,
-        every step) on the vectorized backend; a no-op on the reference
-        backend, whose accrual is already per-event.  Anything reading
-        client counters *outside* those boundaries — the invariant
-        suite's mid-run checks, tests poking counters between manual
-        drains — calls this first.
+        every step).  Anything reading client counters *outside* those
+        boundaries — the invariant suite's mid-run checks, tests poking
+        counters between manual drains — calls this first.
         """
-        if self._radios is not None:
-            self._radios.flush()
+        self._radios.flush()
 
     def is_attached(self, entity: Entity) -> bool:
         return entity in self._entities
@@ -380,62 +329,26 @@ class Medium:
             _, _, transmission, on_complete = heappop(inflight)
             self._deliver(transmission, on_complete)
 
+    #: Second name for the drain: ``benchmarks/e2e/spans.py`` wraps both
+    #: ``_drain_deliveries`` and ``_drain_deliveries_vector`` through
+    #: ``getattr``, so the traced benchmark needs both to exist.
+    _drain_deliveries_vector = _drain_deliveries
+
     def _deliver(
         self,
         transmission: Transmission,
         on_complete: Optional[Callable[[Transmission], None]],
     ) -> None:
-        frame = transmission.frame
-        sender = transmission.sender
-        self._transmissions_completed += 1
-        dropped = False
-        if self._fault_injector is not None:
-            dropped = self._fault_injector.should_drop(frame)
-        elif self._loss_probability > 0.0 and not _is_beacon(frame):
-            dropped = self._loss_rng.random() < self._loss_probability
-        if dropped:
-            self._frames_dropped += 1
-        else:
-            for entity in self._targets:
-                if entity is not sender:
-                    entity.on_receive(transmission)
-        for observer in self._delivery_observers:
-            observer(transmission, dropped)
-        if dropped:
-            return  # frame corrupted on air: nobody decodes it
-        if on_complete is not None:
-            on_complete(transmission)
-
-    # -- vectorized fast lane ---------------------------------------------
-
-    def _drain_deliveries_vector(self) -> None:
-        """Vectorized twin of :meth:`_drain_deliveries`.
-
-        Identical pop order and per-frame processing; only the recipient
-        computation inside :meth:`_deliver_vector` differs.  A distinct
-        bound method so the attribution profiler reports the two lanes
-        as separate sites.
-        """
-        now = self._simulator.now
-        inflight = self._inflight
-        while inflight and inflight[0][0] <= now:
-            _, _, transmission, on_complete = heappop(inflight)
-            self._deliver_vector(transmission, on_complete)
-
-    def _deliver_vector(
-        self,
-        transmission: Transmission,
-        on_complete: Optional[Callable[[Transmission], None]],
-    ) -> None:
-        """Deliver one frame through the slot-routed fast lane.
+        """Deliver one frame through the slot-routed lane.
 
         Per-frame-class routing; every route is observably identical to
-        the reference everyone-receives loop, skipping a client only
-        when its ``on_receive`` is provably a no-op for the frame kind
-        (see :mod:`repro.sim.radio_array` route notes).  Recipient sets
-        are recomputed per frame against live ``_targets``/mask state,
-        so same-tick attach/detach between two frames behaves exactly
-        like the reference per-frame ``_targets`` read.
+        handing the frame to every other attached entity (the oracle in
+        ``tests/sim/reference_medium.py``), skipping a client only when
+        its ``on_receive`` is provably a no-op for the frame kind (see
+        :mod:`repro.sim.radio_array` route notes).  Recipient sets are
+        recomputed per frame against live ``_targets``/mask state, so
+        same-tick attach/detach between two frames behaves exactly like
+        a per-frame ``_targets`` read.
         """
         frame = transmission.frame
         sender = transmission.sender
@@ -443,8 +356,6 @@ class Medium:
         dropped = False
         if self._fault_injector is not None:
             dropped = self._fault_injector.should_drop(frame)
-        elif self._loss_probability > 0.0 and not _is_beacon(frame):
-            dropped = self._loss_rng.random() < self._loss_probability
         if dropped:
             self._frames_dropped += 1
         else:
@@ -480,7 +391,7 @@ class Medium:
                 self._deliver_addressed(transmission, sender, frame.receiver)
             elif route == ROUTE_SINGLE_DEST:
                 self._deliver_addressed(transmission, sender, frame.destination)
-            else:  # unknown frame classes: the reference loop
+            else:  # unknown frame classes: everyone receives
                 for entity in self._targets:
                     if entity is not sender:
                         entity.on_receive(transmission)
@@ -496,9 +407,9 @@ class Medium:
     ) -> None:
         """Deliver a singly-addressed frame (Ack, unicast, response).
 
-        Recipients: every nonvector entity (they see all traffic, like
-        the reference) plus the one addressed client — merged at its
-        attach position so callback order matches the reference loop.
+        Recipients: every nonvector entity (they see all traffic) plus
+        the one addressed client — merged at its attach position so
+        callback order matches the everyone-receives order.
         """
         if self._order_stamp != self._order_epoch:
             self._refresh_order()
@@ -612,9 +523,3 @@ def _dispatch(plan: Plan, transmission: Transmission, sender: Entity) -> None:
                 target.on_receive(transmission)
         else:
             hook(target, transmission)
-
-
-def _is_beacon(frame: Any) -> bool:
-    from repro.dot11.management import Beacon
-
-    return isinstance(frame, Beacon)

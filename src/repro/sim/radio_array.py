@@ -1,7 +1,8 @@
-"""Struct-of-arrays radio state for the vectorized delivery fast lane.
+"""Struct-of-arrays radio state for the medium's delivery lane.
 
-The reference delivery path hands every frame to every attached entity
-and lets each ``Client.on_receive`` decide what to do with it.  That is
+The everyone-receives oracle (``tests/sim/reference_medium.py``) hands
+every frame to every attached entity and lets each
+``Client.on_receive`` decide what to do with it.  That is
 N Python calls per frame, and at dense fleets almost all of them are the
 same three instructions: "I am dozing, count the frame as ignored, and
 if it was useful count it as missed".  This module keeps exactly the
@@ -29,18 +30,18 @@ own counters — and re-baselines it.  :meth:`flush` settles every slot;
 the medium runs it at the engine's probe-boundary sync points (the same
 places ``_events_processed`` syncs), so probes, timeseries windows,
 fingerprints, and end-of-run collection all observe counters that are
-bit-identical to the reference per-event accrual.
+bit-identical to the oracle's per-event accrual.
 
 Only the *dozing* class is deferrable: a dozing client's broadcast
 handling is pure counter arithmetic with no events, no tracer, and no
 externally observable order.  Listening clients schedule wakes and
 transmissions, so the medium dispatches them per frame in attach order
-— exactly the reference interleaving.
+— exactly the oracle's interleaving.
 
 The array binds to entities by duck type, never by import: anything
 exposing ``radio_broadcast_state()`` / ``bind_radio()`` (i.e.
 :class:`~repro.station.client.Client`) gets a slot; everything else
-stays on the reference per-frame path.
+(the AP, test doubles) gets every frame through its own ``on_receive``.
 """
 
 from __future__ import annotations
@@ -52,16 +53,16 @@ from repro.errors import FrameDecodeError
 from repro.net.packet import extract_udp_dst_port_from_dot11_body
 
 #: Delivery routes the medium dispatches on, resolved once per frame
-#: class.  Every route is observably identical to the reference
+#: class.  Every route is observably identical to the oracle's
 #: everyone-receives loop given ``Client.on_receive`` semantics: a route
 #: only skips a client when that client's handler is provably a no-op
 #: for the frame kind.
 ROUTE_DATA = 0  #: DataFrame: broadcast fan-out or unicast by destination.
-ROUTE_BEACON = 1  #: Beacon: every client decodes it (reference loop).
+ROUTE_BEACON = 1  #: Beacon: every client decodes it.
 ROUTE_SINGLE_RECEIVER = 2  #: Ack: only ``frame.receiver`` reacts.
 ROUTE_SINGLE_DEST = 3  #: AssociationResponse/ProbeResponse: ``frame.destination``.
 ROUTE_UPLINK = 4  #: Client-originated frames: no *client* ever reacts.
-ROUTE_UNKNOWN = 5  #: Anything else: reference loop, no assumptions.
+ROUTE_UNKNOWN = 5  #: Anything else: everyone receives, no assumptions.
 
 _ROUTE_CACHE: Dict[type, int] = {}
 

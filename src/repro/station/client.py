@@ -174,8 +174,9 @@ class Client(Entity):
         #: Unknown-state fallback: when True the radio behaves like
         #: receive-all until the next DTIM resynchronizes it.
         self._conservative_listen = False
-        #: Slot-state mirror for the vectorized delivery backend; None
-        #: under the reference backend (every hook is one None check).
+        #: Slot-state mirror in the medium's radio array; None while
+        #: unbound (detached, or on a medium that binds no slots), so
+        #: every hook is one None check.
         self._radio = None
         self._radio_slot = -1
         self._beacon_watchdog: Optional[EventHandle] = None
@@ -219,12 +220,12 @@ class Client(Entity):
         self.last_aid = aid
         self._notify_radio()
 
-    # -- vectorized-delivery radio binding -------------------------------
+    # -- radio-array binding ---------------------------------------------
 
     def bind_radio(self, radios, slot: int) -> None:
         """Mirror this radio into the medium's slot columns.
 
-        Called by the vectorized medium on attach; every subsequent
+        Called by the medium on attach; every subsequent
         mutation of doze/receive-all state, AID, or the socket table
         refreshes the mirror via :meth:`_notify_radio`.
         """
@@ -616,7 +617,7 @@ class Client(Entity):
                     if self._scan_results is not None:
                         self._scan_results.append(frame)
 
-    # -- batched receive (the medium's vectorized lane) ------------------
+    # -- batched receive (the medium's run hooks) ------------------------
     #
     # The medium hands one frame to a whole run of attached stations in
     # one call.  Each hook reads the frame once, then walks the run in

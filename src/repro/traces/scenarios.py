@@ -139,7 +139,7 @@ PAPER_SCENARIOS: Tuple[ScenarioSpec, ...] = (
 #: is the stadium/airport shape the ROADMAP aims at: Classroom-style
 #: service-announcement storms, tuned slightly denser, meant to be run
 #: with hundreds to thousands of stations (``--clients 1000``) — the
-#: workload the vectorized delivery backend exists for.
+#: workload the medium's radio-array delivery lane exists for.
 EXTRA_SCENARIOS: Tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="DenseFleet",

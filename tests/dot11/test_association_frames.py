@@ -128,12 +128,14 @@ class TestOverTheAirHandshake:
 
     def test_handshake_retries_under_loss(self):
         from repro.ap.access_point import AccessPoint, ApConfig
+        from repro.faults import FaultInjector, FaultPlan
         from repro.sim.engine import Simulator
         from repro.sim.medium import Medium
         from repro.station.client import Client, ClientConfig, ClientPolicy
 
         sim = Simulator()
-        medium = Medium(sim, loss_probability=0.5, loss_seed=5)
+        injector = FaultInjector(FaultPlan(default_loss=0.5, seed=5))
+        medium = Medium(sim, fault_injector=injector)
         ap = AccessPoint(AP, medium, ApConfig())
         medium.attach(ap)
         client = Client(

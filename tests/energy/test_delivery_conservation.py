@@ -1,4 +1,4 @@
-"""Energy-accrual conservation under the deferred (vectorized) lane.
+"""Energy-accrual conservation under the medium's deferred accrual.
 
 The deferred accrual in :mod:`repro.sim.radio_array` trades per-frame
 counter bumps for epoch arithmetic settled at sync points.  The failure
@@ -14,18 +14,21 @@ ways:
   per-frame reference model (5000 > MAX_AID, so only the array itself
   can be exercised at this scale);
 * crash / ``force_suspend`` mid-window, where release must settle a
-  slot exactly once.
+  slot exactly once (checked against the everyone-receives oracle in
+  ``tests/sim/reference_medium.py``).
 """
 
 import random
 
 import pytest
 
+import repro.experiments.des_run
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.faults import FaultPlan
 from repro.sim.radio_array import RadioArray
 from repro.station.client import ClientCounters
 from repro.traces import generate_trace
+from tests.sim.reference_medium import ReferenceMedium
 
 
 class _StubRadio:
@@ -76,12 +79,10 @@ class TestFullDesConservation:
                 client_count=clients,
                 duration_s=duration,
                 check_invariants=True,
-                delivery_backend="vectorized",
             ),
         )
         result.close()
         radios = result.medium.radio_array
-        assert radios is not None
         assert len(radios) == clients
         total = radios.frames_total
         assert total > 0, "scenario delivered no broadcast traffic"
@@ -209,7 +210,7 @@ class TestMidWindowRelease:
         assert stub.counters.broadcast_frames_ignored == 2
         assert stub.counters.useful_frames_missed == 2
 
-    def test_crash_mid_burst_full_des_matches_reference(self):
+    def test_crash_mid_burst_full_des_matches_reference(self, monkeypatch):
         """Fault-plan crash (detach + ``force_suspend``) conserves.
 
         The crash path releases the slot (settling it) and then clears
@@ -218,21 +219,22 @@ class TestMidWindowRelease:
         per-counter level catches exactly that.
         """
         plan = FaultPlan.parse("loss=0.05,seed=13,crash=2@2:4,crash=5@3:6")
+        config = DesRunConfig(
+            client_count=8,
+            duration_s=8.0,
+            fault_plan=plan,
+            check_invariants=True,
+        )
         runs = {}
-        for backend in ("reference", "vectorized"):
-            trace = generate_trace("Classroom", seed=9)
-            result = run_trace_des(
-                trace,
-                DesRunConfig(
-                    client_count=8,
-                    duration_s=8.0,
-                    fault_plan=plan,
-                    check_invariants=True,
-                    delivery_backend=backend,
-                ),
-            )
+        for lane in ("vectorized", "reference"):
+            if lane == "reference":
+                monkeypatch.setattr(
+                    repro.experiments.des_run, "Medium", ReferenceMedium
+                )
+            result = run_trace_des(generate_trace("Classroom", seed=9), config)
             result.close()
-            runs[backend] = result
+            runs[lane] = result
+        assert isinstance(runs["reference"].medium, ReferenceMedium)
         crashed = [c for c in runs["vectorized"].clients if c.counters.crashes]
         assert crashed, "fault plan produced no crash"
         for ref_client, vec_client in zip(

@@ -228,6 +228,50 @@ class TestRunSweep:
         assert serial["runs"] == sharded["runs"]
         assert serial["totals"] == sharded["totals"]
 
+    def test_oracle_sweep_merges_to_the_production_fingerprint(
+        self, monkeypatch
+    ):
+        """The cheapest end-to-end differential gate: a forked sweep on
+        the everyone-receives oracle and the same sweep on the medium's
+        delivery lane merge to one fingerprint."""
+        from dataclasses import replace
+
+        import repro.experiments.des_run
+        from repro.obs.profiler import ProfilerConfig
+        from tests.sim.reference_medium import ReferenceMedium
+
+        spec = SweepSpec(
+            scenarios=("Starbucks", "Classroom"),
+            seeds=(0, 1, 2),
+            config=DesRunConfig(
+                client_count=2,
+                duration_s=5.0,
+                check_invariants=True,
+                profiler=ProfilerConfig(mode="sampling", stride=4),
+            ),
+            fault_spec="loss=0.05",
+        )
+        production = run_sweep(spec, workers=2)
+        # Patched before the fork, so every worker builds the oracle.
+        monkeypatch.setattr(
+            repro.experiments.des_run, "Medium", ReferenceMedium
+        )
+        oracle = run_sweep(spec, workers=2)
+
+        def drain_sites(document):
+            return {
+                site["owner"]
+                for site in document["profile"]["sites"]
+                if site["method"] == "_drain_deliveries"
+            }
+
+        assert drain_sites(production) == {"Medium"}
+        assert drain_sites(oracle) == {"ReferenceMedium"}
+        assert production["totals"]["failed"] == 0
+        assert oracle["merged_fingerprint"] == production["merged_fingerprint"]
+        assert oracle["runs"] == production["runs"]
+        assert oracle["totals"] == production["totals"]
+
 
 class TestSweepTelemetry:
     def test_in_process_sweep_feeds_the_aggregator(self):

@@ -8,11 +8,9 @@ the retry machinery actually masks loss, and quantify what pure loss
 does to delivery counts.
 """
 
-import pytest
-
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
-from repro.errors import SimulationError
+from repro.faults import FaultInjector, FaultPlan
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
@@ -24,8 +22,10 @@ WIRED_SRC = MacAddress.from_string("02:bb:00:00:00:99")
 
 
 def build(loss, loss_seed=1, retries=7):
+    """AP + one HIDE client on a channel losing non-beacon frames."""
     sim = Simulator()
-    medium = Medium(sim, loss_probability=loss, loss_seed=loss_seed)
+    injector = FaultInjector(FaultPlan(default_loss=loss, seed=loss_seed))
+    medium = Medium(sim, fault_injector=injector)
     ap = AccessPoint(AP_MAC, medium, ApConfig())
     medium.attach(ap)
     client = Client(
@@ -44,13 +44,6 @@ def build(loss, loss_seed=1, retries=7):
 
 
 class TestLossyMedium:
-    def test_loss_probability_validated(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            Medium(sim, loss_probability=1.0)
-        with pytest.raises(SimulationError):
-            Medium(sim, loss_probability=-0.1)
-
     def test_zero_loss_drops_nothing(self):
         sim, medium, ap, client = build(loss=0.0)
         sim.run(until=2.0)

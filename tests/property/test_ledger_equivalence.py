@@ -2,7 +2,8 @@
 
 The ledger rides the same observer seams as the rest of the
 observability stack, so it inherits the same two contracts: it must
-report *bit-identical* documents whichever delivery lane ran the
+report *bit-identical* documents whether the medium's delivery lane or
+the everyone-receives oracle (``tests/sim/reference_medium.py``) ran the
 simulation (the quantiles are pure functions of bucket
 counts, so `json.dumps` equality is achievable, not just approximate),
 and attaching it must not perturb the deterministic fingerprint at all.
@@ -14,34 +15,38 @@ shrink.
 """
 
 import json
+from contextlib import nullcontext
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.faults import FaultPlan
+from repro.sim.medium import Medium
 from repro.traces import generate_trace
+from tests.sim.reference_medium import ReferenceMedium, oracle_des
 
 _PLAN = FaultPlan.parse("loss=0.08,beacon=0.01,seed=11,crash=0@2:5")
 
 
 def _run(
-    delivery_backend,
+    lane,
     scenario="Starbucks",
     seed=7,
     fault_plan=None,
     ledger=True,
 ):
+    """One seeded run; ``lane="reference"`` runs it on the oracle."""
     trace = generate_trace(scenario, seed=seed)
     config = DesRunConfig(
         client_count=3,
         duration_s=6.0,
         fault_plan=fault_plan,
         check_invariants=True,
-        delivery_backend=delivery_backend,
         ledger=ledger,
     )
-    result = run_trace_des(trace, config)
+    with oracle_des() if lane == "reference" else nullcontext():
+        result = run_trace_des(trace, config)
     result.close()
     return result
 
@@ -65,8 +70,8 @@ class TestLedgerLaneEquivalence:
     def test_documents_bit_identical_across_lanes(self, scenario, seed):
         ref = _run("reference", scenario, seed)
         vec = _run("vectorized", scenario, seed)
-        assert ref.medium.delivery_kind == "reference"
-        assert vec.medium.delivery_kind == "vectorized"
+        assert isinstance(ref.medium, ReferenceMedium)
+        assert type(vec.medium) is Medium
         assert _document_bytes(ref) == _document_bytes(vec)
         assert ref.deterministic_fingerprint() == vec.deterministic_fingerprint()
 
@@ -115,7 +120,7 @@ class TestLedgerUnderFaults:
         client heard the beacon: beacon loss shifts client wake energy,
         but the frame ledger must balance with zero drops."""
         plan = FaultPlan.parse(f"beacon={beacon_loss},seed={fault_seed}")
-        result = _run(None, scenario="Classroom", seed=seed, fault_plan=plan)
+        result = _run("vectorized", scenario="Classroom", seed=seed, fault_plan=plan)
         ledger = result.ledger
         assert ledger.frames_dropped_on_air == 0
         assert ledger.frames_buffer_dropped == 0
@@ -128,8 +133,8 @@ class TestLedgerUnderFaults:
         """Delivery timing is AP-side (enqueue -> DTIM drain -> air), so
         a client missing the beacon cannot change it."""
         plan = FaultPlan.parse("beacon=0.3,seed=5")
-        base = _run(None, scenario="Classroom").ledger
-        lossy = _run(None, scenario="Classroom", fault_plan=plan).ledger
+        base = _run("vectorized", scenario="Classroom").ledger
+        lossy = _run("vectorized", scenario="Classroom", fault_plan=plan).ledger
         assert (
             lossy.merged_delivery_delay().sum
             == base.merged_delivery_delay().sum
@@ -150,7 +155,7 @@ class TestLedgerUnderFaults:
         push a delivery later, so the sum and max of the delay
         distribution are monotone in the plan — and no frame is lost."""
         plan = FaultPlan.parse(f"jitter=1e-4,seed={fault_seed}")
-        base = _run(None, scenario="Classroom", seed=seed).ledger
+        base = _run("vectorized", scenario="Classroom", seed=seed).ledger
         jittered = _run(
             None, scenario="Classroom", seed=seed, fault_plan=plan
         ).ledger
@@ -164,7 +169,7 @@ class TestLedgerUnderFaults:
 
     def test_jitter_strictly_lengthens_for_a_busy_seed(self):
         plan = FaultPlan.parse("jitter=1e-4,seed=5")
-        base = _run(None, scenario="Classroom", seed=7).ledger
+        base = _run("vectorized", scenario="Classroom", seed=7).ledger
         jittered = _run(
             None, scenario="Classroom", seed=7, fault_plan=plan
         ).ledger

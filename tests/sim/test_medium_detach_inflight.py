@@ -3,13 +3,14 @@
 A crash handler runs *as* a delivery callback: the client detaches from
 the medium while the drain loop is mid-batch and later frames are still
 sitting in the in-flight heap.  The contract (documented on
-:meth:`Medium.detach`) is backend-independent:
+:meth:`Medium.detach`) holds for the medium and for the everyone-receives
+oracle (``tests/sim/reference_medium.py``) alike:
 
 * the frame whose fan-out is currently being iterated still reaches
   every recipient in its snapshot — including the departing one;
 * every *later* frame recomputes recipients and skips it;
-* on the vectorized backend the slot is settled and freed immediately,
-  and the in-flight ``(deliver_at, sequence, transmission)`` tuples are
+* on the medium the slot is settled and freed immediately, and the
+  in-flight ``(deliver_at, sequence, transmission)`` tuples are
   never perturbed.
 """
 
@@ -21,6 +22,7 @@ from repro.sim.entity import Entity
 from repro.sim.medium import Medium
 from repro.station.client import ClientCounters
 from repro.units import mbps
+from tests.sim.reference_medium import ReferenceMedium
 
 _BSSID = MacAddress(b"\x02\x00\x00\x00\x00\xaa")
 _SRC = MacAddress(b"\x02\x00\x00\x00\x00\xbb")
@@ -34,8 +36,8 @@ class FakeClient(Entity):
     """Vector-bindable entity mirroring Client's broadcast semantics.
 
     Dozing behaviour matches ``Client._handle_broadcast`` exactly
-    (ignored + missed-if-useful), so the reference per-frame loop and
-    the vectorized deferred accrual must land on identical counters.
+    (ignored + missed-if-useful), so the oracle's per-frame loop and
+    the medium's deferred accrual must land on identical counters.
     """
 
     def __init__(self, name, mac, listening, aid=1, ports=frozenset()):
@@ -82,9 +84,9 @@ def _broadcast(sequence):
     )
 
 
-def _run(backend):
+def _run(medium_cls):
     sim = Simulator()
-    medium = Medium(sim, delivery_backend=backend)
+    medium = medium_cls(sim)
     sender = Entity("upstream")
     medium.attach(sender)
     v1 = FakeClient("v1", _mac(1), listening=True)
@@ -110,22 +112,21 @@ def _run(backend):
 
 class TestDetachDuringInflightDrain:
     def test_semantics_identical_on_both_backends(self):
-        for backend in ("reference", "vectorized"):
-            medium, v1, v2, dozer = _run(backend)
+        for medium_cls in (ReferenceMedium, Medium):
+            medium, v1, v2, dozer = _run(medium_cls)
             # The frame mid-delivery still reached v2; the next one
             # recomputed recipients and skipped it.
-            assert v1.received == [1, 2], backend
-            assert v2.received == [1], backend
+            assert v1.received == [1, 2], medium_cls
+            assert v2.received == [1], medium_cls
             assert not medium.is_attached(v2)
             # The dozing client accrued both frames (useful on 5353)
             # regardless of the same-tick detach next to it.
-            assert dozer.counters.broadcast_frames_ignored == 2, backend
-            assert dozer.counters.useful_frames_missed == 2, backend
+            assert dozer.counters.broadcast_frames_ignored == 2, medium_cls
+            assert dozer.counters.useful_frames_missed == 2, medium_cls
 
     def test_vectorized_frees_slot_and_settles_once(self):
-        medium, _, v2, dozer = _run("vectorized")
+        medium, _, v2, dozer = _run(Medium)
         radios = medium.radio_array
-        assert radios is not None
         assert v2 not in radios.slot_of
         assert v2.mac not in radios.by_mac
         assert len(radios) == 2  # v1 + dozer keep their slots
@@ -144,7 +145,7 @@ class TestDetachDuringInflightDrain:
         assert before == after
 
     def test_detached_slot_is_recycled(self):
-        medium, _, v2, _ = _run("vectorized")
+        medium, _, v2, _ = _run(Medium)
         radios = medium.radio_array
         late = FakeClient("late", _mac(9), listening=False, ports=frozenset({5353}))
         medium.attach(late)
