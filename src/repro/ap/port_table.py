@@ -48,7 +48,14 @@ class PortTableStats:
 
 
 class ClientUdpPortTable:
-    """Port → {AIDs} with per-client replacement semantics."""
+    """Port → {AIDs} with per-client replacement semantics.
+
+    Report timestamps are kept in report order: every refresh moves the
+    client to the back of ``_updated_at`` (dicts keep insertion order),
+    and the table refuses a report older than the newest one it holds.
+    The oldest report is therefore always at the front, so
+    :meth:`expire_older_than` touches only the clients it expires.
+    """
 
     def __init__(self) -> None:
         self._clients_by_port: Dict[int, Set[int]] = {}
@@ -91,9 +98,10 @@ class ClientUdpPortTable:
         refreshing (crashed without disassociating).
 
         Raises :class:`~repro.errors.PortTableError` for AIDs outside
-        1..2007, out-of-range UDP ports, or an empty port set — a
-        report with nothing to report is a protocol error; clearing a
-        client is :meth:`remove_client`.
+        1..2007, out-of-range UDP ports, an empty port set — a report
+        with nothing to report is a protocol error; clearing a client
+        is :meth:`remove_client` — or a ``now`` older than the newest
+        stored report.
         """
         if not 1 <= aid <= MAX_AID:
             raise PortTableError(f"AID out of range (1..{MAX_AID}): {aid}")
@@ -106,12 +114,14 @@ class ClientUdpPortTable:
         for port in new_ports:
             if not 0 < port <= 0xFFFF:
                 raise PortTableError(f"UDP port out of range: {port}")
+        self._check_report_order(now)
         old_ports = self._ports_by_aid.get(aid, frozenset())
         for port in old_ports:
             self._delete(port, aid)
         for port in new_ports:
             self._insert(port, aid)
         self._ports_by_aid[aid] = new_ports
+        self._updated_at.pop(aid, None)
         self._updated_at[aid] = now
         self.stats.refreshes += 1
 
@@ -119,11 +129,23 @@ class ClientUdpPortTable:
         """Refresh ``aid``'s report timestamp without changing its ports
         (a keep-alive). Returns False when the client has no entries —
         the keep-alive raced an expiry and the client must re-report.
+        Raises :class:`~repro.errors.PortTableError` for a ``now`` older
+        than the newest stored report.
         """
         if aid not in self._ports_by_aid:
             return False
+        self._check_report_order(now)
+        del self._updated_at[aid]
         self._updated_at[aid] = now
         return True
+
+    def _check_report_order(self, now: float) -> None:
+        newest = next(reversed(self._updated_at.values()), None)
+        if newest is not None and now < newest:
+            raise PortTableError(
+                f"report at {now} is older than the newest stored report "
+                f"({newest}); the table clock must not go backwards"
+            )
 
     def remove_client(self, aid: int) -> None:
         """Drop all state for a disassociated client."""
@@ -141,15 +163,23 @@ class ClientUdpPortTable:
         its last report time — sorted by AID for deterministic logs, so
         callers can emit per-client expiry events rather than a bare
         count.
+
+        Reports are stored oldest first, so the walk stops at the first
+        client still inside the TTL: the cost is O(expired + 1), not a
+        scan of every client.
         """
+        stale = []
+        for aid, updated in self._updated_at.items():
+            if updated >= cutoff:
+                break
+            stale.append((aid, updated))
         expired = [
             ExpiredEntry(
                 aid=aid,
                 ports=self._ports_by_aid.get(aid, frozenset()),
                 updated_at=updated,
             )
-            for aid, updated in sorted(self._updated_at.items())
-            if updated < cutoff
+            for aid, updated in sorted(stale)
         ]
         for entry in expired:
             self.remove_client(entry.aid)
@@ -168,8 +198,10 @@ class ClientUdpPortTable:
         """Cross-check the two internal maps; returns problem strings.
 
         The table maintains ``port -> {aids}`` and ``aid -> {ports}`` as
-        exact inverses; the invariant suite calls this every sweep so a
-        refresh/expiry bug surfaces at the event that introduced it.
+        exact inverses, and keeps report timestamps in report order
+        (the order :meth:`expire_older_than` relies on); the invariant
+        suite calls this every sweep so a refresh/expiry bug surfaces at
+        the event that introduced it.
         """
         problems: List[str] = []
         for aid, ports in self._ports_by_aid.items():
@@ -188,9 +220,16 @@ class ClientUdpPortTable:
                     problems.append(
                         f"port {port} lists aid {aid} but the aid map disagrees"
                     )
-        for aid in self._updated_at:
+        previous = float("-inf")
+        for aid, updated in self._updated_at.items():
             if aid not in self._ports_by_aid:
                 problems.append(f"aid {aid} has a timestamp but no entries")
+            if updated < previous:
+                problems.append(
+                    f"aid {aid} reported at {updated}, before the {previous} "
+                    "stored ahead of it: timestamps out of report order"
+                )
+            previous = updated
         return problems
 
     def clients_for_port(self, port: int) -> FrozenSet[int]:

@@ -31,8 +31,8 @@ Commands:
 * ``bench`` — the telemetry benchmark suite; writes
   ``BENCH_telemetry.json`` for ``obs diff``.
 * ``serve`` — the stand-alone async AP port-service: live Port
-  Messages over UDP into sharded port tables, TTL-wheel expiry,
-  per-DTIM Algorithm 1, ``/metrics`` + ``/healthz``.
+  Messages over UDP into sharded port tables, per-DTIM TTL expiry
+  and Algorithm 1, ``/metrics`` + ``/healthz``.
 * ``loadgen`` — replay the scenario catalog as thousands of simulated
   clients against a running ``repro serve``.
 """
@@ -571,7 +571,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dtim_interval_s=args.dtim_interval,
         scenario=args.scenario,
         feed_seed=args.feed_seed,
-        expiry_sweep_s=args.expiry_sweep,
         metrics_port=args.serve_metrics,
         duration_s=args.duration,
         port_file=args.port_file,
@@ -1014,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run the stand-alone async AP port-service (live UDP Port "
-             "Messages, sharded tables, TTL wheel, per-DTIM Algorithm 1)",
+             "Messages, sharded tables, per-DTIM TTL expiry + Algorithm 1)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -1027,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--ttl", type=float, default=30.0, metavar="SECONDS",
-        help="keep-alive TTL before a client's entries expire (default 30)",
+        help="keep-alive TTL before a client's entries expire at the next "
+             "DTIM pass (default 30)",
     )
     serve.add_argument(
         "--queue-capacity", type=int, default=8192, metavar="N",
@@ -1035,17 +1035,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--dtim-interval", type=float, default=0.1024, metavar="SECONDS",
-        help="Algorithm 1 cadence (default 102.4 ms, the paper's DTIM)",
+        help="DTIM pass cadence: expiry, then Algorithm 1 (default "
+             "102.4 ms, the paper's DTIM)",
     )
     serve.add_argument(
         "--scenario", default="Classroom",
         help="scenario trace feeding the per-DTIM broadcast buffer",
     )
     serve.add_argument("--feed-seed", type=int, default=None)
-    serve.add_argument(
-        "--expiry-sweep", type=float, default=0.25, metavar="SECONDS",
-        help="TTL-wheel sweep cadence and granularity (default 0.25)",
-    )
     serve.add_argument(
         "--serve-metrics", type=int, default=None, metavar="PORT",
         help="serve /metrics + /healthz on this port (0 = ephemeral)",

@@ -20,9 +20,9 @@ The benchmarks cover the paths every perf PR touches:
   the unchanged ~3 ms absolute recorder cost as a larger, noisier
   fraction); ``benchmarks/bench_telemetry.py`` asserts it.
 * ``service_reports_per_second`` — the port-service ingest pipeline
-  (route → bounded queue → strict decode → table apply → TTL-wheel
-  arm) in-process at loadgen scale; the loopback numbers with real
-  sockets live in EXPERIMENTS.md.
+  (route → bounded queue → strict decode → table apply) in-process at
+  loadgen scale; the loopback numbers with real sockets live in
+  EXPERIMENTS.md.
 * ``service_flags_per_second`` — Algorithm 1 flag throughput at
   service scale (1k-client table), the quantity the live
   ``service_flags_per_second`` gauge tracks.
@@ -492,9 +492,9 @@ def bench_service_reports(
 
     Runs the exact per-datagram path ``repro serve`` executes — route
     (magic peek + shard hash), bounded-queue offer, strict decode,
-    table apply, TTL-wheel arm — in-process with no sockets, so the
-    number is stable enough to diff in CI. The loopback number
-    (sockets + event loop on top) lives in EXPERIMENTS.md.
+    table apply — in-process with no sockets, so the number is stable
+    enough to diff in CI. The loopback number (sockets + event loop on
+    top) lives in EXPERIMENTS.md.
     """
     from repro.service import wire
     from repro.service.shard import PortShard

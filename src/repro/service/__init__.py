@@ -3,11 +3,11 @@
 This package turns the simulator's AP-side pieces into a deployable
 process: live Port Messages and keep-alive refreshes arrive over real
 UDP sockets, land in N-way sharded :class:`~repro.ap.port_table.ClientUdpPortTable`
-instances (one owning task per shard — no locks), TTL expiry runs on a
-hierarchical timing wheel instead of per-scan table walks, and a
-per-DTIM loop batches Algorithm 1 flag computation against a
-trace-replaying broadcast feed. A companion load generator replays the
-scenario catalog as thousands of loopback clients to exercise it.
+instances (one owning task per shard — no locks), and a per-DTIM loop
+ages silent clients out of every table and then batches Algorithm 1
+flag computation against a trace-replaying broadcast feed. A companion
+load generator replays the scenario catalog as thousands of loopback
+clients to exercise it.
 
 Entry points: ``repro serve`` / ``repro loadgen`` (see :mod:`repro.cli`)
 or :func:`run_service` / :func:`run_loadgen` directly.
@@ -25,7 +25,6 @@ from repro.service.wire import (
     peek_route,
     shard_index,
 )
-from repro.service.ttl_wheel import TtlWheel
 from repro.service.shard import PortShard, ShardCounters
 from repro.service.feed import BroadcastFrameFeed
 from repro.service.server import PortService, ServiceConfig, run_service
@@ -47,7 +46,6 @@ __all__ = [
     "encode_port_report",
     "peek_route",
     "shard_index",
-    "TtlWheel",
     "PortShard",
     "ShardCounters",
     "BroadcastFrameFeed",

@@ -12,12 +12,13 @@ live ``asyncio`` UDP service:
   MAC/AID, then an append to a bounded per-shard queue with
   drop-oldest backpressure;
 * N shard workers (one task per :class:`~repro.service.shard.PortShard`)
-  decode strictly, apply table semantics, arm the TTL wheel, and emit
-  coalesced ACKs once their queue drains;
-* a DTIM task runs Algorithm 1 (`repro.ap.flags`) every DTIM interval
-  against a scenario-driven broadcast-frame feed, across every shard;
-* an expiry task advances the hierarchical TTL wheels, replacing the
-  sim's per-scan ``expire_older_than``;
+  decode strictly, apply table semantics, and emit coalesced ACKs once
+  their queue drains;
+* a DTIM task runs the AP's per-DTIM pass every DTIM interval, across
+  every shard: first it ages out clients silent for longer than the TTL
+  (the port table's ``expire_older_than``, exactly as the simulated AP
+  does), then it runs Algorithm 1 (`repro.ap.flags`) against a
+  scenario-driven broadcast-frame feed;
 * the existing obs stack provides the ops surface: a
   :class:`~repro.obs.server.MetricsServer` (``/metrics`` + ``/healthz``)
   over a pull-collected registry, exporting reports/s, flags/s, shard
@@ -62,8 +63,6 @@ class ServiceConfig:
     scenario: str = "Classroom"
     feed_seed: Optional[int] = None
     feed_pool: int = 2048
-    #: TTL wheel sweep cadence (also its granularity).
-    expiry_sweep_s: float = 0.25
     #: Port for the /metrics + /healthz endpoint (None = no endpoint,
     #: 0 = ephemeral).
     metrics_port: Optional[int] = None
@@ -96,7 +95,7 @@ _RECV_BATCH = 512
 
 
 class PortService:
-    """Lifecycle owner: socket, shard workers, DTIM + expiry tasks."""
+    """Lifecycle owner: socket, shard workers, DTIM task."""
 
     def __init__(
         self,
@@ -110,8 +109,6 @@ class PortService:
                 index=i,
                 ttl_s=config.ttl_s,
                 queue_capacity=config.queue_capacity,
-                wheel_granularity_s=config.expiry_sweep_s,
-                start=0.0,
             )
             for i in range(config.shards)
         ]
@@ -123,7 +120,6 @@ class PortService:
         self.flags_computed_total = 0
         self.algorithm1_runs = 0
         self.algorithm1_wall_s = 0.0
-        self.expired_total = 0
         self._start_wall = 0.0
         self._epoch = 0.0
         self._sock: Optional[socket.socket] = None
@@ -136,7 +132,7 @@ class PortService:
     # -- clock ---------------------------------------------------------
 
     def now(self) -> float:
-        """Service-relative monotonic seconds (wheel + table time)."""
+        """Service-relative monotonic seconds (the port tables' clock)."""
         return time.monotonic() - self._epoch
 
     # -- lifecycle -----------------------------------------------------
@@ -184,7 +180,6 @@ class PortService:
                 loop.create_task(self._shard_worker(shard))
             )
         self._tasks.append(loop.create_task(self._dtim_loop()))
-        self._tasks.append(loop.create_task(self._expiry_loop()))
         if self.config.metrics_port is not None:
             from repro.obs.server import MetricsServer
 
@@ -339,7 +334,7 @@ class PortService:
             self.socket_errors += 1
 
     async def _dtim_loop(self) -> None:
-        """Batched per-DTIM flag computation across every shard."""
+        """The per-DTIM pass across every shard: expiry, then Algorithm 1."""
         assert self.feed is not None
         interval = self.config.dtim_interval_s
         next_tick = self.now() + interval
@@ -348,6 +343,9 @@ class PortService:
             if delay > 0:
                 await asyncio.sleep(delay)
             next_tick += interval
+            now = self.now()
+            for shard in self.shards:
+                shard.expire(now)
             frames = self.feed.next_batch()
             start = time.perf_counter()
             flagged = 0
@@ -358,14 +356,6 @@ class PortService:
             self.algorithm1_wall_s += time.perf_counter() - start
             self.algorithm1_runs += 1
             self.flags_computed_total += flagged
-
-    async def _expiry_loop(self) -> None:
-        interval = self.config.expiry_sweep_s
-        while True:
-            await asyncio.sleep(interval)
-            now = self.now()
-            for shard in self.shards:
-                self.expired_total += len(shard.expire(now))
 
     # -- aggregation / ops surface -------------------------------------
 
@@ -426,7 +416,7 @@ class PortService:
             "rejected": "Messages refused by validation",
             "drops": "Datagrams discarded by drop-oldest backpressure",
             "garbage": "Undecodable datagrams",
-            "expirations": "Clients aged out by the TTL wheel",
+            "expirations": "Clients aged out by the per-DTIM TTL expiry",
             "shard_errors": "Unexpected shard worker exceptions",
             "datagrams_received": "Raw datagrams received",
             "flags_computed": "Broadcast flags set by Algorithm 1",

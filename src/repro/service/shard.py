@@ -1,4 +1,4 @@
-"""One shard of the port-service: tables, TTL wheel, ingress queue.
+"""One shard of the port-service: port tables and an ingress queue.
 
 A shard is plain synchronous state owned by exactly one asyncio task
 (the server spawns one worker per shard), so none of this needs locks:
@@ -14,6 +14,11 @@ ACKs follow a drained-ACK fast path: during a drain the shard only
 *records* the latest ack-worthy sequence per client, and emits the
 coalesced ACKs once the queue is empty. Under load this collapses an
 ACK per message into an ACK per client per batch.
+
+Expiry is the table's own: the server's DTIM pass calls
+:meth:`PortShard.expire`, which ages each per-BSS table out with
+:meth:`~repro.ap.port_table.ClientUdpPortTable.expire_older_than` —
+the same rule, at the same point, as the simulated AP.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from repro.ap.port_table import ClientUdpPortTable, ExpiredEntry
 from repro.errors import FrameDecodeError, PortTableError
 from repro.obs.hdr import HdrHistogram
 from repro.service import wire
-from repro.service.ttl_wheel import TtlWheel
 
 #: (raw datagram, sender address, receive timestamp) as queued by the
 #: ingest callback. The timestamp is the service clock at recvfrom
@@ -63,15 +67,13 @@ class ShardCounters:
 
 
 class PortShard:
-    """Sharded port-table state plus its expiry wheel and ingress queue."""
+    """Sharded port-table state plus its ingress queue."""
 
     def __init__(
         self,
         index: int,
         ttl_s: float = 30.0,
         queue_capacity: int = 4096,
-        wheel_granularity_s: float = 0.25,
-        start: float = 0.0,
     ) -> None:
         self.index = index
         self.ttl_s = ttl_s
@@ -80,7 +82,6 @@ class PortShard:
         #: One port table per BSS this shard fronts (AIDs are only
         #: unique within a BSS; tables are created on first report).
         self.tables: Dict[int, ClientUdpPortTable] = {}
-        self.wheel = TtlWheel(granularity_s=wheel_granularity_s, start=start)
         self.queue: Deque[Ingress] = deque()
         #: Ingress latency distributions (milliseconds; see the ledger
         #: PR): time queued before the worker drained a datagram, wall
@@ -194,7 +195,6 @@ class PortShard:
                     status = wire.ACK_REJECTED
                 else:
                     self._mac_by_client[client] = message.mac
-                    self.wheel.schedule(client, now + self.ttl_s)
                     self.counters.reports += 1
         else:  # keep-alive
             table = self.tables.get(message.bss)
@@ -207,7 +207,6 @@ class PortShard:
                 self.counters.rejected += 1
                 status = wire.ACK_UNKNOWN_CLIENT
             else:
-                self.wheel.schedule(client, now + self.ttl_s)
                 self.counters.keepalives += 1
         if message.want_ack:
             pending_acks[client] = (
@@ -227,30 +226,15 @@ class PortShard:
     # -- expiry --------------------------------------------------------
 
     def expire(self, now: float) -> List[Tuple[int, ExpiredEntry]]:
-        """Advance the wheel; returns ``(bss, entry)`` per expired client."""
+        """Age out clients silent for longer than the TTL; returns
+        ``(bss, entry)`` per expired client and frees its AID binding."""
         expired: List[Tuple[int, ExpiredEntry]] = []
-        for bss, aid in self.wheel.advance(now):
-            table = self.tables.get(bss)
-            if table is None:
-                continue
-            updated = table.updated_at(aid)
-            if updated is None:
-                self._mac_by_client.pop((bss, aid), None)
-                continue
-            deadline = updated + self.ttl_s
-            if deadline > now:
-                # Refreshed through a path that did not re-arm the
-                # wheel; push the entry out to its true deadline.
-                self.wheel.schedule((bss, aid), deadline)
-                continue
-            entry = ExpiredEntry(
-                aid=aid, ports=table.ports_for_client(aid), updated_at=updated
-            )
-            table.remove_client(aid)
-            table.stats.expirations += 1
-            self._mac_by_client.pop((bss, aid), None)
-            self.counters.expirations += 1
-            expired.append((bss, entry))
+        cutoff = now - self.ttl_s
+        for bss, table in self.tables.items():
+            for entry in table.expire_older_than(cutoff):
+                self._mac_by_client.pop((bss, entry.aid), None)
+                expired.append((bss, entry))
+        self.counters.expirations += len(expired)
         return expired
 
     # -- introspection -------------------------------------------------
@@ -279,7 +263,6 @@ class PortShard:
             "pairs": self.pair_count,
             "bss_tables": len(self.tables),
             "queue_depth": self.depth,
-            "wheel_pending": len(self.wheel),
             "counters": dict(vars(self.counters)),
             "latency": {
                 name: histogram.to_dict()

@@ -123,6 +123,29 @@ class TestExpiry:
         assert table.updated_at(9) is None
 
 
+class TestReportOrder:
+    def test_backwards_report_raises(self):
+        table = ClientUdpPortTable()
+        table.update_client(1, {5353}, now=5.0)
+        table.update_client(2, {137}, now=5.0)  # equal times are fine
+        with pytest.raises(PortTableError, match="older than the newest"):
+            table.update_client(3, {1900}, now=4.0)
+        with pytest.raises(PortTableError, match="older than the newest"):
+            table.touch(1, now=4.9)
+        assert table.aids() == frozenset({1, 2})
+        assert table.updated_at(1) == 5.0
+        assert table.check_consistency() == []
+
+    def test_out_of_order_timestamps_are_reported(self):
+        table = ClientUdpPortTable()
+        table.update_client(1, {5353}, now=1.0)
+        table.update_client(2, {137}, now=2.0)
+        table._updated_at[1] = 3.0  # corrupt: AID 1 now newer than AID 2
+        problems = table.check_consistency()
+        assert len(problems) == 1
+        assert "out of report order" in problems[0]
+
+
 class TestStats:
     def test_lookup_counted(self):
         table = ClientUdpPortTable()

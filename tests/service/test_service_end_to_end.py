@@ -76,9 +76,7 @@ def test_ttl_expiry_and_rereport_recovery():
     from repro.service import wire
 
     async def scenario():
-        service = PortService(
-            ServiceConfig(port=0, shards=2, ttl_s=0.6, expiry_sweep_s=0.1)
-        )
+        service = PortService(ServiceConfig(port=0, shards=2, ttl_s=0.6))
         await service.start()
         # Phase 1: populate, then go silent past the TTL.
         await run_loadgen_async(

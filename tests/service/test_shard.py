@@ -52,11 +52,11 @@ class TestApply:
         offer_report(shard, 5, {137, 5353})
         shard.drain(1.0)
         assert shard.tables[0].ports_for_client(5) == frozenset({137, 5353})
-        assert shard.wheel.deadline_of((0, 5)) == 11.0
+        assert shard.tables[0].updated_at(5) == 1.0
         offer_keepalive(shard, 5)
         shard.drain(4.0)
         assert shard.counters.keepalives == 1
-        assert shard.wheel.deadline_of((0, 5)) == 14.0
+        assert shard.tables[0].updated_at(5) == 4.0
 
     def test_keepalive_for_unknown_client_rejected(self):
         shard = PortShard(0)
@@ -151,6 +151,30 @@ class TestExpiry:
         shard.drain(1.5)
         assert shard.expire(2.5) == []
         assert shard.expire(4.0) != []
+
+    def test_keepalive_churn_then_silence(self):
+        """Clients kept alive across many DTIM passes never expire; once
+        the keep-alives stop, every one expires within a TTL."""
+        shard = PortShard(0, ttl_s=3.0)
+        aids = list(range(1, 101))
+        for aid in aids:
+            offer_report(shard, aid, {137})
+        shard.drain(0.0)
+        now = 0.0
+        for seq in range(2, 42):
+            now += 0.5
+            for aid in aids:
+                offer_keepalive(shard, aid, seq=seq)
+            shard.drain(now)
+            assert shard.expire(now) == []
+        expired = []
+        silent_until = now + 3.5
+        while now < silent_until:
+            now += 0.1024
+            expired.extend(entry.aid for _, entry in shard.expire(now))
+        assert sorted(expired) == aids
+        assert shard.client_count == 0
+        assert shard._mac_by_client == {}
 
     def test_rereport_after_expiry_allows_new_mac(self):
         shard = PortShard(0, ttl_s=1.0)

@@ -3,6 +3,8 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FrameDecodeError, FrameEncodeError
 from repro.service import wire
@@ -209,3 +211,95 @@ class TestRouting:
         mac = MAC
         indices = {wire.shard_index(bss, 7, mac, 8) for bss in range(16)}
         assert len(indices) > 1
+
+
+# -- hostile input ----------------------------------------------------------
+
+_identity = dict(
+    bss=st.integers(min_value=0, max_value=0xFF),
+    aid=st.integers(min_value=0, max_value=0xFFFF),
+    mac=st.binary(min_size=6, max_size=6),
+    seq=st.integers(min_value=0, max_value=2**32 - 1),
+)
+valid_frames = st.one_of(
+    st.builds(
+        wire.encode_port_report,
+        ports=st.sets(
+            st.integers(min_value=1, max_value=0xFFFF),
+            min_size=1,
+            max_size=wire.MAX_PORTS_PER_REPORT,
+        ),
+        want_ack=st.booleans(),
+        **_identity,
+    ),
+    st.builds(wire.encode_keep_alive, want_ack=st.booleans(), **_identity),
+    st.builds(
+        wire.encode_ack, status=st.integers(min_value=0, max_value=0xFF), **_identity
+    ),
+)
+
+
+@st.composite
+def mutated_frames(draw):
+    """A valid frame with byte flips, then maybe truncated or extended."""
+    raw = bytearray(draw(valid_frames))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        index = draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        raw[index] ^= draw(st.integers(min_value=1, max_value=0xFF))
+    tail = draw(st.sampled_from(["keep", "truncate", "append"]))
+    if tail == "truncate":
+        # Cuts at the header/body seam are the interesting ones.
+        seam = [wire.HEADER_BYTES - 1, wire.HEADER_BYTES, wire.HEADER_BYTES + 1]
+        cut = draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=len(raw) - 1),
+                st.sampled_from([i for i in seam if i < len(raw)]),
+            )
+        )
+        del raw[cut:]
+    elif tail == "append":
+        raw += draw(st.binary(min_size=1, max_size=8))
+    return bytes(raw)
+
+
+#: Arbitrary bytes behind a valid magic, version and (mostly) type, so
+#: the flags, count and body checks see hostile input too.
+v1_prefixed = st.builds(
+    lambda msg_type, tail: (
+        wire.WIRE_MAGIC + bytes([wire.WIRE_VERSION, msg_type]) + tail
+    ),
+    st.sampled_from(
+        [wire.MSG_PORT_REPORT, wire.MSG_KEEP_ALIVE, wire.MSG_ACK, 0, 0xFF]
+    ),
+    st.binary(max_size=64),
+)
+
+
+def assert_defined_outcome(data: bytes) -> None:
+    """Decode yields a message or ``FrameDecodeError``; any other
+    exception escapes and fails the test. A decoded message routes to
+    the same client ``peek_route`` saw and survives a re-encode."""
+    try:
+        message = wire.decode_message(data)
+    except FrameDecodeError:
+        return
+    assert wire.peek_route(data) == (message.bss, message.aid, message.mac)
+    # Not a byte round-trip: reserved flag bits are dropped on re-encode.
+    assert wire.decode_message(wire.encode_message(message)) == message
+
+
+class TestHostileInput:
+    @given(st.binary(max_size=128))
+    @settings(max_examples=300)
+    def test_arbitrary_bytes(self, data):
+        assert_defined_outcome(data)
+
+    @given(v1_prefixed)
+    @settings(max_examples=300)
+    def test_arbitrary_bytes_behind_a_v1_header(self, data):
+        assert_defined_outcome(data)
+
+    @given(mutated_frames())
+    @settings(max_examples=400)
+    def test_mutated_valid_frames(self, data):
+        assert_defined_outcome(data)
