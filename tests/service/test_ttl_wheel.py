@@ -1,112 +1,61 @@
-"""Hierarchical TTL wheel: exactness, laziness, cascading."""
+"""Service TTL expiry: a port shard ages clients out of its per-BSS tables
+at the DTIM pass (``PortShard.expire``), which replaced the old timing
+wheel. These keep the wheel's deadline, refresh and ordering checks."""
 
-import pytest
+from repro.service import wire
+from repro.service.shard import PortShard
 
-from repro.errors import ConfigurationError
-from repro.service.ttl_wheel import TtlWheel
+ADDR = ("127.0.0.1", 40000)
+
+
+def mac_of(i: int) -> bytes:
+    return bytes([0x02, 0x00]) + i.to_bytes(4, "big")
+
+
+def offer_report(shard, aid, bss=0):
+    shard.offer(
+        wire.encode_port_report(bss, aid, mac_of(bss * 1000 + aid), 1, {137}, False),
+        ADDR,
+    )
 
 
 def test_expires_after_deadline_not_before():
-    wheel = TtlWheel(granularity_s=0.25, start=0.0)
-    wheel.schedule("a", 1.0)
-    assert wheel.advance(0.99) == []
-    assert "a" in [k for k in wheel.advance(1.26)]
-    assert len(wheel) == 0
-
-
-def test_never_expires_early_across_granularities():
-    for granularity in (0.05, 0.25, 1.0):
-        wheel = TtlWheel(granularity_s=granularity, start=0.0)
-        wheel.schedule("k", 2.0)
-        now = 0.0
-        expired_at = None
-        while now < 5.0:
-            now += granularity / 3
-            if wheel.advance(now):
-                expired_at = now
-                break
-        assert expired_at is not None
-        assert expired_at >= 2.0
+    shard = PortShard(0, ttl_s=1.0)
+    offer_report(shard, 5)
+    shard.drain(0.0)
+    assert shard.expire(0.99) == []
+    assert shard.expire(1.0) == []  # exactly one TTL old is still alive
+    assert [entry.aid for _, entry in shard.expire(1.26)] == [5]
+    assert shard.client_count == 0
+    assert shard.expire(5.0) == []
 
 
 def test_refresh_wins_over_stale_slot_entry():
-    wheel = TtlWheel(granularity_s=0.25, start=0.0)
-    wheel.schedule("a", 1.0)
-    wheel.schedule("a", 10.0)  # keep-alive pushed the deadline out
-    assert wheel.advance(2.0) == []
-    assert wheel.deadline_of("a") == 10.0
-    assert wheel.advance(10.5) == ["a"]
-
-
-def test_cancel_prevents_expiry():
-    wheel = TtlWheel(granularity_s=0.25, start=0.0)
-    wheel.schedule("a", 1.0)
-    wheel.cancel("a")
-    assert wheel.advance(5.0) == []
-    assert len(wheel) == 0
-
-
-def test_coarse_level_cascades_into_fine():
-    wheel = TtlWheel(granularity_s=0.25, wheel_slots=16, cascade_slots=8, start=0.0)
-    # Fine horizon is 4 s; this deadline lands in the coarse level.
-    wheel.schedule("far", 10.0)
-    assert wheel.advance(5.0) == []
-    assert wheel.deadline_of("far") == 10.0
-    assert wheel.advance(10.3) == ["far"]
-
-
-def test_overflow_beyond_coarse_horizon():
-    wheel = TtlWheel(granularity_s=0.25, wheel_slots=4, cascade_slots=4, start=0.0)
-    # Fine 1 s, coarse 4 s; 30 s goes to the overflow list.
-    wheel.schedule("deep", 30.0)
-    assert wheel.advance(15.0) == []
-    assert wheel.advance(30.5) == ["deep"]
-
-
-def test_past_deadline_expires_on_next_sweep():
-    wheel = TtlWheel(granularity_s=0.25, start=0.0)
-    wheel.advance(5.0)
-    wheel.schedule("late", 3.0)  # already past
-    assert wheel.advance(5.5) == ["late"]
+    shard = PortShard(0, ttl_s=1.0)
+    offer_report(shard, 5)
+    shard.drain(0.0)
+    # A keep-alive pushes the deadline from 1.0 s out to 1.5 s.
+    shard.offer(wire.encode_keep_alive(0, 5, mac_of(5), 2, False), ADDR)
+    shard.drain(0.5)
+    assert shard.expire(1.2) == []
+    assert shard.tables[0].updated_at(5) == 0.5
+    assert [entry.aid for _, entry in shard.expire(1.6)] == [5]
 
 
 def test_many_keys_expire_sorted():
-    wheel = TtlWheel(granularity_s=0.25, start=0.0)
-    keys = [(i % 3, i) for i in range(50)]
-    for key in keys:
-        wheel.schedule(key, 1.0 + (key[1] % 5) * 0.1)
-    out = wheel.advance(2.0)
-    assert sorted(out) == out
+    shard = PortShard(0, ttl_s=1.0)
+    keys = [(i % 3, i + 1) for i in range(50)]
+    # Report in five waves so each table holds AIDs out of AID order.
+    for wave in range(5):
+        for bss, aid in keys:
+            if aid % 5 == (4 - wave):
+                offer_report(shard, aid, bss=bss)
+        shard.drain(wave * 0.1)
+    out = [(bss, entry.aid) for bss, entry in shard.expire(2.0)]
     assert set(out) == set(keys)
-
-
-def test_time_backwards_rejected():
-    wheel = TtlWheel(start=0.0)
-    wheel.advance(2.0)
-    with pytest.raises(ConfigurationError):
-        wheel.advance(1.0)
-
-
-def test_bad_construction_rejected():
-    with pytest.raises(ConfigurationError):
-        TtlWheel(granularity_s=0.0)
-    with pytest.raises(ConfigurationError):
-        TtlWheel(wheel_slots=1)
-
-
-def test_steady_state_churn():
-    """Keep-alive churn: repeatedly rescheduled keys never expire while
-    refreshed, all expire once refreshes stop."""
-    wheel = TtlWheel(granularity_s=0.25, start=0.0)
-    keys = list(range(100))
-    now = 0.0
-    for _ in range(40):
-        now += 0.5
-        for key in keys:
-            wheel.schedule(key, now + 3.0)
-        assert wheel.advance(now) == []
-    expired = []
-    while now < 30.0 and len(expired) < len(keys):
-        now += 0.5
-        expired.extend(wheel.advance(now))
-    assert sorted(expired) == keys
+    assert len(out) == len(keys)
+    for bss in range(3):
+        aids = [aid for b, aid in out if b == bss]
+        assert aids == sorted(aids)
+    assert shard.client_count == 0
+    assert shard._mac_by_client == {}
