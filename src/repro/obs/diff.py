@@ -13,8 +13,8 @@ Recognized file shapes (detected from content, not extension):
 
 * Prometheus text exposition (a ``--metrics-out run.prom`` export or a
   saved ``/metrics`` scrape) — one entry per sample line.
-* Snapshot JSONL (``--metrics-out run.jsonl``) — scalars map directly;
-  histograms flatten to ``_count``/``_sum``/``_mean``/``_p50``/``_p95``.
+* Snapshot JSONL (``--metrics-out run.jsonl``) — one entry per row; a
+  row without a numeric ``value`` is an error, never silently dropped.
 * Timeseries JSON (``--timeseries-out``, schema ``repro-timeseries/v1``)
   — compared at the final window's cumulative values.
 * Benchmark JSON (``repro bench``, schema ``repro-bench/v1``) — one
@@ -52,9 +52,6 @@ _PROM_LINE_RE = re.compile(
     r"(?P<labels>\{.*\})?\s+(?P<value>\S+)$"
 )
 _FINGERPRINT_RE = re.compile(r"^[0-9a-f]{40,128}$")
-
-#: Histogram snapshot fields worth diffing (others are derived/noisy).
-_HISTOGRAM_FIELDS = ("count", "sum", "mean", "p50", "p95", "p99")
 
 
 def _flatten_hdr_payload(
@@ -111,15 +108,10 @@ def _flatten_snapshot_row(row: Dict[str, object], out: Dict[str, Value]) -> None
     if METRIC_NAME_RE.fullmatch(name) is None:
         raise ValueError(f"snapshot row has no valid metric name: {row!r}")
     labels = {str(k): str(v) for k, v in (row.get("labels") or {}).items()}
-    if row.get("kind") == "histogram":
-        for field in _HISTOGRAM_FIELDS:
-            value = row.get(field)
-            if isinstance(value, (int, float)):
-                out[series_key(f"{name}_{field}", labels)] = float(value)
-    else:
-        value = row.get("value")
-        if isinstance(value, (int, float)):
-            out[series_key(name, labels)] = float(value)
+    value = row.get("value")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"snapshot row has no numeric value: {row!r}")
+    out[series_key(name, labels)] = float(value)
 
 
 def _load_json_document(doc: object) -> Dict[str, Value]:
@@ -239,7 +231,10 @@ def parse_metrics_text(text: str, source: str = "<string>") -> Dict[str, Value]:
                 raise ValueError(f"{source}: bad JSONL line: {exc}") from exc
             if not isinstance(row, dict):
                 raise ValueError(f"{source}: JSONL line is not an object")
-            _flatten_snapshot_row(row, out)
+            try:
+                _flatten_snapshot_row(row, out)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from exc
         return out
     return _load_prometheus(stripped)
 

@@ -16,16 +16,8 @@ import json
 import math
 from typing import IO, List, Optional, Union
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_label_value,
-)
+from repro.obs.metrics import MetricsRegistry, escape_label_value
 from repro.reporting import render_table
-
-_escape_label_value = escape_label_value
 
 
 def _escape_help_text(text: str) -> str:
@@ -33,10 +25,8 @@ def _escape_help_text(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _format_labels(labels, extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label_value(v)}"' for k, v in sorted(labels.items())]
-    if extra:
-        parts.append(extra)
+def _format_labels(labels) -> str:
+    parts = [f'{k}="{escape_label_value(v)}"' for k, v in sorted(labels.items())]
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -64,17 +54,8 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                     f"# HELP {metric.name} {_escape_help_text(metric.help)}"
                 )
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, Histogram):
-            for bound, cumulative in metric.cumulative_buckets():
-                le = _format_value(bound) if bound != math.inf else "+Inf"
-                labels = _format_labels(metric.labels, extra=f'le="{le}"')
-                lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-            base = _format_labels(metric.labels)
-            lines.append(f"{metric.name}_sum{base} {_format_value(metric.sum)}")
-            lines.append(f"{metric.name}_count{base} {metric.count}")
-        elif isinstance(metric, (Counter, Gauge)):
-            labels = _format_labels(metric.labels)
-            lines.append(f"{metric.name}{labels} {_format_value(metric.value)}")
+        labels = _format_labels(metric.labels)
+        lines.append(f"{metric.name}{labels} {_format_value(metric.value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -89,18 +70,11 @@ def render_metrics_jsonl(registry: MetricsRegistry) -> str:
 def render_metrics_table(
     registry: MetricsRegistry, title: Optional[str] = "Metrics"
 ) -> str:
-    """A human summary: one row per series, histograms as count/mean/p95."""
+    """A human summary: one row per series."""
     rows: List[List[str]] = []
     for metric in registry.collect():
         labels = ",".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
-        if isinstance(metric, Histogram):
-            value = (
-                f"n={metric.count} mean={metric.mean:.6g} "
-                f"p50={metric.percentile(50):.6g} p95={metric.percentile(95):.6g}"
-            )
-        else:
-            value = f"{metric.value:.6g}"  # type: ignore[attr-defined]
-        rows.append([metric.name, labels, metric.kind, value])
+        rows.append([metric.name, labels, metric.kind, f"{metric.value:.6g}"])
     if not rows:
         return f"{title}: (no metrics recorded)" if title else "(no metrics recorded)"
     return render_table(["metric", "labels", "kind", "value"], rows, title=title)

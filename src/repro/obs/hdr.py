@@ -1,12 +1,12 @@
 """HDR-style log-bucketed histograms: O(1) record, fixed memory.
 
-The registry :class:`~repro.obs.metrics.Histogram` carries a fixed,
-hand-picked bucket list tuned for wall-clock timings. The frame ledger
-and the port-service latency paths need something different: values
-spanning many decades (a microsecond of queue wait up to minutes of
-buffering delay, or nanojoules up to joules) recorded millions of times
-with a *relative* error bound — exactly the HdrHistogram trade
-(log-spaced octaves, linearly subdivided).
+This is the repo's one distribution type: the frame ledger, the
+port-service stage latencies and the load generator all record into it.
+Their values span many decades (a microsecond of queue wait up to
+minutes of buffering delay, or nanojoules up to joules) and are
+recorded millions of times, so the trade is a *relative* error bound
+at fixed memory — the HdrHistogram design (log-spaced octaves, linearly
+subdivided).
 
 Design, kept dependency-free and deterministic:
 

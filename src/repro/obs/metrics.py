@@ -1,4 +1,4 @@
-"""Zero-dependency metrics primitives: Counter, Gauge, Histogram.
+"""Zero-dependency metrics primitives: Counter and Gauge.
 
 A :class:`MetricsRegistry` owns named metric families; each family holds
 one series per distinct label set. Experiments that run in parallel (or
@@ -11,26 +11,20 @@ keep their existing plain-attribute counters and the
 :mod:`repro.obs.collectors` module *pulls* them into a registry on
 demand (the Prometheus collector model), so a disabled observability
 stack costs the hot path nothing.
+
+Distributions (ledger delays, service latencies) are not registry
+series: they live in :class:`repro.obs.hdr.HdrHistogram`.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
-import time
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Prometheus metric-name grammar (exposition format, version 0.0.4).
 METRIC_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 #: Prometheus label-name grammar (no leading digit, no colons).
 LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
-
-#: Default histogram buckets: wall-clock seconds from 10 µs to 10 s.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-    1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -63,7 +57,8 @@ def series_key(name: str, labels: Optional[Dict[str, str]] = None) -> str:
 
 
 class Metric:
-    """Base class: a name, optional help text, and a fixed label set.
+    """Base class: a name, optional help text, a fixed label set, and
+    the series' current value.
 
     Names must match the Prometheus grammar ``[a-zA-Z_:][a-zA-Z0-9_:]*``
     and label names ``[a-zA-Z_][a-zA-Z0-9_]*`` — enforced here, at
@@ -89,29 +84,22 @@ class Metric:
         # Name and labels are fixed for the series' lifetime, so the
         # canonical key is computed once — samplers read it per window.
         self._series_id = series_key(self.name, self.labels)
-
-    @property
-    def label_key(self) -> LabelItems:
-        return tuple(sorted(self.labels.items()))
+        self._value = 0.0
 
     @property
     def series_id(self) -> str:
         """The canonical ``name{labels}`` key for this series."""
         return self._series_id
 
+    @property
+    def value(self) -> float:
+        return self._value
+
 
 class Counter(Metric):
     """A monotonically increasing value (events, frames, joules)."""
 
     kind = "counter"
-
-    def __init__(self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None):
-        super().__init__(name, help, labels)
-        self._value = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -129,167 +117,22 @@ class Counter(Metric):
             raise ValueError(f"counter total must be non-negative: {value}")
         self._value = float(value)
 
-    def reset(self) -> None:
-        self._value = 0.0
-
 
 class Gauge(Metric):
     """A value that can go up and down (queue depth, table size)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None):
-        super().__init__(name, help, labels)
-        self._value = 0.0
-        self._function: Optional[Callable[[], float]] = None
-
-    @property
-    def value(self) -> float:
-        if self._function is not None:
-            return float(self._function())
-        return self._value
-
     def set(self, value: float) -> None:
-        self._function = None
         self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Make the gauge live: read ``fn()`` at observation time."""
-        self._function = fn
-
-    def reset(self) -> None:
-        self._value = 0.0
-        self._function = None
-
-
-class Histogram(Metric):
-    """Fixed-bucket distribution with percentile estimation.
-
-    Buckets are upper bounds (``le``); an implicit +Inf bucket catches
-    the tail. Percentiles are linearly interpolated inside the winning
-    bucket, which is exact enough for "where did the time go" questions
-    without keeping every sample.
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Dict[str, str]] = None,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        super().__init__(name, help, labels)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"bucket bounds must be strictly increasing: {bounds}")
-        self.bucket_bounds = bounds
-        self._bucket_counts = [0] * (len(bounds) + 1)  # +Inf tail
-        self._count = 0
-        self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    @property
-    def min(self) -> Optional[float]:
-        return self._min
-
-    @property
-    def max(self) -> Optional[float]:
-        return self._max
-
-    def observe(self, value: float) -> None:
-        index = bisect.bisect_left(self.bucket_bounds, value)
-        self._bucket_counts[index] += 1
-        self._count += 1
-        self._sum += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-
-    def time(self) -> "_HistogramTimer":
-        """``with hist.time(): ...`` observes the block's wall time."""
-        return _HistogramTimer(self)
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, +Inf last."""
-        out: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.bucket_bounds, self._bucket_counts):
-            running += count
-            out.append((bound, running))
-        out.append((float("inf"), running + self._bucket_counts[-1]))
-        return out
-
-    def percentile(self, q: float) -> float:
-        """Estimate the q-th percentile (q in [0, 100]) from buckets."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100]: {q}")
-        if self._count == 0:
-            return 0.0
-        rank = (q / 100.0) * self._count
-        running = 0
-        lower = 0.0
-        for bound, count in zip(self.bucket_bounds, self._bucket_counts):
-            if running + count >= rank and count > 0:
-                fraction = (rank - running) / count
-                return lower + fraction * (bound - lower)
-            running += count
-            lower = bound
-        # Tail (+Inf) bucket: the best bounded answer is the observed max.
-        return self._max if self._max is not None else self.bucket_bounds[-1]
-
-    def reset(self) -> None:
-        self._bucket_counts = [0] * (len(self.bucket_bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._min = None
-        self._max = None
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
 
 
 class MetricsRegistry:
     """Named metric families, each holding one series per label set.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create: repeated
-    calls with the same name and labels return the same object, so call
-    sites never need to cache metric handles. Asking for an existing
+    ``counter``/``gauge`` are get-or-create: repeated calls with the
+    same name and labels return the same object, so call sites never
+    need to cache metric handles. Asking for an existing
     name with a different metric type is an error.
     """
 
@@ -298,7 +141,7 @@ class MetricsRegistry:
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, labels, **kwargs) -> Metric:
+    def _get_or_create(self, cls, name: str, help: str, labels) -> Metric:
         kind = cls.kind
         existing_kind = self._kinds.get(name)
         if existing_kind is not None and existing_kind != kind:
@@ -310,7 +153,7 @@ class MetricsRegistry:
         key = _label_key(labels)
         metric = family.get(key)
         if metric is None:
-            metric = cls(name, help or self._help.get(name, ""), labels, **kwargs)
+            metric = cls(name, help or self._help.get(name, ""), labels)
             family[key] = metric
             self._kinds[name] = kind
             if help:
@@ -326,15 +169,6 @@ class MetricsRegistry:
         self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None
     ) -> Gauge:
         return self._get_or_create(Gauge, name, help, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Optional[Dict[str, str]] = None,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
 
     def collect(self) -> Iterator[Metric]:
         """All series, grouped by family, label sets in sorted order."""
@@ -352,42 +186,17 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._families
 
-    def reset(self) -> None:
-        """Zero every series (families and label sets stay registered)."""
-        for metric in self.collect():
-            metric.reset()  # type: ignore[attr-defined]
-
-    def clear(self) -> None:
-        """Forget every family entirely."""
-        self._families.clear()
-        self._kinds.clear()
-        self._help.clear()
-
     def snapshot(self) -> List[Dict[str, object]]:
         """A JSON-friendly dump of every series' current value."""
-        out: List[Dict[str, object]] = []
-        for metric in self.collect():
-            entry: Dict[str, object] = {
+        return [
+            {
                 "name": metric.name,
                 "kind": metric.kind,
                 "labels": dict(metric.labels),
+                "value": metric.value,
             }
-            if isinstance(metric, Histogram):
-                entry.update(
-                    count=metric.count,
-                    sum=metric.sum,
-                    mean=metric.mean,
-                    min=metric.min,
-                    max=metric.max,
-                    p50=metric.percentile(50),
-                    p95=metric.percentile(95),
-                    p99=metric.percentile(99),
-                )
-            else:
-                entry["value"] = metric.value  # type: ignore[attr-defined]
-            out.append(entry)
-        return out
-
+            for metric in self.collect()
+        ]
 
 _DEFAULT_REGISTRY = MetricsRegistry()
 

@@ -13,11 +13,8 @@ Sampling is driven by the simulator's observer-probe hook
 (:meth:`repro.sim.engine.Simulator.add_probe` via :meth:`attach`), so a
 recorder sees the run *while it happens* without scheduling heap events
 — same-seed runs produce identical fingerprints with or without a
-recorder attached.
-
-Histograms are flattened to their ``_count`` and ``_sum`` series (the
-same names the Prometheus exporter emits), so a timeseries dump, a
-``.prom`` scrape, and a snapshot JSONL all key series identically and
+recorder attached. Series are keyed by their canonical ``name{labels}``
+identity, as in a ``.prom`` scrape and a snapshot JSONL, so
 :mod:`repro.obs.diff` can compare any of them.
 """
 
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, IO, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import Histogram, MetricsRegistry, series_key
+from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag written into timeseries dumps (and recognized by obs diff).
 TIMESERIES_SCHEMA = "repro-timeseries/v1"
@@ -139,18 +136,10 @@ class TimeseriesRecorder:
     # -- sampling -----------------------------------------------------
 
     def _scalar_values(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for metric in self.registry.collect():
-            if isinstance(metric, Histogram):
-                out[series_key(metric.name + "_count", metric.labels)] = float(
-                    metric.count
-                )
-                out[series_key(metric.name + "_sum", metric.labels)] = float(
-                    metric.sum
-                )
-            else:
-                out[metric.series_id] = float(metric.value)  # type: ignore[attr-defined]
-        return out
+        return {
+            metric.series_id: float(metric.value)
+            for metric in self.registry.collect()
+        }
 
     def sample(self, now: float) -> WindowSample:
         """Close the window ending at sim time ``now``."""

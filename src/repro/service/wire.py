@@ -18,7 +18,7 @@ Layout (big-endian), fixed 18-byte header on every message::
     magic   2s   b"HI"
     version B    1
     type    B    1=report 2=keep-alive 3=ack
-    flags   B    bit0 = want_ack
+    flags   B    bit0 = want_ack; bits 1-7 reserved, must be zero
     bss     B    BSS index (a service instance can front >1 BSS, since
                  AIDs are only unique within one)
     aid     H    association ID, 1..2007
@@ -31,11 +31,11 @@ then per type::
     keep-alive (nothing)
     ack        status:B
 
-Decoding is strict: bad magic/version/type, truncated bodies, trailing
-garbage, out-of-range ports, a zero or oversized port count — all raise
-:class:`~repro.errors.FrameDecodeError`. The one exception is the
-routing fast path :func:`peek_route`, which the ingest callback uses to
-pick a shard without paying for a full decode.
+Decoding is strict: bad magic/version/type, a reserved flag bit,
+truncated bodies, trailing garbage, out-of-range ports, a zero or
+oversized port count — all raise :class:`~repro.errors.FrameDecodeError`.
+The one exception is the routing fast path :func:`peek_route`, which the
+ingest callback uses to pick a shard without paying for a full decode.
 """
 
 from __future__ import annotations
@@ -194,6 +194,8 @@ def decode_message(data: bytes) -> Message:
         raise FrameDecodeError(f"bad magic: {magic!r}")
     if version != WIRE_VERSION:
         raise FrameDecodeError(f"unsupported wire version: {version}")
+    if flags & ~FLAG_WANT_ACK:
+        raise FrameDecodeError(f"reserved flag bits set: {flags:#04x}")
     want_ack = bool(flags & FLAG_WANT_ACK)
     body = data[HEADER_BYTES:]
     if msg_type == MSG_PORT_REPORT:

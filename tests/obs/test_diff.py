@@ -22,8 +22,7 @@ def _sample_registry() -> MetricsRegistry:
     reg.counter(
         "repro_frames_total", labels={"kind": "Beacon"}
     ).set_total(3)
-    hist = reg.histogram("repro_lat_seconds", buckets=(0.1, 1.0))
-    hist.observe(0.05)
+    reg.gauge("repro_depth", labels={"shard": "0"}).set(2.5)
     return reg
 
 
@@ -52,17 +51,15 @@ class TestParsing:
         metrics = parse_metrics_text(text)
         assert metrics["repro_events_total"] == 42.0
         assert metrics['repro_frames_total{kind="Beacon"}'] == 3.0
-        assert metrics["repro_lat_seconds_count"] == 1.0
+        assert metrics['repro_depth{shard="0"}'] == 2.5
 
     def test_exported_prometheus_and_jsonl_key_identically(self):
         reg = _sample_registry()
         prom = parse_metrics_text(render_prometheus(reg))
         jsonl = parse_metrics_text(render_metrics_jsonl(reg))
-        # Scalars share keys across formats; histograms expose _count
-        # and _sum in both.
-        for key in ("repro_events_total", 'repro_frames_total{kind="Beacon"}',
-                    "repro_lat_seconds_count", "repro_lat_seconds_sum"):
-            assert prom[key] == jsonl[key]
+        # Every series has the same key and value in both formats.
+        assert prom == jsonl
+        assert len(prom) == 3
 
     def test_bench_document(self, tmp_path):
         path = tmp_path / "bench.json"
@@ -122,6 +119,42 @@ class TestParsing:
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             parse_metrics_text("not! a! metric! line!")
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            # A registry histogram row, as older snapshot exports wrote it.
+            {"name": "repro_lat_seconds", "kind": "histogram", "labels": {},
+             "count": 2, "sum": 0.55, "p50": 0.1, "p95": 0.5},
+            {"name": "repro_x_total", "kind": "counter", "labels": {},
+             "value": "12"},
+            {"name": "repro_x_total", "kind": "counter", "labels": {},
+             "value": None},
+        ],
+    )
+    def test_snapshot_row_without_numeric_value_raises(self, tmp_path, row):
+        text = json.dumps({"name": "repro_ok_total", "kind": "counter",
+                           "labels": {}, "value": 1.0}) + "\n" + json.dumps(row)
+        path = tmp_path / "old.jsonl"
+        path.write_text(text + "\n")
+        with pytest.raises(ValueError, match=row["name"]) as excinfo:
+            load_metrics_file(str(path))
+        assert str(path) in str(excinfo.value)
+
+    def test_cli_diff_rejects_unreadable_row(self, tmp_path, capsys):
+        from repro.cli import main
+
+        good = tmp_path / "new.jsonl"
+        good.write_text(render_metrics_jsonl(_sample_registry()))
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            render_metrics_jsonl(_sample_registry())
+            + json.dumps({"name": "repro_lat_seconds", "kind": "histogram",
+                          "labels": {}, "count": 1, "sum": 0.05})
+            + "\n"
+        )
+        assert main(["obs", "diff", str(good), str(old)]) == 2
+        assert "repro_lat_seconds" in capsys.readouterr().err
 
 
 class TestTolerances:
@@ -204,10 +237,9 @@ class TestRoundTrip:
         path_a.write_text(render_prometheus(reg))
         path_b.write_text(render_metrics_jsonl(reg))
         result = diff_files(str(path_a), str(path_b))
-        # Same run exported two ways: every shared series matches; the
-        # formats expose some format-only series (buckets vs p50/p95),
-        # which classify as added/removed, not regressions.
-        assert result.ok()
+        # Same run exported two ways: the same series, the same values.
+        assert result.ok(fail_on_missing=True)
+        assert len(result.deltas) == 3
 
 
 class TestRendering:

@@ -22,9 +22,6 @@ def _sample_registry() -> MetricsRegistry:
     reg.counter(
         "repro_frames_total", "Frames by kind", labels={"kind": "Beacon"}
     ).inc(3)
-    hist = reg.histogram("repro_lat_seconds", "Latency", buckets=(0.1, 1.0))
-    hist.observe(0.05)
-    hist.observe(0.5)
     return reg
 
 
@@ -43,14 +40,6 @@ class TestPrometheus:
         text = render_prometheus(reg)
         assert 'repro_c{path="a\\"b\\\\c"} 1' in text
 
-    def test_histogram_exposition(self):
-        text = render_prometheus(_sample_registry())
-        assert 'repro_lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_seconds_bucket{le="1"} 2' in text
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 2' in text
-        assert "repro_lat_seconds_sum 0.55" in text
-        assert "repro_lat_seconds_count 2" in text
-
     def test_empty_registry_renders_empty(self):
         assert render_prometheus(MetricsRegistry()) == ""
 
@@ -65,8 +54,10 @@ class TestJsonl:
         by_name = {(e["name"], tuple(sorted(e["labels"].items()))): e for e in entries}
         assert by_name[("repro_events_total", ())]["value"] == 42.0
         assert by_name[("repro_frames_total", (("kind", "Beacon"),))]["value"] == 3.0
-        hist = by_name[("repro_lat_seconds", ())]
-        assert hist["count"] == 2
+        assert by_name[("repro_depth", ())] == {
+            "name": "repro_depth", "kind": "gauge", "labels": {}, "value": 7.0,
+        }
+        assert len(entries) == 3
 
 
 class TestTable:
@@ -74,7 +65,8 @@ class TestTable:
         text = render_metrics_table(_sample_registry())
         assert "repro_events_total" in text
         assert "kind=Beacon" in text
-        assert "n=2" in text  # histogram summary cell
+        depth_row = next(line for line in text.splitlines() if "repro_depth" in line)
+        assert depth_row.split()[-2:] == ["gauge", "7"]
 
     def test_empty_registry_message(self):
         assert "no metrics recorded" in render_metrics_table(MetricsRegistry())
@@ -110,23 +102,6 @@ class TestExporterEdgeCases:
         text = render_prometheus(reg)
         assert "# HELP repro_c line one\\nline two \\\\ backslash" in text
         assert "\nline two" not in text  # no raw newline inside HELP
-
-    def test_zero_observation_histogram_exposes_zero_series(self):
-        reg = MetricsRegistry()
-        reg.histogram("repro_lat_seconds", "Latency", buckets=(0.1, 1.0))
-        text = render_prometheus(reg)
-        assert 'repro_lat_seconds_bucket{le="0.1"} 0' in text
-        assert 'repro_lat_seconds_bucket{le="+Inf"} 0' in text
-        assert "repro_lat_seconds_count 0" in text
-        assert "repro_lat_seconds_sum 0" in text
-
-    def test_zero_observation_histogram_jsonl(self):
-        reg = MetricsRegistry()
-        reg.histogram("repro_lat_seconds", buckets=(0.1,))
-        entry = json.loads(render_metrics_jsonl(reg).strip())
-        assert entry["count"] == 0
-        assert entry["sum"] == 0.0
-        assert entry["p50"] == 0.0
 
     def test_empty_registry_jsonl_is_empty(self):
         assert render_metrics_jsonl(MetricsRegistry()) == ""

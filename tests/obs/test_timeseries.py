@@ -68,16 +68,6 @@ class TestRecorderSampling:
         gauge.set(4)
         assert rec.sample(2.0).deltas["repro_depth"] == -5.0
 
-    def test_histogram_flattens_to_count_and_sum(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("repro_lat_seconds", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        rec = TimeseriesRecorder(reg, window_s=1.0)
-        window = rec.sample(1.0)
-        assert window.values["repro_lat_seconds_count"] == 2.0
-        assert window.values["repro_lat_seconds_sum"] == pytest.approx(0.55)
-
     def test_values_fn_bypasses_registry(self):
         reads = []
 

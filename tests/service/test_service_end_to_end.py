@@ -233,3 +233,58 @@ def test_loadgen_client_identity_mapping():
     assert max(c.bss for c in clients) == 2
     macs = {c.mac for c in clients}
     assert len(macs) == 4500
+
+
+def test_reserved_flag_bit_is_garbage_on_a_live_socket():
+    """A datagram with a reserved flag bit is counted as garbage by its
+    shard, gets no ACK, and leaves the port table as it was."""
+    from repro.service import wire
+
+    mac = bytes([0x02, 0x00, 0x00, 0x00, 0x00, 0x07])
+
+    async def scenario():
+        service = PortService(ServiceConfig(port=0, shards=2))
+        await service.start()
+        shard = service.shards[wire.shard_index(0, 7, mac, len(service.shards))]
+        addr = ("127.0.0.1", service.server_port)
+        loop = asyncio.get_event_loop()
+
+        def send(payload, timeout_s):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.settimeout(timeout_s)
+            try:
+                sock.sendto(payload, addr)
+                try:
+                    return wire.decode_message(sock.recv(2048))
+                except socket.timeout:
+                    return None
+            finally:
+                sock.close()
+
+        def state():
+            table = shard.tables[0]
+            counters = shard.counters
+            return (
+                table.ports_for_client(7), table.updated_at(7),
+                counters.reports, counters.acks_sent, counters.garbage,
+            )
+
+        report = wire.encode_port_report(0, 7, mac, 1, {137}, want_ack=True)
+        ack = await loop.run_in_executor(None, send, report, 5.0)
+        before = state()
+        # Same client, new ports, a later seq: want_ack plus bit 7.
+        hostile = bytearray(
+            wire.encode_port_report(0, 7, mac, 2, {5353}, want_ack=True)
+        )
+        hostile[4] |= 0x80
+        reply = await loop.run_in_executor(None, send, bytes(hostile), 0.5)
+        after = state()
+        await service.stop()
+        return ack, reply, before, after
+
+    ack, reply, before, after = asyncio.run(scenario())
+    assert ack is not None and ack.status == 0  # ACK_OK
+    assert reply is None  # no ACK for the refused datagram
+    assert before[0] == frozenset({137})
+    assert after[:4] == before[:4]  # ports, updated_at, reports, acks_sent
+    assert after[4] == before[4] + 1  # garbage

@@ -275,6 +275,10 @@ v1_prefixed = st.builds(
 )
 
 
+#: Byte offset of the flags field (after magic, version and type).
+_FLAGS_OFFSET = 4
+
+
 def assert_defined_outcome(data: bytes) -> None:
     """Decode yields a message or ``FrameDecodeError``; any other
     exception escapes and fails the test. A decoded message routes to
@@ -284,7 +288,8 @@ def assert_defined_outcome(data: bytes) -> None:
     except FrameDecodeError:
         return
     assert wire.peek_route(data) == (message.bss, message.aid, message.mac)
-    # Not a byte round-trip: reserved flag bits are dropped on re-encode.
+    # Not a byte round-trip: a report's ports re-encode sorted and
+    # deduplicated.
     assert wire.decode_message(wire.encode_message(message)) == message
 
 
@@ -303,3 +308,13 @@ class TestHostileInput:
     @settings(max_examples=400)
     def test_mutated_valid_frames(self, data):
         assert_defined_outcome(data)
+
+    @given(valid_frames, st.integers(min_value=0x02, max_value=0xFF))
+    @settings(max_examples=300)
+    def test_reserved_flag_bits_rejected(self, frame, reserved):
+        """Any header with a flag bit other than want_ack is refused,
+        whatever the type, the want_ack bit or the body."""
+        raw = bytearray(frame)
+        raw[_FLAGS_OFFSET] |= reserved & ~wire.FLAG_WANT_ACK
+        with pytest.raises(FrameDecodeError, match="reserved flag"):
+            wire.decode_message(bytes(raw))
