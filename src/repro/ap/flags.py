@@ -8,12 +8,11 @@ BTIM element encodes.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Set
+from typing import FrozenSet, Iterable, Set
 
 from repro.ap.port_table import ClientUdpPortTable
 from repro.dot11.data import DataFrame
-from repro.errors import FrameDecodeError
-from repro.net.packet import extract_udp_dst_port_from_dot11_body
+from repro.net.packet import frame_udp_port
 
 
 def compute_broadcast_flags(
@@ -35,21 +34,3 @@ def compute_broadcast_flags(
             continue
         flags.update(port_table.clients_for_port(port))
     return frozenset(flags)
-
-
-def frame_udp_port(frame: DataFrame) -> Optional[int]:
-    """Destination UDP port of a buffered frame, or ``None``.
-
-    This is the byte-parsing path a real AP would run: LLC/SNAP → IPv4
-    → UDP. Malformed packets are treated as unclassifiable.  The parse
-    is memoized on the frame (:meth:`DataFrame.udp_dst_port`), so the
-    AP and every receiving radio share one decode per frame object.
-    """
-    try:
-        return frame.udp_dst_port()
-    except AttributeError:
-        # A duck-typed test double without the memoized accessor.
-        try:
-            return extract_udp_dst_port_from_dot11_body(frame.llc_payload)
-        except FrameDecodeError:
-            return None

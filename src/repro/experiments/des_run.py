@@ -56,9 +56,6 @@ _FINGERPRINT_EXCLUDED_METRICS = frozenset(
     }
 )
 
-#: Backwards-compatible alias (pre-telemetry name).
-_WALL_CLOCK_METRICS = _FINGERPRINT_EXCLUDED_METRICS
-
 AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 WIRED_SOURCE = MacAddress.from_string("02:bb:00:00:00:99")
 
@@ -76,14 +73,11 @@ class TelemetryConfig:
     per DTIM interval — the granularity the paper's Section IV energy
     model reasons at) or a fixed width in simulated seconds.
     ``serve_port`` starts a live :class:`~repro.obs.server.MetricsServer`
-    next to the run (0 picks an ephemeral port).
+    next to the run on 127.0.0.1 (0 picks an ephemeral port).
     """
 
     window: Union[str, float] = "dtim"
-    capacity: int = 512
-    ewma_alpha: float = 0.3
     serve_port: Optional[int] = None
-    serve_host: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
         if isinstance(self.window, str):
@@ -95,8 +89,6 @@ class TelemetryConfig:
             raise ConfigurationError(
                 f"window seconds must be positive: {self.window}"
             )
-        if self.capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1: {self.capacity}")
         if self.serve_port is not None and not 0 <= self.serve_port <= 65535:
             raise ConfigurationError(f"bad serve port: {self.serve_port}")
 
@@ -304,13 +296,7 @@ class PreparedDesRun:
             self.access_point.config.beacon_interval_s,
             self.access_point.config.dtim_period,
         )
-        self.recorder = TimeseriesRecorder(
-            self.live_registry,
-            window_s,
-            capacity=telemetry.capacity,
-            ewma_alpha=telemetry.ewma_alpha,
-            values_fn=self.sample_live_values,
-        )
+        self.recorder = TimeseriesRecorder(window_s, self.sample_live_values)
         self.recorder.attach(self.simulator)
         if telemetry.serve_port is not None:
             profile_fn = None
@@ -326,7 +312,6 @@ class PreparedDesRun:
                     "trace": self.trace.name,
                 },
                 profile_fn=profile_fn,
-                host=telemetry.serve_host,
                 port=telemetry.serve_port,
             )
             self.metrics_server.start()
@@ -337,13 +322,14 @@ class PreparedDesRun:
 
         This is the timeseries recorder's hot path: it fires once per
         DTIM, so its cost must stay a small fraction of the simulator's
-        own per-window work (the < 10% contract ``repro bench``
-        enforces). Full registry collection scales with the number of
-        series — hundreds at 25 clients — so instead this reads a
-        fixed-size curated set: the counters Section IV's energy
-        timeline is built from, with client counters summed fleet-wide
-        (the per-client split stays available from ``/metrics`` scrapes
-        and the end-of-run snapshot, which are off the hot path).
+        own per-window work. Full registry collection scales with the
+        number of series — hundreds at 25 clients — so instead this
+        reads a fixed-size curated set: the counters Section IV's
+        energy timeline is built from, with client counters summed
+        fleet-wide (the per-client split stays available from
+        ``/metrics`` scrapes and the end-of-run snapshot, which are off
+        the hot path). Each client's held time is a running total, so
+        a window costs O(clients), not O(holds so far).
         """
         sim = self.simulator
         medium = self.medium
@@ -407,10 +393,9 @@ class PreparedDesRun:
     def collect_live(self) -> MetricsRegistry:
         """Refresh the live registry from every component (read-only).
 
-        Called from the recorder's probe (main thread) and from scrape
-        handlers (server threads); the lock keeps concurrent refreshes
-        from interleaving. Components are only read, never mutated, so
-        this cannot perturb the simulation.
+        Called from scrape handlers (server threads); the lock keeps
+        concurrent refreshes from interleaving. Components are only
+        read, never mutated, so this cannot perturb the simulation.
         """
         registry = self.live_registry
         if registry is None:

@@ -1,9 +1,9 @@
-"""Ring-buffered, windowed time series over a metrics registry.
+"""Ring-buffered, windowed time series over a live values function.
 
-The registry answers "what are the totals *now*"; this module answers
-"how did they move *over time*". A :class:`TimeseriesRecorder` samples a
-registry at fixed simulation-time boundaries — either a wall of fixed
-width in sim seconds or one window per DTIM interval (see
+A metrics snapshot answers "what are the totals *now*"; this module
+answers "how did they move *over time*". A :class:`TimeseriesRecorder`
+calls one ``values_fn`` at fixed simulation-time boundaries — either a
+wall of fixed width in sim seconds or one window per DTIM interval (see
 :func:`dtim_window_s`) — and keeps the most recent windows in a ring
 buffer, each with the cumulative value *and* the within-window delta of
 every series, plus an exponentially weighted moving average of each
@@ -23,13 +23,18 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, IO, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, IO, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 
 #: Schema tag written into timeseries dumps (and recognized by obs diff).
 TIMESERIES_SCHEMA = "repro-timeseries/v1"
+
+#: Windows the ring keeps; older ones are dropped but still counted.
+CAPACITY = 512
+
+#: Weight of the newest window in each series' EWMA rate.
+EWMA_ALPHA = 0.3
 
 
 def dtim_window_s(beacon_interval_s: float, dtim_period: int) -> float:
@@ -80,54 +85,28 @@ class WindowSample:
 
 
 class TimeseriesRecorder:
-    """Windowed registry sampling with a bounded ring buffer.
+    """Windowed sampling of one values function, in a bounded ring.
 
-    ``collect_fn`` (when given) refreshes the registry from the live
-    components before each sample — the pull-collector model extended
-    to mid-run sampling. The ring keeps the newest ``capacity`` windows;
-    older ones are dropped but stay counted in :attr:`samples_taken`,
-    and the EWMA rates integrate the whole run regardless of capacity.
-
-    ``values_fn`` is the fast path for per-DTIM sampling: a callable
-    returning a flat ``series-key -> value`` mapping read straight off
-    the components, bypassing registry collection entirely. Full-fleet
-    registry collection costs time proportional to the number of series
-    (hundreds at the paper's 25-client operating point), which would
-    dwarf the simulator's own per-window work; a hand-rolled reader
-    with client counters pre-aggregated stays fixed-size and keeps the
-    sampling overhead inside the < 10% contract ``repro bench``
-    enforces. When ``values_fn`` is set it wins over
-    ``collect_fn``/registry iteration, and ``registry`` may be None.
+    ``values_fn`` returns a flat ``series-key -> value`` mapping read
+    straight off the live components. It fires once per window (per
+    DTIM at the paper's granularity), so it should read a fixed-size
+    curated set rather than collect a full registry, whose cost grows
+    with the number of series. The ring keeps the newest
+    :data:`CAPACITY` windows; older ones are dropped but stay counted
+    in :attr:`samples_taken`, and the EWMA rates integrate the whole
+    run regardless of capacity.
     """
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry],
         window_s: float,
-        capacity: int = 512,
-        ewma_alpha: float = 0.3,
-        collect_fn: Optional[Callable[[], None]] = None,
-        values_fn: Optional[Callable[[], Dict[str, float]]] = None,
+        values_fn: Callable[[], Dict[str, float]],
     ) -> None:
         if window_s <= 0:
             raise ConfigurationError(f"window must be positive: {window_s}")
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1: {capacity}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"EWMA alpha must be in (0, 1]: {ewma_alpha}"
-            )
-        if registry is None and values_fn is None:
-            raise ConfigurationError(
-                "recorder needs a registry to iterate or a values_fn"
-            )
-        self.registry = registry
         self.window_s = float(window_s)
-        self.capacity = capacity
-        self.ewma_alpha = float(ewma_alpha)
-        self._collect_fn = collect_fn
         self._values_fn = values_fn
-        self._windows: Deque[WindowSample] = deque(maxlen=capacity)
+        self._windows: Deque[WindowSample] = deque(maxlen=CAPACITY)
         self._last_values: Dict[str, float] = {}
         self._last_t = 0.0
         self._ewma: Dict[str, float] = {}
@@ -135,33 +114,21 @@ class TimeseriesRecorder:
 
     # -- sampling -----------------------------------------------------
 
-    def _scalar_values(self) -> Dict[str, float]:
-        return {
-            metric.series_id: float(metric.value)
-            for metric in self.registry.collect()
-        }
-
     def sample(self, now: float) -> WindowSample:
         """Close the window ending at sim time ``now``."""
-        if self._values_fn is not None:
-            values = dict(self._values_fn())
-        else:
-            if self._collect_fn is not None:
-                self._collect_fn()
-            values = self._scalar_values()
+        values = dict(self._values_fn())
         deltas = {
             key: value - self._last_values.get(key, 0.0)
             for key, value in values.items()
         }
         span = now - self._last_t
         if span > 0:
-            alpha = self.ewma_alpha
             for key, delta in deltas.items():
                 rate = delta / span
                 previous = self._ewma.get(key)
                 self._ewma[key] = (
                     rate if previous is None
-                    else alpha * rate + (1.0 - alpha) * previous
+                    else EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * previous
                 )
         window = WindowSample(self.samples_taken, self._last_t, now, values, deltas)
         self._windows.append(window)
@@ -170,12 +137,10 @@ class TimeseriesRecorder:
         self._last_t = now
         return window
 
-    def attach(self, simulator, first_at_s: Optional[float] = None):
+    def attach(self, simulator):
         """Sample at every window boundary of ``simulator`` (a probe)."""
         return simulator.add_probe(
-            self.window_s,
-            lambda: self.sample(simulator.now),
-            first_at_s=first_at_s,
+            self.window_s, lambda: self.sample(simulator.now)
         )
 
     def close_partial(self, now: float) -> Optional[WindowSample]:
@@ -192,25 +157,11 @@ class TimeseriesRecorder:
 
     @property
     def dropped_windows(self) -> int:
-        """Windows evicted from the ring to respect ``capacity``."""
+        """Windows evicted from the ring to respect :data:`CAPACITY`."""
         return self.samples_taken - len(self._windows)
-
-    @property
-    def last_sample_time(self) -> float:
-        return self._last_t
 
     def latest(self) -> Optional[WindowSample]:
         return self._windows[-1] if self._windows else None
-
-    def series_names(self) -> List[str]:
-        names = set()
-        for window in self._windows:
-            names.update(window.values)
-        return sorted(names)
-
-    def delta_series(self, key: str) -> List[float]:
-        """The per-window deltas of one series, oldest first."""
-        return [w.deltas.get(key, 0.0) for w in self._windows]
 
     def ewma_rates(self) -> Dict[str, float]:
         """EWMA of each series' per-second rate, keyed like the windows."""
@@ -222,10 +173,10 @@ class TimeseriesRecorder:
         return {
             "schema": TIMESERIES_SCHEMA,
             "window_s": self.window_s,
-            "capacity": self.capacity,
+            "capacity": CAPACITY,
             "samples_taken": self.samples_taken,
             "dropped_windows": self.dropped_windows,
-            "ewma_alpha": self.ewma_alpha,
+            "ewma_alpha": EWMA_ALPHA,
             "ewma_per_second": self.ewma_rates(),
             "windows": [w.to_dict() for w in self._windows],
         }

@@ -49,8 +49,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Dict, FrozenSet, List, Optional
 
-from repro.errors import FrameDecodeError
-from repro.net.packet import extract_udp_dst_port_from_dot11_body
+from repro.net.packet import frame_udp_port
 
 #: Delivery routes the medium dispatches on, resolved once per frame
 #: class.  Every route is observably identical to the oracle's
@@ -100,24 +99,6 @@ def route_for(frame_class: type) -> int:
     if route is None:
         route = _ROUTE_CACHE[frame_class] = _classify(frame_class)
     return route
-
-
-def frame_udp_port(frame: Any) -> Optional[int]:
-    """Destination UDP port of a broadcast frame, or ``None``.
-
-    The same answer every client's own doze path computes via
-    :func:`repro.ap.flags.frame_udp_port` — memoized on the frame
-    (:meth:`~repro.dot11.data.DataFrame.udp_dst_port`) when available,
-    with a direct parse against the leaf :mod:`repro.net.packet` for
-    duck-typed frames (the sim layer never imports the AP package).
-    """
-    try:
-        return frame.udp_dst_port()
-    except AttributeError:
-        try:
-            return extract_udp_dst_port_from_dot11_body(frame.llc_payload)
-        except FrameDecodeError:
-            return None
 
 
 def popcount(mask: int) -> int:

@@ -188,5 +188,14 @@ class PowerStateMachine:
         self._change_state(PowerState.SUSPENDED)
 
     def time_in_state(self, state: PowerState) -> float:
-        """Total seconds spent in ``state`` up to now."""
-        return sum(s.duration for s in self.segments() if s.state is state)
+        """Total seconds spent in ``state`` up to now.
+
+        Durations are added left to right with ``+=``: ``sum()`` is
+        compensated from Python 3.12 on, which would make meter
+        energies depend on the interpreter.
+        """
+        total = 0.0
+        for segment in self.segments():
+            if segment.state is state:
+                total += segment.duration
+        return total

@@ -5,13 +5,13 @@ arriving while the lock is held *renews* it (resets time-to-expire to
 τ). When the lock finally expires, the owner is notified so it can start
 the suspend path. Because renewals collapse into one logical lock, the
 manager models a single lock with a moving expiry — exactly the paper's
-"we combine them into one single wakelock".
+"we combine them into one single wakelock". Held time is kept as a
+running total: each hold adds its duration once, when it closes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.sim.engine import EventHandle, Simulator
 
@@ -35,7 +35,10 @@ class WakelockManager:
         self._expires_at: Optional[float] = None
         self.acquisitions = 0
         self.renewals = 0
-        self._hold_periods: List[Tuple[float, float]] = []
+        #: Seconds held across closed holds, added left to right with
+        #: ``+=`` as each hold closes. ``sum()`` is compensated from
+        #: Python 3.12 on and would tie the total to the interpreter.
+        self._closed_held_s = 0.0
 
     @property
     def held(self) -> bool:
@@ -89,30 +92,22 @@ class WakelockManager:
         """
         if self._expiry_event is not None:
             self._expiry_event.cancel()
-        self._expiry_event = None
-        self._expires_at = None
-        if self._held_since is not None:
-            self._hold_periods.append((self._held_since, self._simulator.now))
-            self._held_since = None
+        self._close_hold()
 
     def _expire(self) -> None:
-        self._expiry_event = None
-        self._expires_at = None
-        if self._held_since is not None:
-            self._hold_periods.append((self._held_since, self._simulator.now))
-            self._held_since = None
+        self._close_hold()
         if self._on_expire is not None:
             self._on_expire()
 
+    def _close_hold(self) -> None:
+        self._expiry_event = None
+        self._expires_at = None
+        if self._held_since is not None:
+            self._closed_held_s += self._simulator.now - self._held_since
+            self._held_since = None
+
     def total_held_time(self) -> float:
         """Total seconds the lock has been held (open hold counted to now)."""
-        total = sum(end - start for start, end in self._hold_periods)
-        if self._held_since is not None:
-            total += self._simulator.now - self._held_since
-        return total
-
-    def hold_periods(self) -> List[Tuple[float, float]]:
-        periods = list(self._hold_periods)
-        if self._held_since is not None:
-            periods.append((self._held_since, self._simulator.now))
-        return periods
+        if self._held_since is None:
+            return self._closed_held_s
+        return self._closed_held_s + (self._simulator.now - self._held_since)

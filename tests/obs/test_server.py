@@ -48,7 +48,7 @@ class TestEndpoints:
         assert "repro_events_total 100" in body.decode("utf-8")
 
     def test_timeseries_endpoint_dumps_windows(self, registry):
-        recorder = TimeseriesRecorder(registry, window_s=1.0)
+        recorder = TimeseriesRecorder(1.0, lambda: {"repro_events_total": 42.0})
         recorder.sample(1.0)
         with MetricsServer(registry, recorder=recorder, port=0) as server:
             status, content_type, body = _get(server.url + "/timeseries")
@@ -57,6 +57,7 @@ class TestEndpoints:
         doc = json.loads(body)
         assert doc["schema"] == TIMESERIES_SCHEMA
         assert len(doc["windows"]) == 1
+        assert doc["windows"][0]["values"] == {"repro_events_total": 42.0}
 
     def test_healthz_reports_custom_fields(self, registry):
         server = MetricsServer(

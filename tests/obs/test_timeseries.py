@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
+    CAPACITY,
+    EWMA_ALPHA,
     TIMESERIES_SCHEMA,
     TimeseriesRecorder,
     WindowSample,
@@ -49,61 +50,44 @@ class TestWindowSample:
 
 class TestRecorderSampling:
     def test_deltas_are_per_window_not_cumulative(self):
-        reg = MetricsRegistry()
-        counter = reg.counter("repro_x_total")
-        rec = TimeseriesRecorder(reg, window_s=1.0)
-        counter.set_total(5)
+        source = {"repro_x_total": 5.0}
+        rec = TimeseriesRecorder(1.0, lambda: source)
         rec.sample(1.0)
-        counter.set_total(12)
+        source["repro_x_total"] = 12.0
         window = rec.sample(2.0)
         assert window.values["repro_x_total"] == 12.0
         assert window.deltas["repro_x_total"] == 7.0
 
     def test_gauge_delta_can_be_negative(self):
-        reg = MetricsRegistry()
-        gauge = reg.gauge("repro_depth")
-        rec = TimeseriesRecorder(reg, window_s=1.0)
-        gauge.set(9)
+        source = {"repro_depth": 9.0}
+        rec = TimeseriesRecorder(1.0, lambda: source)
         rec.sample(1.0)
-        gauge.set(4)
+        source["repro_depth"] = 4.0
         assert rec.sample(2.0).deltas["repro_depth"] == -5.0
 
-    def test_values_fn_bypasses_registry(self):
+    def test_values_fn_read_once_per_sample(self):
         reads = []
 
         def values_fn():
             reads.append(True)
             return {"repro_y_total": float(len(reads))}
 
-        rec = TimeseriesRecorder(None, window_s=1.0, values_fn=values_fn)
+        rec = TimeseriesRecorder(1.0, values_fn)
         rec.sample(1.0)
         window = rec.sample(2.0)
         assert window.values == {"repro_y_total": 2.0}
         assert window.deltas == {"repro_y_total": 1.0}
 
-    def test_collect_fn_called_before_each_sample(self):
-        reg = MetricsRegistry()
-        source = {"value": 0.0}
-
-        def collect():
-            reg.gauge("repro_g").set(source["value"])
-
-        rec = TimeseriesRecorder(reg, window_s=1.0, collect_fn=collect)
-        source["value"] = 3.0
-        assert rec.sample(1.0).values["repro_g"] == 3.0
-
     def test_ewma_converges_toward_steady_rate(self):
-        reg = MetricsRegistry()
-        counter = reg.counter("repro_x_total")
-        rec = TimeseriesRecorder(reg, window_s=1.0, ewma_alpha=0.5)
+        source = {"repro_x_total": 0.0}
+        rec = TimeseriesRecorder(1.0, lambda: source)
         for i in range(1, 11):
-            counter.set_total(i * 10)
+            source["repro_x_total"] = i * 10.0
             rec.sample(float(i))
         assert rec.ewma_rates()["repro_x_total"] == pytest.approx(10.0, rel=0.05)
 
     def test_close_partial_only_when_time_advanced(self):
-        reg = MetricsRegistry()
-        rec = TimeseriesRecorder(reg, window_s=1.0)
+        rec = TimeseriesRecorder(1.0, dict)
         rec.sample(1.0)
         assert rec.close_partial(1.0) is None
         assert rec.close_partial(1.5) is not None
@@ -112,24 +96,22 @@ class TestRecorderSampling:
 
 class TestRingBuffer:
     def test_capacity_bounds_windows_but_counts_all_samples(self):
-        reg = MetricsRegistry()
-        rec = TimeseriesRecorder(reg, window_s=1.0, capacity=3)
-        for i in range(1, 8):
+        rec = TimeseriesRecorder(1.0, dict)
+        for i in range(1, CAPACITY + 4):
             rec.sample(float(i))
-        assert rec.samples_taken == 7
-        assert len(rec.windows) == 3
-        assert rec.dropped_windows == 4
-        assert [w.index for w in rec.windows] == [4, 5, 6]
+        assert rec.samples_taken == CAPACITY + 3
+        assert len(rec.windows) == CAPACITY
+        assert rec.dropped_windows == 3
+        assert rec.windows[0].index == 3
+        assert rec.latest().index == CAPACITY + 2
 
 
 class TestAttach:
     def test_probe_driven_sampling_during_run(self):
         sim = Simulator()
-        reg = MetricsRegistry()
-        events = reg.counter("repro_sim_events_total")
         rec = TimeseriesRecorder(
-            reg, window_s=1.0,
-            collect_fn=lambda: events.set_total(sim.events_processed),
+            1.0,
+            lambda: {"repro_sim_events_total": float(sim.events_processed)},
         )
         rec.attach(sim)
         for i in range(1, 6):
@@ -144,9 +126,7 @@ class TestAttach:
         def run(attach):
             sim = Simulator()
             if attach:
-                TimeseriesRecorder(
-                    MetricsRegistry(), window_s=0.25,
-                ).attach(sim)
+                TimeseriesRecorder(0.25, dict).attach(sim)
             for i in range(1, 5):
                 sim.schedule(i * 0.4, lambda: None)
             sim.run()
@@ -157,29 +137,23 @@ class TestAttach:
 
 class TestValidationAndSerialization:
     def test_rejects_bad_parameters(self):
-        reg = MetricsRegistry()
         with pytest.raises(ConfigurationError):
-            TimeseriesRecorder(reg, window_s=0.0)
+            TimeseriesRecorder(0.0, dict)
         with pytest.raises(ConfigurationError):
-            TimeseriesRecorder(reg, window_s=1.0, capacity=0)
-        with pytest.raises(ConfigurationError):
-            TimeseriesRecorder(reg, window_s=1.0, ewma_alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            TimeseriesRecorder(None, window_s=1.0)
+            TimeseriesRecorder(-1.0, dict)
 
     def test_to_dict_carries_schema_and_windows(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x_total").set_total(1)
-        rec = TimeseriesRecorder(reg, window_s=1.0)
+        rec = TimeseriesRecorder(1.0, lambda: {"repro_x_total": 1.0})
         rec.sample(1.0)
         doc = rec.to_dict()
         assert doc["schema"] == TIMESERIES_SCHEMA
         assert doc["window_s"] == 1.0
+        assert doc["capacity"] == CAPACITY == 512
+        assert doc["ewma_alpha"] == EWMA_ALPHA == 0.3
         assert len(doc["windows"]) == 1
 
     def test_write_to_path(self, tmp_path):
-        reg = MetricsRegistry()
-        rec = TimeseriesRecorder(reg, window_s=1.0)
+        rec = TimeseriesRecorder(1.0, lambda: {"repro_x_total": 1.0})
         rec.sample(1.0)
         path = tmp_path / "ts.json"
         rec.write(str(path))

@@ -2,7 +2,9 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
+from repro.station import power as power_module
 from repro.station.power import PowerState, PowerStateMachine, StateSegment
+from tests.station.float_sums import fold_sum, neumaier_sum
 
 TRM = 0.046
 TSP = 0.086
@@ -112,6 +114,24 @@ class TestHistory:
         # 1.0s suspended + TRM resuming.
         assert machine.time_in_state(PowerState.SUSPENDED) == pytest.approx(1.0)
         assert machine.time_in_state(PowerState.RESUMING) == pytest.approx(TRM)
+
+    def test_time_in_state_is_a_left_to_right_fold(self, monkeypatch):
+        # Four wake/suspend cycles whose ACTIVE durations a plain fold
+        # and Python 3.12's compensated sum() round differently.
+        # Shadowing sum() in the module with the 3.12 algorithm makes a
+        # return to sum() fail here on any interpreter.
+        monkeypatch.setattr(power_module, "sum", neumaier_sum, raising=False)
+        sim, machine = make_machine()
+        cycles = [(i + 0.1, i + 0.9) for i in range(4)]
+        for wake_at, suspend_at in cycles:
+            sim.schedule(wake_at, machine.request_wake)
+            sim.schedule(suspend_at, machine.request_suspend)
+        sim.run()
+        durations = [
+            suspend_at - (wake_at + TRM) for wake_at, suspend_at in cycles
+        ]
+        assert fold_sum(durations) != neumaier_sum(durations)
+        assert machine.time_in_state(PowerState.ACTIVE) == fold_sum(durations)
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):

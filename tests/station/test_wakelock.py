@@ -1,7 +1,11 @@
+from functools import partial
+
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.station import wakelock as wakelock_module
 from repro.station.wakelock import WakelockManager
+from tests.station.float_sums import fold_sum, neumaier_sum
 
 TAU = 1.0
 
@@ -46,7 +50,23 @@ class TestAcquisition:
         sim.run()
         assert lock.total_held_time() == pytest.approx(2 * TAU)
         assert lock.acquisitions == 2
-        assert len(lock.hold_periods()) == 2
+        assert lock.renewals == 0
+
+    def test_held_time_is_a_left_to_right_fold(self, monkeypatch):
+        # (start, timeout) holds whose durations a plain fold and
+        # Python 3.12's compensated sum() round differently. Shadowing
+        # sum() in the module with the 3.12 algorithm makes a return
+        # to sum() fail here on any interpreter.
+        monkeypatch.setattr(wakelock_module, "sum", neumaier_sum, raising=False)
+        holds = [(0.0, 0.1), (1.0, 0.2), (2.0, 0.7)]
+        sim, lock = make_lock()
+        for start, timeout in holds:
+            sim.schedule(start, partial(lock.acquire, timeout_s=timeout))
+        sim.run()
+        durations = [(start + timeout) - start for start, timeout in holds]
+        assert fold_sum(durations) != neumaier_sum(durations)
+        assert lock.total_held_time() == fold_sum(durations)
+        assert lock.acquisitions == 3
 
     def test_custom_timeout(self):
         expired = []
