@@ -71,7 +71,11 @@ class AssociationRequest:
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
-            self.frame_control, self.bssid, self.source, self.bssid, self.sequence
+            self.frame_control.to_bytes(),
+            self.bssid,
+            self.source,
+            self.bssid,
+            self.sequence,
         )
         return _append_fcs(header + self.body_bytes())
 
@@ -145,7 +149,11 @@ class AssociationResponse:
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
-            self.frame_control, self.destination, self.bssid, self.bssid, self.sequence
+            self.frame_control.to_bytes(),
+            self.destination,
+            self.bssid,
+            self.bssid,
+            self.sequence,
         )
         return _append_fcs(header + self.body_bytes())
 

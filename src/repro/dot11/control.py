@@ -11,6 +11,10 @@ from repro.dot11.sizes import ACK_BYTES, PS_POLL_BYTES
 from repro.errors import FrameDecodeError
 
 
+_ACK_FRAME_CONTROL = FrameControl(FrameType.CONTROL, int(ControlSubtype.ACK))
+_ACK_FRAME_CONTROL_BYTES = _ACK_FRAME_CONTROL.to_bytes()
+
+
 def _append_fcs(frame: bytes) -> bytes:
     return frame + zlib.crc32(frame).to_bytes(4, "little")
 
@@ -35,10 +39,10 @@ class Ack:
 
     @property
     def frame_control(self) -> FrameControl:
-        return FrameControl(FrameType.CONTROL, int(ControlSubtype.ACK))
+        return _ACK_FRAME_CONTROL
 
     def to_bytes(self) -> bytes:
-        frame = self.frame_control.to_bytes() + b"\x00\x00" + self.receiver.octets
+        frame = _ACK_FRAME_CONTROL_BYTES + b"\x00\x00" + self.receiver.octets
         return _append_fcs(frame)
 
     @property

@@ -18,6 +18,14 @@ from repro.dot11.mac_address import BROADCAST, MacAddress
 from repro.dot11.sizes import FCS_BYTES, MAC_HEADER_BYTES
 from repro.errors import FrameDecodeError
 
+# Frame-control bytes of a from-DS data frame, one per more-data value.
+_FRAME_CONTROL_BYTES = FrameControl(
+    FrameType.DATA, int(DataSubtype.DATA), from_ds=True
+).to_bytes()
+_MORE_DATA_FRAME_CONTROL_BYTES = FrameControl(
+    FrameType.DATA, int(DataSubtype.DATA), from_ds=True, more_data=True
+).to_bytes()
+
 
 @dataclass(frozen=True)
 class DataFrame:
@@ -75,8 +83,11 @@ class DataFrame:
         return port
 
     def to_bytes(self) -> bytes:
+        frame_control = (
+            _MORE_DATA_FRAME_CONTROL_BYTES if self.more_data else _FRAME_CONTROL_BYTES
+        )
         header = (
-            self.frame_control.to_bytes()
+            frame_control
             + b"\x00\x00"
             + self.destination.octets
             + self.bssid.octets
@@ -113,9 +124,11 @@ class DataFrame:
         """Copy of this frame with the more-data bit set/cleared.
 
         The AP calls this while draining its broadcast buffer after a
-        DTIM: every frame but the last carries more-data = 1.
+        DTIM: every frame but the last carries more-data = 1. The copy
+        keeps the memoized destination port, so Algorithm 1's parse of
+        the buffered frame is the only one.
         """
-        return DataFrame(
+        frame = DataFrame(
             destination=self.destination,
             bssid=self.bssid,
             source=self.source,
@@ -123,6 +136,12 @@ class DataFrame:
             more_data=more_data,
             sequence=self.sequence,
         )
+        try:
+            port = self._udp_dst_port  # type: ignore[attr-defined]
+        except AttributeError:
+            return frame
+        object.__setattr__(frame, "_udp_dst_port", port)
+        return frame
 
     @classmethod
     def broadcast_udp(

@@ -46,7 +46,10 @@ class Disassociation:
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
-            self.frame_control, self.destination, self.source, self.bssid,
+            self.frame_control.to_bytes(),
+            self.destination,
+            self.source,
+            self.bssid,
             self.sequence,
         )
         return _append_fcs(header + self.body_bytes())

@@ -50,7 +50,7 @@ class BtimElement(InformationElement):
 
     def payload_bytes(self) -> bytes:
         bitmap = pvb.build_virtual_bitmap(self.aids_with_useful_broadcast)
-        offset, partial = pvb.compress_bitmap(bytes(bitmap))
+        offset, partial = pvb.compress_bitmap(bitmap)
         return bytes([offset]) + partial
 
     @classmethod

@@ -63,7 +63,7 @@ class TimElement(InformationElement):
 
     def payload_bytes(self) -> bytes:
         bitmap = pvb.build_virtual_bitmap(self.aids_with_traffic)
-        offset, partial = pvb.compress_bitmap(bytes(bitmap))
+        offset, partial = pvb.compress_bitmap(bitmap)
         control = (1 if self.group_traffic_buffered else 0) | ((offset // 2) << 1)
         return bytes([self.dtim_count, self.dtim_period, control]) + partial
 

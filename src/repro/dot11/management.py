@@ -59,7 +59,7 @@ class CapabilityInfo:
 
 
 def _mac_header(
-    frame_control: FrameControl,
+    frame_control: bytes,
     addr1: MacAddress,
     addr2: MacAddress,
     addr3: MacAddress,
@@ -67,7 +67,7 @@ def _mac_header(
     duration: int = 0,
 ) -> bytes:
     return (
-        frame_control.to_bytes()
+        frame_control
         + duration.to_bytes(2, "little")
         + addr1.octets
         + addr2.octets
@@ -93,6 +93,33 @@ def _split_mac_header(data: bytes) -> Tuple[FrameControl, MacAddress, MacAddress
 
 def _append_fcs(frame: bytes) -> bytes:
     return frame + zlib.crc32(frame).to_bytes(4, "little")
+
+
+_BEACON_FRAME_CONTROL = FrameControl(
+    FrameType.MANAGEMENT, int(ManagementSubtype.BEACON)
+)
+_BEACON_FRAME_CONTROL_BYTES = _BEACON_FRAME_CONTROL.to_bytes()
+_PORT_MESSAGE_FRAME_CONTROL = FrameControl(
+    FrameType.MANAGEMENT, int(ManagementSubtype.UDP_PORT_MESSAGE)
+)
+_PORT_MESSAGE_FRAME_CONTROL_BYTES = _PORT_MESSAGE_FRAME_CONTROL.to_bytes()
+
+
+# The beacon's SSID, Supported Rates and DSSS elements are the same on
+# every beacon an AP sends: serialize each value once.
+@lru_cache(maxsize=64)
+def _ssid_element_bytes(ssid: str) -> bytes:
+    return SsidElement(ssid).to_bytes()
+
+
+@lru_cache(maxsize=64)
+def _rates_element_bytes(rates: SupportedRatesElement) -> bytes:
+    return rates.to_bytes()
+
+
+@lru_cache(maxsize=64)
+def _dsss_element_bytes(dsss: DsssParameterElement) -> bytes:
+    return dsss.to_bytes()
 
 
 @dataclass(frozen=True)
@@ -124,31 +151,33 @@ class Beacon:
 
     @property
     def frame_control(self) -> FrameControl:
-        return FrameControl(FrameType.MANAGEMENT, int(ManagementSubtype.BEACON))
-
-    def elements(self) -> List[InformationElement]:
-        elements: List[InformationElement] = [
-            SsidElement(self.ssid),
-            self.rates,
-            self.dsss,
-            self.tim,
-        ]
-        if self.btim is not None:
-            elements.append(self.btim)
-        elements.extend(self.extra_elements)
-        return elements
+        return _BEACON_FRAME_CONTROL
 
     def body_bytes(self) -> bytes:
-        fixed = (
+        """Fixed fields, then SSID, Supported Rates, DSSS, TIM, BTIM (on
+        a HIDE AP) and any extra elements, in that order."""
+        tail = self.tim.to_bytes()
+        if self.btim is not None:
+            tail += self.btim.to_bytes()
+        if self.extra_elements:
+            tail += serialize_elements(self.extra_elements)
+        return (
             (self.timestamp_us & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
             + self.beacon_interval_tu.to_bytes(2, "little")
             + self.capability.to_bytes()
+            + _ssid_element_bytes(self.ssid)
+            + _rates_element_bytes(self.rates)
+            + _dsss_element_bytes(self.dsss)
+            + tail
         )
-        return fixed + serialize_elements(self.elements())
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
-            self.frame_control, BROADCAST, self.bssid, self.bssid, self.sequence
+            _BEACON_FRAME_CONTROL_BYTES,
+            BROADCAST,
+            self.bssid,
+            self.bssid,
+            self.sequence,
         )
         return _append_fcs(header + self.body_bytes())
 
@@ -233,9 +262,7 @@ class UdpPortMessage:
 
     @property
     def frame_control(self) -> FrameControl:
-        return FrameControl(
-            FrameType.MANAGEMENT, int(ManagementSubtype.UDP_PORT_MESSAGE)
-        )
+        return _PORT_MESSAGE_FRAME_CONTROL
 
     def elements(self) -> List[OpenUdpPortsElement]:
         return _port_elements(self.ports)
@@ -246,7 +273,11 @@ class UdpPortMessage:
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
-            self.frame_control, self.bssid, self.source, self.bssid, self.sequence
+            _PORT_MESSAGE_FRAME_CONTROL_BYTES,
+            self.bssid,
+            self.source,
+            self.bssid,
+            self.sequence,
         )
         return _append_fcs(header + self.body_bytes())
 

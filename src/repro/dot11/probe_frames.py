@@ -58,7 +58,11 @@ class ProbeRequest:
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
-            self.frame_control, BROADCAST, self.source, BROADCAST, self.sequence
+            self.frame_control.to_bytes(),
+            BROADCAST,
+            self.source,
+            BROADCAST,
+            self.sequence,
         )
         return _append_fcs(header + self.body_bytes())
 
@@ -126,7 +130,10 @@ class ProbeResponse:
 
     def to_bytes(self) -> bytes:
         header = _mac_header(
-            self.frame_control, self.destination, self.bssid, self.bssid,
+            self.frame_control.to_bytes(),
+            self.destination,
+            self.bssid,
+            self.bssid,
             self.sequence,
         )
         return _append_fcs(header + self.body_bytes())

@@ -52,18 +52,12 @@ def compress_bitmap(bitmap: bytes) -> Tuple[int, bytes]:
         raise FrameEncodeError(
             f"virtual bitmap longer than {FULL_BITMAP_OCTETS} octets: {len(bitmap)}"
         )
-    first = None
-    last = None
-    for index, octet in enumerate(bitmap):
-        if octet:
-            if first is None:
-                first = index
-            last = index
-    if first is None:
+    head = bytes(bitmap).rstrip(b"\x00")
+    if not head:
         return 0, b"\x00"
+    first = len(head) - len(head.lstrip(b"\x00"))
     offset = first - (first % 2)
-    assert last is not None
-    return offset, bytes(bitmap[offset : last + 1])
+    return offset, head[offset:]
 
 
 def expand_bitmap(offset: int, partial: bytes) -> bytes:

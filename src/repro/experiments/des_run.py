@@ -554,6 +554,10 @@ def prepare_trace_des(
             seed=active_plan.seed if active_plan is not None else None,
         )
 
+    # Frames of one port and payload length carry the same IPv4 bytes:
+    # build each packet once (a Classroom trace has a few hundred such
+    # pairs among tens of thousands of frames).
+    packets: Dict[Tuple[int, int], bytes] = {}
     for record in trace:
         if record.time > duration:
             break
@@ -561,7 +565,12 @@ def prepare_trace_des(
             record.offered_time if record.offered_time is not None else record.time
         )
         payload_bytes = max(1, record.length_bytes - _FRAMING_OVERHEAD_BYTES)
-        packet = build_broadcast_udp_packet(record.udp_port, b"\x00" * payload_bytes)
+        key = (record.udp_port, payload_bytes)
+        packet = packets.get(key)
+        if packet is None:
+            packet = packets[key] = build_broadcast_udp_packet(
+                record.udp_port, b"\x00" * payload_bytes
+            )
         # post_at, not schedule_at: trace replay never cancels, so the
         # preschedule loop skips one EventHandle allocation per frame.
         # partial, not a lambda: same call, but the profiler can unwrap

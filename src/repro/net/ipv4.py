@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import FrameDecodeError, FrameEncodeError
 
@@ -14,9 +16,7 @@ def internet_checksum(data: bytes) -> int:
     """RFC 1071 ones-complement checksum over 16-bit words."""
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
@@ -60,6 +60,30 @@ class Ipv4Address:
 
     def __str__(self) -> str:
         return ".".join(str((self.value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+
+
+def checked_ipv4_lengths(data: bytes) -> Tuple[int, int]:
+    """Check the IPv4 header at the start of ``data``; returns
+    ``(ihl, total_length)`` in bytes.
+
+    The one copy of the header checks (version, IHL, header checksum and
+    total length), shared by :meth:`Ipv4Header.from_bytes` and the AP's
+    port extraction. Raises :class:`FrameDecodeError` on any failure.
+    """
+    if len(data) < 20:
+        raise FrameDecodeError("IPv4 header shorter than 20 bytes")
+    version = data[0] >> 4
+    if version != 4:
+        raise FrameDecodeError(f"not IPv4 (version {version})")
+    ihl = (data[0] & 0xF) * 4
+    if ihl < 20 or len(data) < ihl:
+        raise FrameDecodeError(f"bad IHL: {ihl}")
+    if internet_checksum(data[:ihl]) != 0:
+        raise FrameDecodeError("IPv4 header checksum mismatch")
+    total_length = int.from_bytes(data[2:4], "big")
+    if total_length < ihl or total_length > len(data):
+        raise FrameDecodeError(f"bad total length: {total_length}")
+    return ihl, total_length
 
 
 #: The limited broadcast address 255.255.255.255.
@@ -120,19 +144,7 @@ class Ipv4Header:
         Raises :class:`FrameDecodeError` on bad version, truncation, or
         checksum mismatch.
         """
-        if len(data) < 20:
-            raise FrameDecodeError("IPv4 header shorter than 20 bytes")
-        version = data[0] >> 4
-        if version != 4:
-            raise FrameDecodeError(f"not IPv4 (version {version})")
-        ihl = (data[0] & 0xF) * 4
-        if ihl < 20 or len(data) < ihl:
-            raise FrameDecodeError(f"bad IHL: {ihl}")
-        if internet_checksum(data[:ihl]) != 0:
-            raise FrameDecodeError("IPv4 header checksum mismatch")
-        total_length = int.from_bytes(data[2:4], "big")
-        if total_length < ihl or total_length > len(data):
-            raise FrameDecodeError(f"bad total length: {total_length}")
+        ihl, total_length = checked_ipv4_lengths(data)
         header = cls(
             source=Ipv4Address.from_bytes(data[12:16]),
             destination=Ipv4Address.from_bytes(data[16:20]),

@@ -6,8 +6,14 @@ from typing import Any, Optional
 
 from repro.dot11.llc import ETHERTYPE_IPV4, LlcSnapHeader
 from repro.errors import FrameDecodeError
-from repro.net.ipv4 import IP_BROADCAST, IPPROTO_UDP, Ipv4Address, Ipv4Header
-from repro.net.udp import UdpHeader, build_udp_datagram, parse_udp_datagram
+from repro.net.ipv4 import (
+    IP_BROADCAST,
+    IPPROTO_UDP,
+    Ipv4Address,
+    Ipv4Header,
+    checked_ipv4_lengths,
+)
+from repro.net.udp import UdpHeader, build_udp_datagram, checked_udp_length
 
 _DEFAULT_SRC = Ipv4Address.from_string("192.168.1.23")
 
@@ -39,15 +45,18 @@ def extract_udp_dst_port(ip_packet: bytes) -> Optional[int]:
 
     Returns ``None`` for non-UDP packets (the HIDE policy only covers
     UDP-padded broadcast frames; anything else falls back to legacy
-    handling). Raises :class:`FrameDecodeError` for malformed packets.
+    handling). Raises :class:`FrameDecodeError` for malformed packets,
+    exactly as :meth:`Ipv4Header.from_bytes` followed by
+    :func:`parse_udp_datagram` without checksum verification would, but
+    reads the two fields it needs at their offsets instead of building
+    the header objects.
     """
-    header, payload = Ipv4Header.from_bytes(ip_packet)
-    if header.protocol != IPPROTO_UDP:
+    ihl, total_length = checked_ipv4_lengths(ip_packet)
+    if ip_packet[9] != IPPROTO_UDP:
         return None
-    udp_header, _ = parse_udp_datagram(
-        payload, header.source, header.destination, verify_checksum=False
-    )
-    return udp_header.dst_port
+    datagram = ip_packet[ihl:total_length]
+    checked_udp_length(datagram)
+    return (datagram[2] << 8) | datagram[3]
 
 
 def extract_udp_dst_port_from_dot11_body(llc_payload: bytes) -> Optional[int]:

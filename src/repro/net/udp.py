@@ -56,6 +56,21 @@ def build_udp_datagram(
     return head[:6] + checksum.to_bytes(2, "big") + payload
 
 
+def checked_udp_length(data: bytes) -> int:
+    """The UDP length field of ``data``, checked against the bytes present.
+
+    The one copy of the datagram length checks. Raises
+    :class:`FrameDecodeError` when the header is truncated or the length
+    field is shorter than a header or longer than ``data``.
+    """
+    if len(data) < UDP_HEADER_BYTES:
+        raise FrameDecodeError("UDP datagram shorter than 8 bytes")
+    udp_length = int.from_bytes(data[4:6], "big")
+    if udp_length < UDP_HEADER_BYTES or udp_length > len(data):
+        raise FrameDecodeError(f"bad UDP length: {udp_length}")
+    return udp_length
+
+
 def parse_udp_datagram(
     data: bytes,
     src_ip: Ipv4Address,
@@ -63,11 +78,7 @@ def parse_udp_datagram(
     verify_checksum: bool = True,
 ) -> Tuple[UdpHeader, bytes]:
     """Parse a UDP datagram; returns ``(header, payload)``."""
-    if len(data) < UDP_HEADER_BYTES:
-        raise FrameDecodeError("UDP datagram shorter than 8 bytes")
-    udp_length = int.from_bytes(data[4:6], "big")
-    if udp_length < UDP_HEADER_BYTES or udp_length > len(data):
-        raise FrameDecodeError(f"bad UDP length: {udp_length}")
+    udp_length = checked_udp_length(data)
     checksum = int.from_bytes(data[6:8], "big")
     if verify_checksum and checksum != 0:
         computed = internet_checksum(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.energy.dynamics import FrameEvent
@@ -60,8 +60,11 @@ class BroadcastFrameRecord:
 
     def shifted(self, dt: float) -> "BroadcastFrameRecord":
         """Copy of this record moved by ``dt`` seconds."""
-        return replace(
-            self,
+        return BroadcastFrameRecord(
             time=self.time + dt,
+            udp_port=self.udp_port,
+            length_bytes=self.length_bytes,
+            rate_bps=self.rate_bps,
+            more_data=self.more_data,
             offered_time=None if self.offered_time is None else self.offered_time + dt,
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dot11.llc import LLC_SNAP_BYTES
@@ -22,6 +23,9 @@ FRAME_OVERHEAD_BYTES = MAC_HEADER_BYTES + LLC_SNAP_BYTES + 20 + 8 + FCS_BYTES
 #: Broadcast frames ride the basic rates; most APs send them at 1-2 Mb/s.
 _RATE_CHOICES = (mbps(1), mbps(2), mbps(5.5))
 _RATE_WEIGHTS = (0.70, 0.22, 0.08)
+#: ``rng.choices`` accumulates ``weights`` on every call; passing the
+#: running sums once as ``cum_weights`` draws the same values.
+_RATE_CUM_WEIGHTS = tuple(accumulate(_RATE_WEIGHTS))
 
 
 class TraceGenerator:
@@ -36,7 +40,8 @@ class TraceGenerator:
         self.spec = spec
         self.beacon_interval_s = beacon_interval_s
         self.dtim_period = dtim_period
-        self._ports, self._weights = self._build_port_mix(spec)
+        self._ports, weights = self._build_port_mix(spec)
+        self._cum_weights = tuple(accumulate(weights))
 
     @staticmethod
     def _build_port_mix(spec: ScenarioSpec) -> Tuple[List[int], List[float]]:
@@ -74,7 +79,7 @@ class TraceGenerator:
 
     def _frame_for(self, rng: random.Random) -> Tuple[int, int, float]:
         """Draw (port, on-air length bytes, rate) for one frame."""
-        port = rng.choices(self._ports, weights=self._weights, k=1)[0]
+        port = rng.choices(self._ports, cum_weights=self._cum_weights, k=1)[0]
         service = WELL_KNOWN_BROADCAST_SERVICES[port]
         # Payload jitter: real discovery payloads vary with host names,
         # record counts, etc. ±25 % triangular around the typical size.
@@ -88,7 +93,7 @@ class TraceGenerator:
                 )
             ),
         )
-        rate = rng.choices(_RATE_CHOICES, weights=_RATE_WEIGHTS, k=1)[0]
+        rate = rng.choices(_RATE_CHOICES, cum_weights=_RATE_CUM_WEIGHTS, k=1)[0]
         return port, FRAME_OVERHEAD_BYTES + payload, rate
 
     def generate(self, seed: Optional[int] = None) -> BroadcastTrace:

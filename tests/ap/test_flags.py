@@ -80,3 +80,28 @@ class TestAlgorithm1:
         compute_broadcast_flags([udp_frame(5353)] * 4, table)
         # One lookup per buffered frame, as in Algorithm 1's loop.
         assert table.stats.lookups == 4
+
+
+class TestOneParsePerBufferedFrame:
+    def test_des_parses_each_buffered_frame_once(self, monkeypatch):
+        """Algorithm 1's parse is the only one: the more-data copies the
+        AP transmits, and every receiver, reuse its memoized port."""
+        import repro.net.packet as packet
+        from repro.experiments.des_run import DesRunConfig, run_trace_des
+        from repro.traces import generate_trace
+
+        parse = packet.extract_udp_dst_port_from_dot11_body
+        calls = [0]
+
+        def counting_parse(llc_payload):
+            calls[0] += 1
+            return parse(llc_payload)
+
+        monkeypatch.setattr(
+            packet, "extract_udp_dst_port_from_dot11_body", counting_parse
+        )
+        trace = generate_trace("Classroom", seed=1).slice(300.0, 330.0)
+        result = run_trace_des(trace, DesRunConfig(client_count=5, duration_s=30.0))
+        buffered = result.access_point.counters.broadcast_frames_buffered
+        assert buffered > 100
+        assert calls[0] == buffered

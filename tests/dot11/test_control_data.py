@@ -112,6 +112,33 @@ class TestDataFrame:
         assert tagged.more_data and not frame.more_data
         assert tagged.llc_payload == frame.llc_payload
 
+    def test_with_more_data_keeps_the_parsed_port(self, bssid, monkeypatch):
+        import repro.net.packet as packet
+
+        frame = DataFrame.broadcast_udp(
+            bssid=bssid,
+            source=MacAddress.station(9),
+            ip_packet=build_broadcast_udp_packet(137, b"x"),
+        )
+        assert frame.udp_dst_port() == 137
+
+        def no_second_parse(llc_payload):
+            raise AssertionError("the copy parsed its payload again")
+
+        monkeypatch.setattr(
+            packet, "extract_udp_dst_port_from_dot11_body", no_second_parse
+        )
+        for more_data in (True, False):
+            assert frame.with_more_data(more_data).udp_dst_port() == 137
+
+    def test_with_more_data_before_any_parse(self, bssid):
+        frame = DataFrame.broadcast_udp(
+            bssid=bssid,
+            source=MacAddress.station(9),
+            ip_packet=build_broadcast_udp_packet(1900, b"x"),
+        )
+        assert frame.with_more_data(True).udp_dst_port() == 1900
+
     def test_length_property(self, bssid):
         frame = DataFrame.broadcast_udp(
             bssid=bssid,

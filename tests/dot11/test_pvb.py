@@ -1,7 +1,33 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dot11 import pvb
 from repro.errors import FrameEncodeError
+
+
+def reference_compress(bitmap: bytes):
+    """The octet-by-octet scan :func:`pvb.compress_bitmap` replaced."""
+    if len(bitmap) > pvb.FULL_BITMAP_OCTETS:
+        raise FrameEncodeError("virtual bitmap too long")
+    first = None
+    last = None
+    for index, octet in enumerate(bitmap):
+        if octet:
+            if first is None:
+                first = index
+            last = index
+    if first is None:
+        return 0, b"\x00"
+    offset = first - (first % 2)
+    return offset, bytes(bitmap[offset : last + 1])
+
+
+def bitmap_with(octets) -> bytes:
+    bitmap = bytearray(pvb.FULL_BITMAP_OCTETS)
+    for index, value in octets.items():
+        bitmap[index] = value
+    return bytes(bitmap)
 
 
 class TestBuildBitmap:
@@ -68,6 +94,55 @@ class TestCompression:
     def test_expand_rejects_overrun(self):
         with pytest.raises(FrameEncodeError):
             pvb.expand_bitmap(pvb.FULL_BITMAP_OCTETS - 1 + 1, b"\x00\x00\x00")
+
+
+class TestCompressionMatchesOctetScan:
+    @pytest.mark.parametrize(
+        "octets",
+        [
+            {},
+            {0: 0x01},
+            {0: 0x80},
+            # The last octet, 250 (AIDs 2000..2007).
+            {250: 0x01},
+            {250: 0x80},
+            {0: 0x02, 250: 0x40},
+            # An odd first octet: the offset rounds down to even.
+            {3: 0x10},
+            {3: 0x10, 7: 0x01},
+            {249: 0xFF},
+        ],
+    )
+    def test_edge_bitmaps(self, octets):
+        bitmap = bitmap_with(octets)
+        assert pvb.compress_bitmap(bitmap) == reference_compress(bitmap)
+        assert pvb.compress_bitmap(bytearray(bitmap)) == reference_compress(bitmap)
+
+    def test_short_inputs(self):
+        for bitmap in (b"", b"\x00", b"\x00\x05", b"\x05\x00\x00"):
+            assert pvb.compress_bitmap(bitmap) == reference_compress(bitmap)
+
+    def test_too_long_rejected_by_both(self):
+        for bitmap in (bytes(pvb.FULL_BITMAP_OCTETS + 1), b"\x01" * 300):
+            with pytest.raises(FrameEncodeError):
+                reference_compress(bitmap)
+            with pytest.raises(FrameEncodeError):
+                pvb.compress_bitmap(bitmap)
+
+    @given(st.binary(max_size=pvb.FULL_BITMAP_OCTETS))
+    def test_dense_bitmaps(self, bitmap):
+        assert pvb.compress_bitmap(bitmap) == reference_compress(bitmap)
+
+    @given(
+        st.dictionaries(
+            st.integers(min_value=0, max_value=pvb.FULL_BITMAP_OCTETS - 1),
+            st.integers(min_value=0, max_value=255),
+            max_size=6,
+        )
+    )
+    def test_sparse_bitmaps(self, octets):
+        bitmap = bitmap_with(octets)
+        assert pvb.compress_bitmap(bitmap) == reference_compress(bitmap)
 
 
 class TestQueries:

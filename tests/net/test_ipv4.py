@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import FrameDecodeError, FrameEncodeError
 from repro.net.ipv4 import (
@@ -11,6 +13,18 @@ from repro.net.ipv4 import (
 )
 
 
+def rfc1071_checksum(data: bytes) -> int:
+    """The RFC 1071 reference loop: one 16-bit word at a time."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 class TestChecksum:
     def test_known_vector(self):
         # Classic RFC 1071 example.
@@ -19,6 +33,29 @@ class TestChecksum:
 
     def test_odd_length_padded(self):
         assert internet_checksum(b"\x01") == internet_checksum(b"\x01\x00")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"\x01",
+            b"\xff",
+            b"\xff\xff",
+            b"\xff" * 3,
+            # Sums to 0x1FFFF: the first carry fold gives 0x10000 and
+            # only a second fold brings it back to 16 bits.
+            b"\xff\xff\xff\xff\x00\x01",
+            b"\x00" * 61,
+            bytes(range(256)),
+        ],
+    )
+    def test_matches_reference_loop_on_edge_inputs(self, data):
+        assert internet_checksum(data) == rfc1071_checksum(data)
+
+    @given(st.binary(max_size=300))
+    def test_matches_reference_loop(self, data):
+        # Odd and even lengths alike; the carry fold must agree too.
+        assert internet_checksum(data) == rfc1071_checksum(data)
 
     def test_verifies_to_zero(self):
         header = Ipv4Header(

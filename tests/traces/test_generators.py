@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -54,6 +56,53 @@ class TestScenarios:
             ScenarioSpec("x", 10, -1, 1, 1, 1, 1)
         with pytest.raises(ConfigurationError):
             ScenarioSpec("x", 10, 1, 1, 0, 1, 1)
+
+
+def records_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for r in trace.records:
+        fields = (
+            r.time,
+            r.udp_port,
+            r.length_bytes,
+            r.rate_bps,
+            r.more_data,
+            r.offered_time,
+        )
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedTraces:
+    """Every RNG draw and every record of two seeded scenario traces,
+    and of a rebased slice of each, pinned as SHA-256 digests."""
+
+    @pytest.mark.parametrize(
+        "scenario, seed, records, full_digest, slice_digest",
+        [
+            (
+                "Classroom",
+                1,
+                36104,
+                "fbe70c44bd7a9df6ef3b4be7d445f6b505bee12351434112a19c8b38eb00c70a",
+                "69119389e82052a670c70cf79cf556e04b03552727c8205703f78036dc6c8dfb",
+            ),
+            (
+                "Starbucks",
+                5,
+                3764,
+                "ebb3e85eda1e0b91ed969ac3f3c53ccad2768fdee107678a08b1056b4ec44ca4",
+                "66329356c0cc9179af78448e363db296042e91a7400f2a6fc3e23f801b56f082",
+            ),
+        ],
+    )
+    def test_records_unchanged(
+        self, scenario, seed, records, full_digest, slice_digest
+    ):
+        trace = generate_trace(scenario, seed=seed)
+        assert len(trace) == records
+        assert records_digest(trace) == full_digest
+        assert records_digest(trace.slice(300.0, 900.0)) == slice_digest
 
 
 class TestGeneration:
