@@ -9,8 +9,12 @@ Commands:
   with ``--metrics-out`` (Prometheus/JSONL export), ``--trace-log``
   (structured JSONL event trace), ``--serve-metrics PORT`` (live
   ``/metrics`` + ``/timeseries`` + ``/healthz`` endpoint),
-  ``--timeseries-out`` (windowed per-DTIM telemetry dump), and
-  ``--ledger-out`` (the frame-lifecycle delay/energy ledger).
+  ``--timeseries-out`` (windowed per-DTIM telemetry dump),
+  ``--ledger-out`` (the frame-lifecycle delay/energy ledger), and
+  ``--profile`` (the attribution profiler: a hotspot table of where
+  callback wall time goes, plus ``--profile-out`` for the
+  ``repro-profile/v1`` JSON report and ``--collapsed`` for a
+  collapsed-stack file for flamegraph tooling).
 * ``experiments run`` — regenerate paper tables/figures (all or some).
 * ``experiments headline`` — the headline-claims scorecard.
 * ``overhead capacity`` / ``overhead delay`` — Section V analyses.
@@ -21,10 +25,6 @@ Commands:
   regression).
 * ``obs slo`` — evaluate a declarative ``repro-slo/v1`` spec against
   run artifacts; any burned objective exits nonzero (the CI gate).
-* ``profile`` — run a scenario under the attribution profiler and
-  report where callback wall time goes (hotspot table, a
-  ``repro-profile/v1`` JSON report, and a collapsed-stack file for
-  flamegraph tooling).
 * ``sweep`` — sharded seed/scenario sweeps with per-cell progress
   lines, optional per-run profiling (``--profile``), and a live
   fleet-telemetry endpoint (``--serve-metrics``).
@@ -212,6 +212,46 @@ def _parse_timeseries_window(spec: str):
         )
 
 
+def _seed_list(spec: str):
+    """``--seed-list`` value: comma-separated integers."""
+    try:
+        return tuple(int(seed) for seed in spec.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {spec!r}"
+        )
+
+
+def _profiler_config(args: argparse.Namespace):
+    """``--profile``/``--profile-stride`` as a ProfilerConfig, or None.
+
+    Only the sampling profiler has a stride, so one given without
+    ``--profile sampling`` is an error rather than silently ignored.
+    """
+    if args.profile_stride is not None and args.profile != "sampling":
+        raise ConfigurationError("--profile-stride needs --profile sampling")
+    if args.profile is None:
+        return None
+    from repro.obs.profiler import ProfilerConfig
+
+    if args.profile_stride is None:
+        return ProfilerConfig(mode=args.profile)
+    return ProfilerConfig(mode=args.profile, stride=args.profile_stride)
+
+
+def _add_profile_flags(
+    parser: argparse.ArgumentParser, profile_help: str
+) -> None:
+    parser.add_argument(
+        "--profile", choices=["exact", "sampling"], default=None,
+        metavar="MODE", help=profile_help,
+    )
+    parser.add_argument(
+        "--profile-stride", type=int, default=None, metavar="N",
+        help="sampling stride for --profile sampling (default 16)",
+    )
+
+
 def cmd_sim_run(args: argparse.Namespace) -> int:
     from repro.experiments.des_run import (
         CLIENT_SUMMARY_HEADERS,
@@ -225,6 +265,9 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan
     from repro.sim.invariants import InvariantViolation
 
+    profiler = _profiler_config(args)
+    if profiler is None and (args.profile_out or args.collapsed):
+        raise ConfigurationError("--profile-out and --collapsed need --profile")
     source = args.source or args.scenario
     if source is None:
         print("error: give a scenario (positional or --scenario)",
@@ -264,6 +307,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         port_refresh_interval_s=args.port_refresh,
         telemetry=telemetry,
         ledger=bool(args.ledger or args.ledger_out),
+        profiler=profiler,
     )
     prepared = prepare_trace_des(trace, config, tracer=tracer)
     if prepared.metrics_server is not None:
@@ -349,6 +393,17 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         if args.ledger_out:
             write_ledger_json(ledger_document, args.ledger_out)
             print(f"wrote ledger to {args.ledger_out}")
+    profile_document = result.profile_report()
+    if profile_document is not None:
+        from repro.obs.profiler import render_profile_table, write_profile_json
+
+        print(render_profile_table(profile_document))
+        if args.profile_out:
+            write_profile_json(profile_document, args.profile_out)
+            print(f"wrote profile report to {args.profile_out}")
+        if args.collapsed:
+            result.profiler.write_collapsed(args.collapsed)
+            print(f"wrote collapsed stacks to {args.collapsed}")
     return 0
 
 
@@ -364,11 +419,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.station.client import ClientPolicy
 
-    profiler = None
-    if args.profile:
-        from repro.obs.profiler import ProfilerConfig
-
-        profiler = ProfilerConfig(mode=args.profile, stride=args.profile_stride)
     config = DesRunConfig(
         policy=ClientPolicy(args.policy),
         client_count=args.clients,
@@ -377,12 +427,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         dtim_period=args.dtim_period,
         check_invariants=args.check_invariants,
         recovery=not args.no_recovery,
-        profiler=profiler,
+        profiler=_profiler_config(args),
     )
     spec = SweepSpec(
         scenarios=tuple(args.scenarios),
         seeds=tuple(range(args.seeds)) if args.seed_list is None
-        else tuple(int(s) for s in args.seed_list.split(",")),
+        else args.seed_list,
         config=config,
         fault_spec=args.fault_plan,
         timeseries_dir=args.timeseries_dir,
@@ -430,60 +480,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(f"sweep: failing cells: {failing}", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.des_run import DesRunConfig, prepare_trace_des
-    from repro.obs.profiler import (
-        ProfilerConfig,
-        render_profile_table,
-        write_profile_json,
-    )
-    from repro.sim.invariants import InvariantViolation
-    from repro.station.client import ClientPolicy
-
-    source = args.source or args.scenario
-    if source is None:
-        print("error: give a scenario (positional or --scenario)",
-              file=sys.stderr)
-        return 2
-    trace = _load_trace(source)
-    config = DesRunConfig(
-        policy=ClientPolicy(args.policy),
-        client_count=args.clients,
-        useful_fraction=args.fraction,
-        duration_s=args.duration,
-        dtim_period=args.dtim_period,
-        profiler=ProfilerConfig(mode=args.mode, stride=args.stride),
-    )
-    prepared = prepare_trace_des(trace, config)
-    try:
-        result = prepared.execute()
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        prepared.close()
-    try:
-        profiler = result.profiler
-        document = result.profile_report()
-        print(
-            f"{trace.name}: {result.duration_s:.0f} s simulated under "
-            f"{args.policy} ({config.client_count} clients), "
-            f"{result.simulator.events_processed} events in "
-            f"{result.simulator.run_wall_time_s:.3f} s wall "
-            f"({args.mode} mode, stride {profiler.stride})"
-        )
-        print(render_profile_table(document, top=args.top))
-        if args.out:
-            write_profile_json(document, args.out)
-            print(f"wrote profile report to {args.out}")
-        if args.collapsed:
-            profiler.write_collapsed(args.collapsed)
-            print(f"wrote collapsed stacks to {args.collapsed}")
-    finally:
-        result.close()
     return 0
 
 
@@ -779,6 +775,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--ledger-out", default=None, metavar="PATH",
         help="write the repro-ledger/v1 JSON here (implies --ledger)",
     )
+    _add_profile_flags(
+        sim_run,
+        "attribute the run's callback wall time to sites and print the "
+        "hotspot table: 'exact' times every event, 'sampling' every "
+        "--profile-stride-th event at near-zero overhead",
+    )
+    sim_run.add_argument(
+        "--profile-out", default=None, metavar="PATH",
+        help="write the repro-profile/v1 JSON report here (needs --profile)",
+    )
+    sim_run.add_argument(
+        "--collapsed", default=None, metavar="PATH",
+        help="write collapsed-stack lines here for flamegraph.pl / "
+             "speedscope (needs --profile)",
+    )
     sim_run.set_defaults(func=cmd_sim_run)
 
     experiments = commands.add_parser("experiments", help="paper reproductions")
@@ -813,7 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep trace seeds 0..N-1 (default 10)",
     )
     sweep.add_argument(
-        "--seed-list", default=None, metavar="S1,S2,...",
+        "--seed-list", type=_seed_list, default=None, metavar="S1,S2,...",
         help="explicit comma-separated seed list (overrides --seeds)",
     )
     sweep.add_argument(
@@ -860,70 +871,17 @@ def build_parser() -> argparse.ArgumentParser:
              "port while the sweep runs (0 = ephemeral port): cells "
              "done/failed, per-worker throughput, profiler hot totals",
     )
-    sweep.add_argument(
-        "--profile", choices=["exact", "sampling"], default=None,
-        metavar="MODE",
-        help="profile every run's callback sites ('exact' or "
-             "'sampling'); the merged attribution profile lands in the "
-             "report's 'profile' section",
-    )
-    sweep.add_argument(
-        "--profile-stride", type=int, default=16, metavar="N",
-        help="sampling stride for --profile sampling (default 16)",
+    _add_profile_flags(
+        sweep,
+        "profile every run's callback sites ('exact' or 'sampling'); "
+        "the merged attribution profile lands in the report's "
+        "'profile' section",
     )
     sweep.add_argument(
         "--no-progress", action="store_true",
         help="suppress the per-cell progress lines",
     )
     sweep.set_defaults(func=cmd_sweep)
-
-    profile = commands.add_parser(
-        "profile",
-        help="attribute DES wall time to callback sites (hotspot table, "
-             "repro-profile/v1 JSON, collapsed stacks)",
-    )
-    profile.add_argument(
-        "source", nargs="?", default=None,
-        help="scenario name or JSONL trace path",
-    )
-    profile.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="scenario name (alternative to the positional source)",
-    )
-    profile.add_argument(
-        "--mode", choices=["exact", "sampling"], default="exact",
-        help="'exact' times every event; 'sampling' times every "
-             "--stride-th event at near-zero overhead (default exact)",
-    )
-    profile.add_argument(
-        "--stride", type=int, default=16, metavar="N",
-        help="sampling stride (ignored in exact mode; default 16)",
-    )
-    profile.add_argument(
-        "--policy", choices=["receive-all", "client-side", "hide"],
-        default="hide",
-    )
-    profile.add_argument("--clients", type=int, default=3)
-    profile.add_argument("--fraction", type=float, default=0.10)
-    profile.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated seconds (capped at the trace duration)",
-    )
-    profile.add_argument("--dtim-period", type=int, default=1)
-    profile.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="rows in the hotspot table (default 15)",
-    )
-    profile.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the repro-profile/v1 JSON report here",
-    )
-    profile.add_argument(
-        "--collapsed", default=None, metavar="PATH",
-        help="write collapsed-stack lines here (flamegraph.pl / "
-             "speedscope input)",
-    )
-    profile.set_defaults(func=cmd_profile)
 
     overhead = commands.add_parser("overhead", help="Section V analyses")
     overhead_sub = overhead.add_subparsers(dest="subcommand", required=True)

@@ -128,10 +128,10 @@ class DesRunConfig:
     #: scrape endpoint. ``None`` disables both; the run's determinism
     #: fingerprint is identical either way.
     telemetry: Optional[TelemetryConfig] = None
-    #: Hot-path attribution profiling (``repro profile``). Like the
-    #: telemetry stack, attaching it leaves the run's determinism
-    #: fingerprint bit-identical — the profiler observes the host
-    #: clock, never the simulation.
+    #: Hot-path attribution profiling (``repro sim run --profile``).
+    #: Like the telemetry stack, attaching it leaves the run's
+    #: determinism fingerprint bit-identical — the profiler observes
+    #: the host clock, never the simulation.
     profiler: Optional[ProfilerConfig] = None
     #: Attach the frame-lifecycle ledger (``--ledger-out``): per-frame
     #: buffering/delivery delay and per-client energy-attribution

@@ -21,13 +21,14 @@ The fleet is observable while it runs, not just at the end:
 
 * Results stream back as cells finish (``imap_unordered``), so a
   ``progress`` callback sees every cell the moment it lands — the
-  ``repro sweep`` per-cell progress lines.
-* Workers stream heartbeat and cell-lifecycle records over a pipe
-  (a fork-context ``SimpleQueue``) to the parent, where a
-  :class:`SweepTelemetry` aggregator folds them into live gauges —
-  cells done/failed, per-worker events/s and sim clock, merged
-  profiler hot totals — served on the usual ``/metrics`` + ``/healthz``
-  endpoint via ``repro sweep --serve-metrics``.
+  ``repro sweep`` per-cell progress lines.  The same loop folds each
+  result into a :class:`SweepTelemetry` aggregator: cells done/failed,
+  per-worker throughput, merged profiler hot totals.
+* While a cell runs, its worker streams ``cell_start`` and heartbeat
+  records (sim clock, events/s) over a pipe (a fork-context
+  ``SimpleQueue``) to the same aggregator.  Its live gauges are served
+  on the usual ``/metrics`` + ``/healthz`` endpoint via
+  ``repro sweep --serve-metrics``.
 
 The report (schema ``repro-sweep/v1``) is JSON-serializable and
 diffable; per-run failures (invariant violations, configuration
@@ -41,6 +42,7 @@ worker rollups, the merged attribution profile — lives in the
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -64,21 +66,25 @@ from repro.traces import generate_trace, scenario_by_name
 
 SWEEP_SCHEMA = "repro-sweep/v1"
 
-#: Worker-side telemetry sink: set by the pool initializer in forked
-#: workers (queue.put) or directly by the in-process path; ``None``
-#: keeps every record off the wire.
+#: Worker-side telemetry sink, set by :func:`run_sweep` for the
+#: sweep's duration: the aggregator's ``handle`` in-process, the pipe's
+#: ``put`` when forking (workers inherit it at fork).  ``None`` keeps
+#: every record off the wire.
 _WORKER_SINK: Optional[Callable[[Dict[str, object]], None]] = None
-_HEARTBEAT_EVERY_S: float = 0.0
 
-#: How many of a cell's hottest sites ride along in its ``cell_done``
-#: record (live gauges only; the report merges full profiles).
+#: How many of a cell's hottest sites feed the live hot-site gauges
+#: (the report merges full profiles).
 _HOT_SITES_PER_CELL = 10
 
 
-def _init_worker(queue, heartbeat_every_s: float) -> None:
-    global _WORKER_SINK, _HEARTBEAT_EVERY_S
-    _WORKER_SINK = queue.put
-    _HEARTBEAT_EVERY_S = heartbeat_every_s
+@contextlib.contextmanager
+def _worker_sink(sink: Callable[[Dict[str, object]], None]):
+    global _WORKER_SINK
+    previous, _WORKER_SINK = _WORKER_SINK, sink
+    try:
+        yield
+    finally:
+        _WORKER_SINK = previous
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,7 @@ def _run_cell(task: Tuple[str, int, SweepSpec]) -> Dict[str, object]:
             config = dataclasses.replace(config, telemetry=TelemetryConfig())
         trace = generate_trace(scenario_by_name(scenario), seed=seed)
         prepared = prepare_trace_des(trace, config)
-        if sink is not None and _HEARTBEAT_EVERY_S > 0:
+        if sink is not None and spec.heartbeat_every_s > 0:
             simulator = prepared.simulator
 
             def heartbeat() -> None:
@@ -171,7 +177,7 @@ def _run_cell(task: Tuple[str, int, SweepSpec]) -> Dict[str, object]:
                     }
                 )
 
-            simulator.add_probe(_HEARTBEAT_EVERY_S, heartbeat)
+            simulator.add_probe(spec.heartbeat_every_s, heartbeat)
         result = prepared.execute()
         try:
             entry.update(
@@ -201,39 +207,17 @@ def _run_cell(task: Tuple[str, int, SweepSpec]) -> Dict[str, object]:
     cell_telemetry["wall_s"] = wall_s
     cell_telemetry["events_per_second"] = events / wall_s if wall_s > 0 else 0.0
     entry["telemetry"] = cell_telemetry
-    if sink is not None:
-        done: Dict[str, object] = {
-            "type": "cell_done",
-            "worker": worker,
-            "scenario": scenario,
-            "seed": seed,
-            "ok": "error" not in entry,
-            "wall_s": wall_s,
-            "events": events,
-        }
-        profile = cell_telemetry.get("profile")
-        if isinstance(profile, dict):
-            done["hot_sites"] = [
-                (
-                    f"{site['owner']}.{site['method']}",
-                    str(site["kind"]),
-                    float(site["wall_s"]),
-                    float(site["events"]),
-                )
-                for site in profile.get("sites", [])[:_HOT_SITES_PER_CELL]
-            ]
-        sink(done)
     return entry
 
 
 class SweepTelemetry:
     """Thread-safe aggregator for the sweep fleet's live telemetry.
 
-    Consumes the worker records (``cell_start``/``heartbeat``/
-    ``cell_done``) plus the parent-side result stream, and renders the
-    rollup as registry gauges for the scrape endpoint.  All methods are
-    safe to call from the queue-drain thread, the sweep loop, and the
-    HTTP server threads concurrently.
+    Consumes the worker records (``cell_start``/``heartbeat``) and the
+    finished result entries, and renders the rollup as registry gauges
+    for the scrape endpoint.  All methods are safe to call from the
+    queue-drain thread, the sweep loop, and the HTTP server threads
+    concurrently.
     """
 
     def __init__(self, cells_total: int = 0) -> None:
@@ -263,7 +247,7 @@ class SweepTelemetry:
         return state
 
     def handle(self, record: Dict[str, object]) -> None:
-        """Fold one worker record into the rollup."""
+        """Fold one worker record (``cell_start``/``heartbeat``)."""
         kind = record.get("type")
         with self._lock:
             worker = self._worker(int(record.get("worker", 0)))
@@ -277,54 +261,33 @@ class SweepTelemetry:
                 events = float(record.get("events", 0))
                 if wall > 0:
                     worker["events_per_second"] = events / wall
-            elif kind == "cell_done":
-                self._cells_done += 1
-                worker["cells_done"] += 1
-                if not record.get("ok", True):
-                    self._cells_failed += 1
-                    worker["cells_failed"] += 1
-                events = float(record.get("events", 0))
-                wall = float(record.get("wall_s", 0.0))
-                self._events_total += int(events)
-                self._wall_total_s += wall
-                worker["events"] += events
-                worker["wall_s"] += wall
-                if wall > 0:
-                    worker["events_per_second"] = events / wall
-                for site, site_kind, wall_s, site_events in record.get(
-                    "hot_sites", []
-                ):
-                    bucket = self._hot_sites.setdefault(
-                        (str(site), str(site_kind)), [0.0, 0.0]
-                    )
-                    bucket[0] += float(wall_s)
-                    bucket[1] += float(site_events)
 
     def observe_entry(self, entry: Dict[str, object]) -> None:
-        """Fold one finished result entry (the in-process counterpart
-        of a ``cell_done`` record, used when no pipe is attached)."""
-        telemetry = entry.get("telemetry")
-        if not isinstance(telemetry, dict):
-            return
-        record: Dict[str, object] = {
-            "type": "cell_done",
-            "worker": telemetry.get("worker", 0),
-            "ok": "error" not in entry,
-            "wall_s": telemetry.get("wall_s", 0.0),
-            "events": entry.get("events", 0),
-        }
-        profile = telemetry.get("profile")
-        if isinstance(profile, dict):
-            record["hot_sites"] = [
-                (
-                    f"{site['owner']}.{site['method']}",
-                    str(site["kind"]),
-                    float(site["wall_s"]),
-                    float(site["events"]),
+        """Fold one finished result entry (ok or failed)."""
+        telemetry = entry.get("telemetry") or {}
+        events = float(entry.get("events", 0))
+        wall = float(telemetry.get("wall_s", 0.0))
+        profile = telemetry.get("profile") or {}
+        with self._lock:
+            worker = self._worker(int(telemetry.get("worker", 0)))
+            self._cells_done += 1
+            worker["cells_done"] += 1
+            if "error" in entry:
+                self._cells_failed += 1
+                worker["cells_failed"] += 1
+            self._events_total += int(events)
+            self._wall_total_s += wall
+            worker["events"] += events
+            worker["wall_s"] += wall
+            if wall > 0:
+                worker["events_per_second"] = events / wall
+            for site in profile.get("sites", [])[:_HOT_SITES_PER_CELL]:
+                bucket = self._hot_sites.setdefault(
+                    (f"{site['owner']}.{site['method']}", str(site["kind"])),
+                    [0.0, 0.0],
                 )
-                for site in profile.get("sites", [])[:_HOT_SITES_PER_CELL]
-            ]
-        self.handle(record)
+                bucket[0] += float(site["wall_s"])
+                bucket[1] += float(site["events"])
 
     def health(self) -> Dict[str, object]:
         with self._lock:
@@ -499,81 +462,73 @@ def run_sweep(
     either way the merged report's deterministic sections are
     identical.  ``progress`` is called with ``(entry, done, total)``
     as each cell's result arrives (arrival order, not cell order).
-    ``telemetry`` receives the fleet's live records — worker
-    heartbeats via a pipe when sharded, direct calls in-process — for
-    serving on a scrape endpoint while the sweep runs.
+    ``telemetry`` folds every result as it arrives, plus the workers'
+    ``cell_start``/heartbeat records — over a pipe when sharded, direct
+    calls in-process — for serving on a scrape endpoint while the
+    sweep runs; its done/failed counts are exact when this returns.
     """
-    global _WORKER_SINK, _HEARTBEAT_EVERY_S
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1: {workers}")
     if spec.timeseries_dir is not None:
         os.makedirs(spec.timeseries_dir, exist_ok=True)
     tasks = [(scenario, seed, spec) for scenario, seed in spec.cells()]
     total = len(tasks)
+    context = _fork_context() if min(workers, total) > 1 else None
+    effective = 1 if context is None else min(workers, total)
     if telemetry is not None:
         telemetry.cells_total = total
-    effective = min(workers, total)
-    if effective > 1:
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if context is not None:
-            queue = None
-            drain: Optional[threading.Thread] = None
-            initializer = None
-            initargs: tuple = ()
+    results: List[Dict[str, object]] = []
+    with contextlib.ExitStack() as stack:
+        if context is None:
             if telemetry is not None:
-                queue = context.SimpleQueue()
-                initializer = _init_worker
-                initargs = (queue, spec.heartbeat_every_s)
-
-                def _drain() -> None:
-                    while True:
-                        record = queue.get()
-                        if record is None:
-                            return
-                        telemetry.handle(record)
-
-                drain = threading.Thread(
-                    target=_drain, name="repro-sweep-telemetry", daemon=True
-                )
-            results: List[Dict[str, object]] = []
-            with context.Pool(
-                processes=effective,
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                if drain is not None:
-                    drain.start()
-                for entry in pool.imap_unordered(_run_cell, tasks, chunksize=1):
-                    results.append(entry)
-                    if progress is not None:
-                        progress(entry, len(results), total)
+                stack.enter_context(_worker_sink(telemetry.handle))
+            entries = map(_run_cell, tasks)
+        else:
+            queue = context.SimpleQueue() if telemetry is not None else None
             if queue is not None:
-                queue.put(None)
-            if drain is not None:
-                drain.join(timeout=5.0)
-            return merge_results(spec, results, workers=effective)
-        effective = 1
-    previous_sink = _WORKER_SINK
-    previous_heartbeat = _HEARTBEAT_EVERY_S
-    if telemetry is not None:
-        _WORKER_SINK = telemetry.handle
-        _HEARTBEAT_EVERY_S = spec.heartbeat_every_s
-    try:
-        results = []
-        for task in tasks:
-            entry = _run_cell(task)
+                # Set before the pool forks, so every worker inherits it.
+                stack.enter_context(_worker_sink(queue.put))
+            pool = stack.enter_context(context.Pool(processes=effective))
+            if queue is not None:
+                stack.callback(_drain_records(queue, telemetry))
+            entries = pool.imap_unordered(_run_cell, tasks, chunksize=1)
+        for entry in entries:
             results.append(entry)
+            if telemetry is not None:
+                telemetry.observe_entry(entry)
             if progress is not None:
                 progress(entry, len(results), total)
-    finally:
-        _WORKER_SINK = previous_sink
-        _HEARTBEAT_EVERY_S = previous_heartbeat
     return merge_results(spec, results, workers=effective)
+
+
+def _fork_context():
+    """The ``fork`` multiprocessing context, or None where unavailable."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+def _drain_records(queue, telemetry: SweepTelemetry) -> Callable[[], None]:
+    """Feed the workers' pipe records to ``telemetry`` on a thread;
+    returns the function that stops the thread."""
+
+    def drain() -> None:
+        for record in iter(queue.get, None):
+            telemetry.handle(record)
+
+    thread = threading.Thread(
+        target=drain, name="repro-sweep-telemetry", daemon=True
+    )
+    thread.start()
+
+    def stop() -> None:
+        queue.put(None)
+        thread.join(timeout=5.0)
+
+    return stop
 
 
 def write_sweep_json(document: Dict[str, object], path: str) -> None:

@@ -19,9 +19,9 @@ Recognized file shapes (detected from content, not extension):
   — compared at the final window's cumulative values.
 * Benchmark JSON (``repro bench``, schema ``repro-bench/v1``) — one
   entry per benchmark value.
-* Profile JSON (``repro profile``, schema ``repro-profile/v1``) — one
-  entry per site for events and attributed wall seconds, plus the
-  run-level totals.
+* Profile JSON (``repro sim run --profile-out``, schema
+  ``repro-profile/v1``) — one entry per site for events and attributed
+  wall seconds, plus the run-level totals.
 * Ledger JSON (``--ledger-out``, schema ``repro-ledger/v1``) — counts
   plus every histogram's stats, summary quantiles, and cumulative
   per-bucket counts, so two ledgers compare quantile-by-quantile *and*

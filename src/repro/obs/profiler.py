@@ -27,7 +27,7 @@ mode — the profiler-determinism suite pins exactly that.
 Outputs: a ``repro-profile/v1`` JSON report (:meth:`report`), a
 collapsed-stack file any flamegraph tool consumes
 (:meth:`write_collapsed`), and a top-N hotspot table
-(:func:`render_profile_table`) behind ``repro profile``.
+(:func:`render_profile_table`) behind ``repro sim run --profile``.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ class AttributionProfiler:
     def profiled_call(self, record: list) -> None:
         """Execute one event record with attribution.
 
-        :meth:`Simulator.run` and :meth:`Simulator.step` call this in
-        place of the bare callback whenever a profiler is attached.
+        :meth:`Simulator.run` calls this in place of the bare callback
+        whenever a profiler is attached.
         """
         callback = record[3]
         self.events_seen += 1

@@ -23,8 +23,8 @@ processed`` instead of a per-event counter update.
 
 Counter visibility: ``now`` is exact at all times.  ``events_processed``
 (and therefore ``pending_events``) is kept in a run-loop local for speed
-and synced to the instance at every probe boundary, at ``step()``
-granularity, and on ``run()`` exit — i.e. it is exact everywhere
+and synced to the instance at every probe boundary and on ``run()``
+exit — i.e. it is exact everywhere
 telemetry reads it, and may lag only inside a single uninterrupted burst
 of event callbacks.
 """
@@ -376,8 +376,8 @@ class Simulator:
 
         Hooks fire immediately before any probe batch (so probes — and
         everything downstream of them: timeseries windows, live
-        telemetry samples — observe fully settled state), at the end of
-        every :meth:`step`, and when :meth:`run` returns.  Subsystems
+        telemetry samples — observe fully settled state) and when
+        :meth:`run` returns.  Subsystems
         that defer per-event work into batched updates (the medium's
         deferred energy accrual) register here so the deferral
         is invisible at every externally observable boundary.
@@ -414,45 +414,6 @@ class Simulator:
         self._next_probe_due = min(
             (p.next_due for p in probes), default=_INF
         )
-
-    def _peek_next_time(self) -> Optional[float]:
-        """Earliest live event time, draining tombstones on the way."""
-        queue = self._queue
-        while queue:
-            record = queue[0]
-            if not record[4]:
-                return record[0]
-            heappop(queue)
-        return None
-
-    def step(self) -> bool:
-        """Run the next pending event. Returns False if none remain."""
-        next_time = self._peek_next_time()
-        if next_time is None:
-            return False
-        self._fire_probes_until(next_time)
-        record = heappop(self._queue)
-        if record[0] < self._now:
-            raise SimulationError("event queue yielded a past event")
-        self._now = record[0]
-        self._events_processed += 1
-        interval = record[5]
-        if interval is None:
-            record[4] = None  # fired: a later cancel() must not count
-        if self._profiler is None:
-            record[3]()
-        else:
-            self._profiler.profiled_call(record)
-        if interval is not None and not record[4]:
-            record[0] += interval
-            sequence = self._sequence
-            self._sequence = sequence + 1
-            record[2] = sequence
-            heappush(self._queue, record)
-        for hook in self._sync_hooks:
-            hook()
-        return True
-
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
         """Run until the queue drains or the clock passes ``until``.

@@ -93,3 +93,43 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["trace"])
+
+
+class TestSimRunProfileFlags:
+    def test_profile_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "Classroom"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--profile-stride", "4"], ["--profile", "exact", "--profile-stride", "4"]],
+    )
+    def test_stride_without_sampling_exits_2(self, flags, capsys):
+        assert main(["sim", "run", "Classroom", "--duration", "2", *flags]) == 2
+        assert "--profile-stride needs --profile sampling" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flag", ["--profile-out", "--collapsed"])
+    def test_profile_outputs_without_profile_exit_2(self, flag, tmp_path, capsys):
+        path = tmp_path / "out"
+        assert main(["sim", "run", "Classroom", flag, str(path)]) == 2
+        assert "need --profile" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_profiling_leaves_the_metrics_export_unchanged(self, tmp_path):
+        from repro.obs.diff import diff_files
+
+        plain, profiled = tmp_path / "plain.prom", tmp_path / "profiled.prom"
+        base = ["sim", "run", "Classroom", "--duration", "5", "--clients", "4"]
+        assert main([*base, "--metrics-out", str(plain)]) == 0
+        assert main(
+            [*base, "--metrics-out", str(profiled), "--profile", "exact"]
+        ) == 0
+        result = diff_files(
+            str(plain), str(profiled), rel_tol=0.0, abs_tol=0.0,
+            ignore=("wall",),
+        )
+        assert result.ok(fail_on_missing=True)

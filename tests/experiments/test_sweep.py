@@ -292,6 +292,35 @@ class TestSweepTelemetry:
         assert health["cells_done"] == 2
         assert health["workers"] >= 1  # forked worker pids
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_live_gauges_agree_with_the_report(self, workers, monkeypatch):
+        """Once run_sweep returns, the fleet gauges count exactly the
+        cells the report holds — ok and failed alike."""
+        import repro.experiments.sweep as sweep_module
+        from repro.obs.metrics import MetricsRegistry
+
+        real_generate = sweep_module.generate_trace
+
+        def generate(scenario, seed=None):
+            if seed == 1:
+                raise ConfigurationError("seed 1 refused")
+            return real_generate(scenario, seed=seed)
+
+        # Patched before the fork, so the workers inherit it too.
+        monkeypatch.setattr(sweep_module, "generate_trace", generate)
+        telemetry = SweepTelemetry()
+        document = run_sweep(
+            _spec(seeds=(0, 1, 2)), workers=workers, telemetry=telemetry
+        )
+        registry = telemetry.collect_into(MetricsRegistry())
+        totals = document["totals"]
+        assert (totals["cells"], totals["failed"]) == (3, 1)
+        assert registry.get("repro_sweep_cells_done").value == totals["cells"]
+        assert (
+            registry.get("repro_sweep_cells_failed").value == totals["failed"]
+        )
+        assert registry.get("repro_sweep_cells_running").value == 0
+
     def test_collect_into_renders_fleet_gauges(self):
         from repro.obs.metrics import MetricsRegistry
 
@@ -305,11 +334,19 @@ class TestSweepTelemetry:
                 "events": 300, "wall_s": 0.1,
             }
         )
-        telemetry.handle(
+        telemetry.observe_entry(
             {
-                "type": "cell_done", "worker": 11, "ok": True,
-                "wall_s": 0.2, "events": 600,
-                "hot_sites": [("AP.tick", "event", 0.05, 400.0)],
+                "scenario": "Starbucks", "seed": 0, "events": 600,
+                "telemetry": {
+                    "worker": 11, "wall_s": 0.2,
+                    "profile": {
+                        "sites": [
+                            {"owner": "AP", "method": "tick",
+                             "kind": "event", "wall_s": 0.05,
+                             "events": 400.0},
+                        ],
+                    },
+                },
             }
         )
         registry = telemetry.collect_into(MetricsRegistry())
@@ -338,9 +375,9 @@ class TestSweepTelemetry:
 
     def test_failed_cell_counts_as_failed(self):
         telemetry = SweepTelemetry()
-        telemetry.handle(
-            {"type": "cell_done", "worker": 1, "ok": False,
-             "wall_s": 0.1, "events": 0}
+        telemetry.observe_entry(
+            {"scenario": "WML", "seed": 1, "error": "boom",
+             "telemetry": {"worker": 1, "wall_s": 0.1}}
         )
         health = telemetry.health()
         assert health["cells_failed"] == 1
@@ -445,3 +482,20 @@ class TestSweepCli:
         assert code == (1 if document_failed else 0)
         if document_failed:
             assert "failing cells:" in captured.err
+
+    def test_cli_bad_seed_list_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "Starbucks", "--seed-list", "1,a"])
+        assert exc.value.code == 2
+        assert "argument --seed-list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--profile-stride", "0"], ["--profile", "exact", "--profile-stride", "4"]],
+    )
+    def test_cli_stride_without_sampling_exits_2(self, flags, capsys):
+        code = cli_main(["sweep", "Starbucks", "--seeds", "1", *flags])
+        assert code == 2
+        assert "--profile-stride needs --profile sampling" in (
+            capsys.readouterr().err
+        )

@@ -5,7 +5,7 @@ and reorders none — so the same seeded scenario must produce the exact
 same determinism fingerprint with profiling off, in exact mode, and in
 sampling mode. These tests pin that, plus the attribution-sum
 acceptance check (per-site wall + scheduler overhead reconstructs the
-run wall) and the ``repro profile`` CLI surface.
+run wall) and the ``repro sim run --profile`` CLI surface.
 """
 
 import json
@@ -116,12 +116,11 @@ class TestProfileCli:
         folded = tmp_path / "stacks.folded"
         code = main(
             [
-                "profile", "Classroom",
+                "sim", "run", "Classroom",
                 "--duration", "8",
-                "--mode", "exact",
-                "--out", str(out),
+                "--profile", "exact",
+                "--profile-out", str(out),
                 "--collapsed", str(folded),
-                "--top", "5",
             ]
         )
         assert code == 0
@@ -146,8 +145,8 @@ class TestProfileCli:
         from repro.cli import main
 
         code = main(
-            ["profile", "Classroom", "--duration", "6",
-             "--mode", "sampling", "--stride", "8"]
+            ["sim", "run", "Classroom", "--duration", "6",
+             "--profile", "sampling", "--profile-stride", "8"]
         )
         assert code == 0
         assert "sampling, stride 8" in capsys.readouterr().out

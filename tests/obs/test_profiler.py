@@ -260,18 +260,6 @@ class TestEngineHooks:
         with pytest.raises(SimulationError):
             sim.attach_profiler(AttributionProfiler())
 
-    def test_step_routes_through_profiler(self):
-        sim = Simulator()
-        profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
-        sim.attach_profiler(profiler)
-        widget = Widget()
-        sim.post(0.0, widget.tick)
-        sim.step()
-        assert widget.calls == 1
-        assert profiler.events_seen == 1
-        (site,) = profiler.sites
-        assert (site[0], site[1]) == ("Widget", "tick")
-
     def test_run_attributes_recurring_timers(self):
         sim = Simulator()
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))

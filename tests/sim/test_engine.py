@@ -113,13 +113,6 @@ class TestCancellation:
         assert sim.events_cancelled == 0
         assert not handle.cancelled
 
-    def test_cancel_after_step_is_a_no_op(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        assert sim.step()
-        handle.cancel()
-        assert (sim.pending_events, sim.events_cancelled) == (0, 0)
-
     def test_self_cancel_while_firing_is_a_no_op(self):
         sim = Simulator()
         handles = []
@@ -234,10 +227,6 @@ class TestRun:
         sim.run(until=10.0)
         assert sim.now == 10.0
 
-    def test_step_returns_false_when_empty(self):
-        sim = Simulator()
-        assert not sim.step()
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for _ in range(4):
@@ -277,7 +266,7 @@ class TestObservability:
         handles[0].cancel()
         handles[1].cancel()
         assert sim.pending_events == 3
-        sim.step()  # fires t=3 (the first live event)
+        sim.run(until=3.0)  # fires t=3 (the first live event)
         assert sim.pending_events == 2
         sim.run()
         assert sim.pending_events == 0
