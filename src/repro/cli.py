@@ -28,8 +28,8 @@ Commands:
 * ``sweep`` — sharded seed/scenario sweeps with per-cell progress
   lines, optional per-run profiling (``--profile``), and a live
   fleet-telemetry endpoint (``--serve-metrics``).
-* ``bench`` — the telemetry benchmark suite; writes
-  ``BENCH_telemetry.json`` for ``obs diff``.
+* ``bench`` — the observer attach-cost contracts (telemetry, ledger,
+  sampling profiler); writes ``BENCH_telemetry.json`` for ``obs diff``.
 * ``serve`` — the stand-alone async AP port-service: live Port
   Messages over UDP into sharded port tables, per-DTIM TTL expiry
   and Algorithm 1, ``/metrics`` + ``/healthz``.
@@ -186,9 +186,9 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
                 print(module.render())
             print("=" * 72)
         return 0
-    from repro.obs import default_registry
+    from repro.obs import MetricsRegistry
 
-    registry = default_registry() if args.metrics_out else None
+    registry = MetricsRegistry() if args.metrics_out else None
     tracer = _make_tracer(args.trace_log)
     try:
         print(runner.run_all(tracer=tracer, registry=registry))
@@ -484,16 +484,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_summarize(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import render_summary, summarize_trace
 
-    try:
-        summary = summarize_trace(args.trace_log)
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.trace_log} is not a JSONL trace log: {exc}",
-              file=sys.stderr)
-        return 2
+    summary = summarize_trace(args.trace_log)
     if summary.skipped_lines:
         print(
             f"warning: skipped {summary.skipped_lines} malformed line(s) "
@@ -952,7 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo.set_defaults(func=cmd_obs_slo)
 
     bench = commands.add_parser(
-        "bench", help="telemetry benchmark suite (engine, Algorithm 1, obs overhead)"
+        "bench",
+        help="observer attach-cost contracts (telemetry, ledger, profiler)",
     )
     bench.add_argument(
         "--quick", action="store_true",

@@ -32,4 +32,6 @@ class DsssParameterElement(InformationElement):
     def from_payload(cls, payload: bytes) -> "DsssParameterElement":
         if len(payload) != 1:
             raise FrameDecodeError("DSSS parameter set needs exactly 1 byte")
+        if not 1 <= payload[0] <= 14:
+            raise FrameDecodeError(f"DSSS channel out of range: {payload[0]}")
         return cls(payload[0])

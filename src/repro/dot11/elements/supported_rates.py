@@ -47,4 +47,11 @@ class SupportedRatesElement(InformationElement):
     def from_payload(cls, payload: bytes) -> "SupportedRatesElement":
         if not payload:
             raise FrameDecodeError("empty supported rates element")
-        return cls(tuple((b & 0x7F) / 2 for b in payload))
+        if len(payload) > 8:
+            raise FrameDecodeError(
+                f"supported rates element carries {len(payload)} rates (max 8)"
+            )
+        units = tuple(b & 0x7F for b in payload)
+        if 0 in units:
+            raise FrameDecodeError("supported rates element has a zero rate")
+        return cls(tuple(unit / 2 for unit in units))

@@ -13,9 +13,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
-    default_registry,
     series_key,
-    set_default_registry,
 )
 from repro.obs.tracing import (
     JsonlTracer,
@@ -114,7 +112,6 @@ __all__ = [
     "merge_profiles",
     "render_profile_table",
     "write_profile_json",
-    "default_registry",
     "diff_files",
     "diff_metrics",
     "dtim_window_s",
@@ -133,7 +130,6 @@ __all__ = [
     "render_slo",
     "render_summary",
     "series_key",
-    "set_default_registry",
     "summarize_trace",
     "tracer_to_string_buffer",
     "write_ledger_json",

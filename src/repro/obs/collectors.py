@@ -13,14 +13,13 @@ Naming follows Prometheus conventions: ``repro_<component>_<what>`` with
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import MetricsRegistry
 
 
-def collect_simulator(sim, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+def collect_simulator(sim, registry: MetricsRegistry) -> MetricsRegistry:
     """Engine health: throughput, queue depth, wall time per sim second."""
-    registry = registry if registry is not None else default_registry()
     registry.counter(
         "repro_sim_events_processed_total", "Events popped and executed"
     ).set_total(sim.events_processed)
@@ -58,7 +57,7 @@ def collect_simulator(sim, registry: Optional[MetricsRegistry] = None) -> Metric
 
 
 def collect_profiler(
-    profiler, registry: Optional[MetricsRegistry] = None
+    profiler, registry: MetricsRegistry
 ) -> MetricsRegistry:
     """Attribution-profiler state: per-site wall time and event counts.
 
@@ -67,7 +66,6 @@ def collect_profiler(
     end-of-run collection that determinism fingerprints hash
     (:func:`collect_all` deliberately knows nothing about profilers).
     """
-    registry = registry if registry is not None else default_registry()
     registry.counter(
         "repro_profile_events_total",
         "Events executed under the attribution profiler",
@@ -103,7 +101,7 @@ def collect_profiler(
 
 
 def collect_delivery(
-    medium, registry: Optional[MetricsRegistry] = None
+    medium, registry: MetricsRegistry
 ) -> MetricsRegistry:
     """Delivery internals: slot columns and accrual batching.
 
@@ -114,7 +112,6 @@ def collect_delivery(
     fingerprints hash.  Reads state without settling it, so it is safe
     from scrape threads.
     """
-    registry = registry if registry is not None else default_registry()
     radios = medium.radio_array
     registry.gauge(
         "repro_delivery_slots", "Client radio slots currently bound"
@@ -146,9 +143,8 @@ def collect_delivery(
     return registry
 
 
-def collect_medium(medium, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+def collect_medium(medium, registry: MetricsRegistry) -> MetricsRegistry:
     """Channel accounting: airtime by frame kind, queueing, drops."""
-    registry = registry if registry is not None else default_registry()
     registry.counter(
         "repro_medium_transmissions_total", "Frames delivered on the channel"
     ).set_total(medium.transmissions_completed)
@@ -187,9 +183,8 @@ def collect_medium(medium, registry: Optional[MetricsRegistry] = None) -> Metric
     return registry
 
 
-def collect_access_point(ap, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+def collect_access_point(ap, registry: MetricsRegistry) -> MetricsRegistry:
     """AP activity: beaconing, buffering, Algorithm 1, the port table."""
-    registry = registry if registry is not None else default_registry()
     labels = {"ap": str(ap.mac)}
     counters = ap.counters
     for field_name, help_text in (
@@ -257,7 +252,7 @@ def collect_access_point(ap, registry: Optional[MetricsRegistry] = None) -> Metr
     return registry
 
 
-def collect_client(client, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+def collect_client(client, registry: MetricsRegistry) -> MetricsRegistry:
     """Station activity: wakeups, suspend churn, wakelock time, frames.
 
     Tolerates components in any lifecycle state: a client that crashed
@@ -266,7 +261,6 @@ def collect_client(client, registry: Optional[MetricsRegistry] = None) -> Metric
     crash/rejoin instead of forking a second one (or worse, the
     pre-crash series going silently stale).
     """
-    registry = registry if registry is not None else default_registry()
     labels = {"client": str(client.mac)}
     aid = client.aid if client.aid is not None else getattr(client, "last_aid", None)
     if aid is not None:
@@ -338,14 +332,13 @@ def collect_client(client, registry: Optional[MetricsRegistry] = None) -> Metric
 
 
 def collect_all(
-    registry: Optional[MetricsRegistry] = None,
+    registry: MetricsRegistry,
     simulator=None,
     medium=None,
     access_points: Iterable = (),
     clients: Iterable = (),
 ) -> MetricsRegistry:
     """One-call collection over every component of a DES run."""
-    registry = registry if registry is not None else default_registry()
     if simulator is not None:
         collect_simulator(simulator, registry)
     if medium is not None:

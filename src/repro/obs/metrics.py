@@ -1,10 +1,9 @@
 """Zero-dependency metrics primitives: Counter and Gauge.
 
 A :class:`MetricsRegistry` owns named metric families; each family holds
-one series per distinct label set. Experiments that run in parallel (or
-tests that must not see each other's numbers) construct their own
-registry; everything else shares the process-global default obtained
-from :func:`default_registry`.
+one series per distinct label set. Every run, test or command that
+exports metrics constructs its own registry; there is no process-global
+one.
 
 The simulator's hot paths never talk to a registry directly — entities
 keep their existing plain-attribute counters and the
@@ -197,22 +196,3 @@ class MetricsRegistry:
             }
             for metric in self.collect()
         ]
-
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-global registry (one per interpreter)."""
-    return _DEFAULT_REGISTRY
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the global registry; returns the previous one.
-
-    Lets parallel experiments (or tests) install an isolated registry
-    around a run and restore the old one afterwards.
-    """
-    global _DEFAULT_REGISTRY
-    previous = _DEFAULT_REGISTRY
-    _DEFAULT_REGISTRY = registry
-    return previous

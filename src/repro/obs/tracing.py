@@ -211,18 +211,20 @@ def read_trace_jsonl_lenient(
 
     Returns ``(records, skipped)`` where ``skipped`` counts lines that
     were not valid JSON objects — typically a truncated final line from
-    a run that was killed mid-write. With ``strict=True`` the first bad
-    line raises ``json.JSONDecodeError`` instead (the legacy behaviour
-    behind :func:`read_trace_jsonl`).
+    a run that was killed mid-write, or a line that is not UTF-8. With
+    ``strict=True`` the first bad line raises instead (the legacy
+    behaviour behind :func:`read_trace_jsonl`).
     """
     if isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as stream:
+        # Binary, so one undecodable line is skipped on its own instead of
+        # aborting the whole read.
+        with open(source, "rb") as stream:
             return _read_records(stream, strict)
     return _read_records(source, strict)
 
 
 def _read_records(
-    stream: IO[str], strict: bool
+    stream: "IO[Any]", strict: bool
 ) -> "tuple[List[Dict[str, Any]], int]":
     records: List[Dict[str, Any]] = []
     skipped = 0
@@ -231,8 +233,10 @@ def _read_records(
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record = json.loads(
+                line.decode("utf-8") if isinstance(line, bytes) else line
+            )
+        except (json.JSONDecodeError, UnicodeDecodeError):
             if strict:
                 raise
             skipped += 1

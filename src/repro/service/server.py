@@ -119,7 +119,6 @@ class PortService:
         self.socket_errors = 0
         self.flags_computed_total = 0
         self.algorithm1_runs = 0
-        self.algorithm1_wall_s = 0.0
         self._start_wall = 0.0
         self._epoch = 0.0
         self._sock: Optional[socket.socket] = None
@@ -347,13 +346,11 @@ class PortService:
             for shard in self.shards:
                 shard.expire(now)
             frames = self.feed.next_batch()
-            start = time.perf_counter()
             flagged = 0
             if frames:
                 for shard in self.shards:
                     for table in shard.tables.values():
                         flagged += len(compute_broadcast_flags(frames, table))
-            self.algorithm1_wall_s += time.perf_counter() - start
             self.algorithm1_runs += 1
             self.flags_computed_total += flagged
 

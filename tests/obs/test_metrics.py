@@ -6,9 +6,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     MetricsRegistry,
-    default_registry,
     series_key,
-    set_default_registry,
 )
 
 
@@ -99,19 +97,6 @@ class TestRegistry:
             {"name": "repro_c", "kind": "counter", "labels": {"x": "1"}, "value": 2.0},
             {"name": "repro_g", "kind": "gauge", "labels": {}, "value": -1.5},
         ]
-
-
-class TestDefaultRegistry:
-    def test_swap_and_restore(self):
-        isolated = MetricsRegistry()
-        previous = set_default_registry(isolated)
-        try:
-            assert default_registry() is isolated
-            default_registry().counter("repro_swap_total").inc()
-            assert previous.get("repro_swap_total") is None
-        finally:
-            assert set_default_registry(previous) is isolated
-        assert default_registry() is previous
 
 
 class TestNameValidation:

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.cli import main
 from repro.obs.summarize import SpanStats, render_summary, summarize_trace
 from repro.obs.tracing import tracer_to_string_buffer
 
@@ -115,6 +116,20 @@ class TestLenientParsing:
         dirty = io.StringIO(buffer.getvalue() + "{truncat")
         text = render_summary(summarize_trace(dirty))
         assert "skipped 1 malformed line" in text
+
+    def test_undecodable_line_skipped_and_cli_exits_0(self, tmp_path, capsys):
+        lines = _sample_trace().getvalue().encode("utf-8").splitlines(True)
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(lines[0] + b"\xff\xfe{\"name\": \"x\"}\n" + lines[1])
+        summary = summarize_trace(str(path))
+        assert summary.record_count == 2
+        assert summary.skipped_lines == 1
+        with pytest.raises(UnicodeDecodeError):
+            summarize_trace(str(path), strict=True)
+        assert main(["obs", "summarize", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "trace log: 2 records" in captured.out
+        assert "skipped 1 malformed line" in captured.err
 
     def test_render_has_no_warning_when_clean(self):
         text = render_summary(summarize_trace(_sample_trace()))

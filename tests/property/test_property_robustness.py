@@ -6,7 +6,7 @@ raise :class:`FrameDecodeError` — no other exception may escape.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dot11.association_frames import AssociationRequest, AssociationResponse
@@ -70,6 +70,9 @@ class TestRandomBytes:
 
     @given(st.binary(max_size=300))
     @settings(max_examples=100)
+    @example(b"\x01\x01\x00")  # Supported Rates with a zero rate
+    @example(b"\x01\x09" + b"\x82" * 9)  # Supported Rates with 9 rates
+    @example(b"\x03\x01\x00")  # DSSS channel 0
     def test_element_stream_parser(self, data):
         try:
             parse_elements(data)
