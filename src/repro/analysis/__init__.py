@@ -19,11 +19,9 @@ from repro.analysis.sensitivity import (
     sweep_wakelock_timeout,
     sweep_dtim_period,
     sweep_report_interval,
-    sweep_useful_fraction,
     TauSweepPoint,
     DtimSweepPoint,
     ReportIntervalPoint,
-    FractionSweepPoint,
 )
 from repro.analysis.breakeven import BreakevenResult, find_breakeven
 from repro.analysis.hash_timing import (
@@ -47,11 +45,9 @@ __all__ = [
     "sweep_wakelock_timeout",
     "sweep_dtim_period",
     "sweep_report_interval",
-    "sweep_useful_fraction",
     "TauSweepPoint",
     "DtimSweepPoint",
     "ReportIntervalPoint",
-    "FractionSweepPoint",
     "BreakevenResult",
     "find_breakeven",
 ]

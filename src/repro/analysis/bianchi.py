@@ -21,7 +21,6 @@ with T_s, T_c the success/collision slot durations for basic access.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.analysis.netconfig import DOT11B_CONFIG, NetworkConfig

@@ -15,7 +15,6 @@ the RTT) and that t₁ ≫ t₂ at the swept settings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 from repro.analysis.hash_timing import CALIBRATED_AP_TIMINGS, HashTimingModel
 from repro.errors import ConfigurationError
@@ -98,45 +97,3 @@ class DelayAnalysis:
             refresh_time_s=refresh_time,
             lookup_time_s=lookup_time,
         )
-
-    def sweep_intervals(
-        self,
-        station_counts: Sequence[int],
-        intervals_s: Sequence[float],
-        open_ports_per_client: int = 50,
-        hide_fraction: float = 0.5,
-        buffered_frames_per_dtim: float = 10.0,
-    ) -> List[DelayResult]:
-        """Figure 11: vary the UDP Port Message sending interval."""
-        return [
-            self.evaluate(
-                stations,
-                hide_fraction=hide_fraction,
-                port_message_interval_s=interval,
-                open_ports_per_client=open_ports_per_client,
-                buffered_frames_per_dtim=buffered_frames_per_dtim,
-            )
-            for interval in intervals_s
-            for stations in station_counts
-        ]
-
-    def sweep_open_ports(
-        self,
-        station_counts: Sequence[int],
-        port_counts: Sequence[int],
-        port_message_interval_s: float = 30.0,
-        hide_fraction: float = 0.5,
-        buffered_frames_per_dtim: float = 10.0,
-    ) -> List[DelayResult]:
-        """Figure 12: vary the number of open UDP ports per client."""
-        return [
-            self.evaluate(
-                stations,
-                hide_fraction=hide_fraction,
-                port_message_interval_s=port_message_interval_s,
-                open_ports_per_client=ports,
-                buffered_frames_per_dtim=buffered_frames_per_dtim,
-            )
-            for ports in port_counts
-            for stations in station_counts
-        ]

@@ -9,7 +9,7 @@ those knobs do — the ablations DESIGN.md commits to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.analysis.delay import DelayAnalysis
 from repro.energy.model import HideOverheadParams
@@ -22,7 +22,6 @@ from repro.traces.generators import generate_trace
 from repro.traces.scenarios import ScenarioSpec
 from repro.traces.trace import BroadcastTrace
 from repro.traces.usefulness import UsefulnessAssignment, clustered_fraction_mask
-from repro.units import BEACON_INTERVAL_S
 
 
 @dataclass(frozen=True)
@@ -156,40 +155,6 @@ def sweep_report_interval(
                 interval_s=interval,
                 overhead_power_w=message_power,
                 delay_increase=result.delay_increase,
-            )
-        )
-    return points
-
-
-@dataclass(frozen=True)
-class FractionSweepPoint:
-    fraction: float
-    achieved_fraction: float
-    hide: SolutionResult
-    saving: float
-
-
-def sweep_useful_fraction(
-    trace: BroadcastTrace,
-    profile: DeviceEnergyProfile,
-    fractions: Sequence[float],
-    mask_seed: int = 42,
-) -> List[FractionSweepPoint]:
-    """A finer-grained version of the Figures 7/8 x-axis."""
-    if not fractions:
-        raise ConfigurationError("need at least one fraction")
-    baseline_mask = clustered_fraction_mask(trace, max(fractions), seed=mask_seed)
-    baseline = ReceiveAllSolution().evaluate(trace, baseline_mask, profile)
-    points = []
-    for fraction in fractions:
-        assignment = clustered_fraction_mask(trace, fraction, seed=mask_seed)
-        hide = HideSolution().evaluate(trace, assignment, profile)
-        points.append(
-            FractionSweepPoint(
-                fraction=fraction,
-                achieved_fraction=assignment.achieved_fraction,
-                hide=hide,
-                saving=hide.savings_vs(baseline),
             )
         )
     return points

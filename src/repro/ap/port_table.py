@@ -10,7 +10,7 @@ counts delete/insert/lookup operations and can time them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.dot11.pvb import MAX_AID

@@ -44,7 +44,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import CapacityAnalysis, DelayAnalysis
-from repro.energy.profile import ALL_PROFILES, GALAXY_S4, NEXUS_ONE
+from repro.energy.profile import GALAXY_S4, NEXUS_ONE
 from repro.errors import ConfigurationError, ReproError
 from repro.reporting import render_cdf, render_table
 from repro.solutions import ClientSideSolution, HideSolution, ReceiveAllSolution
@@ -252,16 +252,67 @@ def _add_profile_flags(
     )
 
 
+def _add_des_flags(
+    parser: argparse.ArgumentParser,
+    duration: float,
+    fault_plan_help: str,
+    check_invariants_help: str,
+    serve_metrics_help: str,
+) -> None:
+    """The DES flags ``sim run`` and ``sweep`` share (read by
+    :func:`_des_run_config`); help differs only where the meaning does."""
+    parser.add_argument(
+        "--policy", choices=["receive-all", "client-side", "hide"],
+        default="hide",
+    )
+    parser.add_argument("--clients", type=int, default=3)
+    parser.add_argument("--fraction", type=float, default=0.10)
+    parser.add_argument(
+        "--duration", type=float, default=duration,
+        help="simulated seconds per run (capped at the trace duration)",
+    )
+    parser.add_argument("--dtim-period", type=int, default=1)
+    parser.add_argument(
+        "--fault-plan", default=None, metavar="SPEC", help=fault_plan_help
+    )
+    parser.add_argument(
+        "--check-invariants", action="store_true", help=check_invariants_help
+    )
+    parser.add_argument(
+        "--no-recovery", action="store_true",
+        help="disable the client loss-recovery protocol under a fault plan",
+    )
+    parser.add_argument(
+        "--serve-metrics", type=int, default=None, metavar="PORT",
+        help=serve_metrics_help,
+    )
+
+
+def _des_run_config(args: argparse.Namespace, **settings):
+    """A DesRunConfig from the :func:`_add_des_flags` flags plus
+    ``settings`` (the fields only one command sets)."""
+    from repro.experiments.des_run import DesRunConfig
+    from repro.station.client import ClientPolicy
+
+    return DesRunConfig(
+        policy=ClientPolicy(args.policy),
+        client_count=args.clients,
+        useful_fraction=args.fraction,
+        duration_s=args.duration,
+        dtim_period=args.dtim_period,
+        check_invariants=args.check_invariants,
+        recovery=not args.no_recovery,
+        **settings,
+    )
+
+
 def cmd_sim_run(args: argparse.Namespace) -> int:
     from repro.experiments.des_run import (
         CLIENT_SUMMARY_HEADERS,
-        DesRunConfig,
         TelemetryConfig,
         client_summary_rows,
         prepare_trace_des,
     )
-    from repro.station.client import ClientPolicy
-
     from repro.faults import FaultPlan
     from repro.sim.invariants import InvariantViolation
 
@@ -292,17 +343,11 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
             window=window,
             serve_port=args.serve_metrics,
         )
-    config = DesRunConfig(
-        policy=ClientPolicy(args.policy),
-        client_count=args.clients,
-        useful_fraction=args.fraction,
-        duration_s=args.duration,
+    config = _des_run_config(
+        args,
         profile=profile,
-        dtim_period=args.dtim_period,
         hide_ap=not args.no_hide_ap,
         fault_plan=fault_plan,
-        check_invariants=args.check_invariants,
-        recovery=not args.no_recovery,
         port_entry_ttl_s=args.port_ttl,
         port_refresh_interval_s=args.port_refresh,
         telemetry=telemetry,
@@ -408,7 +453,6 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.des_run import DesRunConfig
     from repro.experiments.sweep import (
         SweepSpec,
         SweepTelemetry,
@@ -417,18 +461,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_sweep,
         write_sweep_json,
     )
-    from repro.station.client import ClientPolicy
 
-    config = DesRunConfig(
-        policy=ClientPolicy(args.policy),
-        client_count=args.clients,
-        useful_fraction=args.fraction,
-        duration_s=args.duration,
-        dtim_period=args.dtim_period,
-        check_invariants=args.check_invariants,
-        recovery=not args.no_recovery,
-        profiler=_profiler_config(args),
-    )
+    config = _des_run_config(args, profiler=_profiler_config(args))
     spec = SweepSpec(
         scenarios=tuple(args.scenarios),
         seeds=tuple(range(args.seeds)) if args.seed_list is None
@@ -696,34 +730,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", default=None, metavar="NAME",
         help="scenario name (alternative to the positional source)",
     )
-    sim_run.add_argument(
-        "--policy",
-        choices=["receive-all", "client-side", "hide"],
-        default="hide",
+    _add_des_flags(
+        sim_run,
+        duration=60.0,
+        fault_plan_help="seeded fault plan: a JSON file path or an inline "
+        "spec like 'loss=0.1,beacon=0.02,seed=7,crash=0@5:15' (capitalized "
+        "keys override loss per frame kind)",
+        check_invariants_help="run the invariant suite during and after the "
+        "simulation (exit 3 on violation)",
+        serve_metrics_help="serve live /metrics, /timeseries, and /healthz on "
+        "this port during the run (0 = pick an ephemeral port)",
     )
-    sim_run.add_argument("--clients", type=int, default=3)
-    sim_run.add_argument("--fraction", type=float, default=0.10)
     sim_run.add_argument("--device", choices=sorted(_DEVICES), default="nexus-one")
-    sim_run.add_argument(
-        "--duration", type=float, default=60.0,
-        help="simulated seconds (capped at the trace duration)",
-    )
-    sim_run.add_argument("--dtim-period", type=int, default=1)
-    sim_run.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
-        help="seeded fault plan: a JSON file path or an inline spec like "
-             "'loss=0.1,beacon=0.02,seed=7,crash=0@5:15' "
-             "(capitalized keys override loss per frame kind)",
-    )
-    sim_run.add_argument(
-        "--check-invariants", action="store_true",
-        help="run the invariant suite during and after the simulation "
-             "(exit 3 on violation)",
-    )
-    sim_run.add_argument(
-        "--no-recovery", action="store_true",
-        help="disable the client loss-recovery protocol under a fault plan",
-    )
     sim_run.add_argument(
         "--port-ttl", type=float, default=None, metavar="SECONDS",
         help="AP refresh-timer TTL for Client UDP Port Table entries",
@@ -743,11 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_run.add_argument(
         "--trace-log", help="write structured events/spans as JSONL"
-    )
-    sim_run.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve live /metrics, /timeseries, and /healthz on this "
-             "port during the run (0 = pick an ephemeral port)",
     )
     sim_run.add_argument(
         "--timeseries-out", metavar="PATH",
@@ -825,30 +838,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = in-process; report is identical "
              "either way)",
     )
-    sweep.add_argument(
-        "--policy", choices=["receive-all", "client-side", "hide"],
-        default="hide",
-    )
-    sweep.add_argument("--clients", type=int, default=3)
-    sweep.add_argument("--fraction", type=float, default=0.10)
-    sweep.add_argument(
-        "--duration", type=float, default=10.0,
-        help="simulated seconds per run (capped at trace duration)",
-    )
-    sweep.add_argument("--dtim-period", type=int, default=1)
-    sweep.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
-        help="fault-plan spec applied to every run with its seed "
-             "replaced by the run's trace seed",
-    )
-    sweep.add_argument(
-        "--check-invariants", action="store_true",
-        help="arm the invariant suite in every run; violations become "
-             "failing cells, not aborts",
-    )
-    sweep.add_argument(
-        "--no-recovery", action="store_true",
-        help="disable client loss recovery under the fault plan",
+    _add_des_flags(
+        sweep,
+        duration=10.0,
+        fault_plan_help="fault-plan spec applied to every run with its seed "
+        "replaced by the run's trace seed",
+        check_invariants_help="arm the invariant suite in every run; "
+        "violations become failing cells, not aborts",
+        serve_metrics_help="serve live fleet telemetry (/metrics + /healthz) "
+        "on this port while the sweep runs (0 = ephemeral port): cells "
+        "done/failed, per-worker throughput, profiler hot totals",
     )
     sweep.add_argument(
         "--out", default=None, metavar="PATH",
@@ -857,12 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--timeseries-dir", default=None, metavar="DIR",
         help="write one windowed timeseries dump per run into DIR",
-    )
-    sweep.add_argument(
-        "--serve-metrics", type=int, default=None, metavar="PORT",
-        help="serve live fleet telemetry (/metrics + /healthz) on this "
-             "port while the sweep runs (0 = ephemeral port): cells "
-             "done/failed, per-worker throughput, profiler hot totals",
     )
     _add_profile_flags(
         sweep,

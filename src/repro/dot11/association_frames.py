@@ -10,9 +10,8 @@ the two top bits set, as the 802.11 AID field requires).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from typing import FrozenSet
 
 from repro.dot11.elements.open_udp_ports import OpenUdpPortsElement
 from repro.dot11.elements.ssid import SsidElement

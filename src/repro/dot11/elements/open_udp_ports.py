@@ -9,7 +9,7 @@ suspend mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable
+from typing import FrozenSet
 
 from repro.dot11.information_element import (
     ELEMENT_ID_OPEN_UDP_PORTS,
@@ -45,10 +45,6 @@ class OpenUdpPortsElement(InformationElement):
                 f"{len(self.ports)} ports exceed the {MAX_PORTS_PER_ELEMENT}-port "
                 "element capacity; split across multiple elements"
             )
-
-    @classmethod
-    def from_ports(cls, ports: Iterable[int]) -> "OpenUdpPortsElement":
-        return cls(frozenset(ports))
 
     def payload_bytes(self) -> bytes:
         return b"".join(port.to_bytes(2, "big") for port in sorted(self.ports))

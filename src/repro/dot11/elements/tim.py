@@ -11,7 +11,7 @@ octets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable
+from typing import FrozenSet
 
 from repro.dot11 import pvb
 from repro.dot11.information_element import (

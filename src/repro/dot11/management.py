@@ -11,7 +11,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.dot11.elements.btim import BtimElement
 from repro.dot11.elements.dsss import DsssParameterElement

@@ -9,7 +9,6 @@ Legacy stations skip the unknown element, exactly as with beacons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.dot11.elements.btim import BtimElement
 from repro.dot11.elements.dsss import DsssParameterElement

@@ -60,30 +60,6 @@ def compress_bitmap(bitmap: bytes) -> Tuple[int, bytes]:
     return offset, head[offset:]
 
 
-def expand_bitmap(offset: int, partial: bytes) -> bytes:
-    """Inverse of :func:`compress_bitmap`: rebuild the full bitmap."""
-    if offset < 0 or offset % 2:
-        raise FrameEncodeError(f"bitmap offset must be even and non-negative: {offset}")
-    if offset + len(partial) > FULL_BITMAP_OCTETS:
-        raise FrameEncodeError("partial bitmap extends past the virtual bitmap")
-    bitmap = bytearray(FULL_BITMAP_OCTETS)
-    bitmap[offset : offset + len(partial)] = partial
-    return bytes(bitmap)
-
-
-def aid_is_set(offset: int, partial: bytes, aid: int) -> bool:
-    """True if the bit for ``aid`` is set in a compressed bitmap.
-
-    This is the per-client check a station runs against a received
-    TIM/BTIM without expanding the whole bitmap.
-    """
-    _check_aid(aid)
-    octet_index = aid // 8 - offset
-    if not 0 <= octet_index < len(partial):
-        return False
-    return bool(partial[octet_index] & (1 << (aid % 8)))
-
-
 def aids_in_bitmap(offset: int, partial: bytes) -> Set[int]:
     """All AIDs whose bits are set in a compressed bitmap."""
     aids: Set[int] = set()

@@ -19,13 +19,7 @@ from repro.energy.dynamics import FrameDynamics, FrameEvent, derive_frame_dynami
 from repro.energy.model import EnergyModel, HideOverheadParams
 from repro.energy.timeline import PowerTimeline, build_timeline
 from repro.energy.meter import ClientEnergyMeter, MeteredEnergy
-from repro.energy.battery import (
-    Battery,
-    GALAXY_S4_BATTERY,
-    NEXUS_ONE_BATTERY,
-    StandbyProjection,
-    project_standby,
-)
+from repro.energy.battery import Battery, GALAXY_S4_BATTERY, NEXUS_ONE_BATTERY
 
 __all__ = [
     "DeviceEnergyProfile",
@@ -45,6 +39,4 @@ __all__ = [
     "Battery",
     "GALAXY_S4_BATTERY",
     "NEXUS_ONE_BATTERY",
-    "StandbyProjection",
-    "project_standby",
 ]

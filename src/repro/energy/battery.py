@@ -1,17 +1,13 @@
-"""Battery arithmetic: turning average power into standby-life terms.
+"""Battery arithmetic: turning average power into hours of drain.
 
-The paper reports mW; what a user feels is hours. This module converts
-breakdowns into battery-drain projections, including the platform's
-suspend-mode floor (P_ss) that the paper's five components deliberately
-exclude — without it, "days of standby" would be wildly optimistic.
+The paper reports mW; what a user feels is hours. :class:`Battery`
+converts a constant draw into time-to-empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.energy.components import EnergyBreakdown
-from repro.energy.profile import DeviceEnergyProfile
 from repro.errors import ConfigurationError
 
 
@@ -38,58 +34,7 @@ class Battery:
             raise ConfigurationError("power must be positive")
         return self.capacity_j / power_w / 3600
 
-    def fraction_per_day(self, power_w: float) -> float:
-        """Battery fraction consumed per 24 h at a constant draw."""
-        if power_w < 0:
-            raise ConfigurationError("power must be non-negative")
-        return power_w * 86_400 / self.capacity_j
-
 
 #: The Nexus One ships a 1400 mAh battery; the Galaxy S4 a 2600 mAh one.
 NEXUS_ONE_BATTERY = Battery(capacity_mah=1400)
 GALAXY_S4_BATTERY = Battery(capacity_mah=2600)
-
-
-@dataclass(frozen=True)
-class StandbyProjection:
-    """Standby life with broadcast handling on top of the platform floor."""
-
-    battery: Battery
-    broadcast_power_w: float
-    platform_floor_w: float
-
-    @property
-    def total_power_w(self) -> float:
-        return self.broadcast_power_w + self.platform_floor_w
-
-    @property
-    def standby_hours(self) -> float:
-        return self.battery.drain_hours(self.total_power_w)
-
-    @property
-    def broadcast_share(self) -> float:
-        """What fraction of standby drain broadcast handling causes."""
-        return self.broadcast_power_w / self.total_power_w
-
-
-def project_standby(
-    breakdown: EnergyBreakdown,
-    profile: DeviceEnergyProfile,
-    battery: Battery,
-    suspend_fraction: float = 1.0,
-) -> StandbyProjection:
-    """Project standby life for a breakdown measured on ``profile``.
-
-    ``suspend_fraction`` scales the platform floor: P_ss applies while
-    suspended; awake time's platform cost is already inside the
-    breakdown's wakelock/state-transfer components.
-    """
-    if not 0.0 <= suspend_fraction <= 1.0:
-        raise ConfigurationError(
-            f"suspend fraction must be in [0, 1]: {suspend_fraction}"
-        )
-    return StandbyProjection(
-        battery=battery,
-        broadcast_power_w=breakdown.average_power_w,
-        platform_floor_w=profile.suspend_power_w * suspend_fraction,
-    )

@@ -49,10 +49,6 @@ class PowerTimeline:
             return 0.0
         return self.time_in_state(PowerState.SUSPENDED) / self.duration_s
 
-    @property
-    def awake_fraction(self) -> float:
-        return 1.0 - self.suspend_fraction
-
     def count_segments(self, state: PowerState) -> int:
         return sum(1 for s in self.segments if s.state is state)
 

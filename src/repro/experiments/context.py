@@ -7,10 +7,9 @@ modules that share them (Figures 6-9 and the headline check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.energy import DeviceEnergyProfile, GALAXY_S4, NEXUS_ONE
+from repro.energy import DeviceEnergyProfile
 from repro.solutions import (
     ClientSideSolution,
     HideSolution,

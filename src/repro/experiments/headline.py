@@ -14,10 +14,9 @@ Claims (abstract + §VI + §VIII):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis import CapacityAnalysis, DelayAnalysis
-from repro.energy import GALAXY_S4, NEXUS_ONE
 from repro.experiments.context import EvaluationContext, default_context
 from repro.experiments import figure7, figure8
 from repro.reporting import render_table

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict
 
-from repro.faults.plan import BEACON_KIND, FaultPlan
+from repro.faults.plan import FaultPlan
 
 
 class FaultInjector:
@@ -65,6 +65,3 @@ class FaultInjector:
         if self.plan.clock_jitter_s <= 0.0:
             return 0.0
         return self._jitter_rng.random() * self.plan.clock_jitter_s
-
-    def is_beacon_kind(self, kind: str) -> bool:
-        return kind == BEACON_KIND

@@ -39,6 +39,20 @@ def _check_probability(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be in [0, 1]: {value}")
 
 
+#: The keys :meth:`FaultPlan.to_dict` writes, at the top level and per crash.
+_PLAN_KEYS = frozenset(
+    {"seed", "default_loss", "loss_by_kind", "beacon_loss", "clock_jitter_s",
+     "crashes"}
+)
+_CRASH_KEYS = frozenset({"client_index", "crash_at_s", "rejoin_at_s"})
+
+
+def _reject_unknown_keys(what: str, data: Mapping, known: frozenset) -> None:
+    unknown = sorted(map(str, set(data) - known))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} key: {unknown[0]!r}")
+
+
 @dataclass(frozen=True)
 class ClientCrashEvent:
     """One scheduled client crash (and optional rejoin)."""
@@ -138,7 +152,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
+        _reject_unknown_keys("fault plan", data, _PLAN_KEYS)
         try:
+            for c in data.get("crashes", ()):
+                _reject_unknown_keys("fault plan crash", c, _CRASH_KEYS)
             crashes = tuple(
                 ClientCrashEvent(
                     client_index=int(c["client_index"]),

@@ -10,7 +10,7 @@ from this registry, and example clients open subsets of these ports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,3 @@ WELL_KNOWN_BROADCAST_SERVICES: Dict[int, ServicePort] = {
 def service_for_port(port: int) -> Optional[ServicePort]:
     """Look up a well-known service by UDP port, or ``None``."""
     return WELL_KNOWN_BROADCAST_SERVICES.get(port)
-
-
-def all_service_ports() -> Tuple[int, ...]:
-    """All registered ports, sorted for deterministic iteration."""
-    return tuple(sorted(WELL_KNOWN_BROADCAST_SERVICES))

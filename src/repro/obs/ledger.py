@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
 
 from repro.obs.hdr import HdrHistogram
 

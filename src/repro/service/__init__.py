@@ -20,7 +20,6 @@ from repro.service.wire import (
     decode_message,
     encode_ack,
     encode_keep_alive,
-    encode_message,
     encode_port_report,
     peek_route,
     shard_index,
@@ -42,7 +41,6 @@ __all__ = [
     "decode_message",
     "encode_ack",
     "encode_keep_alive",
-    "encode_message",
     "encode_port_report",
     "peek_route",
     "shard_index",

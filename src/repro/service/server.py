@@ -34,7 +34,7 @@ import json
 import signal
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ap.flags import compute_broadcast_flags

@@ -164,24 +164,6 @@ def encode_ack(bss: int, aid: int, mac: bytes, seq: int, status: int = ACK_OK) -
     return _header(MSG_ACK, 0, bss, aid, seq, mac) + _STATUS.pack(status)
 
 
-def encode_message(message: Message) -> bytes:
-    """Serialize any of the three message dataclasses."""
-    if isinstance(message, PortReport):
-        return encode_port_report(
-            message.bss, message.aid, message.mac, message.seq,
-            message.ports, message.want_ack,
-        )
-    if isinstance(message, KeepAlive):
-        return encode_keep_alive(
-            message.bss, message.aid, message.mac, message.seq, message.want_ack
-        )
-    if isinstance(message, Ack):
-        return encode_ack(
-            message.bss, message.aid, message.mac, message.seq, message.status
-        )
-    raise FrameEncodeError(f"not a wire message: {type(message).__name__}")
-
-
 def decode_message(data: bytes) -> Message:
     """Parse one datagram; raises :class:`FrameDecodeError` on anything
     that is not a well-formed v1 message."""

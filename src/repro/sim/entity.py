@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
-    from repro.sim.medium import Medium, Transmission
+    from repro.sim.medium import Transmission
 
 
 class Entity:

@@ -128,12 +128,3 @@ class ProtocolSniffer(Entity):
 
     def of_type(self, frame_type: Type) -> List[CapturedFrame]:
         return [c for c in self.captures if isinstance(c.frame, frame_type)]
-
-    def transcript(self, skip_beacons: bool = False) -> str:
-        """The whole capture as readable log lines."""
-        lines = []
-        for captured in self.captures:
-            if skip_beacons and isinstance(captured.frame, Beacon):
-                continue
-            lines.append(captured.describe())
-        return "\n".join(lines)

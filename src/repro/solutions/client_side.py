@@ -11,7 +11,7 @@ poorly on devices with expensive state transfers (Galaxy S4).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.energy.dynamics import FrameEvent
 from repro.energy.profile import DeviceEnergyProfile

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.energy.dynamics import FrameEvent
 from repro.energy.profile import DeviceEnergyProfile

@@ -18,7 +18,6 @@ from repro.station.power import PowerState, PowerStateMachine, StateSegment
 from repro.station.wakelock import WakelockManager
 from repro.station.udp_sockets import UdpSocketTable
 from repro.station.client import Client, ClientPolicy, ClientConfig, ClientCounters
-from repro.station.app_model import AppProfile, AppScheduler, COMMON_APPS
 
 __all__ = [
     "PowerState",
@@ -30,7 +29,4 @@ __all__ = [
     "ClientPolicy",
     "ClientConfig",
     "ClientCounters",
-    "AppProfile",
-    "AppScheduler",
-    "COMMON_APPS",
 ]

@@ -16,7 +16,7 @@ One class implements all three compared behaviours via
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ap.flags import frame_udp_port
@@ -24,7 +24,7 @@ from repro.dot11.control import Ack, PsPoll
 from repro.dot11.data import DataFrame
 from repro.dot11.management import Beacon, UdpPortMessage
 from repro.dot11.mac_address import MacAddress
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import EventHandle, RecurringHandle
 from repro.sim.entity import Entity
@@ -280,29 +280,6 @@ class Client(Entity):
             on_complete(results or [])
 
         self.simulator.schedule(dwell_s, finish)
-
-    def leave_bss(self, reason: int = 8) -> None:
-        """Send a Disassociation and forget the association.
-
-        The AP drops this client's rows from the Client UDP Port Table,
-        so a later re-association starts clean.
-        """
-        from repro.dot11.disassociation import Disassociation
-
-        if self.aid is None:
-            return
-        frame = Disassociation(
-            source=self.mac,
-            destination=self.bssid,
-            bssid=self.bssid,
-            reason=reason,
-            sequence=self._next_sequence(),
-        )
-        self._medium.transmit(
-            self, frame, frame.to_bytes(), self.config.management_rate_bps
-        )
-        self.aid = None
-        self._notify_radio()
 
     def request_association(self, ssid: str = "hide-net") -> None:
         """Run the association handshake over the air.
@@ -788,11 +765,6 @@ class Client(Entity):
         if useful:
             self.counters.frames_delivered_to_apps += 1
         self.power.when_active(self.wakelock.acquire)
-
-    def _suspend_if_idle(self) -> None:
-        assert self.power is not None and self.wakelock is not None
-        if self.power.state is PowerState.ACTIVE and not self.wakelock.held:
-            self._try_enter_suspend()
 
     def _wake_for_frame(self) -> None:
         assert self.power is not None

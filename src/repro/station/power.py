@@ -13,7 +13,7 @@ be integrated over the exact timeline afterwards.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.errors import SimulationError

@@ -23,9 +23,8 @@ from repro.traces.usefulness import (
     port_subset_mask,
     ports_for_target_fraction,
 )
-from repro.traces.io import save_trace_jsonl, load_trace_jsonl, load_trace_csv, trace_to_csv
+from repro.traces.io import save_trace_jsonl, load_trace_jsonl, trace_to_csv
 from repro.traces.stats import Burst, TraceStats, compute_stats, detect_bursts, index_of_dispersion
-from repro.traces.compose import merge_traces, concat_traces, scale_rate, repeat_trace
 
 __all__ = [
     "BroadcastFrameRecord",
@@ -46,14 +45,9 @@ __all__ = [
     "save_trace_jsonl",
     "load_trace_jsonl",
     "trace_to_csv",
-    "load_trace_csv",
     "Burst",
     "TraceStats",
     "compute_stats",
     "detect_bursts",
     "index_of_dispersion",
-    "merge_traces",
-    "concat_traces",
-    "scale_rate",
-    "repeat_trace",
 ]

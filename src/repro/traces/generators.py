@@ -8,9 +8,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dot11.llc import LLC_SNAP_BYTES
 from repro.dot11.sizes import FCS_BYTES, MAC_HEADER_BYTES
-from repro.errors import ConfigurationError
 from repro.net.ports import WELL_KNOWN_BROADCAST_SERVICES
-from repro.traces.frame_record import BroadcastFrameRecord
 from repro.traces.release import apply_dtim_release
 from repro.traces.scenarios import ScenarioSpec, scenario_by_name
 from repro.traces.trace import BroadcastTrace

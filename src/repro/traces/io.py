@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import TraceFormatError
 from repro.traces.frame_record import BroadcastFrameRecord
@@ -40,28 +40,39 @@ def save_trace_jsonl(trace: BroadcastTrace, path: Union[str, Path]) -> None:
 
 
 def load_trace_jsonl(path: Union[str, Path]) -> BroadcastTrace:
-    """Inverse of :func:`save_trace_jsonl`, with format validation."""
+    """Inverse of :func:`save_trace_jsonl`, with format validation.
+
+    Any malformed file raises :class:`TraceFormatError` naming the path
+    (and the line, for a bad record).
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         header_line = handle.readline()
         if not header_line:
             raise TraceFormatError(f"{path} is empty")
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+            header = json.loads(header_line.decode("utf-8"))
+        except ValueError as exc:
             raise TraceFormatError(f"{path}: malformed header") from exc
+        if not isinstance(header, dict):
+            raise TraceFormatError(f"{path}: header is not a JSON object")
         if header.get("format") != "repro-broadcast-trace":
             raise TraceFormatError(f"{path}: not a broadcast trace file")
         if header.get("version") != _FORMAT_VERSION:
             raise TraceFormatError(
                 f"{path}: unsupported version {header.get('version')}"
             )
+        name, duration_s = header.get("name"), header.get("duration_s")
+        if not isinstance(name, str) or not isinstance(duration_s, (int, float)):
+            raise TraceFormatError(
+                f"{path}: header needs a string name and a numeric duration_s"
+            )
         records = []
         for line_number, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = json.loads(line.decode("utf-8"))
                 records.append(
                     BroadcastFrameRecord(
                         time=row["t"],
@@ -72,60 +83,14 @@ def load_trace_jsonl(path: Union[str, Path]) -> BroadcastTrace:
                         offered_time=row.get("offered"),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}:{line_number}: bad record") from exc
     declared = header.get("frames")
     if declared is not None and declared != len(records):
         raise TraceFormatError(
             f"{path}: header declares {declared} frames, found {len(records)}"
         )
-    return BroadcastTrace(
-        name=header["name"], duration_s=header["duration_s"], records=tuple(records)
-    )
-
-
-def load_trace_csv(
-    path: Union[str, Path],
-    name: Optional[str] = None,
-    duration_s: Optional[float] = None,
-) -> BroadcastTrace:
-    """Import a trace from CSV (the :func:`trace_to_csv` column layout).
-
-    This is the bring-your-own-capture path: export your pcap with
-    columns ``time_s, udp_port, length_bytes, rate_bps, more_data
-    [, offered_time_s]`` and the whole evaluation pipeline runs on it.
-    ``duration_s`` defaults to the last frame time rounded up a second.
-    """
-    path = Path(path)
-    records = []
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"time_s", "udp_port", "length_bytes", "rate_bps"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise TraceFormatError(
-                f"{path}: CSV must have columns {sorted(required)}"
-            )
-        for line_number, row in enumerate(reader, start=2):
-            try:
-                offered = row.get("offered_time_s", "")
-                records.append(
-                    BroadcastFrameRecord(
-                        time=float(row["time_s"]),
-                        udp_port=int(row["udp_port"]),
-                        length_bytes=int(row["length_bytes"]),
-                        rate_bps=float(row["rate_bps"]),
-                        more_data=bool(int(row.get("more_data", "0") or 0)),
-                        offered_time=float(offered) if offered else None,
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{line_number}: bad row") from exc
-    records.sort(key=lambda r: r.time)
-    if duration_s is None:
-        duration_s = (records[-1].time + 1.0) if records else 1.0
-    return BroadcastTrace(
-        name=name or path.stem, duration_s=duration_s, records=tuple(records)
-    )
+    return BroadcastTrace(name=name, duration_s=duration_s, records=tuple(records))
 
 
 def trace_to_csv(trace: BroadcastTrace, path: Union[str, Path]) -> None:

@@ -28,8 +28,8 @@ saves 29-76 % / 66-84 % across the five traces versus the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 

@@ -10,7 +10,7 @@ capture for the synthetic traces can check it has comparable character.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.errors import ConfigurationError
 from repro.traces.trace import BroadcastTrace

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.traces.trace import BroadcastTrace

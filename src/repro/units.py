@@ -14,9 +14,6 @@ MBPS = 1_000_000.0
 #: The canonical 802.11 beacon interval: 102.4 ms (100 TUs).
 BEACON_INTERVAL_S = 0.1024
 
-#: One 802.11 time unit (TU) in seconds (1024 microseconds).
-TIME_UNIT_S = 1024e-6
-
 
 def ms(value: float) -> float:
     """Convert milliseconds to seconds."""
@@ -43,11 +40,6 @@ def mbps(value: float) -> float:
     return value * MBPS
 
 
-def to_mw(watts: float) -> float:
-    """Convert watts to milliwatts (for reporting)."""
-    return watts * 1e3
-
-
 def airtime(length_bytes: int, rate_bps: float) -> float:
     """Return the transmission time in seconds of ``length_bytes`` at ``rate_bps``.
 
@@ -59,8 +51,3 @@ def airtime(length_bytes: int, rate_bps: float) -> float:
     if length_bytes < 0:
         raise ValueError(f"length must be non-negative, got {length_bytes}")
     return (length_bytes * 8) / rate_bps
-
-
-def tu(count: float) -> float:
-    """Convert 802.11 time units (TUs) to seconds."""
-    return count * TIME_UNIT_S

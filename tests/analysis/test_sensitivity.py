@@ -3,7 +3,6 @@ import pytest
 from repro.analysis.sensitivity import (
     sweep_dtim_period,
     sweep_report_interval,
-    sweep_useful_fraction,
     sweep_wakelock_timeout,
 )
 from repro.energy.profile import NEXUS_ONE
@@ -100,25 +99,3 @@ class TestReportIntervalSweep:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             sweep_report_interval(NEXUS_ONE, [])
-
-
-class TestFractionSweep:
-    def test_energy_monotone_in_fraction(self, trace):
-        points = sweep_useful_fraction(
-            trace, NEXUS_ONE, [0.02, 0.05, 0.10, 0.20]
-        )
-        totals = [p.hide.breakdown.total_j for p in points]
-        assert totals == sorted(totals)
-
-    def test_savings_monotone_decreasing(self, trace):
-        points = sweep_useful_fraction(trace, NEXUS_ONE, [0.02, 0.10, 0.20])
-        savings = [p.saving for p in points]
-        assert savings == sorted(savings, reverse=True)
-
-    def test_achieved_fraction_recorded(self, trace):
-        (point,) = sweep_useful_fraction(trace, NEXUS_ONE, [0.10])
-        assert point.achieved_fraction == pytest.approx(0.10, abs=0.05)
-
-    def test_validation(self, trace):
-        with pytest.raises(ConfigurationError):
-            sweep_useful_fraction(trace, NEXUS_ONE, [])

@@ -42,6 +42,19 @@ class TestFrame:
         assert frame.length_bytes == len(frame.to_bytes())
 
 
+def air_disassociation(sim, ap, source, at=0.0):
+    """Schedule a hand-built Disassociation from ``source`` to the AP."""
+    from repro.sim.entity import Entity
+
+    medium = ap._medium
+    sender = Entity(f"sender-{source}")
+    medium.attach(sender)
+    frame = Disassociation(source=source, destination=AP, bssid=AP)
+    sim.schedule(
+        at, lambda: medium.transmit(sender, frame, frame.to_bytes(), 1e6)
+    )
+
+
 class TestLifecycle:
     def build(self):
         from repro.ap.access_point import AccessPoint, ApConfig
@@ -68,9 +81,8 @@ class TestLifecycle:
         aid = client.aid
         assert ap.port_table.ports_for_client(aid) == frozenset({5353})
 
-        sim.schedule(0.0, client.leave_bss)
+        air_disassociation(sim, ap, client.mac)
         sim.run(until=3.0)
-        assert client.aid is None
         assert ap.counters.disassociations_received == 1
         assert ap.port_table.ports_for_client(aid) == frozenset()
         assert ap.associations.get_by_mac(client.mac) is None
@@ -80,41 +92,22 @@ class TestLifecycle:
         sim.schedule(0.01, client.request_association)
         sim.run(until=2.0)
         old_aid = client.aid
-        sim.schedule(0.0, client.leave_bss)
+        air_disassociation(sim, ap, client.mac)
         sim.run(until=2.5)
         newcomer = ap.associate(MacAddress.station(9))
         assert newcomer.aid == old_aid
 
     def test_leave_without_association_is_noop(self):
         sim, ap, client = self.build()
-        client.leave_bss()
+        air_disassociation(sim, ap, client.mac)
         sim.run(until=0.5)
         assert ap.counters.disassociations_received == 0
 
     def test_disassociation_from_stranger_ignored(self):
-        from repro.sim.entity import Entity
-
         sim, ap, client = self.build()
-
-        class Stranger(Entity):
-            def on_attach(self):
-                frame = Disassociation(
-                    source=MacAddress.station(50), destination=AP, bssid=AP
-                )
-                self.simulator.schedule(
-                    0.01,
-                    lambda: self._medium.transmit(
-                        self, frame, frame.to_bytes(), 1e6
-                    ),
-                )
-
-        stranger = Stranger("stranger")
-        stranger._medium = None
-        from repro.sim.medium import Medium  # reuse the same medium
-
-        # Attach the stranger to the same medium as the AP.
-        medium = ap._medium
-        stranger._medium = medium
-        medium.attach(stranger)
-        sim.run(until=1.0)
+        sim.schedule(0.01, client.request_association)
+        air_disassociation(sim, ap, MacAddress.station(50), at=1.0)
+        sim.run(until=2.0)
+        assert client.aid is not None
         assert ap.counters.disassociations_received == 0
+        assert ap.associations.get_by_mac(client.mac) is not None

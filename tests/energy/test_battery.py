@@ -1,26 +1,7 @@
 import pytest
 
-from repro.energy.battery import (
-    Battery,
-    GALAXY_S4_BATTERY,
-    NEXUS_ONE_BATTERY,
-    StandbyProjection,
-    project_standby,
-)
-from repro.energy.components import EnergyBreakdown
-from repro.energy.profile import NEXUS_ONE
+from repro.energy.battery import Battery, GALAXY_S4_BATTERY, NEXUS_ONE_BATTERY
 from repro.errors import ConfigurationError
-
-
-def breakdown(total_mw: float) -> EnergyBreakdown:
-    return EnergyBreakdown(
-        beacon_j=total_mw * 1e-3 * 100,
-        receive_j=0.0,
-        state_transfer_j=0.0,
-        wakelock_j=0.0,
-        overhead_j=0.0,
-        duration_s=100.0,
-    )
 
 
 class TestBattery:
@@ -33,11 +14,6 @@ class TestBattery:
         # 13 kJ at 1 W -> 3.6 hours.
         assert battery.drain_hours(1.0) == pytest.approx(3.6)
 
-    def test_fraction_per_day(self):
-        battery = Battery(capacity_mah=1000, voltage_v=3.6)
-        # 12.96 kJ capacity; 0.15 W * 86400 s = 12.96 kJ -> exactly 1/day.
-        assert battery.fraction_per_day(0.15) == pytest.approx(1.0)
-
     def test_s4_bigger_than_n1(self):
         assert GALAXY_S4_BATTERY.capacity_j > NEXUS_ONE_BATTERY.capacity_j
 
@@ -48,51 +24,3 @@ class TestBattery:
             Battery(capacity_mah=100, voltage_v=0)
         with pytest.raises(ConfigurationError):
             NEXUS_ONE_BATTERY.drain_hours(0.0)
-        with pytest.raises(ConfigurationError):
-            NEXUS_ONE_BATTERY.fraction_per_day(-1.0)
-
-
-class TestProjection:
-    def test_platform_floor_included(self):
-        projection = project_standby(
-            breakdown(50.0), NEXUS_ONE, NEXUS_ONE_BATTERY
-        )
-        assert projection.total_power_w == pytest.approx(
-            0.050 + NEXUS_ONE.suspend_power_w
-        )
-
-    def test_standby_hours_sane(self):
-        # Receive-all-ish 120 mW + 11 mW floor on a 1400 mAh battery:
-        # about 1.6 days.
-        projection = project_standby(
-            breakdown(120.0), NEXUS_ONE, NEXUS_ONE_BATTERY
-        )
-        assert 30 < projection.standby_hours < 50
-
-    def test_hide_extends_standby(self):
-        stock = project_standby(breakdown(120.0), NEXUS_ONE, NEXUS_ONE_BATTERY)
-        hide = project_standby(breakdown(30.0), NEXUS_ONE, NEXUS_ONE_BATTERY)
-        assert hide.standby_hours > 2.5 * stock.standby_hours
-
-    def test_broadcast_share(self):
-        projection = StandbyProjection(
-            battery=NEXUS_ONE_BATTERY,
-            broadcast_power_w=0.030,
-            platform_floor_w=0.010,
-        )
-        assert projection.broadcast_share == pytest.approx(0.75)
-
-    def test_suspend_fraction_scales_floor(self):
-        half = project_standby(
-            breakdown(10.0), NEXUS_ONE, NEXUS_ONE_BATTERY, suspend_fraction=0.5
-        )
-        assert half.platform_floor_w == pytest.approx(
-            NEXUS_ONE.suspend_power_w / 2
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            project_standby(
-                breakdown(10.0), NEXUS_ONE, NEXUS_ONE_BATTERY,
-                suspend_fraction=1.5,
-            )

@@ -35,6 +35,12 @@ class TestTraceCommands:
     def test_missing_file_fails_cleanly(self, capsys):
         assert main(["trace", "inspect", "/nonexistent/trace.jsonl"]) == 2
 
+    def test_malformed_trace_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "list.jsonl"
+        path.write_text("[1]\n")
+        assert main(["trace", "inspect", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
 
 class TestEnergyCompare:
     def test_compare_runs(self, capsys):
@@ -133,3 +139,59 @@ class TestSimRunProfileFlags:
             ignore=("wall",),
         )
         assert result.ok(fail_on_missing=True)
+
+
+class TestSharedDesFlags:
+    """`sim run` and `sweep` read the shared DES flags identically."""
+
+    SHARED = (
+        "policy", "client_count", "useful_fraction", "duration_s",
+        "dtim_period", "check_invariants", "recovery", "profiler",
+    )
+
+    @staticmethod
+    def configs(monkeypatch, flags):
+        """The DesRunConfig each command builds from ``flags``."""
+        import repro.experiments.des_run
+        import repro.experiments.sweep
+
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_prepare(trace, config, **kwargs):
+            seen["sim"] = config
+            raise Stop
+
+        def fake_sweep(spec, **kwargs):
+            seen["sweep"] = spec.config
+            raise Stop
+
+        monkeypatch.setattr(
+            repro.experiments.des_run, "prepare_trace_des", fake_prepare
+        )
+        monkeypatch.setattr(repro.experiments.sweep, "run_sweep", fake_sweep)
+        with pytest.raises(Stop):
+            main(["sim", "run", "Classroom", *flags])
+        with pytest.raises(Stop):
+            main(["sweep", "Classroom", "--no-progress", *flags])
+        return seen["sim"], seen["sweep"]
+
+    def test_same_flags_give_the_same_config(self, monkeypatch):
+        flags = [
+            "--policy", "client-side", "--clients", "5", "--fraction", "0.2",
+            "--duration", "7", "--dtim-period", "2", "--check-invariants",
+            "--no-recovery", "--profile", "sampling", "--profile-stride", "4",
+        ]
+        sim, sweep = self.configs(monkeypatch, flags)
+        for name in self.SHARED:
+            assert getattr(sim, name) == getattr(sweep, name), name
+        assert sim.duration_s == 7.0 and sim.client_count == 5
+
+    def test_defaults_differ_only_in_duration(self, monkeypatch):
+        sim, sweep = self.configs(monkeypatch, [])
+        assert (sim.duration_s, sweep.duration_s) == (60.0, 10.0)
+        for name in self.SHARED:
+            if name != "duration_s":
+                assert getattr(sim, name) == getattr(sweep, name), name

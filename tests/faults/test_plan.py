@@ -88,6 +88,31 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             FaultPlan.from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"loss": 0.5}', "'loss'"),
+            ('{"seed": 1, "default_loss": 0.1, "beacon": 0.2}', "'beacon'"),
+            ('{"crashes": [{"client_index": 0, "crash_at_s": 1, "rejoin_s": 2}]}',
+             "'rejoin_s'"),
+        ],
+    )
+    def test_from_json_rejects_unknown_keys(self, text, key):
+        match = f"unknown fault plan .*key: {key}"
+        with pytest.raises(ConfigurationError, match=match):
+            FaultPlan.from_json(text)
+
+    def test_misspelled_json_plan_fails_the_cli(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "plan.json"
+        path.write_text('{"loss": 0.5}')
+        args = ["sim", "run", "Classroom", "--duration", "2"]
+        assert main([*args, "--fault-plan", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "unknown fault plan key: 'loss'" in err
+
     def test_parse_reads_json_file(self, tmp_path):
         plan = FaultPlan(seed=3, default_loss=0.05)
         path = tmp_path / "plan.json"

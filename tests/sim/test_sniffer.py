@@ -74,18 +74,13 @@ class TestSniffer:
         times = [c.time for c in sniffer.captures]
         assert times == sorted(times)
 
-    def test_transcript_describes_hide_details(self):
+    def test_describe_shows_hide_details(self):
         sniffer = ProtocolSniffer()
         run_network(sniffer)
-        transcript = sniffer.transcript()
-        assert "btim=" in transcript
-        assert "ports=[5353]" in transcript
-        assert "udp-port=5353" in transcript
-
-    def test_transcript_can_skip_beacons(self):
-        sniffer = ProtocolSniffer()
-        run_network(sniffer)
-        assert "Beacon" not in sniffer.transcript(skip_beacons=True)
+        lines = "\n".join(c.describe() for c in sniffer.captures)
+        assert "btim=" in lines
+        assert "ports=[5353]" in lines
+        assert "udp-port=5353" in lines
 
     def test_describe_every_kind_is_stringy(self):
         sniffer = ProtocolSniffer()

@@ -184,3 +184,63 @@ class TestMixedNetwork:
         assert ap.port_table.ports_for_client(client.aid) == frozenset(
             {5353, 17500}
         )
+
+
+def while_active(client, change, port):
+    """An app opening or closing a socket, as user activity (§III-B:
+    ports change only in active mode). Wakes the system, makes the
+    change once ACTIVE, and holds a wakelock so the normal suspend path
+    re-reports when it expires."""
+
+    def run():
+        client.power.request_wake()
+
+        def apply():
+            change(port)
+            client.wakelock.acquire()
+
+        client.power.when_active(apply)
+
+    return run
+
+
+class TestPortChurn:
+    """§III-B: the AP's view follows the client's sockets as they change."""
+
+    def test_ap_table_follows_app_lifecycle(self):
+        sim, medium, ap, (client,) = make_network(
+            [ClientPolicy.HIDE], open_ports=(), tau=0.2
+        )
+        sim.schedule(1.0, while_active(client, client.open_port, 5353))
+        sim.schedule(5.0, while_active(client, client.open_port, 1900))
+        sim.schedule(10.0, while_active(client, client.close_port, 5353))
+        sim.run(until=15.0)
+        # After all the churn settles, the AP has exactly the open port.
+        assert ap.port_table.ports_for_client(client.aid) == frozenset({1900})
+        assert client.power.state is PowerState.SUSPENDED
+
+    def test_new_app_changes_filtering(self):
+        sim, medium, ap, (client,) = make_network(
+            [ClientPolicy.HIDE], open_ports=(), tau=0.2
+        )
+        # No socket on 5353 yet: the client sleeps through mDNS.
+        inject(sim, ap, 2.0, port=5353)
+        sim.schedule(4.0, while_active(client, client.open_port, 5353))
+        inject(sim, ap, 6.0, port=5353)
+        sim.run(until=10.0)
+        assert client.counters.useful_frames_received == 1
+        assert client.counters.broadcast_frames_ignored >= 1
+
+    def test_stopping_app_stops_wakeups(self):
+        sim, medium, ap, (client,) = make_network([ClientPolicy.HIDE], tau=0.2)
+        sim.schedule(3.0, while_active(client, client.close_port, 5353))
+        for i in range(8):
+            inject(sim, ap, 5.0 + i, port=5353)
+        sim.run(until=4.5)
+        resumes_before = client.power.counters.resumes
+        sim.run(until=15.0)
+        # All post-close mDNS ignored: no useful frames, no wakeups.
+        assert client.power.counters.resumes == resumes_before
+        assert client.counters.useful_frames_received == 0
+        assert client.counters.broadcast_frames_ignored >= 8
+        assert ap.port_table.ports_for_client(client.aid) == frozenset()

@@ -89,68 +89,42 @@ class TestJsonl:
         assert load_trace_jsonl(path).records == trace.records
 
 
-class TestCsvImport:
-    def test_round_trip(self, trace, tmp_path):
-        from repro.traces.io import load_trace_csv
+GOOD_HEADER = (
+    b'{"format": "repro-broadcast-trace", "version": 1, '
+    b'"name": "x", "duration_s": 10.0}\n'
+)
+GOOD_RECORD = b'{"t": 1.0, "port": 5353, "len": 100, "rate": 1000000.0}'
 
-        path = tmp_path / "trace.csv"
-        trace_to_csv(trace, path)
-        loaded = load_trace_csv(path, name=trace.name, duration_s=trace.duration_s)
-        assert loaded.name == trace.name
-        assert len(loaded) == len(trace)
-        for original, reloaded in zip(trace, loaded):
-            assert reloaded.time == pytest.approx(original.time)
-            assert reloaded.udp_port == original.udp_port
-            assert reloaded.length_bytes == original.length_bytes
-            assert reloaded.more_data == original.more_data
+#: One file per way a trace can be malformed, and the line to blame.
+MALFORMED = {
+    "non-utf8": (GOOD_HEADER + b'{"t": 1.0, "port": 5353\xff\xfe}\n', ":2:"),
+    "header-not-object": (b"[1]\n", "header"),
+    "header-missing-fields": (
+        b'{"format": "repro-broadcast-trace", "version": 1}\n', "header"
+    ),
+    "record-not-object": (GOOD_HEADER + b"[1, 2]\n", ":2:"),
+    "record-wrong-type": (
+        GOOD_HEADER
+        + GOOD_RECORD
+        + b'\n{"t": "a", "port": 5353, "len": 1, "rate": 1.0}\n',
+        ":3:",
+    ),
+    "record-null-port": (
+        GOOD_HEADER + b'{"t": 1.0, "port": null, "len": 1, "rate": 1.0}\n', ":2:"
+    ),
+}
 
-    def test_default_name_and_duration(self, trace, tmp_path):
-        from repro.traces.io import load_trace_csv
 
-        path = tmp_path / "capture.csv"
-        trace_to_csv(trace, path)
-        loaded = load_trace_csv(path)
-        assert loaded.name == "capture"
-        assert loaded.duration_s == pytest.approx(trace.records[-1].time + 1.0)
-
-    def test_unsorted_rows_sorted_on_import(self, tmp_path):
-        from repro.traces.io import load_trace_csv
-
-        path = tmp_path / "messy.csv"
-        path.write_text(
-            "time_s,udp_port,length_bytes,rate_bps,more_data\n"
-            "2.0,137,100,1000000,0\n"
-            "1.0,5353,100,1000000,0\n"
-        )
-        loaded = load_trace_csv(path)
-        assert [r.time for r in loaded] == [1.0, 2.0]
-
-    def test_missing_columns_rejected(self, tmp_path):
-        from repro.traces.io import load_trace_csv
-
-        path = tmp_path / "bad.csv"
-        path.write_text("time_s,udp_port\n1.0,137\n")
-        with pytest.raises(TraceFormatError):
-            load_trace_csv(path)
-
-    def test_bad_row_rejected(self, tmp_path):
-        from repro.traces.io import load_trace_csv
-
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "time_s,udp_port,length_bytes,rate_bps\n"
-            "abc,137,100,1000000\n"
-        )
-        with pytest.raises(TraceFormatError):
-            load_trace_csv(path)
-
-    def test_empty_csv(self, tmp_path):
-        from repro.traces.io import load_trace_csv
-
-        path = tmp_path / "empty.csv"
-        path.write_text("time_s,udp_port,length_bytes,rate_bps,more_data\n")
-        loaded = load_trace_csv(path)
-        assert len(loaded) == 0
+class TestMalformedJsonl:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_trace_format_error_naming_the_file(self, case, tmp_path):
+        data, where = MALFORMED[case]
+        path = tmp_path / f"{case}.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError) as exc:
+            load_trace_jsonl(path)
+        assert str(path) in str(exc.value)
+        assert where in str(exc.value)
 
 
 class TestCsv:
