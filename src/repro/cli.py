@@ -379,7 +379,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         if sim.run_wall_time_s > 0 else 0.0
     )
     print(
-        f"engine: queue depth {sim.queue_depth} pending, "
+        f"engine: {sim.pending_events} pending, {sim.queue_depth} queued, "
         f"{sim.events_cancelled} cancelled, {sim.probes_fired} probes, "
         f"{rate:,.0f} events/s wall"
     )

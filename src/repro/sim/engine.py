@@ -1,9 +1,9 @@
 """The event loop: a monotonic clock over one binary heap of event records.
 
 This module owns event semantics — total order, lazy cancellation,
-recurring timers, observer probes — and the run loop, which pops the
-heap with :func:`heapq.heappop` directly rather than through a method
-call per event.
+lazy renewal, recurring timers, observer probes — and the run loop,
+which pops the heap with :func:`heapq.heappop` directly rather than
+through a method call per event.
 
 Events at equal times fire in (priority, insertion) order.  An event
 record is a plain 6-slot list — not an object — so the heap orders
@@ -15,18 +15,29 @@ indexes fields without attribute lookups::
 ``sequence`` is unique per record, so comparison never reaches the
 callback field.  ``state`` is ``False`` while a record is live, ``True``
 once cancelled (a tombstone the run loop skips), and ``None`` once a
-one-shot record has fired, so a late ``cancel()`` is a no-op.  ``interval_or_None`` makes a recurring timer a run-loop
-re-arm of the popped record instead of a closure per firing.  Every
-scheduling API consumes exactly one sequence number per queued record,
-so the live count is the arithmetic identity ``sequence - cancelled -
-processed`` instead of a per-event counter update.
+one-shot record has fired, so a late ``cancel()`` is a no-op.  A record
+renewed by :meth:`Simulator.rearm` keeps its heap entry and *moves*:
+its state becomes the tuple ``(time, sequence, cancelled)`` of the key
+it will have, and when the run loop pops the old entry it re-files the
+record under that key instead of firing it.  The re-filed key is
+exactly the key a freshly pushed record would have had, and heap order
+on unique keys does not depend on when a record was pushed, so lazy
+renewal fires everything in the same order as cancel-and-push — for
+one tuple store per renewal instead of a tombstone and a heap push.
+``interval_or_None`` makes a recurring timer a run-loop re-arm of the
+popped record instead of a closure per firing.  Every scheduling API
+(renewals included) consumes exactly one sequence number per queued
+record, so the live count is the arithmetic identity ``sequence -
+cancelled - processed`` instead of a per-event counter update.
 
 Counter visibility: ``now`` is exact at all times.  ``events_processed``
 (and therefore ``pending_events``) is kept in a run-loop local for speed
 and synced to the instance at every probe boundary and on ``run()``
 exit — i.e. it is exact everywhere
 telemetry reads it, and may lag only inside a single uninterrupted burst
-of event callbacks.
+of event callbacks.  ``queue_depth`` counts the entries cancel-and-push
+renewal would hold, from the heap plus a flat list of superseded
+deadlines; it is exact at the same sync points and read-only.
 """
 
 from __future__ import annotations
@@ -40,6 +51,9 @@ from repro.errors import SimulationError
 
 _INF = float("inf")
 
+#: Smallest superseded-deadline list worth compacting.
+_MIN_COMPACT = 1024
+
 # Record field indices, for readers of the loops below.
 _TIME, _PRIORITY, _SEQ, _CALLBACK, _CANCELLED, _INTERVAL = range(6)
 
@@ -49,7 +63,9 @@ class EventHandle:
 
     Cancellation is lazy: the queue entry stays but is skipped when
     popped, which keeps cancel O(1). The simulator is notified so its
-    live-event count stays exact without scanning the queue.
+    live-event count stays exact without scanning the queue.  ``time``
+    and ``cancelled`` read through a renewal's moved state, so they
+    report what the handle would after cancel-and-push.
     """
 
     __slots__ = ("_record", "_simulator")
@@ -60,11 +76,15 @@ class EventHandle:
 
     @property
     def time(self) -> float:
+        state = self._record[4]
+        if state.__class__ is tuple:
+            return state[0]
         return self._record[0]
 
     @property
     def cancelled(self) -> bool:
-        return self._record[4] is True
+        state = self._record[4]
+        return state is True or (state.__class__ is tuple and state[2])
 
     def cancel(self) -> None:
         self._simulator._cancel(self._record)
@@ -133,6 +153,15 @@ class Simulator:
         self._next_probe_due = _INF
         self._profiler: Optional[Any] = None
         self._sync_hooks: List[Callable[[], None]] = []
+        # Deadlines lazy renewals superseded, and the time through which
+        # the run loop has drained them (set per probe).  Only
+        # ``queue_depth`` reads them: the deterministic fingerprint
+        # hashes the queue depth, so it must count the tombstones
+        # cancel-and-push would have left.  Both go once the fingerprint
+        # stops hashing engine bookkeeping.
+        self._superseded: List[float] = []
+        self._compact_at = _MIN_COMPACT
+        self._drained_through = -_INF
 
     @property
     def now(self) -> float:
@@ -160,8 +189,20 @@ class Simulator:
 
     @property
     def queue_depth(self) -> int:
-        """Queue entries including cancelled tombstones awaiting pop."""
-        return len(self._queue)
+        """Queue entries including cancelled tombstones awaiting pop.
+
+        Counted as if every renewal left a tombstone and pushed a new
+        record: the heap, plus each deadline a lazy :meth:`rearm`
+        superseded that the run loop has not yet drained past.  Exact
+        at the sync points ``events_processed`` is exact at (probe
+        boundaries, ``run()`` exit, between runs), and read-only, so a
+        scrape thread may call it mid-run.
+        """
+        superseded = self._superseded
+        drained = self._drained_through
+        if drained == -_INF:
+            return len(self._queue) + len(superseded)
+        return len(self._queue) + len([t for t in superseded if t > drained])
 
     @property
     def run_wall_time_s(self) -> float:
@@ -195,29 +236,36 @@ class Simulator:
         self._profiler = profiler
         return profiler
 
-    def detach_profiler(self) -> None:
-        if self._running:
-            raise SimulationError("cannot detach a profiler mid-run")
-        self._profiler = None
-
     def _cancel(self, record: list) -> None:
         # Only a live record counts: a fired one (state None) or an
-        # already cancelled one leaves the counts alone.
-        if record[4] is False:
+        # already cancelled one leaves the counts alone.  A moved record
+        # stays moved, so the run loop re-files it as a tombstone at
+        # its moved deadline, where cancel-and-push left one.
+        state = record[4]
+        if state is False:
             record[4] = True
+            self._events_cancelled += 1
+        elif state.__class__ is tuple and not state[2]:
+            record[4] = (state[0], state[1], True)
             self._events_cancelled += 1
 
     def rearm(self, handle: EventHandle, delay: float) -> None:
         """Move ``handle``'s event to ``delay`` seconds from now.
 
-        Exactly ``handle.cancel()`` followed by ``schedule(delay, same
-        callback, same priority)``: a live event leaves its tombstone
-        in the heap and counts one cancellation, the new record takes
-        one fresh sequence number, and ``handle`` is re-pointed at it
-        instead of a new handle being allocated.  On a handle that has
-        fired or was cancelled it is a plain ``schedule``.  The
-        renewal path of timers that are pushed back on every frame
-        (wakelocks, beacon watchdogs).
+        Observably ``handle.cancel()`` followed by ``schedule(delay,
+        same callback, same priority)``: a live event counts one
+        cancellation, the renewal takes one fresh sequence number, and
+        events fire in the same order.  The renewal path of timers that
+        are pushed back on every frame (wakelocks, beacon watchdogs).
+
+        The renewal is lazy when the new time is at or after the
+        record's heap entry: the record stores its new ``(time,
+        sequence)`` as moved state and keeps its entry, which the run
+        loop re-files under the new key when it pops it, and the
+        superseded deadline is appended to the list ``queue_depth``
+        counts.  A renewal to an earlier time cancels the record in
+        place and pushes a new one.  On a handle that has fired or was
+        cancelled it is a plain ``schedule``.
         """
         record = handle._record
         if record[5] is not None:
@@ -229,14 +277,31 @@ class Simulator:
                     f"cannot schedule into the past: delay={delay}"
                 )
             raise SimulationError(f"event time must be finite: {time}")
-        if record[4] is False:
-            record[4] = True
-            self._events_cancelled += 1
         sequence = self._sequence
         self._sequence = sequence + 1
+        state = record[4]
+        if state is False or (state.__class__ is tuple and not state[2]):
+            self._events_cancelled += 1
+            if time >= record[0]:
+                superseded = self._superseded
+                superseded.append(record[0] if state is False else state[0])
+                record[4] = (time, sequence, False)
+                if len(superseded) >= self._compact_at:
+                    self._compact_superseded()
+                return
+            record[4] = True if state is False else (state[0], state[1], True)
         record = [time, record[1], sequence, record[3], False, None]
         heappush(self._queue, record)
         handle._record = record
+
+    def _compact_superseded(self) -> None:
+        # Deadlines behind the clock are tombstones cancel-and-push has
+        # already popped; drop them so the list stays within twice the
+        # renewals still ahead.
+        now = self._now
+        kept = [t for t in self._superseded if t >= now]
+        self._superseded = kept
+        self._compact_at = max(2 * len(kept), _MIN_COMPACT)
 
     def post(
         self,
@@ -404,9 +469,14 @@ class Simulator:
                         chosen = probe
                 if chosen is None:
                     break
-                if chosen.next_due > self._now:
-                    self._now = chosen.next_due
-                chosen.next_due += chosen.interval_s
+                due = chosen.next_due
+                if due > self._now:
+                    self._now = due
+                # Every event before the probe has fired and none at or
+                # after it, so cancel-and-push would hold exactly the
+                # superseded deadlines from ``due`` on.
+                self._drained_through = math.nextafter(due, -_INF)
+                chosen.next_due = due + chosen.interval_s
                 self._probes_fired += 1
                 chosen.callback()
             if any(p.cancelled for p in probes):
@@ -443,6 +513,7 @@ class Simulator:
         limit = _INF if until is None else until
         processed = self._events_processed
         processed_limit = processed + max_events
+        completed = False
         try:
             while True:
                 # Inner limit: the probe boundary expressed as a single
@@ -462,7 +533,14 @@ class Simulator:
                         blocked_at = event_time
                         break
                     pop(queue)
-                    if record[4]:
+                    state = record[4]
+                    if state:
+                        if state is not True:
+                            # A renewed record at its superseded entry:
+                            # re-file it under its moved key.  Not an
+                            # event, so nothing counts it.
+                            record[0], record[2], record[4] = state
+                            push(queue, record)
                         continue
                     self._now = event_time
                     processed += 1
@@ -494,6 +572,14 @@ class Simulator:
                         self._fire_probes_until(until)
                         if until > self._now:
                             self._now = until
+                    elif self._superseded:
+                        # Cancel-and-push would still pop the tombstones
+                        # of superseded deadlines, firing the probes due
+                        # up to the last of them.
+                        last = max(self._superseded)
+                        if last > inner_limit:
+                            self._fire_probes_until(last)
+                    completed = True
                     return
                 if blocked_at > limit:
                     # Next event is beyond the horizon: trailing probes,
@@ -501,12 +587,24 @@ class Simulator:
                     self._fire_probes_until(limit)
                     if until is not None and until > self._now:
                         self._now = until
+                    completed = True
                     return
                 # Probe boundary: fire everything due through the
                 # blocking event's timestamp, then resume the fast loop.
                 self._fire_probes_until(blocked_at)
         finally:
             self._events_processed = processed
+            # Deadlines the run drained past stop counting for good;
+            # every later renewal's deadline counts until a run drains
+            # past it.  After a raising callback only those behind the
+            # clock are known drained.
+            if self._superseded:
+                if not completed:
+                    drained = math.nextafter(self._now, -_INF)
+                else:
+                    drained = _INF if until is None else until
+                self._superseded = [t for t in self._superseded if t > drained]
+            self._drained_through = -_INF
             for hook in self._sync_hooks:
                 hook()
             wall_end = perf()

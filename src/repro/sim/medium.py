@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.entity import Entity
 from repro.sim.radio_array import (
+    BEACON_RUN_HOOK,
     RadioArray,
     ROUTE_BEACON,
     ROUTE_DATA,
@@ -378,6 +379,9 @@ class Medium:
             elif route == ROUTE_BEACON and sender not in radios.slot_of:
                 if self._order_stamp != self._order_epoch:
                     self._refresh_order()
+                # Advance the beacon epochs once, before the run hooks
+                # walk the stations whose state the beacon changes.
+                radios.account_beacon(frame)
                 _dispatch(self._beacon_plan, transmission, sender)
             elif route == ROUTE_UPLINK:
                 if self._order_stamp != self._order_epoch:
@@ -445,7 +449,7 @@ class Medium:
         self._nonvector = nonvector
         self._nonvector_idx = nonvector_idx
         self._index_of = index_of
-        self._beacon_plan = self._plan(self._targets, "receive_beacon_run")
+        self._beacon_plan = self._plan(self._targets, BEACON_RUN_HOOK)
         self._order_stamp = self._order_epoch
 
     def _broadcast_fanout(self) -> Plan:

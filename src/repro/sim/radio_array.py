@@ -18,6 +18,13 @@ state those instructions need in parallel columns indexed by a dense
   client's socket table.
 * ``_base_frames`` (``array('Q')``) / ``_base_ports`` — per-slot epoch
   baselines for the *deferred* energy accrual below.
+* ``_base_beacons`` / ``_base_dtims`` (``array('Q')``) — per-slot
+  baselines of the *beacon epochs* below.
+
+Slot ids are handed out in attach order and never reused, so ascending
+slot order is the medium's attach order: a bitmask of slots iterated
+from the low bit visits stations in the order the everyone-receives
+oracle hands them a frame.
 
 Deferred accrual: instead of bumping two counters on N-1 dozing clients
 per broadcast frame, :meth:`RadioArray.account_broadcast` bumps two
@@ -38,6 +45,20 @@ externally observable order.  Listening clients schedule wakes and
 transmissions, so the medium dispatches them per frame in attach order
 — exactly the oracle's interleaving.
 
+Beacon epochs apply the same idea to beacons.  For most stations a
+beacon is ``beacons_received += 1`` (and ``dtims_received += 1`` on a
+DTIM) plus, on a DTIM, a listen decision that only changes state for
+stations listening now or named in the BTIM's partial virtual bitmap
+(paper Fig. 5).  :meth:`RadioArray.account_beacon` bumps the global
+``beacons_total`` / ``dtims_total`` once per beacon; an *epoch member*
+(a batched HIDE station without loss recovery, of the BSS whose beacons
+the epochs count) owes the difference to its baselines, settled into
+its counters at :meth:`flush` and on release.  The station run hook
+walks only :meth:`beacon_walk` — every non-member, members with
+buffered unicast, and on a DTIM members listening now or flagged in the
+BTIM — and a walked member books the beacon itself, so its baselines
+move past it.
+
 The array binds to entities by duck type, never by import: anything
 exposing ``radio_broadcast_state()`` / ``bind_radio()`` (i.e.
 :class:`~repro.station.client.Client`) gets a slot; everything else
@@ -47,7 +68,7 @@ exposing ``radio_broadcast_state()`` / ``bind_radio()`` (i.e.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.net.packet import frame_udp_port
 
@@ -101,6 +122,11 @@ def route_for(frame_class: type) -> int:
     return route
 
 
+#: The station run hook a beacon goes through (see ``Medium._plan``):
+#: only slots whose class defines it can be visited selectively.
+BEACON_RUN_HOOK = "receive_beacon_run"
+
+
 def popcount(mask: int) -> int:
     """Set-bit count (``int.bit_count`` needs 3.10+; CI runs 3.9)."""
     return bin(mask).count("1")
@@ -114,9 +140,8 @@ class RadioArray:
         self.slot_of: Dict[Any, int] = {}
         #: MAC -> entity for addressed (Ack/unicast/response) routing.
         self.by_mac: Dict[Any, Any] = {}
-        #: slot -> entity (None while the slot is on the free list).
+        #: slot -> entity (None once released; slots are not reused).
         self._clients: List[Any] = []
-        self._free: List[int] = []
         #: One bit per slot: listening OR conservative receive-all.
         self.listen_mask = 0
         #: port -> bitset of slots subscribed (INADDR_ANY-bound).
@@ -139,6 +164,23 @@ class RadioArray:
         #: its cached fan-out list on this.
         self.fanout_epoch = 0
         self._flushed_at_total = 0
+        #: slot -> AID at last refresh, and AID -> bitset of its slots.
+        self._aids: List[Optional[int]] = []
+        self._aid_slots: Dict[int, int] = {}
+        #: Beacon epochs: beacons (and DTIMs) of ``_epoch_bssid`` seen.
+        self.beacons_total = 0
+        self.dtims_total = 0
+        self._epoch_bssid: Any = None
+        #: Whether the beacon being delivered advanced the epochs.
+        self._beacon_counted = False
+        self._base_beacons = array("Q")
+        self._base_dtims = array("Q")
+        #: Epoch members, as a set and as a bitset; and the batched
+        #: slots that are not members (visited on every beacon).
+        self._members: Set[int] = set()
+        self._member_mask = 0
+        self._walk_mask = 0
+        self._flushed_at_beacons = 0
         # -- introspection for live gauges --------------------------------
         self.settles = 0
         self.flushes = 0
@@ -153,20 +195,28 @@ class RadioArray:
     # -- slot lifecycle ----------------------------------------------------
 
     def allocate(self, entity: Any) -> int:
-        """Bind ``entity`` to a slot, initialized from its live state."""
-        if self._free:
-            slot = self._free.pop()
-            self._clients[slot] = entity
-        else:
-            slot = len(self._clients)
-            self._clients.append(entity)
-            self._open_ports.append(frozenset())
-            self._base_frames.append(0)
-            self._base_ports.append(None)
+        """Bind ``entity`` to a fresh slot, initialized from its live state."""
+        slot = len(self._clients)
+        self._clients.append(entity)
+        self._open_ports.append(frozenset())
+        self._base_frames.append(0)
+        self._base_ports.append(None)
+        self._aids.append(None)
+        self._base_beacons.append(self.beacons_total)
+        self._base_dtims.append(self.dtims_total)
         self.slot_of[entity] = slot
         self.by_mac[entity.mac] = entity
         self.fanout_epoch += 1
         self._apply_state(slot, entity)
+        if BEACON_RUN_HOOK in vars(type(entity)):
+            bssid = entity.beacon_epoch_bssid()
+            if bssid is not None and self._epoch_bssid is None:
+                self._epoch_bssid = bssid
+            if bssid is not None and bssid == self._epoch_bssid:
+                self._members.add(slot)
+                self._member_mask |= 1 << slot
+            else:
+                self._walk_mask |= 1 << slot
         return slot
 
     def release(self, entity: Any) -> None:
@@ -179,6 +229,12 @@ class RadioArray:
         slot = self.slot_of.pop(entity)
         self._settle(slot)
         bit = 1 << slot
+        if slot in self._members:
+            self._settle_beacons(slot)
+            self._members.discard(slot)
+        self._member_mask &= ~bit
+        self._walk_mask &= ~bit
+        self._set_aid(slot, None)
         self.listen_mask &= ~bit
         for port in self._open_ports[slot]:
             remaining = self.port_masks.get(port, 0) & ~bit
@@ -192,7 +248,6 @@ class RadioArray:
         self._base_ports[slot] = None
         self._clients[slot] = None
         self.by_mac.pop(entity.mac, None)
-        self._free.append(slot)
         self.fanout_epoch += 1
 
     # -- state mirroring ---------------------------------------------------
@@ -208,6 +263,8 @@ class RadioArray:
         """
         entity = self._clients[slot]
         listening, aid, ports = entity.radio_broadcast_state()
+        if aid != self._aids[slot]:
+            self._set_aid(slot, aid)
         bit = 1 << slot
         was_listening = bool(self.listen_mask & bit)
         was_eligible = self._base_ports[slot] is not None
@@ -238,6 +295,7 @@ class RadioArray:
     def _apply_state(self, slot: int, entity: Any) -> None:
         """Initialize a fresh slot's columns from the entity's state."""
         listening, aid, ports = entity.radio_broadcast_state()
+        self._set_aid(slot, aid)
         bit = 1 << slot
         if listening:
             self.listen_mask |= bit
@@ -247,6 +305,93 @@ class RadioArray:
         for port in ports:
             self.port_masks[port] = self.port_masks.get(port, 0) | bit
         self._rebaseline(slot, not listening and aid is not None)
+
+    def _set_aid(self, slot: int, aid: Optional[int]) -> None:
+        bit = 1 << slot
+        old = self._aids[slot]
+        if old is not None:
+            remaining = self._aid_slots[old] & ~bit
+            if remaining:
+                self._aid_slots[old] = remaining
+            else:
+                del self._aid_slots[old]
+        if aid is not None:
+            self._aid_slots[aid] = self._aid_slots.get(aid, 0) | bit
+        self._aids[slot] = aid
+
+    # -- beacon epochs -----------------------------------------------------
+
+    def account_beacon(self, beacon: Any) -> None:
+        """Advance the beacon epochs for one beacon, before its fan-out."""
+        counted = self._beacon_counted = (
+            self._epoch_bssid is not None and beacon.bssid == self._epoch_bssid
+        )
+        if counted:
+            self.beacons_total += 1
+            if beacon.tim.is_dtim:
+                self.dtims_total += 1
+
+    def beacon_walk(self, beacon: Any, first: int, last: int) -> List[Any]:
+        """Stations of slots ``first..last`` the beacon hook must walk.
+
+        In attach order: every batched non-member, and — when the
+        beacon advanced the epochs — each member with buffered unicast
+        (it takes the full ``on_receive`` path) and, on a DTIM, each
+        member whose listen bit may change: those listening now and
+        those the BTIM flags, or all of them under an AP without BTIM
+        that buffered group traffic.  A member outside this set would
+        only count the beacon.  Walked stations book the beacon
+        themselves, so the epoch baselines of the walked slots move
+        past it here (harmless for non-members, which never settle).
+        The list is built before any station handles the beacon, so it
+        is the same snapshot the oracle's fan-out iterates.
+        """
+        mask = self._walk_mask
+        counted = self._beacon_counted
+        tim = beacon.tim
+        is_dtim = tim.is_dtim
+        if counted:
+            aid_slots = self._aid_slots
+            visit = 0
+            for aid in tim.aids_with_traffic:
+                visit |= aid_slots.get(aid, 0)
+            if is_dtim:
+                visit |= self.listen_mask
+                btim = beacon.btim
+                if btim is None:
+                    if tim.group_traffic_buffered:
+                        visit = self._member_mask
+                else:
+                    for aid in btim.aids_with_useful_broadcast:
+                        visit |= aid_slots.get(aid, 0)
+            mask |= visit & self._member_mask
+        clients = self._clients
+        base_beacons = self._base_beacons
+        base_dtims = self._base_dtims
+        walk = []
+        # Bit ``slot`` is character ``top - slot`` of ``bin(mask)``:
+        # scanning right to left visits slots in ascending order.
+        bits = bin(mask)
+        top = len(bits) - 1
+        start = max(top - last, 2)
+        end = top - first + 1
+        while True:
+            end = bits.rfind("1", start, end)
+            if end < 0:
+                return walk
+            slot = top - end
+            walk.append(clients[slot])
+            if counted:
+                base_beacons[slot] += 1
+                if is_dtim:
+                    base_dtims[slot] += 1
+
+    def _settle_beacons(self, slot: int) -> None:
+        counters = self._clients[slot].counters
+        counters.beacons_received += self.beacons_total - self._base_beacons[slot]
+        counters.dtims_received += self.dtims_total - self._base_dtims[slot]
+        self._base_beacons[slot] = self.beacons_total
+        self._base_dtims[slot] = self.dtims_total
 
     # -- deferred accrual --------------------------------------------------
 
@@ -302,9 +447,13 @@ class RadioArray:
         The medium registers this at the engine's probe-boundary sync
         points and exposes it as ``Medium.sync_accounting()`` for
         anything (invariant checks, tests) reading client counters
-        between probes.  O(1) when no broadcast frame arrived since the
-        last flush.
+        between probes.  O(1) when no beacon and no broadcast frame
+        arrived since the last flush.
         """
+        if self.beacons_total != self._flushed_at_beacons:
+            for slot in self._members:
+                self._settle_beacons(slot)
+            self._flushed_at_beacons = self.beacons_total
         if self.frames_total == self._flushed_at_total:
             return
         self.flushes += 1

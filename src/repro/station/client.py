@@ -236,6 +236,22 @@ class Client(Entity):
         self._radio = None
         self._radio_slot = -1
 
+    def beacon_epoch_bssid(self) -> Optional[MacAddress]:
+        """The BSS whose beacons may be counted for this station in bulk.
+
+        A HIDE station without loss recovery handles a beacon that
+        neither buffers unicast for it nor changes its DTIM listen bit
+        by counting it, so the radio array may book such beacons from
+        its beacon epochs.  ``None`` for every other station: loss
+        recovery re-arms a watchdog on every beacon (and is the only
+        reader of a pending ACK there), and the other policies listen
+        on the TIM group bit, so each beacon walks them.
+        """
+        config = self.config
+        if config.policy is ClientPolicy.HIDE and not config.loss_recovery:
+            return self.bssid
+        return None
+
     def radio_broadcast_state(self):
         """(receiving-broadcasts, aid, subscribed broadcast ports).
 
@@ -607,8 +623,12 @@ class Client(Entity):
     def receive_beacon_run(clients, transmission: Transmission) -> None:
         """Batched :meth:`on_receive` of one beacon.
 
-        Inline: a live station with no unicast buffered for it — the
-        counters, watchdog re-arm and DTIM listen decision of
+        Walks only the stations the radio array's
+        :meth:`~repro.sim.radio_array.RadioArray.beacon_walk` names, in
+        attach order; for every other station the beacon only counts,
+        and the array's beacon epochs book that count.  Inline: a live
+        station with no unicast buffered for it — the counters,
+        watchdog re-arm and DTIM listen decision of
         :meth:`_handle_beacon` / :meth:`_should_listen`.
         """
         beacon = transmission.frame
@@ -621,7 +641,10 @@ class Client(Entity):
         btim = beacon.btim
         useful_aids = None if btim is None else btim.aids_with_useful_broadcast
         hide = ClientPolicy.HIDE
-        for client in clients:
+        walk = clients[0]._radio.beacon_walk(
+            beacon, clients[0]._radio_slot, clients[-1]._radio_slot
+        )
+        for client in walk:
             aid = client.aid
             if client._crashed or (aid is not None and aid in unicast_aids):
                 client.on_receive(transmission)

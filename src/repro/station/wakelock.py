@@ -5,8 +5,13 @@ arriving while the lock is held *renews* it (resets time-to-expire to
 τ). When the lock finally expires, the owner is notified so it can start
 the suspend path. Because renewals collapse into one logical lock, the
 manager models a single lock with a moving expiry — exactly the paper's
-"we combine them into one single wakelock". Held time is kept as a
-running total: each hold adds its duration once, when it closes.
+"we combine them into one single wakelock". The expiry is one engine
+event renewed with :meth:`~repro.sim.engine.Simulator.rearm`, which is
+lazy: a renewal stores the moved deadline on the event record, and the
+run loop re-files the record only when it reaches the old deadline, so
+a frame that renews a held lock pushes nothing onto the event heap.
+Held time is kept as a running total: each hold adds
+its duration once, when it closes.
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ class WakelockManager:
     def held(self) -> bool:
         return self._expiry_event is not None
 
-    @property
-    def expires_at(self) -> Optional[float]:
-        return self._expires_at
-
     def acquire(self, timeout_s: Optional[float] = None) -> None:
         """Acquire or renew the lock for ``timeout_s`` (default τ).
 
@@ -59,18 +60,22 @@ class WakelockManager:
         so a dropped frame can never suspend out from under a useful
         frame received in the same delivery batch.
         """
-        timeout = self._timeout if timeout_s is None else timeout_s
-        if timeout < 0:
+        if timeout_s is None:
+            timeout = self._timeout  # checked at construction
+        elif timeout_s < 0:
             raise ValueError("wakelock timeout must be non-negative")
+        else:
+            timeout = timeout_s
         now = self._simulator.now
         new_expiry = now + timeout
-        if self._expiry_event is not None:
+        event = self._expiry_event
+        if event is not None:
             self.renewals += 1
-            if self._expires_at is not None and new_expiry <= self._expires_at:
-                return  # held longer already; nothing to extend
-            self._expires_at = new_expiry
-            # Renewal moves the held expiry; the handle is reused.
-            self._simulator.rearm(self._expiry_event, timeout)
+            # Held longer already: nothing to extend.  Otherwise the
+            # renewal moves the held expiry; the handle is reused.
+            if new_expiry > self._expires_at:
+                self._expires_at = new_expiry
+                self._simulator.rearm(event, timeout)
             return
         self.acquisitions += 1
         self._held_since = now

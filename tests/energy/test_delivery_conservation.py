@@ -150,7 +150,7 @@ class TestRadioArrayConservation5k:
                 stub = stubs.pop(idx)
                 radios.release(stub)
                 detached.append(stub)
-            elif action < 0.23 and detached:  # rejoin on a recycled slot
+            elif action < 0.23 and detached:  # rejoin on a fresh slot
                 stub = detached.pop()
                 radios.allocate(stub)
                 stubs.append(stub)

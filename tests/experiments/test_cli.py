@@ -140,6 +140,31 @@ class TestSimRunProfileFlags:
         )
         assert result.ok(fail_on_missing=True)
 
+    def test_engine_line_matches_the_metrics_export(self, tmp_path, capsys):
+        """Pending events and queue depth (tombstones included) are two
+        gauges; the summary prints both, as the export has them."""
+        import re
+
+        from repro.obs.diff import load_metrics_file
+
+        prom = tmp_path / "run.prom"
+        assert main([
+            "sim", "run", "Classroom", "--duration", "8", "--clients", "4",
+            "--metrics-out", str(prom),
+        ]) == 0
+        line = next(
+            text for text in capsys.readouterr().out.splitlines()
+            if text.startswith("engine: ")
+        )
+        match = re.match(r"engine: (\d+) pending, (\d+) queued, ", line)
+        assert match, line
+        pending, queued = (int(group) for group in match.groups())
+        series = load_metrics_file(str(prom))
+        assert pending == series["repro_sim_pending_events"]
+        assert queued == series["repro_sim_queue_depth"]
+        # Renewals leave superseded deadlines behind, so the two differ.
+        assert queued > pending
+
 
 class TestSharedDesFlags:
     """`sim run` and `sweep` read the shared DES flags identically."""

@@ -245,14 +245,12 @@ class TestRenderTable:
 
 
 class TestEngineHooks:
-    def test_attach_detach_lifecycle(self):
+    def test_attach_sets_profiler(self):
         sim = Simulator()
         profiler = AttributionProfiler()
         assert sim.profiler is None
-        sim.attach_profiler(profiler)
+        assert sim.attach_profiler(profiler) is profiler
         assert sim.profiler is profiler
-        sim.detach_profiler()
-        assert sim.profiler is None
 
     def test_double_attach_rejected(self):
         sim = Simulator()

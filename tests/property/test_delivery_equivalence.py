@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from dataclasses import asdict
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ap.access_point import AccessPoint, ApConfig
@@ -51,6 +51,8 @@ _FLEET = 32
 
 _AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 _WIRED_SRC = MacAddress.from_string("02:bb:00:00:00:99")
+#: A BSS no access point on the medium serves.
+_FOREIGN_BSSID = MacAddress.from_string("02:cc:00:00:00:01")
 
 #: Wall-clock fields in trace records measure the host, not the
 #: protocol; everything else in a record is simulation-determined.
@@ -290,6 +292,162 @@ class TestDeliveryEquivalenceFleet:
         assert spy.longest["receive_beacon_run"] >= self.CLIENTS - 1
         assert spy.fallbacks["receive_beacon_run"] > 0
         assert spy.fallbacks["receive_broadcast_run"] > 0
+
+
+#: One station's part in a beacon-epoch tape: (policy, loss recovery,
+#: joins late).
+_station_strategy = st.tuples(
+    st.sampled_from(list(ClientPolicy)),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+def _beacon_epoch_tape(
+    medium_cls, stations, crash, unicast, seed, hide_ap=True, foreign_first=False
+):
+    """Per-probe beacon state of a hand-wired BSS on ``medium_cls``.
+
+    ``stations`` fixes each station's policy, loss recovery and whether
+    it attaches without an AID and associates over the air mid-run;
+    ``crash`` is (station, crash time, downtime); ``unicast`` the
+    station the AP buffers unicast for; ``hide_ap=False`` makes a
+    legacy AP that sends no BTIM.  A HIDE station of another BSS, which
+    must decode none of these beacons, attaches before or after the
+    fleet.  Every probe records each station's beacon and DTIM counts,
+    its listen bit, and the PS-Polls and unicast frames a TIM bit led
+    to.
+    """
+    sim = Simulator()
+    injector = FaultInjector(
+        FaultPlan(default_loss=0.05, beacon_loss=0.03, seed=seed)
+    )
+    medium = medium_cls(sim, fault_injector=injector)
+    ap = AccessPoint(_AP_MAC, medium, ApConfig(hide_enabled=hide_ap))
+    medium.attach(ap)
+    foreign = Client(
+        MacAddress.station(200), medium, _FOREIGN_BSSID,
+        ClientConfig(wakelock_timeout_s=0.2),
+    )
+    if foreign_first:
+        medium.attach(foreign)
+    ports = (5353, 1900, 17500)
+    clients = []
+    for index, (policy, recovery, late) in enumerate(stations):
+        client = Client(
+            MacAddress.station(index + 1), medium, _AP_MAC,
+            ClientConfig(
+                policy=policy, wakelock_timeout_s=0.2, loss_recovery=recovery
+            ),
+        )
+        client.open_port(ports[index % len(ports)])
+        medium.attach(client)
+        if late:
+            sim.schedule(0.9 + 0.3 * index, client.request_association)
+        else:
+            record = ap.associate(
+                client.mac, hide_capable=policy is ClientPolicy.HIDE
+            )
+            client.set_aid(record.aid)
+        clients.append(client)
+    if not foreign_first:
+        medium.attach(foreign)
+    for i in range(30):
+        packet = build_broadcast_udp_packet(ports[i % len(ports)], b"x" * 60)
+        sim.schedule(
+            0.17 * (i + 1), lambda p=packet: ap.deliver_from_ds(p, _WIRED_SRC)
+        )
+    target = clients[unicast % len(clients)]
+    for i in range(3):
+        frame = DataFrame(
+            destination=target.mac,
+            bssid=_AP_MAC,
+            source=_WIRED_SRC,
+            llc_payload=LlcSnapHeader.wrap(0x0800, b"push"),
+        )
+        sim.schedule(
+            1.3 + 1.1 * i, lambda f=frame: ap.deliver_unicast_from_ds(f)
+        )
+    index, crash_at, down_s = crash
+    victim = clients[index % len(clients)]
+    sim.schedule(crash_at, victim.crash)
+    sim.schedule(crash_at + down_s, victim.rejoin)
+    tape = []
+    sim.add_probe(
+        0.1,
+        lambda: tape.append([
+            (
+                c.counters.beacons_received,
+                c.counters.dtims_received,
+                c._radio_listening or c._conservative_listen,
+                c.counters.ps_polls_sent,
+                c.counters.unicast_frames_received,
+            )
+            for c in clients + [foreign]
+        ]),
+    )
+    sim.run(until=6.0)
+    return tape
+
+
+#: Every policy, recovery on and off, two late joiners, and a first
+#: station (the unicast target of the pinned examples) whose beacons
+#: the epochs count.
+_MIXED_STATIONS = [
+    (ClientPolicy.HIDE, False, False),
+    (ClientPolicy.RECEIVE_ALL, True, False),
+    (ClientPolicy.CLIENT_SIDE, False, True),
+    (ClientPolicy.HIDE, True, False),
+    (ClientPolicy.HIDE, False, True),
+    (ClientPolicy.HIDE, False, False),
+]
+
+
+class TestBeaconEpochEquivalence:
+    """Beacon epochs book exactly the beacons per-station decode would.
+
+    The production medium counts beacons for HIDE stations in bulk and
+    walks only the stations a beacon changes; the oracle decodes every
+    beacon at every station.  At every probe boundary each station's
+    beacon count, DTIM count and listen bit must agree, across mixed
+    fleets, loss recovery, late association, buffered unicast, and a
+    crash and rejoin, and a station of another BSS, under a HIDE AP and a
+    legacy one.
+    """
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        stations=st.lists(_station_strategy, min_size=3, max_size=12),
+        crash=st.tuples(
+            st.integers(min_value=0, max_value=11),
+            st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
+            st.floats(min_value=0.1, max_value=1.5, allow_nan=False),
+        ),
+        unicast=st.integers(min_value=0, max_value=11),
+        seed=st.integers(min_value=0, max_value=999),
+        hide_ap=st.booleans(),
+        foreign_first=st.booleans(),
+    )
+    @example(
+        stations=_MIXED_STATIONS, crash=(5, 1.5, 0.8), unicast=0, seed=5,
+        hide_ap=True, foreign_first=False,
+    )
+    @example(
+        stations=_MIXED_STATIONS, crash=(5, 1.5, 0.8), unicast=0, seed=5,
+        hide_ap=False, foreign_first=True,
+    )
+    def test_probe_tapes_identical(
+        self, stations, crash, unicast, seed, hide_ap, foreign_first
+    ):
+        args = (stations, crash, unicast, seed, hide_ap, foreign_first)
+        ref = _beacon_epoch_tape(ReferenceMedium, *args)
+        vec = _beacon_epoch_tape(Medium, *args)
+        assert ref == vec
+        assert ref[-1] != ref[0], "no beacon reached any station"
 
 
 class TestDeliveryEquivalenceObservers:

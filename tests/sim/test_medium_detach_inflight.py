@@ -144,14 +144,15 @@ class TestDetachDuringInflightDrain:
         )
         assert before == after
 
-    def test_detached_slot_is_recycled(self):
+    def test_late_attach_takes_a_fresh_slot_at_the_current_epoch(self):
         medium, _, v2, _ = _run(Medium)
         radios = medium.radio_array
         late = FakeClient("late", _mac(9), listening=False, ports=frozenset({5353}))
         medium.attach(late)
         assert len(radios) == 3
-        assert radios.slot_of[late] is not None
-        # The recycled slot baselines at the current epoch: frames that
+        # Slots are never reused, so slot order stays attach order.
+        assert radios.slot_of[late] == max(radios.slot_of.values()) == 3
+        # The new slot baselines at the current epoch: frames that
         # aired before this attach are not owed to the newcomer.
         medium.sync_accounting()
         assert late.counters.broadcast_frames_ignored == 0

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.station import wakelock as wakelock_module
 from repro.station.wakelock import WakelockManager
+from tests.sim.eager_engine import EagerSimulator
 from tests.station.float_sums import fold_sum, neumaier_sum
 
 TAU = 1.0
@@ -85,11 +86,27 @@ class TestAcquisition:
         sim.run()
         assert expired == [0.0]  # no double expiry
 
-    def test_expires_at(self):
-        sim, lock = make_lock()
-        assert lock.expires_at is None
-        lock.acquire()
-        assert lock.expires_at == pytest.approx(TAU)
+    @pytest.mark.parametrize("renewals", [1, 7, 64])
+    def test_renewed_lock_expires_once_after_last_renewal(self, renewals):
+        """N renewals, one expiry at the last renewal + τ, and the same
+        held time as under cancel-and-push renewal."""
+
+        def drive(engine_class):
+            sim = engine_class()
+            expired = []
+            lock = WakelockManager(
+                sim, TAU, on_expire=lambda: expired.append(sim.now)
+            )
+            lock.acquire()
+            for k in range(1, renewals + 1):
+                sim.schedule_at(0.1 * k + 0.013, lock.acquire)
+            sim.run()
+            return expired, lock.renewals, lock.total_held_time()
+
+        expired, count, held = drive(Simulator)
+        assert expired == [0.1 * renewals + 0.013 + TAU]
+        assert count == renewals
+        assert (expired, count, held) == drive(EagerSimulator)
 
     def test_open_hold_counted_to_now(self):
         sim, lock = make_lock()
