@@ -39,13 +39,6 @@ class PortTableStats:
     #: Clients whose entries aged out of the refresh-timer TTL.
     expirations: int = 0
 
-    def reset(self) -> None:
-        self.inserts = 0
-        self.deletes = 0
-        self.lookups = 0
-        self.refreshes = 0
-        self.expirations = 0
-
 
 class ClientUdpPortTable:
     """Port → {AIDs} with per-client replacement semantics.

@@ -383,6 +383,14 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         f"{sim.events_cancelled} cancelled, {sim.probes_fired} probes, "
         f"{rate:,.0f} events/s wall"
     )
+    radios = result.medium.radio_array
+    delivered = radios.lease_booked + radios.walked
+    print(
+        f"delivery: {delivered} listener-frames, {radios.lease_booked} "
+        f"booked by the listener lease "
+        f"({radios.lease_booked / max(1, delivered):.1%}), "
+        f"{radios.walked} walked"
+    )
     print(
         f"AP: {ap.counters.dtims_sent} DTIMs, "
         f"{ap.counters.broadcast_frames_sent} broadcast frames sent, "

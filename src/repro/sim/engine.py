@@ -24,6 +24,13 @@ exactly the key a freshly pushed record would have had, and heap order
 on unique keys does not depend on when a record was pushed, so lazy
 renewal fires everything in the same order as cancel-and-push — for
 one tuple store per renewal instead of a tombstone and a heap push.
+A live record can also be *delegated* (:meth:`Simulator.delegate`):
+its state becomes an owner object whose ``moved_key(record)`` gives the
+``(time, sequence)`` the record has now, so an owner that renews many
+records at once (the medium's listener lease) books their renewals with
+:meth:`Simulator.book_renewals` and touches no record.  When the run
+loop pops a delegated record it re-files it under the owner's key, and
+fires it only when that key is the entry just popped.
 ``interval_or_None`` makes a recurring timer a run-loop re-arm of the
 popped record instead of a closure per firing.  Every scheduling API
 (renewals included) consumes exactly one sequence number per queued
@@ -45,7 +52,8 @@ from __future__ import annotations
 import math
 import time as _time
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional
+from itertools import repeat
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -76,10 +84,13 @@ class EventHandle:
 
     @property
     def time(self) -> float:
-        state = self._record[4]
+        record = self._record
+        state = record[4]
         if state.__class__ is tuple:
             return state[0]
-        return self._record[0]
+        if state is None or state.__class__ is bool:
+            return record[0]
+        return state.moved_key(record)[0]
 
     @property
     def cancelled(self) -> bool:
@@ -293,6 +304,54 @@ class Simulator:
         record = [time, record[1], sequence, record[3], False, None]
         heappush(self._queue, record)
         handle._record = record
+
+    def delegate(self, handle: EventHandle, owner: Any) -> Tuple[float, int]:
+        """Hand a live one-shot record's renewals to ``owner``.
+
+        Returns the record's key, ``(time, sequence)``, as it stands.
+        From here until :meth:`reclaim`, ``owner.moved_key(record)``
+        says which key the record has: the run loop re-files the record
+        under it and fires it when it is the entry popped.  The owner
+        books each renewal it makes with :meth:`book_renewals`, and
+        reclaims the record before anything cancels or re-arms it.
+        """
+        record = handle._record
+        state = record[4]
+        record[4] = owner
+        if state is False:
+            return record[0], record[2]
+        return state[0], state[1]
+
+    def reclaim(
+        self, handle: EventHandle, owner: Any, key: Tuple[float, int]
+    ) -> None:
+        """End :meth:`delegate`: the record's key is now ``key``.
+
+        A record that fired while delegated is left as it is.
+        """
+        record = handle._record
+        if record[4] is owner:
+            if record[0] == key[0] and record[2] == key[1]:
+                record[4] = False
+            else:
+                record[4] = (key[0], key[1], False)
+
+    def book_renewals(self, count: int, superseded: float) -> int:
+        """Book ``count`` lazy renewals of delegated records in one step.
+
+        Each is what :meth:`rearm` of a live record to a later time
+        books: one sequence number (the first is returned; the rest
+        follow in order), one counted cancellation, and the superseded
+        deadline, here the same ``superseded`` for all of them.
+        """
+        sequence = self._sequence
+        self._sequence = sequence + count
+        self._events_cancelled += count
+        superseded_list = self._superseded
+        superseded_list.extend(repeat(superseded, count))
+        if len(superseded_list) >= self._compact_at:
+            self._compact_superseded()
+        return sequence
 
     def _compact_superseded(self) -> None:
         # Deadlines behind the clock are tombstones cancel-and-push has
@@ -539,9 +598,21 @@ class Simulator:
                             # A renewed record at its superseded entry:
                             # re-file it under its moved key.  Not an
                             # event, so nothing counts it.
-                            record[0], record[2], record[4] = state
-                            push(queue, record)
-                        continue
+                            if state.__class__ is tuple:
+                                record[0], record[2], record[4] = state
+                                push(queue, record)
+                                continue
+                            # Delegated: its owner holds the key it has
+                            # now.  Re-file under that key unless it is
+                            # the entry just popped, which then fires.
+                            moved, sequence = state.moved_key(record)
+                            if moved != event_time or sequence != record[2]:
+                                record[0] = moved
+                                record[2] = sequence
+                                push(queue, record)
+                                continue
+                        else:
+                            continue
                     self._now = event_time
                     processed += 1
                     interval = record[5]

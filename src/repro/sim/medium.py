@@ -29,6 +29,7 @@ from repro.sim.engine import Simulator
 from repro.sim.entity import Entity
 from repro.sim.radio_array import (
     BEACON_RUN_HOOK,
+    BROADCAST_RUN_HOOK,
     RadioArray,
     ROUTE_BEACON,
     ROUTE_DATA,
@@ -122,7 +123,7 @@ class Medium:
         self._frames_queued = 0
         self._delivery_observers: List[Callable[[Transmission, bool], None]] = []
         #: Slot-indexed radio columns of every client-like entity.
-        self._radios = RadioArray()
+        self._radios = RadioArray(simulator)
         #: Entities without a radio slot (the AP, test doubles), in
         #: attach order, plus their indices into ``_targets`` — the
         #: recipients of client-originated and unaddressed frames.
@@ -244,10 +245,11 @@ class Medium:
     def sync_accounting(self) -> None:
         """Settle deferred per-client accrual into client counters.
 
-        Registered as an engine sync hook (probe boundaries, run exit,
-        every step).  Anything reading client counters *outside* those
-        boundaries — the invariant suite's mid-run checks, tests poking
-        counters between manual drains — calls this first.
+        Registered as an engine sync hook (probe boundaries and run
+        exit).  Anything reading client counters or wakelocks *outside*
+        those boundaries — the invariant suite's mid-run checks, tests
+        poking counters between manual drains — calls this first.  It
+        also dissolves the listener lease.
         """
         self._radios.flush()
 
@@ -370,12 +372,16 @@ class Medium:
                         if entity is not sender:
                             entity.on_receive(transmission)
                 else:
-                    # Credit every dozing slot in O(1) *before* the
-                    # listener callbacks: a listener dropping to doze
-                    # while handling this frame re-baselines against
-                    # the post-credit totals and is not double-counted.
+                    # Plan first: a rebuild that closes the listener
+                    # lease settles its members before this frame
+                    # counts.  Then credit every dozing slot in O(1)
+                    # *before* the listener callbacks: a listener
+                    # dropping to doze while handling this frame
+                    # re-baselines against the post-credit totals and
+                    # is not double-counted.
+                    plan = self._broadcast_fanout()
                     radios.account_broadcast(frame)
-                    _dispatch(self._broadcast_fanout(), transmission, sender)
+                    _dispatch(plan, transmission, sender)
             elif route == ROUTE_BEACON and sender not in radios.slot_of:
                 if self._order_stamp != self._order_epoch:
                     self._refresh_order()
@@ -458,23 +464,29 @@ class Medium:
         Cached across frames; any listen-bit flip or attach/detach
         invalidates the stamp and the next broadcast frame rebuilds.
         Between DTIM bursts the mask is stable and storms of broadcast
-        frames reuse the plan untouched.
+        frames reuse the plan untouched.  The listener lease stays open
+        only while the plan holds at most one run of the station hook:
+        one hook call then books each frame for every member, before
+        any other station could settle one.
         """
         radios = self._radios
         stamp = (self._order_epoch, radios.fanout_epoch)
         if stamp != self._fanout_stamp:
             slot_of = radios.slot_of
             listen = radios.listen_mask
-            self._fanout = self._plan(
+            self._fanout = plan = self._plan(
                 (
                     entity
                     for entity in self._targets
                     if entity not in slot_of or (listen >> slot_of[entity]) & 1
                 ),
-                "receive_broadcast_run",
+                BROADCAST_RUN_HOOK,
             )
             self._fanout_stamp = stamp
             self._fanout_rebuilds += 1
+            radios.lease_open = sum(hook is not None for hook, _ in plan) <= 1
+            if not radios.lease_open and radios.lease_mask:
+                radios.settle_lease()
         return self._fanout
 
     def _plan(self, members: Iterable[Entity], hook_name: str) -> Plan:

@@ -20,6 +20,9 @@ state those instructions need in parallel columns indexed by a dense
   baselines for the *deferred* energy accrual below.
 * ``_base_beacons`` / ``_base_dtims`` (``array('Q')``) — per-slot
   baselines of the *beacon epochs* below.
+* ``lease_mask`` / ``_lease_base`` / ``_lease_ports`` — the *listener
+  lease* below: its members, and each member's frame and port epochs
+  at join.
 
 Slot ids are handed out in attach order and never reused, so ascending
 slot order is the medium's attach order: a bitmask of slots iterated
@@ -59,6 +62,36 @@ buffered unicast, and on a DTIM members listening now or flagged in the
 BTIM — and a walked member books the beacon itself, so its baselines
 move past it.
 
+Listener leases apply it to the stations that listen to a burst.  A
+station that is live, listening (not in conservative receive-all),
+ACTIVE and holding its wakelock takes the inline path of the broadcast
+hook, where a mid-burst frame only bumps its received and
+useful/useless counters and renews a lock that cannot expire sooner.
+Once the hook has handled such a station it joins the lease
+(:meth:`RadioArray.finish_broadcast`), and so does one a DTIM turns on
+whose lock expires exactly at the lease deadline, because the previous
+burst's last frame renewed it (:meth:`RadioArray.flip_listening`): its
+wakelock's renewals and its expiry record's key are delegated to the
+array.  Each later frame books
+every member in O(1): the same frame and port epochs give its
+counters, and when the frame extends the members' locks (every
+member's lock expires one timeout after the lease's last frame, so one
+comparison decides for all) the engine books their renewals in bulk —
+sequence numbers, counted cancellations and the superseded deadlines
+``queue_depth`` counts (:meth:`~repro.sim.engine.Simulator.book_renewals`).
+Sequence numbers stay exact: the hook walks only the listeners outside
+the lease (:meth:`RadioArray.broadcast_walk`), and before each walked
+station the members below it take the next run of numbers
+(:meth:`RadioArray.book_below`), so a member's number is its run's
+first plus its rank among the frame's members.  The burst's last frame
+settles every member and clears their listen bits in one mask
+operation with one ``fanout_epoch`` bump; any change to a member — a
+wakelock or power call, ``refresh``, release, :meth:`RadioArray.flush`
+— settles it first.  Settling hands the station exactly what one
+``on_receive`` per frame would have left: counters, renewals, expiry
+and the expiry record's moved ``(time, sequence)``.  The medium keeps
+the lease open only while the broadcast fan-out is one run of the hook.
+
 The array binds to entities by duck type, never by import: anything
 exposing ``radio_broadcast_state()`` / ``bind_radio()`` (i.e.
 :class:`~repro.station.client.Client`) gets a slot; everything else
@@ -68,7 +101,8 @@ exposing ``radio_broadcast_state()`` / ``bind_radio()`` (i.e.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from bisect import bisect_right
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.net.packet import frame_udp_port
 
@@ -126,16 +160,43 @@ def route_for(frame_class: type) -> int:
 #: only slots whose class defines it can be visited selectively.
 BEACON_RUN_HOOK = "receive_beacon_run"
 
+#: The station run hook a broadcast data frame goes through; only the
+#: slots it walks can join the listener lease.
+BROADCAST_RUN_HOOK = "receive_broadcast_run"
+
 
 def popcount(mask: int) -> int:
     """Set-bit count (``int.bit_count`` needs 3.10+; CI runs 3.9)."""
     return bin(mask).count("1")
 
 
+class LeaseToken:
+    """One station's seat in the listener lease.
+
+    Lent to the station's wakelock and power machine, and the state of
+    its delegated expiry record: :meth:`settle` takes the station out of
+    the lease, :meth:`moved_key` is the key the record has now.
+    """
+
+    __slots__ = ("_radios", "_slot")
+
+    def __init__(self, radios: "RadioArray", slot: int) -> None:
+        self._radios = radios
+        self._slot = slot
+
+    def settle(self) -> None:
+        self._radios._settle_member(self._slot)
+
+    def moved_key(self, record: list) -> Tuple[float, int]:
+        return self._radios._member_key(self._slot)
+
+
 class RadioArray:
     """Dense per-client radio-state columns plus deferred accrual."""
 
-    def __init__(self) -> None:
+    def __init__(self, simulator: Any = None) -> None:
+        #: The engine the listener lease books renewals on.
+        self._simulator = simulator
         #: entity -> slot id, the membership test the medium routes on.
         self.slot_of: Dict[Any, int] = {}
         #: MAC -> entity for addressed (Ack/unicast/response) routing.
@@ -150,8 +211,10 @@ class RadioArray:
         self._open_ports: List[FrozenSet[int]] = []
         #: slot -> ``frames_total`` at the slot's current baseline.
         self._base_frames = array("Q")
-        #: slot -> {port: port_frames[port] at baseline}; ``None`` when
-        #: the slot cannot miss (listening, no AID, or detached).
+        #: slot -> {port: port_frames[port] at baseline}, holding at
+        #: least the slot's ports (slots re-baselined together share one
+        #: copy); ``None`` when the slot cannot miss (listening, no AID,
+        #: or detached).
         self._base_ports: List[Optional[Dict[int, int]]] = []
         #: Epoch counters: broadcast frames fanned out since creation.
         self.frames_total = 0
@@ -181,9 +244,40 @@ class RadioArray:
         self._member_mask = 0
         self._walk_mask = 0
         self._flushed_at_beacons = 0
+        #: Listener lease: the leased slots, and per slot the
+        #: ``frames_total`` and ``port_frames`` (a copy shared by the
+        #: slots that joined together) at join, the expiry key its own
+        #: renewals left, and its token.
+        self.lease_mask = 0
+        self._lease_base = array("Q")
+        self._lease_ports: List[Dict[int, int]] = []
+        self._lease_keys: List[Optional[Tuple[float, int]]] = []
+        self._lease_tokens: List[Optional[LeaseToken]] = []
+        #: Set by the medium: stations may join only while the
+        #: broadcast fan-out is one run of the station hook.
+        self.lease_open = False
+        #: The members' wakelock timeout, and the expiry every member's
+        #: lock has after the lease's last frame.
+        self._lease_timeout = 0.0
+        self._lease_deadline = -float("inf")
+        #: The last frame that extended the members' locks: its
+        #: ``frames_total``, the deadline it superseded, ``bin()`` of the
+        #: members, and its sequence runs ``(first slot, first sequence)``.
+        self._extended_at = 0
+        self._prior_deadline = 0.0
+        self._extended_bits = "0b0"
+        self._run_slots: List[int] = []
+        self._run_seqs: List[int] = []
+        self._cursor = 0
+        #: Whether the frame being delivered books sequence runs.
+        self.booking = False
         # -- introspection for live gauges --------------------------------
         self.settles = 0
         self.flushes = 0
+        #: Listener-frames the lease booked, and the stations the
+        #: broadcast hook walked (their sum is every listener-frame).
+        self.lease_booked = 0
+        self.walked = 0
 
     def __len__(self) -> int:
         return len(self.slot_of)
@@ -204,6 +298,10 @@ class RadioArray:
         self._aids.append(None)
         self._base_beacons.append(self.beacons_total)
         self._base_dtims.append(self.dtims_total)
+        self._lease_base.append(0)
+        self._lease_ports.append({})
+        self._lease_keys.append(None)
+        self._lease_tokens.append(None)
         self.slot_of[entity] = slot
         self.by_mac[entity.mac] = entity
         self.fanout_epoch += 1
@@ -222,11 +320,14 @@ class RadioArray:
     def release(self, entity: Any) -> None:
         """Settle and free ``entity``'s slot (detach/crash).
 
-        Pending deferred accrual is settled into the client's counters
-        exactly once, *before* the slot id returns to the free list —
-        a crash mid-window must neither lose nor double-count frames.
+        Pending deferred accrual, beacon epochs and lease bookings are
+        settled into the client's counters exactly once, before the
+        slot is retired (slots are not reused) — a crash mid-window must
+        neither lose nor double-count frames.
         """
         slot = self.slot_of.pop(entity)
+        if (self.lease_mask >> slot) & 1:
+            self._settle_member(slot)
         self._settle(slot)
         bit = 1 << slot
         if slot in self._members:
@@ -260,7 +361,10 @@ class RadioArray:
         open/close).  A change settles the slot under its *old*
         membership, applies the new state, and re-baselines — the pivot
         that keeps deferred accrual exact across state transitions.
+        A leased slot leaves the lease first, whatever changed.
         """
+        if self.lease_mask and (self.lease_mask >> slot) & 1:
+            self._settle_member(slot)
         entity = self._clients[slot]
         listening, aid, ports = entity.radio_broadcast_state()
         if aid != self._aids[slot]:
@@ -406,7 +510,7 @@ class RadioArray:
         for a frame it received awake.
         """
         self.frames_total += 1
-        if self._eligible:
+        if self._eligible or self.lease_mask:
             port = frame_udp_port(frame)
             if port is not None:
                 self.port_frames[port] = self.port_frames.get(port, 0) + 1
@@ -423,8 +527,8 @@ class RadioArray:
             if base is not None:
                 port_frames = self.port_frames
                 missed = 0
-                for port, seen in base.items():
-                    missed += port_frames.get(port, 0) - seen
+                for port in self._open_ports[slot]:
+                    missed += port_frames.get(port, 0) - base.get(port, 0)
                 if missed:
                     counters.useful_frames_missed += missed
             self.settles += 1
@@ -448,8 +552,10 @@ class RadioArray:
         points and exposes it as ``Medium.sync_accounting()`` for
         anything (invariant checks, tests) reading client counters
         between probes.  O(1) when no beacon and no broadcast frame
-        arrived since the last flush.
+        arrived since the last flush.  Dissolves the listener lease.
         """
+        if self.lease_mask:
+            self.settle_lease()
         if self.beacons_total != self._flushed_at_beacons:
             for slot in self._members:
                 self._settle_beacons(slot)
@@ -461,3 +567,277 @@ class RadioArray:
             self._settle(slot)
             self._rebaseline(slot, self._base_ports[slot] is not None)
         self._flushed_at_total = self.frames_total
+
+    # -- listener lease ----------------------------------------------------
+
+    def broadcast_walk(self, clients: Sequence[Any]) -> Sequence[Any]:
+        """Stations of the run ``clients`` the broadcast hook must walk.
+
+        With the lease empty, the whole run.  Otherwise books the frame
+        for every member in O(1) — the frame and port epochs above
+        already count it — and returns the run's listeners outside the
+        lease, in attach order.  When the frame extends the members'
+        locks (it is later than the lease's last frame), their
+        renewals take sequence numbers: the hook calls
+        :meth:`book_below` before each walked station and
+        :meth:`finish_broadcast` after the walk, so every member's
+        number falls at its own place in the walk.
+        """
+        lease = self.lease_mask
+        if not lease:
+            self.walked += len(clients)
+            self.booking = False
+            return clients
+        members = bin(lease)
+        self.lease_booked += members.count("1")
+        deadline = self._simulator.now + self._lease_timeout
+        if deadline > self._lease_deadline:
+            self._prior_deadline = self._lease_deadline
+            self._lease_deadline = deadline
+            self._extended_at = self.frames_total
+            self._extended_bits = members
+            self._run_slots = []
+            self._run_seqs = []
+            self._cursor = 0
+            self.booking = True
+        else:
+            self.booking = False  # same-instant frame: renewals only
+        slot_of = self.slot_of
+        first = slot_of[clients[0]]
+        last = slot_of[clients[-1]]
+        stations = self._clients
+        walk = []
+        bits = bin(self.listen_mask & ~lease)
+        top = len(bits) - 1
+        start = max(top - last, 2)
+        end = top - first + 1
+        while True:
+            end = bits.rfind("1", start, end)
+            if end < 0:
+                break
+            walk.append(stations[top - end])
+        self.walked += len(walk)
+        return walk
+
+    def book_below(self, slot: int) -> None:
+        """Book the renewals of the members below ``slot`` not yet booked.
+
+        They form one sequence run: consecutive numbers, in slot order,
+        taken before the walked station at ``slot`` takes any.
+        """
+        low = self._cursor
+        self._cursor = slot + 1
+        bits = self._extended_bits
+        top = len(bits) - 1
+        end = top - low + 1
+        if end > 2:
+            count = bits.count("1", max(top - slot + 1, 2), end)
+            if count:
+                self._run_slots.append(low)
+                self._run_seqs.append(
+                    self._simulator.book_renewals(count, self._prior_deadline)
+                )
+
+    def finish_broadcast(self, more_data: bool, slots: List[int]) -> None:
+        """Close the frame the hook walked.
+
+        Books the last sequence run.  Mid-burst, admits ``slots`` to the
+        lease: stations the hook just handled inline while ACTIVE,
+        which hold their lock and listen.  On the burst's last frame,
+        settles every member, and clears the listen bits of the members
+        and of ``slots`` (walked stations the frame stopped listening)
+        in one mask operation.
+        """
+        if self.booking:
+            self.book_below(len(self._clients))
+        if more_data:
+            if slots and self.lease_open:
+                self._join(slots)
+        elif slots or self.lease_mask:
+            self._end_burst(slots)
+
+    def flip_listening(self, slots: List[int], joiners: List[int]) -> None:
+        """Flip the listen bit of each of ``slots`` (attach order).
+
+        A DTIM listen decision that changed nothing else about the
+        station: what :meth:`refresh` does for each — settle under the
+        old state, re-baseline under the new — with one mask operation
+        and one fan-out bump.  Then admits to the lease each of
+        ``joiners`` (stations the DTIM turned on that are ACTIVE and
+        hold their lock) whose lock expires exactly at the lease
+        deadline — those the previous burst's last frame renewed — so
+        the coming burst's first frame books them too.
+        """
+        listen = self.listen_mask
+        aids = self._aids
+        flips = 0
+        for slot in slots:
+            if self.lease_mask and (self.lease_mask >> slot) & 1:
+                self._settle_member(slot)
+            self._settle(slot)
+            bit = 1 << slot
+            self._rebaseline(slot, bool(listen & bit) and aids[slot] is not None)
+            flips |= bit
+        self.listen_mask = listen ^ flips
+        self.fanout_epoch += 1
+        if joiners and self.lease_open:
+            self._join(joiners, self._lease_deadline)
+
+    def settle_lease(self) -> None:
+        """Settle every member: the lease is empty afterwards."""
+        for slot in self._members_of(self.lease_mask):
+            self._release_member(slot, False)
+        self.lease_mask = 0
+
+    def _join(self, joiners: List[int], deadline: Optional[float] = None) -> None:
+        """Admit ``joiners``; with ``deadline``, only the broadcast
+        hook's stations whose lock expires exactly then."""
+        lease = self.lease_mask
+        frames = self.frames_total
+        ports = dict(self.port_frames)
+        clients = self._clients
+        tokens = self._lease_tokens
+        keys = self._lease_keys
+        base = self._lease_base
+        port_base = self._lease_ports
+        for slot in joiners:
+            client = clients[slot]
+            timeout = client.config.wakelock_timeout_s
+            if not lease:
+                self._lease_timeout = timeout
+            elif timeout != self._lease_timeout:
+                continue
+            if deadline is not None and (
+                BROADCAST_RUN_HOOK not in vars(type(client))
+            ):
+                continue
+            token = tokens[slot]
+            if token is None:
+                token = tokens[slot] = LeaseToken(self, slot)
+            key = client.join_lease(token, deadline)
+            if key is None:
+                continue
+            keys[slot] = key
+            # Every member's lock expires a lease timeout after the
+            # lease's last frame, joiners' included.
+            self._lease_deadline = key[0]
+            base[slot] = frames
+            port_base[slot] = ports
+            lease |= 1 << slot
+        self.lease_mask = lease
+
+    def _end_burst(self, ended: List[int]) -> None:
+        """Settle every member on the burst's last frame, which took
+        each one out of listening, as it did the walked ``ended``: one
+        mask clear, one fan-out bump."""
+        lease = self.lease_mask
+        frames_total = self.frames_total
+        port_frames = self.port_frames
+        extended_at = self._extended_at
+        deadline = self._lease_deadline
+        sequences = self._extended_sequences() if lease else {}
+        clients = self._clients
+        base = self._lease_base
+        port_base = self._lease_ports
+        keys = self._lease_keys
+        open_ports = self._open_ports
+        aids = self._aids
+        base_frames = self._base_frames
+        base_ports = self._base_ports
+        dozing_base = dict(port_frames)
+        eligible = 0
+        for slot in self._members_of(lease):
+            joined = base[slot]
+            ports = open_ports[slot]
+            useful = 0
+            if joined != frames_total:
+                seen = port_base[slot]
+                for port in ports:
+                    useful += port_frames.get(port, 0) - seen.get(port, 0)
+            clients[slot].leave_lease(
+                frames_total - joined,
+                useful,
+                (deadline, sequences[slot]) if extended_at > joined else keys[slot],
+                True,
+            )
+            # The slot now dozes: re-baseline its deferred accrual, as
+            # ``refresh`` does when a listener stops listening.
+            base_frames[slot] = frames_total
+            if aids[slot] is not None:
+                base_ports[slot] = dozing_base
+                eligible += 1
+        cleared = lease
+        for slot in ended:
+            base_frames[slot] = frames_total
+            if aids[slot] is not None:
+                base_ports[slot] = dozing_base
+                eligible += 1
+            cleared |= 1 << slot
+        self._eligible += eligible
+        self.listen_mask &= ~cleared
+        self.lease_mask = 0
+        self.fanout_epoch += 1
+
+    def _settle_member(self, slot: int) -> None:
+        self._release_member(slot, False)
+        self.lease_mask &= ~(1 << slot)
+
+    def _release_member(self, slot: int, burst_end: bool) -> None:
+        """Hand a member what the lease booked for it since it joined."""
+        frames = self.frames_total - self._lease_base[slot]
+        useful = 0
+        if frames:
+            port_frames = self.port_frames
+            seen = self._lease_ports[slot]
+            for port in self._open_ports[slot]:
+                useful += port_frames.get(port, 0) - seen.get(port, 0)
+        self._clients[slot].leave_lease(
+            frames, useful, self._member_key(slot), burst_end
+        )
+
+    def _member_key(self, slot: int) -> Tuple[float, int]:
+        """The member's expiry key: from the last frame that extended
+        it, or its own if none has since it joined."""
+        if self._extended_at <= self._lease_base[slot]:
+            return self._lease_keys[slot]
+        run_slots = self._run_slots
+        run = bisect_right(run_slots, slot) - 1
+        bits = self._extended_bits
+        top = len(bits) - 1
+        rank = bits.count("1", max(top - slot + 1, 2), top - run_slots[run] + 1)
+        return self._lease_deadline, self._run_seqs[run] + rank
+
+    def _extended_sequences(self) -> Dict[int, int]:
+        """Slot -> sequence number of each member of the last extending
+        frame, in one pass over its runs."""
+        sequences: Dict[int, int] = {}
+        run_slots = self._run_slots
+        if not run_slots:
+            return sequences
+        run_seqs = self._run_seqs
+        # Where each run ends: the next run's first slot, or past every slot.
+        bounds = run_slots[1:] + [len(self._clients)]
+        run = 0
+        sequence = run_seqs[0]
+        for slot in self._members_of_bits(self._extended_bits):
+            while slot >= bounds[run]:
+                run += 1
+                sequence = run_seqs[run]
+            sequences[slot] = sequence
+            sequence += 1
+        return sequences
+
+    def _members_of(self, mask: int) -> List[int]:
+        return self._members_of_bits(bin(mask))
+
+    @staticmethod
+    def _members_of_bits(bits: str) -> List[int]:
+        """Set slots of ``bin(mask)``, ascending."""
+        top = len(bits) - 1
+        slots = []
+        end = len(bits)
+        while True:
+            end = bits.rfind("1", 2, end)
+            if end < 0:
+                return slots
+            slots.append(top - end)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.ap.flags import frame_udp_port
 from repro.dot11.control import Ack, PsPoll
@@ -629,7 +629,12 @@ class Client(Entity):
         and the array's beacon epochs book that count.  Inline: a live
         station with no unicast buffered for it — the counters,
         watchdog re-arm and DTIM listen decision of
-        :meth:`_handle_beacon` / :meth:`_should_listen`.
+        :meth:`_handle_beacon` / :meth:`_should_listen`.  The listen
+        bits that decision flips reach the array in one call after the
+        walk (nothing in the walk reads another station's bit), with
+        the stations it turned on that could join the listener lease:
+        ACTIVE, holding their lock, and taking the broadcast hook's
+        inline path.
         """
         beacon = transmission.frame
         bssid = beacon.bssid
@@ -641,9 +646,14 @@ class Client(Entity):
         btim = beacon.btim
         useful_aids = None if btim is None else btim.aids_with_useful_broadcast
         hide = ClientPolicy.HIDE
-        walk = clients[0]._radio.beacon_walk(
+        radios = clients[0]._radio
+        walk = radios.beacon_walk(
             beacon, clients[0]._radio_slot, clients[-1]._radio_slot
         )
+        active = PowerState.ACTIVE
+        client_side = ClientPolicy.CLIENT_SIDE
+        flips = []
+        joiners = []
         for client in walk:
             aid = client.aid
             if client._crashed or (aid is not None and aid in unicast_aids):
@@ -671,7 +681,16 @@ class Client(Entity):
                 client._radio_listening = listen
                 client._conservative_listen = False
                 if listen != listening:
-                    client._notify_radio()
+                    flips.append(client._radio_slot)
+                    if (
+                        listen
+                        and client.power.state is active
+                        and client.wakelock.held
+                        and config.policy is not client_side
+                    ):
+                        joiners.append(client._radio_slot)
+        if flips:
+            radios.flip_listening(flips, joiners)
 
     @staticmethod
     def receive_broadcast_run(clients, transmission: Transmission) -> None:
@@ -682,6 +701,16 @@ class Client(Entity):
         and :meth:`_process_broadcast` with the wake-up a no-op (such a
         station neither starts a resume nor traces a wakeup) and the
         wakelock acquired at once, or once the resume completes.
+
+        Walks only the stations outside the radio array's listener
+        lease (:meth:`~repro.sim.radio_array.RadioArray.broadcast_walk`),
+        in attach order.  A station handled inline while ACTIVE that
+        still listens joins the lease after the walk; from the next
+        frame on, the lease books the frame's counters and wakelock
+        renewal for it in bulk, and the burst's last frame (or any
+        change to the station) settles them exactly.  On the last
+        frame, the listen bits of the walked stations it ends clear
+        with the lease's, in one call after the walk.
         """
         frame = transmission.frame
         more_data = frame.more_data
@@ -689,7 +718,14 @@ class Client(Entity):
         active = PowerState.ACTIVE
         resuming = PowerState.RESUMING
         client_side = ClientPolicy.CLIENT_SIDE
-        for client in clients:
+        radios = clients[0]._radio
+        walk = radios.broadcast_walk(clients)
+        booking = radios.booking
+        joiners = []
+        ended = []
+        for client in walk:
+            if booking:
+                radios.book_below(client._radio_slot)
             state = client.power.state
             if (
                 client._crashed
@@ -703,7 +739,8 @@ class Client(Entity):
             counters.broadcast_frames_received += 1
             if not more_data:
                 client._radio_listening = False
-                client._notify_radio()
+                if not client._conservative_listen:
+                    ended.append(client._radio_slot)
             if port is not None and client.sockets.delivers_broadcast_on(port):
                 counters.useful_frames_received += 1
                 counters.frames_delivered_to_apps += 1
@@ -711,8 +748,47 @@ class Client(Entity):
                 counters.useless_frames_received += 1
             if state is active:
                 client.wakelock.acquire()
+                if more_data and not client._conservative_listen:
+                    joiners.append(client._radio_slot)
             else:
                 client.power.when_active(client.wakelock.acquire)
+        radios.finish_broadcast(more_data, joiners if more_data else ended)
+
+    def join_lease(
+        self, lease, deadline: Optional[float] = None
+    ) -> Optional[Tuple[float, int]]:
+        """Enter the radio array's listener lease; returns the expiry key.
+
+        The station is ACTIVE, holds its wakelock and listens to a
+        burst: until ``lease`` settles, it books this station's
+        broadcast frames and lends the wakelock's renewals.  With
+        ``deadline``, it joins only if its lock expires exactly then
+        (else returns None).
+        """
+        key = self.wakelock.lease_to(lease, deadline)
+        if key is not None:
+            self.power.lease = lease
+        return key
+
+    def leave_lease(
+        self, frames: int, useful: int, key: Tuple[float, int], burst_end: bool
+    ) -> None:
+        """Book what the lease stood in for since :meth:`join_lease`.
+
+        ``frames`` broadcast frames received inline, ``useful`` of them
+        on a subscribed port, one wakelock renewal each; ``key`` is the
+        expiry after them, and ``burst_end`` says the last one ended
+        the burst.
+        """
+        counters = self.counters
+        counters.broadcast_frames_received += frames
+        counters.useful_frames_received += useful
+        counters.frames_delivered_to_apps += useful
+        counters.useless_frames_received += frames - useful
+        if burst_end:
+            self._radio_listening = False
+        self.power.lease = None
+        self.wakelock.end_lease(frames, key)
 
     def _handle_beacon(self, beacon: Beacon) -> None:
         if beacon.bssid != self.bssid:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
@@ -79,6 +79,9 @@ class PowerStateMachine:
         self._pending_transition: Optional[EventHandle] = None
         self._on_active_callbacks: List[Callable[[], None]] = []
         self.counters = PowerCounters()
+        #: The listener lease booking this station's frames while it is
+        #: ACTIVE; any transition settles it first.
+        self.lease: Optional[Any] = None
 
     @property
     def state(self) -> PowerState:
@@ -93,12 +96,9 @@ class PowerStateMachine:
         """
         return self._created_at
 
-    @property
-    def is_awake(self) -> bool:
-        """Paper's s(i) = 1: active, resuming, or suspending."""
-        return self._state is not PowerState.SUSPENDED
-
     def _change_state(self, new_state: PowerState) -> None:
+        if self.lease is not None:
+            self.lease.settle()
         now = self._simulator.now
         self._segments.append(StateSegment(self._state, self._state_since, now))
         self._state = new_state

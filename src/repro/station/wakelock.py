@@ -12,11 +12,18 @@ run loop re-files the record only when it reaches the old deadline, so
 a frame that renews a held lock pushes nothing onto the event heap.
 Held time is kept as a running total: each hold adds
 its duration once, when it closes.
+
+Leased renewal: while its station listens to a broadcast burst, a held
+lock can be lent to the medium's listener lease (:meth:`lease_to`).
+The lease then books every renewal a mid-burst frame makes in bulk, and
+the expiry record's key is delegated to it.  Every entry point below
+settles the lease first (:meth:`end_lease`), so ``renewals``, the
+expiry and the record are exactly what one renewal per frame gives.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.sim.engine import EventHandle, Simulator
 
@@ -44,10 +51,38 @@ class WakelockManager:
         #: ``+=`` as each hold closes. ``sum()`` is compensated from
         #: Python 3.12 on and would tie the total to the interpreter.
         self._closed_held_s = 0.0
+        #: The listener lease renewing this lock, while it holds it.
+        self._lease: Any = None
 
     @property
     def held(self) -> bool:
         return self._expiry_event is not None
+
+    def lease_to(
+        self, lease: Any, deadline: Optional[float] = None
+    ) -> Optional[Tuple[float, int]]:
+        """Lend the held lock to ``lease``; returns its expiry key.
+
+        Until the lease hands the lock back through :meth:`end_lease`,
+        it renews the lock once per frame, and every entry point here
+        first calls ``lease.settle()``.  With ``deadline``, lends it
+        only if it expires exactly then (else returns None).
+        """
+        if deadline is not None and self._expires_at != deadline:
+            return None
+        self._lease = lease
+        return self._simulator.delegate(self._expiry_event, lease)
+
+    def end_lease(self, renewals: int, key: Tuple[float, int]) -> None:
+        """Take the lock back after ``renewals`` leased renewals.
+
+        ``key`` is the expiry's ``(time, sequence)`` after the last
+        renewal that extended it.
+        """
+        lease, self._lease = self._lease, None
+        self.renewals += renewals
+        self._expires_at = key[0]
+        self._simulator.reclaim(self._expiry_event, lease, key)
 
     def acquire(self, timeout_s: Optional[float] = None) -> None:
         """Acquire or renew the lock for ``timeout_s`` (default τ).
@@ -60,6 +95,8 @@ class WakelockManager:
         so a dropped frame can never suspend out from under a useful
         frame received in the same delivery batch.
         """
+        if self._lease is not None:
+            self._lease.settle()
         if timeout_s is None:
             timeout = self._timeout  # checked at construction
         elif timeout_s < 0:
@@ -84,6 +121,8 @@ class WakelockManager:
 
     def release_now(self) -> None:
         """Drop the lock immediately (client-side filtering path)."""
+        if self._lease is not None:
+            self._lease.settle()
         if self._expiry_event is not None:
             self._expiry_event.cancel()
             self._expire()
@@ -95,11 +134,15 @@ class WakelockManager:
         timer armed before the crash; the hold period is still closed so
         held-time accounting stays exact.
         """
+        if self._lease is not None:
+            self._lease.settle()
         if self._expiry_event is not None:
             self._expiry_event.cancel()
         self._close_hold()
 
     def _expire(self) -> None:
+        if self._lease is not None:
+            self._lease.settle()
         self._close_hold()
         if self._on_expire is not None:
             self._on_expire()

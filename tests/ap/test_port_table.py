@@ -153,13 +153,6 @@ class TestStats:
         table.clients_for_port(2)
         assert table.stats.lookups == 2
 
-    def test_reset(self):
-        table = ClientUdpPortTable()
-        table.update_client(1, {5})
-        table.stats.reset()
-        assert table.stats.inserts == 0
-        assert table.stats.refreshes == 0
-
 
 class TestMeasurement:
     def test_measure_leaves_table_unchanged(self):

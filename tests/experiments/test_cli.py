@@ -165,6 +165,50 @@ class TestSimRunProfileFlags:
         # Renewals leave superseded deadlines behind, so the two differ.
         assert queued > pending
 
+    def test_delivery_line_adds_up_and_leaves_the_export_alone(
+        self, tmp_path, capsys
+    ):
+        """Every listener-frame is booked by the lease or walked; the
+        counters behind the line stay out of the export, which matches
+        the everyone-receives oracle's, where no lease exists."""
+        import re
+
+        from repro.obs.diff import diff_files, load_metrics_file
+        from tests.sim.reference_medium import oracle_des
+
+        flags = ["sim", "run", "Classroom", "--duration", "20", "--clients", "8"]
+        prom = tmp_path / "run.prom"
+        assert main(flags + ["--metrics-out", str(prom)]) == 0
+        line = next(
+            text for text in capsys.readouterr().out.splitlines()
+            if text.startswith("delivery: ")
+        )
+        match = re.match(
+            r"delivery: (\d+) listener-frames, (\d+) booked by the listener "
+            r"lease \((\d+\.\d)%\), (\d+) walked$",
+            line,
+        )
+        assert match, line
+        delivered, booked, walked = (int(match.group(i)) for i in (1, 2, 4))
+        assert delivered == booked + walked
+        assert booked > 0
+        assert float(match.group(3)) == round(100 * booked / delivered, 1)
+        series = load_metrics_file(str(prom))
+        received = sum(
+            value for name, value in series.items()
+            if name.startswith("repro_client_broadcast_frames_received_total")
+        )
+        assert received == delivered
+        assert not [name for name in series if "lease" in name]
+        reference = tmp_path / "reference.prom"
+        with oracle_des():
+            assert main(flags + ["--metrics-out", str(reference)]) == 0
+        diff = diff_files(
+            str(reference), str(prom), rel_tol=0.0, abs_tol=0.0,
+            ignore=("wall",),
+        )
+        assert diff.ok(fail_on_missing=True)
+
 
 class TestSharedDesFlags:
     """`sim run` and `sweep` read the shared DES flags identically."""

@@ -38,9 +38,11 @@ from repro.obs import format_for_path, write_metrics
 from repro.obs.diff import diff_files
 from repro.obs.tracing import NULL_TRACER, JsonlTracer
 from repro.sim.engine import Simulator
-from repro.sim.medium import Medium
+from repro.sim.entity import Entity
+from repro.sim.medium import Medium, Transmission
 from repro.station.client import Client, ClientConfig, ClientPolicy
 from repro.traces import generate_trace
+from tests.sim.eager_engine import EagerSimulator
 from tests.sim.reference_medium import ReferenceMedium, oracle_des
 
 _PLAN = FaultPlan.parse("loss=0.08,beacon=0.01,seed=11,crash=0@2:5")
@@ -448,6 +450,301 @@ class TestBeaconEpochEquivalence:
         vec = _beacon_epoch_tape(Medium, *args)
         assert ref == vec
         assert ref[-1] != ref[0], "no beacon reached any station"
+
+
+def _unicast_to(client):
+    return DataFrame(
+        destination=client.mac,
+        bssid=_AP_MAC,
+        source=_WIRED_SRC,
+        llc_payload=LlcSnapHeader.wrap(0x0800, b"push"),
+    )
+
+
+def _burst_lease_tape(
+    medium_cls, sim_cls, stations, timeout_s, probe_s, seed, triggers,
+    split=False,
+):
+    """Per-probe broadcast, wakelock and engine state of bursty traffic.
+
+    ``stations`` fixes each station's policy, loss recovery and whether
+    its wakelock timeout is twice ``timeout_s`` (it cannot share the
+    others' lease).  Broadcasts arrive in busy phases (0.65 s of every
+    1.2 s, one packet every 5 ms), so each DTIM opens a burst of ~20
+    frames, and between phases stations suspend; stations are
+    SUSPENDED, RESUMING or ACTIVE when a burst starts.  Every other
+    station resumes in 4 ms, so it turns ACTIVE mid-burst and renews
+    between leased stations on the frame that ends the burst.  ``triggers``
+    counts delivered mid-burst broadcast frames (``more_data`` set):
+    on reaching two counts, an event at that instant crashes a station
+    (it rejoins 0.25 s later) or closes a station's ports; every so
+    many frames, it delivers a unicast frame to one of the last two
+    stations (which then renews between leased stations on the next
+    frame, at the same deadline) or a second broadcast frame at the
+    same instant.  Every probe records each station's four
+    broadcast counters, wakelock acquisitions, renewals, held time and
+    expiry ``(time, sequence)``, and power state, plus the engine's
+    event counts and queue depth.  ``split`` attaches a passive entity
+    between the first and second half of the stations, so a broadcast
+    reaches them as two runs of the station hook.
+    """
+    sim = sim_cls()
+    injector = FaultInjector(
+        FaultPlan(default_loss=0.04, clock_jitter_s=1e-4, seed=seed)
+    )
+    medium = medium_cls(sim, fault_injector=injector)
+    ap = AccessPoint(_AP_MAC, medium, ApConfig())
+    medium.attach(ap)
+    ports = (5353, 1900, 17500)
+    clients = []
+    for index, (policy, recovery, slower) in enumerate(stations):
+        client = Client(
+            MacAddress.station(index + 1), medium, _AP_MAC,
+            ClientConfig(
+                policy=policy,
+                wakelock_timeout_s=timeout_s * (2 if slower else 1),
+                loss_recovery=recovery,
+                resume_duration_s=0.004 if index % 2 else 0.046,
+            ),
+        )
+        client.open_port(ports[index % len(ports)])
+        medium.attach(client)
+        record = ap.associate(client.mac, hide_capable=policy is ClientPolicy.HIDE)
+        client.set_aid(record.aid)
+        clients.append(client)
+        if split and index == len(stations) // 2:
+            medium.attach(Entity("passive"))
+    duration = 3.0
+    for i in range(int(duration / 0.005)):
+        at = 0.005 * (i + 1)
+        if at % 1.2 < 0.65:
+            packet = build_broadcast_udp_packet(ports[i % len(ports)], b"x" * 60)
+            sim.schedule(at, lambda p=packet: ap.deliver_from_ds(p, _WIRED_SRC))
+
+    crash_at, close_at, unicast_every, repeat_at, target = triggers
+    victim = clients[target % len(clients)]
+
+    def crash():
+        victim.crash()
+        sim.schedule(0.25, victim.rejoin)
+
+    def close():
+        closer = clients[(target + 1) % len(clients)]
+        for port in sorted(closer.sockets.reportable_ports()):
+            closer.close_port(port)
+
+    def unicast():
+        receiver = clients[-1 - target % 2]
+        frame = _unicast_to(receiver)
+        medium._deliver(
+            Transmission(ap, frame, frame.to_bytes(), 1e6, sim.now, 0.0), None
+        )
+
+    actions = {crash_at: crash, close_at: close}
+    seen = [0]
+
+    def on_delivery(transmission, dropped):
+        frame = transmission.frame
+        if dropped or not isinstance(frame, DataFrame) or not frame.is_broadcast:
+            return
+        if not frame.more_data:
+            return
+        seen[0] += 1
+        action = actions.get(seen[0])
+        if action is not None:
+            sim.schedule(0.0, action)
+        if seen[0] % unicast_every == 0:
+            sim.schedule(0.0, unicast)
+        if seen[0] % repeat_at == 0:
+            sim.schedule(
+                0.0, lambda t=transmission: medium._deliver(t, None)
+            )
+
+    medium.add_delivery_observer(on_delivery)
+
+    def expiry_key(wakelock):
+        """(time, sequence) the expiry record fires under, or None."""
+        event = wakelock._expiry_event
+        if event is None:
+            return None
+        record = event._record
+        state = record[4]
+        if state.__class__ is tuple:
+            return event.time, state[1]
+        return event.time, record[2]
+
+    tape = []
+
+    def probe():
+        tape.append((
+            [
+                (
+                    c.counters.broadcast_frames_received,
+                    c.counters.useful_frames_received,
+                    c.counters.useless_frames_received,
+                    c.counters.frames_delivered_to_apps,
+                    c.wakelock.acquisitions,
+                    c.wakelock.renewals,
+                    c.wakelock.total_held_time(),
+                    expiry_key(c.wakelock),
+                    c.power.state,
+                )
+                for c in clients
+            ],
+            sim.events_processed,
+            sim.events_cancelled,
+            sim.pending_events,
+            sim.queue_depth,
+        ))
+
+    sim.add_probe(probe_s, probe)
+    sim.run(until=duration)
+    return tape, medium.radio_array
+
+
+#: Every policy, loss recovery, one station whose lock cannot share the
+#: lease's timeout, and a crash, port close and unicast that land on
+#: leased stations mid-burst.
+_LEASE_STATIONS = [
+    (ClientPolicy.HIDE, False, False),
+    (ClientPolicy.RECEIVE_ALL, False, False),
+    (ClientPolicy.HIDE, True, False),
+    (ClientPolicy.CLIENT_SIDE, False, False),
+    (ClientPolicy.HIDE, False, True),
+    (ClientPolicy.RECEIVE_ALL, True, False),
+    (ClientPolicy.HIDE, False, False),
+]
+
+
+class TestBurstLeaseEquivalence:
+    """The listener lease books exactly what per-frame receive would.
+
+    The production medium books mid-burst frames for leased stations in
+    bulk and delegates their wakelock expiry records; the oracle
+    (``ReferenceMedium`` on ``EagerSimulator``) handles every frame at
+    every station and renews by cancel-and-push.  Probes every 1–3 ms
+    land mid-burst, between lease frames, and each must see the same
+    counters, wakelock state, power state and engine counts (some tapes
+    probe every 50 ms instead, so leases last whole bursts), with
+    stations suspended, resuming and active at burst start, crashes,
+    port closes, unicast and same-instant frames mid-burst, loss
+    recovery under jitter, a fan-out split into two hook runs (where
+    the lease stays closed), and timeouts whose leased expiry records
+    come due mid-burst: 5 ms, and 0.27 s, which a lock taken when a
+    resume completes reaches a few frames into a later burst.
+    """
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        stations=st.lists(
+            st.tuples(
+                st.sampled_from(list(ClientPolicy)), st.booleans(), st.booleans()
+            ),
+            min_size=3,
+            max_size=8,
+        ),
+        timeout_s=st.sampled_from([0.005, 0.03, 0.27]),
+        probe_s=st.one_of(
+            st.floats(min_value=0.001, max_value=0.003, allow_nan=False),
+            st.just(0.05),
+        ),
+        seed=st.integers(min_value=0, max_value=999),
+        triggers=st.tuples(
+            st.integers(min_value=1, max_value=80),
+            st.integers(min_value=1, max_value=80),
+            st.integers(min_value=2, max_value=9),
+            st.integers(min_value=3, max_value=40),
+            st.integers(min_value=0, max_value=7),
+        ),
+        split=st.booleans(),
+    )
+    @example(
+        stations=_LEASE_STATIONS, timeout_s=0.27, probe_s=0.002, seed=4,
+        triggers=(20, 33, 4, 9, 0), split=False,
+    )
+    @example(
+        stations=_LEASE_STATIONS, timeout_s=0.005, probe_s=0.0013, seed=8,
+        triggers=(25, 12, 3, 7, 1), split=False,
+    )
+    @example(
+        stations=_LEASE_STATIONS, timeout_s=0.27, probe_s=0.05, seed=4,
+        triggers=(20, 33, 4, 9, 0), split=False,
+    )
+    @example(
+        stations=_LEASE_STATIONS, timeout_s=0.27, probe_s=0.05, seed=4,
+        triggers=(20, 33, 4, 9, 0), split=True,
+    )
+    def test_probe_tapes_identical(
+        self, stations, timeout_s, probe_s, seed, triggers, split
+    ):
+        args = (stations, timeout_s, probe_s, seed, triggers, split)
+        ref, _ = _burst_lease_tape(ReferenceMedium, EagerSimulator, *args)
+        vec, radios = _burst_lease_tape(Medium, Simulator, *args)
+        assert len(ref) == len(vec)
+        for ref_probe, vec_probe in zip(ref, vec):
+            assert ref_probe == vec_probe
+        if stations is _LEASE_STATIONS and not split:
+            assert radios.lease_booked > 0, "no frame was booked by the lease"
+            states = {state for probe in ref for *_, state in probe[0]}
+            assert len(states) == 4, states
+
+    def test_lease_closes_before_a_split_frame_counts(self):
+        ref, _ = _split_mid_burst(ReferenceMedium, EagerSimulator)
+        vec, radios = _split_mid_burst(Medium, Simulator)
+        assert radios.lease_booked > 0
+        assert not radios.lease_open
+        assert ref == vec
+
+
+def _split_mid_burst(medium_cls, sim_cls):
+    """Counters after a fan-out that splits into two runs mid-burst.
+
+    A frame at 0.15 s wakes the stations, so they are ACTIVE and lease
+    the burst of the DTIM at 0.41 s; after its third frame a passive
+    entity attaches, station 0 crashes and rejoins behind it, and its
+    watchdog fallback makes it listen, so the next frame reaches two
+    runs of the station hook and the medium closes the lease.
+    """
+    sim = sim_cls()
+    medium = medium_cls(sim)
+    ap = AccessPoint(_AP_MAC, medium, ApConfig())
+    medium.attach(ap)
+    clients = []
+    for index in range(3):
+        client = Client(
+            MacAddress.station(index + 1), medium, _AP_MAC,
+            ClientConfig(wakelock_timeout_s=0.5),
+        )
+        client.open_port(5353)
+        medium.attach(client)
+        client.set_aid(ap.associate(client.mac, hide_capable=True).aid)
+        clients.append(client)
+    for at in [0.15] + [0.35 + 0.001 * i for i in range(12)]:
+        packet = build_broadcast_udp_packet(5353, b"x" * 60)
+        sim.schedule(at, lambda p=packet: ap.deliver_from_ds(p, _WIRED_SRC))
+    seen = [0]
+
+    def split():
+        medium.attach(Entity("passive"))
+        clients[0].crash()
+        clients[0].rejoin()
+        clients[0]._on_beacon_watchdog()
+
+    def on_delivery(transmission, dropped):
+        frame = transmission.frame
+        if isinstance(frame, DataFrame) and frame.is_broadcast:
+            seen[0] += 1
+            if seen[0] == 4:
+                sim.schedule(0.0, split)
+
+    medium.add_delivery_observer(on_delivery)
+    sim.run(until=0.6)
+    medium.sync_accounting()
+    return [c.counters for c in clients], medium.radio_array
 
 
 class TestDeliveryEquivalenceObservers:

@@ -210,6 +210,63 @@ class TestRearm:
             sim.rearm(handle, 1.0)
 
 
+class _Owner:
+    """A delegate that moves its record to ``key`` by hand."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def moved_key(self, record):
+        return self.key
+
+
+class TestDelegation:
+    """A delegated record fires under the key its owner gives it."""
+
+    def test_refiled_under_the_owner_key_and_fired_there(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append(sim.now))
+        peer = sim.schedule(3.0, lambda: fired.append("peer"))
+        owner = _Owner(None)
+        assert sim.delegate(handle, owner) == (1.0, 0)
+        # Two renewals to 3.0 after the peer: they take sequences 2, 3.
+        owner.key = (3.0, sim.book_renewals(2, 1.0) + 1)
+        assert handle.time == 3.0
+        assert not handle.cancelled
+        assert sim.events_cancelled == 2
+        assert sim.pending_events == 2
+        assert sim.queue_depth == 4  # cancel-and-push leaves two tombstones
+        sim.run()
+        assert fired == ["peer", 3.0]
+        assert peer.time == 3.0
+        assert sim.queue_depth == 0
+
+    def test_reclaim_restores_the_moved_state(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append(sim.now))
+        owner = _Owner((1.0, 0))
+        sim.delegate(handle, owner)
+        owner.key = (2.5, sim.book_renewals(1, 1.0))
+        sim.reclaim(handle, owner, owner.key)
+        assert handle.time == 2.5
+        sim.rearm(handle, 4.0)  # a plain lazy renewal again
+        sim.run()
+        assert fired == [4.0]
+        assert sim.events_cancelled == 2
+
+    def test_reclaim_after_firing_leaves_the_record_fired(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: sim.reclaim(handle, owner, (1.0, 0)))
+        owner = _Owner((1.0, 0))
+        sim.delegate(handle, owner)
+        sim.run()
+        handle.cancel()
+        assert sim.events_cancelled == 0
+        assert sim.events_processed == 1
+
+
 class TestRun:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()

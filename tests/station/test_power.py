@@ -63,11 +63,13 @@ class TestTransitions:
         with pytest.raises(SimulationError):
             machine.request_suspend()
 
-    def test_is_awake(self):
+    def test_wake_request_leaves_suspended_at_once(self):
         sim, machine = make_machine()
-        assert not machine.is_awake
+        assert machine.state is PowerState.SUSPENDED
         machine.request_wake()
-        assert machine.is_awake  # resuming counts as awake (paper s(i)=1)
+        # Resuming is already awake (paper s(i)=1), before T_rm elapses.
+        assert machine.state is PowerState.RESUMING
+        assert sim.now == 0.0
 
 
 class TestCallbacks:
