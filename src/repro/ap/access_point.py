@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.ap.association import AssociationTable
 from repro.dot11.association_frames import (
@@ -110,6 +110,9 @@ class AccessPoint(Entity):
         self.counters = ApCounters()
         self._dtim_count = 0
         self._sequence = 0
+        #: One ACK frame and its bytes per station, built on its first
+        #: port message: an ACK carries nothing but the receiver.
+        self._acks: Dict[MacAddress, Tuple[Ack, bytes]] = {}
         #: AIDs flagged in the most recent BTIM (exposed for tests).
         self.last_btim_aids: frozenset = frozenset()
         #: Structured-event tracer; the null default costs one attribute
@@ -371,10 +374,13 @@ class AccessPoint(Entity):
             # An empty report means "no reportable sockets": clear the
             # client's entries (the table itself rejects empty sets).
             self.port_table.remove_client(record.aid)
-        ack = Ack(receiver=message.source)
+        cached = self._acks.get(message.source)
+        if cached is None:
+            ack = Ack(receiver=message.source)
+            cached = self._acks[message.source] = (ack, ack.to_bytes())
         self.counters.acks_sent += 1
         self._medium.transmit(
-            self, ack, ack.to_bytes(), self.config.beacon_rate_bps, gap_s=SIFS_S
+            self, cached[0], cached[1], self.config.beacon_rate_bps, gap_s=SIFS_S
         )
 
     def _handle_ps_poll(self, poll: PsPoll) -> None:

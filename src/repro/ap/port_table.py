@@ -5,16 +5,24 @@ reported the port open. Refreshing a client's report means deleting its
 old ports and inserting the new ones — exactly the operation sequence
 whose cost drives the paper's delay analysis (Eq. 25), so the table
 counts delete/insert/lookup operations and can time them.
+
+The counters keep Eq. (25)'s accounting, not the host's work: a report
+that repeats the stored set writes nothing to the maps (only its
+timestamp moves), yet still counts one delete and one insert per port,
+exactly as delete-all/insert-all would.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from repro.dot11.pvb import MAX_AID
 from repro.errors import PortTableError
+
+_NO_PORTS: FrozenSet[int] = frozenset()
+_NEVER = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,10 @@ class ClientUdpPortTable:
         self._clients_by_port: Dict[int, Set[int]] = {}
         self._ports_by_aid: Dict[int, FrozenSet[int]] = {}
         self._updated_at: Dict[int, float] = {}
+        #: The newest stored report time (the last ``_updated_at``
+        #: value), -inf when the table is empty: the report-order check
+        #: reads it on every refresh and keep-alive.
+        self._newest = _NEVER
         self.stats = PortTableStats()
 
     def __len__(self) -> int:
@@ -90,33 +102,49 @@ class ClientUdpPortTable:
         so :meth:`expire_older_than` can age out clients that stopped
         refreshing (crashed without disassociating).
 
+        A report that repeats the stored set writes nothing: the pairs
+        it would delete and re-insert are already there, so only the
+        timestamp moves. :attr:`stats` still counts the full
+        delete-all/insert-all, because the counters model the work
+        Eq. (25) prices, not the host's.
+
         Raises :class:`~repro.errors.PortTableError` for AIDs outside
         1..2007, out-of-range UDP ports, an empty port set — a report
         with nothing to report is a protocol error; clearing a client
         is :meth:`remove_client` — or a ``now`` older than the newest
         stored report.
         """
-        if not 1 <= aid <= MAX_AID:
-            raise PortTableError(f"AID out of range (1..{MAX_AID}): {aid}")
         new_ports = frozenset(ports)
-        if not new_ports:
-            raise PortTableError(
-                f"zero-length port set for AID {aid}; "
-                "use remove_client() to clear a client"
-            )
-        for port in new_ports:
-            if not 0 < port <= 0xFFFF:
-                raise PortTableError(f"UDP port out of range: {port}")
-        self._check_report_order(now)
-        old_ports = self._ports_by_aid.get(aid, frozenset())
-        for port in old_ports:
-            self._delete(port, aid)
-        for port in new_ports:
-            self._insert(port, aid)
-        self._ports_by_aid[aid] = new_ports
-        self._updated_at.pop(aid, None)
+        old_ports = self._ports_by_aid.get(aid, _NO_PORTS)
+        stats = self.stats
+        if new_ports and new_ports == old_ports:
+            # Unchanged report: the stored set passed validation when
+            # it was stored.
+            self._check_report_order(now)
+            stats.deletes += len(old_ports)
+            stats.inserts += len(new_ports)
+            del self._updated_at[aid]
+        else:
+            if not 1 <= aid <= MAX_AID:
+                raise PortTableError(f"AID out of range (1..{MAX_AID}): {aid}")
+            if not new_ports:
+                raise PortTableError(
+                    f"zero-length port set for AID {aid}; "
+                    "use remove_client() to clear a client"
+                )
+            for port in new_ports:
+                if not 0 < port <= 0xFFFF:
+                    raise PortTableError(f"UDP port out of range: {port}")
+            self._check_report_order(now)
+            for port in old_ports:
+                self._delete(port, aid)
+            for port in new_ports:
+                self._insert(port, aid)
+            self._ports_by_aid[aid] = new_ports
+            self._updated_at.pop(aid, None)
         self._updated_at[aid] = now
-        self.stats.refreshes += 1
+        self._newest = now
+        stats.refreshes += 1
 
     def touch(self, aid: int, now: float) -> bool:
         """Refresh ``aid``'s report timestamp without changing its ports
@@ -130,21 +158,25 @@ class ClientUdpPortTable:
         self._check_report_order(now)
         del self._updated_at[aid]
         self._updated_at[aid] = now
+        self._newest = now
         return True
 
     def _check_report_order(self, now: float) -> None:
-        newest = next(reversed(self._updated_at.values()), None)
-        if newest is not None and now < newest:
+        if now < self._newest:
             raise PortTableError(
                 f"report at {now} is older than the newest stored report "
-                f"({newest}); the table clock must not go backwards"
+                f"({self._newest}); the table clock must not go backwards"
             )
+
+    def _last_report(self) -> float:
+        return next(reversed(self._updated_at.values()), _NEVER)
 
     def remove_client(self, aid: int) -> None:
         """Drop all state for a disassociated client."""
         for port in self._ports_by_aid.pop(aid, frozenset()):
             self._delete(port, aid)
-        self._updated_at.pop(aid, None)
+        if self._updated_at.pop(aid, None) is not None:
+            self._newest = self._last_report()
 
     def expire_older_than(self, cutoff: float) -> List[ExpiredEntry]:
         """Age out clients whose last report predates ``cutoff``.
@@ -179,10 +211,6 @@ class ClientUdpPortTable:
         self.stats.expirations += len(expired)
         return expired
 
-    def updated_at(self, aid: int) -> Optional[float]:
-        """When ``aid`` last reported, or None if it has no entries."""
-        return self._updated_at.get(aid)
-
     def aids(self) -> FrozenSet[int]:
         """AIDs with at least one stored (port, AID) pair."""
         return frozenset(self._ports_by_aid)
@@ -213,6 +241,11 @@ class ClientUdpPortTable:
                     problems.append(
                         f"port {port} lists aid {aid} but the aid map disagrees"
                     )
+        if self._newest != self._last_report():
+            problems.append(
+                f"cached newest report time {self._newest} is not the last "
+                f"stored one ({self._last_report()})"
+            )
         previous = float("-inf")
         for aid, updated in self._updated_at.items():
             if aid not in self._ports_by_aid:
@@ -243,9 +276,6 @@ class ClientUdpPortTable:
 
     def ports_for_client(self, aid: int) -> FrozenSet[int]:
         return self._ports_by_aid.get(aid, frozenset())
-
-    def port_is_open_for(self, port: int, aid: int) -> bool:
-        return aid in self._clients_by_port.get(port, ())
 
     def measure_operation_times(
         self, samples: int = 100, port_base: int = 40000

@@ -272,13 +272,9 @@ class UdpPortMessage:
         return fixed + _port_elements_bytes(self.ports)
 
     def to_bytes(self) -> bytes:
-        header = _mac_header(
-            _PORT_MESSAGE_FRAME_CONTROL_BYTES,
-            self.bssid,
-            self.source,
-            self.bssid,
-            self.sequence,
-        )
+        header = _port_message_header_prefix(self.bssid, self.source) + (
+            (self.sequence & 0xFFF) << 4
+        ).to_bytes(2, "little")
         return _append_fcs(header + self.body_bytes())
 
     @property
@@ -318,6 +314,16 @@ def _port_elements(ports: FrozenSet[int]) -> List[OpenUdpPortsElement]:
     if not chunks:
         chunks = [[]]
     return [OpenUdpPortsElement(frozenset(chunk)) for chunk in chunks]
+
+
+@lru_cache(maxsize=4096)
+def _port_message_header_prefix(bssid: MacAddress, source: MacAddress) -> bytes:
+    """A UDP Port Message's MAC header up to its sequence field, memoized.
+
+    Everything before the sequence control is fixed per (BSS, station),
+    and a station sends its port messages to one BSS.
+    """
+    return _mac_header(_PORT_MESSAGE_FRAME_CONTROL_BYTES, bssid, source, bssid, 0)[:-2]
 
 
 @lru_cache(maxsize=4096)

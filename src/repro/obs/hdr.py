@@ -100,12 +100,30 @@ class HdrHistogram:
             sub = self.sub_count - 1
         return 1 + octave * self.sub_count + sub
 
-    def record(self, value: float) -> None:
-        """Record one value: an array increment plus running stats."""
+    def record(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times: an array increment plus
+        running stats.
+
+        The result is bit-identical to ``count`` single records — the
+        sum is folded once per copy, not added as ``value * count``.
+        ``count=0`` records nothing; a negative count raises
+        :class:`ValueError`.
+        """
         value = float(value)
-        self._counts[self._index(value)] += 1
-        self._count += 1
-        self._sum += value
+        index = self._index(value)
+        if count == 1:
+            self._sum += value
+        elif count > 1:
+            total = self._sum
+            for _ in range(count):
+                total += value
+            self._sum = total
+        elif count == 0:
+            return
+        else:
+            raise ValueError(f"count must be >= 0: {count}")
+        self._counts[index] += count
+        self._count += count
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:

@@ -69,6 +69,9 @@ _COUNT = struct.Struct(">H")
 _STATUS = struct.Struct(">B")
 
 HEADER_BYTES = _HEADER.size  # 18
+#: The ports of a report, by count (index 0 is unused).
+_PORTS = [struct.Struct(f">{count}H") for count in range(MAX_PORTS_PER_REPORT + 1)]
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,14 @@ def encode_ack(bss: int, aid: int, mac: bytes, seq: int, status: int = ACK_OK) -
 
 def decode_message(data: bytes) -> Message:
     """Parse one datagram; raises :class:`FrameDecodeError` on anything
-    that is not a well-formed v1 message."""
+    that is not a well-formed v1 message.
+
+    Reports and keep-alives are built without the generated frozen
+    ``__init__`` (which pays one ``object.__setattr__`` per field): the
+    fields go straight into the instance dict, so the result is the
+    same frozen dataclass — equal, hashed and printed like a
+    constructor-built one, and still immutable.
+    """
     if len(data) < HEADER_BYTES:
         raise FrameDecodeError(
             f"datagram shorter than the {HEADER_BYTES}-byte header: {len(data)}"
@@ -178,39 +188,43 @@ def decode_message(data: bytes) -> Message:
         raise FrameDecodeError(f"unsupported wire version: {version}")
     if flags & ~FLAG_WANT_ACK:
         raise FrameDecodeError(f"reserved flag bits set: {flags:#04x}")
-    want_ack = bool(flags & FLAG_WANT_ACK)
-    body = data[HEADER_BYTES:]
+    body_bytes = len(data) - HEADER_BYTES
+    if msg_type == MSG_KEEP_ALIVE:
+        if body_bytes:
+            raise FrameDecodeError(
+                f"keep-alive carries {body_bytes} unexpected body bytes"
+            )
+        message = _new(KeepAlive)
+        message.__dict__.update(
+            bss=bss, aid=aid, mac=mac, seq=seq, want_ack=flags == FLAG_WANT_ACK
+        )
+        return message
     if msg_type == MSG_PORT_REPORT:
-        if len(body) < _COUNT.size:
+        if body_bytes < _COUNT.size:
             raise FrameDecodeError("port report truncated before the count")
-        (count,) = _COUNT.unpack_from(body)
+        (count,) = _COUNT.unpack_from(data, HEADER_BYTES)
         if not 0 < count <= MAX_PORTS_PER_REPORT:
             raise FrameDecodeError(
                 f"port count out of range (1..{MAX_PORTS_PER_REPORT}): {count}"
             )
         expected = _COUNT.size + 2 * count
-        if len(body) != expected:
+        if body_bytes != expected:
             raise FrameDecodeError(
-                f"port report length mismatch: {len(body)} != {expected}"
+                f"port report length mismatch: {body_bytes} != {expected}"
             )
-        ports = struct.unpack_from(f">{count}H", body, _COUNT.size)
-        for port in ports:
-            if port == 0:
-                raise FrameDecodeError("UDP port 0 in report")
-        return PortReport(
+        ports = _PORTS[count].unpack_from(data, HEADER_BYTES + _COUNT.size)
+        if 0 in ports:
+            raise FrameDecodeError("UDP port 0 in report")
+        message = _new(PortReport)
+        message.__dict__.update(
             bss=bss, aid=aid, mac=mac, seq=seq,
-            ports=frozenset(ports), want_ack=want_ack,
+            ports=frozenset(ports), want_ack=flags == FLAG_WANT_ACK,
         )
-    if msg_type == MSG_KEEP_ALIVE:
-        if body:
-            raise FrameDecodeError(
-                f"keep-alive carries {len(body)} unexpected body bytes"
-            )
-        return KeepAlive(bss=bss, aid=aid, mac=mac, seq=seq, want_ack=want_ack)
+        return message
     if msg_type == MSG_ACK:
-        if len(body) != _STATUS.size:
-            raise FrameDecodeError(f"ack body must be 1 byte, got {len(body)}")
-        (status,) = _STATUS.unpack_from(body)
+        if body_bytes != _STATUS.size:
+            raise FrameDecodeError(f"ack body must be 1 byte, got {body_bytes}")
+        (status,) = _STATUS.unpack_from(data, HEADER_BYTES)
         return Ack(bss=bss, aid=aid, mac=mac, seq=seq, status=status)
     raise FrameDecodeError(f"unknown message type: {msg_type}")
 

@@ -11,7 +11,6 @@ analytically by :mod:`repro.analysis.bianchi`, as in the paper).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import (
     TYPE_CHECKING,
@@ -56,16 +55,31 @@ SIFS_S = us(10)
 DIFS_S = us(50)
 
 
-@dataclass(frozen=True)
 class Transmission:
-    """One frame in flight: the decoded object plus on-air accounting."""
+    """One frame in flight: the decoded object plus on-air accounting.
 
-    sender: Entity
-    frame: Any
-    frame_bytes: bytes
-    rate_bps: float
-    start_time: float
-    airtime: float
+    A plain ``__slots__`` record, built once per frame sent: a frozen
+    dataclass would pay one ``object.__setattr__`` per field. Treat it
+    as read-only.
+    """
+
+    __slots__ = ("sender", "frame", "frame_bytes", "rate_bps", "start_time", "airtime")
+
+    def __init__(
+        self,
+        sender: Entity,
+        frame: Any,
+        frame_bytes: bytes,
+        rate_bps: float,
+        start_time: float,
+        airtime: float,
+    ) -> None:
+        self.sender = sender
+        self.frame = frame
+        self.frame_bytes = frame_bytes
+        self.rate_bps = rate_bps
+        self.start_time = start_time
+        self.airtime = airtime
 
     @property
     def end_time(self) -> float:

@@ -42,6 +42,33 @@ class TestUpdateSemantics:
         assert table.client_count == 0
         assert table.clients_for_port(5353) == frozenset()
 
+    def test_empty_report_rejected_for_a_new_aid(self):
+        table = ClientUdpPortTable()
+        with pytest.raises(PortTableError, match="zero-length"):
+            table.update_client(1, set())
+        table.update_client(2, {5353})
+        with pytest.raises(PortTableError, match="zero-length"):
+            table.update_client(3, frozenset())
+        assert table.aids() == frozenset({2})
+        assert table.stats.refreshes == 1
+        assert table.check_consistency() == []
+
+    def test_unchanged_report_counts_a_full_refresh(self):
+        table = ClientUdpPortTable()
+        table.update_client(1, {10, 20}, now=1.0)
+        table.update_client(2, {20}, now=2.0)
+        table.update_client(1, [20, 10, 10], now=3.0)
+        # Eq. (25) accounting: delete both pairs, insert both again.
+        assert (table.stats.deletes, table.stats.inserts) == (2, 5)
+        assert table.stats.refreshes == 3
+        assert table.clients_for_port(10) == frozenset({1})
+        assert table.clients_for_port(20) == frozenset({1, 2})
+        # The refresh moved AID 1 behind AID 2 in report order.
+        assert [entry.aid for entry in table.expire_older_than(2.5)] == [2]
+        assert table.check_consistency() == []
+        with pytest.raises(PortTableError, match="older than the newest"):
+            table.update_client(1, {10, 20}, now=2.9)
+
     def test_aid_bounds_rejected(self):
         table = ClientUdpPortTable()
         with pytest.raises(PortTableError):
@@ -49,7 +76,7 @@ class TestUpdateSemantics:
         with pytest.raises(PortTableError):
             table.update_client(2008, {5353})
         table.update_client(2007, {5353})  # the highest legal AID
-        assert table.port_is_open_for(5353, 2007)
+        assert table.clients_for_port(5353) == frozenset({2007})
 
     def test_remove_client(self):
         table = ClientUdpPortTable()
@@ -84,12 +111,6 @@ class TestUpdateSemantics:
         assert table.distinct_ports == 2
         assert table.client_count == 2
 
-    def test_port_is_open_for(self):
-        table = ClientUdpPortTable()
-        table.update_client(3, {17500})
-        assert table.port_is_open_for(17500, 3)
-        assert not table.port_is_open_for(17500, 4)
-
 
 class TestExpiry:
     def test_expire_returns_full_entries(self):
@@ -115,12 +136,15 @@ class TestExpiry:
         table.update_client(1, {5353}, now=0.0)
         assert table.touch(1, now=10.0)
         assert table.expire_older_than(5.0) == []
-        assert table.updated_at(1) == 10.0
+        assert table.expire_older_than(10.5) == [
+            ExpiredEntry(aid=1, ports=frozenset({5353}), updated_at=10.0)
+        ]
 
     def test_touch_unknown_client_is_refused(self):
         table = ClientUdpPortTable()
         assert not table.touch(9, now=1.0)
-        assert table.updated_at(9) is None
+        assert table.aids() == frozenset()
+        assert table.check_consistency() == []
 
 
 class TestReportOrder:
@@ -133,8 +157,11 @@ class TestReportOrder:
         with pytest.raises(PortTableError, match="older than the newest"):
             table.touch(1, now=4.9)
         assert table.aids() == frozenset({1, 2})
-        assert table.updated_at(1) == 5.0
         assert table.check_consistency() == []
+        stored = table.expire_older_than(float("inf"))
+        assert [(entry.aid, entry.updated_at) for entry in stored] == [
+            (1, 5.0), (2, 5.0)
+        ]
 
     def test_out_of_order_timestamps_are_reported(self):
         table = ClientUdpPortTable()

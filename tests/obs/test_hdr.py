@@ -103,6 +103,49 @@ class TestQuantiles:
         assert histogram.max == max(values)
 
 
+class TestBatchRecord:
+    @staticmethod
+    def _fields(histogram):
+        return (
+            histogram.nonzero_buckets(),
+            histogram.count,
+            histogram.min,
+            histogram.max,
+            histogram.sum,
+        )
+
+    def test_count_equals_that_many_single_records(self):
+        rng = random.Random(9)
+        batched, single = HdrHistogram(), HdrHistogram()
+        for _ in range(200):
+            value = 10 ** rng.uniform(-7, 5)  # spans bucket 0 and overflow
+            count = rng.randint(1, 40)
+            batched.record(value, count)
+            for _ in range(count):
+                single.record(value)
+            # Field by field and bit for bit: the sum is folded once per
+            # copy, so it must not drift from the single records.
+            assert self._fields(batched) == self._fields(single)
+        assert batched.to_dict() == single.to_dict()
+
+    def test_zero_count_records_nothing(self):
+        histogram = HdrHistogram()
+        histogram.record(3.0, 0)
+        assert histogram.to_dict() == HdrHistogram().to_dict()
+        histogram.record(2.0)
+        histogram.record(99.0, 0)
+        assert (histogram.count, histogram.min, histogram.max) == (1, 2.0, 2.0)
+
+    def test_negative_count_rejected_without_effect(self):
+        histogram = HdrHistogram()
+        histogram.record(2.0)
+        with pytest.raises(ValueError, match="count"):
+            histogram.record(5.0, -1)
+        assert self._fields(histogram) == (
+            [(histogram._index(2.0), 1)], 1, 2.0, 2.0, 2.0
+        )
+
+
 class TestMerge:
     def test_merged_equals_recording_everything_in_one(self):
         rng = random.Random(5)

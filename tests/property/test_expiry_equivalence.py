@@ -9,14 +9,24 @@ timestamps and cutoffs that equal a stored timestamp are common), and
 at every expiry the two must return the same entries and hold the same
 operation counters. The ``PortShard`` case checks the service's
 per-DTIM expiry against the same oracle, one table per BSS.
+
+The oracle also pins the refresh accounting: it always counts
+delete-all/insert-all, while the table skips the rewrite when a report
+repeats the stored set. The unchanged-report cases drive timelines where
+most reports repeat, and compare counters, every port's lookup, the
+table's consistency check and the entries expiry would return after
+every step.
 """
 
+import copy
 from typing import Dict, FrozenSet, List, Set, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ap.port_table import ClientUdpPortTable, ExpiredEntry, PortTableStats
+from repro.errors import PortTableError
 from repro.service import wire
 from repro.service.shard import PortShard
 
@@ -32,6 +42,8 @@ class OracleTable:
     def update_client(self, aid: int, ports, now: float) -> None:
         old = self.ports_by_aid.get(aid, frozenset())
         new = frozenset(ports)
+        if not new:
+            raise PortTableError(f"zero-length port set for AID {aid}")
         self.stats.deletes += len(old)
         self.stats.inserts += len(new)
         self.stats.refreshes += 1
@@ -43,6 +55,12 @@ class OracleTable:
             return False
         self.updated_at[aid] = now
         return True
+
+    def clients_for_port(self, port: int) -> FrozenSet[int]:
+        self.stats.lookups += 1
+        return frozenset(
+            aid for aid, ports in self.ports_by_aid.items() if port in ports
+        )
 
     def remove_client(self, aid: int) -> None:
         self.stats.deletes += len(self.ports_by_aid.pop(aid, frozenset()))
@@ -119,8 +137,10 @@ class TestTableAgainstOracle:
             assert table.check_consistency() == []
             assert table.aids() == frozenset(oracle.ports_by_aid)
         assert table.stats == oracle.stats
-        for aid, updated in oracle.updated_at.items():
-            assert table.updated_at(aid) == updated
+        # Expire everyone: the same entries, with the same report times.
+        assert table.expire_older_than(float("inf")) == (
+            oracle.expire_older_than(float("inf"))
+        )
 
 
 TICK_S = 0.1024
@@ -189,4 +209,130 @@ class TestShardAgainstOracle:
         assert shard.counters.expirations == sum(
             oracle.stats.expirations for oracle in oracles.values()
         )
+        assert shard.counters.errors == 0
+
+
+def stored_entries(table) -> List[ExpiredEntry]:
+    """Every stored client as expiry would return it, read off a copy."""
+    return copy.deepcopy(table).expire_older_than(float("inf"))
+
+
+def assert_same_table(table: ClientUdpPortTable, oracle: OracleTable, ports) -> None:
+    """Counters, every port's lookup, consistency and stored entries."""
+    assert table.stats == oracle.stats
+    for port in sorted(ports):
+        assert table.clients_for_port(port) == oracle.clients_for_port(port)
+    assert table.stats == oracle.stats
+    assert table.check_consistency() == []
+    assert stored_entries(table) == stored_entries(oracle)
+
+
+#: A small pool of port sets, so most reports repeat a stored set.
+TEMPLATES = st.sampled_from(
+    [frozenset({137}), frozenset({137, 5353}), frozenset({1900, 5353, 17500})]
+)
+
+repeat_ops = st.lists(
+    st.one_of(
+        # Re-send the stored set (a fresh set object, as a decoder
+        # would build); an unknown AID reports the template instead.
+        st.tuples(st.just("repeat"), STEPS, AIDS, TEMPLATES),
+        st.tuples(st.just("update"), STEPS, AIDS, TEMPLATES),
+        st.tuples(st.just("empty"), STEPS, AIDS, st.none()),
+        st.tuples(st.just("touch"), STEPS, AIDS, st.none()),
+        st.tuples(st.just("remove"), STEPS, AIDS, st.none()),
+        st.tuples(
+            st.just("expire_ttl"), STEPS, st.none(),
+            st.sampled_from([0.0, 0.1024, 0.5, 1.0]),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestUnchangedReports:
+    @given(repeat_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_delete_all_insert_all(self, ops):
+        table = ClientUdpPortTable()
+        oracle = OracleTable()
+        seen: Set[int] = set()
+        now = 0.0
+        for kind, step, aid, arg in ops:
+            now += step
+            if kind in ("repeat", "update"):
+                ports = arg
+                if kind == "repeat" and aid in oracle.ports_by_aid:
+                    ports = set(oracle.ports_by_aid[aid])
+                seen.update(ports)
+                table.update_client(aid, ports, now=now)
+                oracle.update_client(aid, ports, now=now)
+            elif kind == "empty":
+                with pytest.raises(PortTableError):
+                    table.update_client(aid, (), now=now)
+            elif kind == "touch":
+                assert table.touch(aid, now) == oracle.touch(aid, now)
+            elif kind == "remove":
+                table.remove_client(aid)
+                oracle.remove_client(aid)
+            else:
+                assert table.expire_older_than(now - arg) == (
+                    oracle.expire_older_than(now - arg)
+                )
+            assert_same_table(table, oracle, seen)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(["repeat", "repeat", "update", "keepalive"]),
+                        st.integers(min_value=0, max_value=1),  # BSS
+                        st.integers(min_value=1, max_value=6),  # AID
+                        TEMPLATES,
+                    ),
+                    max_size=6,
+                ),
+                st.sampled_from([0.0, 0.03, 0.07]),  # drain offset into the tick
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([TICK_S, 0.5, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shard_matches_delete_all_insert_all(self, timeline, ttl_s):
+        shard = PortShard(0, ttl_s=ttl_s)
+        oracles: Dict[int, OracleTable] = {0: OracleTable(), 1: OracleTable()}
+        seen: Set[int] = set()
+        seq = 0
+        for index, (messages, offset) in enumerate(timeline):
+            drained_at = index * TICK_S + offset
+            for kind, bss, aid, ports in messages:
+                seq += 1
+                mac = _mac(bss, aid)
+                if kind == "keepalive":
+                    datagram = wire.encode_keep_alive(bss, aid, mac, seq)
+                    oracles[bss].touch(aid, drained_at)
+                else:
+                    if kind == "repeat" and aid in oracles[bss].ports_by_aid:
+                        ports = oracles[bss].ports_by_aid[aid]
+                    seen.update(ports)
+                    datagram = wire.encode_port_report(bss, aid, mac, seq, ports)
+                    oracles[bss].update_client(aid, ports, now=drained_at)
+                shard.offer(datagram, ADDR, at=drained_at)
+            shard.drain(drained_at)
+            now = (index + 1) * TICK_S
+            got = [(bss, entry) for bss, entry in shard.expire(now)]
+            want = [
+                (bss, entry)
+                for bss, oracle in sorted(oracles.items())
+                for entry in oracle.expire_older_than(now - ttl_s)
+            ]
+            assert sorted(got, key=lambda item: (item[0], item[1].aid)) == want
+            for bss, oracle in oracles.items():
+                if bss not in shard.tables:  # created on the first report
+                    assert oracle.stats == PortTableStats()
+                    continue
+                assert_same_table(shard.tables[bss], oracle, seen)
         assert shard.counters.errors == 0

@@ -1,5 +1,6 @@
 """PortShard: ingest queue, apply semantics, coalesced ACKs, expiry."""
 
+from repro.obs.hdr import HdrHistogram
 from repro.service import wire
 from repro.service.shard import PortShard
 
@@ -52,11 +53,13 @@ class TestApply:
         offer_report(shard, 5, {137, 5353})
         shard.drain(1.0)
         assert shard.tables[0].ports_for_client(5) == frozenset({137, 5353})
-        assert shard.tables[0].updated_at(5) == 1.0
         offer_keepalive(shard, 5)
         shard.drain(4.0)
         assert shard.counters.keepalives == 1
-        assert shard.tables[0].updated_at(5) == 4.0
+        # The keep-alive moved the report time from 1.0 to 4.0.
+        assert shard.expire(13.5) == []
+        [(_, entry)] = shard.expire(14.5)
+        assert (entry.aid, entry.updated_at) == (5, 4.0)
 
     def test_keepalive_for_unknown_client_rejected(self):
         shard = PortShard(0)
@@ -108,6 +111,64 @@ class TestApply:
         shard.offer(wire.encode_ack(0, 1, mac_of(1), 1), ADDR)
         shard.drain(0.0)
         assert shard.counters.rejected == 1
+
+
+class TestAccounting:
+    def _mixed_queue(self, shard):
+        """Offer two unstamped fillers, then one of every outcome in
+        three receive batches; returns ``(stamp, count)`` per batch."""
+        offer_report(shard, 6, {137})  # no receive stamp, like a bench
+        offer_report(shard, 7, {137})
+        stamped = [
+            (0.25, [
+                b"\x00" * 30,  # garbage
+                wire.encode_ack(0, 1, mac_of(1), 1),  # stray ACK: rejected
+                wire.encode_keep_alive(0, 9, mac_of(9), 1),  # unknown: rejected
+                wire.encode_port_report(0, 2, mac_of(2), 1, {5353}),
+            ]),
+            (0.5, [
+                wire.encode_port_report(0, 1, mac_of(1), 1, {137}),
+                wire.encode_keep_alive(0, 1, mac_of(1), 2),
+                wire.encode_port_report(0, 1, mac_of(1), 3, {137}),  # unchanged
+                wire.encode_port_report(0, 2, mac_of(77), 2, {80}),  # stolen AID
+                b"HI\x01",  # truncated: garbage
+            ]),
+            (0.75, [
+                wire.encode_port_report(0, aid, mac_of(aid), 1, {53})
+                for aid in (3, 4, 5)
+            ]),
+        ]
+        for at, datagrams in stamped:
+            for data in datagrams:
+                shard.offer(data, ADDR, at=at)
+        return [(at, len(datagrams)) for at, datagrams in stamped]
+
+    def test_every_datagram_lands_in_exactly_one_outcome(self):
+        shard = PortShard(0, queue_capacity=12)
+        batches = self._mixed_queue(shard)
+        offered = 2 + sum(count for _, count in batches)
+        assert shard.counters.drops == 2  # drop-oldest took both fillers
+        assert shard.drain(1.0) == 12
+        counters = shard.counters
+        assert (counters.reports, counters.keepalives) == (6, 1)
+        assert (counters.rejected, counters.garbage) == (3, 2)
+        assert counters.errors == 0
+        assert offered == (
+            counters.reports + counters.keepalives + counters.rejected
+            + counters.garbage + counters.drops + counters.errors
+        )
+
+    def test_queue_wait_equals_one_record_per_datagram(self):
+        shard = PortShard(0)
+        batches = self._mixed_queue(shard)
+        assert shard.drain(1.0) == 14
+        expected = HdrHistogram(min_value=1e-3, max_value=6e4, sub_count=32)
+        for at, count in batches:
+            for _ in range(count):
+                expected.record(max(0.0, (1.0 - at) * 1e3))
+        # Garbage counts; the unstamped fillers record nothing.
+        assert shard.queue_wait_ms.count == 12
+        assert shard.queue_wait_ms.to_dict() == expected.to_dict()
 
 
 class TestCoalescedAcks:

@@ -38,8 +38,8 @@ def test_refresh_wins_over_stale_slot_entry():
     shard.offer(wire.encode_keep_alive(0, 5, mac_of(5), 2, False), ADDR)
     shard.drain(0.5)
     assert shard.expire(1.2) == []
-    assert shard.tables[0].updated_at(5) == 0.5
-    assert [entry.aid for _, entry in shard.expire(1.6)] == [5]
+    [(_, entry)] = shard.expire(1.6)
+    assert (entry.aid, entry.updated_at) == (5, 0.5)
 
 
 def test_many_keys_expire_sorted():

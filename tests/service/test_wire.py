@@ -1,5 +1,6 @@
 """Wire codec: round-trips, strict rejection, boundaries."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -60,6 +61,29 @@ class TestRoundTrips:
             wire.Ack(bss=0, aid=1, mac=MAC, seq=4, status=wire.ACK_REJECTED),
         ):
             assert wire.decode_message(encode_message(message)) == message
+
+    def test_decoded_messages_behave_like_constructed_ones(self):
+        built = [
+            wire.PortReport(
+                bss=3, aid=9, mac=MAC, seq=5, ports=frozenset({137, 5353}),
+                want_ack=True,
+            ),
+            wire.PortReport(bss=0, aid=1, mac=MAC, seq=6, ports=frozenset({80})),
+            wire.KeepAlive(bss=3, aid=9, mac=MAC, seq=7, want_ack=True),
+            wire.KeepAlive(bss=0, aid=1, mac=MAC, seq=8),
+        ]
+        for message in built:
+            decoded = wire.decode_message(encode_message(message))
+            assert type(decoded) is type(message)
+            assert decoded == message
+            assert hash(decoded) == hash(message)
+            assert repr(decoded) == repr(message)
+            assert type(decoded.want_ack) is bool
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                decoded.seq = 99
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del decoded.aid
+            assert decoded.seq == message.seq
 
     def test_encode_message_rejects_other_types(self):
         with pytest.raises(FrameEncodeError):
