@@ -642,7 +642,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         rate=args.rate,
         duration_s=args.duration,
         ramp_s=args.ramp,
-        workers=args.workers,
         scenario=args.scenario,
         seed=args.seed,
         keepalive_fraction=args.keepalive_fraction,
@@ -1040,10 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="linear ramp from 10%% to 100%% of --rate over this long",
     )
     loadgen.add_argument(
-        "--workers", type=int, default=4,
-        help="sender endpoints, each owning a client slice (default 4)",
-    )
-    loadgen.add_argument(
         "--scenario", default="Classroom",
         help="scenario whose service mix shapes per-client open ports",
     )
@@ -1054,7 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument(
         "--ack-every", type=int, default=64, metavar="N",
-        help="every Nth send per worker requests an ACK (0 = never)",
+        help="every Nth send requests an ACK (0 = never)",
     )
     loadgen.add_argument(
         "--out", default=None, metavar="PATH",

@@ -28,7 +28,7 @@ Recognized file shapes (detected from content, not extension):
   bucket-by-bucket.
 * Loadgen JSON (``repro loadgen --out``, schema ``repro-loadgen/v1``)
   — achieved counters, per-status ACK counts, and round-trip-latency
-  quantiles.
+  and send-lateness (``loadgen_late_ms_*``) quantiles.
 * A bare fingerprint line (``deterministic_fingerprint`` hex) —
   compared for exact equality.
 """
@@ -164,9 +164,10 @@ def _load_json_document(doc: object) -> Dict[str, Value]:
                 elif isinstance(value, (int, float)) and not isinstance(value, bool):
                     out[f"loadgen_{key}"] = float(value)
             latency = doc.get("latency") or {}
-            rtt = latency.get("rtt_ms")
-            if isinstance(rtt, dict):
-                _flatten_hdr_payload("loadgen_rtt_ms", rtt, out)
+            for name in ("rtt_ms", "late_ms"):
+                payload = latency.get(name)
+                if isinstance(payload, dict):
+                    _flatten_hdr_payload(f"loadgen_{name}", payload, out)
             for status, payload in sorted(
                 (latency.get("rtt_ms_by_status") or {}).items()
             ):

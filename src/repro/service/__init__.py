@@ -7,7 +7,8 @@ instances (one owning task per shard — no locks), and a per-DTIM loop
 ages silent clients out of every table and then batches Algorithm 1
 flag computation against a trace-replaying broadcast feed. A companion
 load generator replays the scenario catalog as thousands of loopback
-clients to exercise it.
+clients to exercise it: one synchronous thread sends each message at
+its due time, open loop, and times ACKs from that due time.
 
 Entry points: ``repro serve`` / ``repro loadgen`` (see :mod:`repro.cli`)
 or :func:`run_service` / :func:`run_loadgen` directly.
@@ -27,12 +28,7 @@ from repro.service.wire import (
 from repro.service.shard import PortShard, ShardCounters
 from repro.service.feed import BroadcastFrameFeed
 from repro.service.server import PortService, ServiceConfig, run_service
-from repro.service.loadgen import (
-    LoadgenConfig,
-    LoadgenReport,
-    run_loadgen,
-    run_loadgen_async,
-)
+from repro.service.loadgen import LoadgenConfig, LoadgenReport, run_loadgen
 
 __all__ = [
     "Ack",
@@ -53,5 +49,4 @@ __all__ = [
     "LoadgenConfig",
     "LoadgenReport",
     "run_loadgen",
-    "run_loadgen_async",
 ]

@@ -9,25 +9,30 @@ recovery protocol: a full port report first, keep-alive refreshes
 after, with an occasional re-report (and periodic want-ack probes so
 ACK latency and the re-report-on-expiry path stay exercised).
 
-Pacing is a token bucket integrated over wall time with an optional
-linear ramp, fanned across ``workers`` asyncio datagram endpoints; each
-worker owns a disjoint client slice so sequence numbers stay
-per-client monotonic without coordination.
+One thread sends open loop over one non-blocking connected UDP socket.
+Message k is due at a fixed time (:class:`SendSchedule`); each pass of
+the loop sends every message that is due, drains ACKs, then waits in
+``select`` until the next due time. Want-ack round trips are timed
+from the message's due time, not from its send, so a stalled sender
+shows in the latency it reports instead of hiding from it (coordinated
+omission); how late each send ran is recorded next to it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import math
 import random
+import select
+import socket
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dot11.mac_address import MacAddress
 from repro.dot11.pvb import MAX_AID
-from repro.errors import ServiceError
+from repro.errors import FrameDecodeError, ServiceError
 from repro.net.ports import WELL_KNOWN_BROADCAST_SERVICES
 from repro.obs.hdr import HdrHistogram
 from repro.service import wire
@@ -35,14 +40,8 @@ from repro.traces.scenarios import scenario_by_name
 
 LOADGEN_SCHEMA = "repro-loadgen/v1"
 
-#: Pending want-ack sends per worker: (bss, aid) -> (seq, perf_counter
-#: send time). The server's drained-ACK path coalesces to the latest
-#: sequence per client, so a newer want-ack send for the same client
-#: simply supersedes the older pending entry.
-_PendingAcks = Dict[Tuple[int, int], Tuple[int, float]]
 
-
-def _rtt_histogram() -> HdrHistogram:
+def _ms_histogram() -> HdrHistogram:
     # Milliseconds; same geometry as the service-side latency histograms
     # so `repro obs diff` can compare the two ends of the round trip.
     return HdrHistogram(min_value=1e-3, max_value=6e4, sub_count=32)
@@ -63,16 +62,13 @@ class LoadgenConfig:
     duration_s: float = 10.0
     #: Linear ramp from 10% to 100% of ``rate`` over this many seconds.
     ramp_s: float = 0.0
-    workers: int = 4
     scenario: str = "Classroom"
     seed: int = 1
     #: Fraction of steady-state sends that are keep-alives (the rest
     #: are full port reports; the first send per client is always one).
     keepalive_fraction: float = 0.75
-    #: Every Nth send per worker requests an ACK (0 = never).
+    #: Every Nth send requests an ACK (0 = never).
     ack_every: int = 64
-    #: Pacing tick; smaller = smoother, larger = cheaper.
-    tick_s: float = 0.005
 
     def __post_init__(self) -> None:
         if self.clients < 1:
@@ -83,12 +79,43 @@ class LoadgenConfig:
             raise ServiceError(f"rate must be positive: {self.rate}")
         if self.duration_s <= 0:
             raise ServiceError(f"duration must be positive: {self.duration_s}")
+        if self.ramp_s < 0:
+            raise ServiceError(f"ramp must not be negative: {self.ramp_s}")
         if not 0 <= self.keepalive_fraction <= 1:
             raise ServiceError(
                 f"keepalive fraction must be in [0, 1]: {self.keepalive_fraction}"
             )
-        if self.workers < 1:
-            raise ServiceError(f"need at least one worker: {self.workers}")
+
+
+class SendSchedule:
+    """Due times of an open-loop send schedule.
+
+    The send rate ramps linearly from 10% to 100% of ``rate`` over
+    ``ramp_s`` seconds and holds at ``rate`` after that. Message ``k``
+    (from 0) is due when the integral of that rate reaches ``k``, and
+    the run sends ``total`` = ⌊integral at ``duration_s``⌋ messages.
+    """
+
+    def __init__(self, rate: float, duration_s: float, ramp_s: float = 0.0) -> None:
+        self.rate = rate
+        self.ramp_s = ramp_s
+        # The ramp averages 55% of the rate; 11/20 in place of 0.55 keeps
+        # a count that is a whole number exact for whole inputs.
+        self._ramp_count = rate * ramp_s * 11 / 20
+        if duration_s >= ramp_s:
+            credited = self._ramp_count + rate * (duration_s - ramp_s)
+        else:
+            credited = rate * duration_s * (2 * ramp_s + 9 * duration_s) / (20 * ramp_s)
+        self.total = math.floor(credited)
+
+    def due(self, k: int) -> float:
+        """Seconds from the start at which message ``k`` is due."""
+        if k >= self._ramp_count:
+            return self.ramp_s + (k - self._ramp_count) / self.rate
+        # The root of rate·t·(2R + 9t) / 20R = k, in the form that keeps
+        # its precision near t = 0.
+        x = 180 * k / (self.rate * self.ramp_s)
+        return 20 * k / (self.rate * (1 + math.sqrt(1 + x)))
 
 
 @dataclass
@@ -96,19 +123,23 @@ class LoadgenReport:
     """What one loadgen run achieved; rendered and JSON-dumped by the CLI."""
 
     config: LoadgenConfig
+    #: Elapsed time of the send phase, start to last send.
     duration_s: float = 0.0
     sent_total: int = 0
     sent_reports: int = 0
     sent_keepalives: int = 0
     acks_received: int = 0
     acks_by_status: Dict[int, int] = field(default_factory=dict)
-    #: Want-ack round-trip latency (send to ACK receipt, milliseconds)
+    #: Want-ack round-trip latency (due time to ACK receipt, milliseconds)
     #: keyed by ACK status byte.
     rtt_ms_by_status: Dict[int, HdrHistogram] = field(default_factory=dict)
+    #: How late each send ran after its due time, milliseconds.
+    late_ms: HdrHistogram = field(default_factory=_ms_histogram)
     #: ACKs that matched no pending want-ack send: superseded by a newer
     #: sequence for the same client, or duplicated by the network.
     acks_unmatched: int = 0
-    #: Full reports re-sent because an ACK said "unknown client".
+    #: Clients switched back to a full report because an ACK said
+    #: "unknown client".
     rereports: int = 0
     send_errors: int = 0
 
@@ -119,13 +150,13 @@ class LoadgenReport:
     def record_rtt(self, status: int, rtt_ms: float) -> None:
         histogram = self.rtt_ms_by_status.get(status)
         if histogram is None:
-            histogram = self.rtt_ms_by_status[status] = _rtt_histogram()
+            histogram = self.rtt_ms_by_status[status] = _ms_histogram()
         histogram.record(rtt_ms)
 
     def merged_rtt(self) -> HdrHistogram:
         """Round-trip latency across every ACK status."""
         if not self.rtt_ms_by_status:
-            return _rtt_histogram()
+            return _ms_histogram()
         return HdrHistogram.merged(self.rtt_ms_by_status.values())
 
     def to_document(self) -> Dict[str, object]:
@@ -138,7 +169,6 @@ class LoadgenReport:
                 "rate": self.config.rate,
                 "duration_s": self.config.duration_s,
                 "ramp_s": self.config.ramp_s,
-                "workers": self.config.workers,
                 "scenario": self.config.scenario,
                 "seed": self.config.seed,
                 "keepalive_fraction": self.config.keepalive_fraction,
@@ -163,6 +193,7 @@ class LoadgenReport:
                     str(status): histogram.to_dict()
                     for status, histogram in sorted(self.rtt_ms_by_status.items())
                 },
+                "late_ms": self.late_ms.to_dict(),
             },
         }
 
@@ -222,159 +253,109 @@ def build_clients(config: LoadgenConfig) -> List[_SimClient]:
     return clients
 
 
-class _AckProtocol(asyncio.DatagramProtocol):
-    """Counts ACKs, records round-trip latency, queues re-reports."""
-
-    def __init__(
-        self,
-        report: LoadgenReport,
-        rereport_queue: List[int],
-        pending_acks: _PendingAcks,
-    ) -> None:
-        self._report = report
-        self._rereports = rereport_queue
-        self._pending = pending_acks
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        try:
-            message = wire.decode_message(data)
-        except Exception:
-            return
-        if message.msg_type != wire.MSG_ACK:
-            return
-        self._report.acks_received += 1
-        by_status = self._report.acks_by_status
-        by_status[message.status] = by_status.get(message.status, 0) + 1
-        client = (message.bss, message.aid)
-        pending = self._pending.get(client)
-        if pending is not None and pending[0] == message.seq:
-            del self._pending[client]
-            self._report.record_rtt(
-                message.status,
-                max(0.0, (time.perf_counter() - pending[1]) * 1e3),
-            )
-        else:
-            # Either a stale ACK (we already sent a newer want-ack for
-            # this client) or a duplicate; no send time to pair it with.
-            self._report.acks_unmatched += 1
-        if message.status == wire.ACK_UNKNOWN_CLIENT:
-            self._rereports.append((message.bss * MAX_AID) + message.aid - 1)
-
-
-async def _worker(
-    config: LoadgenConfig,
-    clients: List[_SimClient],
-    offsets: List[int],
-    rate_share: float,
-    report: LoadgenReport,
-    stop: asyncio.Event,
-) -> None:
-    """One endpoint pushing its client slice at ``rate_share`` msgs/s."""
-    loop = asyncio.get_event_loop()
-    rereport_queue: List[int] = []
-    pending_acks: _PendingAcks = {}
-    transport, _ = await loop.create_datagram_endpoint(
-        lambda: _AckProtocol(report, rereport_queue, pending_acks),
-        remote_addr=(config.host, config.port),
-    )
-    rng = random.Random((config.seed << 16) ^ offsets[0])
-    try:
-        start = time.perf_counter()
-        end = start + config.duration_s
-        sent = 0.0  # fractional credit from the token bucket
-        sent_count = 0
-        cursor = 0
-        while not stop.is_set():
-            now = time.perf_counter()
-            if now >= end:
-                break
-            elapsed = now - start
-            if config.ramp_s > 0 and elapsed < config.ramp_s:
-                current_rate = rate_share * (0.1 + 0.9 * elapsed / config.ramp_s)
-            else:
-                current_rate = rate_share
-            target = min(elapsed, config.duration_s) * current_rate
-            budget = int(target - sent)
-            for _ in range(budget):
-                if rereport_queue:
-                    index = rereport_queue.pop()
-                    local = index - offsets[0]
-                    if 0 <= local < len(clients):
-                        clients[local].reported = False
-                        report.rereports += 1
-                client = clients[cursor]
-                cursor = (cursor + 1) % len(clients)
-                keepalive = rng.random() < config.keepalive_fraction
-                want_ack = (
-                    config.ack_every > 0 and sent_count % config.ack_every == 0
-                )
-                payload = client.next_payload(keepalive, want_ack)
-                try:
-                    transport.sendto(payload)
-                except OSError:  # pragma: no cover - kernel buffer full
-                    report.send_errors += 1
-                    continue
-                if want_ack:
-                    # Latest want-ack wins, mirroring the server's
-                    # coalesced per-client ACK semantics.
-                    pending_acks[(client.bss, client.aid)] = (
-                        client.seq,
-                        time.perf_counter(),
-                    )
-                sent_count += 1
-                if len(payload) > wire.HEADER_BYTES:
-                    report.sent_reports += 1
-                else:
-                    report.sent_keepalives += 1
-            sent += budget
-            await asyncio.sleep(config.tick_s)
-        report.sent_total += sent_count
-    finally:
-        transport.close()
-
-
-async def run_loadgen_async(config: LoadgenConfig) -> LoadgenReport:
+def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
+    """Send ``config``'s schedule open loop; blocks until it is done."""
     report = LoadgenReport(config=config)
     clients = build_clients(config)
-    stop = asyncio.Event()
-    workers = min(config.workers, config.clients)
-    slices: List[Tuple[List[_SimClient], List[int]]] = []
-    per = (len(clients) + workers - 1) // workers
-    for w in range(workers):
-        chunk = clients[w * per:(w + 1) * per]
-        if chunk:
-            slices.append((chunk, [w * per]))
-    rate_share = config.rate / len(slices)
-    start = time.perf_counter()
-    await asyncio.gather(
-        *(
-            _worker(config, chunk, offsets, rate_share, report, stop)
-            for chunk, offsets in slices
-        )
-    )
-    # Give in-flight ACKs a moment to land before closing the books.
-    await asyncio.sleep(min(0.2, config.duration_s / 10))
-    report.duration_s = time.perf_counter() - start
+    schedule = SendSchedule(config.rate, config.duration_s, config.ramp_s)
+    rng = random.Random(config.seed << 16)
+    perf = time.perf_counter
+    # (bss, aid) -> (seq, due time) of the newest want-ack send. The
+    # server coalesces ACKs to the latest sequence per client, so a
+    # newer want-ack for the same client supersedes the older one.
+    pending: Dict[Tuple[int, int], Tuple[int, float]] = {}
+
+    def drain_acks(sock: socket.socket) -> None:
+        while True:
+            try:
+                data = sock.recv(256)
+            except OSError:
+                # Nothing queued, or the ICMP error of an earlier send
+                # (no service on the port); either way, done this pass.
+                return
+            now = perf()
+            try:
+                message = wire.decode_message(data)
+            except FrameDecodeError:
+                continue
+            if message.msg_type != wire.MSG_ACK:
+                continue
+            report.acks_received += 1
+            by_status = report.acks_by_status
+            by_status[message.status] = by_status.get(message.status, 0) + 1
+            key = (message.bss, message.aid)
+            sent = pending.get(key)
+            if sent is not None and sent[0] == message.seq:
+                del pending[key]
+                report.record_rtt(message.status, max(0.0, (now - sent[1]) * 1e3))
+            else:
+                report.acks_unmatched += 1
+            if message.status == wire.ACK_UNKNOWN_CLIENT:
+                index = message.bss * MAX_AID + message.aid - 1
+                if 0 <= index < len(clients) and clients[index].reported:
+                    clients[index].reported = False
+                    report.rereports += 1
+
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+        sock.setblocking(False)
+        sock.connect((config.host, config.port))
+        total = schedule.total
+        k = 0
+        start = due = perf()
+        while k < total:
+            now = perf()
+            while k < total and due <= now:
+                client = clients[k % len(clients)]
+                want_ack = config.ack_every > 0 and k % config.ack_every == 0
+                payload = client.next_payload(
+                    rng.random() < config.keepalive_fraction, want_ack
+                )
+                try:
+                    sock.send(payload)
+                except OSError:
+                    report.send_errors += 1
+                else:
+                    report.late_ms.record(max(0.0, (perf() - due) * 1e3))
+                    if want_ack:
+                        pending[(client.bss, client.aid)] = (client.seq, due)
+                    if len(payload) > wire.HEADER_BYTES:
+                        report.sent_reports += 1
+                    else:
+                        report.sent_keepalives += 1
+                k += 1
+                due = start + schedule.due(k)
+            drain_acks(sock)
+            wait = due - perf()
+            if k < total and wait > 0:
+                select.select([sock], [], [], wait)
+        report.duration_s = perf() - start
+        report.sent_total = report.sent_reports + report.sent_keepalives
+        # Give in-flight ACKs a moment to land before closing the books.
+        grace_end = perf() + min(0.2, config.duration_s / 10)
+        while pending:
+            wait = grace_end - perf()
+            if wait <= 0:
+                break
+            select.select([sock], [], [], wait)
+            drain_acks(sock)
     return report
 
 
-def run_loadgen(config: LoadgenConfig) -> LoadgenReport:
-    """Blocking entry point for ``repro loadgen``."""
-    return asyncio.run(run_loadgen_async(config))
-
-
 def render_report(report: LoadgenReport) -> str:
+    late = report.late_ms
     lines = [
         f"loadgen: {report.sent_total} messages in {report.duration_s:.2f} s "
         f"({report.achieved_rate:,.0f}/s of {report.config.rate:,.0f}/s target, "
-        f"{report.config.clients} clients, {report.config.workers} workers)",
+        f"{report.config.clients} clients)",
         f"  reports {report.sent_reports}, keep-alives {report.sent_keepalives}, "
         f"re-reports {report.rereports}, send errors {report.send_errors}",
     ]
+    if late.count:
+        lines.append(
+            f"  late ms (send after due time): p50 {late.quantile(0.50):.3f}, "
+            f"p99 {late.quantile(0.99):.3f}, max {late.max:.3f}"
+        )
     if report.acks_received:
         statuses = ", ".join(
             f"status {status}: {count}"
@@ -387,7 +368,8 @@ def render_report(report: LoadgenReport) -> str:
         merged = report.merged_rtt()
         if merged.count:
             lines.append(
-                f"  rtt ms (all statuses): p50 {merged.quantile(0.50):.3f}, "
+                f"  rtt ms from due time (all statuses): "
+                f"p50 {merged.quantile(0.50):.3f}, "
                 f"p90 {merged.quantile(0.90):.3f}, "
                 f"p99 {merged.quantile(0.99):.3f}, max {merged.max:.3f} "
                 f"over {merged.count} matched acks"

@@ -141,6 +141,33 @@ class TestParsing:
             load_metrics_file(str(path))
         assert str(path) in str(excinfo.value)
 
+    def test_loadgen_document_flattens_rtt_and_lateness(self, tmp_path):
+        from repro.service.loadgen import (
+            LoadgenConfig,
+            LoadgenReport,
+            write_report_json,
+        )
+
+        report = LoadgenReport(config=LoadgenConfig(port=1))
+        report.sent_total = report.sent_keepalives = 3
+        report.acks_received = 2
+        report.acks_by_status = {0: 1, 2: 1}
+        report.record_rtt(0, 4.0)
+        report.record_rtt(2, 40.0)
+        for late_ms in (0.5, 1.0, 300.0):
+            report.late_ms.record(late_ms)
+        path = tmp_path / "loadgen.json"
+        write_report_json(report, str(path))
+        metrics = load_metrics_file(str(path))
+        assert metrics["loadgen_sent_total"] == 3
+        assert metrics['loadgen_acks_total{status="2"}'] == 1
+        assert metrics["loadgen_rtt_ms_count"] == 2
+        assert 4.0 < metrics["loadgen_rtt_ms_p99"] <= 40.0
+        assert metrics['loadgen_rtt_ms_p99{status="0"}'] <= 4.0 * 1.04
+        assert metrics["loadgen_late_ms_count"] == 3
+        assert metrics["loadgen_late_ms_p99"] == 300.0
+        assert metrics["loadgen_late_ms_max"] == 300.0
+
     def test_cli_diff_rejects_unreadable_row(self, tmp_path, capsys):
         from repro.cli import main
 

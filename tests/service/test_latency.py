@@ -12,7 +12,7 @@ from repro.service import (
     LoadgenConfig,
     PortService,
     ServiceConfig,
-    run_loadgen_async,
+    run_loadgen,
     wire,
 )
 from repro.service.loadgen import LoadgenReport, render_report
@@ -103,20 +103,24 @@ class TestLoadgenReport:
         report = _report()
         report.sent_total = 1
         report.record_rtt(0, 3.0)
+        report.late_ms.record(0.5)
         document = report.to_document()
         assert document["achieved"]["acks_unmatched"] == 0
         latency = document["latency"]
         assert latency["rtt_ms"]["count"] == 1
         assert "0" in latency["rtt_ms_by_status"]
+        assert latency["late_ms"]["count"] == 1
 
     def test_render_mentions_rtt(self):
         report = _report()
         report.acks_received = 1
         report.acks_by_status = {0: 1}
         report.record_rtt(0, 3.0)
+        report.late_ms.record(0.5)
         text = render_report(report)
         assert "rtt" in text
         assert "p99" in text
+        assert "late ms" in text
 
 
 class TestEndToEndLatency:
@@ -124,13 +128,13 @@ class TestEndToEndLatency:
         async def scenario():
             service = PortService(ServiceConfig(port=0, shards=2))
             await service.start()
-            report = await run_loadgen_async(
+            report = await asyncio.to_thread(
+                run_loadgen,
                 LoadgenConfig(
                     port=service.server_port,
                     clients=50,
                     rate=2000,
                     duration_s=0.8,
-                    workers=2,
                     ack_every=4,
                 )
             )
@@ -145,6 +149,7 @@ class TestEndToEndLatency:
         rtt = report.merged_rtt()
         assert rtt.count > 0
         assert rtt.count == report.acks_received - report.acks_unmatched
+        assert report.late_ms.count == report.sent_total
         assert merged["queue_wait_ms"].count == report.sent_total
         assert merged["ack_latency_ms"].count > 0
         count_series = registry.get("service_ack_latency_ms_count_total")

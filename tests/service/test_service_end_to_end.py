@@ -1,13 +1,16 @@
 """End-to-end: real sockets, loadgen against a live service.
 
 No pytest-asyncio in the toolchain, so each test drives its own event
-loop with ``asyncio.run`` — the same entry points the CLI uses.
+loop with ``asyncio.run`` — the same entry points the CLI uses. The
+load generator is synchronous, so it sends from a worker thread while
+the service runs on the test's loop.
 """
 
 import asyncio
 import copy
 import json
 import socket
+import time
 
 import pytest
 
@@ -16,9 +19,9 @@ from repro.service import (
     LoadgenConfig,
     PortService,
     ServiceConfig,
-    run_loadgen_async,
+    run_loadgen,
 )
-from repro.service.loadgen import build_clients
+from repro.service.loadgen import _SimClient, build_clients
 
 
 def test_loadgen_against_live_service(tmp_path):
@@ -36,13 +39,13 @@ def test_loadgen_against_live_service(tmp_path):
             )
         )
         await service.start()
-        report = await run_loadgen_async(
+        report = await asyncio.to_thread(
+            run_loadgen,
             LoadgenConfig(
                 port=service.server_port,
                 clients=300,
                 rate=8000,
                 duration_s=1.5,
-                workers=2,
                 ack_every=32,
             )
         )
@@ -53,6 +56,8 @@ def test_loadgen_against_live_service(tmp_path):
 
     report, totals = asyncio.run(scenario())
     assert report.sent_total > 0
+    # The send phase kept pace: duration_s excludes the ACK grace wait.
+    assert abs(report.achieved_rate - 8000) <= 0.02 * 8000
     assert totals["datagrams_received"] == report.sent_total
     assert totals["reports"] + totals["keepalives"] == report.sent_total
     assert totals["shard_errors"] == 0
@@ -71,6 +76,44 @@ def test_loadgen_against_live_service(tmp_path):
     assert len(state["shards"]) == 4
 
 
+def test_sender_stall_reaches_rtt_and_lateness(monkeypatch):
+    """A sender stalled mid-run shows in RTT: each want-ack is timed
+    from when it was due, not from its late send."""
+    original = _SimClient.next_payload
+    state = {"calls": 0, "stalled": False}
+
+    def stalling(self, keepalive, want_ack):
+        # Once, half-way through the run, stall before a want-ack send.
+        state["calls"] += 1
+        if want_ack and state["calls"] > 1500 and not state["stalled"]:
+            state["stalled"] = True
+            time.sleep(0.3)
+        return original(self, keepalive, want_ack)
+
+    monkeypatch.setattr(_SimClient, "next_payload", stalling)
+
+    async def scenario():
+        service = PortService(ServiceConfig(port=0, shards=2))
+        await service.start()
+        report = await asyncio.to_thread(
+            run_loadgen,
+            LoadgenConfig(
+                port=service.server_port,
+                clients=1000,
+                rate=2000,
+                duration_s=1.5,
+                ack_every=8,
+            ),
+        )
+        await service.stop()
+        return report
+
+    report = asyncio.run(scenario())
+    assert state["stalled"]
+    assert report.late_ms.max >= 300
+    assert report.merged_rtt().max >= 250
+
+
 def test_ttl_expiry_and_rereport_recovery():
     """Clients expire when silent; a keep-alive after expiry gets
     ACK_UNKNOWN_CLIENT, and a fresh report re-admits the client."""
@@ -80,13 +123,13 @@ def test_ttl_expiry_and_rereport_recovery():
         service = PortService(ServiceConfig(port=0, shards=2, ttl_s=0.6))
         await service.start()
         # Phase 1: populate, then go silent past the TTL.
-        await run_loadgen_async(
+        await asyncio.to_thread(
+            run_loadgen,
             LoadgenConfig(
                 port=service.server_port,
                 clients=50,
                 rate=2000,
                 duration_s=0.5,
-                workers=1,
                 ack_every=0,
             )
         )
@@ -160,13 +203,13 @@ def test_metrics_endpoint_exports_service_series():
     async def scenario():
         service = PortService(ServiceConfig(port=0, shards=2, metrics_port=0))
         await service.start()
-        await run_loadgen_async(
+        await asyncio.to_thread(
+            run_loadgen,
             LoadgenConfig(
                 port=service.server_port,
                 clients=20,
                 rate=500,
                 duration_s=0.5,
-                workers=1,
             )
         )
         await asyncio.sleep(0.1)
@@ -223,6 +266,8 @@ def test_config_validation():
         LoadgenConfig(clients=0)
     with pytest.raises(ServiceError):
         LoadgenConfig(keepalive_fraction=1.5)
+    with pytest.raises(ServiceError):
+        LoadgenConfig(ramp_s=-1.0)
 
 
 def test_loadgen_client_identity_mapping():
