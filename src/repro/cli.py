@@ -596,9 +596,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        shards=args.shards,
         ttl_s=args.ttl,
-        queue_capacity=args.queue_capacity,
         dtim_interval_s=args.dtim_interval,
         scenario=args.scenario,
         feed_seed=args.feed_seed,
@@ -613,7 +611,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"port-service: {state['uptime_s']:.1f} s up, "
         f"{totals['datagrams_received']} datagrams "
         f"({totals['reports']} reports, {totals['keepalives']} keep-alives, "
-        f"{totals['garbage']} garbage, {totals['drops']} dropped), "
+        f"{totals['garbage']} garbage), "
+        f"{totals['drops']} dropped by the kernel, "
         f"{totals['clients']} clients live at shutdown"
     )
     print(
@@ -965,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run the stand-alone async AP port-service (live UDP Port "
-             "Messages, sharded tables, per-DTIM TTL expiry + Algorithm 1)",
+             "Messages, per-BSS port tables, per-DTIM TTL expiry + Algorithm 1)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -973,17 +972,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="UDP port for Port Messages (0 = ephemeral; see --port-file)",
     )
     serve.add_argument(
-        "--shards", type=int, default=4,
-        help="port-table shards, one owning task each (default 4)",
+        "--shards", type=int, default=None, metavar="N",
+        help="deprecated and ignored: the service keeps one port state "
+             "and applies each socket batch in one pass",
     )
     serve.add_argument(
         "--ttl", type=float, default=30.0, metavar="SECONDS",
         help="keep-alive TTL before a client's entries expire at the next "
              "DTIM pass (default 30)",
-    )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=8192, metavar="N",
-        help="per-shard ingress queue bound (drop-oldest beyond it)",
     )
     serve.add_argument(
         "--dtim-interval", type=float, default=0.1024, metavar="SECONDS",
@@ -1009,7 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--final-state", default=None, metavar="PATH",
-        help="write the repro-service-state/v1 shutdown snapshot here",
+        help="write the repro-service-state/v2 shutdown snapshot here",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -5,32 +5,32 @@ Algorithm 1 — lifted out of the discrete-event simulator and run as a
 live ``asyncio`` UDP service:
 
 * a raw nonblocking socket on ``loop.add_reader`` ingests port reports
-  and keep-alives; each readiness wake-up drains the kernel queue in a
-  tight ``recvfrom`` batch (hundreds of datagrams per selector trip —
-  far cheaper than asyncio's per-datagram protocol path), and the
-  per-datagram work is only routing: magic check + shard hash on
-  MAC/AID, then an append to a bounded per-shard queue with
-  drop-oldest backpressure;
-* N shard workers (one task per :class:`~repro.service.shard.PortShard`)
-  decode strictly, apply table semantics, and emit coalesced ACKs once
-  their queue drains;
-* a DTIM task runs the AP's per-DTIM pass every DTIM interval, across
-  every shard: first it ages out clients silent for longer than the TTL
-  (the port table's ``expire_older_than``, exactly as the simulated AP
-  does), then it runs Algorithm 1 (`repro.ap.flags`) against a
+  and keep-alives; each readiness wake-up reads up to ``_RECV_BATCH``
+  datagrams in a tight ``recvfrom`` loop (far cheaper than asyncio's
+  per-datagram protocol path), stamps the batch once, and hands it to
+  the port state (:class:`~repro.service.shard.PortShard`) in one
+  synchronous pass that decodes strictly, applies table semantics and
+  sends the coalesced ACKs. Nothing waits between receive and apply,
+  so ingress memory is one batch plus the socket's receive buffer, and
+  overload shows as the kernel's drop count for the socket;
+* a DTIM task runs the AP's per-DTIM pass every DTIM interval: first it
+  ages out clients silent for longer than the TTL (the port table's
+  ``expire_older_than``, exactly as the simulated AP does), then it
+  runs Algorithm 1 (`repro.ap.flags`) over every BSS table against a
   scenario-driven broadcast-frame feed;
 * the existing obs stack provides the ops surface: a
   :class:`~repro.obs.server.MetricsServer` (``/metrics`` + ``/healthz``)
-  over a pull-collected registry, exporting reports/s, flags/s, shard
-  depths, expirations, and drops;
-* SIGTERM/SIGINT trigger a graceful drain — ingest closes, shards
-  flush, and a final-state JSON snapshot is written.
+  over a pull-collected registry, exporting reports/s, flags/s,
+  expirations, kernel drops and latency quantiles;
+* SIGTERM/SIGINT trigger a graceful stop — ingest closes after one last
+  batch, and a final-state JSON snapshot is written.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import socket
 import time
@@ -38,14 +38,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ap.flags import compute_broadcast_flags
-from repro.errors import FrameDecodeError, ServiceError
-from repro.obs.hdr import HdrHistogram, QUANTILE_LABELS
+from repro.errors import ServiceError
+from repro.obs.hdr import QUANTILE_LABELS
 from repro.obs.metrics import MetricsRegistry
-from repro.service import wire
 from repro.service.feed import BroadcastFrameFeed
-from repro.service.shard import PortShard
+from repro.service.shard import Datagram, PortShard
 
-FINAL_STATE_SCHEMA = "repro-service-state/v1"
+FINAL_STATE_SCHEMA = "repro-service-state/v2"
 
 
 @dataclass
@@ -54,9 +53,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    shards: int = 4
     ttl_s: float = 30.0
-    queue_capacity: int = 8192
     #: Beacon interval × DTIM period; the paper's AP beacons at 102.4 ms.
     dtim_interval_s: float = 0.1024
     #: Scenario feeding the per-DTIM broadcast buffer.
@@ -75,14 +72,8 @@ class ServiceConfig:
     final_state_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ServiceError(f"need at least one shard: {self.shards}")
         if self.ttl_s <= 0:
             raise ServiceError(f"TTL must be positive: {self.ttl_s}")
-        if self.queue_capacity < 1:
-            raise ServiceError(
-                f"queue capacity must be positive: {self.queue_capacity}"
-            )
         if self.dtim_interval_s <= 0:
             raise ServiceError(
                 f"DTIM interval must be positive: {self.dtim_interval_s}"
@@ -93,9 +84,29 @@ class ServiceConfig:
 #: re-fire immediately if the kernel queue is still non-empty.
 _RECV_BATCH = 512
 
+#: The kernel's UDP socket table; its last column counts the datagrams
+#: dropped at each socket (receive buffer full), keyed by inode.
+_PROC_NET_UDP = "/proc/net/udp"
+
+
+def socket_drops(sock: socket.socket) -> int:
+    """Datagrams the kernel dropped at ``sock`` because its receive
+    buffer was full; 0 where ``/proc/net/udp`` does not exist."""
+    inode = str(os.fstat(sock.fileno()).st_ino)
+    try:
+        with open(_PROC_NET_UDP, encoding="ascii") as stream:
+            next(stream, None)  # the header line
+            for line in stream:
+                fields = line.split()
+                if len(fields) >= 13 and fields[9] == inode:
+                    return int(fields[12])
+    except OSError:
+        pass
+    return 0
+
 
 class PortService:
-    """Lifecycle owner: socket, shard workers, DTIM task."""
+    """Lifecycle owner: socket, port state, DTIM task."""
 
     def __init__(
         self,
@@ -104,19 +115,12 @@ class PortService:
     ) -> None:
         self.config = config
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.shards: List[PortShard] = [
-            PortShard(
-                index=i,
-                ttl_s=config.ttl_s,
-                queue_capacity=config.queue_capacity,
-            )
-            for i in range(config.shards)
-        ]
+        self.shard = PortShard(ttl_s=config.ttl_s, clock=self.now)
         self.feed: Optional[BroadcastFrameFeed] = None
-        self.wake_events: List[asyncio.Event] = []
         self.datagrams_received = 0
-        self.garbage_datagrams = 0
         self.socket_errors = 0
+        #: The socket's kernel drop count as last read (kept past close).
+        self._kernel_drops = 0
         self.flags_computed_total = 0
         self.algorithm1_runs = 0
         self._start_wall = 0.0
@@ -155,7 +159,6 @@ class PortService:
         self._epoch = time.monotonic()
         self._start_wall = time.time()
         self._stop_event = asyncio.Event()
-        self.wake_events = [asyncio.Event() for _ in self.shards]
         self.feed = BroadcastFrameFeed.from_scenario(
             self.config.scenario,
             self.config.dtim_interval_s,
@@ -174,10 +177,6 @@ class PortService:
         sock.bind((self.config.host, self.config.port))
         self._sock = sock
         loop.add_reader(sock.fileno(), self._on_readable)
-        for shard in self.shards:
-            self._tasks.append(
-                loop.create_task(self._shard_worker(shard))
-            )
         self._tasks.append(loop.create_task(self._dtim_loop()))
         if self.config.metrics_port is not None:
             from repro.obs.server import MetricsServer
@@ -205,25 +204,19 @@ class PortService:
     async def stop(self) -> None:
         if self._sock is None:
             return
-        # 1. Stop ingest so the drain below is final.
+        # 1. Stop ingest after one last batch of what the kernel holds.
         loop = asyncio.get_event_loop()
         loop.remove_reader(self._sock.fileno())
-        self._on_readable()  # pull whatever the kernel still holds
-        sock, self._sock = self._sock, None
-        # 2. Give every worker one last wake-up, then cancel the loops.
-        for event in self.wake_events:
-            event.set()
-        await asyncio.sleep(0)
+        self._on_readable()
+        # 2. Stop the DTIM loop, read the drop count, close the socket.
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
-        # 3. Final synchronous drain of anything still queued.
-        now = self.now()
-        for shard in self.shards:
-            shard.drain(now, ack_sink=None)
+        self._kernel_drops = socket_drops(self._sock)
+        sock, self._sock = self._sock, None
         sock.close()
-        # 4. Flush final state, then tear down the ops surface.
+        # 3. Flush final state, then tear down the ops surface.
         document = self.final_state()
         if self.config.final_state_path:
             with open(self.config.final_state_path, "w", encoding="utf-8") as stream:
@@ -272,54 +265,28 @@ class PortService:
     # -- ingest (runs on the loop thread, must stay cheap) -------------
 
     def _on_readable(self) -> None:
-        """Drain the kernel receive queue in one batched pass."""
+        """Read one batch off the socket and apply it in one pass."""
         sock = self._sock
         if sock is None:  # pragma: no cover - close race
             return
-        shards = self.shards
-        nshards = len(shards)
-        wake = self.wake_events
         recvfrom = sock.recvfrom
-        peek = wire.peek_route
-        shard_of = wire.shard_index
-        received = 0
+        batch: List[Datagram] = []
+        append = batch.append
         # One timestamp per readiness wake-up, not per datagram: the
-        # batch drains in well under a millisecond, and the latency
-        # histograms' sub-bucket resolution is coarser than the skew.
+        # batch is read and applied in well under a millisecond, and
+        # the latency histograms' sub-bucket resolution is coarser.
         received_at = self.now()
         for _ in range(_RECV_BATCH):
             try:
-                data, addr = recvfrom(2048)
+                append(recvfrom(2048))
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:  # pragma: no cover - kernel-dependent
                 self.socket_errors += 1
                 break
-            received += 1
-            try:
-                bss, aid, mac = peek(data)
-            except FrameDecodeError:
-                self.garbage_datagrams += 1
-                continue
-            shard = shards[shard_of(bss, aid, mac, nshards)]
-            shard.offer(data, addr, at=received_at)
-            event = wake[shard.index]
-            if not event.is_set():
-                event.set()
-        self.datagrams_received += received
-
-    # -- workers -------------------------------------------------------
-
-    async def _shard_worker(self, shard: PortShard) -> None:
-        event = self.wake_events[shard.index]
-        send = self._send_ack
-        while True:
-            await event.wait()
-            event.clear()
-            shard.drain(self.now(), ack_sink=send)
-            # Yield so the receive callback can refill before we check
-            # again; anything that arrived mid-drain re-set the event.
-            await asyncio.sleep(0)
+        if batch:
+            self.datagrams_received += len(batch)
+            self.shard.drain(batch, received_at, self._send_ack)
 
     def _send_ack(self, payload: bytes, addr) -> None:
         sock = self._sock
@@ -333,7 +300,7 @@ class PortService:
             self.socket_errors += 1
 
     async def _dtim_loop(self) -> None:
-        """The per-DTIM pass across every shard: expiry, then Algorithm 1."""
+        """The per-DTIM pass: expiry, then Algorithm 1 per BSS table."""
         assert self.feed is not None
         interval = self.config.dtim_interval_s
         next_tick = self.now() + interval
@@ -342,52 +309,41 @@ class PortService:
             if delay > 0:
                 await asyncio.sleep(delay)
             next_tick += interval
-            now = self.now()
-            for shard in self.shards:
-                shard.expire(now)
+            self.shard.expire(self.now())
             frames = self.feed.next_batch()
             flagged = 0
             if frames:
-                for shard in self.shards:
-                    for table in shard.tables.values():
-                        flagged += len(compute_broadcast_flags(frames, table))
+                for table in self.shard.tables.values():
+                    flagged += len(compute_broadcast_flags(frames, table))
             self.algorithm1_runs += 1
             self.flags_computed_total += flagged
 
     # -- aggregation / ops surface -------------------------------------
 
     def totals(self) -> Dict[str, int]:
-        counters = [shard.counters for shard in self.shards]
+        counters = self.shard.counters
+        if self._sock is not None:
+            self._kernel_drops = socket_drops(self._sock)
         return {
             "datagrams_received": self.datagrams_received,
-            "garbage": self.garbage_datagrams + sum(c.garbage for c in counters),
-            "reports": sum(c.reports for c in counters),
-            "keepalives": sum(c.keepalives for c in counters),
-            "acks_sent": sum(c.acks_sent for c in counters),
-            "rejected": sum(c.rejected for c in counters),
-            "drops": sum(c.drops for c in counters),
-            "expirations": sum(c.expirations for c in counters),
-            "shard_errors": sum(c.errors for c in counters),
+            "garbage": counters.garbage,
+            "reports": counters.reports,
+            "keepalives": counters.keepalives,
+            "acks_sent": counters.acks_sent,
+            "rejected": counters.rejected,
+            "drops": self._kernel_drops,
+            "expirations": counters.expirations,
+            "shard_errors": counters.errors,
             "socket_errors": self.socket_errors,
-            "clients": sum(shard.client_count for shard in self.shards),
-            "pairs": sum(shard.pair_count for shard in self.shards),
+            "clients": self.shard.client_count,
+            "pairs": self.shard.pair_count,
             "flags_computed": self.flags_computed_total,
             "algorithm1_runs": self.algorithm1_runs,
         }
 
-    def merged_latency(self) -> Dict[str, HdrHistogram]:
-        """Each latency distribution folded across every shard."""
-        merged: Dict[str, HdrHistogram] = {}
-        for name in ("queue_wait_ms", "drain_batch_ms", "ack_latency_ms"):
-            merged[name] = HdrHistogram.merged(
-                shard.latency_histograms()[name] for shard in self.shards
-            )
-        return merged
-
-    def _windowed_rates(self) -> Tuple[float, float]:
+    def _windowed_rates(self, totals: Dict[str, int]) -> Tuple[float, float]:
         """(reports/s, flags/s) since the previous rate sample."""
         now = time.monotonic()
-        totals = self.totals()
         messages = totals["reports"] + totals["keepalives"]
         flags = totals["flags_computed"]
         last_t, last_messages, last_flags = self._rate_sample
@@ -402,8 +358,8 @@ class PortService:
         return self._last_rates
 
     def collect_into_registry(self) -> None:
-        """Pull-collect shard counters into the metrics registry (the
-        ``/metrics`` scrape path)."""
+        """Pull-collect the service counters into the metrics registry
+        (the ``/metrics`` scrape path)."""
         registry = self.registry
         totals = self.totals()
         help_text = {
@@ -411,10 +367,11 @@ class PortService:
             "keepalives": "Keep-alive refreshes applied",
             "acks_sent": "Coalesced ACKs sent (drained-ACK fast path)",
             "rejected": "Messages refused by validation",
-            "drops": "Datagrams discarded by drop-oldest backpressure",
+            "drops": "Datagrams the kernel dropped at the service socket "
+                     "(receive buffer full)",
             "garbage": "Undecodable datagrams",
             "expirations": "Clients aged out by the per-DTIM TTL expiry",
-            "shard_errors": "Unexpected shard worker exceptions",
+            "shard_errors": "Unexpected exceptions while applying a message",
             "datagrams_received": "Raw datagrams received",
             "flags_computed": "Broadcast flags set by Algorithm 1",
             "algorithm1_runs": "Per-DTIM Algorithm 1 passes",
@@ -425,20 +382,12 @@ class PortService:
             "service_clients", "Clients with live port-table entries"
         ).set(totals["clients"])
         registry.gauge(
-            "service_table_pairs", "(port, AID) pairs across all shards"
+            "service_table_pairs", "(port, AID) pairs across all BSS tables"
         ).set(totals["pairs"])
         registry.gauge(
             "service_uptime_seconds", "Seconds since the service started"
         ).set(self.now())
-        for shard in self.shards:
-            labels = {"shard": str(shard.index)}
-            registry.gauge(
-                "service_shard_depth", "Ingress queue depth", labels
-            ).set(shard.depth)
-            registry.gauge(
-                "service_shard_clients", "Clients owned by this shard", labels
-            ).set(shard.client_count)
-        reports_rate, flags_rate = self._windowed_rates()
+        reports_rate, flags_rate = self._windowed_rates(totals)
         registry.gauge(
             "service_reports_per_second",
             "Port messages applied per second (scrape-to-scrape window)",
@@ -448,11 +397,10 @@ class PortService:
             "Broadcast flags computed per second (scrape-to-scrape window)",
         ).set(flags_rate)
         latency_help = {
-            "queue_wait_ms": "Ingress-to-drain queue wait (HDR, ms)",
-            "drain_batch_ms": "Wall cost per non-empty drain batch (HDR, ms)",
+            "drain_batch_ms": "Wall cost per non-empty batch (HDR, ms)",
             "ack_latency_ms": "Receive-to-ACK-emission latency (HDR, ms)",
         }
-        for name, histogram in self.merged_latency().items():
+        for name, histogram in self.shard.latency_histograms().items():
             text = latency_help[name]
             registry.counter(f"service_{name}_count_total", text).set_total(
                 histogram.count
@@ -472,14 +420,13 @@ class PortService:
         return {
             "service": "repro-port-service",
             "scenario": self.config.scenario,
-            "shards": len(self.shards),
             "clients": totals["clients"],
             "uptime_s": round(self.now(), 3),
             "shard_errors": totals["shard_errors"],
         }
 
     def final_state(self) -> Dict[str, object]:
-        """The shutdown flush: totals plus per-shard snapshots."""
+        """The shutdown flush: totals plus the port-state snapshot."""
         return {
             "schema": FINAL_STATE_SCHEMA,
             "started_unix": self._start_wall,
@@ -487,13 +434,12 @@ class PortService:
             "config": {
                 "host": self.config.host,
                 "port": self.server_port,
-                "shards": self.config.shards,
                 "ttl_s": self.config.ttl_s,
                 "dtim_interval_s": self.config.dtim_interval_s,
                 "scenario": self.config.scenario,
             },
             "totals": self.totals(),
-            "shards": [shard.snapshot() for shard in self.shards],
+            "port_state": self.shard.snapshot(),
             "feed": {
                 "batches_served": self.feed.batches_served if self.feed else 0,
                 "frames_served": self.feed.frames_served if self.feed else 0,

@@ -1,19 +1,16 @@
-"""One shard of the port-service: port tables and an ingress queue.
+"""The port-service's port state: per-BSS port tables and AID ownership.
 
-A shard is plain synchronous state owned by exactly one asyncio task
-(the server spawns one worker per shard), so none of this needs locks:
-the ingest callback appends raw datagrams to the shard's bounded queue
-on the loop thread, and the owning worker drains them in batches.
+One :class:`PortShard` holds everything the service knows about its
+clients: one :class:`~repro.ap.port_table.ClientUdpPortTable` per BSS
+(AIDs are only unique within one) and one map from each bound
+``(bss, aid)`` to the MAC that owns it. It is plain synchronous state,
+touched only from the event-loop thread, so none of it needs locks.
 
-Backpressure is drop-oldest: when the queue is full the *oldest* raw
-datagram is discarded, because a fresher report from the same client
-supersedes it anyway — exactly the replacement semantics of the
-underlying :class:`~repro.ap.port_table.ClientUdpPortTable`.
-
-ACKs follow a drained-ACK fast path: during a drain the shard only
-*records* the latest ack-worthy sequence per client, and emits the
-coalesced ACKs once the queue is empty. Under load this collapses an
-ACK per message into an ACK per client per batch.
+The server hands it each socket batch once: :meth:`PortShard.drain`
+strictly decodes every datagram of the batch, applies it, and then
+sends the coalesced ACKs — during the pass it only *records* the latest
+ack-worthy sequence per client, so under load an ACK per message
+collapses into an ACK per client per batch.
 
 Expiry is the table's own: the server's DTIM pass calls
 :meth:`PortShard.expire`, which ages each per-BSS table out with
@@ -23,25 +20,22 @@ the same rule, at the same point, as the simulated AP.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ap.port_table import ClientUdpPortTable, ExpiredEntry
 from repro.errors import FrameDecodeError, PortTableError
 from repro.obs.hdr import HdrHistogram
 from repro.service import wire
 
-#: (raw datagram, sender address, receive timestamp) as queued by the
-#: ingest callback. The timestamp is the service clock at recvfrom
-#: (``None`` for callers that don't track one, e.g. benchmarks).
-Ingress = Tuple[bytes, Tuple[str, int], Optional[float]]
-#: The latest ack-worthy message per client in a drain: (message,
-#: status, sender address, receive timestamp). The ACK is encoded only
-#: when it is sent, once per client per drain.
-PendingAck = Tuple[wire.Message, int, Tuple[str, int], Optional[float]]
-#: ``send(payload, addr)`` — the server binds this to the UDP transport.
+#: (raw datagram, sender address), as ``recvfrom`` returns them.
+Datagram = Tuple[bytes, Tuple[str, int]]
+#: The latest ack-worthy message per client in a batch: (message,
+#: status, sender address). The ACK is encoded only when it is sent,
+#: once per client per batch.
+PendingAck = Tuple[wire.Message, int, Tuple[str, int]]
+#: ``send(payload, addr)`` — the server binds this to the UDP socket.
 AckSink = Callable[[bytes, Tuple[str, int]], None]
 
 
@@ -53,7 +47,7 @@ def _latency_histogram() -> HdrHistogram:
 
 @dataclass
 class ShardCounters:
-    """Monotonic per-shard counters, pulled into the metrics registry."""
+    """Monotonic counters, pulled into the metrics registry."""
 
     reports: int = 0
     keepalives: int = 0
@@ -62,117 +56,71 @@ class ShardCounters:
     rejected: int = 0
     #: Undecodable datagrams (truncated, bad magic, bad counts).
     garbage: int = 0
-    #: Raw datagrams discarded by drop-oldest backpressure.
-    drops: int = 0
     expirations: int = 0
-    #: Unexpected exceptions inside the worker — always zero in a
-    #: healthy service; the smoke job asserts on it.
+    #: Unexpected exceptions while applying a message — always zero in
+    #: a healthy service; the smoke job asserts on it.
     errors: int = 0
 
 
 class PortShard:
-    """Sharded port-table state plus its ingress queue."""
+    """The service's port tables, AID ownership and counters."""
 
     def __init__(
         self,
-        index: int,
         ttl_s: float = 30.0,
-        queue_capacity: int = 4096,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        self.index = index
         self.ttl_s = ttl_s
-        self.queue_capacity = queue_capacity
+        #: Reads the clock ``drain``'s ``now`` comes from; with it, each
+        #: ACK's latency from its batch's receive stamp is recorded.
+        self.clock = clock
         self.counters = ShardCounters()
-        #: One port table per BSS this shard fronts (AIDs are only
-        #: unique within a BSS; tables are created on first report).
+        #: One port table per BSS (created on the BSS's first report).
         self.tables: Dict[int, ClientUdpPortTable] = {}
-        self.queue: Deque[Ingress] = deque()
-        #: Ingress latency distributions (milliseconds; see the ledger
-        #: PR): time queued before the worker drained a datagram, wall
-        #: cost of each non-empty drain batch, and receive-to-ACK-
-        #: emission latency for ack-worthy messages.
-        self.queue_wait_ms = _latency_histogram()
+        #: Wall cost of each non-empty batch, and receive-to-ACK-send
+        #: latency for ack-worthy messages (milliseconds).
         self.drain_batch_ms = _latency_histogram()
         self.ack_latency_ms = _latency_histogram()
         #: (bss, aid) -> MAC that owns the AID; a report for a bound
         #: AID from a different MAC is rejected, not silently stolen.
         self._mac_by_client: Dict[Tuple[int, int], bytes] = {}
 
-    # -- ingest (runs on the loop thread, must stay cheap) -------------
-
-    def offer(
+    def drain(
         self,
-        data: bytes,
-        addr: Tuple[str, int],
-        at: Optional[float] = None,
-    ) -> None:
-        """Queue one raw datagram, dropping the oldest when full.
+        batch: Sequence[Datagram],
+        now: float,
+        ack_sink: Optional[AckSink] = None,
+    ) -> int:
+        """Decode and apply every datagram of ``batch``, received at
+        ``now``; returns the count.
 
-        ``at`` is the service-clock receive time (the server stamps one
-        per recvfrom batch); latency histograms are skipped when it is
-        omitted, so timestamp-less callers pay nothing extra.
+        A datagram that does not decode is counted as garbage and the
+        rest of the batch still applies. Coalesced ACKs go out after the
+        whole batch is applied, keyed by client so only the latest
+        sequence per client in the batch is confirmed.
         """
-        if len(self.queue) >= self.queue_capacity:
-            self.queue.popleft()
-            self.counters.drops += 1
-        self.queue.append((data, addr, at))
-
-    @property
-    def depth(self) -> int:
-        return len(self.queue)
-
-    # -- draining (runs on the owning worker task) ---------------------
-
-    def drain(self, now: float, ack_sink: Optional[AckSink] = None) -> int:
-        """Decode and apply every queued datagram; returns the count.
-
-        Coalesced ACKs go out after the queue is empty (the drained-ACK
-        fast path), keyed by client so only the latest sequence per
-        client in the batch is confirmed.
-
-        Queue wait is recorded per receive batch: the server stamps one
-        receive time per ``recvfrom`` batch, and every datagram of a
-        batch waited the same ``now - received_at``, so each run of
-        datagrams sharing a stamp is one histogram record with a count
-        (bit-identical to one record per datagram).
-        """
-        processed = 0
         pending_acks: Dict[Tuple[int, int], PendingAck] = {}
-        queue = self.queue
-        popleft = queue.popleft
-        queue_wait = self.queue_wait_ms.record
+        # Looked up per call so wrappers installed on the module or the
+        # class (the benchmark's layer split) see every message.
         decode = wire.decode_message
         apply = self._apply
         counters = self.counters
-        # The receive stamp of the current run and its datagram count.
-        run_at: Optional[float] = None
-        run_length = 0
         batch_start = perf_counter()
-        while queue:
-            data, addr, received_at = popleft()
-            processed += 1
-            if received_at is not None:
-                if received_at == run_at:
-                    run_length += 1
-                else:
-                    if run_length:
-                        queue_wait(max(0.0, (now - run_at) * 1e3), run_length)
-                    run_at = received_at
-                    run_length = 1
+        for data, addr in batch:
             try:
                 message = decode(data)
             except FrameDecodeError:
                 counters.garbage += 1
                 continue
             try:
-                apply(message, now, addr, pending_acks, received_at)
+                apply(message, now, addr, pending_acks)
             except Exception:
                 counters.errors += 1
-        if run_length:
-            queue_wait(max(0.0, (now - run_at) * 1e3), run_length)
-        if ack_sink is not None:
+        if ack_sink is not None and pending_acks:
             encode_ack = wire.encode_ack
-            for message, status, addr, received_at in pending_acks.values():
+            clock = self.clock
+            record = self.ack_latency_ms.record
+            for message, status, addr in pending_acks.values():
                 ack_sink(
                     encode_ack(
                         message.bss, message.aid, message.mac, message.seq,
@@ -180,18 +128,12 @@ class PortShard:
                     ),
                     addr,
                 )
-                counters.acks_sent += 1
-                if received_at is not None:
-                    # Service time advanced by the drain's own wall
-                    # cost since ``now`` was stamped; fold it in so
-                    # the coalescing delay is visible in the tail.
-                    elapsed = perf_counter() - batch_start
-                    self.ack_latency_ms.record(
-                        max(0.0, (now - received_at + elapsed) * 1e3)
-                    )
-        if processed:
+                if clock is not None:
+                    record(max(0.0, (clock() - now) * 1e3))
+            counters.acks_sent += len(pending_acks)
+        if batch:
             self.drain_batch_ms.record((perf_counter() - batch_start) * 1e3)
-        return processed
+        return len(batch)
 
     def _apply(
         self,
@@ -199,7 +141,6 @@ class PortShard:
         now: float,
         addr: Tuple[str, int],
         pending_acks: Dict[Tuple[int, int], PendingAck],
-        received_at: Optional[float] = None,
     ) -> None:
         if message.msg_type == wire.MSG_ACK:
             # Clients never ack the server; count it as garbage-adjacent
@@ -237,7 +178,7 @@ class PortShard:
             else:
                 self.counters.keepalives += 1
         if message.want_ack:
-            pending_acks[client] = (message, status, addr, received_at)
+            pending_acks[client] = (message, status, addr)
 
     def _table_for(self, bss: int) -> ClientUdpPortTable:
         table = self.tables.get(bss)
@@ -270,21 +211,18 @@ class PortShard:
         return sum(len(table) for table in self.tables.values())
 
     def latency_histograms(self) -> Dict[str, HdrHistogram]:
-        """The shard's latency distributions, by exported series name."""
+        """The latency distributions, by exported series name."""
         return {
-            "queue_wait_ms": self.queue_wait_ms,
             "drain_batch_ms": self.drain_batch_ms,
             "ack_latency_ms": self.ack_latency_ms,
         }
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-friendly state for the final flush / health endpoint."""
+        """JSON-friendly state for the final flush."""
         return {
-            "shard": self.index,
             "clients": self.client_count,
             "pairs": self.pair_count,
             "bss_tables": len(self.tables),
-            "queue_depth": self.depth,
             "counters": dict(vars(self.counters)),
             "latency": {
                 name: histogram.to_dict()

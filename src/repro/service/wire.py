@@ -34,16 +34,13 @@ then per type::
 Decoding is strict: bad magic/version/type, a reserved flag bit,
 truncated bodies, trailing garbage, out-of-range ports, a zero or
 oversized port count — all raise :class:`~repro.errors.FrameDecodeError`.
-The one exception is the routing fast path :func:`peek_route`, which the
-ingest callback uses to pick a shard without paying for a full decode.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple, Union
-from zlib import crc32
+from typing import FrozenSet, Union
 
 from repro.errors import FrameDecodeError, FrameEncodeError
 
@@ -228,31 +225,3 @@ def decode_message(data: bytes) -> Message:
         return Ack(bss=bss, aid=aid, mac=mac, seq=seq, status=status)
     raise FrameDecodeError(f"unknown message type: {msg_type}")
 
-
-_ROUTE = struct.Struct(">BH")  # bss, aid at offset 5 (after magic/version/type/flags)
-
-
-def peek_route(data: bytes) -> Tuple[int, int, bytes]:
-    """The ingest fast path: ``(bss, aid, mac)`` without a full decode.
-
-    Validates just enough (length, magic, version) to route the
-    datagram to a shard; the shard worker does the strict decode off
-    the receive callback. Raises :class:`FrameDecodeError` on datagrams
-    that cannot possibly be v1 messages.
-    """
-    if len(data) < HEADER_BYTES or data[:2] != WIRE_MAGIC or data[2] != WIRE_VERSION:
-        raise FrameDecodeError("not a v1 service datagram")
-    bss, aid = _ROUTE.unpack_from(data, 5)
-    return bss, aid, data[12:18]
-
-
-def shard_index(bss: int, aid: int, mac: bytes, shards: int) -> int:
-    """Stable shard choice: hash on the client's MAC and AID.
-
-    CRC32 of the MAC mixes the (mostly sequential) station addresses;
-    the BSS index is spread with a Knuth multiplicative constant so it
-    reaches the low bits (a plain shift would vanish modulo any small
-    shard count), and XOR with the AID keeps pairs apart even when
-    MACs collide across BSSes.
-    """
-    return (crc32(mac) ^ (bss * 0x9E3779B1) ^ aid) % shards

@@ -173,11 +173,12 @@ class TestShardAgainstOracle:
     @given(ticks, st.sampled_from([TICK_S, 0.25, 0.5, 1.0]))
     @settings(max_examples=150, deadline=None)
     def test_same_clients_expire_at_the_same_ticks(self, timeline, ttl_s):
-        shard = PortShard(0, ttl_s=ttl_s)
+        shard = PortShard(ttl_s=ttl_s)
         oracles: Dict[int, OracleTable] = {0: OracleTable(), 1: OracleTable()}
         seq = 0
         for index, (messages, offset) in enumerate(timeline):
             drained_at = index * TICK_S + offset
+            batch = []
             for kind, bss, aid, ports in messages:
                 seq += 1
                 if kind == "report":
@@ -188,8 +189,8 @@ class TestShardAgainstOracle:
                 else:
                     datagram = wire.encode_keep_alive(bss, aid, _mac(bss, aid), seq)
                     oracles[bss].touch(aid, drained_at)
-                shard.offer(datagram, ADDR)
-            shard.drain(drained_at)
+                batch.append((datagram, ADDR))
+            shard.drain(batch, drained_at)
             now = (index + 1) * TICK_S
             bound_before = set(shard._mac_by_client)
             got = {(bss, entry.aid) for bss, entry in shard.expire(now)}
@@ -302,12 +303,13 @@ class TestUnchangedReports:
     )
     @settings(max_examples=150, deadline=None)
     def test_shard_matches_delete_all_insert_all(self, timeline, ttl_s):
-        shard = PortShard(0, ttl_s=ttl_s)
+        shard = PortShard(ttl_s=ttl_s)
         oracles: Dict[int, OracleTable] = {0: OracleTable(), 1: OracleTable()}
         seen: Set[int] = set()
         seq = 0
         for index, (messages, offset) in enumerate(timeline):
             drained_at = index * TICK_S + offset
+            batch = []
             for kind, bss, aid, ports in messages:
                 seq += 1
                 mac = _mac(bss, aid)
@@ -320,8 +322,8 @@ class TestUnchangedReports:
                     seen.update(ports)
                     datagram = wire.encode_port_report(bss, aid, mac, seq, ports)
                     oracles[bss].update_client(aid, ports, now=drained_at)
-                shard.offer(datagram, ADDR, at=drained_at)
-            shard.drain(drained_at)
+                batch.append((datagram, ADDR))
+            shard.drain(batch, drained_at)
             now = (index + 1) * TICK_S
             got = [(bss, entry) for bss, entry in shard.expire(now)]
             want = [

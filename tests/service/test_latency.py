@@ -1,9 +1,9 @@
-"""Service-side latency ledger: shard histograms, loadgen RTT, export.
+"""Service-side latency ledger: port-state histograms, loadgen RTT, export.
 
-The shard's queue-wait / drain-batch / ACK-latency histograms and the
-loadgen's per-status RTT share one HDR geometry (1 µs to 60 s, in ms),
-so the server's ``/metrics`` export and the loadgen's ``repro-loadgen/
-v1`` document are directly diffable end to end.
+The port state's drain-batch / ACK-latency histograms and the loadgen's
+per-status RTT share one HDR geometry (1 µs to 60 s, in ms), so the
+server's ``/metrics`` export and the loadgen's ``repro-loadgen/v1``
+document are directly diffable end to end.
 """
 
 import asyncio
@@ -25,61 +25,50 @@ def _report():
     return LoadgenReport(config=LoadgenConfig(port=1))
 
 
-def _offer_report(shard, aid, at=None, want_ack=False, seq=1):
+def _datagram(aid, want_ack=False, seq=1):
     mac = bytes([0x02, 0x00]) + aid.to_bytes(4, "big")
-    shard.offer(
-        wire.encode_port_report(0, aid, mac, seq, {137}, want_ack),
-        ADDR,
-        at=at,
-    )
+    return (wire.encode_port_report(0, aid, mac, seq, {137}, want_ack), ADDR)
 
 
 class TestShardHistograms:
-    def test_drain_records_queue_wait_from_ingress_stamp(self):
-        shard = PortShard(0)
-        _offer_report(shard, 1, at=1.0)
-        _offer_report(shard, 2, at=1.25)
-        shard.drain(1.5)
-        waits = shard.queue_wait_ms
-        assert waits.count == 2
-        assert waits.min == 250.0  # (1.5 - 1.25) s in ms
-        assert waits.max == 500.0
-        assert shard.drain_batch_ms.count == 1
-
     def test_ack_latency_recorded_only_for_ack_worthy_messages(self):
-        shard = PortShard(0)
-        _offer_report(shard, 1, at=0.0, want_ack=True)
-        _offer_report(shard, 2, at=0.0, want_ack=False)
+        # The clock reads 10 ms past the batch's receive stamp when the
+        # ACK goes out.
+        shard = PortShard(clock=lambda: 0.010)
         acks = []
-        shard.drain(0.010, ack_sink=lambda payload, addr: acks.append(payload))
+        shard.drain(
+            [_datagram(1, want_ack=True), _datagram(2, want_ack=False)],
+            0.0,
+            ack_sink=lambda payload, addr: acks.append(payload),
+        )
         assert len(acks) == 1
         assert shard.ack_latency_ms.count == 1
-        # Queue wait plus the (tiny, host-measured) drain cost.
-        assert shard.ack_latency_ms.min >= 10.0
+        assert shard.ack_latency_ms.min == 10.0
+        assert shard.drain_batch_ms.count == 1
 
-    def test_unstamped_ingress_skips_latency(self):
-        shard = PortShard(0)
-        _offer_report(shard, 1)  # no `at`: pre-instrumentation call shape
-        shard.drain(5.0)
-        assert shard.queue_wait_ms.count == 0
+    def test_no_clock_skips_ack_latency(self):
+        shard = PortShard()
+        acks = []
+        shard.drain(
+            [_datagram(1, want_ack=True)],
+            5.0,
+            ack_sink=lambda payload, addr: acks.append(payload),
+        )
+        assert len(acks) == 1
+        assert shard.ack_latency_ms.count == 0
         assert shard.counters.reports == 1
 
     def test_empty_drain_records_no_batch(self):
-        shard = PortShard(0)
-        shard.drain(0.0)
+        shard = PortShard()
+        shard.drain([], 0.0)
         assert shard.drain_batch_ms.count == 0
 
     def test_snapshot_carries_latency_section(self):
-        shard = PortShard(3)
-        _offer_report(shard, 1, at=0.0)
-        shard.drain(0.001)
+        shard = PortShard()
+        shard.drain([_datagram(1)], 0.001)
         snap = shard.snapshot()
-        assert set(snap["latency"]) == {
-            "queue_wait_ms",
-            "drain_batch_ms",
-            "ack_latency_ms",
-        }
-        assert snap["latency"]["queue_wait_ms"]["count"] == 1
+        assert set(snap["latency"]) == {"drain_batch_ms", "ack_latency_ms"}
+        assert snap["latency"]["drain_batch_ms"]["count"] == 1
 
 
 class TestLoadgenReport:
@@ -126,7 +115,7 @@ class TestLoadgenReport:
 class TestEndToEndLatency:
     def test_live_service_populates_rtt_and_export(self):
         async def scenario():
-            service = PortService(ServiceConfig(port=0, shards=2))
+            service = PortService(ServiceConfig(port=0))
             await service.start()
             report = await asyncio.to_thread(
                 run_loadgen,
@@ -141,17 +130,19 @@ class TestEndToEndLatency:
             await asyncio.sleep(0.2)
             service.collect_into_registry()
             registry = service.registry
-            merged = service.merged_latency()
+            histograms = service.shard.latency_histograms()
+            totals = service.totals()
             await service.stop()
-            return report, registry, merged
+            return report, registry, histograms, totals
 
-        report, registry, merged = asyncio.run(scenario())
+        report, registry, histograms, totals = asyncio.run(scenario())
         rtt = report.merged_rtt()
         assert rtt.count > 0
         assert rtt.count == report.acks_received - report.acks_unmatched
         assert report.late_ms.count == report.sent_total
-        assert merged["queue_wait_ms"].count == report.sent_total
-        assert merged["ack_latency_ms"].count > 0
+        assert totals["reports"] + totals["keepalives"] == report.sent_total
+        assert histograms["ack_latency_ms"].count == totals["acks_sent"] > 0
+        assert histograms["drain_batch_ms"].count > 0
         count_series = registry.get("service_ack_latency_ms_count_total")
         assert count_series is not None and count_series.value > 0
         p99 = registry.get("service_ack_latency_ms", {"quantile": "p99"})

@@ -9,6 +9,7 @@ the service runs on the test's loop.
 import asyncio
 import copy
 import json
+import os
 import socket
 import time
 
@@ -32,7 +33,6 @@ def test_loadgen_against_live_service(tmp_path):
         service = PortService(
             ServiceConfig(
                 port=0,
-                shards=4,
                 ttl_s=10.0,
                 port_file=str(port_file),
                 final_state_path=str(state_path),
@@ -71,9 +71,9 @@ def test_loadgen_against_live_service(tmp_path):
     assert ports["service_port"] > 0
     # The shutdown flush captured the final table state.
     state = json.loads(state_path.read_text())
-    assert state["schema"] == "repro-service-state/v1"
+    assert state["schema"] == "repro-service-state/v2"
     assert state["totals"]["clients"] == 300
-    assert len(state["shards"]) == 4
+    assert state["port_state"]["clients"] == 300
 
 
 def test_sender_stall_reaches_rtt_and_lateness(monkeypatch):
@@ -93,7 +93,7 @@ def test_sender_stall_reaches_rtt_and_lateness(monkeypatch):
     monkeypatch.setattr(_SimClient, "next_payload", stalling)
 
     async def scenario():
-        service = PortService(ServiceConfig(port=0, shards=2))
+        service = PortService(ServiceConfig(port=0))
         await service.start()
         report = await asyncio.to_thread(
             run_loadgen,
@@ -120,7 +120,7 @@ def test_ttl_expiry_and_rereport_recovery():
     from repro.service import wire
 
     async def scenario():
-        service = PortService(ServiceConfig(port=0, shards=2, ttl_s=0.6))
+        service = PortService(ServiceConfig(port=0, ttl_s=0.6))
         await service.start()
         # Phase 1: populate, then go silent past the TTL.
         await asyncio.to_thread(
@@ -171,10 +171,11 @@ def test_ttl_expiry_and_rereport_recovery():
 
 
 def test_graceful_stop_drains_pending_datagrams():
-    """Datagrams still queued at stop() are applied by the final drain."""
+    """Datagrams still in the socket at stop() are applied by the final
+    batch."""
 
     async def scenario():
-        service = PortService(ServiceConfig(port=0, shards=2))
+        service = PortService(ServiceConfig(port=0))
         await service.start()
         clients = build_clients(LoadgenConfig(clients=40))
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -184,8 +185,8 @@ def test_graceful_stop_drains_pending_datagrams():
                     client.next_payload(keepalive=False, want_ack=False),
                     ("127.0.0.1", service.server_port),
                 )
-            # Stop immediately: no worker got a chance to run yet, so
-            # the shutdown path must drain the queues itself.
+            # Stop immediately: the reader never got a chance to run,
+            # so the shutdown path must read and apply the batch itself.
             await service.stop()
         finally:
             sock.close()
@@ -201,7 +202,7 @@ def test_metrics_endpoint_exports_service_series():
     import urllib.request
 
     async def scenario():
-        service = PortService(ServiceConfig(port=0, shards=2, metrics_port=0))
+        service = PortService(ServiceConfig(port=0, metrics_port=0))
         await service.start()
         await asyncio.to_thread(
             run_loadgen,
@@ -235,7 +236,7 @@ def test_metrics_endpoint_exports_service_series():
         "service_reports_total",
         "service_keepalives_total",
         "service_clients",
-        "service_shard_depth",
+        "service_drops_total",
         "service_reports_per_second",
         "service_flags_per_second",
         "service_uptime_seconds",
@@ -248,7 +249,7 @@ def test_metrics_endpoint_exports_service_series():
 
 def test_serve_honors_duration():
     async def scenario():
-        service = PortService(ServiceConfig(port=0, shards=1, duration_s=0.3))
+        service = PortService(ServiceConfig(port=0, duration_s=0.3))
         state = await service.serve()
         return state
 
@@ -258,8 +259,6 @@ def test_serve_honors_duration():
 
 
 def test_config_validation():
-    with pytest.raises(ServiceError):
-        ServiceConfig(shards=0)
     with pytest.raises(ServiceError):
         ServiceConfig(ttl_s=0.0)
     with pytest.raises(ServiceError):
@@ -282,16 +281,16 @@ def test_loadgen_client_identity_mapping():
 
 
 def test_reserved_flag_bit_is_garbage_on_a_live_socket():
-    """A datagram with a reserved flag bit is counted as garbage by its
-    shard, gets no ACK, and leaves the port table as it was."""
+    """A datagram with a reserved flag bit is counted as garbage by the
+    port state, gets no ACK, and leaves the port table as it was."""
     from repro.service import wire
 
     mac = bytes([0x02, 0x00, 0x00, 0x00, 0x00, 0x07])
 
     async def scenario():
-        service = PortService(ServiceConfig(port=0, shards=2))
+        service = PortService(ServiceConfig(port=0))
         await service.start()
-        shard = service.shards[wire.shard_index(0, 7, mac, len(service.shards))]
+        shard = service.shard
         addr = ("127.0.0.1", service.server_port)
         loop = asyncio.get_event_loop()
 
@@ -337,3 +336,78 @@ def test_reserved_flag_bit_is_garbage_on_a_live_socket():
     assert [entry.ports for entry in before[0]] == [frozenset({137})]
     assert after[:3] == before[:3]  # entries, reports, acks_sent
     assert after[3] == before[3] + 1  # garbage
+
+
+def test_second_station_cannot_claim_a_bound_aid():
+    """Two MACs report for the same (bss, aid): the first binds it, the
+    second is refused with ACK_REJECTED and the table keeps one client."""
+    from repro.service import wire
+
+    first = bytes([0x02, 0x00, 0x00, 0x00, 0x00, 0x03])
+    second = bytes([0x02, 0x00, 0x00, 0x00, 0x00, 0x77])
+
+    async def scenario():
+        service = PortService(ServiceConfig(port=0))
+        await service.start()
+        addr = ("127.0.0.1", service.server_port)
+        loop = asyncio.get_event_loop()
+
+        def probe(payload):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.settimeout(5.0)
+            try:
+                sock.sendto(payload, addr)
+                return wire.decode_message(sock.recv(2048))
+            finally:
+                sock.close()
+
+        acks = []
+        for seq, mac, ports in ((1, first, {137}), (1, second, {5353})):
+            report = wire.encode_port_report(0, 3, mac, seq, ports, want_ack=True)
+            acks.append(await loop.run_in_executor(None, probe, report))
+        totals = service.totals()
+        ports = service.shard.tables[0].ports_for_client(3)
+        await service.stop()
+        return acks, totals, ports
+
+    acks, totals, ports = asyncio.run(scenario())
+    assert [ack.status for ack in acks] == [wire.ACK_OK, wire.ACK_REJECTED]
+    assert totals["clients"] == 1
+    assert totals["rejected"] == 1
+    assert ports == frozenset({137})
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/net/udp"), reason="needs /proc/net/udp"
+)
+def test_drops_are_the_socket_kernel_drop_count():
+    """Datagrams sent to a full, unread socket are dropped by the kernel
+    and reported as ``drops``; every sent datagram is either received or
+    dropped."""
+    sent = 300
+
+    async def scenario():
+        service = PortService(ServiceConfig(port=0))
+        await service.start()
+        # A tiny receive buffer, and no await until stop(): the reader
+        # cannot run, so the socket fills and the kernel drops the rest.
+        service._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        clients = build_clients(LoadgenConfig(clients=sent))
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            for client in clients:
+                sock.sendto(
+                    client.next_payload(keepalive=False, want_ack=False),
+                    ("127.0.0.1", service.server_port),
+                )
+        finally:
+            sock.close()
+        live = service.totals()["drops"]
+        await service.stop()
+        return live, service.final_state()["totals"]
+
+    live, totals = asyncio.run(scenario())
+    assert live > 0
+    assert totals["drops"] == live
+    assert totals["datagrams_received"] + totals["drops"] == sent
+    assert totals["reports"] == totals["datagrams_received"]

@@ -208,36 +208,6 @@ class TestBoundaries:
             wire.encode_ack(0, 1, MAC, 1, status=256)
 
 
-class TestRouting:
-    def test_peek_route_matches_decode(self):
-        raw = wire.encode_port_report(5, 1999, MAC, 4, {443})
-        assert wire.peek_route(raw) == (5, 1999, MAC)
-        raw = wire.encode_keep_alive(0, 1, MAC, 0)
-        assert wire.peek_route(raw) == (0, 1, MAC)
-
-    def test_peek_route_rejects_non_v1(self):
-        with pytest.raises(FrameDecodeError):
-            wire.peek_route(b"nope")
-        with pytest.raises(FrameDecodeError):
-            wire.peek_route(b"XX" + bytes(16))
-
-    def test_shard_index_stable_and_in_range(self):
-        for shards in (1, 2, 4, 7):
-            seen = set()
-            for aid in range(1, 200):
-                mac = bytes([0x02, 0, 0, 0, aid % 256, aid // 256])
-                index = wire.shard_index(0, aid, mac, shards)
-                assert 0 <= index < shards
-                assert index == wire.shard_index(0, aid, mac, shards)
-                seen.add(index)
-            assert seen == set(range(shards))
-
-    def test_shard_index_separates_bsses(self):
-        mac = MAC
-        indices = {wire.shard_index(bss, 7, mac, 8) for bss in range(16)}
-        assert len(indices) > 1
-
-
 # -- hostile input ----------------------------------------------------------
 
 _identity = dict(
@@ -306,13 +276,12 @@ _FLAGS_OFFSET = 4
 
 def assert_defined_outcome(data: bytes) -> None:
     """Decode yields a message or ``FrameDecodeError``; any other
-    exception escapes and fails the test. A decoded message routes to
-    the same client ``peek_route`` saw and survives a re-encode."""
+    exception escapes and fails the test. A decoded message survives a
+    re-encode."""
     try:
         message = wire.decode_message(data)
     except FrameDecodeError:
         return
-    assert wire.peek_route(data) == (message.bss, message.aid, message.mac)
     # Not a byte round-trip: a report's ports re-encode sorted and
     # deduplicated.
     assert wire.decode_message(encode_message(message)) == message
