@@ -76,9 +76,6 @@ class UnicastBuffer:
         queue.append(frame)
         return True
 
-    def has_frames_for(self, mac: MacAddress) -> bool:
-        return bool(self._queues.get(mac))
-
     def clients_with_traffic(self) -> Tuple[MacAddress, ...]:
         return tuple(mac for mac, queue in self._queues.items() if queue)
 

@@ -10,7 +10,7 @@ of HIDE. Legacy clients treat ID 201 as unknown and ignore it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable
+from typing import FrozenSet
 
 from repro.dot11 import pvb
 from repro.dot11.information_element import (
@@ -39,10 +39,6 @@ class BtimElement(InformationElement):
         for aid in self.aids_with_useful_broadcast:
             if not 1 <= aid <= pvb.MAX_AID:
                 raise ValueError(f"AID out of range: {aid}")
-
-    @classmethod
-    def from_aids(cls, aids: Iterable[int]) -> "BtimElement":
-        return cls(frozenset(aids))
 
     def indicates_useful_broadcast_for(self, aid: int) -> bool:
         """The per-client check: is *my* bit set?"""

@@ -51,11 +51,6 @@ class MacAddress:
     def is_broadcast(self) -> bool:
         return self.octets == b"\xff" * 6
 
-    @property
-    def is_multicast(self) -> bool:
-        """True for group addresses (low bit of the first octet set)."""
-        return bool(self.octets[0] & 0x01)
-
     def __str__(self) -> str:
         return ":".join(f"{b:02x}" for b in self.octets)
 

@@ -48,10 +48,6 @@ class MeteredEnergy:
     def total_with_baseline_j(self) -> float:
         return self.breakdown.total_j + self.platform_baseline_j
 
-    @property
-    def average_power_with_baseline_w(self) -> float:
-        return self.total_with_baseline_j / self.breakdown.duration_s
-
 
 class ClientEnergyMeter:
     """Meters one DES client against a device profile."""

@@ -52,11 +52,6 @@ class PowerTimeline:
     def count_segments(self, state: PowerState) -> int:
         return sum(1 for s in self.segments if s.state is state)
 
-    def baseline_energy_j(self, profile: DeviceEnergyProfile) -> float:
-        """Background platform energy: P_ss while suspended. (The awake
-        components are what the closed-form model accounts for.)"""
-        return profile.suspend_power_w * self.time_in_state(PowerState.SUSPENDED)
-
 
 class _SegmentBuilder:
     """Accumulates clamped, merged, gap-free segments."""

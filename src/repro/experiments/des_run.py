@@ -56,6 +56,26 @@ _FINGERPRINT_EXCLUDED_METRICS = frozenset(
     }
 )
 
+
+def registry_fingerprint(registry: MetricsRegistry) -> str:
+    """SHA-256 of the registry's snapshot, minus the excluded families,
+    as canonical JSON (sorted keys, no spaces).
+
+    The hash is fed one entry at a time with the bytes ``json.dumps``
+    gives the whole filtered list: ``[``, the entries joined by ``,``,
+    then ``]``. A fleet run never holds the snapshot or its JSON text.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    digest = hashlib.sha256(b"[")
+    separator = b""
+    for entry in registry.entries():
+        if entry["name"] not in _FINGERPRINT_EXCLUDED_METRICS:
+            digest.update(separator + encode(entry).encode("utf-8"))
+            separator = b","
+    digest.update(b"]")
+    return digest.hexdigest()
+
+
 AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 WIRED_SOURCE = MacAddress.from_string("02:bb:00:00:00:99")
 
@@ -216,18 +236,12 @@ class DesRunResult:
         """SHA-256 over everything the simulation determined.
 
         Covers every collected metric except the wall-clock families
-        (those measure the host, not the protocol), serialized as
-        canonical JSON. Two runs with the same seed and fault plan must
-        produce the same fingerprint; the determinism regression test
-        pins exactly that.
+        (those measure the host, not the protocol); see
+        :func:`registry_fingerprint`. Two runs with the same seed and
+        fault plan must produce the same fingerprint; the determinism
+        regression test pins exactly that.
         """
-        snapshot = [
-            entry
-            for entry in self.collect_metrics(MetricsRegistry()).snapshot()
-            if entry["name"] not in _FINGERPRINT_EXCLUDED_METRICS
-        ]
-        payload = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return registry_fingerprint(self.collect_metrics(MetricsRegistry()))
 
     def profile_report(self) -> Optional[Dict[str, object]]:
         """The run's ``repro-profile/v1`` document (None if unprofiled)."""

@@ -24,7 +24,6 @@ class FaultInjector:
         self._loss_rng = random.Random(f"{plan.seed}:loss")
         self._jitter_rng = random.Random(f"{plan.seed}:jitter")
         self._drops_by_kind: Dict[str, int] = {}
-        self._decisions = 0
 
     @property
     def drops_by_kind(self) -> Dict[str, int]:
@@ -34,14 +33,6 @@ class FaultInjector:
     @property
     def injected_drops(self) -> int:
         return sum(self._drops_by_kind.values())
-
-    @property
-    def decisions(self) -> int:
-        """Loss draws taken so far (frames with a nonzero loss rate)."""
-        return self._decisions
-
-    def drops_of(self, kind: str) -> int:
-        return self._drops_by_kind.get(kind, 0)
 
     def should_drop(self, frame: Any) -> bool:
         """Decide the fate of one delivered frame.
@@ -54,7 +45,6 @@ class FaultInjector:
         probability = self.plan.loss_for_kind(kind)
         if probability <= 0.0:
             return False
-        self._decisions += 1
         if probability < 1.0 and self._loss_rng.random() >= probability:
             return False
         self._drops_by_kind[kind] = self._drops_by_kind.get(kind, 0) + 1

@@ -18,6 +18,61 @@ from typing import Iterable
 from repro.obs.metrics import MetricsRegistry
 
 
+#: ``(metric name, ApCounters field, help)``: names are built once, so
+#: every AP's series share one name string per family.
+_AP_COUNTERS = tuple(
+    (
+        f"repro_ap_{field_name}"
+        if field_name.endswith("_total")
+        else f"repro_ap_{field_name}_total",
+        field_name,
+        help_text,
+    )
+    for field_name, help_text in (
+        ("beacons_sent", "Beacons transmitted"),
+        ("dtims_sent", "DTIM beacons transmitted"),
+        ("broadcast_frames_sent", "Broadcast data frames transmitted"),
+        ("broadcast_frames_buffered", "Broadcast frames buffered for a DTIM"),
+        ("port_messages_received", "UDP Port Messages accepted"),
+        ("acks_sent", "ACKs transmitted"),
+        ("ps_polls_received", "PS-Polls received"),
+        ("unicast_frames_sent", "Unicast data frames released"),
+        ("association_requests_received", "Association requests handled"),
+        ("probe_requests_answered", "Probe requests answered"),
+        ("disassociations_received", "Disassociations processed"),
+        ("btim_bits_set_total", "AID bits set across all BTIMs"),
+        ("algorithm1_runs", "Algorithm 1 executions (one per DTIM)"),
+    )
+)
+
+#: ``(metric name, ClientCounters field, help)``, built once like
+#: :data:`_AP_COUNTERS`.
+_CLIENT_COUNTERS = tuple(
+    (f"repro_client_{field_name}_total", field_name, help_text)
+    for field_name, help_text in (
+        ("beacons_received", "Beacons decoded"),
+        ("dtims_received", "DTIM beacons decoded"),
+        ("broadcast_frames_received", "Broadcast frames received awake"),
+        ("broadcast_frames_ignored", "Broadcast frames slept through"),
+        ("useful_frames_received", "Received frames an app wanted"),
+        ("useless_frames_received", "Received frames nobody wanted"),
+        ("frames_delivered_to_apps", "Frames handed to applications"),
+        ("port_messages_sent", "UDP Port Messages sent"),
+        ("port_message_retransmissions", "Port Message retries"),
+        ("port_message_bytes_sent", "Port Message bytes on air"),
+        ("acks_received", "ACKs received"),
+        ("ps_polls_sent", "PS-Polls sent"),
+        ("unicast_frames_received", "Unicast frames received"),
+        ("useful_frames_missed", "Useful delivered frames slept through"),
+        ("beacon_misses_detected", "Beacon watchdog firings"),
+        ("conservative_fallbacks", "Falls into conservative receive-all"),
+        ("port_refreshes", "Keep-alive port reports sent"),
+        ("crashes", "Injected crashes"),
+        ("rejoins", "Rejoins after an injected crash"),
+    )
+)
+
+
 def collect_simulator(sim, registry: MetricsRegistry) -> MetricsRegistry:
     """Engine health: throughput, queue depth, wall time per sim second."""
     registry.counter(
@@ -187,26 +242,7 @@ def collect_access_point(ap, registry: MetricsRegistry) -> MetricsRegistry:
     """AP activity: beaconing, buffering, Algorithm 1, the port table."""
     labels = {"ap": str(ap.mac)}
     counters = ap.counters
-    for field_name, help_text in (
-        ("beacons_sent", "Beacons transmitted"),
-        ("dtims_sent", "DTIM beacons transmitted"),
-        ("broadcast_frames_sent", "Broadcast data frames transmitted"),
-        ("broadcast_frames_buffered", "Broadcast frames buffered for a DTIM"),
-        ("port_messages_received", "UDP Port Messages accepted"),
-        ("acks_sent", "ACKs transmitted"),
-        ("ps_polls_received", "PS-Polls received"),
-        ("unicast_frames_sent", "Unicast data frames released"),
-        ("association_requests_received", "Association requests handled"),
-        ("probe_requests_answered", "Probe requests answered"),
-        ("disassociations_received", "Disassociations processed"),
-        ("btim_bits_set_total", "AID bits set across all BTIMs"),
-        ("algorithm1_runs", "Algorithm 1 executions (one per DTIM)"),
-    ):
-        metric_name = (
-            f"repro_ap_{field_name}"
-            if field_name.endswith("_total")
-            else f"repro_ap_{field_name}_total"
-        )
+    for metric_name, field_name, help_text in _AP_COUNTERS:
         registry.counter(metric_name, help_text, labels=labels).set_total(
             getattr(counters, field_name)
         )
@@ -266,30 +302,10 @@ def collect_client(client, registry: MetricsRegistry) -> MetricsRegistry:
     if aid is not None:
         labels["aid"] = str(aid)
     counters = client.counters
-    for field_name, help_text in (
-        ("beacons_received", "Beacons decoded"),
-        ("dtims_received", "DTIM beacons decoded"),
-        ("broadcast_frames_received", "Broadcast frames received awake"),
-        ("broadcast_frames_ignored", "Broadcast frames slept through"),
-        ("useful_frames_received", "Received frames an app wanted"),
-        ("useless_frames_received", "Received frames nobody wanted"),
-        ("frames_delivered_to_apps", "Frames handed to applications"),
-        ("port_messages_sent", "UDP Port Messages sent"),
-        ("port_message_retransmissions", "Port Message retries"),
-        ("port_message_bytes_sent", "Port Message bytes on air"),
-        ("acks_received", "ACKs received"),
-        ("ps_polls_sent", "PS-Polls sent"),
-        ("unicast_frames_received", "Unicast frames received"),
-        ("useful_frames_missed", "Useful delivered frames slept through"),
-        ("beacon_misses_detected", "Beacon watchdog firings"),
-        ("conservative_fallbacks", "Falls into conservative receive-all"),
-        ("port_refreshes", "Keep-alive port reports sent"),
-        ("crashes", "Injected crashes"),
-        ("rejoins", "Rejoins after an injected crash"),
-    ):
-        registry.counter(
-            f"repro_client_{field_name}_total", help_text, labels=labels
-        ).set_total(getattr(counters, field_name))
+    for metric_name, field_name, help_text in _CLIENT_COUNTERS:
+        registry.counter(metric_name, help_text, labels=labels).set_total(
+            getattr(counters, field_name)
+        )
     if client.power is not None:
         power = client.power.counters
         registry.counter(

@@ -14,20 +14,15 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, List, Optional, Union
+from typing import IO, Iterator, List, Optional, Union
 
-from repro.obs.metrics import MetricsRegistry, escape_label_value
+from repro.obs.metrics import MetricsRegistry, format_labels
 from repro.reporting import render_table
 
 
 def _escape_help_text(text: str) -> str:
     """HELP lines escape only backslash and line feed (the spec)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _format_labels(labels) -> str:
-    parts = [f'{k}="{escape_label_value(v)}"' for k, v in sorted(labels.items())]
-    return "{" + ",".join(parts) + "}" if parts else ""
 
 
 def _format_value(value: float) -> str:
@@ -42,29 +37,32 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
+def _prometheus_lines(registry: MetricsRegistry) -> Iterator[str]:
+    family = None
+    for metric in registry.collect():
+        if metric.name != family:
+            family = metric.name
+            if metric.help:
+                yield f"# HELP {family} {_escape_help_text(metric.help)}\n"
+            yield f"# TYPE {family} {metric.kind}\n"
+        labels = format_labels(metric.label_items)
+        yield f"{metric.name}{labels} {_format_value(metric.value)}\n"
+
+
+def _jsonl_lines(registry: MetricsRegistry) -> Iterator[str]:
+    for entry in registry.entries():
+        yield json.dumps(entry) + "\n"
+
+
 def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format (version 0.0.4)."""
-    lines: List[str] = []
-    seen_header = set()
-    for metric in registry.collect():
-        if metric.name not in seen_header:
-            seen_header.add(metric.name)
-            if metric.help:
-                lines.append(
-                    f"# HELP {metric.name} {_escape_help_text(metric.help)}"
-                )
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-        labels = _format_labels(metric.labels)
-        lines.append(f"{metric.name}{labels} {_format_value(metric.value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_prometheus_lines(registry))
 
 
 def render_metrics_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per series (the ``snapshot()`` rows)."""
-    lines = [json.dumps(entry) for entry in registry.snapshot()]
-    if not lines:
-        return ""  # zero records is an empty file, not one blank line
-    return "\n".join(lines) + "\n"
+    """One JSON object per series (the ``entries()`` rows); zero series
+    is an empty string, not one blank line."""
+    return "".join(_jsonl_lines(registry))
 
 
 def render_metrics_table(
@@ -73,7 +71,7 @@ def render_metrics_table(
     """A human summary: one row per series."""
     rows: List[List[str]] = []
     for metric in registry.collect():
-        labels = ",".join(f"{k}={v}" for k, v in sorted(metric.labels.items()))
+        labels = ",".join(f"{k}={v}" for k, v in metric.label_items)
         rows.append([metric.name, labels, metric.kind, f"{metric.value:.6g}"])
     if not rows:
         return f"{title}: (no metrics recorded)" if title else "(no metrics recorded)"
@@ -90,20 +88,21 @@ def write_metrics(
     ``format`` may be ``prometheus``, ``jsonl``, or ``table``; when
     ``destination`` is a path the format defaults by extension
     (``.prom``/``.txt`` → prometheus, ``.jsonl``/``.json`` → jsonl).
+    Prometheus and JSONL output is written a line at a time.
     """
-    renderers = {
-        "prometheus": render_prometheus,
-        "jsonl": render_metrics_jsonl,
-        "table": lambda r: render_metrics_table(r) + "\n",
+    line_sources = {
+        "prometheus": _prometheus_lines,
+        "jsonl": _jsonl_lines,
+        "table": lambda r: [render_metrics_table(r) + "\n"],
     }
-    if format not in renderers:
+    if format not in line_sources:
         raise ValueError(f"unknown metrics format: {format!r}")
-    text = renderers[format](registry)
+    lines = line_sources[format](registry)
     if isinstance(destination, (str, bytes)):
         with open(destination, "w", encoding="utf-8") as stream:
-            stream.write(text)
+            stream.writelines(lines)
     else:
-        destination.write(text)
+        destination.writelines(lines)
 
 
 def format_for_path(path: str) -> str:

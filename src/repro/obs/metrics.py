@@ -18,7 +18,7 @@ series: they live in :class:`repro.obs.hdr.HdrHistogram`.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Prometheus metric-name grammar (exposition format, version 0.0.4).
 METRIC_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
@@ -34,9 +34,31 @@ def _label_key(labels: Optional[Dict[str, str]]) -> LabelItems:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def _check_name(name: str) -> None:
+    if not isinstance(name, str) or METRIC_NAME_RE.fullmatch(name) is None:
+        raise ValueError(
+            f"invalid metric name {name!r}: must match [a-zA-Z_:][a-zA-Z0-9_:]*"
+        )
+
+
+def _check_label_names(name: str, label_items: LabelItems) -> None:
+    for label_name, _ in label_items:
+        if LABEL_NAME_RE.fullmatch(label_name) is None:
+            raise ValueError(
+                f"invalid label name {label_name!r} on metric {name!r}: "
+                "must match [a-zA-Z_][a-zA-Z0-9_]*"
+            )
+
+
 def escape_label_value(value: str) -> str:
     """Escape a label value for the exposition format / series keys."""
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def format_labels(label_items: Iterable[Tuple[str, str]]) -> str:
+    """``{k="v",...}`` for label pairs already in sorted order ("" if none)."""
+    inner = ",".join(f'{k}="{escape_label_value(v)}"' for k, v in label_items)
+    return f"{{{inner}}}" if inner else ""
 
 
 def series_key(name: str, labels: Optional[Dict[str, str]] = None) -> str:
@@ -49,10 +71,7 @@ def series_key(name: str, labels: Optional[Dict[str, str]] = None) -> str:
     """
     if not labels:
         return name
-    inner = ",".join(
-        f'{k}="{escape_label_value(v)}"' for k, v in sorted(labels.items())
-    )
-    return f"{name}{{{inner}}}"
+    return name + format_labels(sorted(labels.items()))
 
 
 class Metric:
@@ -62,33 +81,44 @@ class Metric:
     Names must match the Prometheus grammar ``[a-zA-Z_:][a-zA-Z0-9_:]*``
     and label names ``[a-zA-Z_][a-zA-Z0-9_]*`` — enforced here, at
     creation time, so the exporters can never emit an unscrapable line.
+
+    A fleet run holds tens of thousands of series, so each one is four
+    slots: the name (shared with its family), the help text, the sorted
+    label pairs (the same tuple that keys it in its family) and the
+    value.
     """
 
+    __slots__ = ("name", "help", "label_items", "_value")
     kind = "untyped"
 
     def __init__(self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None):
-        if not isinstance(name, str) or METRIC_NAME_RE.fullmatch(name) is None:
-            raise ValueError(
-                f"invalid metric name {name!r}: must match [a-zA-Z_:][a-zA-Z0-9_:]*"
-            )
+        _check_name(name)
+        label_items = _label_key(labels)
+        _check_label_names(name, label_items)
+        self._fill(name, help, label_items)
+
+    @classmethod
+    def _checked(cls, name: str, help: str, label_items: LabelItems) -> "Metric":
+        """A series whose name and label names the caller already checked."""
+        metric = cls.__new__(cls)
+        metric._fill(name, help, label_items)
+        return metric
+
+    def _fill(self, name: str, help: str, label_items: LabelItems) -> None:
         self.name = name
         self.help = help
-        self.labels: Dict[str, str] = dict(_label_key(labels))
-        for label_name in self.labels:
-            if LABEL_NAME_RE.fullmatch(label_name) is None:
-                raise ValueError(
-                    f"invalid label name {label_name!r} on metric {name!r}: "
-                    "must match [a-zA-Z_][a-zA-Z0-9_]*"
-                )
-        # Name and labels are fixed for the series' lifetime, so the
-        # canonical key is computed once — samplers read it per window.
-        self._series_id = series_key(self.name, self.labels)
+        self.label_items = label_items
         self._value = 0.0
+
+    @property
+    def labels(self) -> Dict[str, str]:
+        """The label set as a fresh dict."""
+        return dict(self.label_items)
 
     @property
     def series_id(self) -> str:
         """The canonical ``name{labels}`` key for this series."""
-        return self._series_id
+        return self.name + format_labels(self.label_items)
 
     @property
     def value(self) -> float:
@@ -98,6 +128,7 @@ class Metric:
 class Counter(Metric):
     """A monotonically increasing value (events, frames, joules)."""
 
+    __slots__ = ()
     kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
@@ -120,10 +151,23 @@ class Counter(Metric):
 class Gauge(Metric):
     """A value that can go up and down (queue depth, table size)."""
 
+    __slots__ = ()
     kind = "gauge"
 
     def set(self, value: float) -> None:
         self._value = float(value)
+
+
+class _Family:
+    """One metric name: its type, latest help text and series by label set."""
+
+    __slots__ = ("name", "cls", "help", "series")
+
+    def __init__(self, name: str, cls) -> None:
+        self.name = name
+        self.cls = cls
+        self.help = ""
+        self.series: Dict[LabelItems, Metric] = {}
 
 
 class MetricsRegistry:
@@ -136,27 +180,26 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._families: Dict[str, Dict[LabelItems, Metric]] = {}
-        self._kinds: Dict[str, str] = {}
-        self._help: Dict[str, str] = {}
+        self._families: Dict[str, _Family] = {}
 
     def _get_or_create(self, cls, name: str, help: str, labels) -> Metric:
-        kind = cls.kind
-        existing_kind = self._kinds.get(name)
-        if existing_kind is not None and existing_kind != kind:
+        family = self._families.get(name)
+        if family is None:
+            _check_name(name)
+            family = self._families[name] = _Family(name, cls)
+        elif family.cls is not cls:
             raise ValueError(
-                f"metric {name!r} already registered as {existing_kind}, "
-                f"requested {kind}"
+                f"metric {name!r} already registered as {family.cls.kind}, "
+                f"requested {cls.kind}"
             )
-        family = self._families.setdefault(name, {})
         key = _label_key(labels)
-        metric = family.get(key)
+        metric = family.series.get(key)
         if metric is None:
-            metric = cls(name, help or self._help.get(name, ""), labels)
-            family[key] = metric
-            self._kinds[name] = kind
+            _check_label_names(name, key)
+            metric = cls._checked(family.name, help or family.help, key)
+            family.series[key] = metric
             if help:
-                self._help[name] = help
+                family.help = help
         return metric
 
     def counter(
@@ -172,27 +215,31 @@ class MetricsRegistry:
     def collect(self) -> Iterator[Metric]:
         """All series, grouped by family, label sets in sorted order."""
         for name in sorted(self._families):
-            family = self._families[name]
-            for key in sorted(family):
-                yield family[key]
+            series = self._families[name].series
+            for key in sorted(series):
+                yield series[key]
 
     def get(self, name: str, labels: Optional[Dict[str, str]] = None) -> Optional[Metric]:
-        return self._families.get(name, {}).get(_label_key(labels))
+        family = self._families.get(name)
+        return None if family is None else family.series.get(_label_key(labels))
 
     def __len__(self) -> int:
-        return sum(len(family) for family in self._families.values())
+        return sum(len(family.series) for family in self._families.values())
 
     def __contains__(self, name: str) -> bool:
         return name in self._families
 
-    def snapshot(self) -> List[Dict[str, object]]:
-        """A JSON-friendly dump of every series' current value."""
-        return [
-            {
+    def entries(self) -> Iterator[Dict[str, object]]:
+        """The snapshot rows, one JSON-friendly dict per series, in
+        :meth:`collect` order."""
+        for metric in self.collect():
+            yield {
                 "name": metric.name,
                 "kind": metric.kind,
-                "labels": dict(metric.labels),
+                "labels": dict(metric.label_items),
                 "value": metric.value,
             }
-            for metric in self.collect()
-        ]
+
+    def snapshot(self) -> List[Dict[str, object]]:
+        """A JSON-friendly dump of every series' current value."""
+        return list(self.entries())

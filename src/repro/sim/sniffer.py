@@ -9,7 +9,7 @@ and the backing for protocol-level assertions in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Type
+from typing import Callable, List, Optional
 
 from repro.ap.flags import frame_udp_port
 from repro.dot11.association_frames import (
@@ -125,6 +125,3 @@ class ProtocolSniffer(Entity):
         self.captures.append(captured)
         if self._on_capture is not None:
             self._on_capture(captured)
-
-    def of_type(self, frame_type: Type) -> List[CapturedFrame]:
-        return [c for c in self.captures if isinstance(c.frame, frame_type)]

@@ -53,9 +53,6 @@ class UdpSocketTable:
         self.closes += 1
         self._reportable = None
 
-    def is_open(self, port: int) -> bool:
-        return port in self._sockets
-
     def open_ports(self) -> FrozenSet[int]:
         """All open ports, regardless of binding."""
         return frozenset(self._sockets)

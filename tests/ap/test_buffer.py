@@ -75,7 +75,6 @@ class TestUnicastBuffer:
         a, b = MacAddress.station(1), MacAddress.station(2)
         buffer.enqueue(uframe(a))
         buffer.enqueue(uframe(b))
-        assert buffer.has_frames_for(a)
         assert set(buffer.clients_with_traffic()) == {a, b}
 
     def test_pop_sets_more_data(self):

@@ -53,12 +53,7 @@ class TestConstruction:
 class TestProperties:
     def test_broadcast(self):
         assert BROADCAST.is_broadcast
-        assert BROADCAST.is_multicast
         assert not MacAddress.station(1).is_broadcast
-
-    def test_multicast_bit(self):
-        assert MacAddress.from_string("01:00:5e:00:00:01").is_multicast
-        assert not MacAddress.from_string("02:00:00:00:00:01").is_multicast
 
     def test_hashable_and_ordered(self):
         macs = {MacAddress.station(i) for i in range(3)}

@@ -64,7 +64,7 @@ class TestBtim:
         assert BtimElement.from_payload(btim.payload_bytes()) == btim
 
     def test_per_client_indication(self):
-        btim = BtimElement.from_aids([4])
+        btim = BtimElement(frozenset({4}))
         assert btim.indicates_useful_broadcast_for(4)
         assert not btim.indicates_useful_broadcast_for(5)
 

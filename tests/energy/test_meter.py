@@ -96,7 +96,6 @@ class TestMeter:
             NEXUS_ONE.suspend_power_w * 20.0, rel=0.1
         )
         assert metered.total_with_baseline_j > metered.breakdown.total_j
-        assert metered.average_power_with_baseline_w > 0
 
     def test_agreement_with_closed_form_wakelock_and_transitions(self):
         """DES meter vs Section IV closed form on the same frame schedule."""

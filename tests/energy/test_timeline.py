@@ -136,10 +136,3 @@ class TestAgreementWithClosedForm:
         light = timeline_for([1.0], 20.0)
         heavy = timeline_for([float(t) for t in range(1, 15)], 20.0)
         assert heavy.suspend_fraction < light.suspend_fraction
-
-    def test_baseline_energy(self):
-        timeline = timeline_for([1.0], 10.0)
-        expected = NEXUS_ONE.suspend_power_w * timeline.time_in_state(
-            PowerState.SUSPENDED
-        )
-        assert timeline.baseline_energy_j(NEXUS_ONE) == pytest.approx(expected)

@@ -67,9 +67,7 @@ class TestDeterminism:
         injector = FaultInjector(plan)
         for _ in range(50):
             assert not injector.should_drop(_data())
-        assert injector.decisions == 0
         port_drops = [injector.should_drop(_port_message()) for _ in range(50)]
-        assert injector.decisions == 50
         # The port-message draw sequence matches a run without the
         # interleaved data frames (which took no draws).
         clean = FaultInjector(plan)
@@ -81,7 +79,6 @@ class TestAccounting:
         injector = FaultInjector(FaultPlan(loss_by_kind={"DataFrame": 1.0}))
         for _ in range(10):
             assert injector.should_drop(_data())
-        assert injector.drops_of("DataFrame") == 10
         assert injector.injected_drops == 10
         assert injector.drops_by_kind == {"DataFrame": 10}
 

@@ -66,7 +66,7 @@ class TestRecoveryUnderLoss:
                 ),
             ),
         )
-        dropped = result.fault_injector.drops_of("UdpPortMessage")
+        dropped = result.fault_injector.drops_by_kind.get("UdpPortMessage", 0)
         retransmitted = sum(
             c.counters.port_message_retransmissions for c in result.clients
         )
@@ -84,7 +84,7 @@ class TestRecoveryUnderLoss:
                 fault_plan=FaultPlan(seed=5, beacon_loss=0.3),
             ),
         )
-        assert result.fault_injector.drops_of("Beacon") > 0
+        assert result.fault_injector.drops_by_kind.get("Beacon", 0) > 0
         assert sum(c.counters.beacon_misses_detected for c in result.clients) > 0
         assert result.invariants.violations() == []
 

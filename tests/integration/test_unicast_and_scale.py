@@ -57,7 +57,7 @@ class TestUnicastPsPoll:
             sim.schedule(0.5, lambda f=frame: ap.deliver_unicast_from_ds(f))
         sim.run(until=5.0)
         assert client.counters.unicast_frames_received == 3
-        assert not ap.unicast_buffer.has_frames_for(client.mac)
+        assert client.mac not in ap.unicast_buffer.clients_with_traffic()
 
     def test_unicast_wakes_suspended_client(self):
         sim, medium, ap, client = self.build()

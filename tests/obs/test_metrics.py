@@ -89,6 +89,27 @@ class TestRegistry:
         a.counter("repro_c").inc()
         assert b.get("repro_c") is None
 
+    def test_registry_rejects_bad_names_on_first_call(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError):
+            reg.counter("has spaces")
+        assert "has spaces" not in reg
+        with pytest.raises(ValueError):
+            reg.gauge("repro_g", labels={"bad-label": "v"})
+        assert reg.get("repro_g", {"bad-label": "v"}) is None
+
+    def test_series_share_the_family_name_and_key(self):
+        reg = MetricsRegistry()
+        suffix = "total"
+        a = reg.counter(f"repro_x_{suffix}", labels={"c": "1"})
+        b = reg.counter(f"repro_x_{suffix}", labels={"c": "2"})
+        assert a.name is b.name
+        assert not hasattr(a, "__dict__")
+        assert a.label_items == (("c", "1"),)
+        a.labels["c"] = "changed"  # a fresh dict each read
+        assert a.labels == {"c": "1"}
+        assert reg.counter("repro_x_total", labels={"c": "1"}) is a
+
     def test_snapshot_shapes(self):
         reg = MetricsRegistry()
         reg.counter("repro_c", labels={"x": "1"}).inc(2)

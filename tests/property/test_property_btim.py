@@ -34,14 +34,14 @@ class TestBtimRoundTrip:
     @example({1, pvb.MAX_AID})           # both extremes at once
     @example(set(range(1, 65)))          # dense low block
     def test_payload_round_trip(self, aids):
-        element = BtimElement.from_aids(aids)
+        element = BtimElement(frozenset(aids))
         decoded = BtimElement.from_payload(element.payload_bytes())
         assert decoded.aids_with_useful_broadcast == frozenset(aids)
 
     @given(high_aid_sets)
     @settings(max_examples=100)
     def test_sparse_high_aids_round_trip(self, aids):
-        element = BtimElement.from_aids(aids)
+        element = BtimElement(frozenset(aids))
         decoded = BtimElement.from_payload(element.payload_bytes())
         assert decoded.aids_with_useful_broadcast == frozenset(aids)
 
@@ -49,7 +49,7 @@ class TestBtimRoundTrip:
     @settings(max_examples=100)
     def test_membership_queries_survive_the_wire(self, aids):
         decoded = BtimElement.from_payload(
-            BtimElement.from_aids(aids).payload_bytes()
+            BtimElement(frozenset(aids)).payload_bytes()
         )
         for aid in aids:
             assert decoded.indicates_useful_broadcast_for(aid)
@@ -63,6 +63,6 @@ class TestBtimRoundTrip:
     def test_offset_compression_shrinks_high_sets(self, aids):
         """Sanity on the mechanism itself: a set clustered at the top
         must not serialize the ~250 leading zero bytes."""
-        payload = BtimElement.from_aids(aids).payload_bytes()
+        payload = BtimElement(frozenset(aids)).payload_bytes()
         if aids:
             assert len(payload) < 40

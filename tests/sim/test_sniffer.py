@@ -1,8 +1,6 @@
 import pytest
 
 from repro.ap.access_point import AccessPoint, ApConfig
-from repro.dot11.control import Ack
-from repro.dot11.data import DataFrame
 from repro.dot11.management import Beacon, UdpPortMessage
 from repro.dot11.mac_address import MacAddress
 from repro.net.packet import build_broadcast_udp_packet
@@ -47,14 +45,6 @@ class TestSniffer:
         run_network(sniffer)
         assert sniffer.captures
         assert all(isinstance(c.frame, Beacon) for c in sniffer.captures)
-
-    def test_of_type(self):
-        sniffer = ProtocolSniffer()
-        run_network(sniffer)
-        assert all(
-            isinstance(c.frame, DataFrame) for c in sniffer.of_type(DataFrame)
-        )
-        assert len(sniffer.of_type(Ack)) >= 1
 
     def test_live_callback(self):
         seen = []

@@ -31,8 +31,10 @@ class TestSocketTable:
         table = UdpSocketTable()
         table.open_port(5353)
         table.close_port(5353)
-        assert not table.is_open(5353)
-        assert table.opens == 1
+        assert not table.delivers_broadcast_on(5353)
+        assert table.reportable_ports() == frozenset()
+        table.open_port(5353)  # the port is free again
+        assert table.opens == 2
         assert table.closes == 1
 
     def test_double_open_rejected(self):
