@@ -12,7 +12,6 @@ from typing import FrozenSet, Iterable, Set
 
 from repro.ap.port_table import ClientUdpPortTable
 from repro.dot11.data import DataFrame
-from repro.net.packet import frame_udp_port
 
 
 def compute_broadcast_flags(
@@ -29,7 +28,7 @@ def compute_broadcast_flags(
     """
     flags: Set[int] = set()
     for frame in buffered_frames:
-        port = frame_udp_port(frame)
+        port = frame.udp_dst_port()
         if port is None:
             continue
         flags.update(port_table.clients_for_port(port))

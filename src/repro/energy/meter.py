@@ -44,10 +44,6 @@ class MeteredEnergy:
     breakdown: EnergyBreakdown
     platform_baseline_j: float
 
-    @property
-    def total_with_baseline_j(self) -> float:
-        return self.breakdown.total_j + self.platform_baseline_j
-
 
 class ClientEnergyMeter:
     """Meters one DES client against a device profile."""

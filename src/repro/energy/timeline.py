@@ -73,10 +73,6 @@ class _SegmentBuilder:
             self._segments.append(StateSegment(state, self._cursor, end))
         self._cursor = end
 
-    @property
-    def cursor(self) -> float:
-        return self._cursor
-
     def finish(self) -> tuple:
         self.emit(PowerState.SUSPENDED, self._duration)
         if not self._segments:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.ap.access_point import AccessPoint, ApConfig
-from repro.ap.flags import frame_udp_port
 from repro.dot11.data import DataFrame
 from repro.dot11.mac_address import MacAddress
 from repro.energy.dynamics import FrameEvent
@@ -121,7 +120,7 @@ def _events_from_capture(sniffer, useful_only: bool) -> List[FrameEvent]:
         frame = captured.frame
         if not frame.is_broadcast:
             continue
-        port = frame_udp_port(frame)
+        port = frame.udp_dst_port()
         useful = port == USEFUL_PORT
         if useful_only and not useful:
             continue

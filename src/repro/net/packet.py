@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.dot11.llc import ETHERTYPE_IPV4, LlcSnapHeader
-from repro.errors import FrameDecodeError
 from repro.net.ipv4 import (
     IP_BROADCAST,
     IPPROTO_UDP,
@@ -69,22 +68,3 @@ def extract_udp_dst_port_from_dot11_body(llc_payload: bytes) -> Optional[int]:
     if snap.ethertype != ETHERTYPE_IPV4:
         return None
     return extract_udp_dst_port(ip_packet)
-
-
-def frame_udp_port(frame: Any) -> Optional[int]:
-    """Destination UDP port of a broadcast data frame, or ``None``.
-
-    This is the byte-parsing path a real AP would run: LLC/SNAP → IPv4
-    → UDP. Malformed packets are treated as unclassifiable. The parse
-    is memoized on the frame (:meth:`DataFrame.udp_dst_port`), so the
-    AP, the medium's radio array and every client share one decode per
-    frame object.
-    """
-    try:
-        return frame.udp_dst_port()
-    except AttributeError:
-        # A duck-typed test double without the memoized accessor.
-        try:
-            return extract_udp_dst_port_from_dot11_body(frame.llc_payload)
-        except FrameDecodeError:
-            return None

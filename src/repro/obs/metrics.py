@@ -116,11 +116,6 @@ class Metric:
         return dict(self.label_items)
 
     @property
-    def series_id(self) -> str:
-        """The canonical ``name{labels}`` key for this series."""
-        return self.name + format_labels(self.label_items)
-
-    @property
     def value(self) -> float:
         return self._value
 

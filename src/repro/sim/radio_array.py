@@ -16,13 +16,17 @@ state those instructions need in parallel columns indexed by a dense
 * ``port_masks`` — per UDP port, the bitset of slots subscribed to it
   (``INADDR_ANY``-bound, i.e. broadcast-delivering), mirrored from each
   client's socket table.
-* ``_base_frames`` (``array('Q')``) / ``_base_ports`` — per-slot epoch
-  baselines for the *deferred* energy accrual below.
+* ``_base_frames`` / ``_base_useful`` (``array('Q')``) — one baseline
+  per slot of the frame epochs below: ``frames_total``, and
+  ``port_frames`` summed over the slot's ports.  The *deferred* energy
+  accrual of a dozing slot and the *listener lease* of a listening one
+  both count from it; a slot is in at most one of the two at a time.
+* ``_eligible_mask`` — the dozing slots holding an AID: those that can
+  miss a useful frame.
 * ``_base_beacons`` / ``_base_dtims`` (``array('Q')``) — per-slot
   baselines of the *beacon epochs* below.
-* ``lease_mask`` / ``_lease_base`` / ``_lease_ports`` — the *listener
-  lease* below: its members, and each member's frame and port epochs
-  at join.
+* ``lease_mask`` / ``_lease_keys`` — the *listener lease* below: its
+  members, and the expiry key each member's own renewals left.
 
 Slot ids are handed out in attach order and never reused, so ascending
 slot order is the medium's attach order: a bitmask of slots iterated
@@ -102,9 +106,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-from repro.net.packet import frame_udp_port
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 #: Delivery routes the medium dispatches on, resolved once per frame
 #: class.  Every route is observably identical to the oracle's
@@ -170,6 +172,22 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
+def slots_of(bits: str, first: int = 0, last: Optional[int] = None) -> List[int]:
+    """Set slots of ``bits`` (``bin(mask)``) from ``first`` to ``last``,
+    ascending."""
+    # Bit ``slot`` is character ``top - slot`` of ``bin(mask)``:
+    # scanning right to left visits slots in ascending order.
+    top = len(bits) - 1
+    start = 2 if last is None else max(top - last, 2)
+    end = top - first + 1
+    slots = []
+    while True:
+        end = bits.rfind("1", start, end)
+        if end < 0:
+            return slots
+        slots.append(top - end)
+
+
 class LeaseToken:
     """One station's seat in the listener lease.
 
@@ -209,19 +227,17 @@ class RadioArray:
         self.port_masks: Dict[int, int] = {}
         #: slot -> subscribed broadcast ports at last refresh.
         self._open_ports: List[FrozenSet[int]] = []
-        #: slot -> ``frames_total`` at the slot's current baseline.
-        self._base_frames = array("Q")
-        #: slot -> {port: port_frames[port] at baseline}, holding at
-        #: least the slot's ports (slots re-baselined together share one
-        #: copy); ``None`` when the slot cannot miss (listening, no AID,
-        #: or detached).
-        self._base_ports: List[Optional[Dict[int, int]]] = []
         #: Epoch counters: broadcast frames fanned out since creation.
         self.frames_total = 0
         self.port_frames: Dict[int, int] = {}
-        #: Slots currently capable of missing (dozing + AID + ports):
-        #: when zero, ``account_broadcast`` skips the UDP-port parse.
-        self._eligible = 0
+        #: slot -> ``frames_total``, and ``port_frames`` summed over the
+        #: slot's open ports, at its baseline.  The useful total holds
+        #: while the baseline does: a port change settles the slot first.
+        self._base_frames = array("Q")
+        self._base_useful = array("Q")
+        #: Slots currently capable of missing (dozing + AID): with none
+        #: and no lease, ``account_broadcast`` skips the UDP-port parse.
+        self._eligible_mask = 0
         #: Bumped whenever the broadcast fan-out set may have changed
         #: (listen bit flip, slot allocated/released); the medium keys
         #: its cached fan-out list on this.
@@ -238,19 +254,15 @@ class RadioArray:
         self._beacon_counted = False
         self._base_beacons = array("Q")
         self._base_dtims = array("Q")
-        #: Epoch members, as a set and as a bitset; and the batched
-        #: slots that are not members (visited on every beacon).
-        self._members: Set[int] = set()
+        #: Epoch members; and the batched slots that are not members
+        #: (visited on every beacon).
         self._member_mask = 0
         self._walk_mask = 0
         self._flushed_at_beacons = 0
-        #: Listener lease: the leased slots, and per slot the
-        #: ``frames_total`` and ``port_frames`` (a copy shared by the
-        #: slots that joined together) at join, the expiry key its own
-        #: renewals left, and its token.
+        #: Listener lease: the leased slots (their baseline is the one at
+        #: join), and per slot the expiry key its own renewals left and
+        #: its token.
         self.lease_mask = 0
-        self._lease_base = array("Q")
-        self._lease_ports: List[Dict[int, int]] = []
         self._lease_keys: List[Optional[Tuple[float, int]]] = []
         self._lease_tokens: List[Optional[LeaseToken]] = []
         #: Set by the medium: stations may join only while the
@@ -294,12 +306,10 @@ class RadioArray:
         self._clients.append(entity)
         self._open_ports.append(frozenset())
         self._base_frames.append(0)
-        self._base_ports.append(None)
+        self._base_useful.append(0)
         self._aids.append(None)
         self._base_beacons.append(self.beacons_total)
         self._base_dtims.append(self.dtims_total)
-        self._lease_base.append(0)
-        self._lease_ports.append({})
         self._lease_keys.append(None)
         self._lease_tokens.append(None)
         self.slot_of[entity] = slot
@@ -311,7 +321,6 @@ class RadioArray:
             if bssid is not None and self._epoch_bssid is None:
                 self._epoch_bssid = bssid
             if bssid is not None and bssid == self._epoch_bssid:
-                self._members.add(slot)
                 self._member_mask |= 1 << slot
             else:
                 self._walk_mask |= 1 << slot
@@ -329,24 +338,15 @@ class RadioArray:
         if (self.lease_mask >> slot) & 1:
             self._settle_member(slot)
         self._settle(slot)
-        bit = 1 << slot
-        if slot in self._members:
+        if (self._member_mask >> slot) & 1:
             self._settle_beacons(slot)
-            self._members.discard(slot)
-        self._member_mask &= ~bit
-        self._walk_mask &= ~bit
+        keep = ~(1 << slot)
+        self._member_mask &= keep
+        self._walk_mask &= keep
+        self._eligible_mask &= keep
+        self.listen_mask &= keep
         self._set_aid(slot, None)
-        self.listen_mask &= ~bit
-        for port in self._open_ports[slot]:
-            remaining = self.port_masks.get(port, 0) & ~bit
-            if remaining:
-                self.port_masks[port] = remaining
-            else:
-                self.port_masks.pop(port, None)
-        if self._base_ports[slot] is not None:
-            self._eligible -= 1
-        self._open_ports[slot] = frozenset()
-        self._base_ports[slot] = None
+        self._set_ports(slot, frozenset())
         self._clients[slot] = None
         self.by_mac.pop(entity.mac, None)
         self.fanout_epoch += 1
@@ -371,44 +371,46 @@ class RadioArray:
             self._set_aid(slot, aid)
         bit = 1 << slot
         was_listening = bool(self.listen_mask & bit)
-        was_eligible = self._base_ports[slot] is not None
+        was_eligible = bool(self._eligible_mask & bit)
         eligible = not listening and aid is not None
+        changed_ports = ports != self._open_ports[slot]
         if (
             listening == was_listening
             and eligible == was_eligible
-            and ports == self._open_ports[slot]
+            and not changed_ports
         ):
             return  # the mutation was a no-op for delivery purposes
         self._settle(slot)
         if listening != was_listening:
             self.listen_mask ^= bit
             self.fanout_epoch += 1
-        old_ports = self._open_ports[slot]
-        if ports != old_ports:
-            for port in old_ports - ports:
-                remaining = self.port_masks.get(port, 0) & ~bit
-                if remaining:
-                    self.port_masks[port] = remaining
-                else:
-                    self.port_masks.pop(port, None)
-            for port in ports - old_ports:
-                self.port_masks[port] = self.port_masks.get(port, 0) | bit
-            self._open_ports[slot] = ports
+        if changed_ports:
+            self._set_ports(slot, ports)
         self._rebaseline(slot, eligible)
 
     def _apply_state(self, slot: int, entity: Any) -> None:
         """Initialize a fresh slot's columns from the entity's state."""
         listening, aid, ports = entity.radio_broadcast_state()
         self._set_aid(slot, aid)
-        bit = 1 << slot
         if listening:
-            self.listen_mask |= bit
-        else:
-            self.listen_mask &= ~bit
-        self._open_ports[slot] = ports
-        for port in ports:
-            self.port_masks[port] = self.port_masks.get(port, 0) | bit
+            self.listen_mask |= 1 << slot
+        self._set_ports(slot, ports)
         self._rebaseline(slot, not listening and aid is not None)
+
+    def _set_ports(self, slot: int, ports: FrozenSet[int]) -> None:
+        """Move the slot's bit from its old ports' masks to ``ports``'."""
+        bit = 1 << slot
+        old = self._open_ports[slot]
+        port_masks = self.port_masks
+        for port in old - ports:
+            remaining = port_masks.get(port, 0) & ~bit
+            if remaining:
+                port_masks[port] = remaining
+            else:
+                port_masks.pop(port, None)
+        for port in ports - old:
+            port_masks[port] = port_masks.get(port, 0) | bit
+        self._open_ports[slot] = ports
 
     def _set_aid(self, slot: int, aid: Optional[int]) -> None:
         bit = 1 << slot
@@ -469,26 +471,16 @@ class RadioArray:
                     for aid in btim.aids_with_useful_broadcast:
                         visit |= aid_slots.get(aid, 0)
             mask |= visit & self._member_mask
-        clients = self._clients
-        base_beacons = self._base_beacons
-        base_dtims = self._base_dtims
-        walk = []
-        # Bit ``slot`` is character ``top - slot`` of ``bin(mask)``:
-        # scanning right to left visits slots in ascending order.
-        bits = bin(mask)
-        top = len(bits) - 1
-        start = max(top - last, 2)
-        end = top - first + 1
-        while True:
-            end = bits.rfind("1", start, end)
-            if end < 0:
-                return walk
-            slot = top - end
-            walk.append(clients[slot])
-            if counted:
+        slots = slots_of(bin(mask), first, last)
+        if counted:
+            base_beacons = self._base_beacons
+            base_dtims = self._base_dtims
+            for slot in slots:
                 base_beacons[slot] += 1
                 if is_dtim:
                     base_dtims[slot] += 1
+        clients = self._clients
+        return [clients[slot] for slot in slots]
 
     def _settle_beacons(self, slot: int) -> None:
         counters = self._clients[slot].counters
@@ -510,40 +502,45 @@ class RadioArray:
         for a frame it received awake.
         """
         self.frames_total += 1
-        if self._eligible or self.lease_mask:
-            port = frame_udp_port(frame)
+        if self._eligible_mask or self.lease_mask:
+            port = frame.udp_dst_port()
             if port is not None:
                 self.port_frames[port] = self.port_frames.get(port, 0) + 1
 
+    def _useful_total(self, slot: int) -> int:
+        """``port_frames`` summed over the slot's open ports: less its
+        baseline's, the useful frames aired since that baseline."""
+        port_frames = self.port_frames
+        total = 0
+        for port in self._open_ports[slot]:
+            total += port_frames.get(port, 0)
+        return total
+
     def _settle(self, slot: int) -> None:
-        """Add the slot's pending deferred counts to its client."""
+        """Add the slot's pending deferred counts to its client, and
+        move its baseline to now under the same membership."""
         if self.listen_mask & (1 << slot):
             return  # listening slots receive frames directly: no backlog
-        owed = self.frames_total - self._base_frames[slot]
+        frames_total = self.frames_total
+        owed = frames_total - self._base_frames[slot]
         if owed:
             counters = self._clients[slot].counters
             counters.broadcast_frames_ignored += owed
-            base = self._base_ports[slot]
-            if base is not None:
-                port_frames = self.port_frames
-                missed = 0
-                for port in self._open_ports[slot]:
-                    missed += port_frames.get(port, 0) - base.get(port, 0)
+            self._base_frames[slot] = frames_total
+            if (self._eligible_mask >> slot) & 1:
+                total = self._useful_total(slot)
+                missed = total - self._base_useful[slot]
                 if missed:
                     counters.useful_frames_missed += missed
+                self._base_useful[slot] = total
             self.settles += 1
 
     def _rebaseline(self, slot: int, eligible: bool) -> None:
         self._base_frames[slot] = self.frames_total
-        was_eligible = self._base_ports[slot] is not None
         if eligible:
-            port_frames = self.port_frames
-            self._base_ports[slot] = {
-                port: port_frames.get(port, 0) for port in self._open_ports[slot]
-            }
-        else:
-            self._base_ports[slot] = None
-        self._eligible += eligible - was_eligible
+            self._base_useful[slot] = self._useful_total(slot)
+        if eligible != ((self._eligible_mask >> slot) & 1):
+            self._eligible_mask ^= 1 << slot
 
     def flush(self) -> None:
         """Settle every slot: counters become exact as of *now*.
@@ -557,7 +554,7 @@ class RadioArray:
         if self.lease_mask:
             self.settle_lease()
         if self.beacons_total != self._flushed_at_beacons:
-            for slot in self._members:
+            for slot in slots_of(bin(self._member_mask)):
                 self._settle_beacons(slot)
             self._flushed_at_beacons = self.beacons_total
         if self.frames_total == self._flushed_at_total:
@@ -565,7 +562,6 @@ class RadioArray:
         self.flushes += 1
         for slot in self.slot_of.values():
             self._settle(slot)
-            self._rebaseline(slot, self._base_ports[slot] is not None)
         self._flushed_at_total = self.frames_total
 
     # -- listener lease ----------------------------------------------------
@@ -603,19 +599,15 @@ class RadioArray:
         else:
             self.booking = False  # same-instant frame: renewals only
         slot_of = self.slot_of
-        first = slot_of[clients[0]]
-        last = slot_of[clients[-1]]
         stations = self._clients
-        walk = []
-        bits = bin(self.listen_mask & ~lease)
-        top = len(bits) - 1
-        start = max(top - last, 2)
-        end = top - first + 1
-        while True:
-            end = bits.rfind("1", start, end)
-            if end < 0:
-                break
-            walk.append(stations[top - end])
+        walk = [
+            stations[slot]
+            for slot in slots_of(
+                bin(self.listen_mask & ~lease),
+                slot_of[clients[0]],
+                slot_of[clients[-1]],
+            )
+        ]
         self.walked += len(walk)
         return walk
 
@@ -685,7 +677,7 @@ class RadioArray:
 
     def settle_lease(self) -> None:
         """Settle every member: the lease is empty afterwards."""
-        for slot in self._members_of(self.lease_mask):
+        for slot in slots_of(bin(self.lease_mask)):
             self._release_member(slot, False)
         self.lease_mask = 0
 
@@ -694,12 +686,9 @@ class RadioArray:
         hook's stations whose lock expires exactly then."""
         lease = self.lease_mask
         frames = self.frames_total
-        ports = dict(self.port_frames)
         clients = self._clients
         tokens = self._lease_tokens
         keys = self._lease_keys
-        base = self._lease_base
-        port_base = self._lease_ports
         for slot in joiners:
             client = clients[slot]
             timeout = client.config.wakelock_timeout_s
@@ -721,8 +710,8 @@ class RadioArray:
             # Every member's lock expires a lease timeout after the
             # lease's last frame, joiners' included.
             self._lease_deadline = key[0]
-            base[slot] = frames
-            port_base[slot] = ports
+            self._base_frames[slot] = frames
+            self._base_useful[slot] = self._useful_total(slot)
             lease |= 1 << slot
         self.lease_mask = lease
 
@@ -732,48 +721,39 @@ class RadioArray:
         mask clear, one fan-out bump."""
         lease = self.lease_mask
         frames_total = self.frames_total
-        port_frames = self.port_frames
         extended_at = self._extended_at
         deadline = self._lease_deadline
         sequences = self._extended_sequences() if lease else {}
         clients = self._clients
-        base = self._lease_base
-        port_base = self._lease_ports
         keys = self._lease_keys
-        open_ports = self._open_ports
         aids = self._aids
         base_frames = self._base_frames
-        base_ports = self._base_ports
-        dozing_base = dict(port_frames)
+        base_useful = self._base_useful
+        useful_total = self._useful_total
         eligible = 0
-        for slot in self._members_of(lease):
-            joined = base[slot]
-            ports = open_ports[slot]
-            useful = 0
-            if joined != frames_total:
-                seen = port_base[slot]
-                for port in ports:
-                    useful += port_frames.get(port, 0) - seen.get(port, 0)
+        for slot in slots_of(bin(lease)):
+            joined = base_frames[slot]
+            total = useful_total(slot)
             clients[slot].leave_lease(
                 frames_total - joined,
-                useful,
+                total - base_useful[slot],
                 (deadline, sequences[slot]) if extended_at > joined else keys[slot],
                 True,
             )
             # The slot now dozes: re-baseline its deferred accrual, as
             # ``refresh`` does when a listener stops listening.
             base_frames[slot] = frames_total
+            base_useful[slot] = total
             if aids[slot] is not None:
-                base_ports[slot] = dozing_base
-                eligible += 1
+                eligible |= 1 << slot
         cleared = lease
         for slot in ended:
             base_frames[slot] = frames_total
             if aids[slot] is not None:
-                base_ports[slot] = dozing_base
-                eligible += 1
+                base_useful[slot] = useful_total(slot)
+                eligible |= 1 << slot
             cleared |= 1 << slot
-        self._eligible += eligible
+        self._eligible_mask |= eligible
         self.listen_mask &= ~cleared
         self.lease_mask = 0
         self.fanout_epoch += 1
@@ -784,13 +764,8 @@ class RadioArray:
 
     def _release_member(self, slot: int, burst_end: bool) -> None:
         """Hand a member what the lease booked for it since it joined."""
-        frames = self.frames_total - self._lease_base[slot]
-        useful = 0
-        if frames:
-            port_frames = self.port_frames
-            seen = self._lease_ports[slot]
-            for port in self._open_ports[slot]:
-                useful += port_frames.get(port, 0) - seen.get(port, 0)
+        frames = self.frames_total - self._base_frames[slot]
+        useful = self._useful_total(slot) - self._base_useful[slot] if frames else 0
         self._clients[slot].leave_lease(
             frames, useful, self._member_key(slot), burst_end
         )
@@ -798,7 +773,7 @@ class RadioArray:
     def _member_key(self, slot: int) -> Tuple[float, int]:
         """The member's expiry key: from the last frame that extended
         it, or its own if none has since it joined."""
-        if self._extended_at <= self._lease_base[slot]:
+        if self._extended_at <= self._base_frames[slot]:
             return self._lease_keys[slot]
         run_slots = self._run_slots
         run = bisect_right(run_slots, slot) - 1
@@ -819,25 +794,10 @@ class RadioArray:
         bounds = run_slots[1:] + [len(self._clients)]
         run = 0
         sequence = run_seqs[0]
-        for slot in self._members_of_bits(self._extended_bits):
+        for slot in slots_of(self._extended_bits):
             while slot >= bounds[run]:
                 run += 1
                 sequence = run_seqs[run]
             sequences[slot] = sequence
             sequence += 1
         return sequences
-
-    def _members_of(self, mask: int) -> List[int]:
-        return self._members_of_bits(bin(mask))
-
-    @staticmethod
-    def _members_of_bits(bits: str) -> List[int]:
-        """Set slots of ``bin(mask)``, ascending."""
-        top = len(bits) - 1
-        slots = []
-        end = len(bits)
-        while True:
-            end = bits.rfind("1", 2, end)
-            if end < 0:
-                return slots
-            slots.append(top - end)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.ap.flags import frame_udp_port
 from repro.dot11.association_frames import (
     STATUS_SUCCESS,
     AssociationRequest,
@@ -60,7 +59,7 @@ class CapturedFrame:
         if isinstance(frame, PsPoll):
             return prefix + f"aid={frame.aid}"
         if isinstance(frame, DataFrame):
-            port = frame_udp_port(frame)
+            port = frame.udp_dst_port()
             target = "broadcast" if frame.is_broadcast else str(frame.destination)
             more = " more-data" if frame.more_data else ""
             return prefix + f"to={target} udp-port={port}{more}"

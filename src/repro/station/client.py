@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.ap.flags import frame_udp_port
 from repro.dot11.control import Ack, PsPoll
 from repro.dot11.data import DataFrame
 from repro.dot11.management import Beacon, UdpPortMessage
@@ -714,7 +713,7 @@ class Client(Entity):
         """
         frame = transmission.frame
         more_data = frame.more_data
-        port = frame_udp_port(frame)
+        port = frame.udp_dst_port()
         active = PowerState.ACTIVE
         resuming = PowerState.RESUMING
         client_side = ClientPolicy.CLIENT_SIDE
@@ -830,7 +829,7 @@ class Client(Entity):
         if not (self._radio_listening or self._conservative_listen):
             self.counters.broadcast_frames_ignored += 1
             if self.aid is not None:
-                port = frame_udp_port(frame)
+                port = frame.udp_dst_port()
                 if port is not None and self.sockets.delivers_broadcast_on(port):
                     # A useful frame aired, the medium delivered it, and
                     # we slept through it — the failure mode HIDE must
@@ -842,7 +841,7 @@ class Client(Entity):
         if not frame.more_data:
             self._radio_listening = False
             self._notify_radio()
-        port = frame_udp_port(frame)
+        port = frame.udp_dst_port()
         useful = port is not None and self.sockets.delivers_broadcast_on(port)
         if useful:
             self.counters.useful_frames_received += 1

@@ -53,10 +53,6 @@ class UdpSocketTable:
         self.closes += 1
         self._reportable = None
 
-    def open_ports(self) -> FrozenSet[int]:
-        """All open ports, regardless of binding."""
-        return frozenset(self._sockets)
-
     def reportable_ports(self) -> FrozenSet[int]:
         """Ports to include in a UDP Port Message: INADDR_ANY-bound only."""
         reportable = self._reportable

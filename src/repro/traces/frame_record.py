@@ -37,10 +37,6 @@ class BroadcastFrameRecord:
             raise ValueError("a frame cannot air before it was offered")
 
     @property
-    def airtime_s(self) -> float:
-        return self.length_bytes * 8 / self.rate_bps
-
-    @property
     def buffering_delay_s(self) -> Optional[float]:
         """Time the frame waited in the AP's broadcast buffer."""
         if self.offered_time is None:

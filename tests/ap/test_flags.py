@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ap.flags import compute_broadcast_flags, frame_udp_port
+from repro.ap.flags import compute_broadcast_flags
 from repro.ap.port_table import ClientUdpPortTable
 from repro.dot11.data import DataFrame
 from repro.dot11.llc import ETHERTYPE_ARP, LlcSnapHeader
@@ -21,7 +21,7 @@ def udp_frame(port: int) -> DataFrame:
 
 class TestFrameUdpPort:
     def test_extracts_port_from_real_bytes(self):
-        assert frame_udp_port(udp_frame(5353)) == 5353
+        assert udp_frame(5353).udp_dst_port() == 5353
 
     def test_non_ip_frame_gives_none(self):
         frame = DataFrame(
@@ -30,13 +30,13 @@ class TestFrameUdpPort:
             source=SRC,
             llc_payload=LlcSnapHeader.wrap(ETHERTYPE_ARP, b"\x00" * 28),
         )
-        assert frame_udp_port(frame) is None
+        assert frame.udp_dst_port() is None
 
     def test_malformed_payload_gives_none(self):
         frame = DataFrame(
             destination=BROADCAST, bssid=BSSID, source=SRC, llc_payload=b"garbage!"
         )
-        assert frame_udp_port(frame) is None
+        assert frame.udp_dst_port() is None
 
 
 class TestAlgorithm1:

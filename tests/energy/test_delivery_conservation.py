@@ -16,9 +16,14 @@ ways:
 * crash / ``force_suspend`` mid-window, where release must settle a
   slot exactly once (checked against the everyone-receives oracle in
   ``tests/sim/reference_medium.py``).
+
+A last test bounds what a flush allocates: settling and re-baselining a
+dozing fleet keeps integer baselines, so it must not build per-slot
+objects.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -176,6 +181,31 @@ class TestRadioArrayConservation5k:
             for s in stubs
         ]
         assert before == after
+
+
+class TestFlushAllocation:
+    """A flush settles every slot without allocating per slot."""
+
+    SLOTS = 1000
+    PORTS = (5353, 1900, 137, 138, 17500)
+
+    def test_flush_allocates_under_16_bytes_per_slot(self):
+        rng = random.Random(7)
+        radios = RadioArray()
+        for i in range(self.SLOTS):
+            radios.allocate(_StubRadio(aid=i + 1, ports=rng.sample(self.PORTS, 3)))
+        for i in range(50):
+            radios.account_broadcast(_StubFrame(self.PORTS[i % len(self.PORTS)]))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            radios.flush()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert radios.flushes == 1
+        assert peak <= 16 * self.SLOTS, f"{peak / self.SLOTS:.1f} B per slot"
 
 
 class TestMidWindowRelease:

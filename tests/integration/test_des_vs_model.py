@@ -78,11 +78,9 @@ def run_des(offered, policy, duration, tau=1.0):
 
 
 def events_from_air(on_air, useful_only):
-    from repro.ap.flags import frame_udp_port
-
     events = []
     for start, frame, length, rate in on_air:
-        port = frame_udp_port(frame)
+        port = frame.udp_dst_port()
         useful = port == USEFUL_PORT
         if useful_only and not useful:
             continue

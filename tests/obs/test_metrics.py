@@ -159,9 +159,3 @@ class TestSeriesKey:
 
     def test_label_values_escaped(self):
         assert series_key("m", {"p": 'a"b\\c\nd'}) == 'm{p="a\\"b\\\\c\\nd"}'
-
-    def test_metric_series_id_matches_series_key(self):
-        metric = Counter("repro_x_total", labels={"kind": "Beacon"})
-        assert metric.series_id == series_key(
-            "repro_x_total", {"kind": "Beacon"}
-        )

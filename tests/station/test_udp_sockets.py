@@ -17,7 +17,7 @@ class TestSocketTable:
         table.open_port(5353, inaddr_any=True)
         table.open_port(8080, inaddr_any=False)
         assert table.reportable_ports() == frozenset({5353})
-        assert table.open_ports() == frozenset({5353, 8080})
+        assert len(table) == 2
 
     def test_broadcast_delivery(self):
         table = UdpSocketTable()

@@ -9,10 +9,6 @@ from tests.conftest import make_record, make_trace
 
 
 class TestRecord:
-    def test_airtime(self):
-        record = make_record(0.0, length=125, rate=mbps(1))
-        assert record.airtime_s == pytest.approx(0.001)
-
     def test_buffering_delay(self):
         record = BroadcastFrameRecord(
             time=1.0, udp_port=137, length_bytes=100, rate_bps=mbps(1),
