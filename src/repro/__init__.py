@@ -25,86 +25,54 @@ Package map: :mod:`repro.dot11` (frames), :mod:`repro.net` (IPv4/UDP),
 (protocol entities), :mod:`repro.energy` (Section IV model),
 :mod:`repro.traces` (workloads), :mod:`repro.solutions` (baselines +
 HIDE), :mod:`repro.analysis` (Section V overheads),
-:mod:`repro.experiments` (per-figure reproductions).
+:mod:`repro.experiments` (per-figure reproductions). The names below
+are re-exported lazily: ``import repro`` loads none of those packages
+until one of their names is read.
 """
 
-from repro.energy import (
-    DeviceEnergyProfile,
-    EnergyBreakdown,
-    EnergyModel,
-    FrameEvent,
-    GALAXY_S4,
-    HideOverheadParams,
-    NEXUS_ONE,
-)
-from repro.solutions import (
-    ClientSideSolution,
-    CombinedSolution,
-    HideRealisticSolution,
-    HideSolution,
-    ReceiveAllSolution,
-    Solution,
-    SolutionResult,
-)
-from repro.traces import (
-    BroadcastFrameRecord,
-    BroadcastTrace,
-    PAPER_SCENARIOS,
-    ScenarioSpec,
-    UsefulnessAssignment,
-    clustered_fraction_mask,
-    generate_trace,
-    load_trace_jsonl,
-    port_subset_mask,
-    random_fraction_mask,
-    save_trace_jsonl,
-    scenario_by_name,
-    spread_fraction_mask,
-)
-from repro.analysis import (
-    BianchiModel,
-    CapacityAnalysis,
-    DelayAnalysis,
-    HashTimingModel,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Public name → the package it comes from, imported on first use.
+_EXPORTS = {
     # energy
-    "DeviceEnergyProfile",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "FrameEvent",
-    "GALAXY_S4",
-    "HideOverheadParams",
-    "NEXUS_ONE",
+    "DeviceEnergyProfile": "repro.energy",
+    "EnergyBreakdown": "repro.energy",
+    "EnergyModel": "repro.energy",
+    "FrameEvent": "repro.energy",
+    "GALAXY_S4": "repro.energy",
+    "HideOverheadParams": "repro.energy",
+    "NEXUS_ONE": "repro.energy",
     # solutions
-    "ClientSideSolution",
-    "CombinedSolution",
-    "HideRealisticSolution",
-    "HideSolution",
-    "ReceiveAllSolution",
-    "Solution",
-    "SolutionResult",
+    "ClientSideSolution": "repro.solutions",
+    "CombinedSolution": "repro.solutions",
+    "HideRealisticSolution": "repro.solutions",
+    "HideSolution": "repro.solutions",
+    "ReceiveAllSolution": "repro.solutions",
+    "Solution": "repro.solutions",
+    "SolutionResult": "repro.solutions",
     # traces
-    "BroadcastFrameRecord",
-    "BroadcastTrace",
-    "PAPER_SCENARIOS",
-    "ScenarioSpec",
-    "UsefulnessAssignment",
-    "clustered_fraction_mask",
-    "generate_trace",
-    "load_trace_jsonl",
-    "port_subset_mask",
-    "random_fraction_mask",
-    "save_trace_jsonl",
-    "scenario_by_name",
-    "spread_fraction_mask",
+    "BroadcastFrameRecord": "repro.traces",
+    "BroadcastTrace": "repro.traces",
+    "PAPER_SCENARIOS": "repro.traces",
+    "ScenarioSpec": "repro.traces",
+    "UsefulnessAssignment": "repro.traces",
+    "clustered_fraction_mask": "repro.traces",
+    "generate_trace": "repro.traces",
+    "load_trace_jsonl": "repro.traces",
+    "port_subset_mask": "repro.traces",
+    "random_fraction_mask": "repro.traces",
+    "save_trace_jsonl": "repro.traces",
+    "scenario_by_name": "repro.traces",
+    "spread_fraction_mask": "repro.traces",
     # analysis
-    "BianchiModel",
-    "CapacityAnalysis",
-    "DelayAnalysis",
-    "HashTimingModel",
-]
+    "BianchiModel": "repro.analysis",
+    "CapacityAnalysis": "repro.analysis",
+    "DelayAnalysis": "repro.analysis",
+    "HashTimingModel": "repro.analysis",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

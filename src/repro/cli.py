@@ -43,32 +43,26 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import CapacityAnalysis, DelayAnalysis
-from repro.energy.profile import GALAXY_S4, NEXUS_ONE
 from repro.errors import ConfigurationError, ReproError
-from repro.reporting import render_cdf, render_table
-from repro.solutions import ClientSideSolution, HideSolution, ReceiveAllSolution
-from repro.traces import (
-    clustered_fraction_mask,
-    generate_trace,
-    load_trace_jsonl,
-    random_fraction_mask,
-    save_trace_jsonl,
-    scenario_by_name,
-    spread_fraction_mask,
-    trace_to_csv,
-)
 
-_DEVICES = {"nexus-one": NEXUS_ONE, "galaxy-s4": GALAXY_S4}
-_STRATEGIES = {
-    "clustered": clustered_fraction_mask,
-    "random": random_fraction_mask,
-    "spread": lambda trace, fraction, seed=0: spread_fraction_mask(trace, fraction),
-}
+# Each handler imports the modules its command uses, so ``repro serve``
+# never loads the closed-form solutions and ``sim run`` never loads the
+# Section V analyses.
+
+_DEVICES = ("galaxy-s4", "nexus-one")
+_STRATEGIES = ("clustered", "random", "spread")
+
+
+def _device(name: str):
+    from repro.energy.profile import GALAXY_S4, NEXUS_ONE
+
+    return {"nexus-one": NEXUS_ONE, "galaxy-s4": GALAXY_S4}[name]
 
 
 def _load_trace(source: str):
     """A scenario name or a path to a JSONL trace."""
+    from repro.traces import generate_trace, load_trace_jsonl, scenario_by_name
+
     try:
         return generate_trace(scenario_by_name(source))
     except ReproError:
@@ -76,6 +70,13 @@ def _load_trace(source: str):
 
 
 def cmd_trace_generate(args: argparse.Namespace) -> int:
+    from repro.traces import (
+        generate_trace,
+        save_trace_jsonl,
+        scenario_by_name,
+        trace_to_csv,
+    )
+
     trace = generate_trace(scenario_by_name(args.scenario), seed=args.seed)
     save_trace_jsonl(trace, args.out)
     print(f"wrote {len(trace)} frames to {args.out}")
@@ -86,6 +87,8 @@ def cmd_trace_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_inspect(args: argparse.Namespace) -> int:
+    from repro.reporting import render_cdf, render_table
+
     trace = _load_trace(args.source)
     cdf = trace.volume_cdf()
     print(
@@ -125,9 +128,22 @@ def cmd_trace_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_energy_compare(args: argparse.Namespace) -> int:
+    from repro.reporting import render_table
+    from repro.solutions import ClientSideSolution, HideSolution, ReceiveAllSolution
+    from repro.traces import (
+        clustered_fraction_mask,
+        random_fraction_mask,
+        spread_fraction_mask,
+    )
+
+    strategies = {
+        "clustered": clustered_fraction_mask,
+        "random": random_fraction_mask,
+        "spread": lambda trace, fraction, seed=0: spread_fraction_mask(trace, fraction),
+    }
     trace = _load_trace(args.source)
-    profile = _DEVICES[args.device]
-    mask = _STRATEGIES[args.strategy](trace, args.fraction, seed=args.seed)
+    profile = _device(args.device)
+    mask = strategies[args.strategy](trace, args.fraction, seed=args.seed)
     solutions = [ReceiveAllSolution(), ClientSideSolution(), HideSolution()]
     results = [s.evaluate(trace, mask, profile) for s in solutions]
     baseline = results[0]
@@ -314,6 +330,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         prepare_trace_des,
     )
     from repro.faults import FaultPlan
+    from repro.reporting import render_table
     from repro.sim.invariants import InvariantViolation
 
     profiler = _profiler_config(args)
@@ -325,7 +342,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     trace = _load_trace(source)
-    profile = _DEVICES[args.device]
+    profile = _device(args.device)
     tracer = _make_tracer(args.trace_log)
     fault_plan = None
     if args.fault_plan:
@@ -663,6 +680,8 @@ def cmd_experiments_headline(args: argparse.Namespace) -> int:
 
 
 def cmd_overhead_capacity(args: argparse.Namespace) -> int:
+    from repro.analysis.capacity import CapacityAnalysis
+
     analysis = CapacityAnalysis()
     result = analysis.evaluate(
         args.nodes,
@@ -679,6 +698,8 @@ def cmd_overhead_capacity(args: argparse.Namespace) -> int:
 
 
 def cmd_overhead_delay(args: argparse.Namespace) -> int:
+    from repro.analysis.delay import DelayAnalysis
+
     analysis = DelayAnalysis()
     result = analysis.evaluate(
         args.nodes,
@@ -719,9 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
     energy_sub = energy.add_subparsers(dest="subcommand", required=True)
     compare = energy_sub.add_parser("compare", help="compare the solutions")
     compare.add_argument("source", help="scenario name or JSONL path")
-    compare.add_argument("--device", choices=sorted(_DEVICES), default="nexus-one")
+    compare.add_argument("--device", choices=_DEVICES, default="nexus-one")
     compare.add_argument("--fraction", type=float, default=0.10)
-    compare.add_argument("--strategy", choices=sorted(_STRATEGIES), default="clustered")
+    compare.add_argument("--strategy", choices=_STRATEGIES, default="clustered")
     compare.add_argument("--seed", type=int, default=42)
     compare.set_defaults(func=cmd_energy_compare)
 
@@ -747,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
         serve_metrics_help="serve live /metrics, /timeseries, and /healthz on "
         "this port during the run (0 = pick an ephemeral port)",
     )
-    sim_run.add_argument("--device", choices=sorted(_DEVICES), default="nexus-one")
+    sim_run.add_argument("--device", choices=_DEVICES, default="nexus-one")
     sim_run.add_argument(
         "--port-ttl", type=float, default=None, metavar="SECONDS",
         help="AP refresh-timer TTL for Client UDP Port Table entries",

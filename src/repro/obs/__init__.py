@@ -7,131 +7,72 @@ them into a :class:`MetricsRegistry` on demand, and
 scrapers, JSONL post-processing, or run reports. Live instrumentation
 (spans and events) goes through a tracer; the default
 :data:`NULL_TRACER` keeps the hot path at one attribute check.
+
+The names below are re-exported lazily, so importing one submodule
+(say :mod:`repro.obs.metrics`) does not import the others, nor the
+HTTP server behind :class:`MetricsServer`.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    series_key,
-)
-from repro.obs.tracing import (
-    JsonlTracer,
-    NULL_TRACER,
-    NullTracer,
-    read_trace_jsonl,
-    read_trace_jsonl_lenient,
-    tracer_to_string_buffer,
-)
-from repro.obs.timeseries import (
-    TIMESERIES_SCHEMA,
-    TimeseriesRecorder,
-    WindowSample,
-    dtim_window_s,
-)
-from repro.obs.server import MetricsServer
-from repro.obs.diff import (
-    DiffResult,
-    MetricDelta,
-    diff_files,
-    diff_metrics,
-    load_metrics_file,
-    render_diff,
-)
-from repro.obs.exporters import (
-    format_for_path,
-    render_metrics_jsonl,
-    render_metrics_table,
-    render_prometheus,
-    write_metrics,
-)
-from repro.obs.collectors import (
-    collect_access_point,
-    collect_all,
-    collect_client,
-    collect_medium,
-    collect_profiler,
-    collect_simulator,
-)
-from repro.obs.profiler import (
-    PROFILE_SCHEMA,
-    AttributionProfiler,
-    ProfilerConfig,
-    merge_profiles,
-    render_profile_table,
-    write_profile_json,
-)
-from repro.obs.hdr import HdrHistogram, QUANTILE_LABELS
-from repro.obs.ledger import (
-    LEDGER_SCHEMA,
-    FrameLedger,
-    flatten_ledger_document,
-    render_ledger,
-    write_ledger_json,
-)
-from repro.obs.slo import (
-    SLO_SCHEMA,
-    ObjectiveResult,
-    SloReport,
-    evaluate_slo,
-    load_slo_spec,
-    render_slo,
-)
-from repro.obs.summarize import TraceSummary, render_summary, summarize_trace
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AttributionProfiler",
-    "Counter",
-    "DiffResult",
-    "FrameLedger",
-    "Gauge",
-    "HdrHistogram",
-    "JsonlTracer",
-    "LEDGER_SCHEMA",
-    "MetricDelta",
-    "MetricsRegistry",
-    "MetricsServer",
-    "NULL_TRACER",
-    "NullTracer",
-    "ObjectiveResult",
-    "PROFILE_SCHEMA",
-    "ProfilerConfig",
-    "QUANTILE_LABELS",
-    "SLO_SCHEMA",
-    "SloReport",
-    "TIMESERIES_SCHEMA",
-    "TimeseriesRecorder",
-    "TraceSummary",
-    "WindowSample",
-    "collect_access_point",
-    "collect_all",
-    "collect_client",
-    "collect_medium",
-    "collect_profiler",
-    "collect_simulator",
-    "merge_profiles",
-    "render_profile_table",
-    "write_profile_json",
-    "diff_files",
-    "diff_metrics",
-    "dtim_window_s",
-    "evaluate_slo",
-    "flatten_ledger_document",
-    "format_for_path",
-    "load_metrics_file",
-    "load_slo_spec",
-    "read_trace_jsonl",
-    "read_trace_jsonl_lenient",
-    "render_diff",
-    "render_ledger",
-    "render_metrics_jsonl",
-    "render_metrics_table",
-    "render_prometheus",
-    "render_slo",
-    "render_summary",
-    "series_key",
-    "summarize_trace",
-    "tracer_to_string_buffer",
-    "write_ledger_json",
-    "write_metrics",
-]
+#: Public name → defining module, imported on first use.
+_EXPORTS = {
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "series_key": "repro.obs.metrics",
+    "JsonlTracer": "repro.obs.tracing",
+    "NULL_TRACER": "repro.obs.tracing",
+    "NullTracer": "repro.obs.tracing",
+    "read_trace_jsonl": "repro.obs.tracing",
+    "read_trace_jsonl_lenient": "repro.obs.tracing",
+    "tracer_to_string_buffer": "repro.obs.tracing",
+    "TIMESERIES_SCHEMA": "repro.obs.timeseries",
+    "TimeseriesRecorder": "repro.obs.timeseries",
+    "WindowSample": "repro.obs.timeseries",
+    "dtim_window_s": "repro.obs.timeseries",
+    "MetricsServer": "repro.obs.server",
+    "DiffResult": "repro.obs.diff",
+    "MetricDelta": "repro.obs.diff",
+    "diff_files": "repro.obs.diff",
+    "diff_metrics": "repro.obs.diff",
+    "load_metrics_file": "repro.obs.diff",
+    "render_diff": "repro.obs.diff",
+    "format_for_path": "repro.obs.exporters",
+    "render_metrics_jsonl": "repro.obs.exporters",
+    "render_metrics_table": "repro.obs.exporters",
+    "render_prometheus": "repro.obs.exporters",
+    "write_metrics": "repro.obs.exporters",
+    "collect_access_point": "repro.obs.collectors",
+    "collect_all": "repro.obs.collectors",
+    "collect_client": "repro.obs.collectors",
+    "collect_medium": "repro.obs.collectors",
+    "collect_profiler": "repro.obs.collectors",
+    "collect_simulator": "repro.obs.collectors",
+    "PROFILE_SCHEMA": "repro.obs.profiler",
+    "AttributionProfiler": "repro.obs.profiler",
+    "ProfilerConfig": "repro.obs.profiler",
+    "merge_profiles": "repro.obs.profiler",
+    "render_profile_table": "repro.obs.profiler",
+    "write_profile_json": "repro.obs.profiler",
+    "HdrHistogram": "repro.obs.hdr",
+    "QUANTILE_LABELS": "repro.obs.hdr",
+    "LEDGER_SCHEMA": "repro.obs.ledger",
+    "FrameLedger": "repro.obs.ledger",
+    "flatten_ledger_document": "repro.obs.ledger",
+    "render_ledger": "repro.obs.ledger",
+    "write_ledger_json": "repro.obs.ledger",
+    "SLO_SCHEMA": "repro.obs.slo",
+    "ObjectiveResult": "repro.obs.slo",
+    "SloReport": "repro.obs.slo",
+    "evaluate_slo": "repro.obs.slo",
+    "load_slo_spec": "repro.obs.slo",
+    "render_slo": "repro.obs.slo",
+    "TraceSummary": "repro.obs.summarize",
+    "render_summary": "repro.obs.summarize",
+    "summarize_trace": "repro.obs.summarize",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

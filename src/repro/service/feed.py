@@ -1,12 +1,13 @@
 """The broadcast-frame feed driving per-DTIM flag computation.
 
 The live service has real clients but no real broadcast senders, so the
-feed replays a scenario trace (the same MMPP catalog the sim and the
-energy model consume) as the stream of UDP-padded broadcast frames the
-AP would be buffering between DTIMs. Frames are pre-built once into
-real :class:`~repro.dot11.data.DataFrame` objects — Algorithm 1 then
-runs its genuine byte-parsing path (LLC/SNAP → IPv4 → UDP) against
-them, exactly as in the sim.
+feed replays the head of a scenario trace (the same MMPP catalog the sim
+and the energy model consume; synthesis stops at the pool) as the
+stream of UDP-padded broadcast frames the AP would be buffering between
+DTIMs. Frames are pre-built once into real
+:class:`~repro.dot11.data.DataFrame` objects — Algorithm 1 then runs
+its genuine byte-parsing path (LLC/SNAP → IPv4 → UDP) against them,
+exactly as in the sim.
 
 The feed is deterministic: frame batches follow the trace's own
 inter-DTIM spacing, cycling when the trace runs out, so two runs with
@@ -15,15 +16,17 @@ the same scenario and seed see identical per-DTIM workloads.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence
 
 from repro.dot11.data import DataFrame
 from repro.dot11.mac_address import MacAddress
 from repro.errors import ConfigurationError
 from repro.net.packet import build_broadcast_udp_packet
 from repro.net.udp import UDP_HEADER_BYTES
-from repro.traces import generate_trace, scenario_by_name
-from repro.traces.trace import BroadcastTrace
+from repro.traces.frame_record import BroadcastFrameRecord
+from repro.traces.generators import TraceGenerator
+from repro.traces.scenarios import scenario_by_name
 
 _BSSID = MacAddress.from_string("02:aa:00:00:00:01")
 _SENDER = MacAddress.from_string("02:bb:00:00:00:99")
@@ -37,18 +40,21 @@ class BroadcastFrameFeed:
 
     def __init__(
         self,
-        trace: BroadcastTrace,
+        name: str,
+        records: Iterable[BroadcastFrameRecord],
         dtim_interval_s: float,
         max_pool: int = 2048,
     ) -> None:
+        """Pool the first ``max_pool`` of the time-sorted ``records`` (a
+        trace, or a stream read no further than the pool)."""
         if dtim_interval_s <= 0:
             raise ConfigurationError(
                 f"DTIM interval must be positive: {dtim_interval_s}"
             )
-        records = list(trace)[:max_pool]
+        records = list(islice(records, max_pool))
         if not records:
-            raise ConfigurationError(f"trace {trace.name!r} has no frames")
-        self.name = trace.name
+            raise ConfigurationError(f"trace {name!r} has no frames")
+        self.name = name
         self.dtim_interval_s = dtim_interval_s
         self._frames: List[DataFrame] = []
         for record in records:
@@ -83,8 +89,15 @@ class BroadcastFrameFeed:
         seed: Optional[int] = None,
         max_pool: int = 2048,
     ) -> "BroadcastFrameFeed":
-        trace = generate_trace(scenario_by_name(scenario), seed=seed)
-        return cls(trace, dtim_interval_s, max_pool=max_pool)
+        spec = scenario_by_name(scenario)
+        # The release yields a burst only once it is complete, so the
+        # stream's first ``max_pool`` records are the whole trace's.
+        return cls(
+            spec.name,
+            TraceGenerator(spec).records(seed=seed),
+            dtim_interval_s,
+            max_pool=max_pool,
+        )
 
     def __len__(self) -> int:
         return len(self._frames)

@@ -59,7 +59,6 @@ class ServiceConfig:
     #: Scenario feeding the per-DTIM broadcast buffer.
     scenario: str = "Classroom"
     feed_seed: Optional[int] = None
-    feed_pool: int = 2048
     #: Port for the /metrics + /healthz endpoint (None = no endpoint,
     #: 0 = ephemeral).
     metrics_port: Optional[int] = None
@@ -163,7 +162,6 @@ class PortService:
             self.config.scenario,
             self.config.dtim_interval_s,
             seed=self.config.feed_seed,
-            max_pool=self.config.feed_pool,
         )
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         # Fat buffers: the loadgen bursts faster than a Python loop

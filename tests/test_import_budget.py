@@ -1,0 +1,73 @@
+"""Start-up import budget: a DES run loads only what it uses, and the
+lazy re-exports still expose every public name."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def _run(code: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    return json.loads(out)
+
+
+def _loaded(statement: str, modules) -> dict:
+    return _run(
+        f"import json, sys\n{statement}\n"
+        f"print(json.dumps({{m: m in sys.modules for m in {list(modules)!r}}}))"
+    )
+
+
+class TestImportBudget:
+    def test_des_run_loads_no_server_analysis_or_solutions(self):
+        loaded = _loaded(
+            "import repro.experiments.des_run",
+            ["repro.obs.server", "http.server", "repro.analysis", "repro.solutions"],
+        )
+        assert loaded == dict.fromkeys(loaded, False)
+
+    def test_bare_import_loads_no_simulator(self):
+        loaded = _loaded("import repro", ["repro.sim", "repro.traces", "repro.obs"])
+        assert loaded == dict.fromkeys(loaded, False)
+
+
+class TestLazyExports:
+    def test_star_import_and_dir_expose_all(self):
+        result = _run(
+            "import json\n"
+            "import repro\n"
+            "namespace = {}\n"
+            "exec('from repro import *', namespace)\n"
+            "print(json.dumps({'all': repro.__all__,"
+            " 'star': sorted(k for k in namespace if k != '__builtins__'),"
+            " 'dir': dir(repro)}))"
+        )
+        assert sorted(result["all"]) == result["star"]
+        assert set(result["all"]) <= set(result["dir"])
+
+    def test_subpackage_exports_resolve(self):
+        import repro.experiments
+        import repro.obs
+
+        for package in (repro, repro.experiments, repro.obs):
+            for name in package.__all__:
+                assert getattr(package, name) is not None, (package.__name__, name)
+            assert set(package.__all__) <= set(dir(package))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name  # noqa: B018
