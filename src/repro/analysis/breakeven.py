@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 from repro.solutions.hide import HideSolution
 from repro.solutions.receive_all import ReceiveAllSolution
 from repro.traces.trace import BroadcastTrace
-from repro.traces.usefulness import clustered_fraction_mask
+from repro.traces.usefulness import MASK_SEED, clustered_fraction_mask
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class BreakevenResult:
     saving_at_2pct: float
 
 
-def _saving(trace, profile, fraction, mask_seed, more_data_mode):
-    mask = clustered_fraction_mask(trace, fraction, seed=mask_seed)
+def _saving(trace, profile, fraction, more_data_mode):
+    mask = clustered_fraction_mask(trace, fraction, seed=MASK_SEED)
     baseline = ReceiveAllSolution().evaluate(trace, mask, profile)
     hide = HideSolution(more_data_mode=more_data_mode).evaluate(
         trace, mask, profile
@@ -51,7 +51,6 @@ def find_breakeven(
     profile: DeviceEnergyProfile,
     search_ceiling: float = 0.95,
     tolerance: float = 0.01,
-    mask_seed: int = 42,
     more_data_mode: str = "original",
 ) -> BreakevenResult:
     """Bisect for the useful fraction where HIDE's saving hits zero.
@@ -66,19 +65,17 @@ def find_breakeven(
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
 
-    saving_10 = _saving(trace, profile, 0.10, mask_seed, more_data_mode)
-    saving_2 = _saving(trace, profile, 0.02, mask_seed, more_data_mode)
+    saving_10 = _saving(trace, profile, 0.10, more_data_mode)
+    saving_2 = _saving(trace, profile, 0.02, more_data_mode)
 
-    ceiling_saving = _saving(
-        trace, profile, search_ceiling, mask_seed, more_data_mode
-    )
+    ceiling_saving = _saving(trace, profile, search_ceiling, more_data_mode)
     if ceiling_saving > 0:
         breakeven = None  # HIDE wins across the whole searched range
     else:
         low, high = 0.02, search_ceiling
         while high - low > tolerance:
             mid = (low + high) / 2
-            if _saving(trace, profile, mid, mask_seed, more_data_mode) > 0:
+            if _saving(trace, profile, mid, more_data_mode) > 0:
                 low = mid
             else:
                 high = mid

@@ -14,9 +14,8 @@ We cannot rerun that hardware, so two paths are provided:
   defaults everywhere, keeping Figures 11-12 deterministic.
 * :func:`measure_host_timings` — measure the real
   :class:`~repro.ap.port_table.ClientUdpPortTable` on this host at the
-  paper's table size and scale by a CPU factor; useful as a sanity
-  check that the calibrated constants are within reason for 2016-era
-  embedded hardware.
+  paper's table size; useful as a sanity check that the calibrated
+  constants are within reason for 2016-era embedded hardware.
 """
 
 from __future__ import annotations
@@ -63,20 +62,20 @@ CALIBRATED_AP_TIMINGS = HashTimingModel(
 )
 
 
+#: Open ports per HIDE client in the paper's measurement (n_o = 50).
+PORTS_PER_CLIENT = 50
+
+
 def measure_host_timings(
     stations: int = 50,
     hide_fraction: float = 0.5,
-    ports_per_client: int = 50,
     samples: int = 100,
-    cpu_scale: float = 1.0,
 ) -> HashTimingModel:
     """Replicate the paper's measurement procedure on this host.
 
     Initializes a :class:`ClientUdpPortTable` with
-    ``stations·hide_fraction·ports_per_client`` random (port, AID)
-    pairs, then times ``samples`` operations. ``cpu_scale`` multiplies
-    the result to approximate slower hardware (e.g. ~30-80× for a
-    1 GHz ARM A8 running interpreted table code).
+    ``stations·hide_fraction·PORTS_PER_CLIENT`` random (port, AID)
+    pairs, then times ``samples`` operations.
     """
     import random
 
@@ -86,11 +85,11 @@ def measure_host_timings(
     table = ClientUdpPortTable()
     clients = max(1, int(stations * hide_fraction))
     for aid in range(1, clients + 1):
-        ports = frozenset(rng.randrange(1024, 65536) for _ in range(ports_per_client))
+        ports = frozenset(rng.randrange(1024, 65536) for _ in range(PORTS_PER_CLIENT))
         table.update_client(aid, ports)
     measured = table.measure_operation_times(samples=samples)
     return HashTimingModel(
         delete_s=measured.delete_s,
         insert_s=measured.insert_s,
         lookup_s=measured.lookup_s,
-    ).scaled(cpu_scale)
+    )

@@ -21,7 +21,11 @@ from repro.solutions.receive_all import ReceiveAllSolution
 from repro.traces.generators import generate_trace
 from repro.traces.scenarios import ScenarioSpec
 from repro.traces.trace import BroadcastTrace
-from repro.traces.usefulness import UsefulnessAssignment, clustered_fraction_mask
+from repro.traces.usefulness import (
+    MASK_SEED,
+    UsefulnessAssignment,
+    clustered_fraction_mask,
+)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,6 @@ def sweep_dtim_period(
     profile: DeviceEnergyProfile,
     fraction: float,
     dtim_periods: Sequence[int],
-    mask_seed: int = 42,
 ) -> List[DtimSweepPoint]:
     """Sweep the AP's DTIM period (the paper cites typical values 1-3).
 
@@ -98,7 +101,7 @@ def sweep_dtim_period(
         if period < 1:
             raise ConfigurationError(f"DTIM period must be >= 1: {period}")
         trace = generate_trace(scenario, dtim_period=period)
-        assignment = clustered_fraction_mask(trace, fraction, seed=mask_seed)
+        assignment = clustered_fraction_mask(trace, fraction, seed=MASK_SEED)
         points.append(
             DtimSweepPoint(
                 dtim_period=period,

@@ -11,22 +11,26 @@ Pieces:
 * :class:`~repro.ap.access_point.AccessPoint` — the DES entity tying it
   together: beaconing, DTIM scheduling, BTIM construction, buffer
   draining with more-data bits, UDP Port Message handling.
+
+The names below are re-exported lazily, so importing one submodule
+(say :mod:`repro.ap.flags`) does not import the DES entity.
 """
 
-from repro.ap.association import AssociationTable, AssociationRecord
-from repro.ap.port_table import ClientUdpPortTable, PortTableStats
-from repro.ap.flags import compute_broadcast_flags
-from repro.ap.buffer import BroadcastBuffer, UnicastBuffer
-from repro.ap.access_point import AccessPoint, ApConfig
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AssociationTable",
-    "AssociationRecord",
-    "ClientUdpPortTable",
-    "PortTableStats",
-    "compute_broadcast_flags",
-    "BroadcastBuffer",
-    "UnicastBuffer",
-    "AccessPoint",
-    "ApConfig",
-]
+#: Public name → defining module, imported on first use.
+_EXPORTS = {
+    "AssociationTable": "repro.ap.association",
+    "AssociationRecord": "repro.ap.association",
+    "ClientUdpPortTable": "repro.ap.port_table",
+    "PortTableStats": "repro.ap.port_table",
+    "compute_broadcast_flags": "repro.ap.flags",
+    "BroadcastBuffer": "repro.ap.buffer",
+    "UnicastBuffer": "repro.ap.buffer",
+    "AccessPoint": "repro.ap.access_point",
+    "ApConfig": "repro.ap.access_point",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -33,6 +33,20 @@ from repro.sim.medium import Medium, SIFS_S, Transmission
 from repro.units import BEACON_INTERVAL_S, mbps
 
 
+#: DS Parameter Set channel the AP beacons on.
+CHANNEL = 6
+
+#: Beacons and the AP's responses (probe, association, ACK) go out at
+#: the 1 Mb/s basic rate ...
+BEACON_RATE_BPS = mbps(1)
+
+#: ... and so do broadcast and buffered unicast data frames.
+BROADCAST_RATE_BPS = mbps(1)
+
+#: The beacon interval in time units (1 TU = 1024 µs): 100.
+BEACON_INTERVAL_TU = max(1, round(BEACON_INTERVAL_S / 1024e-6))
+
+
 @dataclass(frozen=True)
 class ApConfig:
     """Static AP configuration.
@@ -43,11 +57,7 @@ class ApConfig:
     """
 
     ssid: str = "hide-net"
-    beacon_interval_s: float = BEACON_INTERVAL_S
     dtim_period: int = 1
-    channel: int = 6
-    beacon_rate_bps: float = mbps(1)
-    broadcast_rate_bps: float = mbps(1)
     hide_enabled: bool = True
     #: When set, port-table entries not refreshed within this many
     #: seconds are expired at the next DTIM — the recovery that stops a
@@ -56,8 +66,6 @@ class ApConfig:
     port_entry_ttl_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.beacon_interval_s <= 0:
-            raise ConfigurationError("beacon interval must be positive")
         if not 1 <= self.dtim_period <= 255:
             raise ConfigurationError(f"DTIM period out of range: {self.dtim_period}")
         if self.port_entry_ttl_s is not None and self.port_entry_ttl_s <= 0:
@@ -138,7 +146,7 @@ class AccessPoint(Entity):
     # -- scheduling ---------------------------------------------------
 
     def on_attach(self) -> None:
-        self.simulator.schedule(self.config.beacon_interval_s, self._beacon_tick)
+        self.simulator.schedule(BEACON_INTERVAL_S, self._beacon_tick)
 
     def _next_sequence(self) -> int:
         self._sequence = (self._sequence + 1) & 0xFFF
@@ -161,7 +169,7 @@ class AccessPoint(Entity):
             if is_dtim:
                 self._drain_broadcast_buffer()
         self._dtim_count = (self._dtim_count + 1) % self.config.dtim_period
-        self.simulator.schedule(self.config.beacon_interval_s, self._beacon_tick)
+        self.simulator.schedule(BEACON_INTERVAL_S, self._beacon_tick)
 
     def _transmit_beacon(self) -> None:
         group_buffered = (
@@ -218,18 +226,18 @@ class AccessPoint(Entity):
         beacon = Beacon(
             bssid=self.mac,
             timestamp_us=int(self.now * 1e6),
-            beacon_interval_tu=max(1, round(self.config.beacon_interval_s / 1024e-6)),
+            beacon_interval_tu=BEACON_INTERVAL_TU,
             tim=tim,
             btim=btim,
             ssid=self.config.ssid,
-            dsss=DsssParameterElement(self.config.channel),
+            dsss=DsssParameterElement(CHANNEL),
             sequence=self._next_sequence(),
         )
         self.counters.beacons_sent += 1
         if self._dtim_count == 0:
             self.counters.dtims_sent += 1
         self._medium.transmit(
-            self, beacon, beacon.to_bytes(), self.config.beacon_rate_bps
+            self, beacon, beacon.to_bytes(), BEACON_RATE_BPS
         )
 
     def _drain_broadcast_buffer(self) -> None:
@@ -241,7 +249,7 @@ class AccessPoint(Entity):
                 # Algorithm 1 just classified against.
                 ledger.frame_drained(frame, self.port_table)
             self._medium.transmit(
-                self, frame, frame.to_bytes(), self.config.broadcast_rate_bps
+                self, frame, frame.to_bytes(), BROADCAST_RATE_BPS
             )
 
     # -- ingress from the distribution system -------------------------
@@ -271,7 +279,7 @@ class AccessPoint(Entity):
             if self.ledger is not None:
                 self.ledger.frame_immediate(frame)
             self._medium.transmit(
-                self, frame, frame.to_bytes(), self.config.broadcast_rate_bps
+                self, frame, frame.to_bytes(), BROADCAST_RATE_BPS
             )
 
     def deliver_unicast_from_ds(self, frame: DataFrame) -> None:
@@ -281,7 +289,7 @@ class AccessPoint(Entity):
             self.unicast_buffer.enqueue(frame)
         else:
             self._medium.transmit(
-                self, frame, frame.to_bytes(), self.config.broadcast_rate_bps
+                self, frame, frame.to_bytes(), BROADCAST_RATE_BPS
             )
 
     # -- receive path --------------------------------------------------
@@ -317,16 +325,14 @@ class AccessPoint(Entity):
             destination=request.source,
             bssid=self.mac,
             ssid=self.config.ssid,
-            beacon_interval_tu=max(
-                1, round(self.config.beacon_interval_s / 1024e-6)
-            ),
-            channel=self.config.channel,
+            beacon_interval_tu=BEACON_INTERVAL_TU,
+            channel=CHANNEL,
             hide_supported=self.config.hide_enabled,
             timestamp_us=int(self.now * 1e6),
             sequence=self._next_sequence(),
         )
         self._medium.transmit(
-            self, response, response.to_bytes(), self.config.beacon_rate_bps,
+            self, response, response.to_bytes(), BEACON_RATE_BPS,
             gap_s=SIFS_S,
         )
 
@@ -359,7 +365,7 @@ class AccessPoint(Entity):
                 sequence=self._next_sequence(),
             )
         self._medium.transmit(
-            self, response, response.to_bytes(), self.config.beacon_rate_bps,
+            self, response, response.to_bytes(), BEACON_RATE_BPS,
             gap_s=SIFS_S,
         )
 
@@ -380,7 +386,7 @@ class AccessPoint(Entity):
             cached = self._acks[message.source] = (ack, ack.to_bytes())
         self.counters.acks_sent += 1
         self._medium.transmit(
-            self, cached[0], cached[1], self.config.beacon_rate_bps, gap_s=SIFS_S
+            self, cached[0], cached[1], BEACON_RATE_BPS, gap_s=SIFS_S
         )
 
     def _handle_ps_poll(self, poll: PsPoll) -> None:
@@ -396,6 +402,6 @@ class AccessPoint(Entity):
                 self,
                 frame,
                 frame.to_bytes(),
-                self.config.broadcast_rate_bps,
+                BROADCAST_RATE_BPS,
                 gap_s=SIFS_S,
             )

@@ -54,14 +54,15 @@ class BroadcastBuffer:
         return tagged
 
 
+#: Unicast frames the AP holds per PS client before it drops.
+UNICAST_CAPACITY_PER_CLIENT = 256
+
+
 class UnicastBuffer:
     """Per-client FIFOs of unicast frames for PS clients."""
 
-    def __init__(self, per_client_capacity: int = 256) -> None:
-        if per_client_capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self) -> None:
         self._queues: Dict[MacAddress, Deque[DataFrame]] = {}
-        self._capacity = per_client_capacity
         self._dropped = 0
 
     @property
@@ -70,7 +71,7 @@ class UnicastBuffer:
 
     def enqueue(self, frame: DataFrame) -> bool:
         queue = self._queues.setdefault(frame.destination, deque())
-        if len(queue) >= self._capacity:
+        if len(queue) >= UNICAST_CAPACITY_PER_CLIENT:
             self._dropped += 1
             return False
         queue.append(frame)

@@ -23,6 +23,8 @@ from repro.errors import PortTableError
 
 _NO_PORTS: FrozenSet[int] = frozenset()
 _NEVER = float("-inf")
+#: First of the transient ports :meth:`measure_operation_times` probes.
+_PROBE_PORT_BASE = 40000
 
 
 @dataclass(frozen=True)
@@ -277,9 +279,7 @@ class ClientUdpPortTable:
     def ports_for_client(self, aid: int) -> FrozenSet[int]:
         return self._ports_by_aid.get(aid, frozenset())
 
-    def measure_operation_times(
-        self, samples: int = 100, port_base: int = 40000
-    ) -> "MeasuredOpTimes":
+    def measure_operation_times(self, samples: int = 100) -> "MeasuredOpTimes":
         """Measure wall-clock delete/insert/lookup times on this table.
 
         Mirrors the paper's measurement methodology: repeat ``samples``
@@ -288,7 +288,7 @@ class ClientUdpPortTable:
         unchanged afterwards.
         """
         probe_aid = 2007  # highest AID: never used by the simulations here
-        ports = [port_base + i for i in range(samples)]
+        ports = [_PROBE_PORT_BASE + i for i in range(samples)]
         start = time.perf_counter()
         for port in ports:
             self._insert(port, probe_aid)

@@ -30,9 +30,16 @@ from repro.dot11.sizes import standard_beacon_length
 from repro.energy.components import EnergyBreakdown
 from repro.energy.profile import DeviceEnergyProfile
 from repro.errors import SimulationError
-from repro.sim.medium import PHY_OVERHEAD_S
-from repro.station.client import Client, ClientPolicy
+from repro.station.client import MANAGEMENT_RATE_BPS, Client, ClientPolicy
 from repro.station.power import PowerState
+from repro.units import PHY_OVERHEAD_S
+
+#: Received data frames are priced at this mean size (bytes) ...
+AVG_RECEIVED_FRAME_BYTES = 250
+#: ... and at this rate: the 1 Mb/s basic rate broadcasts go out at.
+AVG_DATA_RATE_BPS = 1_000_000.0
+#: BTIM bytes a HIDE client's DTIM beacon carries, prorated at E_b^u.
+BTIM_BYTES = 6
 
 
 @dataclass(frozen=True)
@@ -48,19 +55,9 @@ class MeteredEnergy:
 class ClientEnergyMeter:
     """Meters one DES client against a device profile."""
 
-    def __init__(
-        self,
-        client: Client,
-        profile: DeviceEnergyProfile,
-        btim_bytes: int = 6,
-        avg_received_frame_bytes: int = 250,
-        avg_data_rate_bps: float = 1_000_000.0,
-    ) -> None:
+    def __init__(self, client: Client, profile: DeviceEnergyProfile) -> None:
         self.client = client
         self.profile = profile
-        self.btim_bytes = btim_bytes
-        self.avg_received_frame_bytes = avg_received_frame_bytes
-        self.avg_data_rate_bps = avg_data_rate_bps
 
     def measure(self, duration_s: Optional[float] = None) -> MeteredEnergy:
         client = self.client
@@ -78,8 +75,7 @@ class ClientEnergyMeter:
             + client.counters.unicast_frames_received
         )
         frame_airtime = (
-            PHY_OVERHEAD_S
-            + self.avg_received_frame_bytes * 8 / self.avg_data_rate_bps
+            PHY_OVERHEAD_S + AVG_RECEIVED_FRAME_BYTES * 8 / AVG_DATA_RATE_BPS
         )
         receive_j = profile.rx_power_w * frames * frame_airtime
 
@@ -102,13 +98,13 @@ class ClientEnergyMeter:
             message_seconds = (
                 client.counters.port_message_bytes_sent
                 * 8
-                / client.config.management_rate_bps
+                / MANAGEMENT_RATE_BPS
                 + client.counters.port_messages_sent * PHY_OVERHEAD_S
             )
             overhead_j += profile.tx_power_w * message_seconds
             overhead_j += (
                 profile.beacon_rx_j
-                * (self.btim_bytes / standard_beacon_length())
+                * (BTIM_BYTES / standard_beacon_length())
                 * client.counters.dtims_received
             )
 

@@ -22,8 +22,7 @@ from repro.energy.dynamics import (
 )
 from repro.energy.profile import DeviceEnergyProfile
 from repro.errors import ConfigurationError
-from repro.sim.medium import PHY_OVERHEAD_S
-from repro.units import BEACON_INTERVAL_S, mbps
+from repro.units import BEACON_INTERVAL_S, PHY_OVERHEAD_S, mbps
 
 
 @dataclass(frozen=True)
@@ -42,11 +41,6 @@ class HideOverheadParams:
     btim_bytes: int = 6
     #: Standard (pre-HIDE) beacon length used to prorate E_b^u per byte.
     standard_beacon_bytes: int = 65
-    #: Mean transmissions each port report costs on air. 1.0 is the
-    #: paper's lossless channel; under uniform loss ``p`` with
-    #: retransmit-until-ACK recovery the expectation is ``1/(1-p)``
-    #: (each attempt independently survives with probability 1-p).
-    expected_transmissions_per_report: float = 1.0
 
     def __post_init__(self) -> None:
         if self.port_message_interval_s <= 0:
@@ -57,10 +51,6 @@ class HideOverheadParams:
             raise ConfigurationError("message rate must be positive")
         if self.btim_bytes < 0 or self.standard_beacon_bytes <= 0:
             raise ConfigurationError("bad beacon size parameters")
-        if self.expected_transmissions_per_report < 1.0:
-            raise ConfigurationError(
-                "expected transmissions per report cannot be below 1"
-            )
 
     @classmethod
     def for_bss(
@@ -113,13 +103,8 @@ class EnergyModel:
         profile: DeviceEnergyProfile,
         beacon_interval_s: float = BEACON_INTERVAL_S,
         dtim_period: int = 1,
-        listen_dtim_only: bool = False,
     ) -> None:
-        """``listen_dtim_only`` models a station whose listen interval
-        equals the DTIM period: it skips non-DTIM beacons entirely,
-        dividing E_b by the DTIM period. (It then also misses per-beacon
-        unicast TIMs — acceptable for the broadcast-centric evaluation;
-        the paper's default is to receive every beacon.)"""
+        """The station receives every beacon, the paper's default."""
         if beacon_interval_s <= 0:
             raise ConfigurationError("beacon interval must be positive")
         if dtim_period < 1:
@@ -127,16 +112,12 @@ class EnergyModel:
         self.profile = profile
         self.beacon_interval_s = beacon_interval_s
         self.dtim_period = dtim_period
-        self.listen_dtim_only = listen_dtim_only
 
     # -- helpers -----------------------------------------------------
 
     def beacon_count(self, duration_s: float) -> int:
         """Beacons received during [0, duration)."""
-        beacons = max(1, math.ceil(duration_s / self.beacon_interval_s))
-        if self.listen_dtim_only:
-            return max(1, math.ceil(beacons / self.dtim_period))
-        return beacons
+        return max(1, math.ceil(duration_s / self.beacon_interval_s))
 
     def beacon_index(self, time_s: float) -> int:
         """Which beacon interval b_i a time falls in (0-based)."""
@@ -216,9 +197,8 @@ class EnergyModel:
             * (overhead.btim_bytes / overhead.standard_beacon_bytes)
             * dtim_count
         )
-        message_count = (
-            duration_s / overhead.port_message_interval_s
-        ) * overhead.expected_transmissions_per_report
+        # One transmission per report: the paper's lossless channel.
+        message_count = duration_s / overhead.port_message_interval_s
         message_energy = (
             message_count * self.profile.tx_power_w * overhead.message_airtime_s
         )

@@ -25,12 +25,10 @@ from repro.traces import (
     clustered_fraction_mask,
     generate_trace,
 )
+from repro.traces.usefulness import MASK_SEED
 
 #: The useful-fraction sweep of Figures 7-8, in paper order.
 USEFUL_FRACTIONS: Tuple[float, ...] = (0.10, 0.08, 0.06, 0.04, 0.02)
-
-#: Seed for usefulness masks (fixed so reruns are identical).
-MASK_SEED = 42
 
 
 class EvaluationContext:
@@ -40,11 +38,9 @@ class EvaluationContext:
         self,
         scenarios: Sequence[ScenarioSpec] = PAPER_SCENARIOS,
         fractions: Sequence[float] = USEFUL_FRACTIONS,
-        mask_seed: int = MASK_SEED,
     ) -> None:
         self.scenarios = tuple(scenarios)
         self.fractions = tuple(fractions)
-        self.mask_seed = mask_seed
         self._traces: Dict[str, BroadcastTrace] = {}
         self._masks: Dict[Tuple[str, float], UsefulnessAssignment] = {}
 
@@ -57,7 +53,7 @@ class EvaluationContext:
         key = (scenario.name, fraction)
         if key not in self._masks:
             self._masks[key] = clustered_fraction_mask(
-                self.trace(scenario), fraction, seed=self.mask_seed
+                self.trace(scenario), fraction, seed=MASK_SEED
             )
         return self._masks[key]
 

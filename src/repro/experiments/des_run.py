@@ -42,6 +42,7 @@ from repro.sim.medium import Medium
 from repro.station.client import Client, ClientConfig, ClientPolicy
 from repro.traces.trace import BroadcastTrace
 from repro.traces.usefulness import ports_for_target_fraction
+from repro.units import BEACON_INTERVAL_S
 
 if TYPE_CHECKING:
     # The HTTP server is imported only by a run that serves /metrics.
@@ -131,9 +132,9 @@ class TelemetryConfig:
         if self.serve_port is not None and not 0 <= self.serve_port <= 65535:
             raise ConfigurationError(f"bad serve port: {self.serve_port}")
 
-    def window_seconds(self, beacon_interval_s: float, dtim_period: int) -> float:
+    def window_seconds(self, dtim_period: int) -> float:
         if self.window == "dtim":
-            return dtim_window_s(beacon_interval_s, dtim_period)
+            return dtim_window_s(BEACON_INTERVAL_S, dtim_period)
         return float(self.window)
 
 
@@ -325,10 +326,7 @@ class PreparedDesRun:
 
     def _wire_telemetry(self, telemetry: TelemetryConfig) -> None:
         self.live_registry = MetricsRegistry()
-        window_s = telemetry.window_seconds(
-            self.access_point.config.beacon_interval_s,
-            self.access_point.config.dtim_period,
-        )
+        window_s = telemetry.window_seconds(self.access_point.config.dtim_period)
         self.recorder = TimeseriesRecorder(window_s, self.sample_live_values)
         self.recorder.attach(self.simulator)
         if telemetry.serve_port is not None:
@@ -476,8 +474,7 @@ class PreparedDesRun:
             self.invariants.check_final()
         if self.ledger is not None:
             # After run(): the final sync hook has flushed the deferred
-            # RadioArray accrual, so both delivery lanes meter the same
-            # settled counters here.
+            # RadioArray accrual, so the ledger meters settled counters.
             self.ledger.finalize(
                 self.clients, self.config.profile, self.duration
             )
@@ -545,8 +542,8 @@ def prepare_trace_des(
     if config.ledger:
         ledger = FrameLedger(clock=lambda: simulator.now)
         ap.ledger = ledger
-        # Both delivery lanes fire observers at the same per-frame
-        # point (after recipient fan-out, before on_complete).
+        # Observers fire once per frame, after recipient fan-out and
+        # before on_complete.
         medium.add_delivery_observer(ledger.on_delivery)
 
     useful_ports = ports_for_target_fraction(trace, config.useful_fraction)

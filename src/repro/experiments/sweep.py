@@ -87,6 +87,10 @@ def _worker_sink(sink: Callable[[Dict[str, object]], None]):
         _WORKER_SINK = previous
 
 
+#: Simulated seconds between a worker's heartbeat records.
+HEARTBEAT_EVERY_S = 1.0
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: scenarios x seeds under a shared run configuration.
@@ -96,10 +100,10 @@ class SweepSpec:
     with each run's trace seed, so every cell gets an independent but
     reproducible failure schedule.  ``timeseries_dir`` turns on per-run
     windowed telemetry and dumps one ``<scenario>_seed<seed>.json``
-    per cell.  ``heartbeat_every_s`` is the simulated-time period of
-    worker heartbeat records when a telemetry sink is attached (the
-    heartbeat rides an observer probe, so it never perturbs the run's
-    fingerprint); set it to 0 to disable heartbeats.
+    per cell.  With a telemetry sink attached, each worker sends a
+    heartbeat record every :data:`HEARTBEAT_EVERY_S` of simulated time
+    (the heartbeat rides an observer probe, so it never perturbs the
+    run's fingerprint).
     """
 
     scenarios: Tuple[str, ...]
@@ -107,7 +111,6 @@ class SweepSpec:
     config: DesRunConfig = DesRunConfig()
     fault_spec: Optional[str] = None
     timeseries_dir: Optional[str] = None
-    heartbeat_every_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -116,10 +119,6 @@ class SweepSpec:
             raise ConfigurationError("sweep needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"duplicate seeds in sweep: {self.seeds}")
-        if self.heartbeat_every_s < 0:
-            raise ConfigurationError(
-                f"heartbeat period must be >= 0: {self.heartbeat_every_s}"
-            )
         for name in self.scenarios:
             scenario_by_name(name)  # raises ReproError on a bad name
         if self.fault_spec is not None:
@@ -161,7 +160,7 @@ def _run_cell(task: Tuple[str, int, SweepSpec]) -> Dict[str, object]:
             config = dataclasses.replace(config, telemetry=TelemetryConfig())
         trace = generate_trace(scenario_by_name(scenario), seed=seed)
         prepared = prepare_trace_des(trace, config)
-        if sink is not None and spec.heartbeat_every_s > 0:
+        if sink is not None:
             simulator = prepared.simulator
 
             def heartbeat() -> None:
@@ -177,7 +176,7 @@ def _run_cell(task: Tuple[str, int, SweepSpec]) -> Dict[str, object]:
                     }
                 )
 
-            simulator.add_probe(spec.heartbeat_every_s, heartbeat)
+            simulator.add_probe(HEARTBEAT_EVERY_S, heartbeat)
         result = prepared.execute()
         try:
             entry.update(

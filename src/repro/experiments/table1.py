@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from repro.energy.profile import ALL_PROFILES, DeviceEnergyProfile
+from repro.energy.profile import ALL_PROFILES
 from repro.reporting import render_table
 
 
-def compute(profiles: Tuple[DeviceEnergyProfile, ...] = ALL_PROFILES):
+def compute():
     """Return the profiles as rendered in the paper's units."""
     rows: List[List[str]] = []
-    for profile in profiles:
+    for profile in ALL_PROFILES:
         rows.append(
             [
                 profile.name,

@@ -90,8 +90,8 @@ class FrameLedger:
     * ``access_point.ledger = ledger`` — the AP reports enqueue,
       buffer-capacity drops, immediate sends, and DTIM drains.
     * ``medium.add_delivery_observer(ledger.on_delivery)`` — the Medium
-      reports every delivery event (both lanes fire observers at the
-      same point, after recipient fan-out).
+      reports every delivery event (observers fire after recipient
+      fan-out).
     * ``ledger.finalize(clients, profile, duration_s)`` after the run.
     """
 
@@ -186,8 +186,8 @@ class FrameLedger:
         """Attribute per-client energy from the settled energy models.
 
         Runs after the simulator returns (deferred RadioArray accrual
-        has flushed at the final sync hook by then, so both delivery
-        lanes meter identical counters). ``client_energy_j`` is each
+        has flushed at the final sync hook by then, so every counter is
+        settled). ``client_energy_j`` is each
         client's total modeled energy; ``client_wake_energy_j`` strips
         mandatory beacon listening, leaving the broadcast-driven wake
         cost HIDE exists to reduce.

@@ -146,14 +146,14 @@ class AttributionProfiler:
         :meth:`Simulator.run` calls this in place of the bare callback
         whenever a profiler is attached.
         """
-        callback = record[3]
+        callback = record[2]
         self.events_seen += 1
         self._skip -= 1
         if self._skip <= 0:
             start = _time.perf_counter()
             callback()
             elapsed = _time.perf_counter() - start
-            stats = self._resolve(callback, record[5])
+            stats = self._resolve(callback, record[4])
             stats[_EVENTS] += 1
             stats[_SAMPLED] += 1
             stats[_WALL] += elapsed

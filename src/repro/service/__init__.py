@@ -15,37 +15,33 @@ times ACKs from that due time.
 
 Entry points: ``repro serve`` / ``repro loadgen`` (see :mod:`repro.cli`)
 or :func:`run_service` / :func:`run_loadgen` directly.
+
+The names below are re-exported lazily, so the server does not import
+the load generator, nor the load generator the server.
 """
 
-from repro.service.wire import (
-    Ack,
-    KeepAlive,
-    PortReport,
-    decode_message,
-    encode_ack,
-    encode_keep_alive,
-    encode_port_report,
-)
-from repro.service.shard import PortShard, ShardCounters
-from repro.service.feed import BroadcastFrameFeed
-from repro.service.server import PortService, ServiceConfig, run_service
-from repro.service.loadgen import LoadgenConfig, LoadgenReport, run_loadgen
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Ack",
-    "KeepAlive",
-    "PortReport",
-    "decode_message",
-    "encode_ack",
-    "encode_keep_alive",
-    "encode_port_report",
-    "PortShard",
-    "ShardCounters",
-    "BroadcastFrameFeed",
-    "PortService",
-    "ServiceConfig",
-    "run_service",
-    "LoadgenConfig",
-    "LoadgenReport",
-    "run_loadgen",
-]
+#: Public name → defining module, imported on first use.
+_EXPORTS = {
+    "Ack": "repro.service.wire",
+    "KeepAlive": "repro.service.wire",
+    "PortReport": "repro.service.wire",
+    "decode_message": "repro.service.wire",
+    "encode_ack": "repro.service.wire",
+    "encode_keep_alive": "repro.service.wire",
+    "encode_port_report": "repro.service.wire",
+    "PortShard": "repro.service.shard",
+    "ShardCounters": "repro.service.shard",
+    "BroadcastFrameFeed": "repro.service.feed",
+    "PortService": "repro.service.server",
+    "ServiceConfig": "repro.service.server",
+    "run_service": "repro.service.server",
+    "LoadgenConfig": "repro.service.loadgen",
+    "LoadgenReport": "repro.service.loadgen",
+    "run_loadgen": "repro.service.loadgen",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

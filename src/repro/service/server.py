@@ -414,13 +414,18 @@ class PortService:
             ).set(histogram.max)
 
     def health(self) -> Dict[str, object]:
+        """The ``/healthz`` document: ``degraded`` once a message or a
+        socket call has failed, ``ok`` before."""
         totals = self.totals()
+        failed = totals["shard_errors"] or totals["socket_errors"]
         return {
+            "status": "degraded" if failed else "ok",
             "service": "repro-port-service",
             "scenario": self.config.scenario,
             "clients": totals["clients"],
             "uptime_s": round(self.now(), 3),
             "shard_errors": totals["shard_errors"],
+            "socket_errors": totals["socket_errors"],
         }
 
     def final_state(self) -> Dict[str, object]:

@@ -6,8 +6,8 @@ serializes transmissions onto a shared half-duplex channel and delivers
 frames to every attached receiver after the frame's airtime.
 
 Determinism matters here — two runs with the same seed must produce the
-same event order — so ties on the event heap break by (priority,
-sequence number), never by object identity.
+same event order — so events at equal times fire in insertion order
+(by sequence number), never by object identity.
 """
 
 from repro.sim.engine import Simulator, EventHandle

@@ -5,12 +5,12 @@ lazy renewal, recurring timers, observer probes — and the run loop,
 which pops the heap with :func:`heapq.heappop` directly rather than
 through a method call per event.
 
-Events at equal times fire in (priority, insertion) order.  An event
-record is a plain 6-slot list — not an object — so the heap orders
-records with C-speed lexicographic list comparison and the run loop
-indexes fields without attribute lookups::
+Events at equal times fire in insertion order.  An event record is a
+plain 5-slot list — not an object — so the heap orders records with
+C-speed lexicographic list comparison and the run loop indexes fields
+without attribute lookups::
 
-    [time, priority, sequence, callback, state, interval_or_None]
+    [time, sequence, callback, state, interval_or_None]
 
 ``sequence`` is unique per record, so comparison never reaches the
 callback field.  ``state`` is ``False`` while a record is live, ``True``
@@ -63,7 +63,7 @@ _INF = float("inf")
 _MIN_COMPACT = 1024
 
 # Record field indices, for readers of the loops below.
-_TIME, _PRIORITY, _SEQ, _CALLBACK, _CANCELLED, _INTERVAL = range(6)
+_TIME, _SEQ, _CALLBACK, _STATE, _INTERVAL = range(5)
 
 
 class EventHandle:
@@ -85,7 +85,7 @@ class EventHandle:
     @property
     def time(self) -> float:
         record = self._record
-        state = record[4]
+        state = record[3]
         if state.__class__ is tuple:
             return state[0]
         if state is None or state.__class__ is bool:
@@ -94,7 +94,7 @@ class EventHandle:
 
     @property
     def cancelled(self) -> bool:
-        state = self._record[4]
+        state = self._record[3]
         return state is True or (state.__class__ is tuple and state[2])
 
     def cancel(self) -> None:
@@ -147,8 +147,7 @@ class ProbeHandle:
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    Events at equal times fire in (priority, insertion order). Lower
-    priority values fire first; the default priority is 0.
+    Events at equal times fire in insertion order.
     """
 
     def __init__(self) -> None:
@@ -252,21 +251,21 @@ class Simulator:
         # already cancelled one leaves the counts alone.  A moved record
         # stays moved, so the run loop re-files it as a tombstone at
         # its moved deadline, where cancel-and-push left one.
-        state = record[4]
+        state = record[3]
         if state is False:
-            record[4] = True
+            record[3] = True
             self._events_cancelled += 1
         elif state.__class__ is tuple and not state[2]:
-            record[4] = (state[0], state[1], True)
+            record[3] = (state[0], state[1], True)
             self._events_cancelled += 1
 
     def rearm(self, handle: EventHandle, delay: float) -> None:
         """Move ``handle``'s event to ``delay`` seconds from now.
 
         Observably ``handle.cancel()`` followed by ``schedule(delay,
-        same callback, same priority)``: a live event counts one
-        cancellation, the renewal takes one fresh sequence number, and
-        events fire in the same order.  The renewal path of timers that
+        same callback)``: a live event counts one cancellation, the
+        renewal takes one fresh sequence number, and events fire in the
+        same order.  The renewal path of timers that
         are pushed back on every frame (wakelocks, beacon watchdogs).
 
         The renewal is lazy when the new time is at or after the
@@ -279,7 +278,7 @@ class Simulator:
         cancelled it is a plain ``schedule``.
         """
         record = handle._record
-        if record[5] is not None:
+        if record[4] is not None:
             raise SimulationError("rearm() takes a one-shot event handle")
         time = self._now + delay
         if not (delay >= 0.0 and time < _INF):
@@ -290,18 +289,18 @@ class Simulator:
             raise SimulationError(f"event time must be finite: {time}")
         sequence = self._sequence
         self._sequence = sequence + 1
-        state = record[4]
+        state = record[3]
         if state is False or (state.__class__ is tuple and not state[2]):
             self._events_cancelled += 1
             if time >= record[0]:
                 superseded = self._superseded
                 superseded.append(record[0] if state is False else state[0])
-                record[4] = (time, sequence, False)
+                record[3] = (time, sequence, False)
                 if len(superseded) >= self._compact_at:
                     self._compact_superseded()
                 return
-            record[4] = True if state is False else (state[0], state[1], True)
-        record = [time, record[1], sequence, record[3], False, None]
+            record[3] = True if state is False else (state[0], state[1], True)
+        record = [time, sequence, record[2], False, None]
         heappush(self._queue, record)
         handle._record = record
 
@@ -316,10 +315,10 @@ class Simulator:
         reclaims the record before anything cancels or re-arms it.
         """
         record = handle._record
-        state = record[4]
-        record[4] = owner
+        state = record[3]
+        record[3] = owner
         if state is False:
-            return record[0], record[2]
+            return record[0], record[1]
         return state[0], state[1]
 
     def reclaim(
@@ -330,11 +329,11 @@ class Simulator:
         A record that fired while delegated is left as it is.
         """
         record = handle._record
-        if record[4] is owner:
-            if record[0] == key[0] and record[2] == key[1]:
-                record[4] = False
+        if record[3] is owner:
+            if record[0] == key[0] and record[1] == key[1]:
+                record[3] = False
             else:
-                record[4] = (key[0], key[1], False)
+                record[3] = (key[0], key[1], False)
 
     def book_renewals(self, count: int, superseded: float) -> int:
         """Book ``count`` lazy renewals of delegated records in one step.
@@ -366,7 +365,6 @@ class Simulator:
         self,
         delay: float,
         callback: Callable[[], None],
-        priority: int = 0,
         _heappush: Callable[[list, list], None] = heappush,
     ) -> None:
         """Fire-and-forget :meth:`schedule`: no handle is allocated.
@@ -386,12 +384,10 @@ class Simulator:
         self._sequence = sequence + 1
         _heappush(
             self._queue,
-            [self._now + delay, priority, sequence, callback, False, None],
+            [self._now + delay, sequence, callback, False, None],
         )
 
-    def post_at(
-        self, time: float, callback: Callable[[], None], priority: int = 0
-    ) -> None:
+    def post_at(self, time: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule_at`: no handle is allocated."""
         if not self._now <= time < _INF:
             if not math.isfinite(time):
@@ -401,24 +397,16 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        heappush(self._queue, [time, priority, sequence, callback, False, None])
+        heappush(self._queue, [time, sequence, callback, False, None])
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at(self._now + delay, callback, priority)
+        return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
+        self, time: float, callback: Callable[[], None]
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         if not math.isfinite(time):
@@ -429,22 +417,18 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
-        record = [time, priority, sequence, callback, False, None]
+        record = [time, sequence, callback, False, None]
         heappush(self._queue, record)
         return EventHandle(record, self)
 
     def every(
-        self,
-        interval_s: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-        first_delay_s: Optional[float] = None,
+        self, interval_s: float, callback: Callable[[], None]
     ) -> RecurringHandle:
         """Run ``callback`` every ``interval_s`` seconds until cancelled.
 
-        The first firing is after ``first_delay_s`` (default: one
-        interval). Used by periodic machinery — invariant sweeps,
-        keep-alive refreshes — that must not die with a single event.
+        The first firing is one interval from now. Used by periodic
+        machinery — invariant sweeps, keep-alive refreshes — that must
+        not die with a single event.
 
         Recurring timers are native to the run loop: the popped record
         is re-armed in place (new time, fresh sequence number) after the
@@ -455,40 +439,31 @@ class Simulator:
             raise SimulationError(
                 f"recurring interval must be positive and finite: {interval_s}"
             )
-        initial = interval_s if first_delay_s is None else first_delay_s
-        if initial < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={initial}")
-        first_time = self._now + initial
-        if not math.isfinite(first_time):
+        first_time = self._now + interval_s
+        if first_time == _INF:
             raise SimulationError(f"event time must be finite: {first_time}")
         sequence = self._sequence
         self._sequence = sequence + 1
-        record = [first_time, priority, sequence, callback, False, interval_s]
+        record = [first_time, sequence, callback, False, interval_s]
         heappush(self._queue, record)
         return RecurringHandle(record, self)
 
     def add_probe(
-        self,
-        interval_s: float,
-        callback: Callable[[], None],
-        first_at_s: Optional[float] = None,
+        self, interval_s: float, callback: Callable[[], None]
     ) -> ProbeHandle:
         """Sample ``callback`` every ``interval_s`` simulated seconds.
 
-        Probes are read-only observers that fire *between* events: a
-        probe due at time ``t`` runs after every event strictly before
-        ``t`` and before any event at or after ``t`` (the clock is
-        advanced to ``t`` for the callback). They bypass the event queue
-        entirely, so enabling one changes no event count, no schedule
-        order, and no entity behaviour — the telemetry flush hook.
+        The first sample is one interval from now.  Probes are read-only
+        observers that fire *between* events: a probe due at time ``t``
+        runs after every event strictly before ``t`` and before any
+        event at or after ``t`` (the clock is advanced to ``t`` for the
+        callback). They bypass the event queue entirely, so enabling one
+        changes no event count, no schedule order, and no entity
+        behaviour — the telemetry flush hook.
         """
         if interval_s <= 0:
             raise SimulationError(f"probe interval must be positive: {interval_s}")
-        first = self._now + interval_s if first_at_s is None else first_at_s
-        if first < self._now:
-            raise SimulationError(
-                f"cannot probe in the past: t={first} < now={self._now}"
-            )
+        first = self._now + interval_s
         probe = ProbeHandle(interval_s, first, callback)
         self._probes.append(probe)
         if first < self._next_probe_due:
@@ -592,41 +567,41 @@ class Simulator:
                         blocked_at = event_time
                         break
                     pop(queue)
-                    state = record[4]
+                    state = record[3]
                     if state:
                         if state is not True:
                             # A renewed record at its superseded entry:
                             # re-file it under its moved key.  Not an
                             # event, so nothing counts it.
                             if state.__class__ is tuple:
-                                record[0], record[2], record[4] = state
+                                record[0], record[1], record[3] = state
                                 push(queue, record)
                                 continue
                             # Delegated: its owner holds the key it has
                             # now.  Re-file under that key unless it is
                             # the entry just popped, which then fires.
                             moved, sequence = state.moved_key(record)
-                            if moved != event_time or sequence != record[2]:
+                            if moved != event_time or sequence != record[1]:
                                 record[0] = moved
-                                record[2] = sequence
+                                record[1] = sequence
                                 push(queue, record)
                                 continue
                         else:
                             continue
                     self._now = event_time
                     processed += 1
-                    interval = record[5]
+                    interval = record[4]
                     if interval is None:
-                        record[4] = None  # fired: a later cancel() must not count
+                        record[3] = None  # fired: a later cancel() must not count
                     if call is None:
-                        record[3]()
+                        record[2]()
                     else:
                         call(record)
-                    if interval is not None and not record[4]:
+                    if interval is not None and not record[3]:
                         record[0] = event_time + interval
                         sequence = self._sequence
                         self._sequence = sequence + 1
-                        record[2] = sequence
+                        record[1] = sequence
                         push(queue, record)
                     if processed > processed_limit:
                         raise SimulationError(

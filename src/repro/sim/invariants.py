@@ -68,12 +68,16 @@ class InvariantViolation(SimulationError):
         )
 
 
+#: Simulated seconds between periodic invariant sweeps.
+CHECK_INTERVAL_S = 1.0
+
+
 class InvariantSuite:
     """Periodic + final invariant checks over one simulation run.
 
     Attach before ``simulator.run()``; the suite subscribes to the
     medium's delivery feed (for broadcast-delivery accounting) and
-    re-checks every ``check_interval_s`` of simulated time, so a
+    re-checks every :data:`CHECK_INTERVAL_S` of simulated time, so a
     violation surfaces near the event that caused it rather than at the
     end of a long run. Call :meth:`check_final` after the run completes.
     """
@@ -85,10 +89,7 @@ class InvariantSuite:
         access_point: "AccessPoint",
         clients: Sequence["Client"],
         seed: Optional[int] = None,
-        check_interval_s: float = 1.0,
     ) -> None:
-        if check_interval_s <= 0:
-            raise ValueError("check interval must be positive")
         self._simulator = simulator
         self._medium = medium
         self._ap = access_point
@@ -101,7 +102,7 @@ class InvariantSuite:
         self.broadcast_frames_dropped = 0
         medium.add_delivery_observer(self._on_delivery)
         self._tick: Optional["RecurringHandle"] = simulator.every(
-            check_interval_s, self.check_now
+            CHECK_INTERVAL_S, self.check_now
         )
 
     # -- delivery accounting --------------------------------------------

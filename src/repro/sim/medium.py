@@ -37,19 +37,15 @@ from repro.sim.radio_array import (
     ROUTE_UPLINK,
     route_for,
 )
-from repro.units import us
+from repro.units import (  # noqa: F401  (SIFS_S is re-exported)
+    PHY_OVERHEAD_S,
+    PROPAGATION_DELAY_S,
+    SIFS_S,
+    us,
+)
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
-
-#: 802.11b long-preamble PHY overhead: 192 bits at 1 Mb/s = 192 µs.
-PHY_OVERHEAD_S = us(192)
-
-#: One-microsecond propagation delay (paper Table II).
-PROPAGATION_DELAY_S = us(1)
-
-#: Short interframe space, used between a frame and its ACK.
-SIFS_S = us(10)
 
 #: DCF interframe space, the idle gap before a fresh transmission.
 DIFS_S = us(50)
@@ -103,8 +99,6 @@ class Medium:
     def __init__(
         self,
         simulator: Simulator,
-        phy_overhead_s: float = PHY_OVERHEAD_S,
-        propagation_delay_s: float = PROPAGATION_DELAY_S,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         """``fault_injector`` realizes a seeded
@@ -124,8 +118,6 @@ class Medium:
         #: the same tick.
         self._inflight: List[tuple] = []
         self._inflight_sequence = 0
-        self._phy_overhead_s = phy_overhead_s
-        self._propagation_delay_s = propagation_delay_s
         self._busy_until = 0.0
         self._transmissions_completed = 0
         self._busy_time_accum = 0.0
@@ -285,7 +277,7 @@ class Medium:
         """Channel occupancy of one frame: PHY preamble + payload bits."""
         if rate_bps <= 0:
             raise SimulationError(f"rate must be positive: {rate_bps}")
-        return self._phy_overhead_s + (length_bytes * 8) / rate_bps
+        return PHY_OVERHEAD_S + (length_bytes * 8) / rate_bps
 
     def transmit(
         self,
@@ -322,7 +314,7 @@ class Medium:
         )
         self._busy_until = start + airtime
         self._busy_time_accum += airtime
-        deliver_at = transmission.end_time + self._propagation_delay_s
+        deliver_at = transmission.end_time + PROPAGATION_DELAY_S
         if self._fault_injector is not None:
             deliver_at += self._fault_injector.delivery_jitter_s()
 

@@ -9,7 +9,7 @@ and the backing for protocol-level assertions in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.dot11.association_frames import (
     STATUS_SUCCESS,
@@ -90,20 +90,17 @@ class CapturedFrame:
 class ProtocolSniffer(Entity):
     """Records every transmission it hears.
 
-    ``frame_filter`` limits capture to selected frame classes;
-    ``on_capture`` is an optional live callback (e.g. ``print``).
+    ``frame_filter`` limits capture to selected frame classes.
     """
 
     def __init__(
         self,
         name: str = "sniffer",
         frame_filter: Optional[tuple] = None,
-        on_capture: Optional[Callable[[CapturedFrame], None]] = None,
         capacity: int = 100_000,
     ) -> None:
         super().__init__(name)
         self._filter = frame_filter
-        self._on_capture = on_capture
         self._capacity = capacity
         self.captures: List[CapturedFrame] = []
         self.dropped = 0
@@ -115,12 +112,11 @@ class ProtocolSniffer(Entity):
         if len(self.captures) >= self._capacity:
             self.dropped += 1
             return
-        captured = CapturedFrame(
-            time=transmission.start_time,
-            frame=frame,
-            length_bytes=transmission.length_bytes,
-            rate_bps=transmission.rate_bps,
+        self.captures.append(
+            CapturedFrame(
+                time=transmission.start_time,
+                frame=frame,
+                length_bytes=transmission.length_bytes,
+                rate_bps=transmission.rate_bps,
+            )
         )
-        self.captures.append(captured)
-        if self._on_capture is not None:
-            self._on_capture(captured)

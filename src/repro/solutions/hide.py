@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.energy.dynamics import FrameEvent
@@ -45,29 +44,12 @@ class HideSolution(Solution):
         overhead: Optional[HideOverheadParams] = None,
         beacon_interval_s: float = BEACON_INTERVAL_S,
         more_data_mode: str = "original",
-        report_loss_rate: float = 0.0,
     ) -> None:
         if more_data_mode not in ("original", "recomputed"):
             raise ValueError(f"unknown more_data_mode: {more_data_mode!r}")
-        if not 0.0 <= report_loss_rate < 1.0:
-            raise ValueError(
-                f"report loss rate must be in [0, 1): {report_loss_rate}"
-            )
         self.overhead = overhead or HideOverheadParams()
-        if report_loss_rate > 0.0:
-            # Retransmit-until-ACK over a channel losing reports with
-            # probability p costs 1/(1-p) transmissions in expectation;
-            # scale E_o's port-message term accordingly.
-            self.overhead = dataclasses.replace(
-                self.overhead,
-                expected_transmissions_per_report=(
-                    self.overhead.expected_transmissions_per_report
-                    / (1.0 - report_loss_rate)
-                ),
-            )
         self.beacon_interval_s = beacon_interval_s
         self.more_data_mode = more_data_mode
-        self.report_loss_rate = report_loss_rate
 
     def plan(
         self, events: Sequence[FrameEvent], profile: DeviceEnergyProfile

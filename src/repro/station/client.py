@@ -40,6 +40,33 @@ class ClientPolicy(enum.Enum):
     HIDE = "hide"
 
 
+#: Rate used for UDP Port Messages: the paper sends them at the lowest
+#: basic rate, 1 Mb/s.
+MANAGEMENT_RATE_BPS = mbps(1)
+
+#: How long to wait for the AP's ACK before retransmitting.
+ACK_TIMEOUT_S = ms(20)
+
+#: Retransmissions of an unacknowledged report before the client gives
+#: up and suspends anyway (without loss recovery).
+MAX_PORT_MESSAGE_RETRIES = 7
+
+#: Backoff ceiling for report retransmissions under loss recovery.
+MAX_ACK_BACKOFF_S = 0.64
+
+#: How long an active scan collects probe responses.
+SCAN_DWELL_S = 0.05
+
+#: Consecutive expected beacons to miss before the watchdog declares
+#: the schedule unknown and listens to everything.
+BEACON_MISS_LIMIT = 1
+
+#: Watchdog slack past the expected beacon arrival. Must stay below the
+#: gap between a (lost) beacon and the first burst frame behind it
+#: (DIFS + PHY preamble + minimum payload airtime, ~870 µs).
+BEACON_WATCHDOG_MARGIN_S = us(400)
+
+
 @dataclass(frozen=True)
 class ClientConfig:
     """Per-device timing parameters (defaults are Nexus One, Table I)."""
@@ -48,12 +75,6 @@ class ClientConfig:
     resume_duration_s: float = 46e-3
     suspend_duration_s: float = 86e-3
     policy: ClientPolicy = ClientPolicy.HIDE
-    #: Rate used for UDP Port Messages: the paper sends them at the
-    #: lowest basic rate, 1 Mb/s.
-    management_rate_bps: float = mbps(1)
-    #: How long to wait for the AP's ACK before retransmitting.
-    ack_timeout_s: float = ms(20)
-    max_port_message_retries: int = 7
     #: Master switch for the protocol recovery paths designed for lossy
     #: channels. When True: UDP Port Messages retransmit with
     #: exponential backoff *until* the AP's acknowledgment arrives
@@ -64,18 +85,6 @@ class ClientConfig:
     #: legacy give-up behaviour is what the headline numbers were
     #: measured under.
     loss_recovery: bool = False
-    #: Backoff ceiling for report retransmissions under loss_recovery.
-    max_ack_backoff_s: float = 0.64
-    #: Consecutive expected beacons to miss before the watchdog declares
-    #: the schedule unknown and listens to everything.
-    beacon_miss_limit: int = 1
-    #: Watchdog slack past the expected beacon arrival. Must stay below
-    #: the gap between a (lost) beacon and the first burst frame behind
-    #: it (DIFS + PHY preamble + minimum payload airtime, ~870 µs).
-    beacon_watchdog_margin_s: float = us(400)
-    #: The client's prior for the beacon period before it has decoded
-    #: one (afterwards the beacon's own interval field is used).
-    beacon_interval_s: float = BEACON_INTERVAL_S
     #: When set, a suspended HIDE client wakes this often to re-send its
     #: port report — the keep-alive that holds the AP's refresh-timer
     #: TTL at bay. Pair with an AP ``port_entry_ttl_s`` above this.
@@ -84,20 +93,6 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.wakelock_timeout_s < 0:
             raise ConfigurationError("wakelock timeout must be non-negative")
-        if self.ack_timeout_s <= 0:
-            raise ConfigurationError("ACK timeout must be positive")
-        if self.max_port_message_retries < 0:
-            raise ConfigurationError("retry count must be non-negative")
-        if self.max_ack_backoff_s < self.ack_timeout_s:
-            raise ConfigurationError(
-                "backoff ceiling must be at least the ACK timeout"
-            )
-        if self.beacon_miss_limit < 1:
-            raise ConfigurationError("beacon miss limit must be at least 1")
-        if self.beacon_watchdog_margin_s <= 0:
-            raise ConfigurationError("watchdog margin must be positive")
-        if self.beacon_interval_s <= 0:
-            raise ConfigurationError("beacon interval must be positive")
         if self.port_refresh_interval_s is not None and self.port_refresh_interval_s <= 0:
             raise ConfigurationError("port refresh interval must be positive")
 
@@ -267,14 +262,9 @@ class Client(Entity):
         if self._radio is not None:
             self._radio.refresh(self._radio_slot)
 
-    def scan(
-        self,
-        on_complete,
-        dwell_s: float = 0.05,
-        ssid: str = "",
-    ) -> None:
-        """Active scan: probe, collect responses for ``dwell_s``, then
-        call ``on_complete(results)`` with the discovered BSSs.
+    def scan(self, on_complete, ssid: str = "") -> None:
+        """Active scan: probe, collect responses for ``SCAN_DWELL_S``,
+        then call ``on_complete(results)`` with the discovered BSSs.
 
         Each result is a :class:`~repro.dot11.probe_frames.ProbeResponse`
         — check ``hide_supported`` to pick a HIDE-capable AP.
@@ -287,14 +277,14 @@ class Client(Entity):
         self.counters.probe_requests_sent += 1
         self._scan_results = []
         self._medium.transmit(
-            self, request, request.to_bytes(), self.config.management_rate_bps
+            self, request, request.to_bytes(), MANAGEMENT_RATE_BPS
         )
 
         def finish() -> None:
             results, self._scan_results = self._scan_results, None
             on_complete(results or [])
 
-        self.simulator.schedule(dwell_s, finish)
+        self.simulator.schedule(SCAN_DWELL_S, finish)
 
     def request_association(self, ssid: str = "hide-net") -> None:
         """Run the association handshake over the air.
@@ -320,10 +310,10 @@ class Client(Entity):
         )
         self.counters.association_requests_sent += 1
         self._medium.transmit(
-            self, request, request.to_bytes(), self.config.management_rate_bps
+            self, request, request.to_bytes(), MANAGEMENT_RATE_BPS
         )
         self._association_retry_event = self.simulator.schedule(
-            self.config.ack_timeout_s * 4, lambda: self._retry_association(ssid)
+            ACK_TIMEOUT_S * 4, lambda: self._retry_association(ssid)
         )
 
     def _retry_association(self, ssid: str) -> None:
@@ -370,7 +360,7 @@ class Client(Entity):
     def _send_port_message(self, first_attempt: bool) -> None:
         if first_attempt:
             self._report_sequence = (self._report_sequence + 1) & 0xFFFF
-            self._retries_left = self.config.max_port_message_retries
+            self._retries_left = MAX_PORT_MESSAGE_RETRIES
             self._backoff_attempt = 0
         message = UdpPortMessage(
             source=self.mac,
@@ -386,7 +376,7 @@ class Client(Entity):
         self.counters.port_message_bytes_sent += len(frame_bytes)
         self._ack_pending = True
         self._medium.transmit(
-            self, message, frame_bytes, self.config.management_rate_bps
+            self, message, frame_bytes, MANAGEMENT_RATE_BPS
         )
         self._retransmit_event = self.simulator.schedule(
             self._ack_timeout(), self._on_ack_timeout
@@ -396,10 +386,9 @@ class Client(Entity):
         """Current report ACK timeout: fixed, or exponential under
         loss_recovery (doubling per retry up to the ceiling)."""
         if not self.config.loss_recovery:
-            return self.config.ack_timeout_s
+            return ACK_TIMEOUT_S
         return min(
-            self.config.ack_timeout_s * (2 ** self._backoff_attempt),
-            self.config.max_ack_backoff_s,
+            ACK_TIMEOUT_S * (2 ** self._backoff_attempt), MAX_ACK_BACKOFF_S
         )
 
     def _on_ack_timeout(self) -> None:
@@ -453,12 +442,12 @@ class Client(Entity):
         """Beacon period: decoded from the AP once heard, prior before."""
         if self._learned_beacon_interval is not None:
             return self._learned_beacon_interval
-        return self.config.beacon_interval_s
+        return BEACON_INTERVAL_S
 
     def _arm_beacon_watchdog(self) -> None:
         deadline = (
-            self._expected_beacon_interval() * self.config.beacon_miss_limit
-            + self.config.beacon_watchdog_margin_s
+            self._expected_beacon_interval() * BEACON_MISS_LIMIT
+            + BEACON_WATCHDOG_MARGIN_S
         )
         if self._beacon_watchdog is not None:
             # Every decoded beacon pushes the watchdog back: reuse the handle.
@@ -886,7 +875,7 @@ class Client(Entity):
         poll = PsPoll(aid=self.aid, bssid=self.bssid, transmitter=self.mac)
         self.counters.ps_polls_sent += 1
         self._medium.transmit(
-            self, poll, poll.to_bytes(), self.config.management_rate_bps
+            self, poll, poll.to_bytes(), MANAGEMENT_RATE_BPS
         )
 
     def _handle_unicast(self, frame: DataFrame) -> None:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 from typing import Optional, Tuple
 
-from repro.energy.dynamics import FrameEvent
-
 
 class BroadcastFrameRecord:
     """A captured (or synthesized) over-the-air broadcast frame.
@@ -107,17 +105,6 @@ class BroadcastFrameRecord:
         if self.offered_time is None:
             return None
         return self.time - self.offered_time
-
-    def to_event(self, useful: bool) -> FrameEvent:
-        """Convert to an energy-model event with a usefulness verdict."""
-        return FrameEvent(
-            time=self.time,
-            length_bytes=self.length_bytes,
-            rate_bps=self.rate_bps,
-            useful=useful,
-            more_data=self.more_data,
-            udp_port=self.udp_port,
-        )
 
     def shifted(self, dt: float) -> "BroadcastFrameRecord":
         """Copy of this record moved by ``dt`` seconds."""

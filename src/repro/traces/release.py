@@ -18,9 +18,8 @@ from __future__ import annotations
 from typing import Generator, Iterable, Iterator, List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.medium import PHY_OVERHEAD_S, SIFS_S
 from repro.traces.frame_record import BroadcastFrameRecord
-from repro.units import BEACON_INTERVAL_S
+from repro.units import BEACON_INTERVAL_S, PHY_OVERHEAD_S, SIFS_S
 
 #: ``(offered_time, udp_port, length_bytes, rate_bps)``
 OfferedFrame = Tuple[float, int, int, float]

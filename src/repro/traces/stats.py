@@ -93,13 +93,9 @@ def index_of_dispersion(trace: BroadcastTrace) -> float:
     return variance / mean
 
 
-def compute_stats(
-    trace: BroadcastTrace,
-    burst_gap_s: float = DEFAULT_BURST_GAP_S,
-    sleepable_gap_s: float = SLEEPABLE_GAP_S,
-) -> TraceStats:
+def compute_stats(trace: BroadcastTrace) -> TraceStats:
     """All structure metrics at once."""
-    bursts = detect_bursts(trace, burst_gap_s) if len(trace) else []
+    bursts = detect_bursts(trace) if len(trace) else []
     gaps = [
         later.start - earlier.end
         for earlier, later in zip(bursts, bursts[1:])
@@ -107,7 +103,7 @@ def compute_stats(
     times = [record.time for record in trace]
     inter_frame = [b - a for a, b in zip(times, times[1:])]
     sleepable = (
-        sum(1 for gap in inter_frame if gap > sleepable_gap_s) / len(inter_frame)
+        sum(1 for gap in inter_frame if gap > SLEEPABLE_GAP_S) / len(inter_frame)
         if inter_frame
         else 0.0
     )

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.energy.dynamics import FrameEvent
 from repro.errors import TraceFormatError
 from repro.traces.cdf import EmpiricalCdf
 from repro.traces.frame_record import BroadcastFrameRecord
+
+if TYPE_CHECKING:
+    from repro.energy.dynamics import FrameEvent
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,23 @@ class BroadcastTrace:
 
     def to_events(self, useful_mask: Sequence[bool]) -> List[FrameEvent]:
         """Pair every record with its usefulness verdict."""
+        # Imported here: the port service reads traces but never
+        # evaluates energy, so it does not load the energy package.
+        from repro.energy.dynamics import FrameEvent
+
         if len(useful_mask) != len(self.records):
             raise TraceFormatError(
                 f"mask length {len(useful_mask)} != record count {len(self.records)}"
             )
         return [
-            record.to_event(useful)
+            FrameEvent(
+                time=record.time,
+                length_bytes=record.length_bytes,
+                rate_bps=record.rate_bps,
+                useful=useful,
+                more_data=record.more_data,
+                udp_port=record.udp_port,
+            )
             for record, useful in zip(self.records, useful_mask)
         ]
 

@@ -86,6 +86,11 @@ def random_fraction_mask(
     )
 
 
+#: Seed for the evaluation's usefulness masks (fixed so reruns are
+#: identical).
+MASK_SEED = 42
+
+
 def clustered_fraction_mask(
     trace: BroadcastTrace,
     fraction: float,

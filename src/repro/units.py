@@ -25,6 +25,16 @@ def us(value: float) -> float:
     return value * 1e-6
 
 
+#: 802.11b long-preamble PHY overhead: 192 bits at 1 Mb/s = 192 µs.
+PHY_OVERHEAD_S = us(192)
+
+#: One-microsecond propagation delay (paper Table II).
+PROPAGATION_DELAY_S = us(1)
+
+#: Short interframe space, used between a frame and its ACK.
+SIFS_S = us(10)
+
+
 def mj(value: float) -> float:
     """Convert millijoules to joules."""
     return value * 1e-3

@@ -194,6 +194,4 @@ class TestBtimFlags:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ApConfig(beacon_interval_s=0)
-        with pytest.raises(ConfigurationError):
             ApConfig(dtim_period=0)

@@ -1,6 +1,10 @@
 import pytest
 
-from repro.ap.buffer import BroadcastBuffer, UnicastBuffer
+from repro.ap.buffer import (
+    UNICAST_CAPACITY_PER_CLIENT,
+    BroadcastBuffer,
+    UnicastBuffer,
+)
 from repro.dot11.data import DataFrame
 from repro.dot11.mac_address import MacAddress
 from repro.net.packet import build_broadcast_udp_packet
@@ -89,9 +93,10 @@ class TestUnicastBuffer:
         assert buffer.pop_for(a) is None
 
     def test_capacity(self):
-        buffer = UnicastBuffer(per_client_capacity=1)
+        buffer = UnicastBuffer()
         a = MacAddress.station(1)
-        assert buffer.enqueue(uframe(a))
+        for _ in range(UNICAST_CAPACITY_PER_CLIENT):
+            assert buffer.enqueue(uframe(a))
         assert not buffer.enqueue(uframe(a))
         assert buffer.dropped == 1
 

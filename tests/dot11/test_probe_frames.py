@@ -3,6 +3,7 @@ import pytest
 from repro.dot11.mac_address import MacAddress
 from repro.dot11.probe_frames import ProbeRequest, ProbeResponse
 from repro.errors import FrameDecodeError
+from repro.station import client as client_module
 
 AP = MacAddress.from_string("02:aa:00:00:00:01")
 STA = MacAddress.station(4)
@@ -115,12 +116,13 @@ class TestScanning:
         assert client.aid is not None
         assert ap.associations.by_mac(client.mac).hide_capable
 
-    def test_responses_after_dwell_ignored(self):
+    def test_responses_after_dwell_ignored(self, monkeypatch):
         sim, ap, client = self.build()
         found = []
         # Tiny dwell: the response (SIFS + airtime later) may still make
         # it; use a zero-ish dwell to force the miss.
-        sim.schedule(0.01, lambda: client.scan(found.extend, dwell_s=1e-6))
+        monkeypatch.setattr(client_module, "SCAN_DWELL_S", 1e-6)
+        sim.schedule(0.01, lambda: client.scan(found.extend))
         sim.run(until=0.5)
         assert found == []
         # The late response was counted but not collected.

@@ -36,17 +36,10 @@ class TestBeaconEnergy:
         # E_b depends only on the window, not on the frames received.
         assert model.beacon_energy(100.0) == model.beacon_energy(100.0)
 
-    def test_listen_dtim_only_divides_beacon_energy(self):
-        every = EnergyModel(NEXUS_ONE, dtim_period=3)
-        dtim_only = EnergyModel(NEXUS_ONE, dtim_period=3, listen_dtim_only=True)
-        assert dtim_only.beacon_energy(102.4) == pytest.approx(
-            every.beacon_energy(102.4) / 3, rel=0.01
-        )
-
-    def test_listen_dtim_only_noop_at_period_one(self):
-        every = EnergyModel(NEXUS_ONE)
-        dtim_only = EnergyModel(NEXUS_ONE, listen_dtim_only=True)
-        assert dtim_only.beacon_energy(50.0) == every.beacon_energy(50.0)
+    def test_every_beacon_counts_at_any_dtim_period(self):
+        period_one = EnergyModel(NEXUS_ONE)
+        period_three = EnergyModel(NEXUS_ONE, dtim_period=3)
+        assert period_three.beacon_energy(102.4) == period_one.beacon_energy(102.4)
 
 
 class TestReceiveEnergy:

@@ -276,7 +276,7 @@ class TestRunSweep:
 class TestSweepTelemetry:
     def test_in_process_sweep_feeds_the_aggregator(self):
         telemetry = SweepTelemetry()
-        spec = _spec(heartbeat_every_s=0.5)
+        spec = _spec()
         run_sweep(spec, workers=1, telemetry=telemetry)
         health = telemetry.health()
         assert health["cells_total"] == 2
@@ -418,7 +418,7 @@ class TestSweepTelemetry:
             for thread in threads:
                 thread.start()
             document = run_sweep(
-                _spec(heartbeat_every_s=0.5), workers=1, telemetry=telemetry
+                _spec(), workers=1, telemetry=telemetry
             )
             for thread in threads:
                 thread.join(timeout=30)

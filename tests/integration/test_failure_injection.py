@@ -14,6 +14,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
+from repro.station import client as client_module
 from repro.station.client import Client, ClientConfig, ClientPolicy
 from repro.station.power import PowerState
 
@@ -21,7 +22,7 @@ AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 WIRED_SRC = MacAddress.from_string("02:bb:00:00:00:99")
 
 
-def build(loss, loss_seed=1, retries=7):
+def build(loss, loss_seed=1):
     """AP + one HIDE client on a channel losing non-beacon frames."""
     sim = Simulator()
     injector = FaultInjector(FaultPlan(default_loss=loss, seed=loss_seed))
@@ -30,11 +31,7 @@ def build(loss, loss_seed=1, retries=7):
     medium.attach(ap)
     client = Client(
         MacAddress.station(1), medium, AP_MAC,
-        ClientConfig(
-            policy=ClientPolicy.HIDE,
-            wakelock_timeout_s=0.3,
-            max_port_message_retries=retries,
-        ),
+        ClientConfig(policy=ClientPolicy.HIDE, wakelock_timeout_s=0.3),
     )
     medium.attach(client)
     record = ap.associate(client.mac, hide_capable=True)
@@ -67,7 +64,7 @@ class TestLossyMedium:
 class TestReportRetransmission:
     def test_retries_mask_moderate_loss(self):
         # 30% loss: the 7-retry budget makes report delivery ~certain.
-        sim, medium, ap, client = build(loss=0.3, retries=7)
+        sim, medium, ap, client = build(loss=0.3)
         sim.run(until=5.0)
         assert ap.port_table.ports_for_client(client.aid) == frozenset({5353})
         assert client.power.state is PowerState.SUSPENDED
@@ -82,10 +79,11 @@ class TestReportRetransmission:
         sim.run(until=5.0)
         assert client.counters.port_message_retransmissions == 0
 
-    def test_client_eventually_suspends_even_under_heavy_loss(self):
+    def test_client_eventually_suspends_even_under_heavy_loss(self, monkeypatch):
         # Even if every retry is eaten, the client gives up and
         # suspends rather than burning the battery waiting for ACKs.
-        sim, medium, ap, client = build(loss=0.9, retries=3, loss_seed=3)
+        monkeypatch.setattr(client_module, "MAX_PORT_MESSAGE_RETRIES", 3)
+        sim, medium, ap, client = build(loss=0.9, loss_seed=3)
         sim.run(until=10.0)
         assert client.power.state is PowerState.SUSPENDED
 

@@ -25,6 +25,7 @@ from repro.experiments.des_run import (
 from repro.obs.diff import diff_files
 from repro.obs.timeseries import TIMESERIES_SCHEMA
 from repro.traces import generate_trace
+from repro.units import BEACON_INTERVAL_S
 
 DURATION_S = 10.0
 
@@ -80,8 +81,7 @@ class TestWindows:
 
     def test_window_width_is_one_dtim_interval(self, telemetry_run):
         _, result, _, _ = telemetry_run
-        ap_config = result.access_point.config
-        expected = ap_config.beacon_interval_s * ap_config.dtim_period
+        expected = BEACON_INTERVAL_S * result.access_point.config.dtim_period
         # All but the trailing partial window span exactly one DTIM.
         for window in result.timeseries.windows[:-1]:
             assert window.width_s == pytest.approx(expected)

@@ -101,7 +101,7 @@ class TestAccounting:
     def test_exact_mode_counts_every_event(self):
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
         widget = Widget()
-        record = [0.0, 0, 0, widget.tick, False, None]
+        record = [0.0, 0, widget.tick, False, None]
         for _ in range(10):
             profiler.profiled_call(record)
         assert widget.calls == 10
@@ -114,7 +114,7 @@ class TestAccounting:
     def test_sampling_mode_times_every_stride_th_event(self):
         profiler = AttributionProfiler(ProfilerConfig(mode="sampling", stride=4))
         widget = Widget()
-        record = [0.0, 0, 0, widget.tick, False, None]
+        record = [0.0, 0, widget.tick, False, None]
         for _ in range(12):
             profiler.profiled_call(record)
         assert widget.calls == 12  # every event still executes
@@ -129,7 +129,7 @@ class TestAccounting:
     def test_report_shape_and_attribution_split(self):
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
         widget = Widget()
-        record = [0.0, 0, 0, widget.tick, False, None]
+        record = [0.0, 0, widget.tick, False, None]
         for _ in range(5):
             profiler.profiled_call(record)
         document = profiler.report(run_wall_s=1.0)
@@ -146,7 +146,7 @@ class TestAccounting:
 
     def test_write_json_roundtrips(self, tmp_path):
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
-        profiler.profiled_call([0.0, 0, 0, Widget().tick, False, None])
+        profiler.profiled_call([0.0, 0, Widget().tick, False, None])
         path = tmp_path / "profile.json"
         write_profile_json(profiler.report(run_wall_s=0.5), str(path))
         loaded = json.loads(path.read_text())
@@ -175,7 +175,7 @@ class TestCollapsedStacks:
 
     def test_write_collapsed(self, tmp_path):
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
-        profiler.profiled_call([0.0, 0, 0, Widget().tick, False, None])
+        profiler.profiled_call([0.0, 0, Widget().tick, False, None])
         path = tmp_path / "stacks.folded"
         profiler.write_collapsed(str(path))
         (line,) = path.read_text().splitlines()
@@ -230,7 +230,7 @@ class TestRenderTable:
     def test_table_mentions_hottest_site_and_split(self):
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
         for _ in range(3):
-            profiler.profiled_call([0.0, 0, 0, Widget().tick, False, None])
+            profiler.profiled_call([0.0, 0, Widget().tick, False, None])
         text = render_profile_table(profiler.report(run_wall_s=1.0))
         assert "Widget.tick" in text
         assert "scheduler" in text
@@ -238,8 +238,8 @@ class TestRenderTable:
     def test_top_limits_rows(self):
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
         widget = Widget()
-        profiler.profiled_call([0.0, 0, 0, widget.tick, False, None])
-        profiler.profiled_call([0.0, 0, 0, widget.tock, False, None])
+        profiler.profiled_call([0.0, 0, widget.tick, False, None])
+        profiler.profiled_call([0.0, 0, widget.tock, False, None])
         text = render_profile_table(profiler.report(run_wall_s=1.0), top=1)
         assert "top 1/2 sites" in text
 

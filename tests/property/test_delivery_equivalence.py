@@ -568,10 +568,10 @@ def _burst_lease_tape(
         if event is None:
             return None
         record = event._record
-        state = record[4]
+        state = record[3]
         if state.__class__ is tuple:
             return event.time, state[1]
-        return event.time, record[2]
+        return event.time, record[1]
 
     tape = []
 

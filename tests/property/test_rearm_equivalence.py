@@ -5,7 +5,7 @@ and pushing a new one; the run loop re-files the record when it pops
 the superseded entry, and ``queue_depth`` adds the superseded deadlines
 back in.  ``tests/sim/eager_engine.py`` keeps the cancel-and-push
 ``rearm`` as the oracle.  Random command tapes — schedules with exact
-ties and priorities, renewals later, to the same instant, earlier and
+ties, renewals later, to the same instant, earlier and
 with zero delay, renewals of fired and cancelled handles, cancels after
 renewals, renewals from inside events, recurring timers, observer
 probes, and ``run(until=...)`` in segments — are replayed on both
@@ -26,7 +26,6 @@ from tests.sim.eager_engine import EagerSimulator
 #: Exact ties, beacon-interval multiples, and far-future timers.
 _FIXED_TIMES = [0.0, 0.1024, 0.2048, 1.0, 1.024, 13.1072, 1_000.0]
 
-_priority = st.integers(min_value=-2, max_value=2)
 _index = st.integers(min_value=0, max_value=200)
 
 # Handles are tracked by index so every command hits the same event on
@@ -35,9 +34,9 @@ _command_strategy = st.one_of(
     st.tuples(
         st.just("schedule"),
         st.floats(min_value=0.0, max_value=25.0, allow_nan=False),
-        _priority,
+        st.just(0),
     ),
-    st.tuples(st.just("schedule_fixed"), st.sampled_from(_FIXED_TIMES), _priority),
+    st.tuples(st.just("schedule_fixed"), st.sampled_from(_FIXED_TIMES), st.just(0)),
     st.tuples(
         st.just("rearm_later"),
         _index,
@@ -59,7 +58,7 @@ _command_strategy = st.one_of(
     st.tuples(
         st.just("every"),
         st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
-        st.integers(min_value=-1, max_value=1),
+        st.just(0),
     ),
     st.tuples(
         st.just("probe"),
@@ -125,9 +124,9 @@ def _replay(engine_class, commands):
     horizon = 0.0
     for step, (op, a, b) in enumerate(commands):
         if op == "schedule":
-            handles.append(sim.schedule(a, callback(step), b))
+            handles.append(sim.schedule(a, callback(step)))
         elif op == "schedule_fixed":
-            handles.append(sim.schedule_at(sim.now + a, callback(step), b))
+            handles.append(sim.schedule_at(sim.now + a, callback(step)))
         elif op.startswith("rearm"):
             handle = target(a)
             if handle is None:
@@ -148,7 +147,7 @@ def _replay(engine_class, commands):
             if handle is not None:
                 handle.cancel()
         elif op == "every":
-            recurring.append(sim.every(a, callback(step), b))
+            recurring.append(sim.every(a, callback(step)))
         elif op == "probe":
             sim.add_probe(a, probe(step))
         elif op == "run_until":

@@ -247,6 +247,48 @@ def test_metrics_endpoint_exports_service_series():
     assert health["clients"] == 20
 
 
+def test_healthz_reads_degraded_after_a_shard_error(monkeypatch):
+    """One message whose apply raises turns /healthz from ok to degraded."""
+    import urllib.request
+
+    from repro.service import wire
+    from repro.service.shard import PortShard
+
+    def failing_apply(self, message, now, addr, pending_acks):
+        raise RuntimeError("injected apply failure")
+
+    async def scenario():
+        service = PortService(ServiceConfig(port=0, metrics_port=0))
+        await service.start()
+        loop = asyncio.get_event_loop()
+        url = f"http://127.0.0.1:{service.metrics_port}/healthz"
+
+        def read_health():
+            return json.loads(urllib.request.urlopen(url, timeout=5).read())
+
+        before = await loop.run_in_executor(None, read_health)
+        monkeypatch.setattr(PortShard, "_apply", failing_apply)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        try:
+            mac = bytes([0x02, 0x00, 0x00, 0x00, 0x00, 0x09])
+            sock.sendto(
+                wire.encode_port_report(0, 9, mac, 1, {137}),
+                ("127.0.0.1", service.server_port),
+            )
+        finally:
+            sock.close()
+        deadline = time.monotonic() + 5.0
+        while service.totals()["shard_errors"] == 0 and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        after = await loop.run_in_executor(None, read_health)
+        await service.stop()
+        return before, after
+
+    before, after = asyncio.run(scenario())
+    assert before["status"] == "ok"
+    assert (after["status"], after["shard_errors"]) == ("degraded", 1)
+
+
 def test_serve_honors_duration():
     async def scenario():
         service = PortService(ServiceConfig(port=0, duration_s=0.3))

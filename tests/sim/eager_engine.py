@@ -24,7 +24,7 @@ class EagerSimulator(Simulator):
 
     def rearm(self, handle: EventHandle, delay: float) -> None:
         record = handle._record
-        if record[5] is not None:
+        if record[4] is not None:
             raise SimulationError("rearm() takes a one-shot event handle")
         time = self._now + delay
         if not (delay >= 0.0 and time < float("inf")):
@@ -33,11 +33,11 @@ class EagerSimulator(Simulator):
                     f"cannot schedule into the past: delay={delay}"
                 )
             raise SimulationError(f"event time must be finite: {time}")
-        if record[4] is False:
-            record[4] = True
+        if record[3] is False:
+            record[3] = True
             self._events_cancelled += 1
         sequence = self._sequence
         self._sequence = sequence + 1
-        record = [time, record[1], sequence, record[3], False, None]
+        record = [time, sequence, record[2], False, None]
         heappush(self._queue, record)
         handle._record = record

@@ -22,14 +22,6 @@ class TestScheduling:
         sim.run()
         assert fired == ["a", "b", "c"]
 
-    def test_priority_beats_insertion(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append("low"), priority=1)
-        sim.schedule(1.0, lambda: fired.append("high"), priority=0)
-        sim.run()
-        assert fired == ["high", "low"]
-
     def test_clock_advances(self):
         sim = Simulator()
         times = []
@@ -71,9 +63,7 @@ class TestScheduling:
             with pytest.raises(SimulationError):
                 sim.post_at(bad, lambda: None)
             with pytest.raises(SimulationError):
-                sim.every(bad, lambda: None, first_delay_s=0.0)
-            with pytest.raises(SimulationError):
-                sim.every(1.0, lambda: None, first_delay_s=bad)
+                sim.every(bad, lambda: None)
         assert sim.queue_depth == 0
         sim.run()
         assert sim.events_processed == 0
@@ -128,7 +118,7 @@ class TestRearm:
     def test_live_event_moves_and_leaves_a_tombstone(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule(1.0, lambda: fired.append(sim.now), priority=1)
+        handle = sim.schedule(1.0, lambda: fired.append(sim.now))
         sim.rearm(handle, 3.0)
         assert handle.time == 3.0
         assert not handle.cancelled
@@ -139,16 +129,16 @@ class TestRearm:
         assert fired == [3.0]
         assert sim.pending_events == 0
 
-    def test_keeps_priority_and_takes_a_fresh_sequence(self):
+    def test_takes_a_fresh_sequence(self):
         sim = Simulator()
         fired = []
-        early = sim.schedule(1.0, lambda: fired.append("early"), priority=-1)
-        sim.schedule(2.0, lambda: fired.append("peer"), priority=-1)
-        sim.schedule(2.0, lambda: fired.append("low"), priority=0)
+        early = sim.schedule(1.0, lambda: fired.append("early"))
+        sim.schedule(2.0, lambda: fired.append("peer"))
         sim.rearm(early, 2.0)
+        sim.schedule(2.0, lambda: fired.append("late"))
         sim.run()
-        # Same priority as before; inserted after its equal-time peer.
-        assert fired == ["peer", "early", "low"]
+        # Inserted after its equal-time peer, before a later insertion.
+        assert fired == ["peer", "early", "late"]
 
     def test_fired_handle_is_a_plain_schedule(self):
         sim = Simulator()
@@ -410,12 +400,13 @@ class TestProbes:
         assert fired == [1.0, 2.0, 3.0]
         assert sim.now == 3.0
 
-    def test_first_at_overrides_phase(self):
+    def test_phase_is_one_interval_from_registration(self):
         sim = Simulator()
         fired = []
-        sim.add_probe(1.0, lambda: fired.append(sim.now), first_at_s=0.25)
+        sim.run(until=0.25)
+        sim.add_probe(1.0, lambda: fired.append(sim.now))
         sim.run(until=2.5)
-        assert fired == [0.25, 1.25, 2.25]
+        assert fired == [1.25, 2.25]
 
     def test_cancelled_probe_stops_firing(self):
         sim = Simulator()
@@ -430,13 +421,6 @@ class TestProbes:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.add_probe(0.0, lambda: None)
-
-    def test_probe_cannot_start_in_the_past(self):
-        sim = Simulator()
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.add_probe(1.0, lambda: None, first_at_s=1.0)
 
     def test_probe_sees_clock_at_its_due_time(self):
         sim = Simulator()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
+from repro.sim import invariants
 from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantSuite, InvariantViolation, Violation
 from repro.sim.medium import Medium
@@ -12,7 +13,7 @@ from repro.station.client import Client
 AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 
 
-def _rig(client_count: int = 2, check_interval_s: float = 1.0, seed=7):
+def _rig(client_count: int = 2, seed=7):
     simulator = Simulator()
     medium = Medium(simulator)
     ap = AccessPoint(AP_MAC, medium, ApConfig())
@@ -24,9 +25,7 @@ def _rig(client_count: int = 2, check_interval_s: float = 1.0, seed=7):
         record = ap.associate(client.mac, hide_capable=True)
         client.set_aid(record.aid)
         clients.append(client)
-    suite = InvariantSuite(
-        simulator, medium, ap, clients, seed=seed, check_interval_s=check_interval_s
-    )
+    suite = InvariantSuite(simulator, medium, ap, clients, seed=seed)
     return simulator, medium, ap, clients, suite
 
 
@@ -38,18 +37,12 @@ class TestCleanRun:
         assert suite.checks_run > 0
         assert suite.violations() == []
 
-    def test_periodic_checks_fire_on_schedule(self):
-        simulator, _, _, _, suite = _rig(check_interval_s=0.5)
+    def test_periodic_checks_fire_on_schedule(self, monkeypatch):
+        monkeypatch.setattr(invariants, "CHECK_INTERVAL_S", 0.5)
+        simulator, _, _, _, suite = _rig()
         simulator.run(until=5.0)
         # One tick every 0.5 s over 5 s (minus the final boundary tie).
         assert suite.checks_run >= 9
-
-    def test_rejects_nonpositive_interval(self):
-        simulator = Simulator()
-        medium = Medium(simulator)
-        ap = AccessPoint(AP_MAC, medium, ApConfig())
-        with pytest.raises(ValueError):
-            InvariantSuite(simulator, medium, ap, [], check_interval_s=0.0)
 
 
 class TestUsefulFrameMiss:

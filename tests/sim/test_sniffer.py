@@ -46,12 +46,6 @@ class TestSniffer:
         assert sniffer.captures
         assert all(isinstance(c.frame, Beacon) for c in sniffer.captures)
 
-    def test_live_callback(self):
-        seen = []
-        sniffer = ProtocolSniffer(on_capture=seen.append)
-        run_network(sniffer)
-        assert len(seen) == len(sniffer.captures)
-
     def test_capacity_drops_counted(self):
         sniffer = ProtocolSniffer(capacity=3)
         run_network(sniffer)

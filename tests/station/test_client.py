@@ -7,6 +7,7 @@ from repro.dot11.mac_address import MacAddress
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
+from repro.station import client as client_module
 from repro.station.client import Client, ClientConfig, ClientPolicy
 from repro.station.power import PowerState
 
@@ -57,13 +58,14 @@ class TestSuspendEntry:
         assert client.counters.port_messages_sent == 0
         assert client.power.state is PowerState.SUSPENDED
 
-    def test_port_message_retransmitted_without_ack(self):
+    def test_port_message_retransmitted_without_ack(self, monkeypatch):
         # Client attached to a dead medium: AP never ACKs.
+        monkeypatch.setattr(client_module, "MAX_PORT_MESSAGE_RETRIES", 3)
         sim = Simulator()
         medium = Medium(sim)
         client = Client(
             MacAddress.station(1), medium, AP_MAC,
-            ClientConfig(policy=ClientPolicy.HIDE, max_port_message_retries=3),
+            ClientConfig(policy=ClientPolicy.HIDE),
         )
         medium.attach(client)
         client.set_aid(1)

@@ -1,5 +1,5 @@
-"""Start-up import budget: a DES run loads only what it uses, and the
-lazy re-exports still expose every public name."""
+"""Start-up import budget: a DES run and the port service load only
+what they use, and the lazy re-exports still expose every public name."""
 
 import json
 import os
@@ -40,6 +40,13 @@ class TestImportBudget:
         )
         assert loaded == dict.fromkeys(loaded, False)
 
+    def test_port_service_loads_no_simulator_or_load_generator(self):
+        loaded = _loaded(
+            "import repro.service.server",
+            ["repro.sim", "repro.station", "repro.energy", "repro.service.loadgen"],
+        )
+        assert loaded == dict.fromkeys(loaded, False)
+
     def test_bare_import_loads_no_simulator(self):
         loaded = _loaded("import repro", ["repro.sim", "repro.traces", "repro.obs"])
         assert loaded == dict.fromkeys(loaded, False)
@@ -60,10 +67,12 @@ class TestLazyExports:
         assert set(result["all"]) <= set(result["dir"])
 
     def test_subpackage_exports_resolve(self):
+        import repro.ap
         import repro.experiments
         import repro.obs
+        import repro.service
 
-        for package in (repro, repro.experiments, repro.obs):
+        for package in (repro, repro.ap, repro.experiments, repro.obs, repro.service):
             for name in package.__all__:
                 assert getattr(package, name) is not None, (package.__name__, name)
             assert set(package.__all__) <= set(dir(package))

@@ -1,0 +1,70 @@
+"""Option budget: the settable values of the DES and sweep configs.
+
+A new option needs a caller outside tests and examples that sets it to
+a value other than its default; a value only one caller uses is a
+module constant.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.ap.access_point import ApConfig
+from repro.experiments.des_run import DesRunConfig
+from repro.experiments.sweep import SweepSpec
+from repro.sim.engine import Simulator
+from repro.sim.medium import Medium
+from repro.station.client import ClientConfig
+
+_FIELDS = {
+    ClientConfig: [
+        "wakelock_timeout_s",
+        "resume_duration_s",
+        "suspend_duration_s",
+        "policy",
+        "loss_recovery",
+        "port_refresh_interval_s",
+    ],
+    ApConfig: ["ssid", "dtim_period", "hide_enabled", "port_entry_ttl_s"],
+    DesRunConfig: [
+        "policy",
+        "client_count",
+        "useful_fraction",
+        "duration_s",
+        "profile",
+        "dtim_period",
+        "hide_ap",
+        "fault_plan",
+        "check_invariants",
+        "recovery",
+        "port_entry_ttl_s",
+        "port_refresh_interval_s",
+        "telemetry",
+        "profiler",
+        "ledger",
+    ],
+    SweepSpec: ["scenarios", "seeds", "config", "fault_spec", "timeseries_dir"],
+}
+
+_PARAMETERS = {
+    Simulator.post: ["self", "delay", "callback", "_heappush"],
+    Simulator.post_at: ["self", "time", "callback"],
+    Simulator.schedule: ["self", "delay", "callback"],
+    Simulator.schedule_at: ["self", "time", "callback"],
+    Simulator.every: ["self", "interval_s", "callback"],
+    Simulator.add_probe: ["self", "interval_s", "callback"],
+    Medium.__init__: ["self", "simulator", "fault_injector"],
+}
+
+
+@pytest.mark.parametrize("config", list(_FIELDS), ids=lambda c: c.__name__)
+def test_config_fields(config):
+    assert [field.name for field in dataclasses.fields(config)] == _FIELDS[config]
+
+
+@pytest.mark.parametrize(
+    "function", list(_PARAMETERS), ids=lambda f: f.__qualname__
+)
+def test_parameters(function):
+    assert list(inspect.signature(function).parameters) == _PARAMETERS[function]

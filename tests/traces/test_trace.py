@@ -26,7 +26,8 @@ class TestRecord:
 
     def test_to_event(self):
         record = make_record(1.0, port=5353, more=True)
-        event = record.to_event(useful=True)
+        trace = BroadcastTrace("t", 2.0, (record,))
+        (event,) = trace.to_events([True])
         assert event.time == 1.0
         assert event.useful
         assert event.more_data
