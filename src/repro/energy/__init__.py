@@ -17,7 +17,7 @@ from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE, GALAXY_S4
 from repro.energy.components import EnergyBreakdown, COMPONENT_LABELS
 from repro.energy.dynamics import FrameDynamics, FrameEvent, derive_frame_dynamics
 from repro.energy.model import EnergyModel, HideOverheadParams
-from repro.energy.timeline import PowerTimeline, build_timeline
+from repro.energy.timeline import PowerTimeline, StateSegment, build_timeline
 from repro.energy.meter import ClientEnergyMeter, MeteredEnergy
 from repro.energy.battery import Battery, GALAXY_S4_BATTERY, NEXUS_ONE_BATTERY
 
@@ -33,6 +33,7 @@ __all__ = [
     "EnergyModel",
     "HideOverheadParams",
     "PowerTimeline",
+    "StateSegment",
     "build_timeline",
     "ClientEnergyMeter",
     "MeteredEnergy",

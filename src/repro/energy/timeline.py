@@ -18,7 +18,24 @@ from typing import List, Optional, Sequence
 from repro.energy.dynamics import FrameDynamics
 from repro.energy.profile import DeviceEnergyProfile
 from repro.errors import ConfigurationError
-from repro.station.power import PowerState, StateSegment
+from repro.station.power import PowerState
+
+
+@dataclass(frozen=True)
+class StateSegment:
+    """A closed interval during which the system stayed in one state."""
+
+    state: PowerState
+    start: float
+    end: float
+
+    def __post_init__(self) -> None:
+        if self.end < self.start:
+            raise ValueError(f"segment ends before it starts: {self}")
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
 
 
 @dataclass(frozen=True)

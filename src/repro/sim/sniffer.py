@@ -87,21 +87,20 @@ class CapturedFrame:
         return prefix
 
 
+#: Frames a sniffer records before it only counts drops: bounds a
+#: capture's memory on long runs.
+SNIFFER_CAPACITY = 100_000
+
+
 class ProtocolSniffer(Entity):
     """Records every transmission it hears.
 
     ``frame_filter`` limits capture to selected frame classes.
     """
 
-    def __init__(
-        self,
-        name: str = "sniffer",
-        frame_filter: Optional[tuple] = None,
-        capacity: int = 100_000,
-    ) -> None:
-        super().__init__(name)
+    def __init__(self, frame_filter: Optional[tuple] = None) -> None:
+        super().__init__("sniffer")
         self._filter = frame_filter
-        self._capacity = capacity
         self.captures: List[CapturedFrame] = []
         self.dropped = 0
 
@@ -109,7 +108,7 @@ class ProtocolSniffer(Entity):
         frame = transmission.frame
         if self._filter is not None and not isinstance(frame, self._filter):
             return
-        if len(self.captures) >= self._capacity:
+        if len(self.captures) >= SNIFFER_CAPACITY:
             self.dropped += 1
             return
         self.captures.append(

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.energy.dynamics import FrameEvent
 from repro.energy.model import HideOverheadParams
 from repro.energy.profile import DeviceEnergyProfile
 from repro.solutions.base import Solution, SolutionPlan
 from repro.units import BEACON_INTERVAL_S
+
+#: E_o inputs (Eqs. 15-19) at the paper's evaluation settings: a UDP
+#: Port Message every 10 s carrying 100 ports at 1 Mb/s, and a 6-byte
+#: BTIM in every DTIM beacon.
+HIDE_OVERHEAD = HideOverheadParams()
 
 
 class HideSolution(Solution):
@@ -39,16 +44,9 @@ class HideSolution(Solution):
 
     name = "hide"
 
-    def __init__(
-        self,
-        overhead: Optional[HideOverheadParams] = None,
-        beacon_interval_s: float = BEACON_INTERVAL_S,
-        more_data_mode: str = "original",
-    ) -> None:
+    def __init__(self, more_data_mode: str = "original") -> None:
         if more_data_mode not in ("original", "recomputed"):
             raise ValueError(f"unknown more_data_mode: {more_data_mode!r}")
-        self.overhead = overhead or HideOverheadParams()
-        self.beacon_interval_s = beacon_interval_s
         self.more_data_mode = more_data_mode
 
     def plan(
@@ -56,21 +54,19 @@ class HideSolution(Solution):
     ) -> SolutionPlan:
         received = [event for event in events if event.useful]
         if self.more_data_mode == "recomputed":
-            received = _recompute_more_data(received, self.beacon_interval_s)
-        return received, None, self.overhead
+            received = _recompute_more_data(received)
+        return received, None, HIDE_OVERHEAD
 
 
-def _recompute_more_data(
-    events: Sequence[FrameEvent], beacon_interval_s: float
-) -> List[FrameEvent]:
+def _recompute_more_data(events: Sequence[FrameEvent]) -> List[FrameEvent]:
     """Set each frame's more-data bit from its *own* sequence: True iff
     the next frame of this sequence lands in the same beacon interval."""
     result: List[FrameEvent] = []
     for index, event in enumerate(events):
-        interval = int(event.time / beacon_interval_s)
+        interval = int(event.time / BEACON_INTERVAL_S)
         has_successor = (
             index + 1 < len(events)
-            and int(events[index + 1].time / beacon_interval_s) == interval
+            and int(events[index + 1].time / BEACON_INTERVAL_S) == interval
         )
         if event.more_data == has_successor:
             result.append(event)
@@ -88,9 +84,7 @@ def _recompute_more_data(
     return result
 
 
-def _events_in_listened_bursts(
-    events: Sequence[FrameEvent], beacon_interval_s: float
-) -> List[FrameEvent]:
+def _events_in_listened_bursts(events: Sequence[FrameEvent]) -> List[FrameEvent]:
     """All frames in DTIM intervals that contain at least one useful frame.
 
     When a client's BTIM bit is set it keeps the radio up for the whole
@@ -100,7 +94,7 @@ def _events_in_listened_bursts(
     by_interval: Dict[int, List[FrameEvent]] = {}
     useful_intervals: Set[int] = set()
     for event in events:
-        interval = int(event.time / beacon_interval_s)
+        interval = int(event.time / BEACON_INTERVAL_S)
         by_interval.setdefault(interval, []).append(event)
         if event.useful:
             useful_intervals.add(interval)
@@ -120,19 +114,10 @@ class HideRealisticSolution(Solution):
 
     name = "hide-realistic"
 
-    def __init__(
-        self,
-        overhead: Optional[HideOverheadParams] = None,
-        beacon_interval_s: float = BEACON_INTERVAL_S,
-    ) -> None:
-        self.overhead = overhead or HideOverheadParams()
-        self.beacon_interval_s = beacon_interval_s
-
     def plan(
         self, events: Sequence[FrameEvent], profile: DeviceEnergyProfile
     ) -> SolutionPlan:
-        received = _events_in_listened_bursts(events, self.beacon_interval_s)
-        return received, None, self.overhead
+        return _events_in_listened_bursts(events), None, HIDE_OVERHEAD
 
 
 class CombinedSolution(Solution):
@@ -145,21 +130,13 @@ class CombinedSolution(Solution):
 
     name = "hide+client-side"
 
-    def __init__(
-        self,
-        overhead: Optional[HideOverheadParams] = None,
-        beacon_interval_s: float = BEACON_INTERVAL_S,
-    ) -> None:
-        self.overhead = overhead or HideOverheadParams()
-        self.beacon_interval_s = beacon_interval_s
-
     def plan(
         self, events: Sequence[FrameEvent], profile: DeviceEnergyProfile
     ) -> SolutionPlan:
-        received = _events_in_listened_bursts(events, self.beacon_interval_s)
+        received = _events_in_listened_bursts(events)
         tau = profile.wakelock_timeout_s
 
         def wakelock_for(event: FrameEvent) -> float:
             return tau if event.useful else 0.0
 
-        return received, wakelock_for, self.overhead
+        return received, wakelock_for, HIDE_OVERHEAD

@@ -14,7 +14,7 @@ solutions: :class:`~repro.station.client.ClientPolicy.RECEIVE_ALL`,
 ``HIDE``.
 """
 
-from repro.station.power import PowerState, PowerStateMachine, StateSegment
+from repro.station.power import PowerState, PowerStateMachine
 from repro.station.wakelock import WakelockManager
 from repro.station.udp_sockets import UdpSocketTable
 from repro.station.client import Client, ClientPolicy, ClientConfig, ClientCounters
@@ -22,7 +22,6 @@ from repro.station.client import Client, ClientPolicy, ClientConfig, ClientCount
 __all__ = [
     "PowerState",
     "PowerStateMachine",
-    "StateSegment",
     "WakelockManager",
     "UdpSocketTable",
     "Client",

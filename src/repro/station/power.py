@@ -6,15 +6,16 @@ States and timed transitions::
     ACTIVE --request_suspend--> SUSPENDING --(T_sp)--> SUSPENDED
     SUSPENDING --request_wake--> ACTIVE   (suspend aborted, paper Eq. 14)
 
-Every state change is recorded as a timestamped segment so energy can
-be integrated over the exact timeline afterwards.
+The machine keeps running totals, one float per state plus the
+transition count: the energy model (paper Section IV) needs how long
+the phone spent in each state, not when.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
@@ -25,23 +26,6 @@ class PowerState(enum.Enum):
     RESUMING = "resuming"
     ACTIVE = "active"
     SUSPENDING = "suspending"
-
-
-@dataclass(frozen=True)
-class StateSegment:
-    """A closed interval during which the system stayed in one state."""
-
-    state: PowerState
-    start: float
-    end: float
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"segment ends before it starts: {self}")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -58,7 +42,7 @@ class PowerCounters:
 
 
 class PowerStateMachine:
-    """Timed power-state transitions with full history recording."""
+    """Timed power-state transitions with per-state time totals."""
 
     def __init__(
         self,
@@ -75,7 +59,11 @@ class PowerStateMachine:
         self._state = initial_state
         self._state_since = simulator.now
         self._created_at = simulator.now
-        self._segments: List[StateSegment] = []
+        #: Seconds spent in each state up to ``_state_since``.
+        self._time_in: Dict[PowerState, float] = dict.fromkeys(PowerState, 0.0)
+        #: State changes so far; the conservation check scales its
+        #: float tolerance by it.
+        self.transitions = 0
         self._pending_transition: Optional[EventHandle] = None
         self._on_active_callbacks: List[Callable[[], None]] = []
         self.counters = PowerCounters()
@@ -89,10 +77,10 @@ class PowerStateMachine:
 
     @property
     def created_at(self) -> float:
-        """Simulation time this machine started recording its timeline.
+        """Simulation time this machine started accruing state time.
 
-        The energy-conservation invariant checks that the recorded
-        segments exactly tile [created_at, now].
+        The energy-conservation invariant checks that the per-state
+        totals sum to ``now - created_at``.
         """
         return self._created_at
 
@@ -100,15 +88,10 @@ class PowerStateMachine:
         if self.lease is not None:
             self.lease.settle()
         now = self._simulator.now
-        self._segments.append(StateSegment(self._state, self._state_since, now))
+        self._time_in[self._state] += now - self._state_since
+        self.transitions += 1
         self._state = new_state
         self._state_since = now
-
-    def segments(self) -> List[StateSegment]:
-        """History including the still-open current segment (closed at now)."""
-        return self._segments + [
-            StateSegment(self._state, self._state_since, self._simulator.now)
-        ]
 
     def when_active(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` as soon as the system is ACTIVE (maybe now)."""
@@ -160,8 +143,8 @@ class PowerStateMachine:
 
         Cancels any in-flight timed transition and discards queued
         when-active callbacks — they reference pre-crash intent, and a
-        rebooted device must not replay them. The timeline stays
-        contiguous: the interrupted state's segment is closed at now.
+        rebooted device must not replay them. No time goes unaccounted:
+        the interrupted state's interval is closed at now.
         """
         if self._pending_transition is not None:
             self._pending_transition.cancel()
@@ -190,12 +173,12 @@ class PowerStateMachine:
     def time_in_state(self, state: PowerState) -> float:
         """Total seconds spent in ``state`` up to now.
 
-        Durations are added left to right with ``+=``: ``sum()`` is
-        compensated from Python 3.12 on, which would make meter
-        energies depend on the interpreter.
+        Each closed interval was added with ``+=`` as it closed, and the
+        open one is added last, so this is a left-to-right fold in
+        time order: ``sum()`` is compensated from Python 3.12 on, which
+        would make meter energies depend on the interpreter.
         """
-        total = 0.0
-        for segment in self.segments():
-            if segment.state is state:
-                total += segment.duration
+        total = self._time_in[state]
+        if state is self._state:
+            total += self._simulator.now - self._state_since
         return total

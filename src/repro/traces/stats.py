@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.errors import ConfigurationError
 from repro.traces.trace import BroadcastTrace
 
 
@@ -50,18 +49,14 @@ class TraceStats:
 
 
 #: Gap (s) separating two bursts: anything beyond a DTIM interval.
-DEFAULT_BURST_GAP_S = 0.2
+BURST_GAP_S = 0.2
 
 #: A Nexus One needs τ + T_sp ≈ 1.09 s of silence to reach suspend.
 SLEEPABLE_GAP_S = 1.086
 
 
-def detect_bursts(
-    trace: BroadcastTrace, max_gap_s: float = DEFAULT_BURST_GAP_S
-) -> List[Burst]:
-    """Group frames into bursts split at gaps larger than ``max_gap_s``."""
-    if max_gap_s <= 0:
-        raise ConfigurationError("burst gap must be positive")
+def detect_bursts(trace: BroadcastTrace) -> List[Burst]:
+    """Group frames into bursts split at gaps larger than :data:`BURST_GAP_S`."""
     bursts: List[Burst] = []
     start = None
     previous = None
@@ -70,7 +65,7 @@ def detect_bursts(
         if start is None:
             start, previous, count = record.time, record.time, 1
             continue
-        if record.time - previous <= max_gap_s:
+        if record.time - previous <= BURST_GAP_S:
             previous = record.time
             count += 1
         else:

@@ -1,5 +1,4 @@
-import pytest
-
+from repro.ap import buffer as buffer_module
 from repro.ap.buffer import (
     UNICAST_CAPACITY_PER_CLIENT,
     BroadcastBuffer,
@@ -55,17 +54,14 @@ class TestBroadcastBuffer:
         assert len(buffer.peek_all()) == 1
         assert len(buffer) == 1
 
-    def test_capacity_and_drop_counting(self):
-        buffer = BroadcastBuffer(capacity=2)
+    def test_capacity_and_drop_counting(self, monkeypatch):
+        monkeypatch.setattr(buffer_module, "BROADCAST_CAPACITY", 2)
+        buffer = BroadcastBuffer()
         assert buffer.enqueue(bframe())
         assert buffer.enqueue(bframe())
         assert not buffer.enqueue(bframe())
         assert buffer.dropped == 1
         assert len(buffer) == 2
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            BroadcastBuffer(capacity=0)
 
     def test_single_frame_has_no_more_data(self):
         buffer = BroadcastBuffer()

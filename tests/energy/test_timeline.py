@@ -5,9 +5,9 @@ import pytest
 from repro.energy.dynamics import FrameEvent, derive_frame_dynamics
 from repro.energy.model import EnergyModel
 from repro.energy.profile import NEXUS_ONE
-from repro.energy.timeline import PowerTimeline, build_timeline
+from repro.energy.timeline import PowerTimeline, StateSegment, build_timeline
 from repro.errors import ConfigurationError
-from repro.station.power import PowerState, StateSegment
+from repro.station.power import PowerState
 from repro.units import mbps
 
 TAU = NEXUS_ONE.wakelock_timeout_s
@@ -71,6 +71,10 @@ class TestStructure:
     def test_duration_clamps_trailing_segments(self):
         timeline = timeline_for([1.0], 1.5)
         assert timeline.segments[-1].end == 1.5
+
+    def test_segment_validation(self):
+        with pytest.raises(ValueError):
+            StateSegment(PowerState.ACTIVE, 2.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -9,6 +9,7 @@ from repro.sim.engine import Simulator
 from repro.sim.invariants import InvariantSuite, InvariantViolation, Violation
 from repro.sim.medium import Medium
 from repro.station.client import Client
+from repro.station.power import PowerState
 
 AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 
@@ -70,14 +71,27 @@ class TestEnergyConservation:
         names = {v.invariant for v in suite.violations()}
         assert "energy-conservation" in names
 
-    def test_fires_on_lost_segment(self):
+    def test_fires_on_lost_time(self):
         simulator, _, _, clients, suite = _rig()
         simulator.run(until=2.0)
         power = clients[0].power
-        assert power._segments, "expected recorded transitions by t=2"
-        power._segments.pop(0)
+        assert power.transitions, "expected recorded transitions by t=2"
+        power._time_in[PowerState.SUSPENDED] -= 0.5
         names = {v.invariant for v in suite.violations()}
         assert "energy-conservation" in names
+
+    def test_fires_on_negative_state_time(self):
+        simulator, _, _, clients, suite = _rig()
+        simulator.run(until=2.0)
+        power = clients[0].power
+        # Move time between two totals: the sum still matches elapsed
+        # time, but one state now holds a negative duration.
+        power._time_in[PowerState.SUSPENDING] -= 0.5
+        power._time_in[PowerState.SUSPENDED] += 0.5
+        found = [v for v in suite.violations()
+                 if v.invariant == "energy-conservation"]
+        assert len(found) == 1
+        assert "in suspending" in found[0].detail
 
     def test_unattached_client_is_skipped(self):
         simulator, medium, ap, clients, suite = _rig()

@@ -6,6 +6,7 @@ from repro.dot11.mac_address import MacAddress
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
+from repro.sim import sniffer as sniffer_module
 from repro.sim.sniffer import ProtocolSniffer
 from repro.station.client import Client, ClientConfig, ClientPolicy
 
@@ -46,8 +47,9 @@ class TestSniffer:
         assert sniffer.captures
         assert all(isinstance(c.frame, Beacon) for c in sniffer.captures)
 
-    def test_capacity_drops_counted(self):
-        sniffer = ProtocolSniffer(capacity=3)
+    def test_capacity_drops_counted(self, monkeypatch):
+        monkeypatch.setattr(sniffer_module, "SNIFFER_CAPACITY", 3)
+        sniffer = ProtocolSniffer()
         run_network(sniffer)
         assert len(sniffer.captures) == 3
         assert sniffer.dropped > 0

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.station import power as power_module
-from repro.station.power import PowerState, PowerStateMachine, StateSegment
+from repro.station.power import PowerState, PowerStateMachine
 from tests.station.float_sums import fold_sum, neumaier_sum
 
 TRM = 0.046
@@ -98,17 +100,6 @@ class TestCallbacks:
 
 
 class TestHistory:
-    def test_segments_cover_timeline(self):
-        sim, machine = make_machine()
-        machine.request_wake()
-        sim.run()
-        machine.request_suspend()
-        sim.run()
-        segments = machine.segments()
-        assert segments[0].state is PowerState.SUSPENDED
-        for earlier, later in zip(segments, segments[1:]):
-            assert earlier.end == later.start
-
     def test_time_in_state(self):
         sim, machine = make_machine()
         sim.schedule(1.0, machine.request_wake)
@@ -135,9 +126,40 @@ class TestHistory:
         assert fold_sum(durations) != neumaier_sum(durations)
         assert machine.time_in_state(PowerState.ACTIVE) == fold_sum(durations)
 
-    def test_segment_validation(self):
-        with pytest.raises(ValueError):
-            StateSegment(PowerState.ACTIVE, 2.0, 1.0)
+    def test_totals_cover_elapsed_time(self):
+        sim, machine = make_machine()
+        sim.schedule(1.0, machine.request_wake)
+        sim.schedule(2.0, machine.request_suspend)
+        sim.schedule(2.05, machine.request_wake)  # aborts the suspend
+        sim.run(until=3.0)
+        assert machine.transitions == 4
+        assert fold_sum(
+            [machine.time_in_state(state) for state in PowerState]
+        ) == pytest.approx(3.0)
+
+    def test_memory_does_not_grow_with_transitions(self):
+        # The machine keeps running totals, not a record per transition:
+        # 1,000 wake/suspend cycles (4,000 transitions) leave traced
+        # memory where one cycle left it.
+        sim, machine = make_machine()
+
+        def cycle():
+            machine.request_wake()
+            sim.run()
+            machine.request_suspend()
+            sim.run()
+
+        cycle()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                cycle()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert machine.transitions == 4004
+        assert grown < 1024
 
     def test_negative_durations_rejected(self):
         sim = Simulator()

@@ -47,6 +47,19 @@ class TestImportBudget:
         )
         assert loaded == dict.fromkeys(loaded, False)
 
+    def test_port_service_module_count(self):
+        # The server needs the data-frame builder, Algorithm 1's port
+        # parse and the trace generator, not every frame type, element
+        # and trace tool their package inits name (34 modules when
+        # this bound was set).
+        count = _run(
+            "import json, sys\n"
+            "import repro.service.server\n"
+            "print(json.dumps(sum(m == 'repro' or m.startswith('repro.')"
+            " for m in sys.modules)))"
+        )
+        assert count <= 36
+
     def test_bare_import_loads_no_simulator(self):
         loaded = _loaded("import repro", ["repro.sim", "repro.traces", "repro.obs"])
         assert loaded == dict.fromkeys(loaded, False)
@@ -68,11 +81,22 @@ class TestLazyExports:
 
     def test_subpackage_exports_resolve(self):
         import repro.ap
+        import repro.dot11
         import repro.experiments
         import repro.obs
         import repro.service
+        import repro.traces
 
-        for package in (repro, repro.ap, repro.experiments, repro.obs, repro.service):
+        packages = (
+            repro,
+            repro.ap,
+            repro.dot11,
+            repro.experiments,
+            repro.obs,
+            repro.service,
+            repro.traces,
+        )
+        for package in packages:
             for name in package.__all__:
                 assert getattr(package, name) is not None, (package.__name__, name)
             assert set(package.__all__) <= set(dir(package))

@@ -11,11 +11,19 @@ import inspect
 import pytest
 
 from repro.ap.access_point import ApConfig
+from repro.ap.buffer import BroadcastBuffer
 from repro.experiments.des_run import DesRunConfig
 from repro.experiments.sweep import SweepSpec
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
+from repro.sim.sniffer import ProtocolSniffer
+from repro.solutions.hide import (
+    CombinedSolution,
+    HideRealisticSolution,
+    HideSolution,
+)
 from repro.station.client import ClientConfig
+from repro.traces.stats import detect_bursts
 
 _FIELDS = {
     ClientConfig: [
@@ -55,6 +63,15 @@ _PARAMETERS = {
     Simulator.every: ["self", "interval_s", "callback"],
     Simulator.add_probe: ["self", "interval_s", "callback"],
     Medium.__init__: ["self", "simulator", "fault_injector"],
+    detect_bursts: ["trace"],
+}
+
+_CONSTRUCTORS = {
+    BroadcastBuffer: [],
+    ProtocolSniffer: ["frame_filter"],
+    HideSolution: ["more_data_mode"],
+    HideRealisticSolution: [],
+    CombinedSolution: [],
 }
 
 
@@ -68,3 +85,10 @@ def test_config_fields(config):
 )
 def test_parameters(function):
     assert list(inspect.signature(function).parameters) == _PARAMETERS[function]
+
+
+@pytest.mark.parametrize(
+    "cls", list(_CONSTRUCTORS), ids=lambda c: c.__name__
+)
+def test_constructor_parameters(cls):
+    assert list(inspect.signature(cls).parameters) == _CONSTRUCTORS[cls]

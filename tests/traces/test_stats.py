@@ -1,6 +1,6 @@
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.traces import stats
 from repro.traces.stats import (
     SLEEPABLE_GAP_S,
     compute_stats,
@@ -33,14 +33,12 @@ class TestBurstDetection:
     def test_empty_trace(self):
         assert detect_bursts(make_trace([], duration=10.0)) == []
 
-    def test_threshold_validated(self):
-        with pytest.raises(ConfigurationError):
-            detect_bursts(make_trace([1.0], duration=5.0), max_gap_s=0)
-
-    def test_custom_threshold(self):
+    def test_custom_threshold(self, monkeypatch):
         trace = make_trace([1.0, 1.5, 2.0], duration=10.0)
-        assert len(detect_bursts(trace, max_gap_s=0.6)) == 1
-        assert len(detect_bursts(trace, max_gap_s=0.4)) == 3
+        monkeypatch.setattr(stats, "BURST_GAP_S", 0.6)
+        assert len(detect_bursts(trace)) == 1
+        monkeypatch.setattr(stats, "BURST_GAP_S", 0.4)
+        assert len(detect_bursts(trace)) == 3
 
 
 class TestDispersion:
