@@ -10,7 +10,7 @@ from repro.analysis.sensitivity import (
     sweep_wakelock_timeout,
 )
 from repro.energy.profile import NEXUS_ONE
-from repro.reporting import render_table
+from repro.experiments import sensitivity
 from repro.traces.scenarios import scenario_by_name
 
 
@@ -18,31 +18,14 @@ def test_wakelock_timeout_sweep(benchmark, context, record_result):
     scenario = scenario_by_name("CS_Dept")
     trace = context.trace(scenario)
     mask = context.mask(scenario, 0.10)
-    timeouts = [0.25, 0.5, 1.0, 2.0, 4.0]
 
     points = benchmark.pedantic(
         sweep_wakelock_timeout,
-        args=(trace, mask, NEXUS_ONE, timeouts),
+        args=(trace, mask, NEXUS_ONE, sensitivity.TAU_SWEEP_S),
         rounds=1,
         iterations=1,
     )
-    rows = [
-        [
-            f"{p.wakelock_timeout_s:g}",
-            f"{p.receive_all.average_power_mw:.1f}",
-            f"{p.hide.average_power_mw:.1f}",
-            f"{p.saving:.1%}",
-        ]
-        for p in points
-    ]
-    record_result(
-        "ablation_tau",
-        render_table(
-            ["tau (s)", "receive-all mW", "HIDE mW", "saving"],
-            rows,
-            title="Wakelock-timeout sweep, CS_Dept @ 10% useful (Nexus One)",
-        ),
-    )
+    record_result("ablation_tau", sensitivity.render_tau_table(points))
     # Both solutions cost more as tau grows; HIDE wins everywhere.
     ra = [p.receive_all.breakdown.total_j for p in points]
     hide = [p.hide.breakdown.total_j for p in points]
@@ -55,48 +38,20 @@ def test_dtim_period_sweep(benchmark, record_result):
     scenario = scenario_by_name("Starbucks")
     points = benchmark.pedantic(
         sweep_dtim_period,
-        args=(scenario, NEXUS_ONE, 0.10, [1, 2, 3]),
+        args=(scenario, NEXUS_ONE, 0.10, sensitivity.DTIM_SWEEP),
         rounds=1,
         iterations=1,
     )
-    rows = [
-        [
-            str(p.dtim_period),
-            f"{p.receive_all.average_power_mw:.1f}",
-            f"{p.hide.average_power_mw:.1f}",
-            f"{p.saving:.1%}",
-        ]
-        for p in points
-    ]
-    record_result(
-        "ablation_dtim",
-        render_table(
-            ["DTIM period", "receive-all mW", "HIDE mW", "saving"],
-            rows,
-            title="DTIM-period sweep, Starbucks @ 10% useful (Nexus One)",
-        ),
-    )
+    record_result("ablation_dtim", sensitivity.render_dtim_table(points))
     assert all(p.saving > 0 for p in points)
 
 
 def test_report_interval_sweep(benchmark, record_result):
-    intervals = [5.0, 10.0, 30.0, 60.0, 300.0, 600.0]
-    points = benchmark(sweep_report_interval, NEXUS_ONE, intervals)
-    rows = [
-        [
-            f"{p.interval_s:g}",
-            f"{p.overhead_power_w * 1e3:.3f}",
-            f"{p.delay_increase:.2%}",
-        ]
-        for p in points
-    ]
+    points = benchmark(
+        sweep_report_interval, NEXUS_ONE, sensitivity.INTERVAL_SWEEP_S
+    )
     record_result(
-        "ablation_report_interval",
-        render_table(
-            ["1/f (s)", "client E_o^2 (mW)", "RTT increase"],
-            rows,
-            title="Report-interval trade-off (100-port messages, 50-node BSS)",
-        ),
+        "ablation_report_interval", sensitivity.render_interval_table(points)
     )
     # Both costs fall monotonically as reports slow down.
     powers = [p.overhead_power_w for p in points]

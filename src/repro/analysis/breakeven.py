@@ -37,15 +37,6 @@ class BreakevenResult:
     saving_at_2pct: float
 
 
-def _saving(trace, profile, fraction, more_data_mode):
-    mask = clustered_fraction_mask(trace, fraction, seed=MASK_SEED)
-    baseline = ReceiveAllSolution().evaluate(trace, mask, profile)
-    hide = HideSolution(more_data_mode=more_data_mode).evaluate(
-        trace, mask, profile
-    )
-    return hide.savings_vs(baseline)
-
-
 def find_breakeven(
     trace: BroadcastTrace,
     profile: DeviceEnergyProfile,
@@ -58,24 +49,34 @@ def find_breakeven(
     Assumes savings are (noisily) decreasing in the fraction, which the
     nested clustered masks guarantee up to mask-granularity noise; the
     bisection tolerates small non-monotonicity by only narrowing on the
-    sign of the saving.
+    sign of the saving. Receive-all takes every frame with the same
+    wakelock whatever the mask says, so its baseline is evaluated once.
     """
     if not 0.0 < search_ceiling <= 1.0:
         raise ConfigurationError(f"bad search ceiling: {search_ceiling}")
     if tolerance <= 0:
         raise ConfigurationError("tolerance must be positive")
 
-    saving_10 = _saving(trace, profile, 0.10, more_data_mode)
-    saving_2 = _saving(trace, profile, 0.02, more_data_mode)
+    hide = HideSolution(more_data_mode=more_data_mode)
+    baseline = ReceiveAllSolution().evaluate(
+        trace, clustered_fraction_mask(trace, 0.10, seed=MASK_SEED), profile
+    )
 
-    ceiling_saving = _saving(trace, profile, search_ceiling, more_data_mode)
+    def saving(fraction: float) -> float:
+        mask = clustered_fraction_mask(trace, fraction, seed=MASK_SEED)
+        return hide.evaluate(trace, mask, profile).savings_vs(baseline)
+
+    saving_10 = saving(0.10)
+    saving_2 = saving(0.02)
+
+    ceiling_saving = saving(search_ceiling)
     if ceiling_saving > 0:
         breakeven = None  # HIDE wins across the whole searched range
     else:
         low, high = 0.02, search_ceiling
         while high - low > tolerance:
             mid = (low + high) / 2
-            if _saving(trace, profile, mid, more_data_mode) > 0:
+            if saving(mid) > 0:
                 low = mid
             else:
                 high = mid

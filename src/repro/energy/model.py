@@ -98,30 +98,22 @@ class HideOverheadParams:
 class EnergyModel:
     """Evaluate Section IV for one device profile and beacon schedule."""
 
-    def __init__(
-        self,
-        profile: DeviceEnergyProfile,
-        beacon_interval_s: float = BEACON_INTERVAL_S,
-        dtim_period: int = 1,
-    ) -> None:
+    def __init__(self, profile: DeviceEnergyProfile, dtim_period: int = 1) -> None:
         """The station receives every beacon, the paper's default."""
-        if beacon_interval_s <= 0:
-            raise ConfigurationError("beacon interval must be positive")
         if dtim_period < 1:
             raise ConfigurationError("DTIM period must be at least 1")
         self.profile = profile
-        self.beacon_interval_s = beacon_interval_s
         self.dtim_period = dtim_period
 
     # -- helpers -----------------------------------------------------
 
     def beacon_count(self, duration_s: float) -> int:
         """Beacons received during [0, duration)."""
-        return max(1, math.ceil(duration_s / self.beacon_interval_s))
+        return max(1, math.ceil(duration_s / BEACON_INTERVAL_S))
 
     def beacon_index(self, time_s: float) -> int:
         """Which beacon interval b_i a time falls in (0-based)."""
-        return int(time_s / self.beacon_interval_s)
+        return int(time_s / BEACON_INTERVAL_S)
 
     def derive_dynamics(
         self,
@@ -155,7 +147,7 @@ class EnergyModel:
             if interval not in first_frame_in_interval:
                 first_frame_in_interval[interval] = frame.time
             if frame.more_data:
-                interval_end = (interval + 1) * self.beacon_interval_s
+                interval_end = (interval + 1) * BEACON_INTERVAL_S
                 if index + 1 < len(frames):
                     next_event = min(frames[index + 1].time, interval_end)
                 else:
@@ -163,7 +155,7 @@ class EnergyModel:
                 idle_time += max(0.0, next_event - frame.rx_complete)
         # t_f (Eq. 9): from each beacon to its first broadcast frame.
         for interval, first_time in first_frame_in_interval.items():
-            idle_time += max(0.0, first_time - interval * self.beacon_interval_s)
+            idle_time += max(0.0, first_time - interval * BEACON_INTERVAL_S)
 
         return self.profile.rx_power_w * rx_time + self.profile.idle_power_w * idle_time
 
@@ -210,13 +202,19 @@ class EnergyModel:
         self,
         frames: Sequence[FrameEvent],
         duration_s: float,
-        wakelock_for_frame: Optional[Callable[[FrameEvent], float]] = None,
+        dynamics: Optional[Sequence[FrameDynamics]] = None,
         overhead: Optional[HideOverheadParams] = None,
     ) -> EnergyBreakdown:
-        """Eq. (2): E = E_b + E_f + E_wl + E_st + E_o over the window."""
+        """Eq. (2): E = E_b + E_f + E_wl + E_st + E_o over the window.
+
+        ``dynamics`` is :meth:`derive_dynamics` of ``frames``, for a
+        caller that reuses it; it is derived with the device τ when
+        omitted.
+        """
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        dynamics = self.derive_dynamics(frames, wakelock_for_frame)
+        if dynamics is None:
+            dynamics = self.derive_dynamics(frames)
         return EnergyBreakdown(
             beacon_j=self.beacon_energy(duration_s),
             receive_j=self.receive_energy(frames, duration_s),

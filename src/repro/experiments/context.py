@@ -1,13 +1,15 @@
-"""Shared evaluation context: traces, masks, and solution sweeps.
+"""Shared evaluation context: traces, masks, and solution results.
 
-Generating a scenario trace takes a noticeable fraction of a second, so
-the context memoizes traces and usefulness masks across the experiment
-modules that share them (Figures 6-9 and the headline check).
+Generating a scenario trace takes a noticeable fraction of a second and
+evaluating a solution on it several, so the context memoizes traces,
+usefulness masks and solution results across the experiment modules
+that share them: Figure 9 and the headline check read the cells of
+Figures 7 and 8 instead of evaluating them again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.energy import DeviceEnergyProfile
 from repro.solutions import (
@@ -32,7 +34,7 @@ USEFUL_FRACTIONS: Tuple[float, ...] = (0.10, 0.08, 0.06, 0.04, 0.02)
 
 
 class EvaluationContext:
-    """Caches traces and masks for one experiment run."""
+    """Caches traces, masks and solution results for one experiment run."""
 
     def __init__(
         self,
@@ -43,6 +45,7 @@ class EvaluationContext:
         self.fractions = tuple(fractions)
         self._traces: Dict[str, BroadcastTrace] = {}
         self._masks: Dict[Tuple[str, float], UsefulnessAssignment] = {}
+        self._results: Dict[Hashable, SolutionResult] = {}
 
     def trace(self, scenario: ScenarioSpec) -> BroadcastTrace:
         if scenario.name not in self._traces:
@@ -64,17 +67,14 @@ class EvaluationContext:
     ) -> List[SolutionResult]:
         """The seven bars of one Figure 7/8 subplot, in paper order:
         receive-all, client-side, HIDE at 10/8/6/4/2 % useful."""
-        trace = self.trace(scenario)
-        reference_mask = self.mask(scenario, self.fractions[0])
-        bars: List[SolutionResult] = [
-            ReceiveAllSolution().evaluate(trace, reference_mask, profile),
-            ClientSideSolution().evaluate(trace, reference_mask, profile),
+        reference = self.fractions[0]
+        return [
+            self.solution_result(ReceiveAllSolution(), scenario, reference, profile),
+            self.solution_result(ClientSideSolution(), scenario, reference, profile),
+        ] + [
+            self.solution_result(HideSolution(), scenario, fraction, profile)
+            for fraction in self.fractions
         ]
-        for fraction in self.fractions:
-            bars.append(
-                HideSolution().evaluate(trace, self.mask(scenario, fraction), profile)
-            )
-        return bars
 
     def solution_result(
         self,
@@ -83,9 +83,22 @@ class EvaluationContext:
         fraction: float,
         profile: DeviceEnergyProfile,
     ) -> SolutionResult:
-        return solution.evaluate(
-            self.trace(scenario), self.mask(scenario, fraction), profile
+        """``solution`` evaluated on ``scenario`` at ``fraction`` useful,
+        once per context. The key holds the solution's class and settings
+        and the profile's values: :meth:`DeviceEnergyProfile.with_overrides`
+        keeps the name."""
+        key = (
+            type(solution),
+            tuple(sorted(vars(solution).items())),
+            scenario.name,
+            fraction,
+            profile,
         )
+        if key not in self._results:
+            self._results[key] = solution.evaluate(
+                self.trace(scenario), self.mask(scenario, fraction), profile
+            )
+        return self._results[key]
 
 
 def default_context() -> EvaluationContext:

@@ -4,7 +4,7 @@ fixed operating points (not a paper figure; an extension)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.analysis.sensitivity import (
     DtimSweepPoint,
@@ -51,55 +51,64 @@ def compute(context: Optional[EvaluationContext] = None) -> SensitivityResult:
     )
 
 
+def render_tau_table(points: Sequence[TauSweepPoint]) -> str:
+    return render_table(
+        ["tau (s)", "receive-all mW", "HIDE mW", "saving"],
+        [
+            [
+                f"{p.wakelock_timeout_s:g}",
+                f"{p.receive_all.average_power_mw:.1f}",
+                f"{p.hide.average_power_mw:.1f}",
+                f"{p.saving:.1%}",
+            ]
+            for p in points
+        ],
+        title="Wakelock timeout sweep (CS_Dept @ 10% useful, Nexus One)",
+    )
+
+
+def render_dtim_table(points: Sequence[DtimSweepPoint]) -> str:
+    return render_table(
+        ["DTIM period", "receive-all mW", "HIDE mW", "saving"],
+        [
+            [
+                str(p.dtim_period),
+                f"{p.receive_all.average_power_mw:.1f}",
+                f"{p.hide.average_power_mw:.1f}",
+                f"{p.saving:.1%}",
+            ]
+            for p in points
+        ],
+        title="DTIM period sweep (Starbucks @ 10% useful, Nexus One)",
+    )
+
+
+def render_interval_table(points: Sequence[ReportIntervalPoint]) -> str:
+    return render_table(
+        ["1/f (s)", "client overhead (mW)", "RTT increase"],
+        [
+            [
+                f"{p.interval_s:g}",
+                f"{p.overhead_power_w * 1e3:.3f}",
+                f"{p.delay_increase:.2%}",
+            ]
+            for p in points
+        ],
+        title="UDP Port Message interval trade-off",
+    )
+
+
 def render(result: Optional[SensitivityResult] = None) -> str:
     if result is None:
         result = compute()
-    blocks: List[str] = ["Sensitivity analyses (extension; not a paper figure)"]
-    blocks.append(
-        render_table(
-            ["tau (s)", "receive-all mW", "HIDE mW", "saving"],
-            [
-                [
-                    f"{p.wakelock_timeout_s:g}",
-                    f"{p.receive_all.average_power_mw:.1f}",
-                    f"{p.hide.average_power_mw:.1f}",
-                    f"{p.saving:.1%}",
-                ]
-                for p in result.tau_points
-            ],
-            title="Wakelock timeout sweep (CS_Dept @ 10% useful, Nexus One)",
-        )
+    return "\n\n".join(
+        [
+            "Sensitivity analyses (extension; not a paper figure)",
+            render_tau_table(result.tau_points),
+            render_dtim_table(result.dtim_points),
+            render_interval_table(result.interval_points),
+        ]
     )
-    blocks.append(
-        render_table(
-            ["DTIM period", "receive-all mW", "HIDE mW", "saving"],
-            [
-                [
-                    str(p.dtim_period),
-                    f"{p.receive_all.average_power_mw:.1f}",
-                    f"{p.hide.average_power_mw:.1f}",
-                    f"{p.saving:.1%}",
-                ]
-                for p in result.dtim_points
-            ],
-            title="DTIM period sweep (Starbucks @ 10% useful, Nexus One)",
-        )
-    )
-    blocks.append(
-        render_table(
-            ["1/f (s)", "client overhead (mW)", "RTT increase"],
-            [
-                [
-                    f"{p.interval_s:g}",
-                    f"{p.overhead_power_w * 1e3:.3f}",
-                    f"{p.delay_increase:.2%}",
-                ]
-                for p in result.interval_points
-            ],
-            title="UDP Port Message interval trade-off",
-        )
-    )
-    return "\n\n".join(blocks)
 
 
 def main() -> None:

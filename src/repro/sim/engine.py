@@ -361,32 +361,6 @@ class Simulator:
         self._superseded = kept
         self._compact_at = max(2 * len(kept), _MIN_COMPACT)
 
-    def post(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        _heappush: Callable[[list, list], None] = heappush,
-    ) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle is allocated.
-
-        The hot-path scheduling call for events that are never
-        cancelled (frame deliveries, trace replay, benchmarks).
-        ``not 0.0 <= delay < inf`` rejects negatives, infinity and NaN
-        in one chained compare.
-        """
-        if not 0.0 <= delay < _INF:
-            if delay < 0.0:
-                raise SimulationError(
-                    f"cannot schedule into the past: delay={delay}"
-                )
-            raise SimulationError(f"event delay must be finite: {delay}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        _heappush(
-            self._queue,
-            [self._now + delay, sequence, callback, False, None],
-        )
-
     def post_at(self, time: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule_at`: no handle is allocated."""
         if not self._now <= time < _INF:

@@ -10,10 +10,9 @@ from repro.energy.components import EnergyBreakdown
 from repro.energy.dynamics import FrameEvent
 from repro.energy.model import EnergyModel, HideOverheadParams
 from repro.energy.profile import DeviceEnergyProfile
-from repro.energy.timeline import PowerTimeline, build_timeline
+from repro.energy.timeline import build_timeline
 from repro.traces.trace import BroadcastTrace
 from repro.traces.usefulness import UsefulnessAssignment
-from repro.units import BEACON_INTERVAL_S
 
 
 @dataclass(frozen=True)
@@ -25,17 +24,15 @@ class SolutionResult:
     device: str
     useful_fraction: float
     breakdown: EnergyBreakdown
-    timeline: PowerTimeline
+    #: Fraction of the window in suspend mode (Figure 9), read off the
+    #: evaluation's power timeline; the timeline itself is not kept.
+    suspend_fraction: float
     received_frames: int
     total_frames: int
 
     @property
     def average_power_mw(self) -> float:
         return self.breakdown.average_power_w * 1e3
-
-    @property
-    def suspend_fraction(self) -> float:
-        return self.timeline.suspend_fraction
 
     def savings_vs(self, baseline: "SolutionResult") -> float:
         return self.breakdown.savings_vs(baseline.breakdown)
@@ -66,21 +63,16 @@ class Solution(abc.ABC):
         trace: BroadcastTrace,
         assignment: UsefulnessAssignment,
         profile: DeviceEnergyProfile,
-        beacon_interval_s: float = BEACON_INTERVAL_S,
         dtim_period: int = 1,
     ) -> SolutionResult:
         """Run the full pipeline: plan → closed-form model → timeline."""
         events = trace.to_events(assignment.mask)
         received, wakelock_fn, overhead = self.plan(events, profile)
-        model = EnergyModel(
-            profile,
-            beacon_interval_s=beacon_interval_s,
-            dtim_period=dtim_period,
-        )
-        breakdown = model.evaluate(
-            received, trace.duration_s, wakelock_for_frame=wakelock_fn, overhead=overhead
-        )
+        model = EnergyModel(profile, dtim_period=dtim_period)
         dynamics = model.derive_dynamics(received, wakelock_fn)
+        breakdown = model.evaluate(
+            received, trace.duration_s, dynamics=dynamics, overhead=overhead
+        )
         timeline = build_timeline(dynamics, profile, trace.duration_s)
         return SolutionResult(
             solution=self.name,
@@ -88,7 +80,7 @@ class Solution(abc.ABC):
             device=profile.name,
             useful_fraction=assignment.achieved_fraction,
             breakdown=breakdown,
-            timeline=timeline,
+            suspend_fraction=timeline.suspend_fraction,
             received_frames=len(received),
             total_frames=len(events),
         )

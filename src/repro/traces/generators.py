@@ -16,7 +16,7 @@ from repro.traces.frame_record import BroadcastFrameRecord
 from repro.traces.release import OfferedFrame, release_bursts
 from repro.traces.scenarios import ScenarioSpec, scenario_by_name
 from repro.traces.trace import BroadcastTrace
-from repro.units import BEACON_INTERVAL_S, mbps
+from repro.units import mbps
 
 #: Fixed per-frame header bytes around the UDP payload on the air:
 #: 802.11 MAC header + LLC/SNAP + IPv4 + UDP + FCS.
@@ -47,11 +47,9 @@ class TraceGenerator:
     def __init__(
         self,
         spec: ScenarioSpec,
-        beacon_interval_s: float = BEACON_INTERVAL_S,
         dtim_period: int = 1,
     ) -> None:
         self.spec = spec
-        self.beacon_interval_s = beacon_interval_s
         self.dtim_period = dtim_period
         self._ports, weights = self._build_port_mix(spec)
         self._cum_weights = tuple(accumulate(weights))
@@ -139,7 +137,6 @@ class TraceGenerator:
         return release_bursts(
             self._offered(rng),
             duration_s=self.spec.duration_s,
-            beacon_interval_s=self.beacon_interval_s,
             dtim_period=self.dtim_period,
         )
 
@@ -166,11 +163,8 @@ def _triangular_shape(
 def generate_trace(
     scenario: Union[str, ScenarioSpec],
     seed: Optional[int] = None,
-    beacon_interval_s: float = BEACON_INTERVAL_S,
     dtim_period: int = 1,
 ) -> BroadcastTrace:
     """Generate one scenario trace (by name or spec)."""
     spec = scenario_by_name(scenario) if isinstance(scenario, str) else scenario
-    return TraceGenerator(
-        spec, beacon_interval_s=beacon_interval_s, dtim_period=dtim_period
-    ).generate(seed=seed)
+    return TraceGenerator(spec, dtim_period=dtim_period).generate(seed=seed)

@@ -25,37 +25,36 @@ from repro.units import BEACON_INTERVAL_S, PHY_OVERHEAD_S, SIFS_S
 OfferedFrame = Tuple[float, int, int, float]
 
 
+#: Head-of-burst offset: the DTIM beacon itself must finish before the
+#: first broadcast frame starts (a 65-byte beacon at 1 Mb/s plus
+#: preamble is ≈0.7 ms; this adds a DIFS's worth of slack).
+BEACON_AIRTIME_S = 0.9e-3
+
+
 def release_bursts(
     offered: Iterable[OfferedFrame],
     duration_s: float,
-    beacon_interval_s: float = BEACON_INTERVAL_S,
     dtim_period: int = 1,
-    beacon_airtime_s: float = 0.9e-3,
 ) -> Iterator[BroadcastFrameRecord]:
     """Turn time-sorted offered frames into time-sorted on-air records.
 
-    ``offered`` must be sorted by offered time; it is read lazily.
-    ``beacon_airtime_s`` is the head-of-burst offset: the DTIM beacon
-    itself must finish before the first broadcast frame starts (a 65-byte
-    beacon at 1 Mb/s plus preamble is ≈0.7 ms; the default adds a DIFS's
-    worth of slack). Bursts too large for one beacon interval spill into
-    the next — matching AP behaviour under overload. The schedule is
-    checked here, before the first record is asked for.
+    ``offered`` must be sorted by offered time; it is read lazily. Each
+    burst starts :data:`BEACON_AIRTIME_S` after its DTIM beacon. Bursts
+    too large for one beacon interval spill into the next — matching AP
+    behaviour under overload. The schedule is checked here, before the
+    first record is asked for.
     """
     if duration_s <= 0:
         raise ConfigurationError("duration must be positive")
-    if beacon_interval_s <= 0 or dtim_period < 1:
+    if dtim_period < 1:
         raise ConfigurationError("bad beacon schedule")
-    return _release(
-        iter(offered), duration_s, beacon_interval_s * dtim_period, beacon_airtime_s
-    )
+    return _release(iter(offered), duration_s, BEACON_INTERVAL_S * dtim_period)
 
 
 def _release(
     offered: Iterator[OfferedFrame],
     duration_s: float,
     dtim_interval: float,
-    beacon_airtime_s: float,
 ) -> Iterator[BroadcastFrameRecord]:
     last_boundary = duration_s + dtim_interval
     boundary = dtim_interval  # first DTIM at one interval in
@@ -67,7 +66,7 @@ def _release(
             # then step over the empty DTIM periods up to its own.
             if burst:
                 transmit_cursor = yield from _air(
-                    burst, boundary + beacon_airtime_s, transmit_cursor, duration_s
+                    burst, boundary + BEACON_AIRTIME_S, transmit_cursor, duration_s
                 )
                 burst = []
             while item[0] >= boundary:
@@ -77,7 +76,7 @@ def _release(
         burst.append(item)
     if burst:
         yield from _air(
-            burst, boundary + beacon_airtime_s, transmit_cursor, duration_s
+            burst, boundary + BEACON_AIRTIME_S, transmit_cursor, duration_s
         )
 
 
@@ -106,17 +105,13 @@ def _air(
 def apply_dtim_release(
     offered: Iterable[OfferedFrame],
     duration_s: float,
-    beacon_interval_s: float = BEACON_INTERVAL_S,
     dtim_period: int = 1,
-    beacon_airtime_s: float = 0.9e-3,
 ) -> List[BroadcastFrameRecord]:
     """:func:`release_bursts` over offered frames in any order, as a list."""
     return list(
         release_bursts(
             sorted(offered, key=lambda item: item[0]),
             duration_s,
-            beacon_interval_s=beacon_interval_s,
             dtim_period=dtim_period,
-            beacon_airtime_s=beacon_airtime_s,
         )
     )

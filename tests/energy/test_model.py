@@ -192,6 +192,4 @@ class TestEvaluate:
 
     def test_model_validation(self):
         with pytest.raises(ConfigurationError):
-            EnergyModel(NEXUS_ONE, beacon_interval_s=0)
-        with pytest.raises(ConfigurationError):
             EnergyModel(NEXUS_ONE, dtim_period=0)

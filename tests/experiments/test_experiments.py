@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.analysis.breakeven import find_breakeven
+from repro.energy import model as energy_model
+from repro.energy.profile import GALAXY_S4, NEXUS_ONE
 from repro.experiments import (
     figure6,
     figure7,
@@ -10,10 +13,12 @@ from repro.experiments import (
     figure10,
     figure11,
     figure12,
+    headline,
     table1,
     table2,
 )
 from repro.experiments.context import EvaluationContext
+from repro.solutions import HideSolution, ReceiveAllSolution, Solution
 from repro.traces.scenarios import ScenarioSpec
 
 #: Short scenarios with the same two traffic characters as the real
@@ -145,3 +150,67 @@ class TestOverheadFigures:
         assert "Figure 10" in figure10.render()
         assert "Figure 11" in figure11.render()
         assert "Figure 12" in figure12.render()
+
+
+def _record_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that logs each call's
+    arguments; returns the log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestEachCellEvaluatedOnce:
+    def test_figures_and_headline_share_one_evaluation_per_cell(self, monkeypatch):
+        evaluations = _record_calls(monkeypatch, Solution, "evaluate")
+        derivations = _record_calls(
+            monkeypatch, energy_model, "derive_frame_dynamics"
+        )
+        context = EvaluationContext(scenarios=FAST_SCENARIOS)
+        for experiment in (figure7, figure8, figure9, headline):
+            experiment.compute(context)
+        # 2 scenarios x 2 phones x 7 bars; Figure 9 and the headline
+        # read the Figure 7/8 cells.
+        assert len(evaluations) == 28
+        assert len(derivations) == 28
+
+    def test_cached_result_equals_a_fresh_evaluation(self, context):
+        scenario = FAST_SCENARIOS[0]
+        fresh = HideSolution().evaluate(
+            context.trace(scenario), context.mask(scenario, 0.02), GALAXY_S4
+        )
+        cached = context.solution_result(HideSolution(), scenario, 0.02, GALAXY_S4)
+        assert cached == fresh
+        assert (
+            context.solution_result(HideSolution(), scenario, 0.02, GALAXY_S4)
+            is cached
+        )
+
+    def test_cache_key_holds_settings_and_profile_values(self, context):
+        scenario = FAST_SCENARIOS[0]
+        original = context.solution_result(HideSolution(), scenario, 0.10, NEXUS_ONE)
+        recomputed = context.solution_result(
+            HideSolution(more_data_mode="recomputed"), scenario, 0.10, NEXUS_ONE
+        )
+        # with_overrides keeps the profile's name.
+        longer_tau = context.solution_result(
+            HideSolution(),
+            scenario,
+            0.10,
+            NEXUS_ONE.with_overrides(wakelock_timeout_s=2.0),
+        )
+        assert recomputed.breakdown != original.breakdown
+        assert longer_tau.breakdown != original.breakdown
+
+    def test_breakeven_evaluates_receive_all_once(self, monkeypatch, context):
+        evaluations = _record_calls(monkeypatch, Solution, "evaluate")
+        find_breakeven(context.trace(FAST_SCENARIOS[0]), NEXUS_ONE, tolerance=0.05)
+        solutions = [type(args[0]) for args in evaluations]
+        assert solutions.count(ReceiveAllSolution) == 1
+        assert solutions.count(HideSolution) >= 3

@@ -264,7 +264,7 @@ class TestEngineHooks:
         sim.attach_profiler(profiler)
         widget = Widget()
         sim.every(0.1, widget.tick)
-        sim.post(0.05, widget.tock)
+        sim.post_at(sim.now + 0.05, widget.tock)
         sim.run(until=1.0)
         rows = {(r["owner"], r["method"], r["kind"]) for r in profiler.site_rows()}
         assert ("Widget", "tick", "recurring") in rows

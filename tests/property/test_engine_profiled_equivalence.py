@@ -142,9 +142,11 @@ class TestProfiledLoop:
 
             for k in range(timers):
                 # Staggered phases: timer k starts 51.2 ms after k - 1.
-                sim.post(0.0512 * k, lambda k=k: start(k))
+                sim.post_at(sim.now + 0.0512 * k, lambda k=k: start(k))
             for k in range(timers):
-                sim.post(3600.0 + k, lambda k=k: fired.append(("ttl", k)))
+                sim.post_at(
+                    sim.now + (3600.0 + k), lambda k=k: fired.append(("ttl", k))
+                )
             for segment in range(1, 5):
                 sim.run(until=segment * 1.5)
             _assert_profiler_saw_every_event(sim, profiler)

@@ -215,7 +215,9 @@ class TestLazyRenewal:
                 sim.rearm(locks[k % stations], 1.0)
 
             for i in range(300):
-                sim.post(gap_s * (i % 50) + 0.001 * i, lambda i=i: frame(i))
+                sim.post_at(
+                    sim.now + (gap_s * (i % 50) + 0.001 * i), lambda i=i: frame(i)
+                )
             sim.add_probe(
                 probe_s, lambda: log.append(("probe", _counters(sim)))
             )

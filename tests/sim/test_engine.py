@@ -59,8 +59,6 @@ class TestScheduling:
             with pytest.raises(SimulationError):
                 sim.schedule_at(bad, lambda: None)
             with pytest.raises(SimulationError):
-                sim.post(bad, lambda: None)
-            with pytest.raises(SimulationError):
                 sim.post_at(bad, lambda: None)
             with pytest.raises(SimulationError):
                 sim.every(bad, lambda: None)

@@ -12,17 +12,21 @@ import pytest
 
 from repro.ap.access_point import ApConfig
 from repro.ap.buffer import BroadcastBuffer
+from repro.energy.model import EnergyModel
 from repro.experiments.des_run import DesRunConfig
 from repro.experiments.sweep import SweepSpec
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
 from repro.sim.sniffer import ProtocolSniffer
+from repro.solutions.base import Solution
 from repro.solutions.hide import (
     CombinedSolution,
     HideRealisticSolution,
     HideSolution,
 )
 from repro.station.client import ClientConfig
+from repro.traces.generators import TraceGenerator, generate_trace
+from repro.traces.release import apply_dtim_release, release_bursts
 from repro.traces.stats import detect_bursts
 
 _FIELDS = {
@@ -56,7 +60,6 @@ _FIELDS = {
 }
 
 _PARAMETERS = {
-    Simulator.post: ["self", "delay", "callback", "_heappush"],
     Simulator.post_at: ["self", "time", "callback"],
     Simulator.schedule: ["self", "delay", "callback"],
     Simulator.schedule_at: ["self", "time", "callback"],
@@ -64,6 +67,13 @@ _PARAMETERS = {
     Simulator.add_probe: ["self", "interval_s", "callback"],
     Medium.__init__: ["self", "simulator", "fault_injector"],
     detect_bursts: ["trace"],
+    Solution.evaluate: ["self", "trace", "assignment", "profile", "dtim_period"],
+    EnergyModel.__init__: ["self", "profile", "dtim_period"],
+    EnergyModel.evaluate: ["self", "frames", "duration_s", "dynamics", "overhead"],
+    TraceGenerator.__init__: ["self", "spec", "dtim_period"],
+    generate_trace: ["scenario", "seed", "dtim_period"],
+    release_bursts: ["offered", "duration_s", "dtim_period"],
+    apply_dtim_release: ["offered", "duration_s", "dtim_period"],
 }
 
 _CONSTRUCTORS = {
