@@ -176,10 +176,10 @@ def _make_tracer(path: Optional[str]):
     return JsonlTracer(path) if path else NULL_TRACER
 
 
-def _write_metrics_file(registry, path: str) -> None:
+def _write_metrics_file(rows, path: str) -> None:
     from repro.obs import format_for_path, write_metrics
 
-    write_metrics(registry, path, format_for_path(path))
+    write_metrics(rows, path, format_for_path(path))
     print(f"wrote metrics to {path}")
 
 
@@ -448,7 +448,7 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
     if args.trace_log:
         print(f"wrote trace log to {args.trace_log}")
     if args.metrics_out:
-        _write_metrics_file(result.collect_metrics(), args.metrics_out)
+        _write_metrics_file(result.metric_rows(), args.metrics_out)
     if args.timeseries_out and result.timeseries is not None:
         result.timeseries.write(args.timeseries_out)
         print(

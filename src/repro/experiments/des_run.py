@@ -9,8 +9,9 @@ retransmissions) can be observed, traced, and metered directly.
 It is the engine behind ``repro sim run`` and the observability
 integration tests: attach a :class:`~repro.obs.tracing.JsonlTracer`
 and every DTIM cycle, Algorithm-1 run, BTIM element, and client wakeup
-lands in the trace log; call :meth:`DesRunResult.collect_metrics` and
-the whole run lands in a metrics registry ready for export.
+lands in the trace log; :meth:`DesRunResult.metric_rows` reads the
+whole run as metric rows ready for export, and
+:meth:`DesRunResult.collect_metrics` mirrors them into a registry.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
@@ -30,9 +41,14 @@ from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.packet import build_broadcast_udp_packet
-from repro.obs.collectors import collect_all, collect_delivery, collect_profiler
+from repro.obs.collectors import (
+    collect_all,
+    collect_delivery,
+    collect_profiler,
+    metric_rows,
+)
 from repro.obs.ledger import FrameLedger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Row, row_entry
 from repro.obs.profiler import AttributionProfiler, ProfilerConfig
 from repro.obs.timeseries import TimeseriesRecorder, dtim_window_s
 from repro.obs.tracing import NULL_TRACER
@@ -64,26 +80,30 @@ _FINGERPRINT_EXCLUDED_METRICS = frozenset(
 
 #: Snapshot rows serialized per ``JSONEncoder.encode`` call when
 #: fingerprinting: one call per row spent more time in the call than in
-#: the encoding, and 512 rows at a time peak at about 0.7 MB traced at
-#: DenseFleet/1000 (26k rows), well inside the per-series bound.
+#: the encoding, and 512 rows at a time keep the whole fingerprint's
+#: traced peak near 1 MB at DenseFleet/1000 (26k rows), well inside the
+#: per-series bound.
 _FINGERPRINT_ROWS_PER_ENCODE = 512
 
 
-def registry_fingerprint(registry: MetricsRegistry) -> str:
-    """SHA-256 of the registry's snapshot, minus the excluded families,
-    as canonical JSON (sorted keys, no spaces).
+def registry_fingerprint(rows: Iterable) -> str:
+    """SHA-256 of the snapshot rows, minus the excluded families, as
+    canonical JSON (sorted keys, no spaces).
 
-    The hash is fed the bytes ``json.dumps`` gives the whole filtered
-    list, ``_FINGERPRINT_ROWS_PER_ENCODE`` entries at a time: ``[``,
-    each chunk's list encoded with its brackets stripped, the chunks
-    joined by ``,``, then ``]``. A fleet run never holds the snapshot or
-    its JSON text, and pays one encoder call per chunk, not per row.
+    ``rows`` is a :class:`MetricsRegistry` or any iterable of rows in
+    its order, such as :func:`~repro.obs.collectors.metric_rows`. The
+    hash is fed the bytes ``json.dumps`` gives the whole filtered list
+    of ``entries()`` dicts, ``_FINGERPRINT_ROWS_PER_ENCODE`` at a time:
+    ``[``, each chunk's list encoded with its brackets stripped, the
+    chunks joined by ``,``, then ``]``. A fleet run never holds the
+    snapshot or its JSON text, and pays one encoder call per chunk, not
+    per row.
     """
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     rows = (
-        entry
-        for entry in registry.entries()
-        if entry["name"] not in _FINGERPRINT_EXCLUDED_METRICS
+        row_entry(row)
+        for row in rows
+        if row.name not in _FINGERPRINT_EXCLUDED_METRICS
     )
     digest = hashlib.sha256(b"[")
     separator = b""
@@ -239,6 +259,16 @@ class DesRunResult:
             for client in self.clients
         ]
 
+    def metric_rows(self) -> Iterator[Row]:
+        """Every component of this run as snapshot rows, in registry
+        order, read as they are consumed: no registry is built."""
+        return metric_rows(
+            simulator=self.simulator,
+            medium=self.medium,
+            access_points=[self.access_point],
+            clients=self.clients,
+        )
+
     def collect_metrics(
         self, registry: Optional[MetricsRegistry] = None
     ) -> MetricsRegistry:
@@ -257,11 +287,12 @@ class DesRunResult:
 
         Covers every collected metric except the wall-clock families
         (those measure the host, not the protocol); see
-        :func:`registry_fingerprint`. Two runs with the same seed and
-        fault plan must produce the same fingerprint; the determinism
-        regression test pins exactly that.
+        :func:`registry_fingerprint`. Hashes :meth:`metric_rows` as they
+        are read. Two runs with the same seed and fault plan must
+        produce the same fingerprint; the determinism regression test
+        pins exactly that.
         """
-        return registry_fingerprint(self.collect_metrics(MetricsRegistry()))
+        return registry_fingerprint(self.metric_rows())
 
     def profile_report(self) -> Optional[Dict[str, object]]:
         """The run's ``repro-profile/v1`` document (None if unprofiled)."""

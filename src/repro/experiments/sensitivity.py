@@ -12,12 +12,12 @@ from repro.analysis.sensitivity import (
     TauSweepPoint,
     sweep_dtim_period,
     sweep_report_interval,
-    sweep_wakelock_timeout,
 )
-from repro.energy.profile import NEXUS_ONE
+from repro.energy.profile import NEXUS_ONE, DeviceEnergyProfile
 from repro.experiments.context import EvaluationContext, default_context
 from repro.reporting import render_table
-from repro.traces.scenarios import scenario_by_name
+from repro.solutions import HideSolution, ReceiveAllSolution, SolutionResult
+from repro.traces.scenarios import ScenarioSpec, scenario_by_name
 
 TAU_SWEEP_S: Tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
 DTIM_SWEEP: Tuple[int, ...] = (1, 2, 3)
@@ -31,19 +31,39 @@ class SensitivityResult:
     interval_points: Tuple[ReportIntervalPoint, ...]
 
 
+def _cells(
+    context: EvaluationContext,
+    scenario: ScenarioSpec,
+    profile: DeviceEnergyProfile,
+) -> Tuple[SolutionResult, SolutionResult]:
+    """Receive-all and HIDE at 10% useful, read through the context: at
+    the paper's τ and DTIM period 1 these are Figure 7's cells."""
+    return (
+        context.solution_result(ReceiveAllSolution(), scenario, 0.10, profile),
+        context.solution_result(HideSolution(), scenario, 0.10, profile),
+    )
+
+
 def compute(context: Optional[EvaluationContext] = None) -> SensitivityResult:
     context = context or default_context()
-    scenario = scenario_by_name("CS_Dept")
-    trace = context.trace(scenario)
-    mask = context.mask(scenario, 0.10)
+    cs_dept = scenario_by_name("CS_Dept")
+    starbucks = scenario_by_name("Starbucks")
     return SensitivityResult(
         tau_points=tuple(
-            sweep_wakelock_timeout(trace, mask, NEXUS_ONE, TAU_SWEEP_S)
-        ),
-        dtim_points=tuple(
-            sweep_dtim_period(
-                scenario_by_name("Starbucks"), NEXUS_ONE, 0.10, DTIM_SWEEP
+            TauSweepPoint(
+                tau,
+                *_cells(
+                    context, cs_dept, NEXUS_ONE.with_overrides(wakelock_timeout_s=tau)
+                ),
             )
+            for tau in TAU_SWEEP_S
+        ),
+        # The context holds traces released at DTIM period 1 only.
+        dtim_points=tuple(
+            DtimSweepPoint(1, *_cells(context, starbucks, NEXUS_ONE))
+            if period == 1
+            else sweep_dtim_period(starbucks, NEXUS_ONE, 0.10, [period])[0]
+            for period in DTIM_SWEEP
         ),
         interval_points=tuple(
             sweep_report_interval(NEXUS_ONE, INTERVAL_SWEEP_S)

@@ -1,10 +1,10 @@
 """Observability for the HIDE reproduction: metrics, tracing, exporters.
 
 The subsystem is zero-dependency and pull-based: simulator components
-keep their cheap native counters, :mod:`repro.obs.collectors` mirrors
-them into a :class:`MetricsRegistry` on demand, and
-:mod:`repro.obs.exporters` renders the registry for Prometheus
-scrapers, JSONL post-processing, or run reports. Live instrumentation
+keep their cheap native counters, :mod:`repro.obs.collectors` reads
+them as metric rows on demand (mirrored into a :class:`MetricsRegistry`
+for live scrapes), and :mod:`repro.obs.exporters` renders rows for
+Prometheus scrapers, JSONL post-processing, or run reports. Live instrumentation
 (spans and events) goes through a tracer; the default
 :data:`NULL_TRACER` keeps the hot path at one attribute check.
 
@@ -43,12 +43,9 @@ _EXPORTS = {
     "render_metrics_table": "repro.obs.exporters",
     "render_prometheus": "repro.obs.exporters",
     "write_metrics": "repro.obs.exporters",
-    "collect_access_point": "repro.obs.collectors",
     "collect_all": "repro.obs.collectors",
-    "collect_client": "repro.obs.collectors",
-    "collect_medium": "repro.obs.collectors",
     "collect_profiler": "repro.obs.collectors",
-    "collect_simulator": "repro.obs.collectors",
+    "metric_rows": "repro.obs.collectors",
     "PROFILE_SCHEMA": "repro.obs.profiler",
     "AttributionProfiler": "repro.obs.profiler",
     "ProfilerConfig": "repro.obs.profiler",

@@ -1,11 +1,15 @@
-"""Pull simulator-component state into a metrics registry.
+"""Read simulator-component state as metric rows.
 
 Entities keep their cheap native counters (``ApCounters``,
 ``ClientCounters``, ``PowerCounters``, ``PortTableStats``, the
-simulator's own tallies); these collectors mirror them into
-:class:`~repro.obs.metrics.MetricsRegistry` series on demand. Calling a
-collector twice refreshes the same series, so one registry can be
-snapshotted repeatedly over a run's lifetime.
+simulator's own tallies). :data:`FAMILIES` declares every end-of-run
+series family once: its name, kind, help, the population it covers and
+how to read one member's value. :func:`metric_rows` walks that table
+and yields the snapshot rows in :meth:`MetricsRegistry.collect` order
+without building a registry, so the determinism fingerprint and the
+``sim run --metrics-out`` exports hold one chunk of rows at a time;
+:func:`collect_all` mirrors the same rows into a registry for live
+scrapes. Calling it twice refreshes the same series.
 
 Naming follows Prometheus conventions: ``repro_<component>_<what>`` with
 ``_total`` for counters and ``_seconds`` for durations.
@@ -13,101 +17,424 @@ Naming follows Prometheus conventions: ``repro_<component>_<what>`` with
 
 from __future__ import annotations
 
-from typing import Iterable
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    LabelItems,
+    MetricsRegistry,
+    Row,
+    _check_label_names,
+    _check_name,
+)
 
 
-#: ``(metric name, ApCounters field, help)``: names are built once, so
-#: every AP's series share one name string per family.
-_AP_COUNTERS = tuple(
+class Family(NamedTuple):
+    """One end-of-run series family.
+
+    ``read`` takes one member of ``population`` (``simulator``,
+    ``medium``, ``ap`` or ``client``) and returns its value, or None
+    when the member has no such series. With ``label`` set it returns
+    ``{label value: value}`` instead: one series per entry, labelled
+    ``label`` after the member's own labels.
+    """
+
+    name: str
+    kind: str
+    help: str
+    population: str
+    read: Callable[[Any], Any]
+    label: str = ""
+
+
+def _table(population: str, kind: str, entries, label: str = "") -> Tuple[Family, ...]:
+    """Families from ``(name, help, read)`` entries; a string ``read``
+    is an attribute path."""
+    return tuple(
+        Family(
+            name,
+            kind,
+            help_text,
+            population,
+            attrgetter(read) if isinstance(read, str) else read,
+            label,
+        )
+        for name, help_text, read in entries
+    )
+
+
+def _power(field_name: str):
+    read = attrgetter(f"power.counters.{field_name}")
+    return lambda client: None if client.power is None else read(client)
+
+
+def _wakelock(read):
+    return lambda client: None if client.wakelock is None else read(client.wakelock)
+
+
+_PORT_TABLE_OPS = ("inserts", "deletes", "lookups", "refreshes", "expirations")
+
+_SIMULATOR = _table(
+    "simulator",
+    "counter",
     (
-        f"repro_ap_{field_name}"
-        if field_name.endswith("_total")
-        else f"repro_ap_{field_name}_total",
-        field_name,
-        help_text,
-    )
-    for field_name, help_text in (
-        ("beacons_sent", "Beacons transmitted"),
-        ("dtims_sent", "DTIM beacons transmitted"),
-        ("broadcast_frames_sent", "Broadcast data frames transmitted"),
-        ("broadcast_frames_buffered", "Broadcast frames buffered for a DTIM"),
-        ("port_messages_received", "UDP Port Messages accepted"),
-        ("acks_sent", "ACKs transmitted"),
-        ("ps_polls_received", "PS-Polls received"),
-        ("unicast_frames_sent", "Unicast data frames released"),
-        ("association_requests_received", "Association requests handled"),
-        ("probe_requests_answered", "Probe requests answered"),
-        ("disassociations_received", "Disassociations processed"),
-        ("btim_bits_set_total", "AID bits set across all BTIMs"),
-        ("algorithm1_runs", "Algorithm 1 executions (one per DTIM)"),
-    )
+        (
+            "repro_sim_events_processed_total",
+            "Events popped and executed",
+            "events_processed",
+        ),
+        (
+            "repro_sim_events_cancelled_total",
+            "Events cancelled before firing",
+            "events_cancelled",
+        ),
+        (
+            "repro_sim_probes_fired_total",
+            "Observer-probe firings (telemetry flushes; never heap events)",
+            lambda sim: getattr(sim, "probes_fired", 0),
+        ),
+        (
+            "repro_sim_run_wall_seconds_total",
+            "Wall time spent inside run()",
+            "run_wall_time_s",
+        ),
+    ),
+) + _table(
+    "simulator",
+    "gauge",
+    (
+        (
+            "repro_sim_pending_events",
+            "Live (non-cancelled) scheduled events",
+            "pending_events",
+        ),
+        (
+            "repro_sim_queue_depth",
+            "Event-queue entries including cancelled tombstones",
+            "queue_depth",
+        ),
+        # A duplicate of the series above.  Deterministic run fingerprints
+        # hash every exported series, and committed baselines (the e2e
+        # bench's expected fingerprints among them) include this one, so it
+        # goes only together with a regeneration of those baselines.
+        ("repro_sim_heap_depth", "Alias of repro_sim_queue_depth", "queue_depth"),
+        ("repro_sim_time_seconds", "Current simulation clock", "now"),
+        (
+            "repro_sim_wall_seconds_per_sim_second",
+            "Wall-clock cost of advancing the simulation one second",
+            lambda sim: sim.run_wall_time_s / sim.now if sim.now > 0 else 0.0,
+        ),
+    ),
 )
 
-#: ``(metric name, ClientCounters field, help)``, built once like
-#: :data:`_AP_COUNTERS`.
-_CLIENT_COUNTERS = tuple(
-    (f"repro_client_{field_name}_total", field_name, help_text)
-    for field_name, help_text in (
-        ("beacons_received", "Beacons decoded"),
-        ("dtims_received", "DTIM beacons decoded"),
-        ("broadcast_frames_received", "Broadcast frames received awake"),
-        ("broadcast_frames_ignored", "Broadcast frames slept through"),
-        ("useful_frames_received", "Received frames an app wanted"),
-        ("useless_frames_received", "Received frames nobody wanted"),
-        ("frames_delivered_to_apps", "Frames handed to applications"),
-        ("port_messages_sent", "UDP Port Messages sent"),
-        ("port_message_retransmissions", "Port Message retries"),
-        ("port_message_bytes_sent", "Port Message bytes on air"),
-        ("acks_received", "ACKs received"),
-        ("ps_polls_sent", "PS-Polls sent"),
-        ("unicast_frames_received", "Unicast frames received"),
-        ("useful_frames_missed", "Useful delivered frames slept through"),
-        ("beacon_misses_detected", "Beacon watchdog firings"),
-        ("conservative_fallbacks", "Falls into conservative receive-all"),
-        ("port_refreshes", "Keep-alive port reports sent"),
-        ("crashes", "Injected crashes"),
-        ("rejoins", "Rejoins after an injected crash"),
+_MEDIUM = _table(
+    "medium",
+    "counter",
+    (
+        (
+            "repro_medium_transmissions_total",
+            "Frames delivered on the channel",
+            "transmissions_completed",
+        ),
+        ("repro_medium_busy_seconds_total", "Channel-occupancy seconds", "busy_time"),
+        (
+            "repro_medium_frames_dropped_total",
+            "Frames lost to injected failures",
+            "frames_dropped",
+        ),
+        (
+            "repro_medium_queue_wait_seconds_total",
+            "Seconds frames waited behind a busy channel",
+            "queue_wait_s",
+        ),
+        (
+            "repro_medium_frames_queued_total",
+            "Frames that found the channel busy and deferred",
+            "frames_queued",
+        ),
+    ),
+) + _table(
+    "medium",
+    "counter",
+    (
+        (
+            "repro_medium_airtime_seconds_total",
+            "Airtime by frame kind",
+            "airtime_by_kind",
+        ),
+        ("repro_medium_frames_total", "Transmissions by frame kind", "frames_by_kind"),
+        (
+            "repro_medium_injected_drops_total",
+            "Frames dropped by the fault injector, by frame kind",
+            "drops_by_kind",
+        ),
+    ),
+    label="kind",
+)
+
+_ACCESS_POINT = _table(
+    "ap",
+    "counter",
+    tuple(
+        (
+            f"repro_ap_{field_name}"
+            if field_name.endswith("_total")
+            else f"repro_ap_{field_name}_total",
+            help_text,
+            f"counters.{field_name}",
+        )
+        for field_name, help_text in (
+            ("beacons_sent", "Beacons transmitted"),
+            ("dtims_sent", "DTIM beacons transmitted"),
+            ("broadcast_frames_sent", "Broadcast data frames transmitted"),
+            ("broadcast_frames_buffered", "Broadcast frames buffered for a DTIM"),
+            ("port_messages_received", "UDP Port Messages accepted"),
+            ("acks_sent", "ACKs transmitted"),
+            ("ps_polls_received", "PS-Polls received"),
+            ("unicast_frames_sent", "Unicast data frames released"),
+            ("association_requests_received", "Association requests handled"),
+            ("probe_requests_answered", "Probe requests answered"),
+            ("disassociations_received", "Disassociations processed"),
+            ("btim_bits_set_total", "AID bits set across all BTIMs"),
+            ("algorithm1_runs", "Algorithm 1 executions (one per DTIM)"),
+            (
+                "port_entries_expired",
+                "Port-table clients aged out by the refresh-timer TTL",
+            ),
+        )
     )
+    + (
+        (
+            "repro_ap_algorithm1_wall_seconds_total",
+            "Wall time spent computing broadcast flags",
+            "counters.algorithm1_wall_s",
+        ),
+        (
+            "repro_ap_broadcast_buffer_dropped_total",
+            "Broadcast frames dropped at a full buffer",
+            "broadcast_buffer.dropped",
+        ),
+    ),
+) + _table(
+    "ap",
+    "gauge",
+    (
+        (
+            "repro_ap_associated_clients",
+            "Currently associated stations",
+            lambda ap: len(ap.associations),
+        ),
+        (
+            "repro_ap_broadcast_buffer_depth",
+            "Broadcast frames currently buffered",
+            lambda ap: len(ap.broadcast_buffer),
+        ),
+        (
+            "repro_ap_port_table_entries",
+            "(port, AID) pairs stored",
+            lambda ap: len(ap.port_table),
+        ),
+        (
+            "repro_ap_port_table_distinct_ports",
+            "Distinct ports stored",
+            "port_table.distinct_ports",
+        ),
+        (
+            "repro_ap_port_table_clients",
+            "Clients with a stored report",
+            "port_table.client_count",
+        ),
+    ),
+) + _table(
+    "ap",
+    "counter",
+    (
+        (
+            "repro_ap_port_table_ops_total",
+            "Port-table operations by kind",
+            lambda ap: {op: getattr(ap.port_table.stats, op) for op in _PORT_TABLE_OPS},
+        ),
+    ),
+    label="op",
+)
+
+_CLIENT = _table(
+    "client",
+    "counter",
+    tuple(
+        (f"repro_client_{field_name}_total", help_text, f"counters.{field_name}")
+        for field_name, help_text in (
+            ("beacons_received", "Beacons decoded"),
+            ("dtims_received", "DTIM beacons decoded"),
+            ("broadcast_frames_received", "Broadcast frames received awake"),
+            ("broadcast_frames_ignored", "Broadcast frames slept through"),
+            ("useful_frames_received", "Received frames an app wanted"),
+            ("useless_frames_received", "Received frames nobody wanted"),
+            ("frames_delivered_to_apps", "Frames handed to applications"),
+            ("port_messages_sent", "UDP Port Messages sent"),
+            ("port_message_retransmissions", "Port Message retries"),
+            ("port_message_bytes_sent", "Port Message bytes on air"),
+            ("acks_received", "ACKs received"),
+            ("ps_polls_sent", "PS-Polls sent"),
+            ("unicast_frames_received", "Unicast frames received"),
+            ("useful_frames_missed", "Useful delivered frames slept through"),
+            ("beacon_misses_detected", "Beacon watchdog firings"),
+            ("conservative_fallbacks", "Falls into conservative receive-all"),
+            ("port_refreshes", "Keep-alive port reports sent"),
+            ("crashes", "Injected crashes"),
+            ("rejoins", "Rejoins after an injected crash"),
+        )
+    )
+    + (
+        (
+            "repro_client_wakeups_total",
+            "Resume operations triggered (suspended arrivals)",
+            _power("resumes"),
+        ),
+        (
+            "repro_client_suspends_completed_total",
+            "Suspend operations that finished",
+            _power("suspends_completed"),
+        ),
+        (
+            "repro_client_suspends_aborted_total",
+            "Suspend operations aborted by a wake",
+            _power("suspends_aborted"),
+        ),
+        (
+            "repro_client_aborted_suspend_seconds_total",
+            "Seconds spent in suspends that were aborted",
+            _power("aborted_suspend_time"),
+        ),
+        (
+            "repro_client_forced_suspends_total",
+            "Abrupt drops to SUSPENDED (crash injection)",
+            _power("forced_suspends"),
+        ),
+        (
+            "repro_client_wakelock_held_seconds_total",
+            "Total wakelock-held seconds",
+            _wakelock(lambda wakelock: wakelock.total_held_time()),
+        ),
+        (
+            "repro_client_wakelock_acquisitions_total",
+            "Wakelock acquisitions (renewals excluded)",
+            _wakelock(attrgetter("acquisitions")),
+        ),
+    ),
+)
+
+#: Each population's own label names. A family's ``label`` must sort
+#: after them, so that members in label order give series in label order.
+_POPULATION_LABELS = {
+    "simulator": (),
+    "medium": (),
+    "ap": ("ap",),
+    "client": ("aid", "client"),
+}
+
+
+def _checked(families: Iterable[Family]) -> Tuple[Family, ...]:
+    """The families in name order, each name and label grammar checked
+    once here instead of per series."""
+    ordered = tuple(sorted(families, key=attrgetter("name")))
+    for before, family in zip(ordered, ordered[1:]):
+        if before.name == family.name:
+            raise ValueError(f"metric family {family.name!r} declared twice")
+    for family in ordered:
+        _check_name(family.name)
+        names = _POPULATION_LABELS[family.population] + (
+            (family.label,) if family.label else ()
+        )
+        if list(names) != sorted(names):
+            raise ValueError(f"labels of {family.name!r} out of order: {names}")
+        _check_label_names(family.name, tuple((name, "") for name in names))
+    return ordered
+
+
+#: Every end-of-run family, in name order.
+FAMILIES: Tuple[Family, ...] = _checked(
+    _SIMULATOR + _MEDIUM + _ACCESS_POINT + _CLIENT
 )
 
 
-def collect_simulator(sim, registry: MetricsRegistry) -> MetricsRegistry:
-    """Engine health: throughput, queue depth, wall time per sim second."""
-    registry.counter(
-        "repro_sim_events_processed_total", "Events popped and executed"
-    ).set_total(sim.events_processed)
-    registry.counter(
-        "repro_sim_events_cancelled_total", "Events cancelled before firing"
-    ).set_total(sim.events_cancelled)
-    registry.gauge(
-        "repro_sim_pending_events", "Live (non-cancelled) scheduled events"
-    ).set(sim.pending_events)
-    registry.gauge(
-        "repro_sim_queue_depth",
-        "Event-queue entries including cancelled tombstones",
-    ).set(sim.queue_depth)
-    # A duplicate of the series above.  Deterministic run fingerprints
-    # hash every exported series, and committed baselines (the e2e
-    # bench's expected fingerprints among them) include this one, so it
-    # goes only together with a regeneration of those baselines.
-    registry.gauge(
-        "repro_sim_heap_depth",
-        "Alias of repro_sim_queue_depth",
-    ).set(sim.queue_depth)
-    registry.gauge("repro_sim_time_seconds", "Current simulation clock").set(sim.now)
-    registry.counter(
-        "repro_sim_probes_fired_total",
-        "Observer-probe firings (telemetry flushes; never heap events)",
-    ).set_total(getattr(sim, "probes_fired", 0))
-    registry.counter(
-        "repro_sim_run_wall_seconds_total", "Wall time spent inside run()"
-    ).set_total(sim.run_wall_time_s)
-    registry.gauge(
-        "repro_sim_wall_seconds_per_sim_second",
-        "Wall-clock cost of advancing the simulation one second",
-    ).set(sim.run_wall_time_s / sim.now if sim.now > 0 else 0.0)
+def _ap_labels(ap) -> LabelItems:
+    return (("ap", str(ap.mac)),)
+
+
+def _client_labels(client) -> LabelItems:
+    """A crashed client has ``aid = None``, so the label falls back to
+    the last AID it held: its series keep accumulating across a
+    crash/rejoin instead of forking an aid-less copy."""
+    aid = client.aid if client.aid is not None else getattr(client, "last_aid", None)
+    if aid is None:
+        return (("client", str(client.mac)),)
+    return (("aid", str(aid)), ("client", str(client.mac)))
+
+
+def _labelled(members: Iterable, labels_of) -> List[Tuple[LabelItems, Any]]:
+    """``(labels, member)`` pairs sorted once by label tuple; two members
+    with one label set would merge into one series, so they are refused."""
+    pairs = sorted(
+        ((labels_of(member), member) for member in members), key=itemgetter(0)
+    )
+    for (before, _), (labels, _) in zip(pairs, pairs[1:]):
+        if before == labels:
+            raise ValueError(
+                f"two components share the labels {dict(labels)}: "
+                "their series would merge"
+            )
+    return pairs
+
+
+def _row(family: Family, label_items: LabelItems, value) -> Row:
+    if family.kind == "counter" and value < 0:
+        raise ValueError(f"counter total must be non-negative: {value}")
+    return Row(family.name, family.kind, family.help, label_items, float(value))
+
+
+def metric_rows(
+    simulator=None,
+    medium=None,
+    access_points: Iterable = (),
+    clients: Iterable = (),
+) -> Iterator[Row]:
+    """Every end-of-run series of a DES run, in registry order.
+
+    Family names sorted, label tuples sorted within a family: the
+    order :func:`collect_all` then :meth:`MetricsRegistry.collect`
+    gives. Holds the members sorted by labels, nothing per series.
+    """
+    members = {
+        "simulator": [] if simulator is None else [((), simulator)],
+        "medium": [] if medium is None else [((), medium)],
+        "ap": _labelled(access_points, _ap_labels),
+        "client": _labelled(clients, _client_labels),
+    }
+    for family in FAMILIES:
+        read = family.read
+        for labels, member in members[family.population]:
+            value = read(member)
+            if value is None:
+                continue
+            if not family.label:
+                yield _row(family, labels, value)
+                continue
+            for key, item in sorted((str(k), v) for k, v in value.items()):
+                yield _row(family, labels + ((family.label, key),), item)
+
+
+def collect_all(
+    registry: MetricsRegistry,
+    simulator=None,
+    medium=None,
+    access_points: Iterable = (),
+    clients: Iterable = (),
+) -> MetricsRegistry:
+    """Mirror :func:`metric_rows` into ``registry``, refreshing the
+    series an earlier call made."""
+    for row in metric_rows(simulator, medium, access_points, clients):
+        registry.set_row(row)
     return registry
 
 
@@ -118,8 +445,8 @@ def collect_profiler(
 
     Every family here measures the *host* clock, so these series are
     only ever pulled into live-scrape registries — never into the
-    end-of-run collection that determinism fingerprints hash
-    (:func:`collect_all` deliberately knows nothing about profilers).
+    end-of-run rows that determinism fingerprints hash
+    (:data:`FAMILIES` deliberately knows nothing about profilers).
     """
     registry.counter(
         "repro_profile_events_total",
@@ -163,7 +490,7 @@ def collect_delivery(
     Like :func:`collect_profiler`, these series describe the *machinery*
     (how often the deferred accrual settled, fan-out cache churn) rather
     than the protocol, so they are only ever pulled into live-scrape
-    registries — never the end-of-run collection that determinism
+    registries — never the end-of-run rows that determinism
     fingerprints hash.  Reads state without settling it, so it is safe
     from scrape threads.
     """
@@ -195,172 +522,4 @@ def collect_delivery(
         "repro_delivery_fanout_rebuilds_total",
         "Broadcast fan-out cache recomputations",
     ).set_total(float(medium.fanout_rebuilds))
-    return registry
-
-
-def collect_medium(medium, registry: MetricsRegistry) -> MetricsRegistry:
-    """Channel accounting: airtime by frame kind, queueing, drops."""
-    registry.counter(
-        "repro_medium_transmissions_total", "Frames delivered on the channel"
-    ).set_total(medium.transmissions_completed)
-    registry.counter(
-        "repro_medium_busy_seconds_total", "Channel-occupancy seconds"
-    ).set_total(medium.busy_time)
-    registry.counter(
-        "repro_medium_frames_dropped_total", "Frames lost to injected failures"
-    ).set_total(medium.frames_dropped)
-    registry.counter(
-        "repro_medium_queue_wait_seconds_total",
-        "Seconds frames waited behind a busy channel",
-    ).set_total(medium.queue_wait_s)
-    registry.counter(
-        "repro_medium_frames_queued_total",
-        "Frames that found the channel busy and deferred",
-    ).set_total(medium.frames_queued)
-    for kind, airtime in sorted(medium.airtime_by_kind.items()):
-        registry.counter(
-            "repro_medium_airtime_seconds_total",
-            "Airtime by frame kind",
-            labels={"kind": kind},
-        ).set_total(airtime)
-    for kind, count in sorted(medium.frames_by_kind.items()):
-        registry.counter(
-            "repro_medium_frames_total",
-            "Transmissions by frame kind",
-            labels={"kind": kind},
-        ).set_total(count)
-    for kind, count in sorted(medium.drops_by_kind.items()):
-        registry.counter(
-            "repro_medium_injected_drops_total",
-            "Frames dropped by the fault injector, by frame kind",
-            labels={"kind": kind},
-        ).set_total(count)
-    return registry
-
-
-def collect_access_point(ap, registry: MetricsRegistry) -> MetricsRegistry:
-    """AP activity: beaconing, buffering, Algorithm 1, the port table."""
-    labels = {"ap": str(ap.mac)}
-    counters = ap.counters
-    for metric_name, field_name, help_text in _AP_COUNTERS:
-        registry.counter(metric_name, help_text, labels=labels).set_total(
-            getattr(counters, field_name)
-        )
-    registry.counter(
-        "repro_ap_algorithm1_wall_seconds_total",
-        "Wall time spent computing broadcast flags",
-        labels=labels,
-    ).set_total(counters.algorithm1_wall_s)
-    registry.gauge(
-        "repro_ap_associated_clients", "Currently associated stations", labels=labels
-    ).set(len(ap.associations))
-    registry.gauge(
-        "repro_ap_broadcast_buffer_depth",
-        "Broadcast frames currently buffered",
-        labels=labels,
-    ).set(len(ap.broadcast_buffer))
-    registry.counter(
-        "repro_ap_broadcast_buffer_dropped_total",
-        "Broadcast frames dropped at a full buffer",
-        labels=labels,
-    ).set_total(ap.broadcast_buffer.dropped)
-    table = ap.port_table
-    registry.gauge(
-        "repro_ap_port_table_entries", "(port, AID) pairs stored", labels=labels
-    ).set(len(table))
-    registry.gauge(
-        "repro_ap_port_table_distinct_ports", "Distinct ports stored", labels=labels
-    ).set(table.distinct_ports)
-    registry.gauge(
-        "repro_ap_port_table_clients", "Clients with a stored report", labels=labels
-    ).set(table.client_count)
-    registry.counter(
-        "repro_ap_port_entries_expired_total",
-        "Port-table clients aged out by the refresh-timer TTL",
-        labels=labels,
-    ).set_total(counters.port_entries_expired)
-    for op in ("inserts", "deletes", "lookups", "refreshes", "expirations"):
-        registry.counter(
-            "repro_ap_port_table_ops_total",
-            "Port-table operations by kind",
-            labels={"ap": str(ap.mac), "op": op},
-        ).set_total(getattr(table.stats, op))
-    return registry
-
-
-def collect_client(client, registry: MetricsRegistry) -> MetricsRegistry:
-    """Station activity: wakeups, suspend churn, wakelock time, frames.
-
-    Tolerates components in any lifecycle state: a client that crashed
-    mid-run has ``aid = None``, so the label falls back to the last AID
-    it ever held — the same series keeps accumulating across a
-    crash/rejoin instead of forking a second one (or worse, the
-    pre-crash series going silently stale).
-    """
-    labels = {"client": str(client.mac)}
-    aid = client.aid if client.aid is not None else getattr(client, "last_aid", None)
-    if aid is not None:
-        labels["aid"] = str(aid)
-    counters = client.counters
-    for metric_name, field_name, help_text in _CLIENT_COUNTERS:
-        registry.counter(metric_name, help_text, labels=labels).set_total(
-            getattr(counters, field_name)
-        )
-    if client.power is not None:
-        power = client.power.counters
-        registry.counter(
-            "repro_client_wakeups_total",
-            "Resume operations triggered (suspended arrivals)",
-            labels=labels,
-        ).set_total(power.resumes)
-        registry.counter(
-            "repro_client_suspends_completed_total",
-            "Suspend operations that finished",
-            labels=labels,
-        ).set_total(power.suspends_completed)
-        registry.counter(
-            "repro_client_suspends_aborted_total",
-            "Suspend operations aborted by a wake",
-            labels=labels,
-        ).set_total(power.suspends_aborted)
-        registry.counter(
-            "repro_client_aborted_suspend_seconds_total",
-            "Seconds spent in suspends that were aborted",
-            labels=labels,
-        ).set_total(power.aborted_suspend_time)
-        registry.counter(
-            "repro_client_forced_suspends_total",
-            "Abrupt drops to SUSPENDED (crash injection)",
-            labels=labels,
-        ).set_total(power.forced_suspends)
-    if client.wakelock is not None:
-        registry.counter(
-            "repro_client_wakelock_held_seconds_total",
-            "Total wakelock-held seconds",
-            labels=labels,
-        ).set_total(client.wakelock.total_held_time())
-        registry.counter(
-            "repro_client_wakelock_acquisitions_total",
-            "Wakelock acquisitions (renewals excluded)",
-            labels=labels,
-        ).set_total(client.wakelock.acquisitions)
-    return registry
-
-
-def collect_all(
-    registry: MetricsRegistry,
-    simulator=None,
-    medium=None,
-    access_points: Iterable = (),
-    clients: Iterable = (),
-) -> MetricsRegistry:
-    """One-call collection over every component of a DES run."""
-    if simulator is not None:
-        collect_simulator(simulator, registry)
-    if medium is not None:
-        collect_medium(medium, registry)
-    for ap in access_points:
-        collect_access_point(ap, registry)
-    for client in clients:
-        collect_client(client, registry)
     return registry

@@ -1,6 +1,9 @@
-"""Turn a registry's contents into something a human or scraper reads.
+"""Turn metric rows into something a human or scraper reads.
 
-Three formats, matching the three consumers this repo has:
+Every renderer takes rows: a :class:`MetricsRegistry` (which iterates
+its series in :meth:`~MetricsRegistry.collect` order) or the
+registry-free rows of :func:`repro.obs.collectors.metric_rows`. Three
+formats, matching the three consumers this repo has:
 
 * :func:`render_prometheus` — the text exposition format, for anything
   that already speaks Prometheus (or for diffing two runs with grep).
@@ -14,9 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Union
 
-from repro.obs.metrics import MetricsRegistry, format_labels
+from repro.obs.metrics import format_labels, row_entry
 from repro.reporting import render_table
 
 
@@ -37,9 +40,9 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _prometheus_lines(registry: MetricsRegistry) -> Iterator[str]:
+def _prometheus_lines(rows: Iterable) -> Iterator[str]:
     family = None
-    for metric in registry.collect():
+    for metric in rows:
         if metric.name != family:
             family = metric.name
             if metric.help:
@@ -49,41 +52,39 @@ def _prometheus_lines(registry: MetricsRegistry) -> Iterator[str]:
         yield f"{metric.name}{labels} {_format_value(metric.value)}\n"
 
 
-def _jsonl_lines(registry: MetricsRegistry) -> Iterator[str]:
-    for entry in registry.entries():
-        yield json.dumps(entry) + "\n"
+def _jsonl_lines(rows: Iterable) -> Iterator[str]:
+    for row in rows:
+        yield json.dumps(row_entry(row)) + "\n"
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format (version 0.0.4)."""
-    return "".join(_prometheus_lines(registry))
+def render_prometheus(rows: Iterable) -> str:
+    """The rows in Prometheus text exposition format (version 0.0.4)."""
+    return "".join(_prometheus_lines(rows))
 
 
-def render_metrics_jsonl(registry: MetricsRegistry) -> str:
+def render_metrics_jsonl(rows: Iterable) -> str:
     """One JSON object per series (the ``entries()`` rows); zero series
     is an empty string, not one blank line."""
-    return "".join(_jsonl_lines(registry))
+    return "".join(_jsonl_lines(rows))
 
 
-def render_metrics_table(
-    registry: MetricsRegistry, title: Optional[str] = "Metrics"
-) -> str:
+def render_metrics_table(rows: Iterable, title: Optional[str] = "Metrics") -> str:
     """A human summary: one row per series."""
-    rows: List[List[str]] = []
-    for metric in registry.collect():
+    table: List[List[str]] = []
+    for metric in rows:
         labels = ",".join(f"{k}={v}" for k, v in metric.label_items)
-        rows.append([metric.name, labels, metric.kind, f"{metric.value:.6g}"])
-    if not rows:
+        table.append([metric.name, labels, metric.kind, f"{metric.value:.6g}"])
+    if not table:
         return f"{title}: (no metrics recorded)" if title else "(no metrics recorded)"
-    return render_table(["metric", "labels", "kind", "value"], rows, title=title)
+    return render_table(["metric", "labels", "kind", "value"], table, title=title)
 
 
 def write_metrics(
-    registry: MetricsRegistry,
+    rows: Iterable,
     destination: Union[str, IO[str]],
     format: str = "prometheus",
 ) -> None:
-    """Write the registry to a path or stream in the chosen format.
+    """Write the rows to a path or stream in the chosen format.
 
     ``format`` may be ``prometheus``, ``jsonl``, or ``table``; when
     ``destination`` is a path the format defaults by extension
@@ -97,7 +98,7 @@ def write_metrics(
     }
     if format not in line_sources:
         raise ValueError(f"unknown metrics format: {format!r}")
-    lines = line_sources[format](registry)
+    lines = line_sources[format](rows)
     if isinstance(destination, (str, bytes)):
         with open(destination, "w", encoding="utf-8") as stream:
             stream.writelines(lines)

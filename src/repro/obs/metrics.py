@@ -7,9 +7,10 @@ one.
 
 The simulator's hot paths never talk to a registry directly — entities
 keep their existing plain-attribute counters and the
-:mod:`repro.obs.collectors` module *pulls* them into a registry on
-demand (the Prometheus collector model), so a disabled observability
-stack costs the hot path nothing.
+:mod:`repro.obs.collectors` module *pulls* them on demand (the
+Prometheus collector model), as :class:`Row` tuples or into a
+registry, so a disabled observability stack costs the hot path
+nothing.
 
 Distributions (ledger delays, service latencies) are not registry
 series: they live in :class:`repro.obs.hdr.HdrHistogram`.
@@ -18,7 +19,7 @@ series: they live in :class:`repro.obs.hdr.HdrHistogram`.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 #: Prometheus metric-name grammar (exposition format, version 0.0.4).
 METRIC_NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
@@ -72,6 +73,30 @@ def series_key(name: str, labels: Optional[Dict[str, str]] = None) -> str:
     if not labels:
         return name
     return name + format_labels(sorted(labels.items()))
+
+
+class Row(NamedTuple):
+    """One series as a snapshot row, read without a registry.
+
+    It carries the attributes a :class:`Metric` has, so the exporters
+    and the fingerprint take rows and a registry's series alike.
+    """
+
+    name: str
+    kind: str
+    help: str
+    label_items: LabelItems
+    value: float
+
+
+def row_entry(row) -> Dict[str, object]:
+    """A row or series as its JSON-friendly snapshot dict."""
+    return {
+        "name": row.name,
+        "kind": row.kind,
+        "labels": dict(row.label_items),
+        "value": row.value,
+    }
 
 
 class Metric:
@@ -177,7 +202,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, labels) -> Metric:
+    def _get_or_create(
+        self, cls, name: str, help: str, key: LabelItems
+    ) -> Metric:
         family = self._families.get(name)
         if family is None:
             _check_name(name)
@@ -187,7 +214,6 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as {family.cls.kind}, "
                 f"requested {cls.kind}"
             )
-        key = _label_key(labels)
         metric = family.series.get(key)
         if metric is None:
             _check_label_names(name, key)
@@ -200,12 +226,19 @@ class MetricsRegistry:
     def counter(
         self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None
     ) -> Counter:
-        return self._get_or_create(Counter, name, help, labels)
+        return self._get_or_create(Counter, name, help, _label_key(labels))
 
     def gauge(
         self, name: str, help: str = "", labels: Optional[Dict[str, str]] = None
     ) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
+        return self._get_or_create(Gauge, name, help, _label_key(labels))
+
+    def set_row(self, row: Row) -> None:
+        """Create or refresh the series a snapshot row describes; the
+        row's reader already applied the series type's value checks."""
+        cls = Counter if row.kind == Counter.kind else Gauge
+        metric = self._get_or_create(cls, row.name, row.help, row.label_items)
+        metric._value = row.value
 
     def collect(self) -> Iterator[Metric]:
         """All series, grouped by family, label sets in sorted order."""
@@ -213,6 +246,8 @@ class MetricsRegistry:
             series = self._families[name].series
             for key in sorted(series):
                 yield series[key]
+
+    __iter__ = collect
 
     def get(self, name: str, labels: Optional[Dict[str, str]] = None) -> Optional[Metric]:
         family = self._families.get(name)
@@ -228,12 +263,7 @@ class MetricsRegistry:
         """The snapshot rows, one JSON-friendly dict per series, in
         :meth:`collect` order."""
         for metric in self.collect():
-            yield {
-                "name": metric.name,
-                "kind": metric.kind,
-                "labels": dict(metric.label_items),
-                "value": metric.value,
-            }
+            yield row_entry(metric)
 
     def snapshot(self) -> List[Dict[str, object]]:
         """A JSON-friendly dump of every series' current value."""

@@ -24,7 +24,6 @@ _EXPORTS = {
     "scenario_by_name": "repro.traces.scenarios",
     "generate_trace": "repro.traces.generators",
     "TraceGenerator": "repro.traces.generators",
-    "apply_dtim_release": "repro.traces.release",
     "UsefulnessAssignment": "repro.traces.usefulness",
     "spread_fraction_mask": "repro.traces.usefulness",
     "random_fraction_mask": "repro.traces.usefulness",

@@ -100,18 +100,3 @@ def _air(
             start, port, length, rate, position < last, offered_time
         )
     return transmit_cursor
-
-
-def apply_dtim_release(
-    offered: Iterable[OfferedFrame],
-    duration_s: float,
-    dtim_period: int = 1,
-) -> List[BroadcastFrameRecord]:
-    """:func:`release_bursts` over offered frames in any order, as a list."""
-    return list(
-        release_bursts(
-            sorted(offered, key=lambda item: item[0]),
-            duration_s,
-            dtim_period=dtim_period,
-        )
-    )

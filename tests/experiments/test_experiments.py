@@ -14,12 +14,13 @@ from repro.experiments import (
     figure11,
     figure12,
     headline,
+    sensitivity,
     table1,
     table2,
 )
 from repro.experiments.context import EvaluationContext
 from repro.solutions import HideSolution, ReceiveAllSolution, Solution
-from repro.traces.scenarios import ScenarioSpec
+from repro.traces.scenarios import ScenarioSpec, scenario_by_name
 
 #: Short scenarios with the same two traffic characters as the real
 #: ones, so experiment tests run in seconds.
@@ -207,6 +208,24 @@ class TestEachCellEvaluatedOnce:
         )
         assert recomputed.breakdown != original.breakdown
         assert longer_tau.breakdown != original.breakdown
+
+    def test_sensitivity_reads_figure7_cells(self, monkeypatch):
+        context = EvaluationContext()
+        cs_dept, starbucks = (scenario_by_name(n) for n in ("CS_Dept", "Starbucks"))
+        cells = [
+            context.solution_result(solution, scenario, 0.10, NEXUS_ONE)
+            for scenario in (cs_dept, starbucks)
+            for solution in (ReceiveAllSolution(), HideSolution())
+        ]
+        evaluations = _record_calls(monkeypatch, Solution, "evaluate")
+        result = sensitivity.compute(context)
+        # Four other taus and two other DTIM periods, two solutions each.
+        assert len(evaluations) == 12
+        (paper_tau,) = [p for p in result.tau_points if p.wakelock_timeout_s == 1.0]
+        (period_one,) = [p for p in result.dtim_points if p.dtim_period == 1]
+        read = [paper_tau.receive_all, paper_tau.hide]
+        read += [period_one.receive_all, period_one.hide]
+        assert all(got is cell for got, cell in zip(read, cells))
 
     def test_breakeven_evaluates_receive_all_once(self, monkeypatch, context):
         evaluations = _record_calls(monkeypatch, Solution, "evaluate")

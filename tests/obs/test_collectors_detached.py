@@ -10,7 +10,7 @@ pre-crash series silently stale.
 from repro.dot11.mac_address import MacAddress
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.faults import ClientCrashEvent, FaultPlan
-from repro.obs.collectors import collect_all, collect_client
+from repro.obs.collectors import collect_all
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.medium import Medium
 from repro.sim.engine import Simulator
@@ -76,7 +76,7 @@ class TestCrashedClientCollection:
         ghost = Client(
             MacAddress.station(9), medium, MacAddress.from_string("02:aa:00:00:00:01")
         )
-        registry = collect_client(ghost, MetricsRegistry())
+        registry = collect_all(MetricsRegistry(), clients=[ghost])
         labels = {"client": str(ghost.mac)}
         assert registry.get("repro_client_beacons_received_total", labels) is not None
         assert registry.get("repro_client_wakeups_total", labels) is None

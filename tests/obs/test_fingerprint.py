@@ -2,6 +2,7 @@
 
 * The streamed fingerprint equals its definition: SHA-256 of the whole
   filtered snapshot serialized as one canonical JSON text.
+* The registry-free metric rows are a registry's snapshot, row for row.
 * Fingerprinting a fleet run costs a bounded number of bytes per series.
 * The ``.prom`` and ``.jsonl`` exports of one seeded ``sim run`` are
   byte-for-byte what they were when this test was written, apart from
@@ -13,18 +14,25 @@ import hashlib
 import io
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import main
+from repro.dot11.mac_address import MacAddress
 from repro.experiments.des_run import (
     _FINGERPRINT_EXCLUDED_METRICS,
+    AP_MAC,
     DesRunConfig,
     registry_fingerprint,
     run_trace_des,
 )
 from repro.faults import FaultPlan
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.collectors import collect_all, metric_rows
+from repro.obs.metrics import MetricsRegistry, row_entry
+from repro.sim.engine import Simulator
+from repro.sim.medium import Medium
+from repro.station.client import Client
 from repro.traces.generators import generate_trace
 
 
@@ -88,17 +96,70 @@ class TestFingerprintOracle:
         assert registry_fingerprint(registry) == oracle_fingerprint(registry)
 
 
+def _ghost(index=9):
+    """A constructed, never-attached client: no AID, power or wakelock."""
+    return Client(MacAddress.station(index), Medium(Simulator()), AP_MAC)
+
+
+class TestRowsMatchRegistry:
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_rows_equal_registry_entries(self, name):
+        result = RUNS[name]()
+        ghost = _ghost(100_000)
+        components = dict(
+            simulator=result.simulator,
+            medium=result.medium,
+            access_points=[result.access_point],
+            clients=result.clients + [ghost],
+        )
+        rows = list(metric_rows(**components))
+        registry = collect_all(MetricsRegistry(), **components)
+        assert [row_entry(row) for row in rows] == list(registry.entries())
+        assert [(row.name, row.help) for row in rows] == [
+            (metric.name, metric.help) for metric in registry.collect()
+        ]
+        # The ghost has no AID label and no power or wakelock series.
+        ghost_labels = (("client", str(ghost.mac)),)
+        assert sum(row.label_items == ghost_labels for row in rows) == 19
+
+    def test_run_rows_are_its_registry(self):
+        result = RUNS["faults-crash-rejoin"]()
+        assert [row_entry(row) for row in result.metric_rows()] == list(
+            result.collect_metrics().entries()
+        )
+
+    def test_duplicate_client_labels_refused(self):
+        twins = [_ghost(), _ghost()]
+        with pytest.raises(ValueError, match="share the labels"):
+            list(metric_rows(clients=twins))
+        with pytest.raises(ValueError, match="share the labels"):
+            collect_all(MetricsRegistry(), clients=twins)
+
+    def test_negative_counter_total_refused(self):
+        simulator = SimpleNamespace(
+            events_processed=-1,
+            events_cancelled=0,
+            pending_events=0,
+            queue_depth=0,
+            now=0.0,
+            run_wall_time_s=0.0,
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            list(metric_rows(simulator=simulator))
+
+
 class TestFingerprintMemory:
     #: Peak traced bytes per fingerprinted series. Holding the snapshot
     #: list, its JSON text and that text's bytes at once came to about
-    #: 1,230 B; a slotted registry streamed into the hash, about 300 B.
-    MAX_BYTES_PER_SERIES = 450
+    #: 1,230 B; a slotted registry streamed into the hash, about 420 B;
+    #: rows hashed as they are read, without a registry, about 150 B.
+    MAX_BYTES_PER_SERIES = 200
 
     def test_fleet_fingerprint_peak_per_series(self):
         result = _fleet_run()
         series = sum(
-            entry["name"] not in _FINGERPRINT_EXCLUDED_METRICS
-            for entry in result.collect_metrics(MetricsRegistry()).entries()
+            row.name not in _FINGERPRINT_EXCLUDED_METRICS
+            for row in result.metric_rows()
         )
         assert series > 5000
         tracemalloc.start()

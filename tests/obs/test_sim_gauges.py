@@ -7,7 +7,7 @@ event heap's structural size, cancelled tombstones included, while
 because committed ``.prom`` baselines and dashboards reference it.
 """
 
-from repro.obs.collectors import collect_simulator
+from repro.obs.collectors import collect_all
 from repro.obs.exporters import render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
@@ -19,7 +19,7 @@ class TestQueueDepthGauge:
         sim.schedule(0.5, lambda: None)
         sim.schedule(500.0, lambda: None).cancel()  # far-future tombstone
         sim.schedule(9000.0, lambda: None)
-        registry = collect_simulator(sim, MetricsRegistry())
+        registry = collect_all(MetricsRegistry(), simulator=sim)
         queue_depth = registry.get("repro_sim_queue_depth", {})
         heap_depth = registry.get("repro_sim_heap_depth", {})
         assert queue_depth is not None and heap_depth is not None
@@ -29,7 +29,7 @@ class TestQueueDepthGauge:
 
     def test_series_names_render_in_prometheus_text(self):
         sim = Simulator()
-        registry = collect_simulator(sim, MetricsRegistry())
+        registry = collect_all(MetricsRegistry(), simulator=sim)
         text = render_prometheus(registry)
         assert "repro_sim_queue_depth 0" in text
         assert "repro_sim_heap_depth 0" in text

@@ -26,7 +26,7 @@ from repro.solutions.hide import (
 )
 from repro.station.client import ClientConfig
 from repro.traces.generators import TraceGenerator, generate_trace
-from repro.traces.release import apply_dtim_release, release_bursts
+from repro.traces.release import release_bursts
 from repro.traces.stats import detect_bursts
 
 _FIELDS = {
@@ -73,7 +73,6 @@ _PARAMETERS = {
     TraceGenerator.__init__: ["self", "spec", "dtim_period"],
     generate_trace: ["scenario", "seed", "dtim_period"],
     release_bursts: ["offered", "duration_s", "dtim_period"],
-    apply_dtim_release: ["offered", "duration_s", "dtim_period"],
 }
 
 _CONSTRUCTORS = {

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.traces.generators import FRAME_OVERHEAD_BYTES, TraceGenerator, generate_trace
-from repro.traces.release import apply_dtim_release
+from repro.traces.release import release_bursts
 from repro.traces.scenarios import PAPER_SCENARIOS, ScenarioSpec, scenario_by_name
 from repro.units import BEACON_INTERVAL_S, mbps
 
@@ -156,46 +156,50 @@ class TestGeneration:
         assert skewed_share > base_share * 2
 
 
+def _release(offered, **kwargs):
+    return list(release_bursts(sorted(offered, key=lambda item: item[0]), **kwargs))
+
+
 class TestDtimRelease:
     def test_frames_air_after_dtim_boundaries(self):
         offered = [(0.01, 137, 100, mbps(1)), (0.05, 138, 100, mbps(1))]
-        records = apply_dtim_release(offered, duration_s=1.0)
+        records = _release(offered, duration_s=1.0)
         assert all(r.time >= BEACON_INTERVAL_S for r in records)
         # Both offered in interval 0 -> both air right after beacon 1.
         assert records[0].time == pytest.approx(BEACON_INTERVAL_S + 0.9e-3)
 
     def test_burst_serialized_back_to_back(self):
         offered = [(0.01 * i, 137, 125, mbps(1)) for i in range(3)]
-        records = apply_dtim_release(offered, duration_s=1.0)
+        records = _release(offered, duration_s=1.0)
         gaps = [b.time - a.time for a, b in zip(records, records[1:])]
         assert all(0.001 < gap < 0.002 for gap in gaps)  # airtime + SIFS
 
     def test_more_data_bits(self):
         offered = [(0.01 * i, 137, 100, mbps(1)) for i in range(3)]
-        records = apply_dtim_release(offered, duration_s=1.0)
+        records = _release(offered, duration_s=1.0)
         assert [r.more_data for r in records] == [True, True, False]
 
     def test_offered_time_preserved(self):
         offered = [(0.033, 137, 100, mbps(1))]
-        (record,) = apply_dtim_release(offered, duration_s=1.0)
+        (record,) = _release(offered, duration_s=1.0)
         assert record.offered_time == pytest.approx(0.033)
         assert record.buffering_delay_s > 0
 
     def test_dtim_period_delays_release(self):
         offered = [(0.01, 137, 100, mbps(1))]
-        (period1,) = apply_dtim_release(offered, duration_s=2.0, dtim_period=1)
-        (period3,) = apply_dtim_release(offered, duration_s=2.0, dtim_period=3)
+        (period1,) = _release(offered, duration_s=2.0, dtim_period=1)
+        (period3,) = _release(offered, duration_s=2.0, dtim_period=3)
         assert period3.time > period1.time
 
     def test_records_sorted_and_within_duration(self):
         offered = [(0.9 * i % 5, 137, 100, mbps(1)) for i in range(50)]
-        records = apply_dtim_release(offered, duration_s=6.0)
+        records = _release(offered, duration_s=6.0)
         times = [r.time for r in records]
         assert times == sorted(times)
         assert all(t < 6.0 for t in times)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            apply_dtim_release([], duration_s=0)
+            release_bursts([], duration_s=0)
         with pytest.raises(ConfigurationError):
-            apply_dtim_release([], duration_s=1.0, dtim_period=0)
+            release_bursts([], duration_s=1.0, dtim_period=0)
