@@ -202,18 +202,16 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
                 print(module.render())
             print("=" * 72)
         return 0
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry() if args.metrics_out else None
     tracer = _make_tracer(args.trace_log)
     try:
-        print(runner.run_all(tracer=tracer, registry=registry))
+        sections, timings = runner.run_sections(tracer=tracer)
+        print(runner.render_report(sections, timings))
     finally:
         tracer.close()
     if args.trace_log:
         print(f"wrote trace log to {args.trace_log}")
     if args.metrics_out:
-        _write_metrics_file(registry, args.metrics_out)
+        _write_metrics_file(runner.section_rows(timings), args.metrics_out)
     return 0
 
 
@@ -499,14 +497,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     telemetry = None
     server = None
     if args.serve_metrics is not None:
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.server import MetricsServer
 
         telemetry = SweepTelemetry()
-        registry = MetricsRegistry()
         server = MetricsServer(
-            registry=registry,
-            collect_fn=lambda: telemetry.collect_into(registry),
+            telemetry.metric_rows,
             health_fn=telemetry.health,
             port=args.serve_metrics,
         )

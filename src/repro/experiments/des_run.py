@@ -10,15 +10,14 @@ It is the engine behind ``repro sim run`` and the observability
 integration tests: attach a :class:`~repro.obs.tracing.JsonlTracer`
 and every DTIM cycle, Algorithm-1 run, BTIM element, and client wakeup
 lands in the trace log; :meth:`DesRunResult.metric_rows` reads the
-whole run as metric rows ready for export, and
-:meth:`DesRunResult.collect_metrics` mirrors them into a registry.
+whole run as metric rows ready for export and fingerprinting, and a
+live ``/metrics`` scrape reads :meth:`PreparedDesRun.live_rows`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -41,14 +40,9 @@ from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.packet import build_broadcast_udp_packet
-from repro.obs.collectors import (
-    collect_all,
-    collect_delivery,
-    collect_profiler,
-    metric_rows,
-)
+from repro.obs.collectors import collect_delivery, collect_profiler, metric_rows
 from repro.obs.ledger import FrameLedger
-from repro.obs.metrics import MetricsRegistry, Row, row_entry
+from repro.obs.metrics import Row, row_entry
 from repro.obs.profiler import AttributionProfiler, ProfilerConfig
 from repro.obs.timeseries import TimeseriesRecorder, dtim_window_s
 from repro.obs.tracing import NULL_TRACER
@@ -86,14 +80,15 @@ _FINGERPRINT_EXCLUDED_METRICS = frozenset(
 _FINGERPRINT_ROWS_PER_ENCODE = 512
 
 
-def registry_fingerprint(rows: Iterable) -> str:
+def rows_fingerprint(rows: Iterable[Row]) -> str:
     """SHA-256 of the snapshot rows, minus the excluded families, as
     canonical JSON (sorted keys, no spaces).
 
-    ``rows`` is a :class:`MetricsRegistry` or any iterable of rows in
-    its order, such as :func:`~repro.obs.collectors.metric_rows`. The
-    hash is fed the bytes ``json.dumps`` gives the whole filtered list
-    of ``entries()`` dicts, ``_FINGERPRINT_ROWS_PER_ENCODE`` at a time:
+    ``rows`` is any iterable of rows, such as
+    :func:`~repro.obs.collectors.metric_rows`. The hash is fed the bytes
+    ``json.dumps`` gives the whole filtered list of
+    :func:`~repro.obs.metrics.row_entry` dicts,
+    ``_FINGERPRINT_ROWS_PER_ENCODE`` at a time:
     ``[``, each chunk's list encoded with its brackets stripped, the
     chunks joined by ``,``, then ``]``. A fleet run never holds the
     snapshot or its JSON text, and pays one encoder call per chunk, not
@@ -236,10 +231,9 @@ class DesRunResult:
     fault_injector: Optional[FaultInjector] = None
     #: Live when the run checked invariants.
     invariants: Optional[InvariantSuite] = None
-    #: Live when telemetry was configured: the windowed recorder, the
-    #: registry it sampled into, and (if serving) the scrape endpoint.
+    #: Live when telemetry was configured: the windowed recorder and
+    #: (if serving) the scrape endpoint.
     timeseries: Optional[TimeseriesRecorder] = None
-    live_registry: Optional[MetricsRegistry] = None
     metrics_server: Optional[MetricsServer] = None
     #: Live when the run profiled its hot path.
     profiler: Optional[AttributionProfiler] = None
@@ -260,22 +254,9 @@ class DesRunResult:
         ]
 
     def metric_rows(self) -> Iterator[Row]:
-        """Every component of this run as snapshot rows, in registry
-        order, read as they are consumed: no registry is built."""
+        """Every component of this run as snapshot rows, in (name,
+        labels) order, read as they are consumed."""
         return metric_rows(
-            simulator=self.simulator,
-            medium=self.medium,
-            access_points=[self.access_point],
-            clients=self.clients,
-        )
-
-    def collect_metrics(
-        self, registry: Optional[MetricsRegistry] = None
-    ) -> MetricsRegistry:
-        """Pull every component of this run into a registry."""
-        registry = registry if registry is not None else MetricsRegistry()
-        return collect_all(
-            registry,
             simulator=self.simulator,
             medium=self.medium,
             access_points=[self.access_point],
@@ -287,12 +268,12 @@ class DesRunResult:
 
         Covers every collected metric except the wall-clock families
         (those measure the host, not the protocol); see
-        :func:`registry_fingerprint`. Hashes :meth:`metric_rows` as they
+        :func:`rows_fingerprint`. Hashes :meth:`metric_rows` as they
         are read. Two runs with the same seed and fault plan must
         produce the same fingerprint; the determinism regression test
         pins exactly that.
         """
-        return registry_fingerprint(self.metric_rows())
+        return rows_fingerprint(self.metric_rows())
 
     def profile_report(self) -> Optional[Dict[str, object]]:
         """The run's ``repro-profile/v1`` document (None if unprofiled)."""
@@ -311,8 +292,8 @@ class PreparedDesRun:
     """A fully wired DES run that has not executed yet.
 
     Splitting preparation from execution lets callers observe the run
-    *while it happens*: the live metrics registry, timeseries recorder,
-    and scrape endpoint (already serving, if configured) all exist
+    *while it happens*: the timeseries recorder and scrape endpoint
+    (already serving, if configured) both exist
     before :meth:`execute` starts the clock. ``repro sim run
     --serve-metrics`` prints the endpoint URL in that gap, so a scraper
     can attach from simulated second zero.
@@ -343,11 +324,9 @@ class PreparedDesRun:
         self.fault_injector = fault_injector
         self.invariants = invariants
         self.ledger = ledger
-        self.live_registry: Optional[MetricsRegistry] = None
         self.recorder: Optional[TimeseriesRecorder] = None
         self.metrics_server: Optional[MetricsServer] = None
         self.profiler: Optional[AttributionProfiler] = None
-        self._collect_lock = threading.Lock()
         self._executed = False
         if config.profiler is not None:
             self.profiler = AttributionProfiler(config.profiler)
@@ -356,7 +335,6 @@ class PreparedDesRun:
             self._wire_telemetry(config.telemetry)
 
     def _wire_telemetry(self, telemetry: TelemetryConfig) -> None:
-        self.live_registry = MetricsRegistry()
         window_s = telemetry.window_seconds(self.access_point.config.dtim_period)
         self.recorder = TimeseriesRecorder(window_s, self.sample_live_values)
         self.recorder.attach(self.simulator)
@@ -367,8 +345,7 @@ class PreparedDesRun:
             if self.profiler is not None:
                 profile_fn = self.profiler.report
             self.metrics_server = MetricsServer(
-                self.live_registry,
-                collect_fn=self.collect_live,
+                self.live_rows,
                 recorder=self.recorder,
                 health_fn=lambda: {
                     "sim_time": self.simulator.now,
@@ -386,9 +363,9 @@ class PreparedDesRun:
 
         This is the timeseries recorder's hot path: it fires once per
         DTIM, so its cost must stay a small fraction of the simulator's
-        own per-window work. Full registry collection scales with the
-        number of series — hundreds at 25 clients — so instead this
-        reads a fixed-size curated set: the counters Section IV's
+        own per-window work. Reading every series scales with their
+        number — hundreds at 25 clients — so instead this reads a
+        fixed-size curated set: the counters Section IV's
         energy timeline is built from, with client counters summed
         fleet-wide (the per-client split stays available from
         ``/metrics`` scrapes and the end-of-run snapshot, which are off
@@ -454,34 +431,29 @@ class PreparedDesRun:
         )
         return values
 
-    def collect_live(self) -> MetricsRegistry:
-        """Refresh the live registry from every component (read-only).
+    def live_rows(self) -> List[Row]:
+        """Every series a live ``/metrics`` scrape shows (read-only).
 
-        Called from scrape handlers (server threads); the lock keeps
-        concurrent refreshes from interleaving. Components are only
-        read, never mutated, so this cannot perturb the simulation.
+        The end-of-run rows plus the profiler's and the delivery
+        machinery's host-side rows, which no fingerprint hashes. Called
+        from scrape handlers (server threads): components are only
+        read, never mutated, so this cannot perturb the simulation. The
+        delivery rows read the slot columns without settling them, so —
+        like ``events_processed`` — a live value is at most one probe
+        window stale.
         """
-        registry = self.live_registry
-        if registry is None:
-            registry = self.live_registry = MetricsRegistry()
-        with self._collect_lock:
-            collect_all(
-                registry,
+        rows = list(
+            metric_rows(
                 simulator=self.simulator,
                 medium=self.medium,
                 access_points=[self.access_point],
                 clients=self.clients,
             )
-            if self.profiler is not None:
-                # Live scrapes only: end-of-run collection (and thus
-                # determinism fingerprints) never includes these.
-                collect_profiler(self.profiler, registry)
-            # Live scrapes only, for the same reason. Reads the slot
-            # columns without settling them (scrape threads must not
-            # mutate accrual state), so — like ``_events_processed`` —
-            # a live value is at most one probe window stale.
-            collect_delivery(self.medium, registry)
-            return registry
+        )
+        if self.profiler is not None:
+            rows += collect_profiler(self.profiler)
+        rows += collect_delivery(self.medium)
+        return rows
 
     def close(self) -> None:
         if self.metrics_server is not None:
@@ -521,7 +493,6 @@ class PreparedDesRun:
             fault_injector=self.fault_injector,
             invariants=self.invariants,
             timeseries=self.recorder,
-            live_registry=self.live_registry,
             metrics_server=self.metrics_server,
             profiler=self.profiler,
             ledger=self.ledger,

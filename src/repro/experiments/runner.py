@@ -1,9 +1,10 @@
 """Run every experiment and assemble one report.
 
 Each section is timed with a wall clock; the report ends with a
-"Section timings" table so slow figures are visible in CI logs, and a
+"Section timings" table so slow figures are visible in CI logs, a
 tracer (``--trace-log`` on the CLI) receives one ``experiment_section``
-span per section for machine post-processing.
+span per section for machine post-processing, and :func:`section_rows`
+reads the same wall times as metric rows (``--metrics-out``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.context import EvaluationContext, default_context
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Row, counter_row
 from repro.obs.tracing import NULL_TRACER
 from repro.reporting import render_table
 
@@ -60,16 +61,27 @@ def render_section_timings(timings: List[Tuple[str, float]]) -> str:
     )
 
 
-def run_all(
+def section_rows(timings: List[Tuple[str, float]]) -> List[Row]:
+    """The section wall times as counter rows, in section-name order."""
+    return [
+        counter_row(
+            "repro_experiment_section_seconds_total",
+            "Wall time per experiment section",
+            elapsed,
+            {"section": name},
+        )
+        for name, elapsed in sorted(timings)
+    ]
+
+
+def run_sections(
     context: Optional[EvaluationContext] = None,
     tracer=NULL_TRACER,
-    registry: Optional[MetricsRegistry] = None,
-) -> str:
-    """Execute all table/figure reproductions; return the full report.
+) -> Tuple[List[str], List[Tuple[str, float]]]:
+    """Execute all table/figure reproductions: each section's text and
+    its ``(name, wall seconds)``.
 
-    ``tracer`` receives an ``experiment_section`` span per section;
-    ``registry`` (when given) accumulates the same wall times as
-    ``repro_experiment_section_seconds_total`` counters.
+    ``tracer`` receives an ``experiment_section`` span per section.
     """
     context = context or default_context()
     sections: List[str] = []
@@ -82,14 +94,20 @@ def run_all(
         sections.append(text)
         if tracer.enabled:
             tracer.span_record("experiment_section", elapsed, section=name)
-        if registry is not None:
-            registry.counter(
-                "repro_experiment_section_seconds_total",
-                "Wall time per experiment section",
-                labels={"section": name},
-            ).inc(elapsed)
-    sections.append(render_section_timings(timings))
-    return ("\n" + _RULE + "\n").join(sections)
+    return sections, timings
+
+
+def render_report(sections: List[str], timings: List[Tuple[str, float]]) -> str:
+    """The full report: every section, then the timings table."""
+    return ("\n" + _RULE + "\n").join(sections + [render_section_timings(timings)])
+
+
+def run_all(
+    context: Optional[EvaluationContext] = None,
+    tracer=NULL_TRACER,
+) -> str:
+    """Execute all table/figure reproductions; return the full report."""
+    return render_report(*run_sections(context, tracer))
 
 
 def main() -> None:

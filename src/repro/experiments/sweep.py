@@ -59,7 +59,7 @@ from repro.experiments.des_run import (
     prepare_trace_des,
 )
 from repro.faults import FaultPlan
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Row, counter_row, gauge_row
 from repro.obs.profiler import merge_profiles
 from repro.sim.invariants import InvariantViolation
 from repro.traces import generate_trace, scenario_by_name
@@ -75,6 +75,26 @@ _WORKER_SINK: Optional[Callable[[Dict[str, object]], None]] = None
 #: How many of a cell's hottest sites feed the live hot-site gauges
 #: (the report merges full profiles).
 _HOT_SITES_PER_CELL = 10
+
+#: Per-worker gauges: (name, help, key of the worker's state).
+_WORKER_GAUGES = (
+    ("repro_sweep_worker_cells_done", "Finished cells by worker process", "cells_done"),
+    (
+        "repro_sweep_worker_cells_failed",
+        "Failed cells by worker process",
+        "cells_failed",
+    ),
+    (
+        "repro_sweep_worker_events_per_second",
+        "Engine throughput at the worker's last report",
+        "events_per_second",
+    ),
+    (
+        "repro_sweep_worker_sim_time_seconds",
+        "Simulation clock at the worker's last heartbeat",
+        "sim_time",
+    ),
+)
 
 
 @contextlib.contextmanager
@@ -213,8 +233,8 @@ class SweepTelemetry:
     """Thread-safe aggregator for the sweep fleet's live telemetry.
 
     Consumes the worker records (``cell_start``/``heartbeat``) and the
-    finished result entries, and renders the rollup as registry gauges
-    for the scrape endpoint.  All methods are safe to call from the
+    finished result entries, and reads the rollup as metric rows for
+    the scrape endpoint.  All methods are safe to call from the
     queue-drain thread, the sweep loop, and the HTTP server threads
     concurrently.
     """
@@ -299,71 +319,72 @@ class SweepTelemetry:
                 "heartbeats": self._heartbeats,
             }
 
-    def collect_into(self, registry: MetricsRegistry) -> MetricsRegistry:
-        """Render the rollup as live gauges (the scrape collect_fn)."""
+    def metric_rows(self) -> List[Row]:
+        """The rollup as live metric rows (the scrape ``rows_fn``)."""
         with self._lock:
-            registry.gauge(
-                "repro_sweep_cells_total", "Cells in this sweep"
-            ).set(self.cells_total)
-            registry.gauge(
-                "repro_sweep_cells_started", "Cells workers have begun"
-            ).set(self._cells_started)
-            registry.gauge(
-                "repro_sweep_cells_done", "Cells finished (ok or failed)"
-            ).set(self._cells_done)
-            registry.gauge(
-                "repro_sweep_cells_failed", "Cells that ended in an error"
-            ).set(self._cells_failed)
-            registry.gauge(
-                "repro_sweep_cells_running",
-                "Cells started but not yet finished",
-            ).set(max(0, self._cells_started - self._cells_done))
-            registry.counter(
-                "repro_sweep_events_total",
-                "Engine events across finished cells",
-            ).set_total(self._events_total)
-            registry.counter(
-                "repro_sweep_run_wall_seconds_total",
-                "Wall seconds across finished cells",
-            ).set_total(self._wall_total_s)
-            registry.counter(
-                "repro_sweep_heartbeats_total", "Worker heartbeat records"
-            ).set_total(self._heartbeats)
-            for worker, state in sorted(self._workers.items()):
+            rows = [
+                gauge_row(
+                    "repro_sweep_cells_total", "Cells in this sweep", self.cells_total
+                ),
+                gauge_row(
+                    "repro_sweep_cells_started",
+                    "Cells workers have begun",
+                    self._cells_started,
+                ),
+                gauge_row(
+                    "repro_sweep_cells_done",
+                    "Cells finished (ok or failed)",
+                    self._cells_done,
+                ),
+                gauge_row(
+                    "repro_sweep_cells_failed",
+                    "Cells that ended in an error",
+                    self._cells_failed,
+                ),
+                gauge_row(
+                    "repro_sweep_cells_running",
+                    "Cells started but not yet finished",
+                    max(0, self._cells_started - self._cells_done),
+                ),
+                counter_row(
+                    "repro_sweep_events_total",
+                    "Engine events across finished cells",
+                    self._events_total,
+                ),
+                counter_row(
+                    "repro_sweep_run_wall_seconds_total",
+                    "Wall seconds across finished cells",
+                    self._wall_total_s,
+                ),
+                counter_row(
+                    "repro_sweep_heartbeats_total",
+                    "Worker heartbeat records",
+                    self._heartbeats,
+                ),
+            ]
+            for worker, state in self._workers.items():
                 labels = {"worker": str(worker)}
-                registry.gauge(
-                    "repro_sweep_worker_cells_done",
-                    "Finished cells by worker process",
-                    labels=labels,
-                ).set(state["cells_done"])
-                registry.gauge(
-                    "repro_sweep_worker_cells_failed",
-                    "Failed cells by worker process",
-                    labels=labels,
-                ).set(state["cells_failed"])
-                registry.gauge(
-                    "repro_sweep_worker_events_per_second",
-                    "Engine throughput at the worker's last report",
-                    labels=labels,
-                ).set(state["events_per_second"])
-                registry.gauge(
-                    "repro_sweep_worker_sim_time_seconds",
-                    "Simulation clock at the worker's last heartbeat",
-                    labels=labels,
-                ).set(state["sim_time"])
-            for (site, kind), (wall_s, events) in sorted(self._hot_sites.items()):
+                rows += [
+                    gauge_row(name, text, state[key], labels)
+                    for name, text, key in _WORKER_GAUGES
+                ]
+            for (site, kind), (wall_s, events) in self._hot_sites.items():
                 labels = {"site": site, "kind": kind}
-                registry.counter(
-                    "repro_sweep_profile_wall_seconds_total",
-                    "Attributed wall seconds by site across finished cells",
-                    labels=labels,
-                ).set_total(wall_s)
-                registry.counter(
-                    "repro_sweep_profile_events_total",
-                    "Attributed events by site across finished cells",
-                    labels=labels,
-                ).set_total(events)
-        return registry
+                rows += [
+                    counter_row(
+                        "repro_sweep_profile_wall_seconds_total",
+                        "Attributed wall seconds by site across finished cells",
+                        wall_s,
+                        labels,
+                    ),
+                    counter_row(
+                        "repro_sweep_profile_events_total",
+                        "Attributed events by site across finished cells",
+                        events,
+                        labels,
+                    ),
+                ]
+        return rows
 
 
 def merge_results(

@@ -2,10 +2,10 @@
 
 The subsystem is zero-dependency and pull-based: simulator components
 keep their cheap native counters, :mod:`repro.obs.collectors` reads
-them as metric rows on demand (mirrored into a :class:`MetricsRegistry`
-for live scrapes), and :mod:`repro.obs.exporters` renders rows for
-Prometheus scrapers, JSONL post-processing, or run reports. Live instrumentation
-(spans and events) goes through a tracer; the default
+them as metric rows on demand (a live ``/metrics`` scrape pulls them
+afresh and sorts them), and :mod:`repro.obs.exporters` renders rows
+for Prometheus scrapers, JSONL post-processing, or run reports. Live
+instrumentation (spans and events) goes through a tracer; the default
 :data:`NULL_TRACER` keeps the hot path at one attribute check.
 
 The names below are re-exported lazily, so importing one submodule
@@ -17,9 +17,6 @@ from repro._exports import lazy_exports
 
 #: Public name → defining module, imported on first use.
 _EXPORTS = {
-    "Counter": "repro.obs.metrics",
-    "Gauge": "repro.obs.metrics",
-    "MetricsRegistry": "repro.obs.metrics",
     "series_key": "repro.obs.metrics",
     "JsonlTracer": "repro.obs.tracing",
     "NULL_TRACER": "repro.obs.tracing",
@@ -43,7 +40,6 @@ _EXPORTS = {
     "render_metrics_table": "repro.obs.exporters",
     "render_prometheus": "repro.obs.exporters",
     "write_metrics": "repro.obs.exporters",
-    "collect_all": "repro.obs.collectors",
     "collect_profiler": "repro.obs.collectors",
     "metric_rows": "repro.obs.collectors",
     "PROFILE_SCHEMA": "repro.obs.profiler",

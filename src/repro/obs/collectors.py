@@ -5,11 +5,10 @@ Entities keep their cheap native counters (``ApCounters``,
 simulator's own tallies). :data:`FAMILIES` declares every end-of-run
 series family once: its name, kind, help, the population it covers and
 how to read one member's value. :func:`metric_rows` walks that table
-and yields the snapshot rows in :meth:`MetricsRegistry.collect` order
-without building a registry, so the determinism fingerprint and the
-``sim run --metrics-out`` exports hold one chunk of rows at a time;
-:func:`collect_all` mirrors the same rows into a registry for live
-scrapes. Calling it twice refreshes the same series.
+and yields the rows in (name, labels) order as they are read, so the
+determinism fingerprint and the ``sim run --metrics-out`` exports hold
+one chunk of rows at a time. A live DES scrape adds the host-clock
+rows of :func:`collect_profiler` and :func:`collect_delivery`.
 
 Naming follows Prometheus conventions: ``repro_<component>_<what>`` with
 ``_total`` for counters and ``_seconds`` for durations.
@@ -22,10 +21,11 @@ from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.obs.metrics import (
     LabelItems,
-    MetricsRegistry,
     Row,
     _check_label_names,
     _check_name,
+    counter_row,
+    gauge_row,
 )
 
 
@@ -399,11 +399,11 @@ def metric_rows(
     access_points: Iterable = (),
     clients: Iterable = (),
 ) -> Iterator[Row]:
-    """Every end-of-run series of a DES run, in registry order.
+    """Every end-of-run series of a DES run, in (name, labels) order.
 
     Family names sorted, label tuples sorted within a family: the
-    order :func:`collect_all` then :meth:`MetricsRegistry.collect`
-    gives. Holds the members sorted by labels, nothing per series.
+    order a live ``/metrics`` page sorts its rows into. Holds the
+    members sorted by labels, nothing per series.
     """
     members = {
         "simulator": [] if simulator is None else [((), simulator)],
@@ -424,102 +424,100 @@ def metric_rows(
                 yield _row(family, labels + ((family.label, key),), item)
 
 
-def collect_all(
-    registry: MetricsRegistry,
-    simulator=None,
-    medium=None,
-    access_points: Iterable = (),
-    clients: Iterable = (),
-) -> MetricsRegistry:
-    """Mirror :func:`metric_rows` into ``registry``, refreshing the
-    series an earlier call made."""
-    for row in metric_rows(simulator, medium, access_points, clients):
-        registry.set_row(row)
-    return registry
-
-
-def collect_profiler(
-    profiler, registry: MetricsRegistry
-) -> MetricsRegistry:
+def collect_profiler(profiler) -> List[Row]:
     """Attribution-profiler state: per-site wall time and event counts.
 
-    Every family here measures the *host* clock, so these series are
-    only ever pulled into live-scrape registries — never into the
-    end-of-run rows that determinism fingerprints hash
-    (:data:`FAMILIES` deliberately knows nothing about profilers).
+    Every family here measures the *host* clock, so these rows only
+    ever reach live scrapes — never the end-of-run rows that
+    determinism fingerprints hash (:data:`FAMILIES` deliberately knows
+    nothing about profilers).
     """
-    registry.counter(
-        "repro_profile_events_total",
-        "Events executed under the attribution profiler",
-    ).set_total(profiler.events_seen)
-    registry.counter(
-        "repro_profile_run_wall_seconds_total",
-        "Wall time of profiled run() windows",
-    ).set_total(profiler.run_wall_s)
-    registry.counter(
-        "repro_profile_attributed_wall_seconds_total",
-        "Wall time attributed to event callbacks (scaled in sampling mode)",
-    ).set_total(profiler.attributed_wall_s)
-    registry.counter(
-        "repro_profile_scheduler_overhead_seconds_total",
-        "Run wall time left to the engine's own pop/push/dispatch",
-    ).set_total(profiler.scheduler_overhead_s)
+    rows = [
+        counter_row(
+            "repro_profile_events_total",
+            "Events executed under the attribution profiler",
+            profiler.events_seen,
+        ),
+        counter_row(
+            "repro_profile_run_wall_seconds_total",
+            "Wall time of profiled run() windows",
+            profiler.run_wall_s,
+        ),
+        counter_row(
+            "repro_profile_attributed_wall_seconds_total",
+            "Wall time attributed to event callbacks (scaled in sampling mode)",
+            profiler.attributed_wall_s,
+        ),
+        counter_row(
+            "repro_profile_scheduler_overhead_seconds_total",
+            "Run wall time left to the engine's own pop/push/dispatch",
+            profiler.scheduler_overhead_s,
+        ),
+    ]
     for site in profiler.site_rows():
         labels = {
             "site": f"{site['owner']}.{site['method']}",
             "kind": str(site["kind"]),
         }
-        registry.counter(
-            "repro_profile_site_wall_seconds_total",
-            "Attributed wall seconds by callback site",
-            labels=labels,
-        ).set_total(float(site["wall_s"]))
-        registry.counter(
-            "repro_profile_site_events_total",
-            "Attributed events by callback site",
-            labels=labels,
-        ).set_total(float(site["events"]))
-    return registry
+        rows += [
+            counter_row(
+                "repro_profile_site_wall_seconds_total",
+                "Attributed wall seconds by callback site",
+                site["wall_s"],
+                labels,
+            ),
+            counter_row(
+                "repro_profile_site_events_total",
+                "Attributed events by callback site",
+                site["events"],
+                labels,
+            ),
+        ]
+    return rows
 
 
-def collect_delivery(
-    medium, registry: MetricsRegistry
-) -> MetricsRegistry:
+def collect_delivery(medium) -> List[Row]:
     """Delivery internals: slot columns and accrual batching.
 
-    Like :func:`collect_profiler`, these series describe the *machinery*
+    Like :func:`collect_profiler`, these rows describe the *machinery*
     (how often the deferred accrual settled, fan-out cache churn) rather
-    than the protocol, so they are only ever pulled into live-scrape
-    registries — never the end-of-run rows that determinism
-    fingerprints hash.  Reads state without settling it, so it is safe
-    from scrape threads.
+    than the protocol, so they only ever reach live scrapes — never the
+    end-of-run rows that determinism fingerprints hash. Reads state
+    without settling it, so it is safe from scrape threads.
     """
     radios = medium.radio_array
-    registry.gauge(
-        "repro_delivery_slots", "Client radio slots currently bound"
-    ).set(float(len(radios)))
-    registry.gauge(
-        "repro_delivery_listeners",
-        "Slots with the radio up (listening or conservative receive-all)",
-    ).set(float(radios.listeners))
-    registry.gauge(
-        "repro_delivery_subscribed_ports",
-        "Distinct UDP ports with at least one subscribed slot",
-    ).set(float(len(radios.port_masks)))
-    registry.counter(
-        "repro_delivery_broadcast_frames_total",
-        "Broadcast frames credited through the O(1) accrual path",
-    ).set_total(float(radios.frames_total))
-    registry.counter(
-        "repro_delivery_settles_total",
-        "Per-slot deferred-accrual settlements",
-    ).set_total(float(radios.settles))
-    registry.counter(
-        "repro_delivery_flushes_total",
-        "Whole-array accrual flushes at sync boundaries",
-    ).set_total(float(radios.flushes))
-    registry.counter(
-        "repro_delivery_fanout_rebuilds_total",
-        "Broadcast fan-out cache recomputations",
-    ).set_total(float(medium.fanout_rebuilds))
-    return registry
+    return [
+        gauge_row(
+            "repro_delivery_slots", "Client radio slots currently bound", len(radios)
+        ),
+        gauge_row(
+            "repro_delivery_listeners",
+            "Slots with the radio up (listening or conservative receive-all)",
+            radios.listeners,
+        ),
+        gauge_row(
+            "repro_delivery_subscribed_ports",
+            "Distinct UDP ports with at least one subscribed slot",
+            len(radios.port_masks),
+        ),
+        counter_row(
+            "repro_delivery_broadcast_frames_total",
+            "Broadcast frames credited through the O(1) accrual path",
+            radios.frames_total,
+        ),
+        counter_row(
+            "repro_delivery_settles_total",
+            "Per-slot deferred-accrual settlements",
+            radios.settles,
+        ),
+        counter_row(
+            "repro_delivery_flushes_total",
+            "Whole-array accrual flushes at sync boundaries",
+            radios.flushes,
+        ),
+        counter_row(
+            "repro_delivery_fanout_rebuilds_total",
+            "Broadcast fan-out cache recomputations",
+            medium.fanout_rebuilds,
+        ),
+    ]

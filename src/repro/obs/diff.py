@@ -74,17 +74,20 @@ def _flatten_hdr_payload(
 
 
 def _parse_prom_value(token: str) -> Optional[float]:
-    if token == "+Inf":
-        return math.inf
-    if token == "-Inf":
-        return -math.inf
+    """A sample value (``float`` reads ``NaN``, ``+Inf`` and ``-Inf``),
+    or None when the token is not a number."""
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         return None
-    if math.isnan(value):
-        return None  # NaN never equals itself; useless to diff
-    return value
+
+
+def _put_series(out: Dict[str, Value], key: str, value: float) -> None:
+    """The one rule both exported-row loaders share: a NaN series is
+    left out (NaN never equals itself, so it is useless to diff);
+    ±Inf is kept."""
+    if not math.isnan(value):
+        out[key] = value
 
 
 def _load_prometheus(text: str) -> Dict[str, Value]:
@@ -94,12 +97,10 @@ def _load_prometheus(text: str) -> Dict[str, Value]:
         if not line or line.startswith("#"):
             continue
         match = _PROM_LINE_RE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable exposition line: {line!r}")
-        value = _parse_prom_value(match.group("value"))
+        value = None if match is None else _parse_prom_value(match.group("value"))
         if value is None:
-            continue
-        out[match.group("name") + (match.group("labels") or "")] = value
+            raise ValueError(f"unparseable exposition line: {line!r}")
+        _put_series(out, match.group("name") + (match.group("labels") or ""), value)
     return out
 
 
@@ -111,7 +112,7 @@ def _flatten_snapshot_row(row: Dict[str, object], out: Dict[str, Value]) -> None
     value = row.get("value")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"snapshot row has no numeric value: {row!r}")
-    out[series_key(name, labels)] = float(value)
+    _put_series(out, series_key(name, labels), float(value))
 
 
 def _load_json_document(doc: object) -> Dict[str, Value]:
@@ -310,13 +311,11 @@ def diff_metrics(
                 )
             )
             continue
-        abs_delta = vb - va
-        if abs_delta == 0:
-            rel_delta = 0.0
-        elif va == 0:
-            rel_delta = math.inf
+        if va == vb:  # also +Inf against +Inf, whose difference is NaN
+            abs_delta = rel_delta = 0.0
         else:
-            rel_delta = abs(abs_delta) / abs(va)
+            abs_delta = vb - va
+            rel_delta = math.inf if va == 0 else abs(abs_delta) / abs(va)
         within = abs(abs_delta) <= abs_tol or rel_delta <= rel_tol
         deltas.append(
             MetricDelta(

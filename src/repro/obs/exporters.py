@@ -1,9 +1,11 @@
 """Turn metric rows into something a human or scraper reads.
 
-Every renderer takes rows: a :class:`MetricsRegistry` (which iterates
-its series in :meth:`~MetricsRegistry.collect` order) or the
-registry-free rows of :func:`repro.obs.collectors.metric_rows`. Three
-formats, matching the three consumers this repo has:
+Every renderer takes :class:`~repro.obs.metrics.Row` s and renders
+them in the order given: :func:`repro.obs.collectors.metric_rows`
+already yields (name, labels) order, and a live ``/metrics`` page sorts
+its rows into that order first. A family's HELP and TYPE lines come
+from its first row. Three formats, matching the three consumers this
+repo has:
 
 * :func:`render_prometheus` — the text exposition format, for anything
   that already speaks Prometheus (or for diffing two runs with grep).

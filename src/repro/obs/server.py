@@ -3,9 +3,10 @@
 :class:`MetricsServer` runs a threaded ``http.server`` next to a
 simulation and exposes three endpoints:
 
-* ``/metrics`` — the registry in Prometheus text exposition format,
-  refreshed through ``collect_fn`` on every scrape (pull model all the
-  way out: nothing is pushed, the scrape itself triggers collection).
+* ``/metrics`` — the rows ``rows_fn`` returns, read afresh on every
+  scrape (pull model all the way out: nothing is pushed, the scrape
+  itself triggers collection), sorted by (name, labels) and rendered in
+  Prometheus text exposition format.
 * ``/timeseries`` — the attached recorder's window dump as JSON (an
   empty document when no recorder is attached).
 * ``/healthz`` — liveness plus whatever ``health_fn`` reports (the DES
@@ -26,16 +27,20 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.obs.exporters import render_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Row
 from repro.obs.timeseries import TIMESERIES_SCHEMA, TimeseriesRecorder
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 ENDPOINTS = ("/metrics", "/timeseries", "/healthz", "/profile")
+
+#: The order of a live ``/metrics`` page: family name, then label pairs.
+SERIES_ORDER = attrgetter("name", "label_items")
 
 
 class _ObsHTTPServer(ThreadingHTTPServer):
@@ -86,20 +91,18 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class MetricsServer:
-    """Serve a live registry (and optional timeseries) over HTTP."""
+    """Serve live metric rows (and optional timeseries) over HTTP."""
 
     def __init__(
         self,
-        registry: Optional[MetricsRegistry] = None,
-        collect_fn: Optional[Callable[[], None]] = None,
+        rows_fn: Optional[Callable[[], Iterable[Row]]] = None,
         recorder: Optional[TimeseriesRecorder] = None,
         health_fn: Optional[Callable[[], Dict[str, object]]] = None,
         profile_fn: Optional[Callable[[], Dict[str, object]]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._collect_fn = collect_fn
+        self._rows_fn = rows_fn
         self.recorder = recorder
         self._health_fn = health_fn
         self._profile_fn = profile_fn
@@ -114,10 +117,9 @@ class MetricsServer:
 
     def render_metrics(self) -> str:
         with self._lock:
-            if self._collect_fn is not None:
-                self._collect_fn()
+            rows = () if self._rows_fn is None else self._rows_fn()
             self.scrapes_served += 1
-            return render_prometheus(self.registry)
+            return render_prometheus(sorted(rows, key=SERIES_ORDER))
 
     def render_timeseries(self) -> str:
         with self._lock:

@@ -90,8 +90,8 @@ class TimeseriesRecorder:
     ``values_fn`` returns a flat ``series-key -> value`` mapping read
     straight off the live components. It fires once per window (per
     DTIM at the paper's granularity), so it should read a fixed-size
-    curated set rather than collect a full registry, whose cost grows
-    with the number of series. The ring keeps the newest
+    curated set rather than read every series, whose cost grows with
+    their number. The ring keeps the newest
     :data:`CAPACITY` windows; older ones are dropped but stay counted
     in :attr:`samples_taken`, and the EWMA rates integrate the whole
     run regardless of capacity.

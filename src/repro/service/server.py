@@ -20,7 +20,7 @@ live ``asyncio`` UDP service:
   scenario-driven broadcast-frame feed;
 * the existing obs stack provides the ops surface: a
   :class:`~repro.obs.server.MetricsServer` (``/metrics`` + ``/healthz``)
-  over a pull-collected registry, exporting reports/s, flags/s,
+  over pull-collected metric rows, exporting reports/s, flags/s,
   expirations, kernel drops and latency quantiles;
 * SIGTERM/SIGINT trigger a graceful stop — ingest closes after one last
   batch, and a final-state JSON snapshot is written.
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.ap.flags import compute_broadcast_flags
 from repro.errors import ServiceError
 from repro.obs.hdr import QUANTILE_LABELS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Row, counter_row, gauge_row
 from repro.service.feed import BroadcastFrameFeed
 from repro.service.shard import Datagram, PortShard
 
@@ -107,13 +107,8 @@ def socket_drops(sock: socket.socket) -> int:
 class PortService:
     """Lifecycle owner: socket, port state, DTIM task."""
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.shard = PortShard(ttl_s=config.ttl_s, clock=self.now)
         self.feed: Optional[BroadcastFrameFeed] = None
         self.datagrams_received = 0
@@ -180,8 +175,7 @@ class PortService:
             from repro.obs.server import MetricsServer
 
             self._metrics_server = MetricsServer(
-                registry=self.registry,
-                collect_fn=self.collect_into_registry,
+                self.metric_rows,
                 health_fn=self.health,
                 host=self.config.host,
                 port=self.config.metrics_port,
@@ -355,10 +349,9 @@ class PortService:
         )
         return self._last_rates
 
-    def collect_into_registry(self) -> None:
-        """Pull-collect the service counters into the metrics registry
-        (the ``/metrics`` scrape path)."""
-        registry = self.registry
+    def metric_rows(self) -> List[Row]:
+        """The service counters as metric rows (the ``/metrics`` scrape
+        path)."""
         totals = self.totals()
         help_text = {
             "reports": "Port reports applied",
@@ -374,44 +367,62 @@ class PortService:
             "flags_computed": "Broadcast flags set by Algorithm 1",
             "algorithm1_runs": "Per-DTIM Algorithm 1 passes",
         }
-        for key, text in help_text.items():
-            registry.counter(f"service_{key}_total", text).set_total(totals[key])
-        registry.gauge(
-            "service_clients", "Clients with live port-table entries"
-        ).set(totals["clients"])
-        registry.gauge(
-            "service_table_pairs", "(port, AID) pairs across all BSS tables"
-        ).set(totals["pairs"])
-        registry.gauge(
-            "service_uptime_seconds", "Seconds since the service started"
-        ).set(self.now())
+        rows = [
+            counter_row(f"service_{key}_total", text, totals[key])
+            for key, text in help_text.items()
+        ]
         reports_rate, flags_rate = self._windowed_rates(totals)
-        registry.gauge(
-            "service_reports_per_second",
-            "Port messages applied per second (scrape-to-scrape window)",
-        ).set(reports_rate)
-        registry.gauge(
-            "service_flags_per_second",
-            "Broadcast flags computed per second (scrape-to-scrape window)",
-        ).set(flags_rate)
+        rows += [
+            gauge_row(
+                "service_clients",
+                "Clients with live port-table entries",
+                totals["clients"],
+            ),
+            gauge_row(
+                "service_table_pairs",
+                "(port, AID) pairs across all BSS tables",
+                totals["pairs"],
+            ),
+            gauge_row(
+                "service_uptime_seconds",
+                "Seconds since the service started",
+                self.now(),
+            ),
+            gauge_row(
+                "service_reports_per_second",
+                "Port messages applied per second (scrape-to-scrape window)",
+                reports_rate,
+            ),
+            gauge_row(
+                "service_flags_per_second",
+                "Broadcast flags computed per second (scrape-to-scrape window)",
+                flags_rate,
+            ),
+        ]
         latency_help = {
             "drain_batch_ms": "Wall cost per non-empty batch (HDR, ms)",
             "ack_latency_ms": "Receive-to-ACK-emission latency (HDR, ms)",
         }
         for name, histogram in self.shard.latency_histograms().items():
             text = latency_help[name]
-            registry.counter(f"service_{name}_count_total", text).set_total(
-                histogram.count
+            rows.append(
+                counter_row(f"service_{name}_count_total", text, histogram.count)
             )
             if histogram.count == 0:
                 continue
             for label, q in QUANTILE_LABELS:
-                registry.gauge(
-                    f"service_{name}", text, {"quantile": label}
-                ).set(histogram.quantile(q))
-            registry.gauge(
-                f"service_{name}", text, {"quantile": "max"}
-            ).set(histogram.max)
+                rows.append(
+                    gauge_row(
+                        f"service_{name}",
+                        text,
+                        histogram.quantile(q),
+                        {"quantile": label},
+                    )
+                )
+            rows.append(
+                gauge_row(f"service_{name}", text, histogram.max, {"quantile": "max"})
+            )
+        return rows
 
     def health(self) -> Dict[str, object]:
         """The ``/healthz`` document: ``degraded`` once a message or a

@@ -47,7 +47,7 @@ def _latency_histogram() -> HdrHistogram:
 
 @dataclass
 class ShardCounters:
-    """Monotonic counters, pulled into the metrics registry."""
+    """Monotonic counters, read into the service's metric rows."""
 
     reports: int = 0
     keepalives: int = 0

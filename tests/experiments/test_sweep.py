@@ -17,6 +17,7 @@ from repro.experiments.sweep import (
     run_sweep,
     write_sweep_json,
 )
+from tests.obs.row_checks import row_values
 
 _QUICK = DesRunConfig(client_count=2, duration_s=2.0)
 
@@ -297,7 +298,6 @@ class TestSweepTelemetry:
         """Once run_sweep returns, the fleet gauges count exactly the
         cells the report holds — ok and failed alike."""
         import repro.experiments.sweep as sweep_module
-        from repro.obs.metrics import MetricsRegistry
 
         real_generate = sweep_module.generate_trace
 
@@ -312,18 +312,14 @@ class TestSweepTelemetry:
         document = run_sweep(
             _spec(seeds=(0, 1, 2)), workers=workers, telemetry=telemetry
         )
-        registry = telemetry.collect_into(MetricsRegistry())
+        values = row_values(telemetry.metric_rows())
         totals = document["totals"]
         assert (totals["cells"], totals["failed"]) == (3, 1)
-        assert registry.get("repro_sweep_cells_done").value == totals["cells"]
-        assert (
-            registry.get("repro_sweep_cells_failed").value == totals["failed"]
-        )
-        assert registry.get("repro_sweep_cells_running").value == 0
+        assert values["repro_sweep_cells_done"] == totals["cells"]
+        assert values["repro_sweep_cells_failed"] == totals["failed"]
+        assert values["repro_sweep_cells_running"] == 0
 
     def test_collect_into_renders_fleet_gauges(self):
-        from repro.obs.metrics import MetricsRegistry
-
         telemetry = SweepTelemetry(cells_total=2)
         telemetry.handle(
             {"type": "cell_start", "worker": 11}
@@ -349,29 +345,17 @@ class TestSweepTelemetry:
                 },
             }
         )
-        registry = telemetry.collect_into(MetricsRegistry())
-        assert registry.get("repro_sweep_cells_done").value == 1
-        assert registry.get("repro_sweep_cells_failed").value == 0
-        assert registry.get("repro_sweep_cells_running").value == 0
-        assert (
-            registry.get(
-                "repro_sweep_worker_events_per_second", {"worker": "11"}
-            ).value
-            == pytest.approx(3000.0)
-        )
-        assert (
-            registry.get(
-                "repro_sweep_worker_sim_time_seconds", {"worker": "11"}
-            ).value
-            == 1.5
-        )
-        assert (
-            registry.get(
-                "repro_sweep_profile_wall_seconds_total",
-                {"site": "AP.tick", "kind": "event"},
-            ).value
-            == pytest.approx(0.05)
-        )
+        values = row_values(telemetry.metric_rows())
+        assert values["repro_sweep_cells_done"] == 1
+        assert values["repro_sweep_cells_failed"] == 0
+        assert values["repro_sweep_cells_running"] == 0
+        assert values[
+            'repro_sweep_worker_events_per_second{worker="11"}'
+        ] == pytest.approx(3000.0)
+        assert values['repro_sweep_worker_sim_time_seconds{worker="11"}'] == 1.5
+        assert values[
+            'repro_sweep_profile_wall_seconds_total{kind="event",site="AP.tick"}'
+        ] == pytest.approx(0.05)
 
     def test_failed_cell_counts_as_failed(self):
         telemetry = SweepTelemetry()
@@ -386,16 +370,13 @@ class TestSweepTelemetry:
         import threading
         import urllib.request
 
-        from repro.obs.metrics import MetricsRegistry
         from repro.obs.server import MetricsServer
 
         telemetry = SweepTelemetry()
-        registry = MetricsRegistry()
         scraped: list = []
         errors: list = []
         with MetricsServer(
-            registry=registry,
-            collect_fn=lambda: telemetry.collect_into(registry),
+            telemetry.metric_rows,
             health_fn=telemetry.health,
             port=0,
         ) as server:

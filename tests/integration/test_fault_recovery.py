@@ -19,7 +19,6 @@ import pytest
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.faults import ClientCrashEvent, FaultPlan
 from repro.obs.exporters import render_prometheus
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import JsonlTracer
 from repro.sim.invariants import InvariantViolation
 from repro.traces.generators import generate_trace
@@ -166,7 +165,7 @@ def _event_sequence(log_path):
 
 def _stable_prometheus(result):
     """The .prom export minus host-speed (wall-clock) lines."""
-    text = render_prometheus(result.collect_metrics(MetricsRegistry()))
+    text = render_prometheus(result.metric_rows())
     return "\n".join(
         line for line in text.splitlines() if "wall" not in line
     )

@@ -1,7 +1,7 @@
 """End-to-end observability: a short HIDE DES run is fully observable.
 
 Runs the Classroom scenario through the event-level simulator with a
-live tracer and a metrics registry attached, then checks that the trace
+live tracer attached, then checks that the trace
 log carries the protocol's heartbeat (DTIM cycles, Algorithm-1 spans,
 BTIM elements, client wakeups) and that the exported metrics agree with
 what the components themselves counted — including the inputs the
@@ -16,11 +16,12 @@ import pytest
 from repro.energy.profile import NEXUS_ONE
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.obs.exporters import render_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import series_key
 from repro.obs.summarize import summarize_trace
 from repro.obs.tracing import read_trace_jsonl, tracer_to_string_buffer
 from repro.station.client import ClientPolicy
 from repro.traces import generate_trace
+from tests.obs.row_checks import row_values
 
 
 DURATION_S = 20.0
@@ -101,40 +102,37 @@ class TestTraceLog:
 class TestMetricsExport:
     def test_collected_metrics_match_components(self, traced_run):
         result, _ = traced_run
-        registry = result.collect_metrics(MetricsRegistry())
+        values = row_values(result.metric_rows())
         sim = result.simulator
-        assert registry.get("repro_sim_events_processed_total").value == (
-            sim.events_processed
-        )
+        assert values["repro_sim_events_processed_total"] == sim.events_processed
         ap_labels = {"ap": str(result.access_point.mac)}
-        assert registry.get("repro_ap_dtims_sent_total", ap_labels).value == (
+        assert values[series_key("repro_ap_dtims_sent_total", ap_labels)] == (
             result.access_point.counters.dtims_sent
         )
-        assert registry.get("repro_ap_btim_bits_set_total", ap_labels).value == (
+        assert values[series_key("repro_ap_btim_bits_set_total", ap_labels)] == (
             result.access_point.counters.btim_bits_set_total
         )
 
     def test_wakeup_counters_agree_with_energy_meter_inputs(self, traced_run):
         result, _ = traced_run
-        registry = result.collect_metrics(MetricsRegistry())
+        values = row_values(result.metric_rows())
         for client, metered in zip(result.clients, result.meter()):
             labels = {"client": str(client.mac), "aid": str(client.aid)}
-            wakeups = registry.get("repro_client_wakeups_total", labels)
-            assert wakeups is not None
-            assert wakeups.value == client.power.counters.resumes
-            assert wakeups.value > 0
-            held = registry.get("repro_client_wakelock_held_seconds_total", labels)
-            assert held.value == pytest.approx(client.wakelock.total_held_time())
+            wakeups = values[series_key("repro_client_wakeups_total", labels)]
+            assert wakeups == client.power.counters.resumes
+            assert wakeups > 0
+            held = values[
+                series_key("repro_client_wakelock_held_seconds_total", labels)
+            ]
+            assert held == pytest.approx(client.wakelock.total_held_time())
             # The meter bills wakelock time at the active-idle power, so
             # the exported seconds must reproduce its E_wl term.
-            expected_wakelock_j = (
-                NEXUS_ONE.active_idle_power_w * held.value
-            )
+            expected_wakelock_j = NEXUS_ONE.active_idle_power_w * held
             assert metered.breakdown.wakelock_j == pytest.approx(expected_wakelock_j)
 
     def test_prometheus_export_renders_the_run(self, traced_run):
         result, _ = traced_run
-        text = render_prometheus(result.collect_metrics(MetricsRegistry()))
+        text = render_prometheus(result.metric_rows())
         assert "repro_sim_events_processed_total" in text
         assert "repro_ap_algorithm1_runs_total" in text
         assert 'repro_medium_frames_total{kind="Beacon"}' in text

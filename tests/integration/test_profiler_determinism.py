@@ -60,9 +60,7 @@ class TestFingerprintIdentity:
 
     def test_profiled_metrics_exclude_profiler_series(self, trace):
         _, result = _fingerprint(trace, ProfilerConfig(mode="exact"))
-        names = {
-            metric.name for metric in result.collect_metrics().collect()
-        }
+        names = {row.name for row in result.metric_rows()}
         assert not any(name.startswith("repro_profile_") for name in names)
 
 

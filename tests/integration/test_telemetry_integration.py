@@ -11,7 +11,9 @@ loader, because the curated per-window series contain no wall-clock
 families.
 """
 
+import io
 import json
+import re
 import urllib.request
 
 import pytest
@@ -23,6 +25,8 @@ from repro.experiments.des_run import (
     run_trace_des,
 )
 from repro.obs.diff import diff_files
+from repro.obs.exporters import write_metrics
+from repro.obs.profiler import ProfilerConfig
 from repro.obs.timeseries import TIMESERIES_SCHEMA
 from repro.traces import generate_trace
 from repro.units import BEACON_INTERVAL_S
@@ -50,6 +54,35 @@ def telemetry_run():
         health = json.loads(response.read())
     result.close()
     return trace, result, metrics_text, health
+
+
+@pytest.fixture(scope="module")
+def profiled_scrape():
+    """The final ``/metrics`` page of a profiled run, and the run."""
+    prepared = prepare_trace_des(
+        generate_trace("Classroom"),
+        _config(
+            telemetry=TelemetryConfig(serve_port=0),
+            profiler=ProfilerConfig(mode="exact"),
+        ),
+    )
+    result = prepared.execute()
+    with urllib.request.urlopen(
+        prepared.metrics_server.url + "/metrics", timeout=5
+    ) as response:
+        page = response.read().decode("utf-8")
+    result.close()
+    return result, page
+
+
+_SAMPLE_RE = re.compile(r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)(?P<labels>\{.*\})? ")
+
+
+def _family(line: str) -> str:
+    """The family a HELP, TYPE or sample line belongs to."""
+    if line.startswith("#"):
+        return line.split()[2]
+    return _SAMPLE_RE.match(line).group("name")
 
 
 class TestDeterminism:
@@ -114,6 +147,45 @@ class TestLiveScrape:
             f"{result.simulator.events_processed}"
         )
         assert expected in metrics_text
+
+    def test_end_of_run_series_match_the_export(self, profiled_scrape):
+        """The page's end-of-run families are the ``--metrics-out``
+        text line for line, HELP and TYPE lines included."""
+        result, page = profiled_scrape
+        export = io.StringIO()
+        write_metrics(result.metric_rows(), export)
+        end_of_run = {row.name for row in result.metric_rows()}
+
+        def kept(text, families):
+            return [
+                line
+                for line in text.splitlines()
+                if _family(line) in families and "_wall_" not in _family(line)
+            ]
+
+        expected = kept(export.getvalue(), end_of_run)
+        assert len(expected) > 100
+        assert kept(page, end_of_run) == expected
+
+    def test_only_profile_and_delivery_families_are_added(self, profiled_scrape):
+        result, page = profiled_scrape
+        end_of_run = {row.name for row in result.metric_rows()}
+        added = {_family(line) for line in page.splitlines()} - end_of_run
+        prefixes = {name.split("_")[1] for name in added}
+        assert prefixes == {"profile", "delivery"}
+
+    def test_page_in_series_order_without_repeats(self, profiled_scrape):
+        _, page = profiled_scrape
+        series = []
+        for line in page.splitlines():
+            if line.startswith("#"):
+                continue
+            match = _SAMPLE_RE.match(line)
+            labels = tuple(re.findall(r'(\w+)="([^"]*)"', match.group("labels") or ""))
+            series.append((match.group("name"), labels))
+        assert len(series) > 100
+        assert series == sorted(series)
+        assert len(set(series)) == len(series)
 
     def test_healthz_reports_final_sim_time(self, telemetry_run):
         _, _, _, health = telemetry_run

@@ -10,12 +10,13 @@ pre-crash series silently stale.
 from repro.dot11.mac_address import MacAddress
 from repro.experiments.des_run import DesRunConfig, run_trace_des
 from repro.faults import ClientCrashEvent, FaultPlan
-from repro.obs.collectors import collect_all
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.collectors import metric_rows
+from repro.obs.metrics import series_key
 from repro.sim.medium import Medium
 from repro.sim.engine import Simulator
 from repro.station.client import Client
 from repro.traces.generators import generate_trace
+from tests.obs.row_checks import row_values
 
 
 def _crash_run():
@@ -36,37 +37,32 @@ class TestCrashedClientCollection:
         result = _crash_run()
         crashed = result.clients[0]
         assert crashed.aid is None and crashed.last_aid == 1
-        registry = result.collect_metrics(MetricsRegistry())
+        values = row_values(result.metric_rows())
         labels = {"client": str(crashed.mac), "aid": "1"}
         # Same labelled series as before the crash — not a fork.
-        assert registry.get("repro_client_crashes_total", labels).value == 1
-        assert (
-            registry.get("repro_client_forced_suspends_total", labels).value == 1
-        )
+        assert values[series_key("repro_client_crashes_total", labels)] == 1
+        assert values[series_key("repro_client_forced_suspends_total", labels)] == 1
         # No aid-less duplicate was created.
         assert (
-            registry.get(
-                "repro_client_crashes_total", {"client": str(crashed.mac)}
-            )
-            is None
+            series_key("repro_client_crashes_total", {"client": str(crashed.mac)})
+            not in values
         )
 
     def test_recollection_into_same_registry_is_stable(self):
-        """Collect before and after the crash into one registry: the
-        same series refreshes instead of a stale pre-crash copy
-        surviving next to a new one."""
+        """Read the rows twice after the crash: the same client series
+        both times, never a stale pre-crash copy next to a new one."""
         result = _crash_run()
-        registry = result.collect_metrics(MetricsRegistry())
-        series_before = {
-            (m.name, tuple(sorted(m.labels.items()))) for m in registry.collect()
-            if m.name.startswith("repro_client_")
-        }
-        result.collect_metrics(registry)
-        series_after = {
-            (m.name, tuple(sorted(m.labels.items()))) for m in registry.collect()
-            if m.name.startswith("repro_client_")
-        }
-        assert series_before == series_after
+
+        def client_series():
+            return [
+                (row.name, row.label_items)
+                for row in result.metric_rows()
+                if row.name.startswith("repro_client_")
+            ]
+
+        series = client_series()
+        assert series == client_series()
+        assert len(set(series)) == len(series)
 
     def test_never_attached_client_collects_without_power(self):
         """A constructed-but-never-attached client has no power machine
@@ -76,10 +72,10 @@ class TestCrashedClientCollection:
         ghost = Client(
             MacAddress.station(9), medium, MacAddress.from_string("02:aa:00:00:00:01")
         )
-        registry = collect_all(MetricsRegistry(), clients=[ghost])
+        values = row_values(metric_rows(clients=[ghost]))
         labels = {"client": str(ghost.mac)}
-        assert registry.get("repro_client_beacons_received_total", labels) is not None
-        assert registry.get("repro_client_wakeups_total", labels) is None
+        assert series_key("repro_client_beacons_received_total", labels) in values
+        assert series_key("repro_client_wakeups_total", labels) not in values
 
     def test_injected_drop_series_exported(self):
         result = run_trace_des(
@@ -90,14 +86,12 @@ class TestCrashedClientCollection:
                 fault_plan=FaultPlan.uniform(0.2, seed=42),
             ),
         )
-        registry = result.collect_metrics(MetricsRegistry())
+        values = row_values(result.metric_rows())
         injector = result.fault_injector
         assert injector.injected_drops > 0
         for kind, count in injector.drops_by_kind.items():
-            series = registry.get(
-                "repro_medium_injected_drops_total", {"kind": kind}
-            )
-            assert series is not None and series.value == count
+            key = series_key("repro_medium_injected_drops_total", {"kind": kind})
+            assert values[key] == count
 
     def test_port_table_expirations_exported(self):
         result = run_trace_des(
@@ -112,12 +106,10 @@ class TestCrashedClientCollection:
                 ),
             ),
         )
-        registry = result.collect_metrics(MetricsRegistry())
+        values = row_values(result.metric_rows())
         ap_labels = {"ap": str(result.access_point.mac)}
-        expired = registry.get("repro_ap_port_entries_expired_total", ap_labels)
-        assert expired is not None and expired.value >= 1
-        ops = registry.get(
-            "repro_ap_port_table_ops_total",
-            {"ap": str(result.access_point.mac), "op": "expirations"},
+        assert values[series_key("repro_ap_port_entries_expired_total", ap_labels)] >= 1
+        ops = series_key(
+            "repro_ap_port_table_ops_total", dict(ap_labels, op="expirations")
         )
-        assert ops is not None and ops.value >= 1
+        assert values[ops] >= 1

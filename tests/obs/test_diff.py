@@ -13,17 +13,15 @@ from repro.obs.diff import (
     render_diff,
 )
 from repro.obs.exporters import render_metrics_jsonl, render_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import counter_row, gauge_row
 
 
-def _sample_registry() -> MetricsRegistry:
-    reg = MetricsRegistry()
-    reg.counter("repro_events_total", "Events").set_total(42)
-    reg.counter(
-        "repro_frames_total", labels={"kind": "Beacon"}
-    ).set_total(3)
-    reg.gauge("repro_depth", labels={"shard": "0"}).set(2.5)
-    return reg
+def _sample_rows():
+    return [
+        counter_row("repro_events_total", "Events", 42),
+        counter_row("repro_frames_total", "", 3, {"kind": "Beacon"}),
+        gauge_row("repro_depth", "", 2.5, {"shard": "0"}),
+    ]
 
 
 class TestParsing:
@@ -47,16 +45,16 @@ class TestParsing:
         assert "repro_c" not in metrics  # NaN never equals itself
 
     def test_snapshot_jsonl(self):
-        text = render_metrics_jsonl(_sample_registry())
+        text = render_metrics_jsonl(_sample_rows())
         metrics = parse_metrics_text(text)
         assert metrics["repro_events_total"] == 42.0
         assert metrics['repro_frames_total{kind="Beacon"}'] == 3.0
         assert metrics['repro_depth{shard="0"}'] == 2.5
 
     def test_exported_prometheus_and_jsonl_key_identically(self):
-        reg = _sample_registry()
-        prom = parse_metrics_text(render_prometheus(reg))
-        jsonl = parse_metrics_text(render_metrics_jsonl(reg))
+        rows = _sample_rows()
+        prom = parse_metrics_text(render_prometheus(rows))
+        jsonl = parse_metrics_text(render_metrics_jsonl(rows))
         # Every series has the same key and value in both formats.
         assert prom == jsonl
         assert len(prom) == 3
@@ -120,10 +118,14 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_metrics_text("not! a! metric! line!")
 
+    def test_sample_value_that_is_not_a_number_raises(self):
+        with pytest.raises(ValueError, match="unparseable exposition line"):
+            parse_metrics_text("repro_a 12\nrepro_b twelve\n")
+
     @pytest.mark.parametrize(
         "row",
         [
-            # A registry histogram row, as older snapshot exports wrote it.
+            # A histogram row, as older snapshot exports wrote it.
             {"name": "repro_lat_seconds", "kind": "histogram", "labels": {},
              "count": 2, "sum": 0.55, "p50": 0.1, "p95": 0.5},
             {"name": "repro_x_total", "kind": "counter", "labels": {},
@@ -172,10 +174,10 @@ class TestParsing:
         from repro.cli import main
 
         good = tmp_path / "new.jsonl"
-        good.write_text(render_metrics_jsonl(_sample_registry()))
+        good.write_text(render_metrics_jsonl(_sample_rows()))
         old = tmp_path / "old.jsonl"
         old.write_text(
-            render_metrics_jsonl(_sample_registry())
+            render_metrics_jsonl(_sample_rows())
             + json.dumps({"name": "repro_lat_seconds", "kind": "histogram",
                           "labels": {}, "count": 1, "sum": 0.05})
             + "\n"
@@ -248,25 +250,49 @@ class TestIgnore:
 
 class TestRoundTrip:
     def test_jsonl_export_diffs_clean_against_itself(self, tmp_path):
-        reg = _sample_registry()
+        rows = _sample_rows()
         path_a = tmp_path / "a.jsonl"
         path_b = tmp_path / "b.jsonl"
-        path_a.write_text(render_metrics_jsonl(reg))
-        path_b.write_text(render_metrics_jsonl(reg))
+        path_a.write_text(render_metrics_jsonl(rows))
+        path_b.write_text(render_metrics_jsonl(rows))
         result = diff_files(str(path_a), str(path_b))
         assert result.ok()
         assert len(result.deltas) > 0
 
     def test_prom_export_diffs_against_jsonl_export(self, tmp_path):
-        reg = _sample_registry()
+        rows = _sample_rows()
         path_a = tmp_path / "a.prom"
         path_b = tmp_path / "b.jsonl"
-        path_a.write_text(render_prometheus(reg))
-        path_b.write_text(render_metrics_jsonl(reg))
+        path_a.write_text(render_prometheus(rows))
+        path_b.write_text(render_metrics_jsonl(rows))
         result = diff_files(str(path_a), str(path_b))
         # Same run exported two ways: the same series, the same values.
         assert result.ok(fail_on_missing=True)
         assert len(result.deltas) == 3
+
+    def test_nan_and_inf_rows_diff_clean_across_formats(self, tmp_path):
+        """Both loaders leave a NaN series out and keep ±Inf, so one set
+        of rows written as ``.prom`` and as ``.jsonl`` diffs clean even
+        with ``--fail-on-missing``."""
+        rows = _sample_rows() + [
+            gauge_row("repro_ratio", "", float("nan"), {"shard": "0"}),
+            gauge_row("repro_ceiling", "", float("inf")),
+            gauge_row("repro_floor", "", float("-inf")),
+        ]
+        path_a = tmp_path / "a.prom"
+        path_b = tmp_path / "b.jsonl"
+        path_a.write_text(render_prometheus(rows))
+        path_b.write_text(render_metrics_jsonl(rows))
+        from repro.cli import main
+
+        for a, b in ((path_a, path_b), (path_b, path_a)):
+            result = diff_files(str(a), str(b))
+            assert result.ok(fail_on_missing=True)
+            assert not result.added and not result.removed
+            assert len(result.deltas) == 5
+        assert main(
+            ["obs", "diff", str(path_a), str(path_b), "--fail-on-missing"]
+        ) == 0
 
 
 class TestRendering:

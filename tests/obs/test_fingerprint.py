@@ -2,7 +2,9 @@
 
 * The streamed fingerprint equals its definition: SHA-256 of the whole
   filtered snapshot serialized as one canonical JSON text.
-* The registry-free metric rows are a registry's snapshot, row for row.
+* The metric rows come in (name, labels) order — the order a live
+  ``/metrics`` page sorts into — and a run's rows are its live page's
+  end-of-run rows.
 * Fingerprinting a fleet run costs a bounded number of bytes per series.
 * The ``.prom`` and ``.jsonl`` exports of one seeded ``sim run`` are
   byte-for-byte what they were when this test was written, apart from
@@ -24,24 +26,27 @@ from repro.experiments.des_run import (
     _FINGERPRINT_EXCLUDED_METRICS,
     AP_MAC,
     DesRunConfig,
-    registry_fingerprint,
+    TelemetryConfig,
+    prepare_trace_des,
+    rows_fingerprint,
     run_trace_des,
 )
 from repro.faults import FaultPlan
-from repro.obs.collectors import collect_all, metric_rows
-from repro.obs.metrics import MetricsRegistry, row_entry
+from repro.obs.collectors import metric_rows
+from repro.obs.metrics import counter_row, gauge_row, row_entry
+from repro.obs.server import SERIES_ORDER
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
 from repro.station.client import Client
 from repro.traces.generators import generate_trace
 
 
-def oracle_fingerprint(registry: MetricsRegistry) -> str:
+def oracle_fingerprint(rows) -> str:
     """The fingerprint's definition: one JSON text of the filtered list."""
     snapshot = [
-        entry
-        for entry in registry.snapshot()
-        if entry["name"] not in _FINGERPRINT_EXCLUDED_METRICS
+        row_entry(row)
+        for row in rows
+        if row.name not in _FINGERPRINT_EXCLUDED_METRICS
     ]
     payload = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -73,7 +78,7 @@ class TestFingerprintOracle:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_streamed_hash_matches_definition(self, name):
         result = RUNS[name]()
-        expected = oracle_fingerprint(result.collect_metrics(MetricsRegistry()))
+        expected = oracle_fingerprint(list(result.metric_rows()))
         assert result.deterministic_fingerprint() == expected
 
     def test_crash_run_crashed_and_rejoined(self):
@@ -82,18 +87,19 @@ class TestFingerprintOracle:
         assert clients[2].counters.crashes == 1
 
     def test_empty_registry_hashes_empty_list(self):
-        registry = MetricsRegistry()
-        assert registry_fingerprint(registry) == hashlib.sha256(b"[]").hexdigest()
-        assert registry_fingerprint(registry) == oracle_fingerprint(registry)
+        assert rows_fingerprint([]) == hashlib.sha256(b"[]").hexdigest()
+        assert rows_fingerprint([]) == oracle_fingerprint([])
 
     def test_escaped_and_non_ascii_label_values(self):
-        registry = MetricsRegistry()
-        for value in ('say "hi"', "back\\slash", "café ☕ \U0001f4e1", "a\nb"):
-            registry.counter("repro_odd_total", "odd", labels={"v": value}).inc(2)
-        registry.gauge("repro_nan", labels={"k": "ü"}).set(float("nan"))
-        registry.gauge("repro_inf").set(float("-inf"))
-        registry.counter("repro_sim_run_wall_seconds_total").set_total(1.5)
-        assert registry_fingerprint(registry) == oracle_fingerprint(registry)
+        rows = [
+            counter_row("repro_odd_total", "odd", 2, {"v": value})
+            for value in ('say "hi"', "back\\slash", "café ☕ \U0001f4e1", "a\nb")
+        ] + [
+            gauge_row("repro_nan", "", float("nan"), {"k": "ü"}),
+            gauge_row("repro_inf", "", float("-inf")),
+            counter_row("repro_sim_run_wall_seconds_total", "", 1.5),
+        ]
+        assert rows_fingerprint(rows) == oracle_fingerprint(rows)
 
 
 def _ghost(index=9):
@@ -102,6 +108,9 @@ def _ghost(index=9):
 
 
 class TestRowsMatchRegistry:
+    """The rows come in the order a registry of series iterated: family
+    name, then label pairs, each series once."""
+
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_rows_equal_registry_entries(self, name):
         result = RUNS[name]()
@@ -113,27 +122,37 @@ class TestRowsMatchRegistry:
             clients=result.clients + [ghost],
         )
         rows = list(metric_rows(**components))
-        registry = collect_all(MetricsRegistry(), **components)
-        assert [row_entry(row) for row in rows] == list(registry.entries())
-        assert [(row.name, row.help) for row in rows] == [
-            (metric.name, metric.help) for metric in registry.collect()
-        ]
+        assert rows == sorted(rows, key=SERIES_ORDER)
+        keys = [SERIES_ORDER(row) for row in rows]
+        assert len(set(keys)) == len(keys)
         # The ghost has no AID label and no power or wakelock series.
         ghost_labels = (("client", str(ghost.mac)),)
         assert sum(row.label_items == ghost_labels for row in rows) == 19
 
     def test_run_rows_are_its_registry(self):
-        result = RUNS["faults-crash-rejoin"]()
-        assert [row_entry(row) for row in result.metric_rows()] == list(
-            result.collect_metrics().entries()
+        """A run's end-of-run rows are exactly what its live page shows
+        of those families."""
+        prepared = prepare_trace_des(
+            generate_trace("Starbucks", seed=3),
+            DesRunConfig(
+                client_count=4,
+                duration_s=20.0,
+                fault_plan=FaultPlan.parse("loss=0.1,seed=11,crash=0@4:9,crash=2@6"),
+                telemetry=TelemetryConfig(),
+            ),
         )
+        result = prepared.execute()
+        live = [
+            row
+            for row in prepared.live_rows()
+            if not row.name.startswith("repro_delivery_")
+        ]
+        assert live == list(result.metric_rows())
 
     def test_duplicate_client_labels_refused(self):
         twins = [_ghost(), _ghost()]
         with pytest.raises(ValueError, match="share the labels"):
             list(metric_rows(clients=twins))
-        with pytest.raises(ValueError, match="share the labels"):
-            collect_all(MetricsRegistry(), clients=twins)
 
     def test_negative_counter_total_refused(self):
         simulator = SimpleNamespace(
@@ -151,8 +170,8 @@ class TestRowsMatchRegistry:
 class TestFingerprintMemory:
     #: Peak traced bytes per fingerprinted series. Holding the snapshot
     #: list, its JSON text and that text's bytes at once came to about
-    #: 1,230 B; a slotted registry streamed into the hash, about 420 B;
-    #: rows hashed as they are read, without a registry, about 150 B.
+    #: 1,230 B; a slotted registry of series streamed into the hash,
+    #: about 420 B; rows hashed as they are read, about 150 B.
     MAX_BYTES_PER_SERIES = 200
 
     def test_fleet_fingerprint_peak_per_series(self):

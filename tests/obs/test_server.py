@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import counter_row, gauge_row
 from repro.obs.server import MetricsServer
 from repro.obs.timeseries import TIMESERIES_SCHEMA, TimeseriesRecorder
 
@@ -17,16 +17,16 @@ def _get(url: str):
 
 
 @pytest.fixture()
-def registry():
-    reg = MetricsRegistry()
-    reg.counter("repro_events_total", "Events").set_total(42)
-    reg.gauge("repro_depth", "Depth", labels={"ap": "02:aa"}).set(7)
-    return reg
+def rows_fn():
+    return lambda: [
+        counter_row("repro_events_total", "Events", 42),
+        gauge_row("repro_depth", "Depth", 7, {"ap": "02:aa"}),
+    ]
 
 
 class TestEndpoints:
-    def test_metrics_scrape_is_prometheus_text(self, registry):
-        with MetricsServer(registry, port=0) as server:
+    def test_metrics_scrape_is_prometheus_text(self, rows_fn):
+        with MetricsServer(rows_fn, port=0) as server:
             status, content_type, body = _get(server.url + "/metrics")
         assert status == 200
         assert content_type.startswith("text/plain")
@@ -35,22 +35,25 @@ class TestEndpoints:
         assert "repro_events_total 42" in text
         assert 'repro_depth{ap="02:aa"} 7' in text
 
-    def test_collect_fn_refreshes_before_scrape(self, registry):
-        calls = []
+    def test_collect_fn_refreshes_before_scrape(self):
+        """Each scrape reads the rows afresh; nothing is kept between."""
+        events = []
 
         def collect():
-            calls.append(True)
-            registry.counter("repro_events_total").set_total(100)
+            events.append(100)
+            return [counter_row("repro_events_total", "Events", sum(events))]
 
-        with MetricsServer(registry, collect_fn=collect, port=0) as server:
-            _, _, body = _get(server.url + "/metrics")
-        assert calls
-        assert "repro_events_total 100" in body.decode("utf-8")
+        with MetricsServer(collect, port=0) as server:
+            _, _, first = _get(server.url + "/metrics")
+            _, _, second = _get(server.url + "/metrics")
+        assert len(events) == 2
+        assert "repro_events_total 100" in first.decode("utf-8")
+        assert "repro_events_total 200" in second.decode("utf-8")
 
-    def test_timeseries_endpoint_dumps_windows(self, registry):
+    def test_timeseries_endpoint_dumps_windows(self, rows_fn):
         recorder = TimeseriesRecorder(1.0, lambda: {"repro_events_total": 42.0})
         recorder.sample(1.0)
-        with MetricsServer(registry, recorder=recorder, port=0) as server:
+        with MetricsServer(rows_fn, recorder=recorder, port=0) as server:
             status, content_type, body = _get(server.url + "/timeseries")
         assert status == 200
         assert content_type.startswith("application/json")
@@ -59,9 +62,9 @@ class TestEndpoints:
         assert len(doc["windows"]) == 1
         assert doc["windows"][0]["values"] == {"repro_events_total": 42.0}
 
-    def test_healthz_reports_custom_fields(self, registry):
+    def test_healthz_reports_custom_fields(self, rows_fn):
         server = MetricsServer(
-            registry, health_fn=lambda: {"sim_time": 4.2}, port=0
+            rows_fn, health_fn=lambda: {"sim_time": 4.2}, port=0
         )
         server.start()
         try:
@@ -73,30 +76,30 @@ class TestEndpoints:
         assert doc["status"] == "ok"
         assert doc["sim_time"] == 4.2
 
-    def test_profile_endpoint_serves_the_attached_document(self, registry):
+    def test_profile_endpoint_serves_the_attached_document(self, rows_fn):
         document = {
             "schema": "repro-profile/v1",
             "events_total": 9,
             "sites": [{"owner": "AP", "method": "tick", "kind": "event"}],
         }
         with MetricsServer(
-            registry, profile_fn=lambda: document, port=0
+            rows_fn, profile_fn=lambda: document, port=0
         ) as server:
             status, content_type, body = _get(server.url + "/profile")
         assert status == 200
         assert content_type.startswith("application/json")
         assert json.loads(body) == document
 
-    def test_profile_endpoint_empty_without_profiler(self, registry):
-        with MetricsServer(registry, port=0) as server:
+    def test_profile_endpoint_empty_without_profiler(self, rows_fn):
+        with MetricsServer(rows_fn, port=0) as server:
             status, _, body = _get(server.url + "/profile")
         assert status == 200
         doc = json.loads(body)
         assert doc["schema"] == "repro-profile/v1"
         assert doc["sites"] == []
 
-    def test_unknown_path_is_404_with_endpoint_list(self, registry):
-        with MetricsServer(registry, port=0) as server:
+    def test_unknown_path_is_404_with_endpoint_list(self, rows_fn):
+        with MetricsServer(rows_fn, port=0) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url + "/nope")
         assert excinfo.value.code == 404
@@ -106,21 +109,21 @@ class TestEndpoints:
 
 
 class TestLifecycle:
-    def test_ephemeral_port_assigned(self, registry):
-        with MetricsServer(registry, port=0) as server:
+    def test_ephemeral_port_assigned(self, rows_fn):
+        with MetricsServer(rows_fn, port=0) as server:
             assert server.port > 0
             assert str(server.port) in server.url
             assert server.running
 
-    def test_stop_is_idempotent_and_releases(self, registry):
-        server = MetricsServer(registry, port=0)
+    def test_stop_is_idempotent_and_releases(self, rows_fn):
+        server = MetricsServer(rows_fn, port=0)
         server.start()
         server.stop()
         server.stop()
         assert not server.running
 
-    def test_scrapes_served_counts(self, registry):
-        with MetricsServer(registry, port=0) as server:
+    def test_scrapes_served_counts(self, rows_fn):
+        with MetricsServer(rows_fn, port=0) as server:
             _get(server.url + "/metrics")
             _get(server.url + "/metrics")
             assert server.scrapes_served == 2

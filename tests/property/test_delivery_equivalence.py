@@ -756,7 +756,7 @@ class TestDeliveryEquivalenceObservers:
             result = _run(backend, fault_plan=_PLAN, telemetry=True)
             prom = tmp_path / f"{backend}.prom"
             write_metrics(
-                result.collect_metrics(), str(prom), format_for_path(str(prom))
+                result.metric_rows(), str(prom), format_for_path(str(prom))
             )
             series = tmp_path / f"{backend}_timeseries.json"
             assert result.timeseries is not None

@@ -17,6 +17,7 @@ from repro.service import (
 )
 from repro.service.loadgen import LoadgenReport, render_report
 from repro.service.shard import PortShard
+from tests.obs.row_checks import row_values
 
 ADDR = ("127.0.0.1", 40000)
 
@@ -128,14 +129,13 @@ class TestEndToEndLatency:
                 )
             )
             await asyncio.sleep(0.2)
-            service.collect_into_registry()
-            registry = service.registry
+            values = row_values(service.metric_rows())
             histograms = service.shard.latency_histograms()
             totals = service.totals()
             await service.stop()
-            return report, registry, histograms, totals
+            return report, values, histograms, totals
 
-        report, registry, histograms, totals = asyncio.run(scenario())
+        report, values, histograms, totals = asyncio.run(scenario())
         rtt = report.merged_rtt()
         assert rtt.count > 0
         assert rtt.count == report.acks_received - report.acks_unmatched
@@ -143,7 +143,5 @@ class TestEndToEndLatency:
         assert totals["reports"] + totals["keepalives"] == report.sent_total
         assert histograms["ack_latency_ms"].count == totals["acks_sent"] > 0
         assert histograms["drain_batch_ms"].count > 0
-        count_series = registry.get("service_ack_latency_ms_count_total")
-        assert count_series is not None and count_series.value > 0
-        p99 = registry.get("service_ack_latency_ms", {"quantile": "p99"})
-        assert p99 is not None and p99.value > 0.0
+        assert values["service_ack_latency_ms_count_total"] > 0
+        assert values['service_ack_latency_ms{quantile="p99"}'] > 0.0

@@ -1,4 +1,5 @@
-"""Option budget: the settable values of the DES and sweep configs.
+"""Option budget: the settable values of the DES and sweep configs and
+of the constructors behind ``repro serve`` and every ``/metrics`` page.
 
 A new option needs a caller outside tests and examples that sets it to
 a value other than its default; a value only one caller uses is a
@@ -15,6 +16,8 @@ from repro.ap.buffer import BroadcastBuffer
 from repro.energy.model import EnergyModel
 from repro.experiments.des_run import DesRunConfig
 from repro.experiments.sweep import SweepSpec
+from repro.obs.server import MetricsServer
+from repro.service.server import PortService
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
 from repro.sim.sniffer import ProtocolSniffer
@@ -73,6 +76,10 @@ _PARAMETERS = {
     TraceGenerator.__init__: ["self", "spec", "dtim_period"],
     generate_trace: ["scenario", "seed", "dtim_period"],
     release_bursts: ["offered", "duration_s", "dtim_period"],
+    MetricsServer.__init__: [
+        "self", "rows_fn", "recorder", "health_fn", "profile_fn", "host", "port",
+    ],
+    PortService.__init__: ["self", "config"],
 }
 
 _CONSTRUCTORS = {
