@@ -16,10 +16,9 @@ live ``/metrics`` scrape reads :meth:`PreparedDesRun.live_rows`.
 
 from __future__ import annotations
 
-import hashlib
 import json
+from array import array
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import (
     TYPE_CHECKING,
@@ -57,6 +56,16 @@ from repro.units import BEACON_INTERVAL_S
 if TYPE_CHECKING:
     # The HTTP server is imported only by a run that serves /metrics.
     from repro.obs.server import MetricsServer
+
+try:
+    # The interpreter's own SHA-256: hashlib's loads OpenSSL, several MB
+    # resident for one digest per run. Same digests either way.
+    from _sha256 import sha256
+except ImportError:  # Python 3.12+ moved it
+    try:
+        from _sha2 import sha256
+    except ImportError:  # built without it
+        from hashlib import sha256
 
 #: Metric families excluded from determinism fingerprints: wall-clock
 #: families measure the host, not the protocol, and the probe counter
@@ -100,7 +109,7 @@ def rows_fingerprint(rows: Iterable[Row]) -> str:
         for row in rows
         if row.name not in _FINGERPRINT_EXCLUDED_METRICS
     )
-    digest = hashlib.sha256(b"[")
+    digest = sha256(b"[")
     separator = b""
     chunk = list(islice(rows, _FINGERPRINT_ROWS_PER_ENCODE))
     while chunk:
@@ -592,6 +601,8 @@ def prepare_trace_des(
     # build each packet once (a Classroom trace has a few hundred such
     # pairs among tens of thousands of frames).
     packets: Dict[Tuple[int, int], bytes] = {}
+    frame_times = array("d")
+    frame_packets: List[bytes] = []
     for record in trace:
         if record.time > duration:
             break
@@ -605,15 +616,18 @@ def prepare_trace_des(
             packet = packets[key] = build_broadcast_udp_packet(
                 record.udp_port, b"\x00" * payload_bytes
             )
-        # post_at, not schedule_at: trace replay never cancels, so the
-        # preschedule loop skips one EventHandle allocation per frame.
-        # partial, not a lambda: same call, but the profiler can unwrap
-        # it to the real site (AccessPoint.deliver_from_ds) instead of
-        # attributing every trace frame to an anonymous <lambda>.
-        simulator.post_at(
-            min(offered, duration),
-            partial(ap.deliver_from_ds, packet, WIRED_SOURCE),
-        )
+        frame_times.append(min(offered, duration))
+        frame_packets.append(packet)
+
+    def deliver_frame(index: int) -> None:
+        # The method is looked up at each frame, not bound once, so a
+        # wrapper installed on AccessPoint after wiring sees every frame.
+        ap.deliver_from_ds(frame_packets[index], WIRED_SOURCE)
+
+    # One series: each frame takes the sequence number (so the counts
+    # and tie order) that posting it in record order would, but only
+    # the next frame is ever in the heap.
+    simulator.post_series(frame_times, deliver_frame)
 
     return PreparedDesRun(
         trace=trace,

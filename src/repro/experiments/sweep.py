@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import threading
@@ -57,6 +56,7 @@ from repro.experiments.des_run import (
     DesRunConfig,
     TelemetryConfig,
     prepare_trace_des,
+    sha256,
 )
 from repro.faults import FaultPlan
 from repro.obs.metrics import Row, counter_row, gauge_row
@@ -420,7 +420,7 @@ def merge_results(
         runs.append(run)
     failures = [r for r in runs if "error" in r]
     successes = [r for r in runs if "error" not in r]
-    digest = hashlib.sha256()
+    digest = sha256()
     for run in successes:
         digest.update(
             f"{run['scenario']}:{run['seed']}:{run['fingerprint']}\n".encode()

@@ -36,6 +36,11 @@ popped record instead of a closure per firing.  Every scheduling API
 (renewals included) consumes exactly one sequence number per queued
 record, so the live count is the arithmetic identity ``sequence -
 cancelled - processed`` instead of a per-event counter update.
+:meth:`Simulator.post_series` reserves one sequence number per event of
+a known series up front but keeps only the series' next event in the
+heap: each firing pushes the one after it under its reserved key, so
+the series fires in the same order, at the same counts, as posting
+every event at once.
 
 Counter visibility: ``now`` is exact at all times.  ``events_processed``
 (and therefore ``pending_events``) is kept in a run-loop local for speed
@@ -44,7 +49,8 @@ exit — i.e. it is exact everywhere
 telemetry reads it, and may lag only inside a single uninterrupted burst
 of event callbacks.  ``queue_depth`` counts the entries cancel-and-push
 renewal would hold, from the heap plus a flat list of superseded
-deadlines; it is exact at the same sync points and read-only.
+deadlines and the series events not yet pushed; it is exact at the
+same sync points and read-only.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import math
 import time as _time
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -144,6 +150,52 @@ class ProbeHandle:
         self.cancelled = True
 
 
+class EventSeries:
+    """The one queued event of a :meth:`Simulator.post_series` call.
+
+    The heap holds a record whose callback is :meth:`fire` for the
+    series' next event only.  Firing it pushes the event after it under
+    that event's reserved key, then calls ``callback(index)``.  The
+    series holds no reference to itself, so once its last event has
+    fired reference counting frees it.
+    """
+
+    __slots__ = (
+        "_simulator", "_times", "_order", "_position", "_first", "_callback"
+    )
+
+    def __init__(
+        self,
+        simulator: "Simulator",
+        times: Sequence[float],
+        order: Sequence[int],
+        first: int,
+        callback: Callable[[int], None],
+    ) -> None:
+        self._simulator = simulator
+        self._times = times
+        self._order = order
+        self._position = 0
+        self._first = first
+        self._callback = callback
+
+    def _push_next(self) -> None:
+        index = self._order[self._position]
+        heappush(
+            self._simulator._queue,
+            [self._times[index], self._first + index, self.fire, False, None],
+        )
+
+    def fire(self) -> None:
+        order = self._order
+        index = order[self._position]
+        self._position += 1
+        if self._position < len(order):
+            self._simulator._unreleased -= 1
+            self._push_next()
+        self._callback(index)
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -172,6 +224,9 @@ class Simulator:
         self._superseded: List[float] = []
         self._compact_at = _MIN_COMPACT
         self._drained_through = -_INF
+        # Series events with a reserved sequence number that are not yet
+        # in the heap (see ``post_series``).
+        self._unreleased = 0
 
     @property
     def now(self) -> float:
@@ -202,17 +257,20 @@ class Simulator:
         """Queue entries including cancelled tombstones awaiting pop.
 
         Counted as if every renewal left a tombstone and pushed a new
-        record: the heap, plus each deadline a lazy :meth:`rearm`
-        superseded that the run loop has not yet drained past.  Exact
-        at the sync points ``events_processed`` is exact at (probe
-        boundaries, ``run()`` exit, between runs), and read-only, so a
-        scrape thread may call it mid-run.
+        record, and as if every series event were posted at once: the
+        heap, plus the :meth:`post_series` events not yet pushed, plus
+        each deadline a lazy :meth:`rearm` superseded that the run loop
+        has not yet drained past.  Exact at the sync points
+        ``events_processed`` is exact at (probe boundaries, ``run()``
+        exit, between runs), and read-only, so a scrape thread may call
+        it mid-run.
         """
+        queued = len(self._queue) + self._unreleased
         superseded = self._superseded
         drained = self._drained_through
         if drained == -_INF:
-            return len(self._queue) + len(superseded)
-        return len(self._queue) + len([t for t in superseded if t > drained])
+            return queued + len(superseded)
+        return queued + len([t for t in superseded if t > drained])
 
     @property
     def run_wall_time_s(self) -> float:
@@ -372,6 +430,37 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._queue, [time, sequence, callback, False, None])
+
+    def post_series(
+        self, times: Sequence[float], callback: Callable[[int], None]
+    ) -> None:
+        """Fire ``callback(i)`` at ``times[i]`` for every ``i``.
+
+        Observably ``post_at(times[i], partial(callback, i))`` for each
+        ``i`` in turn: the call takes ``len(times)`` sequence numbers,
+        event ``i`` the ``i``-th of them, so counts, ``queue_depth`` and
+        equal-time order are what posting them all would give.  The
+        times need not be sorted.  Only the next event of the series
+        (by time, then index) is in the heap; each firing pushes the
+        one after it, so a long series costs one heap entry, not one
+        per event.  ``times`` is read until the last event fires and
+        must not change meanwhile.
+        """
+        for time in times:
+            if not self._now <= time < _INF:
+                if not math.isfinite(time):
+                    raise SimulationError(f"event time must be finite: {time}")
+                raise SimulationError(
+                    f"cannot schedule into the past: t={time} < now={self._now}"
+                )
+        count = len(times)
+        if not count:
+            return
+        first = self._sequence
+        self._sequence = first + count
+        order = sorted(range(count), key=times.__getitem__)
+        self._unreleased += count - 1
+        EventSeries(self, times, order, first, callback)._push_next()
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""

@@ -30,6 +30,7 @@ from repro.experiments.des_run import (
     prepare_trace_des,
     rows_fingerprint,
     run_trace_des,
+    sha256,
 )
 from repro.faults import FaultPlan
 from repro.obs.collectors import metric_rows
@@ -80,6 +81,15 @@ class TestFingerprintOracle:
         result = RUNS[name]()
         expected = oracle_fingerprint(list(result.metric_rows()))
         assert result.deterministic_fingerprint() == expected
+
+    def test_builtin_sha256_matches_hashlib_on_run_rows(self):
+        rows = RUNS["classroom25"]().metric_rows()
+        payload = json.dumps(
+            [row_entry(row) for row in rows], sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        digest = sha256(payload[:1000])
+        digest.update(payload[1000:])
+        assert digest.hexdigest() == hashlib.sha256(payload).hexdigest()
 
     def test_crash_run_crashed_and_rejoined(self):
         clients = RUNS["faults-crash-rejoin"]().clients

@@ -62,9 +62,50 @@ class TestScheduling:
                 sim.post_at(bad, lambda: None)
             with pytest.raises(SimulationError):
                 sim.every(bad, lambda: None)
+            with pytest.raises(SimulationError):
+                sim.post_series([1.0, bad], lambda index: None)
         assert sim.queue_depth == 0
+        assert sim.pending_events == 0
         sim.run()
         assert sim.events_processed == 0
+
+
+class TestSeries:
+    def test_fires_by_time_then_index_under_reserved_sequences(self):
+        sim = Simulator()
+        fired = []
+        sim.post_at(1.0, lambda: fired.append("before"))
+        sim.post_series([2.0, 1.0, 2.0, 0.5, 1.0], fired.append)
+        sim.post_at(1.0, lambda: fired.append("after"))
+        sim.run()
+        assert fired == [3, "before", 1, 4, "after", 0, 2]
+        assert sim.events_processed == 7
+
+    def test_one_heap_entry_counted_as_every_event(self):
+        sim = Simulator()
+        sim.post_series([3.0, 1.0, 2.0], lambda index: None)
+        assert len(sim._queue) == 1
+        assert sim.pending_events == sim.queue_depth == 3
+        sim.run(until=1.5)
+        assert len(sim._queue) == 1
+        assert sim.pending_events == sim.queue_depth == 2
+        sim.run()
+        assert sim.pending_events == sim.queue_depth == 0
+
+    def test_empty_series_takes_nothing(self):
+        sim = Simulator()
+        sim.post_series([], lambda index: None)
+        assert sim.queue_depth == sim.pending_events == 0
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_rejects_a_time_in_the_past_before_queuing_any(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="past"):
+            sim.post_series([3.0, 1.0], lambda index: None)
+        assert sim.queue_depth == sim.pending_events == 0
 
 
 class TestCancellation:

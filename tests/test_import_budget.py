@@ -40,6 +40,19 @@ class TestImportBudget:
         )
         assert loaded == dict.fromkeys(loaded, False)
 
+    def test_des_run_and_fingerprint_load_no_openssl(self):
+        # The fingerprint hashes with the interpreter's own SHA-256;
+        # hashlib would map OpenSSL (several MB resident) for one digest.
+        loaded = _loaded(
+            "from repro.experiments.des_run import DesRunConfig, prepare_trace_des\n"
+            "from repro.traces.generators import generate_trace\n"
+            "prepare_trace_des(generate_trace('Classroom'),"
+            " DesRunConfig(client_count=2, duration_s=5.0))"
+            ".execute().deterministic_fingerprint()",
+            ["_hashlib"],
+        )
+        assert loaded == {"_hashlib": False}
+
     def test_port_service_loads_no_simulator_or_load_generator(self):
         loaded = _loaded(
             "import repro.service.server",

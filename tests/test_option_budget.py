@@ -64,6 +64,7 @@ _FIELDS = {
 
 _PARAMETERS = {
     Simulator.post_at: ["self", "time", "callback"],
+    Simulator.post_series: ["self", "times", "callback"],
     Simulator.schedule: ["self", "delay", "callback"],
     Simulator.schedule_at: ["self", "time", "callback"],
     Simulator.every: ["self", "interval_s", "callback"],
