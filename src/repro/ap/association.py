@@ -5,11 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
+from repro._slots import slotted
 from repro.dot11.mac_address import MacAddress
 from repro.dot11.pvb import MAX_AID
 from repro.errors import AssociationError
 
 
+@slotted
 @dataclass
 class AssociationRecord:
     """One associated station."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import FrozenSet, List, Optional, Tuple
 
+from repro._slots import slotted
 from repro.dot11.elements.btim import BtimElement
 from repro.dot11.elements.dsss import DsssParameterElement
 from repro.dot11.elements.open_udp_ports import (
@@ -236,6 +237,7 @@ class Beacon:
         )
 
 
+@slotted
 @dataclass(frozen=True)
 class UdpPortMessage:
     """HIDE's UDP Port Message (management type 00, subtype 1111).

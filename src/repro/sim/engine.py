@@ -419,8 +419,12 @@ class Simulator:
         self._superseded = kept
         self._compact_at = max(2 * len(kept), _MIN_COMPACT)
 
-    def post_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no handle is allocated."""
+    def post_at(self, time: float, callback: Callable[[], None]) -> int:
+        """Fire-and-forget :meth:`schedule_at`: no handle is allocated.
+
+        Returns the event's sequence number, its tie-break among events
+        due at the same time.
+        """
         if not self._now <= time < _INF:
             if not math.isfinite(time):
                 raise SimulationError(f"event time must be finite: {time}")
@@ -430,6 +434,7 @@ class Simulator:
         sequence = self._sequence
         self._sequence = sequence + 1
         heappush(self._queue, [time, sequence, callback, False, None])
+        return sequence
 
     def post_series(
         self, times: Sequence[float], callback: Callable[[int], None]

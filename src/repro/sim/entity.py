@@ -16,7 +16,11 @@ class Entity:
 
     Subclasses override :meth:`on_receive` to handle frames delivered by
     the medium and :meth:`on_attach` to schedule their initial events.
+    Slotted, so a slotted subclass (the fleet's stations) carries no
+    instance ``__dict__``.
     """
+
+    __slots__ = ("name", "_simulator")
 
     def __init__(self, name: str) -> None:
         self.name = name

@@ -112,12 +112,11 @@ class Medium:
         #: per-delivery hot path iterates a tuple instead of copying the
         #: entity list for every frame.
         self._targets: Tuple[Entity, ...] = ()
-        #: Frames awaiting delivery, ordered by (deliver_at, sequence):
-        #: a single bound-method drain event per frame replaces the old
-        #: per-frame closure, and one drain delivers every frame due at
-        #: the same tick.
+        #: Frames awaiting delivery, ordered by (deliver_at, sequence of
+        #: the frame's drain event): a single bound-method drain event per
+        #: frame replaces the old per-frame closure, and one drain
+        #: delivers every frame due at the same tick.
         self._inflight: List[tuple] = []
-        self._inflight_sequence = 0
         self._busy_until = 0.0
         self._transmissions_completed = 0
         self._busy_time_accum = 0.0
@@ -318,10 +317,11 @@ class Medium:
         if self._fault_injector is not None:
             deliver_at += self._fault_injector.delivery_jitter_s()
 
-        sequence = self._inflight_sequence
-        self._inflight_sequence = sequence + 1
+        # The drain event's sequence counts transmit calls in call
+        # order, so it orders same-time frames as a counter of our own
+        # would.
+        sequence = self._simulator.post_at(deliver_at, self._drain)
         heappush(self._inflight, (deliver_at, sequence, transmission, on_complete))
-        self._simulator.post_at(deliver_at, self._drain)
 
     def _drain_deliveries(self) -> None:
         """Deliver every in-flight frame due at or before the clock.

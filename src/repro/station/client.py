@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro._slots import slotted
 from repro.dot11.control import Ack, PsPoll
 from repro.dot11.data import DataFrame
 from repro.dot11.management import Beacon, UdpPortMessage
@@ -97,6 +98,7 @@ class ClientConfig:
             raise ConfigurationError("port refresh interval must be positive")
 
 
+@slotted
 @dataclass
 class ClientCounters:
     beacons_received: int = 0
@@ -132,7 +134,41 @@ class ClientCounters:
 
 
 class Client(Entity):
-    """A smartphone station attached to the simulated medium."""
+    """A smartphone station attached to the simulated medium.
+
+    Slotted: a DES fleet holds one per station.
+    """
+
+    __slots__ = (
+        "mac",
+        "bssid",
+        "_medium",
+        "config",
+        "sockets",
+        "counters",
+        "aid",
+        "last_aid",
+        "power",
+        "wakelock",
+        "_radio_listening",
+        "_ack_pending",
+        "_retransmit_event",
+        "_association_retry_event",
+        "_scan_results",
+        "_retries_left",
+        "_backoff_attempt",
+        "_report_sequence",
+        "_frame_sequence",
+        "_crashed",
+        "_rejoining",
+        "_conservative_listen",
+        "_radio",
+        "_radio_slot",
+        "_beacon_watchdog",
+        "_learned_beacon_interval",
+        "_port_refresh",
+        "tracer",
+    )
 
     def __init__(
         self,

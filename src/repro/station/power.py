@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro._slots import slotted
 from repro.errors import SimulationError
 from repro.sim.engine import EventHandle, Simulator
 
@@ -28,6 +29,7 @@ class PowerState(enum.Enum):
     SUSPENDING = "suspending"
 
 
+@slotted
 @dataclass
 class PowerCounters:
     resumes: int = 0
@@ -43,6 +45,21 @@ class PowerCounters:
 
 class PowerStateMachine:
     """Timed power-state transitions with per-state time totals."""
+
+    __slots__ = (
+        "_simulator",
+        "_resume_duration",
+        "_suspend_duration",
+        "_state",
+        "_state_since",
+        "_created_at",
+        "_time_in",
+        "transitions",
+        "_pending_transition",
+        "_on_active_callbacks",
+        "counters",
+        "lease",
+    )
 
     def __init__(
         self,

@@ -31,6 +31,19 @@ from repro.sim.engine import EventHandle, Simulator
 class WakelockManager:
     """One renewable wakelock with expiry notification."""
 
+    __slots__ = (
+        "_simulator",
+        "_timeout",
+        "_on_expire",
+        "_expiry_event",
+        "_held_since",
+        "_expires_at",
+        "acquisitions",
+        "renewals",
+        "_closed_held_s",
+        "_lease",
+    )
+
     def __init__(
         self,
         simulator: Simulator,

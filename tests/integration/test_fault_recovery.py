@@ -13,6 +13,7 @@ The acceptance contract for the fault layer:
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -126,8 +127,8 @@ class TestNullPlanIdentity:
         trace = _trace()
         baseline = run_trace_des(trace, _config())
         checked = run_trace_des(trace, _config(check_invariants=True))
-        assert [vars(c.counters) for c in checked.clients] == [
-            vars(c.counters) for c in baseline.clients
+        assert [asdict(c.counters) for c in checked.clients] == [
+            asdict(c.counters) for c in baseline.clients
         ]
         assert [m.breakdown.average_power_w for m in checked.meter()] == [
             m.breakdown.average_power_w for m in baseline.meter()

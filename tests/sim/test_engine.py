@@ -22,6 +22,16 @@ class TestScheduling:
         sim.run()
         assert fired == ["a", "b", "c"]
 
+    def test_post_at_returns_the_tie_breaking_sequence(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: None)
+        first = sim.post_at(2.0, lambda: fired.append("first"))
+        second = sim.post_at(2.0, lambda: fired.append("second"))
+        assert (first, second) == (1, 2)
+        sim.run()
+        assert fired == ["first", "second"]
+
     def test_clock_advances(self):
         sim = Simulator()
         times = []
