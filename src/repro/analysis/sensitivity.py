@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.delay import DelayAnalysis
+from repro.energy.components import EnergyCounts, price
 from repro.energy.model import HideOverheadParams
 from repro.energy.profile import DeviceEnergyProfile
 from repro.errors import ConfigurationError
@@ -144,9 +145,10 @@ def sweep_report_interval(
         overhead = HideOverheadParams(
             port_message_interval_s=interval, ports_per_message=ports_per_message
         )
-        message_power = (
-            profile.tx_power_w * overhead.message_airtime_s / interval
+        one_report = EnergyCounts(
+            duration_s=interval, report_airtime_s=overhead.message_airtime_s
         )
+        message_power = price(one_report, profile).overhead_j / interval
         result = delay.evaluate(
             stations,
             hide_fraction=hide_fraction,

@@ -20,14 +20,22 @@ ACK_BYTES = 14
 #: PS-Poll control frame: FC(2) + AID(2) + BSSID(6) + TA(6) + FCS(4).
 PS_POLL_BYTES = 20
 
+#: On-air bytes of a pre-HIDE beacon, :func:`standard_beacon_length`'s
+#: default (a test pins the two together). E_b^u is the energy to
+#: receive one beacon this long; extra beacon bytes are priced pro rata.
+STANDARD_BEACON_BYTES = 65
+
+#: On-air bytes the BTIM element adds to each DTIM beacon at the
+#: paper's evaluation settings (Eq. 15).
+BTIM_BYTES = 6
+
 
 def standard_beacon_length(ssid: str = "hide-net", station_count: int = 0) -> int:
     """On-air bytes of a pre-HIDE beacon with the usual element set.
 
-    Used to normalize the per-beacon receive energy ``E_b^u`` when
-    charging the extra BTIM bytes (see DESIGN.md's E_b interpretation
-    note). Computed from a real serialized beacon so it tracks the frame
-    substrate exactly.
+    Computed from a real serialized beacon; the energy model prices
+    BTIM bytes against :data:`STANDARD_BEACON_BYTES`, this function's
+    default result (see DESIGN.md's E_b interpretation note).
     """
     from repro.dot11.management import reference_beacon
 

@@ -6,38 +6,38 @@ Layers:
 * :mod:`repro.energy.dynamics` — the per-frame state recursion
   (Eqs. 3-5, 14): wakelock start times, effective wakelock durations,
   suspended-vs-awake state on arrival, aborted-suspend fractions.
-* :mod:`repro.energy.model` — the component energies (Eqs. 2, 6-19):
-  E_b, E_f, E_wl, E_st, E_o.
-* :mod:`repro.energy.timeline` — an explicit interval timeline built
-  from the same dynamics, used for the suspend-mode fraction (Fig. 9)
-  and as an independent cross-check of the closed form.
+* :mod:`repro.energy.components` — the count record both estimators
+  produce, and :func:`price`, the one price list for Eq. (2).
+* :mod:`repro.energy.model` — the closed form: counts Eqs. (3)-(19),
+  suspended time for Figure 9 among them, from a frame list.
+* :mod:`repro.energy.meter` — the same counts read off a DES client.
+
+The names below are re-exported lazily, so the closed form does not
+import the simulator the meter reads.
 """
 
-from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE, GALAXY_S4
-from repro.energy.components import EnergyBreakdown, COMPONENT_LABELS
-from repro.energy.dynamics import FrameDynamics, FrameEvent, derive_frame_dynamics
-from repro.energy.model import EnergyModel, HideOverheadParams
-from repro.energy.timeline import PowerTimeline, StateSegment, build_timeline
-from repro.energy.meter import ClientEnergyMeter, MeteredEnergy
-from repro.energy.battery import Battery, GALAXY_S4_BATTERY, NEXUS_ONE_BATTERY
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DeviceEnergyProfile",
-    "NEXUS_ONE",
-    "GALAXY_S4",
-    "EnergyBreakdown",
-    "COMPONENT_LABELS",
-    "FrameDynamics",
-    "FrameEvent",
-    "derive_frame_dynamics",
-    "EnergyModel",
-    "HideOverheadParams",
-    "PowerTimeline",
-    "StateSegment",
-    "build_timeline",
-    "ClientEnergyMeter",
-    "MeteredEnergy",
-    "Battery",
-    "GALAXY_S4_BATTERY",
-    "NEXUS_ONE_BATTERY",
-]
+#: Public name → defining module, imported on first use.
+_EXPORTS = {
+    "DeviceEnergyProfile": "repro.energy.profile",
+    "NEXUS_ONE": "repro.energy.profile",
+    "GALAXY_S4": "repro.energy.profile",
+    "EnergyBreakdown": "repro.energy.components",
+    "EnergyCounts": "repro.energy.components",
+    "COMPONENT_LABELS": "repro.energy.components",
+    "price": "repro.energy.components",
+    "FrameDynamics": "repro.energy.dynamics",
+    "FrameEvent": "repro.energy.dynamics",
+    "derive_frame_dynamics": "repro.energy.dynamics",
+    "EnergyModel": "repro.energy.model",
+    "HideOverheadParams": "repro.energy.model",
+    "client_counts": "repro.energy.meter",
+    "Battery": "repro.energy.battery",
+    "GALAXY_S4_BATTERY": "repro.energy.battery",
+    "NEXUS_ONE_BATTERY": "repro.energy.battery",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,20 +1,21 @@
-"""Component energies — Eqs. (2), (6)-(19) of the paper.
+"""The closed form of Section IV: Eqs. (3)-(19) counted from a frame list.
 
-:class:`EnergyModel` evaluates one client's energy for handling a
-stream of received broadcast frames over an observation window. What to
-feed it is the *solution's* choice (see :mod:`repro.solutions`): the
-receive-all and client-side baselines pass every frame in the trace;
-HIDE passes only the useful ones plus an overhead description.
+:class:`EnergyModel` counts what one client does handling a stream of
+received broadcast frames over an observation window, and prices the
+counts with :func:`repro.energy.components.price`. What to feed it is
+the *solution's* choice (see :mod:`repro.solutions`): the receive-all
+and client-side baselines pass every frame in the trace; HIDE passes
+only the useful ones plus an overhead description.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.dot11.sizes import FCS_BYTES, MAC_HEADER_BYTES
-from repro.energy.components import EnergyBreakdown
+from repro.energy.components import EnergyBreakdown, EnergyCounts, price
 from repro.energy.dynamics import (
     FrameDynamics,
     FrameEvent,
@@ -22,12 +23,12 @@ from repro.energy.dynamics import (
 )
 from repro.energy.profile import DeviceEnergyProfile
 from repro.errors import ConfigurationError
-from repro.units import BEACON_INTERVAL_S, PHY_OVERHEAD_S, mbps
+from repro.units import BEACON_INTERVAL_S, MANAGEMENT_RATE_BPS, PHY_OVERHEAD_S
 
 
 @dataclass(frozen=True)
 class HideOverheadParams:
-    """Inputs to E_o (Eqs. 15-19).
+    """The UDP Port Message inputs to E_o (Eqs. 16-19).
 
     Defaults follow the paper's evaluation settings: a UDP Port Message
     every 10 s carrying 100 ports at the lowest rate (1 Mb/s) — "able to
@@ -36,51 +37,12 @@ class HideOverheadParams:
 
     port_message_interval_s: float = 10.0
     ports_per_message: int = 100
-    message_rate_bps: float = mbps(1)
-    #: On-air bytes of the BTIM element added to each DTIM beacon.
-    btim_bytes: int = 6
-    #: Standard (pre-HIDE) beacon length used to prorate E_b^u per byte.
-    standard_beacon_bytes: int = 65
 
     def __post_init__(self) -> None:
         if self.port_message_interval_s <= 0:
             raise ConfigurationError("port message interval must be positive")
         if self.ports_per_message < 0:
             raise ConfigurationError("ports per message must be non-negative")
-        if self.message_rate_bps <= 0:
-            raise ConfigurationError("message rate must be positive")
-        if self.btim_bytes < 0 or self.standard_beacon_bytes <= 0:
-            raise ConfigurationError("bad beacon size parameters")
-
-    @classmethod
-    def for_bss(
-        cls,
-        station_count: int,
-        flagged_fraction: float = 0.2,
-        **kwargs,
-    ) -> "HideOverheadParams":
-        """Overhead params with the BTIM size computed from a *real*
-        encoded element for a BSS of ``station_count`` clients with
-        ``flagged_fraction`` of them flagged — instead of the default
-        6-byte estimate. Uses a worst-case-spread AID pattern (every
-        (1/fraction)-th AID set), which defeats the offset compression
-        and upper-bounds the element length."""
-        from repro.dot11.elements.btim import BtimElement
-
-        if station_count < 0:
-            raise ConfigurationError("station count must be non-negative")
-        if not 0.0 <= flagged_fraction <= 1.0:
-            raise ConfigurationError("flagged fraction must be in [0, 1]")
-        flagged_count = round(station_count * flagged_fraction)
-        if flagged_count > 0:
-            step = max(1, int(1 / max(flagged_fraction, 1e-9)))
-            aids = frozenset(
-                1 + i * step for i in range(flagged_count) if 1 + i * step <= 2007
-            )
-            btim_bytes = BtimElement(aids).encoded_length
-        else:
-            btim_bytes = BtimElement().encoded_length
-        return cls(btim_bytes=btim_bytes, **kwargs)
 
     @property
     def message_length_bytes(self) -> int:
@@ -92,7 +54,7 @@ class HideOverheadParams:
 
     @property
     def message_airtime_s(self) -> float:
-        return PHY_OVERHEAD_S + self.message_length_bytes * 8 / self.message_rate_bps
+        return PHY_OVERHEAD_S + self.message_length_bytes * 8 / MANAGEMENT_RATE_BPS
 
 
 class EnergyModel:
@@ -105,15 +67,9 @@ class EnergyModel:
         self.profile = profile
         self.dtim_period = dtim_period
 
-    # -- helpers -----------------------------------------------------
-
     def beacon_count(self, duration_s: float) -> int:
         """Beacons received during [0, duration)."""
         return max(1, math.ceil(duration_s / BEACON_INTERVAL_S))
-
-    def beacon_index(self, time_s: float) -> int:
-        """Which beacon interval b_i a time falls in (0-based)."""
-        return int(time_s / BEACON_INTERVAL_S)
 
     def derive_dynamics(
         self,
@@ -128,75 +84,105 @@ class EnergyModel:
             wakelock_for_frame=wakelock_for_frame,
         )
 
-    # -- component energies ------------------------------------------
+    def counts(
+        self,
+        frames: Sequence[FrameEvent],
+        duration_s: float,
+        dynamics: Optional[Sequence[FrameDynamics]] = None,
+        overhead: Optional[HideOverheadParams] = None,
+    ) -> EnergyCounts:
+        """Count Eqs. (3)-(19) over the window in one pass.
 
-    def beacon_energy(self, duration_s: float) -> float:
-        """E_b (Eq. 6): all beacons in the window, every solution alike."""
-        return self.profile.beacon_rx_j * self.beacon_count(duration_s)
+        ``dynamics`` is :meth:`derive_dynamics` of ``frames``, for a
+        caller that reuses it; it is derived with the device τ when
+        omitted. Every float is a left-to-right ``+=`` fold, so the
+        counts do not depend on the interpreter's ``sum()``.
 
-    def receive_energy(self, frames: Sequence[FrameEvent], duration_s: float) -> float:
-        """E_f (Eq. 7): transmission time at P_r plus idle listening at
-        P_idle — both the post-DTIM wait for the first frame (t_f) and
-        the more-data gaps between frames (t_d)."""
-        rx_time = sum(frame.transmission_time for frame in frames)
+        Each suspended arrival is one resume and one completed suspend
+        (the window's trailing suspend balances the one before t = 0).
+        Suspended time walks the awake episodes the dynamics describe:
+        a suspended arrival ends a suspended run at its receive instant
+        and opens a resume; within an episode, the gap between lock
+        coverage and the next frame is an (aborted) suspend; the
+        episode closes with a completed suspend, T_sp after it went
+        idle. Every instant is clamped to the window.
+        """
+        if duration_s <= 0:
+            raise ConfigurationError("duration must be positive")
+        if dynamics is None:
+            dynamics = self.derive_dynamics(frames)
+        if len(dynamics) != len(frames):
+            raise ConfigurationError("dynamics must describe the frames")
+        tsp = self.profile.suspend_duration_s
 
-        idle_time = 0.0
-        first_frame_in_interval: Dict[int, float] = {}
-        for index, frame in enumerate(frames):
-            interval = self.beacon_index(frame.time)
-            if interval not in first_frame_in_interval:
-                first_frame_in_interval[interval] = frame.time
+        receive_s = 0.0
+        idle_listen_s = 0.0
+        # t_f (Eq. 9), from each beacon to its first frame, is folded
+        # in after every t_d (Eq. 10), in interval order.
+        first_frame_waits: List[float] = []
+        last_interval = -1
+        resumes = 0
+        aborted_suspends = 0.0
+        wakelock_s = 0.0
+        clock = _SuspendedClock(duration_s)
+        previous_awake_until: Optional[float] = None
+
+        for index, (frame, dyn) in enumerate(zip(frames, dynamics)):
+            receive_s += frame.transmission_time
+            interval = int(frame.time / BEACON_INTERVAL_S)
+            if interval != last_interval:
+                first_frame_waits.append(
+                    max(0.0, frame.time - interval * BEACON_INTERVAL_S)
+                )
+                last_interval = interval
             if frame.more_data:
                 interval_end = (interval + 1) * BEACON_INTERVAL_S
                 if index + 1 < len(frames):
                     next_event = min(frames[index + 1].time, interval_end)
                 else:
                     next_event = interval_end
-                idle_time += max(0.0, next_event - frame.rx_complete)
-        # t_f (Eq. 9): from each beacon to its first broadcast frame.
-        for interval, first_time in first_frame_in_interval.items():
-            idle_time += max(0.0, first_time - interval * BEACON_INTERVAL_S)
+                idle_listen_s += max(0.0, next_event - frame.rx_complete)
+            wakelock_s += dyn.coverage_increment
+            aborted_suspends += dyn.aborted_suspend_fraction
 
-        return self.profile.rx_power_w * rx_time + self.profile.idle_power_w * idle_time
+            if dyn.suspended_on_arrival:
+                resumes += 1
+                if previous_awake_until is not None:
+                    clock.advance(False, previous_awake_until + tsp)
+                clock.advance(True, dyn.event.rx_complete)
+            # Resuming, or suspending until this frame aborted it.
+            clock.advance(False, dyn.wakelock_start)
+            clock.advance(False, dyn.wakelock_start + dyn.wakelock_timeout)
+            previous_awake_until = dyn.awake_until
 
-    def wakelock_energy(self, dynamics: Sequence[FrameDynamics]) -> float:
-        """E_wl (Eq. 12): active-idle power over all wakelock-held time
-        (the union of the per-frame locks; equals Σ t_wl of Eq. 4)."""
-        return self.profile.active_idle_power_w * sum(
-            d.coverage_increment for d in dynamics
-        )
+        if previous_awake_until is not None:
+            clock.advance(False, previous_awake_until + tsp)
+        for wait in first_frame_waits:
+            idle_listen_s += wait
 
-    def state_transfer_energy(self, dynamics: Sequence[FrameDynamics]) -> float:
-        """E_st (Eq. 13): full resume+suspend per suspended arrival, plus
-        partial suspends aborted by awake arrivals."""
-        suspended_arrivals = sum(1 for d in dynamics if d.suspended_on_arrival)
-        aborted = sum(d.aborted_suspend_fraction for d in dynamics)
-        return (
-            (self.profile.resume_energy_j + self.profile.suspend_energy_j)
-            * suspended_arrivals
-            + self.profile.suspend_energy_j * aborted
-        )
-
-    def overhead_energy(
-        self, overhead: Optional[HideOverheadParams], duration_s: float
-    ) -> float:
-        """E_o (Eqs. 15-19): zero unless HIDE overhead params are given."""
+        beacons = self.beacon_count(duration_s)
         if overhead is None:
-            return 0.0
-        dtim_count = self.beacon_count(duration_s) / self.dtim_period
-        btim_energy = (
-            self.profile.beacon_rx_j
-            * (overhead.btim_bytes / overhead.standard_beacon_bytes)
-            * dtim_count
+            btim_beacons = 0.0
+            report_airtime_s = 0.0
+        else:
+            btim_beacons = beacons / self.dtim_period
+            # One transmission per report: the paper's lossless channel.
+            report_airtime_s = (
+                duration_s / overhead.port_message_interval_s
+            ) * overhead.message_airtime_s
+        return EnergyCounts(
+            duration_s=duration_s,
+            beacons=beacons,
+            btim_beacons=btim_beacons,
+            receive_s=receive_s,
+            idle_listen_s=idle_listen_s,
+            resumes=resumes,
+            suspends_completed=resumes,
+            aborted_suspends=aborted_suspends,
+            wakelock_s=wakelock_s,
+            report_airtime_s=report_airtime_s,
+            suspended_s=clock.finish(),
         )
-        # One transmission per report: the paper's lossless channel.
-        message_count = duration_s / overhead.port_message_interval_s
-        message_energy = (
-            message_count * self.profile.tx_power_w * overhead.message_airtime_s
-        )
-        return btim_energy + message_energy
-
-    # -- the full evaluation -------------------------------------------
 
     def evaluate(
         self,
@@ -205,21 +191,45 @@ class EnergyModel:
         dynamics: Optional[Sequence[FrameDynamics]] = None,
         overhead: Optional[HideOverheadParams] = None,
     ) -> EnergyBreakdown:
-        """Eq. (2): E = E_b + E_f + E_wl + E_st + E_o over the window.
-
-        ``dynamics`` is :meth:`derive_dynamics` of ``frames``, for a
-        caller that reuses it; it is derived with the device τ when
-        omitted.
-        """
-        if duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
-        if dynamics is None:
-            dynamics = self.derive_dynamics(frames)
-        return EnergyBreakdown(
-            beacon_j=self.beacon_energy(duration_s),
-            receive_j=self.receive_energy(frames, duration_s),
-            state_transfer_j=self.state_transfer_energy(dynamics),
-            wakelock_j=self.wakelock_energy(dynamics),
-            overhead_j=self.overhead_energy(overhead, duration_s),
-            duration_s=duration_s,
+        """Eq. (2): E = E_b + E_f + E_wl + E_st + E_o over the window,
+        priced from :meth:`counts` of the same arguments."""
+        return price(
+            self.counts(frames, duration_s, dynamics, overhead), self.profile
         )
+
+
+class _SuspendedClock:
+    """Lays the window out from 0 as suspended and awake runs and folds
+    each suspended run's length as it closes (Figure 9's numerator).
+
+    An instant past the window is clamped to its end; one at or before
+    the cursor lays nothing out, so it neither opens nor closes a run.
+    """
+
+    __slots__ = ("_duration", "_cursor", "_run_start", "_suspended", "_total")
+
+    def __init__(self, duration_s: float) -> None:
+        self._duration = duration_s
+        self._cursor = 0.0
+        self._run_start = 0.0
+        self._suspended = False
+        self._total = 0.0
+
+    def advance(self, suspended: bool, end: float) -> None:
+        """Lay the window out up to ``end`` in one state."""
+        end = min(end, self._duration)
+        if end <= self._cursor:
+            return
+        if suspended is not self._suspended:
+            if self._suspended:
+                self._total += self._cursor - self._run_start
+            self._suspended = suspended
+            self._run_start = self._cursor
+        self._cursor = end
+
+    def finish(self) -> float:
+        """Suspend for the rest of the window; the suspended seconds."""
+        self.advance(True, self._duration)
+        if self._suspended:
+            self._total += self._cursor - self._run_start
+        return self._total

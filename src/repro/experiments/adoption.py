@@ -3,7 +3,7 @@
 The paper evaluates one client at a time against traces; this experiment
 runs an actual BSS — one AP, a population of phones with mixed service
 interests — and sweeps what fraction of the phones run HIDE, metering
-every phone with :class:`~repro.energy.meter.ClientEnergyMeter`. It
+every phone with :func:`~repro.energy.meter.client_counts`. It
 answers the deployment question the paper's Section V only brushes:
 what does *partial* adoption buy the fleet?
 
@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
-from repro.energy.meter import ClientEnergyMeter
+from repro.energy.components import price
+from repro.energy.meter import client_counts
 from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE
 from repro.errors import ConfigurationError
 from repro.net.packet import build_broadcast_udp_packet
@@ -132,8 +133,8 @@ def compute(
         legacy_powers = []
         suspend_fractions = []
         for client, policy in zip(clients, policies):
-            metered = ClientEnergyMeter(client, profile).measure(duration_s)
-            power_mw = metered.breakdown.average_power_w * 1e3
+            breakdown = price(client_counts(client, duration_s), profile)
+            power_mw = breakdown.average_power_w * 1e3
             powers.append(power_mw)
             if policy is ClientPolicy.HIDE:
                 hide_powers.append(power_mw)

@@ -34,7 +34,8 @@ from typing import (
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
-from repro.energy.meter import ClientEnergyMeter, MeteredEnergy
+from repro.energy.components import EnergyBreakdown, price
+from repro.energy.meter import client_counts
 from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultPlan
@@ -255,10 +256,10 @@ class DesRunResult:
         if self.metrics_server is not None:
             self.metrics_server.stop()
 
-    def meter(self) -> List[MeteredEnergy]:
+    def meter(self) -> List[EnergyBreakdown]:
         """Per-client energy from what each client actually did."""
         return [
-            ClientEnergyMeter(client, self.config.profile).measure(self.duration_s)
+            price(client_counts(client, self.duration_s), self.config.profile)
             for client in self.clients
         ]
 
@@ -661,7 +662,7 @@ def run_trace_des(
 def client_summary_rows(result: DesRunResult) -> List[List[str]]:
     """Per-client report rows: wakeups, suspend share, metered power."""
     rows: List[List[str]] = []
-    for client, metered in zip(result.clients, result.meter()):
+    for client, breakdown in zip(result.clients, result.meter()):
         if client.power is None or client.wakelock is None:
             continue  # never attached (should not happen in a real run)
         rows.append(
@@ -673,7 +674,7 @@ def client_summary_rows(result: DesRunResult) -> List[List[str]]:
                 f"{client.counters.useful_frames_received}"
                 f"/{client.counters.broadcast_frames_received}",
                 f"{client.suspend_fraction(result.duration_s):.1%}",
-                f"{metered.breakdown.average_power_w * 1e3:.1f}",
+                f"{breakdown.average_power_w * 1e3:.1f}",
             ]
         )
     return rows

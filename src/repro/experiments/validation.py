@@ -19,7 +19,6 @@ from repro.dot11.mac_address import MacAddress
 from repro.energy.dynamics import FrameEvent
 from repro.energy.model import EnergyModel
 from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE
-from repro.energy.timeline import build_timeline
 from repro.errors import ConfigurationError
 from repro.net.packet import build_broadcast_udp_packet
 from repro.reporting import render_table
@@ -153,17 +152,16 @@ def compute(
     ):
         client, sniffer = _run_des(policy, duration_s, profile)
         events = _events_from_capture(sniffer, useful_only=useful_only)
-        dynamics = model.derive_dynamics(events, wakelock_fn)
-        timeline = build_timeline(dynamics, profile, duration_s)
+        counts = model.counts(
+            events, duration_s, model.derive_dynamics(events, wakelock_fn)
+        )
 
         rows.append(
             AgreementRow(
                 policy=policy.value,
                 quantity="resumes",
                 des_value=float(client.power.counters.resumes),
-                model_value=float(
-                    sum(1 for d in dynamics if d.suspended_on_arrival)
-                ),
+                model_value=float(counts.resumes),
             )
         )
         rows.append(
@@ -171,7 +169,7 @@ def compute(
                 policy=policy.value,
                 quantity="wakelock_s",
                 des_value=client.wakelock.total_held_time(),
-                model_value=sum(d.coverage_increment for d in dynamics),
+                model_value=counts.wakelock_s,
             )
         )
         rows.append(
@@ -179,7 +177,7 @@ def compute(
                 policy=policy.value,
                 quantity="suspend_fraction",
                 des_value=client.suspend_fraction(duration_s),
-                model_value=timeline.suspend_fraction,
+                model_value=counts.suspend_fraction,
             )
         )
     return ValidationResult(

@@ -192,13 +192,13 @@ class FrameLedger:
         mandatory beacon listening, leaving the broadcast-driven wake
         cost HIDE exists to reduce.
         """
-        from repro.energy.meter import ClientEnergyMeter
+        from repro.energy.components import price
+        from repro.energy.meter import client_counts
 
         for client in clients:
             if client.power is None or client.wakelock is None:
                 continue  # never attached to the sim
-            metered = ClientEnergyMeter(client, profile).measure(duration_s)
-            breakdown = metered.breakdown
+            breakdown = price(client_counts(client, duration_s), profile)
             self.client_energy_j.record(breakdown.total_j)
             self.client_wake_energy_j.record(
                 breakdown.total_j - breakdown.beacon_j

@@ -6,11 +6,10 @@ import abc
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.energy.components import EnergyBreakdown
+from repro.energy.components import EnergyBreakdown, price
 from repro.energy.dynamics import FrameEvent
 from repro.energy.model import EnergyModel, HideOverheadParams
 from repro.energy.profile import DeviceEnergyProfile
-from repro.energy.timeline import build_timeline
 from repro.traces.trace import BroadcastTrace
 from repro.traces.usefulness import UsefulnessAssignment
 
@@ -24,8 +23,8 @@ class SolutionResult:
     device: str
     useful_fraction: float
     breakdown: EnergyBreakdown
-    #: Fraction of the window in suspend mode (Figure 9), read off the
-    #: evaluation's power timeline; the timeline itself is not kept.
+    #: Fraction of the window in suspend mode (Figure 9), from the
+    #: evaluation's counts.
     suspend_fraction: float
     received_frames: int
     total_frames: int
@@ -65,22 +64,23 @@ class Solution(abc.ABC):
         profile: DeviceEnergyProfile,
         dtim_period: int = 1,
     ) -> SolutionResult:
-        """Run the full pipeline: plan → closed-form model → timeline."""
+        """Run the full pipeline: plan → closed-form counts → price."""
         events = trace.to_events(assignment.mask)
         received, wakelock_fn, overhead = self.plan(events, profile)
         model = EnergyModel(profile, dtim_period=dtim_period)
-        dynamics = model.derive_dynamics(received, wakelock_fn)
-        breakdown = model.evaluate(
-            received, trace.duration_s, dynamics=dynamics, overhead=overhead
+        counts = model.counts(
+            received,
+            trace.duration_s,
+            dynamics=model.derive_dynamics(received, wakelock_fn),
+            overhead=overhead,
         )
-        timeline = build_timeline(dynamics, profile, trace.duration_s)
         return SolutionResult(
             solution=self.name,
             trace_name=trace.name,
             device=profile.name,
             useful_fraction=assignment.achieved_fraction,
-            breakdown=breakdown,
-            suspend_fraction=timeline.suspend_fraction,
+            breakdown=price(counts, profile),
+            suspend_fraction=counts.suspend_fraction,
             received_frames=len(received),
             total_frames=len(events),
         )

@@ -11,8 +11,8 @@ from repro.solutions.base import Solution, SolutionPlan
 from repro.units import BEACON_INTERVAL_S
 
 #: E_o inputs (Eqs. 15-19) at the paper's evaluation settings: a UDP
-#: Port Message every 10 s carrying 100 ports at 1 Mb/s, and a 6-byte
-#: BTIM in every DTIM beacon.
+#: Port Message every 10 s carrying 100 ports at 1 Mb/s, and a BTIM of
+#: :data:`~repro.dot11.sizes.BTIM_BYTES` in every DTIM beacon.
 HIDE_OVERHEAD = HideOverheadParams()
 
 

@@ -32,7 +32,7 @@ from repro.sim.medium import Medium, Transmission
 from repro.station.power import PowerState, PowerStateMachine
 from repro.station.udp_sockets import UdpSocketTable
 from repro.station.wakelock import WakelockManager
-from repro.units import BEACON_INTERVAL_S, mbps, ms, us
+from repro.units import BEACON_INTERVAL_S, MANAGEMENT_RATE_BPS, ms, us
 
 
 class ClientPolicy(enum.Enum):
@@ -40,10 +40,6 @@ class ClientPolicy(enum.Enum):
     CLIENT_SIDE = "client-side"
     HIDE = "hide"
 
-
-#: Rate used for UDP Port Messages: the paper sends them at the lowest
-#: basic rate, 1 Mb/s.
-MANAGEMENT_RATE_BPS = mbps(1)
 
 #: How long to wait for the AP's ACK before retransmitting.
 ACK_TIMEOUT_S = ms(20)

@@ -50,6 +50,11 @@ def mbps(value: float) -> float:
     return value * MBPS
 
 
+#: Rate of UDP Port Messages and the client's other management frames:
+#: the paper sends reports at the lowest basic rate, 1 Mb/s.
+MANAGEMENT_RATE_BPS = mbps(1)
+
+
 def airtime(length_bytes: int, rate_bps: float) -> float:
     """Return the transmission time in seconds of ``length_bytes`` at ``rate_bps``.
 

@@ -5,7 +5,7 @@ from repro.dot11.elements.tim import TimElement
 from repro.dot11.frame_control import FrameType, ManagementSubtype
 from repro.dot11.mac_address import BROADCAST, MacAddress
 from repro.dot11.management import Beacon, CapabilityInfo, UdpPortMessage
-from repro.dot11.sizes import standard_beacon_length
+from repro.dot11.sizes import STANDARD_BEACON_BYTES, standard_beacon_length
 from repro.errors import FrameDecodeError
 
 
@@ -176,6 +176,9 @@ class TestStandardBeaconLength:
     def test_reasonable_size(self):
         length = standard_beacon_length()
         assert 50 <= length <= 120
+
+    def test_constant_is_the_serialized_length(self):
+        assert standard_beacon_length() == STANDARD_BEACON_BYTES
 
     def test_grows_with_stations(self):
         assert standard_beacon_length(station_count=100) > standard_beacon_length()

@@ -1,16 +1,18 @@
-"""The DES energy meter, and its agreement with the closed-form model."""
+"""The DES energy counts, and their agreement with the closed-form model."""
 
 import pytest
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
-from repro.energy.meter import ClientEnergyMeter
+from repro.energy.components import price
+from repro.energy.meter import client_counts
 from repro.energy.profile import NEXUS_ONE
 from repro.errors import SimulationError
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
 from repro.station.client import Client, ClientConfig, ClientPolicy
+from repro.station.power import PowerState
 
 AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
 WIRED_SRC = MacAddress.from_string("02:bb:00:00:00:99")
@@ -42,14 +44,17 @@ def run_scenario(policy, traffic, duration=20.0, open_ports=(5353,)):
     return client
 
 
+def meter(client):
+    return price(client_counts(client, 20.0), NEXUS_ONE)
+
+
 TRAFFIC = [(1.0, 5353), (4.0, 137), (8.0, 5353), (8.01, 137), (14.0, 5353)]
 
 
 class TestMeter:
     def test_components_non_negative(self):
         client = run_scenario(ClientPolicy.RECEIVE_ALL, TRAFFIC)
-        metered = ClientEnergyMeter(client, NEXUS_ONE).measure(20.0)
-        b = metered.breakdown
+        b = meter(client)
         assert b.beacon_j > 0
         assert b.receive_j > 0
         assert b.state_transfer_j > 0
@@ -58,20 +63,16 @@ class TestMeter:
 
     def test_hide_pays_overhead(self):
         client = run_scenario(ClientPolicy.HIDE, TRAFFIC)
-        metered = ClientEnergyMeter(client, NEXUS_ONE).measure(20.0)
-        assert metered.breakdown.overhead_j > 0
+        assert meter(client).overhead_j > 0
 
     def test_hide_meters_below_receive_all(self):
         receive_all = run_scenario(ClientPolicy.RECEIVE_ALL, TRAFFIC)
         hide = run_scenario(ClientPolicy.HIDE, TRAFFIC)
-        ra_energy = ClientEnergyMeter(receive_all, NEXUS_ONE).measure(20.0)
-        hide_energy = ClientEnergyMeter(hide, NEXUS_ONE).measure(20.0)
-        assert hide_energy.breakdown.total_j < ra_energy.breakdown.total_j
+        assert meter(hide).total_j < meter(receive_all).total_j
 
     def test_wakelock_energy_matches_hold_time(self):
         client = run_scenario(ClientPolicy.RECEIVE_ALL, TRAFFIC)
-        metered = ClientEnergyMeter(client, NEXUS_ONE).measure(20.0)
-        assert metered.breakdown.wakelock_j == pytest.approx(
+        assert meter(client).wakelock_j == pytest.approx(
             NEXUS_ONE.active_idle_power_w * client.wakelock.total_held_time()
         )
 
@@ -80,21 +81,26 @@ class TestMeter:
         # first's suspend path depending on timing; either way the meter
         # must charge resumes * Erm + completed * Esp exactly.
         client = run_scenario(ClientPolicy.CLIENT_SIDE, TRAFFIC)
-        metered = ClientEnergyMeter(client, NEXUS_ONE).measure(20.0)
         power = client.power.counters
         expected_minimum = (
             NEXUS_ONE.resume_energy_j * power.resumes
             + NEXUS_ONE.suspend_energy_j * power.suspends_completed
         )
-        assert metered.breakdown.state_transfer_j >= expected_minimum
+        assert meter(client).state_transfer_j >= expected_minimum
 
-    def test_platform_baseline(self):
-        client = run_scenario(ClientPolicy.HIDE, [])
-        metered = ClientEnergyMeter(client, NEXUS_ONE).measure(20.0)
-        # Nearly fully suspended: baseline ~ Pss * 20s.
-        assert metered.platform_baseline_j == pytest.approx(
-            NEXUS_ONE.suspend_power_w * 20.0, rel=0.1
+    def test_counts_read_the_client(self):
+        client = run_scenario(ClientPolicy.HIDE, TRAFFIC)
+        counts = client_counts(client, 20.0)
+        assert counts.beacons == client.counters.beacons_received
+        assert counts.btim_beacons == client.counters.dtims_received
+        assert counts.resumes == client.power.counters.resumes
+        assert counts.suspended_s == client.power.time_in_state(
+            PowerState.SUSPENDED
         )
+        assert counts.suspend_fraction == client.suspend_fraction(20.0)
+        assert counts.report_airtime_s > 0
+        idle = client_counts(run_scenario(ClientPolicy.RECEIVE_ALL, TRAFFIC), 20.0)
+        assert idle.btim_beacons == 0 and idle.report_airtime_s == 0.0
 
     def test_agreement_with_closed_form_wakelock_and_transitions(self):
         """DES meter vs Section IV closed form on the same frame schedule."""
@@ -103,7 +109,7 @@ class TestMeter:
         from repro.units import mbps
 
         client = run_scenario(ClientPolicy.RECEIVE_ALL, TRAFFIC)
-        metered = ClientEnergyMeter(client, NEXUS_ONE).measure(20.0)
+        metered = meter(client)
 
         # Reconstruct the model's view from the known on-air schedule:
         # frames land just after the DTIM following their offered time.
@@ -118,11 +124,11 @@ class TestMeter:
                 )
             )
         events.sort(key=lambda e: e.time)
-        dynamics = model.derive_dynamics(events)
-        model_wl = model.wakelock_energy(dynamics)
-        model_st = model.state_transfer_energy(dynamics)
-        assert metered.breakdown.wakelock_j == pytest.approx(model_wl, rel=0.05)
-        assert metered.breakdown.state_transfer_j == pytest.approx(
+        closed_form = model.evaluate(events, 20.0)
+        model_wl = closed_form.wakelock_j
+        model_st = closed_form.state_transfer_j
+        assert metered.wakelock_j == pytest.approx(model_wl, rel=0.05)
+        assert metered.state_transfer_j == pytest.approx(
             model_st, rel=0.15
         )
 
@@ -131,9 +137,9 @@ class TestMeter:
         medium = Medium(sim)
         client = Client(MacAddress.station(1), medium, AP_MAC)
         with pytest.raises(SimulationError):
-            ClientEnergyMeter(client, NEXUS_ONE).measure(10.0)
+            client_counts(client, 10.0)
 
     def test_zero_duration_rejected(self):
         client = run_scenario(ClientPolicy.HIDE, [])
         with pytest.raises(SimulationError):
-            ClientEnergyMeter(client, NEXUS_ONE).measure(0.0)
+            client_counts(client, 0.0)

@@ -13,12 +13,10 @@ from repro.dot11.mac_address import MacAddress
 from repro.energy.dynamics import FrameEvent
 from repro.energy.model import EnergyModel
 from repro.energy.profile import NEXUS_ONE
-from repro.energy.timeline import build_timeline
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
 from repro.station.client import Client, ClientConfig, ClientPolicy
-from repro.station.power import PowerState
 from repro.units import mbps
 
 AP_MAC = MacAddress.from_string("02:aa:00:00:00:01")
@@ -117,13 +115,12 @@ class TestReceiveAllAgreement:
     def test_suspend_fraction_close(self):
         client, on_air = run_des(OFFERED, ClientPolicy.RECEIVE_ALL, DURATION)
         events = events_from_air(on_air, useful_only=False)
-        dynamics = EnergyModel(NEXUS_ONE).derive_dynamics(events)
-        timeline = build_timeline(dynamics, NEXUS_ONE, DURATION)
+        counts = EnergyModel(NEXUS_ONE).counts(events, DURATION)
         # The DES includes protocol details (ACK waits, boot-time
         # suspend entry) the closed form abstracts, so allow a few
         # percentage points.
         assert client.suspend_fraction(DURATION) == pytest.approx(
-            timeline.suspend_fraction, abs=0.05
+            counts.suspend_fraction, abs=0.05
         )
 
     def test_wakelock_time_close(self):
@@ -147,12 +144,8 @@ class TestHideAgreement:
         ideal_events = events_from_air(on_air, useful_only=True)
         all_events = events_from_air(on_air, useful_only=False)
         model = EnergyModel(NEXUS_ONE)
-        ideal = build_timeline(
-            model.derive_dynamics(ideal_events), NEXUS_ONE, DURATION
-        )
-        receive_all = build_timeline(
-            model.derive_dynamics(all_events), NEXUS_ONE, DURATION
-        )
+        ideal = model.counts(ideal_events, DURATION)
+        receive_all = model.counts(all_events, DURATION)
         des_fraction = client.suspend_fraction(DURATION)
         # Real HIDE receives whole bursts -> sleeps no more than the
         # Eq. (1) idealization and no less than receive-all.

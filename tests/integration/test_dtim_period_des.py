@@ -1,11 +1,8 @@
 """DES behaviour with DTIM periods above 1 (paper: typical values 1-3)."""
 
-import pytest
-
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.data import DataFrame
 from repro.dot11.mac_address import MacAddress
-from repro.energy.model import HideOverheadParams
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
@@ -84,27 +81,3 @@ class TestDtimPeriodThree:
         spread = sniffer.captures[-1].time - sniffer.captures[0].time
         assert spread < 0.02  # all in one back-to-back burst
 
-
-class TestComputedBtimSize:
-    def test_for_bss_grows_with_population(self):
-        small = HideOverheadParams.for_bss(station_count=5)
-        large = HideOverheadParams.for_bss(station_count=200)
-        assert large.btim_bytes > small.btim_bytes
-
-    def test_empty_bss(self):
-        params = HideOverheadParams.for_bss(station_count=0)
-        assert params.btim_bytes >= 3  # header + offset + 1 bitmap octet
-
-    def test_kwargs_pass_through(self):
-        params = HideOverheadParams.for_bss(
-            station_count=10, port_message_interval_s=30.0
-        )
-        assert params.port_message_interval_s == 30.0
-
-    def test_validation(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            HideOverheadParams.for_bss(station_count=-1)
-        with pytest.raises(ConfigurationError):
-            HideOverheadParams.for_bss(station_count=5, flagged_fraction=1.5)

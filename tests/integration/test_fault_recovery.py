@@ -119,8 +119,8 @@ class TestNullPlanIdentity:
             == baseline.deterministic_fingerprint()
         )
         # Energy numbers match to the bit, not just approximately.
-        assert [m.breakdown.average_power_w for m in under_null.meter()] == [
-            m.breakdown.average_power_w for m in baseline.meter()
+        assert [m.average_power_w for m in under_null.meter()] == [
+            m.average_power_w for m in baseline.meter()
         ]
 
     def test_invariant_checking_does_not_perturb_the_protocol(self):
@@ -130,8 +130,8 @@ class TestNullPlanIdentity:
         assert [asdict(c.counters) for c in checked.clients] == [
             asdict(c.counters) for c in baseline.clients
         ]
-        assert [m.breakdown.average_power_w for m in checked.meter()] == [
-            m.breakdown.average_power_w for m in baseline.meter()
+        assert [m.average_power_w for m in checked.meter()] == [
+            m.average_power_w for m in baseline.meter()
         ]
 
 

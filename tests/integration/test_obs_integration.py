@@ -4,8 +4,8 @@ Runs the Classroom scenario through the event-level simulator with a
 live tracer attached, then checks that the trace
 log carries the protocol's heartbeat (DTIM cycles, Algorithm-1 spans,
 BTIM elements, client wakeups) and that the exported metrics agree with
-what the components themselves counted — including the inputs the
-:class:`~repro.energy.meter.ClientEnergyMeter` bills from.
+what the components themselves counted — including the inputs that
+:func:`~repro.energy.meter.client_counts` reads.
 """
 
 import io
@@ -116,7 +116,7 @@ class TestMetricsExport:
     def test_wakeup_counters_agree_with_energy_meter_inputs(self, traced_run):
         result, _ = traced_run
         values = row_values(result.metric_rows())
-        for client, metered in zip(result.clients, result.meter()):
+        for client, breakdown in zip(result.clients, result.meter()):
             labels = {"client": str(client.mac), "aid": str(client.aid)}
             wakeups = values[series_key("repro_client_wakeups_total", labels)]
             assert wakeups == client.power.counters.resumes
@@ -125,10 +125,10 @@ class TestMetricsExport:
                 series_key("repro_client_wakelock_held_seconds_total", labels)
             ]
             assert held == pytest.approx(client.wakelock.total_held_time())
-            # The meter bills wakelock time at the active-idle power, so
+            # Wakelock time is priced at the active-idle power, so
             # the exported seconds must reproduce its E_wl term.
             expected_wakelock_j = NEXUS_ONE.active_idle_power_w * held
-            assert metered.breakdown.wakelock_j == pytest.approx(expected_wakelock_j)
+            assert breakdown.wakelock_j == pytest.approx(expected_wakelock_j)
 
     def test_prometheus_export_renders_the_run(self, traced_run):
         result, _ = traced_run

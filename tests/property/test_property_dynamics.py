@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from repro.energy.dynamics import FrameEvent, derive_frame_dynamics
 from repro.energy.model import EnergyModel
 from repro.energy.profile import GALAXY_S4, NEXUS_ONE
-from repro.energy.timeline import build_timeline
 from repro.station.power import PowerState
 from repro.units import mbps
+from tests.energy.segment_walk import lengths, walk_segments
+from tests.station.float_sums import fold_sum
 
 TAU = NEXUS_ONE.wakelock_timeout_s
 TRM = NEXUS_ONE.resume_duration_s
@@ -121,41 +122,47 @@ class TestDynamicsInvariants:
         assert filtered <= uniform + 1e-9
 
 
+def counts_and_walk(frames, duration, wakelock_for_frame=None):
+    """The closed form's counts and the oracle's segment walk; the
+    counts' suspended time must be the walk's, to the bit."""
+    dynamics = derive(frames, wakelock_for_frame)
+    counts = EnergyModel(NEXUS_ONE).counts(frames, duration, dynamics)
+    segments = walk_segments(dynamics, TSP, duration)
+    assert counts.suspended_s == fold_sum(lengths(segments, PowerState.SUSPENDED))
+    return counts, segments
+
+
 class TestTimelineInvariants:
-    @given(frame_sequences())
+    @given(frame_sequences(), st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=60)
-    def test_timeline_covers_window_exactly(self, frames):
-        duration = frames[-1].time + 10.0
-        timeline = build_timeline(derive(frames), NEXUS_ONE, duration)
-        total = sum(s.duration for s in timeline.segments)
+    def test_timeline_covers_window_exactly(self, frames, tail):
+        # ``tail`` past the last frame may end the window mid-episode.
+        duration = frames[-1].time + tail
+        _, segments = counts_and_walk(
+            frames, duration, lambda e: TAU if e.useful else 0.0
+        )
+        total = fold_sum(end - start for _, start, end in segments)
         assert total == pytest.approx(duration, abs=1e-6)
 
     @given(frame_sequences())
     @settings(max_examples=60)
     def test_active_time_equals_closed_form_wakelock(self, frames):
-        duration = frames[-1].time + 10.0
-        dynamics = derive(frames)
-        timeline = build_timeline(dynamics, NEXUS_ONE, duration)
-        assert timeline.time_in_state(PowerState.ACTIVE) == pytest.approx(
-            sum(d.coverage_increment for d in dynamics), abs=1e-9
+        counts, segments = counts_and_walk(frames, frames[-1].time + 10.0)
+        assert fold_sum(lengths(segments, PowerState.ACTIVE)) == pytest.approx(
+            counts.wakelock_s, abs=1e-9
         )
 
     @given(frame_sequences())
     @settings(max_examples=60)
     def test_resume_segments_equal_suspended_arrivals(self, frames):
-        duration = frames[-1].time + 10.0
-        dynamics = derive(frames)
-        timeline = build_timeline(dynamics, NEXUS_ONE, duration)
-        assert timeline.count_segments(PowerState.RESUMING) == sum(
-            1 for d in dynamics if d.suspended_on_arrival
-        )
+        counts, segments = counts_and_walk(frames, frames[-1].time + 10.0)
+        assert len(lengths(segments, PowerState.RESUMING)) == counts.resumes
 
-    @given(frame_sequences())
+    @given(frame_sequences(), st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=60)
-    def test_suspend_fraction_in_unit_interval(self, frames):
-        duration = frames[-1].time + 10.0
-        timeline = build_timeline(derive(frames), NEXUS_ONE, duration)
-        assert 0.0 <= timeline.suspend_fraction <= 1.0
+    def test_suspend_fraction_in_unit_interval(self, frames, tail):
+        counts, _ = counts_and_walk(frames, frames[-1].time + tail)
+        assert 0.0 <= counts.suspend_fraction <= 1.0
 
 
 class TestModelInvariants:
@@ -216,6 +223,7 @@ class TestModelInvariants:
     def test_s4_never_cheaper_than_n1_on_transitions(self, frames):
         n1 = EnergyModel(NEXUS_ONE)
         s4 = EnergyModel(GALAXY_S4)
-        n1_est = n1.state_transfer_energy(n1.derive_dynamics(frames))
-        s4_est = s4.state_transfer_energy(s4.derive_dynamics(frames))
+        duration = frames[-1].time + 5.0
+        n1_est = n1.evaluate(frames, duration).state_transfer_j
+        s4_est = s4.evaluate(frames, duration).state_transfer_j
         assert s4_est >= n1_est

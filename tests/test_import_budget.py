@@ -53,6 +53,17 @@ class TestImportBudget:
         )
         assert loaded == {"_hashlib": False}
 
+    def test_closed_form_loads_no_simulator(self):
+        loaded = _loaded("import repro.solutions", ["repro.sim", "repro.station"])
+        assert loaded == dict.fromkeys(loaded, False)
+
+    def test_des_run_loads_no_closed_form(self):
+        loaded = _loaded(
+            "import repro.experiments.des_run",
+            ["repro.energy.model", "repro.energy.dynamics"],
+        )
+        assert loaded == dict.fromkeys(loaded, False)
+
     def test_port_service_loads_no_simulator_or_load_generator(self):
         loaded = _loaded(
             "import repro.service.server",
@@ -95,6 +106,7 @@ class TestLazyExports:
     def test_subpackage_exports_resolve(self):
         import repro.ap
         import repro.dot11
+        import repro.energy
         import repro.experiments
         import repro.obs
         import repro.service
@@ -104,6 +116,7 @@ class TestLazyExports:
             repro,
             repro.ap,
             repro.dot11,
+            repro.energy,
             repro.experiments,
             repro.obs,
             repro.service,

@@ -13,7 +13,7 @@ import pytest
 
 from repro.ap.access_point import ApConfig
 from repro.ap.buffer import BroadcastBuffer
-from repro.energy.model import EnergyModel
+from repro.energy.model import EnergyModel, HideOverheadParams
 from repro.experiments.des_run import DesRunConfig
 from repro.experiments.sweep import SweepSpec
 from repro.obs.server import MetricsServer
@@ -60,6 +60,7 @@ _FIELDS = {
         "ledger",
     ],
     SweepSpec: ["scenarios", "seeds", "config", "fault_spec", "timeseries_dir"],
+    HideOverheadParams: ["port_message_interval_s", "ports_per_message"],
 }
 
 _PARAMETERS = {
