@@ -8,7 +8,8 @@
 * Fingerprinting a fleet run costs a bounded number of bytes per series.
 * The ``.prom`` and ``.jsonl`` exports of one seeded ``sim run`` are
   byte-for-byte what they were when this test was written, apart from
-  the wall-clock families.
+  the wall-clock families; so are the whole timeseries and ledger
+  documents of the same run with telemetry and the ledger attached.
 """
 
 import contextlib
@@ -206,20 +207,28 @@ EXPORT_PINS = {
     "jsonl": "78d60cbf4a19819a52bc16bfb6489411998a31dc50fd84b2db7e849d00fbbeb1",
 }
 
+#: SHA-256 of each whole document the same run writes with telemetry
+#: and the ledger attached. A separate run from the exports above: the
+#: attached recorder moves ``repro_sim_probes_fired_total`` in a
+#: ``.prom`` written alongside.
+DOCUMENT_PINS = {
+    "ledger": "3a0bf7f004cd671251d2cf8b23c6d9f084399f779971c982509b0a7f19430371",
+    "timeseries": "4955d38cc327c312faf0fa9ea117a1c33b2f061be494026c5ecb63a4d14b71c2",
+}
+
+_SEEDED_RUN = [
+    "sim", "run", "--scenario", "Classroom",
+    "--clients", "6", "--duration", "20",
+    "--fault-plan", "loss=0.05,seed=7,crash=1@5:9",
+]
+
 
 class TestExportPins:
     @pytest.mark.parametrize("ext", sorted(EXPORT_PINS))
     def test_seeded_run_export_bytes(self, ext, tmp_path):
         path = tmp_path / f"sim.{ext}"
         with contextlib.redirect_stdout(io.StringIO()):
-            status = main(
-                [
-                    "sim", "run", "--scenario", "Classroom",
-                    "--clients", "6", "--duration", "20",
-                    "--fault-plan", "loss=0.05,seed=7,crash=1@5:9",
-                    "--metrics-out", str(path),
-                ]
-            )
+            status = main(_SEEDED_RUN + ["--metrics-out", str(path)])
         assert status == 0
         kept = [
             line
@@ -228,3 +237,18 @@ class TestExportPins:
         ]
         digest = hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
         assert digest == EXPORT_PINS[ext]
+
+    def test_seeded_run_document_bytes(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.json" for name in DOCUMENT_PINS}
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main(
+                _SEEDED_RUN
+                + ["--timeseries-out", str(paths["timeseries"])]
+                + ["--ledger-out", str(paths["ledger"])]
+            )
+        assert status == 0
+        digests = {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()
+        }
+        assert digests == DOCUMENT_PINS
