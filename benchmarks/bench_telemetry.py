@@ -17,9 +17,9 @@ from repro.experiments.bench import (
     bench_obs_overhead,
     bench_profiler_overhead,
     run_benchmarks,
-    write_bench_json,
 )
 from repro.obs.diff import diff_files, load_metrics_file
+from repro.reporting import write_json
 
 
 def test_obs_overhead_under_25_percent(record_result):
@@ -95,8 +95,8 @@ def test_bench_json_roundtrips_through_obs_diff(tmp_path):
     document = run_benchmarks(quick=True, repeats=1)
     path_a = tmp_path / "BENCH_a.json"
     path_b = tmp_path / "BENCH_b.json"
-    write_bench_json(document, str(path_a))
-    write_bench_json(document, str(path_b))
+    write_json(document, str(path_a))
+    write_json(document, str(path_b))
 
     loaded = load_metrics_file(str(path_a))
     assert set(loaded) == {

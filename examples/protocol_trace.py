@@ -12,6 +12,7 @@ Run:  python examples/protocol_trace.py
 from repro.ap import AccessPoint, ApConfig
 from repro.dot11.management import Beacon
 from repro.dot11.mac_address import MacAddress
+from repro.energy import NEXUS_ONE
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim import Medium, ProtocolSniffer, Simulator
 from repro.station import Client, ClientConfig, ClientPolicy
@@ -30,7 +31,10 @@ def main() -> None:
 
     phone = Client(
         MacAddress.station(1), medium, AP_MAC,
-        ClientConfig(policy=ClientPolicy.HIDE, wakelock_timeout_s=0.5),
+        ClientConfig(
+            policy=ClientPolicy.HIDE,
+            profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.5),
+        ),
     )
     medium.attach(phone)
     phone.open_port(5353)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -68,9 +69,10 @@ class ApConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.dtim_period <= 255:
             raise ConfigurationError(f"DTIM period out of range: {self.dtim_period}")
-        if self.port_entry_ttl_s is not None and self.port_entry_ttl_s <= 0:
+        ttl = self.port_entry_ttl_s
+        if ttl is not None and not 0 < ttl < math.inf:
             raise ConfigurationError(
-                f"port entry TTL must be positive: {self.port_entry_ttl_s}"
+                f"port entry TTL must be positive and finite: {ttl}"
             )
 
 

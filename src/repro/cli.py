@@ -192,13 +192,14 @@ def cmd_experiments_run(args: argparse.Namespace) -> int:
         from repro.experiments.context import default_context
 
         context = default_context()
-        needs_context = {"figure6", "figure7", "figure8", "figure9", "headline"}
+        sections = dict(runner._SECTIONS)
         for name in args.only.split(","):
             name = name.strip()
-            module = importlib.import_module(f"repro.experiments.{name}")
-            if name in needs_context:
-                print(module.render(module.compute(context)))
+            render_section = sections.get(name)
+            if render_section is not None:
+                print(render_section(context))
             else:
+                module = importlib.import_module(f"repro.experiments.{name}")
                 print(module.render())
             print("=" * 72)
         return 0
@@ -349,15 +350,12 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         except (ConfigurationError, ValueError, OSError) as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
-    # Validate the window spec even when telemetry is off, so a typo
-    # never passes silently.
-    window = _parse_timeseries_window(args.timeseries_window)
-    telemetry = None
-    if args.serve_metrics is not None or args.timeseries_out:
-        telemetry = TelemetryConfig(
-            window=window,
-            serve_port=args.serve_metrics,
-        )
+    # Built (so validated) even when telemetry is off, so a typo never
+    # passes silently.
+    telemetry = TelemetryConfig(
+        window=_parse_timeseries_window(args.timeseries_window),
+        serve_port=args.serve_metrics,
+    )
     config = _des_run_config(
         args,
         profile=profile,
@@ -365,7 +363,11 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         port_entry_ttl_s=args.port_ttl,
         port_refresh_interval_s=args.port_refresh,
-        telemetry=telemetry,
+        telemetry=(
+            telemetry
+            if args.serve_metrics is not None or args.timeseries_out
+            else None
+        ),
         ledger=bool(args.ledger or args.ledger_out),
         profiler=profiler,
     )
@@ -455,19 +457,21 @@ def cmd_sim_run(args: argparse.Namespace) -> int:
         )
     ledger_document = result.ledger_document()
     if ledger_document is not None:
-        from repro.obs.ledger import render_ledger, write_ledger_json
+        from repro.obs.ledger import render_ledger
+        from repro.reporting import write_json
 
         print(render_ledger(ledger_document))
         if args.ledger_out:
-            write_ledger_json(ledger_document, args.ledger_out)
+            write_json(ledger_document, args.ledger_out)
             print(f"wrote ledger to {args.ledger_out}")
     profile_document = result.profile_report()
     if profile_document is not None:
-        from repro.obs.profiler import render_profile_table, write_profile_json
+        from repro.obs.profiler import render_profile_table
+        from repro.reporting import write_json
 
         print(render_profile_table(profile_document))
         if args.profile_out:
-            write_profile_json(profile_document, args.profile_out)
+            write_json(profile_document, args.profile_out)
             print(f"wrote profile report to {args.profile_out}")
         if args.collapsed:
             result.profiler.write_collapsed(args.collapsed)
@@ -482,8 +486,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         render_progress_line,
         render_sweep,
         run_sweep,
-        write_sweep_json,
     )
+    from repro.reporting import write_json
 
     config = _des_run_config(args, profiler=_profiler_config(args))
     spec = SweepSpec(
@@ -526,7 +530,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             server.stop()
     print(render_sweep(document))
     if args.out:
-        write_sweep_json(document, args.out)
+        write_json(document, args.out)
         print(f"wrote {args.out}")
     if document["totals"]["failed"]:
         failing = ", ".join(
@@ -592,12 +596,13 @@ def cmd_obs_slo(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import render_bench, run_benchmarks, write_bench_json
+    from repro.experiments.bench import render_bench, run_benchmarks
+    from repro.reporting import write_json
 
     document = run_benchmarks(quick=args.quick, repeats=args.repeat)
     print(render_bench(document))
     if args.out:
-        write_bench_json(document, args.out)
+        write_json(document, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -639,12 +644,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.loadgen import (
-        LoadgenConfig,
-        render_report,
-        run_loadgen,
-        write_report_json,
-    )
+    from repro.reporting import write_json
+    from repro.service.loadgen import LoadgenConfig, render_report, run_loadgen
 
     config = LoadgenConfig(
         host=args.host,
@@ -661,7 +662,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     report = run_loadgen(config)
     print(render_report(report))
     if args.out:
-        write_report_json(report, args.out)
+        write_json(report.to_document(), args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -47,7 +47,7 @@ def client_counts(client: Client, duration_s: float) -> EnergyCounts:
     power = client.power.counters
     frames = counters.broadcast_frames_received + counters.unicast_frames_received
     frame_airtime = PHY_OVERHEAD_S + AVG_RECEIVED_FRAME_BYTES * 8 / AVG_DATA_RATE_BPS
-    tsp = client.config.suspend_duration_s
+    tsp = client.config.profile.suspend_duration_s
     if client.config.policy is ClientPolicy.HIDE:
         btim_beacons = counters.dtims_received
         report_airtime_s = (

@@ -79,10 +79,8 @@ def _run_bss(
         client = Client(
             mac, medium, AP_MAC,
             ClientConfig(
+                profile=profile,
                 policy=policy,
-                wakelock_timeout_s=profile.wakelock_timeout_s,
-                resume_duration_s=profile.resume_duration_s,
-                suspend_duration_s=profile.suspend_duration_s,
             ),
         )
         medium.attach(client)

@@ -45,13 +45,12 @@ from __future__ import annotations
 
 import gc
 import io
-import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.des_run import (
+    DesRun,
     DesRunConfig,
-    DesRunResult,
     TelemetryConfig,
     run_trace_des,
 )
@@ -75,7 +74,7 @@ class BenchResult:
 
 def _timed_run(
     trace: BroadcastTrace, config: DesRunConfig, tracer=NULL_TRACER
-) -> DesRunResult:
+) -> DesRun:
     """One seeded run with GC collected first and disabled while it runs.
 
     An attached observer allocates objects the bare run never does, so
@@ -100,7 +99,7 @@ def _paired_walls(
     base: DesRunConfig,
     attached: DesRunConfig,
     repeats: int,
-) -> Tuple[float, float, DesRunResult]:
+) -> Tuple[float, float, DesRun]:
     """Best-of-``repeats`` run walls of ``base`` and ``attached``.
 
     One untimed warm-up of each side, then interleaved timed repeats:
@@ -278,12 +277,6 @@ def run_benchmarks(
             for r in results
         },
     }
-
-
-def write_bench_json(document: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
 
 
 def render_bench(document: Dict[str, object]) -> str:

@@ -7,18 +7,26 @@ so protocol-level behaviour (DTIM cycles, BTIM flags, wakeups,
 retransmissions) can be observed, traced, and metered directly.
 
 It is the engine behind ``repro sim run`` and the observability
-integration tests: attach a :class:`~repro.obs.tracing.JsonlTracer`
-and every DTIM cycle, Algorithm-1 run, BTIM element, and client wakeup
-lands in the trace log; :meth:`DesRunResult.metric_rows` reads the
-whole run as metric rows ready for export and fingerprinting, and a
-live ``/metrics`` scrape reads :meth:`PreparedDesRun.live_rows`.
+integration tests. One :class:`DesRun` object is the whole run:
+:func:`prepare_trace_des` wires it, :meth:`DesRun.execute` runs it in
+place, and the same object is then metered and exported. Attach a
+:class:`~repro.obs.tracing.JsonlTracer` and every DTIM cycle,
+Algorithm-1 run, BTIM element, and client wakeup lands in the trace
+log; :meth:`DesRun.metric_rows` reads the whole run as metric rows
+ready for export and fingerprinting, a live ``/metrics`` scrape reads
+:meth:`DesRun.live_rows`, and each telemetry window reads
+:data:`~repro.obs.collectors.WINDOW_SERIES` through the families that
+declare them. Every station runs at the run's device profile and is
+priced at it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import (
     TYPE_CHECKING,
@@ -40,7 +48,12 @@ from repro.energy.profile import DeviceEnergyProfile, NEXUS_ONE
 from repro.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.packet import build_broadcast_udp_packet
-from repro.obs.collectors import collect_delivery, collect_profiler, metric_rows
+from repro.obs.collectors import (
+    collect_delivery,
+    collect_profiler,
+    metric_rows,
+    window_values,
+)
 from repro.obs.ledger import FrameLedger
 from repro.obs.metrics import Row, row_entry
 from repro.obs.profiler import AttributionProfiler, ProfilerConfig
@@ -150,9 +163,9 @@ class TelemetryConfig:
                 raise ConfigurationError(
                     f"window must be 'dtim' or seconds: {self.window!r}"
                 )
-        elif self.window <= 0:
+        elif not 0 < self.window < math.inf:
             raise ConfigurationError(
-                f"window seconds must be positive: {self.window}"
+                f"window seconds must be positive and finite: {self.window}"
             )
         if self.serve_port is not None and not 0 <= self.serve_port <= 65535:
             raise ConfigurationError(f"bad serve port: {self.serve_port}")
@@ -212,8 +225,12 @@ class DesRunConfig:
             raise ConfigurationError(
                 f"useful fraction must be in [0, 1]: {self.useful_fraction}"
             )
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
+        for name in ("duration_s", "port_entry_ttl_s", "port_refresh_interval_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite: {value}"
+                )
         if (
             self.port_entry_ttl_s is not None
             and self.port_refresh_interval_s is not None
@@ -225,31 +242,120 @@ class DesRunConfig:
             )
 
 
-@dataclass
-class DesRunResult:
-    """Everything one DES replay produced, ready for metering/export."""
+class DesRun:
+    """One DES replay of a scenario trace: wired, then run in place.
 
-    trace_name: str
-    duration_s: float
-    useful_ports: FrozenSet[int]
-    simulator: Simulator
-    medium: Medium
-    access_point: AccessPoint
-    clients: List[Client]
-    config: DesRunConfig
-    #: Live when the run had a non-null fault plan.
-    fault_injector: Optional[FaultInjector] = None
-    #: Live when the run checked invariants.
-    invariants: Optional[InvariantSuite] = None
-    #: Live when telemetry was configured: the windowed recorder and
-    #: (if serving) the scrape endpoint.
-    timeseries: Optional[TimeseriesRecorder] = None
-    metrics_server: Optional[MetricsServer] = None
-    #: Live when the run profiled its hot path.
-    profiler: Optional[AttributionProfiler] = None
-    #: Live when the run carried the frame-lifecycle ledger (finalized:
-    #: per-client energy attribution is already accrued).
-    ledger: Optional[FrameLedger] = None
+    :func:`prepare_trace_des` wires it without running, so callers can
+    observe the run *while it happens*: the timeseries recorder and
+    scrape endpoint (already serving, if configured) both exist before
+    :meth:`execute` starts the clock. ``repro sim run --serve-metrics``
+    prints the endpoint URL in that gap, so a scraper can attach from
+    simulated second zero. After :meth:`execute` the same object is
+    read for metering and export.
+    """
+
+    def __init__(
+        self,
+        trace: BroadcastTrace,
+        config: DesRunConfig,
+        duration_s: float,
+        useful_ports: FrozenSet[int],
+        simulator: Simulator,
+        medium: Medium,
+        access_point: AccessPoint,
+        clients: List[Client],
+        fault_injector: Optional[FaultInjector],
+        invariants: Optional[InvariantSuite],
+        ledger: Optional[FrameLedger] = None,
+    ) -> None:
+        self.trace = trace
+        self.config = config
+        self.duration_s = duration_s
+        self.useful_ports = useful_ports
+        self.simulator = simulator
+        self.medium = medium
+        self.access_point = access_point
+        self.clients = clients
+        #: Live when the run had a non-null fault plan.
+        self.fault_injector = fault_injector
+        #: Live when the run checks invariants.
+        self.invariants = invariants
+        #: Live when the run carries the frame-lifecycle ledger (after
+        #: :meth:`execute`, per-client energy attribution is accrued).
+        self.ledger = ledger
+        #: Live when telemetry is configured: the windowed recorder and
+        #: (if serving) the scrape endpoint.
+        self.timeseries: Optional[TimeseriesRecorder] = None
+        self.metrics_server: Optional[MetricsServer] = None
+        #: Live when the run profiles its hot path.
+        self.profiler: Optional[AttributionProfiler] = None
+        self._executed = False
+        if config.profiler is not None:
+            self.profiler = AttributionProfiler(config.profiler)
+            simulator.attach_profiler(self.profiler)
+        if config.telemetry is not None:
+            self._wire_telemetry(config.telemetry)
+
+    @property
+    def duration(self) -> float:
+        """Alias of :attr:`duration_s`, read by the e2e benchmark."""
+        return self.duration_s
+
+    def _wire_telemetry(self, telemetry: TelemetryConfig) -> None:
+        window_s = telemetry.window_seconds(self.access_point.config.dtim_period)
+        self.timeseries = TimeseriesRecorder(
+            window_s,
+            partial(
+                window_values,
+                self.simulator,
+                self.medium,
+                self.access_point,
+                self.clients,
+            ),
+        )
+        self.timeseries.attach(self.simulator)
+        if telemetry.serve_port is not None:
+            from repro.obs.server import MetricsServer
+
+            profile_fn = None
+            if self.profiler is not None:
+                profile_fn = self.profiler.report
+            self.metrics_server = MetricsServer(
+                self.live_rows,
+                recorder=self.timeseries,
+                health_fn=lambda: {
+                    "sim_time": self.simulator.now,
+                    "events_processed": self.simulator.events_processed,
+                    "trace": self.trace.name,
+                },
+                profile_fn=profile_fn,
+                port=telemetry.serve_port,
+            )
+            self.metrics_server.start()
+
+    def execute(self) -> "DesRun":
+        """Run the simulation to completion; returns this run.
+
+        The metrics server (if any) is left running with final values
+        so late scrapes still work; stop it via :meth:`close`.
+        """
+        if self._executed:
+            raise ConfigurationError("this run has already executed")
+        self._executed = True
+        self.simulator.run(until=self.duration_s)
+        if self.timeseries is not None:
+            # Close the trailing partial window so the dump covers the
+            # whole run even when duration % window != 0.
+            self.timeseries.close_partial(self.duration_s)
+        if self.invariants is not None:
+            self.invariants.check_final()
+        if self.ledger is not None:
+            # After run(): the final sync hook has flushed the deferred
+            # RadioArray accrual, so the ledger meters settled counters.
+            self.ledger.finalize(
+                self.clients, self.config.profile, self.duration_s
+            )
+        return self
 
     def close(self) -> None:
         """Stop the metrics server, if one is still running."""
@@ -257,9 +363,10 @@ class DesRunResult:
             self.metrics_server.stop()
 
     def meter(self) -> List[EnergyBreakdown]:
-        """Per-client energy from what each client actually did."""
+        """Per-client energy from what each client actually did, priced
+        at the profile the client ran at."""
         return [
-            price(client_counts(client, self.duration_s), self.config.profile)
+            price(client_counts(client, self.duration_s), client.config.profile)
             for client in self.clients
         ]
 
@@ -272,6 +379,23 @@ class DesRunResult:
             access_points=[self.access_point],
             clients=self.clients,
         )
+
+    def live_rows(self) -> List[Row]:
+        """Every series a live ``/metrics`` scrape shows (read-only).
+
+        The end-of-run rows plus the profiler's and the delivery
+        machinery's host-side rows, which no fingerprint hashes. Called
+        from scrape handlers (server threads): components are only
+        read, never mutated, so this cannot perturb the simulation. The
+        delivery rows read the slot columns without settling them, so —
+        like ``events_processed`` — a live value is at most one probe
+        window stale.
+        """
+        rows = list(self.metric_rows())
+        if self.profiler is not None:
+            rows += collect_profiler(self.profiler)
+        rows += collect_delivery(self.medium)
+        return rows
 
     def deterministic_fingerprint(self) -> str:
         """SHA-256 over everything the simulation determined.
@@ -298,222 +422,11 @@ class DesRunResult:
         return self.ledger.to_document()
 
 
-class PreparedDesRun:
-    """A fully wired DES run that has not executed yet.
-
-    Splitting preparation from execution lets callers observe the run
-    *while it happens*: the timeseries recorder and scrape endpoint
-    (already serving, if configured) both exist
-    before :meth:`execute` starts the clock. ``repro sim run
-    --serve-metrics`` prints the endpoint URL in that gap, so a scraper
-    can attach from simulated second zero.
-    """
-
-    def __init__(
-        self,
-        trace: BroadcastTrace,
-        config: DesRunConfig,
-        duration: float,
-        useful_ports: FrozenSet[int],
-        simulator: Simulator,
-        medium: Medium,
-        access_point: AccessPoint,
-        clients: List[Client],
-        fault_injector: Optional[FaultInjector],
-        invariants: Optional[InvariantSuite],
-        ledger: Optional[FrameLedger] = None,
-    ) -> None:
-        self.trace = trace
-        self.config = config
-        self.duration = duration
-        self.useful_ports = useful_ports
-        self.simulator = simulator
-        self.medium = medium
-        self.access_point = access_point
-        self.clients = clients
-        self.fault_injector = fault_injector
-        self.invariants = invariants
-        self.ledger = ledger
-        self.recorder: Optional[TimeseriesRecorder] = None
-        self.metrics_server: Optional[MetricsServer] = None
-        self.profiler: Optional[AttributionProfiler] = None
-        self._executed = False
-        if config.profiler is not None:
-            self.profiler = AttributionProfiler(config.profiler)
-            simulator.attach_profiler(self.profiler)
-        if config.telemetry is not None:
-            self._wire_telemetry(config.telemetry)
-
-    def _wire_telemetry(self, telemetry: TelemetryConfig) -> None:
-        window_s = telemetry.window_seconds(self.access_point.config.dtim_period)
-        self.recorder = TimeseriesRecorder(window_s, self.sample_live_values)
-        self.recorder.attach(self.simulator)
-        if telemetry.serve_port is not None:
-            from repro.obs.server import MetricsServer
-
-            profile_fn = None
-            if self.profiler is not None:
-                profile_fn = self.profiler.report
-            self.metrics_server = MetricsServer(
-                self.live_rows,
-                recorder=self.recorder,
-                health_fn=lambda: {
-                    "sim_time": self.simulator.now,
-                    "events_processed": self.simulator.events_processed,
-                    "trace": self.trace.name,
-                },
-                profile_fn=profile_fn,
-                port=telemetry.serve_port,
-            )
-            self.metrics_server.start()
-
-    def sample_live_values(self) -> "Dict[str, float]":
-        """The per-window energy-timeline series, read straight off
-        the components.
-
-        This is the timeseries recorder's hot path: it fires once per
-        DTIM, so its cost must stay a small fraction of the simulator's
-        own per-window work. Reading every series scales with their
-        number — hundreds at 25 clients — so instead this reads a
-        fixed-size curated set: the counters Section IV's
-        energy timeline is built from, with client counters summed
-        fleet-wide (the per-client split stays available from
-        ``/metrics`` scrapes and the end-of-run snapshot, which are off
-        the hot path). Each client's held time is a running total, so
-        a window costs O(clients), not O(holds so far).
-        """
-        sim = self.simulator
-        medium = self.medium
-        ap = self.access_point
-        ap_counters = ap.counters
-        values = {
-            "repro_sim_events_processed_total": float(sim.events_processed),
-            "repro_sim_time_seconds": sim.now,
-            "repro_medium_transmissions_total": float(
-                medium.transmissions_completed
-            ),
-            "repro_medium_busy_seconds_total": medium.busy_time,
-            "repro_medium_frames_dropped_total": float(medium.frames_dropped),
-            "repro_medium_frames_queued_total": float(medium.frames_queued),
-            "repro_ap_beacons_sent_total": float(ap_counters.beacons_sent),
-            "repro_ap_dtims_sent_total": float(ap_counters.dtims_sent),
-            "repro_ap_broadcast_frames_sent_total": float(
-                ap_counters.broadcast_frames_sent
-            ),
-            "repro_ap_broadcast_frames_buffered_total": float(
-                ap_counters.broadcast_frames_buffered
-            ),
-            "repro_ap_btim_bits_set_total": float(
-                ap_counters.btim_bits_set_total
-            ),
-            "repro_ap_algorithm1_runs_total": float(ap_counters.algorithm1_runs),
-            "repro_ap_broadcast_buffer_depth": float(len(ap.broadcast_buffer)),
-            "repro_ap_associated_clients": float(len(ap.associations)),
-        }
-        received = ignored = useful = useless = delivered = missed = 0
-        ps_polls = wakeups = suspends = 0
-        wakelock_s = 0.0
-        for client in self.clients:
-            counters = client.counters
-            received += counters.broadcast_frames_received
-            ignored += counters.broadcast_frames_ignored
-            useful += counters.useful_frames_received
-            useless += counters.useless_frames_received
-            delivered += counters.frames_delivered_to_apps
-            missed += counters.useful_frames_missed
-            ps_polls += counters.ps_polls_sent
-            if client.power is not None:
-                wakeups += client.power.counters.resumes
-                suspends += client.power.counters.suspends_completed
-            if client.wakelock is not None:
-                wakelock_s += client.wakelock.total_held_time()
-        values.update(
-            repro_client_broadcast_frames_received_total=float(received),
-            repro_client_broadcast_frames_ignored_total=float(ignored),
-            repro_client_useful_frames_received_total=float(useful),
-            repro_client_useless_frames_received_total=float(useless),
-            repro_client_frames_delivered_to_apps_total=float(delivered),
-            repro_client_useful_frames_missed_total=float(missed),
-            repro_client_ps_polls_sent_total=float(ps_polls),
-            repro_client_wakeups_total=float(wakeups),
-            repro_client_suspends_completed_total=float(suspends),
-            repro_client_wakelock_held_seconds_total=wakelock_s,
-        )
-        return values
-
-    def live_rows(self) -> List[Row]:
-        """Every series a live ``/metrics`` scrape shows (read-only).
-
-        The end-of-run rows plus the profiler's and the delivery
-        machinery's host-side rows, which no fingerprint hashes. Called
-        from scrape handlers (server threads): components are only
-        read, never mutated, so this cannot perturb the simulation. The
-        delivery rows read the slot columns without settling them, so —
-        like ``events_processed`` — a live value is at most one probe
-        window stale.
-        """
-        rows = list(
-            metric_rows(
-                simulator=self.simulator,
-                medium=self.medium,
-                access_points=[self.access_point],
-                clients=self.clients,
-            )
-        )
-        if self.profiler is not None:
-            rows += collect_profiler(self.profiler)
-        rows += collect_delivery(self.medium)
-        return rows
-
-    def close(self) -> None:
-        if self.metrics_server is not None:
-            self.metrics_server.stop()
-
-    def execute(self) -> DesRunResult:
-        """Run the simulation to completion and package the result.
-
-        The metrics server (if any) is left running with final values
-        so late scrapes still work; stop it via ``result.close()``.
-        """
-        if self._executed:
-            raise ConfigurationError("this prepared run has already executed")
-        self._executed = True
-        self.simulator.run(until=self.duration)
-        if self.recorder is not None:
-            # Close the trailing partial window so the dump covers the
-            # whole run even when duration % window != 0.
-            self.recorder.close_partial(self.duration)
-        if self.invariants is not None:
-            self.invariants.check_final()
-        if self.ledger is not None:
-            # After run(): the final sync hook has flushed the deferred
-            # RadioArray accrual, so the ledger meters settled counters.
-            self.ledger.finalize(
-                self.clients, self.config.profile, self.duration
-            )
-        return DesRunResult(
-            trace_name=self.trace.name,
-            duration_s=self.duration,
-            useful_ports=self.useful_ports,
-            simulator=self.simulator,
-            medium=self.medium,
-            access_point=self.access_point,
-            clients=self.clients,
-            config=self.config,
-            fault_injector=self.fault_injector,
-            invariants=self.invariants,
-            timeseries=self.recorder,
-            metrics_server=self.metrics_server,
-            profiler=self.profiler,
-            ledger=self.ledger,
-        )
-
-
 def prepare_trace_des(
     trace: BroadcastTrace,
     config: Optional[DesRunConfig] = None,
     tracer=NULL_TRACER,
-) -> PreparedDesRun:
+) -> DesRun:
     """Wire up AP + stations + telemetry for ``trace`` without running.
 
     Usefulness is protocol-realistic: a port subset covering
@@ -559,12 +472,9 @@ def prepare_trace_des(
         medium.add_delivery_observer(ledger.on_delivery)
 
     useful_ports = ports_for_target_fraction(trace, config.useful_fraction)
-    profile = config.profile
     client_config = ClientConfig(
+        profile=config.profile,
         policy=config.policy,
-        wakelock_timeout_s=profile.wakelock_timeout_s,
-        resume_duration_s=profile.resume_duration_s,
-        suspend_duration_s=profile.suspend_duration_s,
         loss_recovery=active_plan is not None and config.recovery,
         port_refresh_interval_s=config.port_refresh_interval_s,
     )
@@ -630,10 +540,10 @@ def prepare_trace_des(
     # the next frame is ever in the heap.
     simulator.post_series(frame_times, deliver_frame)
 
-    return PreparedDesRun(
+    return DesRun(
         trace=trace,
         config=config,
-        duration=duration,
+        duration_s=duration,
         useful_ports=useful_ports,
         simulator=simulator,
         medium=medium,
@@ -649,17 +559,17 @@ def run_trace_des(
     trace: BroadcastTrace,
     config: Optional[DesRunConfig] = None,
     tracer=NULL_TRACER,
-) -> DesRunResult:
+) -> DesRun:
     """Prepare and execute one DES replay (see :func:`prepare_trace_des`).
 
     When the config serves metrics, the endpoint outlives the run so
-    its final state stays scrapeable — call ``result.close()`` when
-    done with it.
+    its final state stays scrapeable — call ``run.close()`` when done
+    with it.
     """
     return prepare_trace_des(trace, config, tracer=tracer).execute()
 
 
-def client_summary_rows(result: DesRunResult) -> List[List[str]]:
+def client_summary_rows(result: DesRun) -> List[List[str]]:
     """Per-client report rows: wakeups, suspend share, metered power."""
     rows: List[List[str]] = []
     for client, breakdown in zip(result.clients, result.meter()):

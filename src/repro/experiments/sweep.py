@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import os
 import threading
 import time
@@ -549,12 +548,6 @@ def _drain_records(queue, telemetry: SweepTelemetry) -> Callable[[], None]:
         thread.join(timeout=5.0)
 
     return stop
-
-
-def write_sweep_json(document: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
 
 
 def render_progress_line(

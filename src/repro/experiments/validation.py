@@ -94,10 +94,8 @@ def _run_des(policy: ClientPolicy, duration_s: float, profile: DeviceEnergyProfi
     client = Client(
         MacAddress.station(1), medium, AP_MAC,
         ClientConfig(
+            profile=profile,
             policy=policy,
-            wakelock_timeout_s=profile.wakelock_timeout_s,
-            resume_duration_s=profile.resume_duration_s,
-            suspend_duration_s=profile.suspend_duration_s,
         ),
     )
     medium.attach(client)

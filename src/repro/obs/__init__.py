@@ -47,14 +47,12 @@ _EXPORTS = {
     "ProfilerConfig": "repro.obs.profiler",
     "merge_profiles": "repro.obs.profiler",
     "render_profile_table": "repro.obs.profiler",
-    "write_profile_json": "repro.obs.profiler",
     "HdrHistogram": "repro.obs.hdr",
     "QUANTILE_LABELS": "repro.obs.hdr",
     "LEDGER_SCHEMA": "repro.obs.ledger",
     "FrameLedger": "repro.obs.ledger",
     "flatten_ledger_document": "repro.obs.ledger",
     "render_ledger": "repro.obs.ledger",
-    "write_ledger_json": "repro.obs.ledger",
     "SLO_SCHEMA": "repro.obs.slo",
     "ObjectiveResult": "repro.obs.slo",
     "SloReport": "repro.obs.slo",

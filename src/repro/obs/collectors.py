@@ -8,7 +8,9 @@ how to read one member's value. :func:`metric_rows` walks that table
 and yields the rows in (name, labels) order as they are read, so the
 determinism fingerprint and the ``sim run --metrics-out`` exports hold
 one chunk of rows at a time. A live DES scrape adds the host-clock
-rows of :func:`collect_profiler` and :func:`collect_delivery`.
+rows of :func:`collect_profiler` and :func:`collect_delivery`, and a
+telemetry window reads :data:`WINDOW_SERIES` through the same families
+(:func:`window_values`).
 
 Naming follows Prometheus conventions: ``repro_<component>_<what>`` with
 ``_total`` for counters and ``_seconds`` for durations.
@@ -16,8 +18,18 @@ Naming follows Prometheus conventions: ``repro_<component>_<what>`` with
 
 from __future__ import annotations
 
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Tuple
+from functools import reduce
+from operator import add, attrgetter, itemgetter, methodcaller
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Tuple,
+)
 
 from repro.obs.metrics import (
     LabelItems,
@@ -314,7 +326,7 @@ _CLIENT = _table(
         (
             "repro_client_wakelock_held_seconds_total",
             "Total wakelock-held seconds",
-            _wakelock(lambda wakelock: wakelock.total_held_time()),
+            _wakelock(methodcaller("total_held_time")),
         ),
         (
             "repro_client_wakelock_acquisitions_total",
@@ -356,6 +368,63 @@ def _checked(families: Iterable[Family]) -> Tuple[Family, ...]:
 FAMILIES: Tuple[Family, ...] = _checked(
     _SIMULATOR + _MEDIUM + _ACCESS_POINT + _CLIENT
 )
+
+
+#: The series one telemetry window reads: the counters Section IV's
+#: energy timeline is built from. A window closes once per DTIM, so it
+#: reads this fixed set rather than every series (hundreds at 25
+#: clients); client families are summed fleet-wide, the per-client
+#: split staying on ``/metrics`` and the end-of-run rows.
+WINDOW_SERIES: Tuple[str, ...] = (
+    "repro_sim_events_processed_total",
+    "repro_sim_time_seconds",
+    "repro_medium_transmissions_total",
+    "repro_medium_busy_seconds_total",
+    "repro_medium_frames_dropped_total",
+    "repro_medium_frames_queued_total",
+    "repro_ap_beacons_sent_total",
+    "repro_ap_dtims_sent_total",
+    "repro_ap_broadcast_frames_sent_total",
+    "repro_ap_broadcast_frames_buffered_total",
+    "repro_ap_btim_bits_set_total",
+    "repro_ap_algorithm1_runs_total",
+    "repro_ap_broadcast_buffer_depth",
+    "repro_ap_associated_clients",
+    "repro_client_broadcast_frames_received_total",
+    "repro_client_broadcast_frames_ignored_total",
+    "repro_client_useful_frames_received_total",
+    "repro_client_useless_frames_received_total",
+    "repro_client_frames_delivered_to_apps_total",
+    "repro_client_useful_frames_missed_total",
+    "repro_client_ps_polls_sent_total",
+    "repro_client_wakeups_total",
+    "repro_client_suspends_completed_total",
+    "repro_client_wakelock_held_seconds_total",
+)
+
+_WINDOW_FAMILIES = tuple(
+    family for family in FAMILIES if family.name in WINDOW_SERIES
+)
+
+
+def window_values(simulator, medium, ap, clients) -> Dict[str, float]:
+    """The :data:`WINDOW_SERIES` values now, each read by its family.
+
+    A client family's value is the fleet total: a left fold with ``+``
+    in client order (``sum`` of floats is compensated from Python 3.12
+    on and could move the last bit of a total). Clients without the
+    series read None and are skipped, as are zeros, which add nothing.
+    """
+    members = {"simulator": simulator, "medium": medium, "ap": ap}
+    values: Dict[str, float] = {}
+    for family in _WINDOW_FAMILIES:
+        read = family.read
+        if family.population == "client":
+            value = reduce(add, filter(None, map(read, clients)), 0)
+        else:
+            value = read(members[family.population])
+        values[family.name] = float(value)
+    return values
 
 
 def _ap_labels(ap) -> LabelItems:

@@ -45,7 +45,6 @@ inflight heap until its delivery event, keeping the id stable).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, Optional, Tuple
 
@@ -56,7 +55,6 @@ __all__ = [
     "LEDGER_SCHEMA",
     "flatten_ledger_document",
     "render_ledger",
-    "write_ledger_json",
 ]
 
 LEDGER_SCHEMA = "repro-ledger/v1"
@@ -336,9 +334,3 @@ def render_ledger(document: Dict[str, object]) -> str:
         rows,
         title=title,
     )
-
-
-def write_ledger_json(document: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")

@@ -33,7 +33,6 @@ collapsed-stack file any flamegraph tool consumes
 from __future__ import annotations
 
 import functools
-import json
 import time as _time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -251,12 +250,6 @@ def collapsed_from_sites(sites: Iterable[Dict[str, object]]) -> List[str]:
             f"{site['owner']};{site['method']};{site['kind']} {usec}"
         )
     return lines
-
-
-def write_profile_json(document: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
 
 
 def merge_profiles(

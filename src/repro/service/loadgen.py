@@ -20,7 +20,6 @@ omission); how late each send ran is recorded next to it.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import select
@@ -383,9 +382,3 @@ def render_report(report: LoadgenReport) -> str:
     else:
         lines.append("  acks 0")
     return "\n".join(lines)
-
-
-def write_report_json(report: LoadgenReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(report.to_document(), stream, indent=2, sort_keys=True)
-        stream.write("\n")

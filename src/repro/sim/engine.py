@@ -529,8 +529,10 @@ class Simulator:
         changes no event count, no schedule order, and no entity
         behaviour — the telemetry flush hook.
         """
-        if interval_s <= 0:
-            raise SimulationError(f"probe interval must be positive: {interval_s}")
+        if not 0.0 < interval_s < _INF:
+            raise SimulationError(
+                f"probe interval must be positive and finite: {interval_s}"
+            )
         first = self._now + interval_s
         probe = ProbeHandle(interval_s, first, callback)
         self._probes.append(probe)
@@ -604,6 +606,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and math.isnan(until):
+            raise SimulationError("run(until=nan) has no end")
         profiler = self._profiler
         call = None if profiler is None else profiler.profiled_call
         self._running = True

@@ -691,7 +691,7 @@ class RadioArray:
         keys = self._lease_keys
         for slot in joiners:
             client = clients[slot]
-            timeout = client.config.wakelock_timeout_s
+            timeout = client.config.profile.wakelock_timeout_s
             if not lease:
                 self._lease_timeout = timeout
             elif timeout != self._lease_timeout:

@@ -16,6 +16,7 @@ One class implements all three compared behaviours via
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -24,6 +25,7 @@ from repro.dot11.control import Ack, PsPoll
 from repro.dot11.data import DataFrame
 from repro.dot11.management import Beacon, UdpPortMessage
 from repro.dot11.mac_address import MacAddress
+from repro.energy.profile import NEXUS_ONE, DeviceEnergyProfile
 from repro.errors import ConfigurationError
 from repro.obs.tracing import NULL_TRACER
 from repro.sim.engine import EventHandle, RecurringHandle
@@ -66,11 +68,14 @@ BEACON_WATCHDOG_MARGIN_S = us(400)
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """Per-device timing parameters (defaults are Nexus One, Table I)."""
+    """One station's device and protocol settings.
 
-    wakelock_timeout_s: float = 1.0
-    resume_duration_s: float = 46e-3
-    suspend_duration_s: float = 86e-3
+    ``profile`` is the Table I row the station runs at: its τ, T_rm and
+    T_sp drive the wakelock and the suspend machine, and the meter
+    prices the station at the same row.
+    """
+
+    profile: DeviceEnergyProfile = NEXUS_ONE
     policy: ClientPolicy = ClientPolicy.HIDE
     #: Master switch for the protocol recovery paths designed for lossy
     #: channels. When True: UDP Port Messages retransmit with
@@ -88,10 +93,11 @@ class ClientConfig:
     port_refresh_interval_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.wakelock_timeout_s < 0:
-            raise ConfigurationError("wakelock timeout must be non-negative")
-        if self.port_refresh_interval_s is not None and self.port_refresh_interval_s <= 0:
-            raise ConfigurationError("port refresh interval must be positive")
+        refresh = self.port_refresh_interval_s
+        if refresh is not None and not 0 < refresh < math.inf:
+            raise ConfigurationError(
+                f"port refresh interval must be positive and finite: {refresh}"
+            )
 
 
 @slotted
@@ -218,15 +224,16 @@ class Client(Entity):
     def on_attach(self) -> None:
         # The phone boots awake; the suspend path (including the first
         # UDP Port Message for HIDE clients) runs once attached.
+        profile = self.config.profile
         self.power = PowerStateMachine(
             self.simulator,
-            resume_duration_s=self.config.resume_duration_s,
-            suspend_duration_s=self.config.suspend_duration_s,
+            resume_duration_s=profile.resume_duration_s,
+            suspend_duration_s=profile.suspend_duration_s,
             initial_state=PowerState.ACTIVE,
         )
         self.wakelock = WakelockManager(
             self.simulator,
-            timeout_s=self.config.wakelock_timeout_s,
+            timeout_s=profile.wakelock_timeout_s,
             on_expire=self._on_wakelock_expired,
         )
         self.simulator.schedule(0.0, self._try_enter_suspend)

@@ -26,10 +26,8 @@ def run_scenario(policy, traffic, duration=20.0, open_ports=(5353,)):
     client = Client(
         MacAddress.station(1), medium, AP_MAC,
         ClientConfig(
+            profile=NEXUS_ONE,
             policy=policy,
-            wakelock_timeout_s=NEXUS_ONE.wakelock_timeout_s,
-            resume_duration_s=NEXUS_ONE.resume_duration_s,
-            suspend_duration_s=NEXUS_ONE.suspend_duration_s,
         ),
     )
     medium.attach(client)

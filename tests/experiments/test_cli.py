@@ -90,6 +90,17 @@ class TestExperimentsCommands:
         assert "Table I" in out
         assert "Table II" in out
 
+    def test_run_only_prints_the_full_report_section(self, capsys):
+        from repro.experiments import runner
+
+        rule = "=" * 72
+        assert main(["experiments", "run"]) == 0
+        report = capsys.readouterr().out.split("\n" + rule + "\n")
+        names = [name for name, _ in runner._SECTIONS]
+        assert main(["experiments", "run", "--only", "figure9"]) == 0
+        only = capsys.readouterr().out
+        assert only == report[names.index("figure9")] + "\n" + rule + "\n"
+
 
 class TestParser:
     def test_requires_command(self):

@@ -15,8 +15,8 @@ from repro.experiments.sweep import (
     render_progress_line,
     render_sweep,
     run_sweep,
-    write_sweep_json,
 )
+from repro.reporting import write_json
 from tests.obs.row_checks import row_values
 
 _QUICK = DesRunConfig(client_count=2, duration_s=2.0)
@@ -110,7 +110,7 @@ class TestRunSweep:
         again = run_sweep(spec, workers=1)
         assert document["merged_fingerprint"] == again["merged_fingerprint"]
         out = tmp_path / "sweep.json"
-        write_sweep_json(document, str(out))
+        write_json(document, str(out))
         assert json.loads(out.read_text())["schema"] == SWEEP_SCHEMA
 
     def test_invariant_failure_becomes_failing_cell(self):

@@ -35,10 +35,8 @@ def run_des(offered, policy, duration, tau=1.0):
     client = Client(
         MacAddress.station(1), medium, AP_MAC,
         ClientConfig(
+            profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=tau),
             policy=policy,
-            wakelock_timeout_s=tau,
-            resume_duration_s=NEXUS_ONE.resume_duration_s,
-            suspend_duration_s=NEXUS_ONE.suspend_duration_s,
         ),
     )
     medium.attach(client)

@@ -3,6 +3,7 @@
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.data import DataFrame
 from repro.dot11.mac_address import MacAddress
+from repro.energy.profile import NEXUS_ONE
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
@@ -21,7 +22,10 @@ def build(dtim_period):
     medium.attach(ap)
     client = Client(
         MacAddress.station(1), medium, AP_MAC,
-        ClientConfig(policy=ClientPolicy.HIDE, wakelock_timeout_s=0.3),
+        ClientConfig(
+            policy=ClientPolicy.HIDE,
+            profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.3),
+        ),
     )
     medium.attach(client)
     record = ap.associate(client.mac, hide_capable=True)

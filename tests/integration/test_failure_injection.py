@@ -10,6 +10,7 @@ does to delivery counts.
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
+from repro.energy.profile import NEXUS_ONE
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
@@ -31,7 +32,10 @@ def build(loss, loss_seed=1):
     medium.attach(ap)
     client = Client(
         MacAddress.station(1), medium, AP_MAC,
-        ClientConfig(policy=ClientPolicy.HIDE, wakelock_timeout_s=0.3),
+        ClientConfig(
+            policy=ClientPolicy.HIDE,
+            profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.3),
+        ),
     )
     medium.attach(client)
     record = ap.associate(client.mac, hide_capable=True)

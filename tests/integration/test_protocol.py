@@ -4,6 +4,7 @@ import pytest
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
+from repro.energy.profile import NEXUS_ONE
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
@@ -24,7 +25,10 @@ def build_network(client_specs, hide_ap=True):
         mac = MacAddress.station(index + 1)
         client = Client(
             mac, medium, AP_MAC,
-            ClientConfig(policy=policy, wakelock_timeout_s=0.3),
+            ClientConfig(
+                policy=policy,
+                profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.3),
+            ),
         )
         medium.attach(client)
         record = ap.associate(mac, hide_capable=policy is ClientPolicy.HIDE)

@@ -24,6 +24,7 @@ from repro.experiments.des_run import (
     prepare_trace_des,
     run_trace_des,
 )
+from repro.obs.collectors import WINDOW_SERIES
 from repro.obs.diff import diff_files
 from repro.obs.exporters import write_metrics
 from repro.obs.profiler import ProfilerConfig
@@ -131,6 +132,17 @@ class TestWindows:
         assert final["repro_client_wakeups_total"] == float(
             sum(c.power.counters.resumes for c in result.clients)
         )
+
+    def test_final_window_is_the_end_of_run_rows_summed(self, telemetry_run):
+        # Each window series is read by its FAMILIES entry: the last
+        # window equals that family's end-of-run rows, summed over
+        # clients (rows come in label order, so floats only approx).
+        _, result, _, _ = telemetry_run
+        expected = dict.fromkeys(WINDOW_SERIES, 0.0)
+        for row in result.metric_rows():
+            if row.name in expected:
+                expected[row.name] += row.value
+        assert result.timeseries.latest().values == pytest.approx(expected)
 
     def test_deltas_sum_to_final_cumulative(self, telemetry_run):
         _, result, _, _ = telemetry_run

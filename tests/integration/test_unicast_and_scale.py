@@ -6,6 +6,7 @@ from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.data import DataFrame
 from repro.dot11.llc import LlcSnapHeader
 from repro.dot11.mac_address import MacAddress
+from repro.energy.profile import NEXUS_ONE
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
@@ -33,7 +34,10 @@ class TestUnicastPsPoll:
         medium.attach(ap)
         client = Client(
             MacAddress.station(1), medium, AP_MAC,
-            ClientConfig(policy=ClientPolicy.HIDE, wakelock_timeout_s=0.3),
+            ClientConfig(
+                policy=ClientPolicy.HIDE,
+                profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.3),
+            ),
         )
         medium.attach(client)
         record = ap.associate(client.mac, hide_capable=True)
@@ -100,7 +104,10 @@ class TestScale:
             policy = policies[index % len(policies)]
             client = Client(
                 mac, medium, AP_MAC,
-                ClientConfig(policy=policy, wakelock_timeout_s=0.3),
+                ClientConfig(
+                    policy=policy,
+                    profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.3),
+                ),
             )
             medium.attach(client)
             record = ap.associate(mac, hide_capable=policy is ClientPolicy.HIDE)

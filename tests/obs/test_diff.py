@@ -144,11 +144,8 @@ class TestParsing:
         assert str(path) in str(excinfo.value)
 
     def test_loadgen_document_flattens_rtt_and_lateness(self, tmp_path):
-        from repro.service.loadgen import (
-            LoadgenConfig,
-            LoadgenReport,
-            write_report_json,
-        )
+        from repro.reporting import write_json
+        from repro.service.loadgen import LoadgenConfig, LoadgenReport
 
         report = LoadgenReport(config=LoadgenConfig(port=1))
         report.sent_total = report.sent_keepalives = 3
@@ -159,7 +156,7 @@ class TestParsing:
         for late_ms in (0.5, 1.0, 300.0):
             report.late_ms.record(late_ms)
         path = tmp_path / "loadgen.json"
-        write_report_json(report, str(path))
+        write_json(report.to_document(), str(path))
         metrics = load_metrics_file(str(path))
         assert metrics["loadgen_sent_total"] == 3
         assert metrics['loadgen_acks_total{status="2"}'] == 1

@@ -13,9 +13,9 @@ from repro.obs.profiler import (
     collapsed_from_sites,
     merge_profiles,
     render_profile_table,
-    write_profile_json,
 )
 from repro.errors import SimulationError
+from repro.reporting import write_json
 from repro.sim.engine import Simulator
 
 
@@ -148,7 +148,7 @@ class TestAccounting:
         profiler = AttributionProfiler(ProfilerConfig(mode="exact"))
         profiler.profiled_call([0.0, 0, Widget().tick, False, None])
         path = tmp_path / "profile.json"
-        write_profile_json(profiler.report(run_wall_s=0.5), str(path))
+        write_json(profiler.report(run_wall_s=0.5), str(path))
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == PROFILE_SCHEMA
         assert loaded["sites"][0]["owner"] == "Widget"

@@ -26,6 +26,7 @@ from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.data import DataFrame
 from repro.dot11.llc import LlcSnapHeader
 from repro.dot11.mac_address import MacAddress
+from repro.energy.profile import NEXUS_ONE
 from repro.experiments.des_run import (
     DesRunConfig,
     ProfilerConfig,
@@ -213,7 +214,10 @@ def _wire_mixed_bss(medium_cls, clients=_FLEET):
         policy = policies[index % len(policies)]
         client = Client(
             MacAddress.station(index + 1), medium, _AP_MAC,
-            ClientConfig(policy=policy, wakelock_timeout_s=0.3),
+            ClientConfig(
+                policy=policy,
+                profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.3),
+            ),
         )
         medium.attach(client)
         record = ap.associate(
@@ -329,7 +333,7 @@ def _beacon_epoch_tape(
     medium.attach(ap)
     foreign = Client(
         MacAddress.station(200), medium, _FOREIGN_BSSID,
-        ClientConfig(wakelock_timeout_s=0.2),
+        ClientConfig(profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.2)),
     )
     if foreign_first:
         medium.attach(foreign)
@@ -339,7 +343,9 @@ def _beacon_epoch_tape(
         client = Client(
             MacAddress.station(index + 1), medium, _AP_MAC,
             ClientConfig(
-                policy=policy, wakelock_timeout_s=0.2, loss_recovery=recovery
+                policy=policy,
+                profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.2),
+                loss_recovery=recovery,
             ),
         )
         client.open_port(ports[index % len(ports)])
@@ -502,9 +508,11 @@ def _burst_lease_tape(
             MacAddress.station(index + 1), medium, _AP_MAC,
             ClientConfig(
                 policy=policy,
-                wakelock_timeout_s=timeout_s * (2 if slower else 1),
+                profile=NEXUS_ONE.with_overrides(
+                    wakelock_timeout_s=timeout_s * (2 if slower else 1),
+                    resume_duration_s=0.004 if index % 2 else 0.046,
+                ),
                 loss_recovery=recovery,
-                resume_duration_s=0.004 if index % 2 else 0.046,
             ),
         )
         client.open_port(ports[index % len(ports)])
@@ -717,7 +725,7 @@ def _split_mid_burst(medium_cls, sim_cls):
     for index in range(3):
         client = Client(
             MacAddress.station(index + 1), medium, _AP_MAC,
-            ClientConfig(wakelock_timeout_s=0.5),
+            ClientConfig(profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=0.5)),
         )
         client.open_port(5353)
         medium.attach(client)

@@ -75,7 +75,7 @@ def replay(monkeypatch, trace, config, simulator_cls, chunks=4, probe_s=0.5):
     probe()
     simulator.add_probe(probe_s, probe)
     for k in range(1, chunks):
-        simulator.run(until=prepared.duration * k / chunks)
+        simulator.run(until=prepared.duration_s * k / chunks)
         probe()
     result = prepared.execute()
     probe()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.ap.access_point import AccessPoint, ApConfig
 from repro.dot11.mac_address import MacAddress
+from repro.energy.profile import NEXUS_ONE
 from repro.net.packet import build_broadcast_udp_packet
 from repro.sim.engine import Simulator
 from repro.sim.medium import Medium
@@ -26,7 +27,10 @@ def make_network(policies, open_ports=(5353,), hide_ap=True, tau=0.3):
         mac = MacAddress.station(index + 1)
         client = Client(
             mac, medium, AP_MAC,
-            ClientConfig(policy=policy, wakelock_timeout_s=tau),
+            ClientConfig(
+                policy=policy,
+                profile=NEXUS_ONE.with_overrides(wakelock_timeout_s=tau),
+            ),
         )
         medium.attach(client)
         record = ap.associate(mac, hide_capable=policy is ClientPolicy.HIDE)
@@ -51,6 +55,21 @@ class TestSuspendEntry:
         assert client.power.state is PowerState.SUSPENDED
         aid = client.aid
         assert ap.port_table.ports_for_client(aid) == frozenset({5353})
+
+    def test_default_profile_suspends_for_the_nexus_one_tsp(self):
+        # Receive-all suspends at t = 0, so the time spent suspending is
+        # the machine's T_sp to the bit.
+        sim = Simulator()
+        medium = Medium(sim)
+        client = Client(
+            MacAddress.station(1), medium, AP_MAC,
+            ClientConfig(policy=ClientPolicy.RECEIVE_ALL),
+        )
+        medium.attach(client)
+        sim.run(until=1.0)
+        assert client.power.counters.suspends_completed == 1
+        suspending = client.power.time_in_state(PowerState.SUSPENDING)
+        assert suspending == NEXUS_ONE.suspend_duration_s
 
     def test_legacy_client_suspends_without_port_message(self):
         sim, medium, ap, (client,) = make_network([ClientPolicy.RECEIVE_ALL])

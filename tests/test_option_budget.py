@@ -14,8 +14,9 @@ import pytest
 from repro.ap.access_point import ApConfig
 from repro.ap.buffer import BroadcastBuffer
 from repro.energy.model import EnergyModel, HideOverheadParams
-from repro.experiments.des_run import DesRunConfig
+from repro.experiments.des_run import DesRunConfig, TelemetryConfig
 from repro.experiments.sweep import SweepSpec
+from repro.obs.profiler import ProfilerConfig
 from repro.obs.server import MetricsServer
 from repro.service.server import PortService
 from repro.sim.engine import Simulator
@@ -33,14 +34,7 @@ from repro.traces.release import release_bursts
 from repro.traces.stats import detect_bursts
 
 _FIELDS = {
-    ClientConfig: [
-        "wakelock_timeout_s",
-        "resume_duration_s",
-        "suspend_duration_s",
-        "policy",
-        "loss_recovery",
-        "port_refresh_interval_s",
-    ],
+    ClientConfig: ["profile", "policy", "loss_recovery", "port_refresh_interval_s"],
     ApConfig: ["ssid", "dtim_period", "hide_enabled", "port_entry_ttl_s"],
     DesRunConfig: [
         "policy",
@@ -59,6 +53,8 @@ _FIELDS = {
         "profiler",
         "ledger",
     ],
+    TelemetryConfig: ["window", "serve_port"],
+    ProfilerConfig: ["mode", "stride"],
     SweepSpec: ["scenarios", "seeds", "config", "fault_spec", "timeseries_dir"],
     HideOverheadParams: ["port_message_interval_s", "ports_per_message"],
 }
